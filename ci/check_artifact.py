@@ -12,14 +12,7 @@ removal algorithm never needs more VCs than resource ordering") fails the
 build instead of silently producing unusable artifacts.
 
 Usage:
-    ci/check_artifact.py ARTIFACT.json [--timing-tolerance T] [--max-wall-ms W]
-
-`--timing-tolerance` applies to the two timing artifacts and is the
-timing-regression guard: for `cdg_incremental` it fails when the incremental
-CDG maintenance engine is slower than the full-rebuild reference by more
-than the given fraction (incremental/rebuild > 1 + T); for `fig_scale` it
-fails when the incremental SCC partition is slower than the full-Tarjan
-reference on the scaling grid (incremental/tarjan > 1 + T).
+    ci/check_artifact.py ARTIFACT.json [--max-wall-ms W] [--min-attribution F]
 
 `--max-wall-ms` applies to `fig_faults` and guards the fault sweep's
 recorded wall time: live reconfiguration getting pathologically slower
@@ -188,69 +181,13 @@ def check_phase_breakdown(phases, wall_ms, what):
     )
 
 
-def check_cdg_incremental(data, timing_tolerance):
-    require_keys(
-        data,
-        ["runs_per_mode", "total_rebuild_ms", "total_incremental_ms", "overall_speedup", "points"],
-        "cdg_incremental data",
-    )
-    points = data["points"]
-    require(isinstance(points, list) and points, "cdg_incremental must contain timed grid points")
-    for point in points:
-        require_keys(
-            point,
-            [
-                "benchmark",
-                "switch_count",
-                "cycles_broken",
-                "deps_removed",
-                "deps_added",
-                "rebuild_ms",
-                "incremental_ms",
-                "rebuild_phases",
-                "incremental_phases",
-                "speedup",
-            ],
-            "cdg_incremental point",
-        )
-        where = f"cdg_incremental {point['benchmark']} @ {point['switch_count']} switches"
-        check_phase_breakdown(point["rebuild_phases"], point["rebuild_ms"], f"{where} rebuild")
-        check_phase_breakdown(
-            point["incremental_phases"], point["incremental_ms"], f"{where} incremental"
-        )
-    require(
-        any(p["cycles_broken"] > 0 for p in points),
-        "cdg_incremental grid has no cycle-heavy points — the timing would be vacuous",
-    )
-    # The binary asserts outcome equality between the two modes internally;
-    # here we only guard the artifact shape and, optionally, the timing.
-    if timing_tolerance is not None:
-        rebuild = data["total_rebuild_ms"]
-        incremental = data["total_incremental_ms"]
-        require(rebuild > 0.0, "cdg_incremental rebuild total must be positive")
-        ratio = incremental / rebuild
-        require(
-            ratio <= 1.0 + timing_tolerance,
-            "timing regression: incremental CDG maintenance took "
-            f"{incremental:.2f} ms vs {rebuild:.2f} ms rebuild "
-            f"(ratio {ratio:.3f} > allowed {1.0 + timing_tolerance:.3f})",
-        )
-
-
 SCALE_FAMILIES = ["mesh2d", "torus2d", "mesh3d", "torus3d", "fat-tree", "dragonfly"]
 
 
-def check_fig_scale(data, timing_tolerance):
+def check_fig_scale(data):
     require_keys(
         data,
-        [
-            "runs_per_mode",
-            "strategy_switch_cap",
-            "total_incremental_ms",
-            "total_full_tarjan_ms",
-            "overall_speedup",
-            "points",
-        ],
+        ["runs_per_point", "strategy_switch_cap", "total_removal_ms", "points"],
         "fig_scale data",
     )
     points = data["points"]
@@ -268,22 +205,14 @@ def check_fig_scale(data, timing_tolerance):
                 "flows",
                 "cycles_broken",
                 "added_vcs",
-                "incremental_scc_ms",
-                "full_tarjan_ms",
-                "incremental_scc_phases",
-                "full_tarjan_phases",
-                "speedup",
+                "removal_ms",
+                "removal_phases",
                 "strategies",
             ],
             "fig_scale point",
         )
         where = f"fig_scale {point['family']} @ {point['switches']} switches"
-        check_phase_breakdown(
-            point["incremental_scc_phases"], point["incremental_scc_ms"], f"{where} inc-scc"
-        )
-        check_phase_breakdown(
-            point["full_tarjan_phases"], point["full_tarjan_ms"], f"{where} tarjan"
-        )
+        check_phase_breakdown(point["removal_phases"], point["removal_ms"], where)
         require(
             point["family"] in SCALE_FAMILIES,
             f"{where}: unknown family; known: {SCALE_FAMILIES}",
@@ -344,19 +273,11 @@ def check_fig_scale(data, timing_tolerance):
         any(p["cycles_broken"] > 0 for p in points),
         "fig_scale grid has no cycle-heavy points — the timing would be vacuous",
     )
-    # The binary asserts outcome equality between the two SCC modes
-    # internally; here we guard the shape and, optionally, the timing.
-    if timing_tolerance is not None:
-        tarjan = data["total_full_tarjan_ms"]
-        incremental = data["total_incremental_ms"]
-        require(tarjan > 0.0, "fig_scale full-Tarjan total must be positive")
-        ratio = incremental / tarjan
-        require(
-            ratio <= 1.0 + timing_tolerance,
-            "timing regression: incremental SCC maintenance took "
-            f"{incremental:.2f} ms vs {tarjan:.2f} ms full Tarjan "
-            f"(ratio {ratio:.3f} > allowed {1.0 + timing_tolerance:.3f})",
-        )
+    total = sum(p["removal_ms"] for p in points)
+    require(
+        abs(data["total_removal_ms"] - total) <= 1e-6 * max(1.0, total),
+        f"fig_scale total_removal_ms {data['total_removal_ms']} != sum of points {total}",
+    )
 
 
 def check_strategy_matrix(data):
@@ -871,8 +792,7 @@ CHECKS = {
     "fig10_power": lambda data, _: check_fig10(data),
     "summary_table": lambda data, _: check_summary(data),
     "sim_validation": lambda data, _: check_sim_validation(data),
-    "cdg_incremental": check_cdg_incremental,
-    "fig_scale": check_fig_scale,
+    "fig_scale": lambda data, _: check_fig_scale(data),
     "fig_strategy_matrix": lambda data, _: check_strategy_matrix(data),
     "fig_sim_strategies": lambda data, _: check_sim_strategies(data),
     "fig_conservatism": lambda data, _: check_conservatism(data),
@@ -883,13 +803,6 @@ CHECKS = {
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("artifact", help="path to a figure JSON artifact")
-    parser.add_argument(
-        "--timing-tolerance",
-        type=float,
-        default=None,
-        metavar="T",
-        help="for cdg_incremental / fig_scale: fail if the incremental-over-reference timing ratio exceeds 1 + T",
-    )
     parser.add_argument(
         "--max-wall-ms",
         type=float,
@@ -924,10 +837,9 @@ def main():
         else:
             check = CHECKS.get(figure)
             require(check is not None, f"unknown figure name {figure!r}; known: {sorted(CHECKS)}")
-            # The second argument is the figure's guard option: the recorded
-            # wall-time bound for fig_faults, the timing ratio for the rest.
-            guard = args.max_wall_ms if figure == "fig_faults" else args.timing_tolerance
-            check(artifact["data"], guard)
+            # The second argument is the recorded wall-time bound, which
+            # only fig_faults uses.
+            check(artifact["data"], args.max_wall_ms)
     except CheckError as error:
         print(f"{args.artifact}: FAIL — {error}", file=sys.stderr)
         return 1

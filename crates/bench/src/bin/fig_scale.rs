@@ -3,15 +3,13 @@
 //! switches, each with a seeded uniform-random workload routed by the
 //! deadlock-oblivious shortest-path router.
 //!
-//! Every point times `remove_deadlocks` under the incremental SCC partition
-//! (the default) and under full Tarjan per verification scan (the
-//! reference), asserting the two agree before trusting either number.
-//! Points at or below the strategy cap additionally chart the four-strategy
-//! VC-cost comparison.  Pass `--threads <n>` to shard the untimed
-//! generation/routing preparation (`0`, the default, auto-sizes to the
-//! machine's available parallelism; timing always runs serially) and
-//! `--json <path>` to write the rows plus aggregate speedups as a JSON
-//! artifact.
+//! Every point times `remove_deadlocks` (best of `SCALE_RUNS`) with its
+//! build / search / SCC phase breakdown.  Points at or below the strategy
+//! cap additionally chart the four-strategy VC-cost comparison.  Pass
+//! `--threads <n>` to shard the untimed generation/routing preparation
+//! (`0`, the default, auto-sizes to the machine's available parallelism;
+//! timing always runs serially) and `--json <path>` to write the rows plus
+//! the aggregate removal time as a JSON artifact.
 
 use noc_bench::artifact::FigureCli;
 use noc_bench::{scale_sweep, SCALE_RUNS, SCALE_STRATEGY_SWITCH_CAP};
@@ -23,25 +21,15 @@ fn main() {
         return;
     }
 
+    println!("# Removal scaling (best of {SCALE_RUNS} runs per point)");
     println!(
-        "# Removal scaling: incremental SCC vs. full Tarjan (best of {SCALE_RUNS} runs per mode)"
-    );
-    println!(
-        "{:>10} {:>9} {:>8} {:>9} {:>8} {:>7} {:>6} {:>12} {:>11} {:>8}",
-        "family",
-        "switches",
-        "links",
-        "channels",
-        "flows",
-        "breaks",
-        "vcs",
-        "inc_scc_ms",
-        "tarjan_ms",
-        "speedup"
+        "{:>10} {:>9} {:>8} {:>9} {:>8} {:>7} {:>6} {:>12}   phases build/search/scc/other (ms)",
+        "family", "switches", "links", "channels", "flows", "breaks", "vcs", "removal_ms"
     );
     let data = scale_sweep(args.threads, |point| {
+        let phases = &point.removal_phases;
         println!(
-            "{:>10} {:>9} {:>8} {:>9} {:>8} {:>7} {:>6} {:>12.3} {:>11.3} {:>7.2}x",
+            "{:>10} {:>9} {:>8} {:>9} {:>8} {:>7} {:>6} {:>12.3}   {:.3}/{:.3}/{:.3}/{:.3}",
             point.family,
             point.switches,
             point.links,
@@ -49,31 +37,15 @@ fn main() {
             point.flows,
             point.cycles_broken,
             point.added_vcs,
-            point.incremental_scc_ms,
-            point.full_tarjan_ms,
-            point.speedup()
-        );
-        println!(
-            "{:>10}   phases: inc_scc build/search/scc/other = \
-             {:.3}/{:.3}/{:.3}/{:.3} ms, tarjan = {:.3}/{:.3}/{:.3}/{:.3} ms",
-            "",
-            point.incremental_scc_phases.build_ms,
-            point.incremental_scc_phases.search_ms,
-            point.incremental_scc_phases.scc_ms,
-            point.incremental_scc_phases.other_ms(),
-            point.full_tarjan_phases.build_ms,
-            point.full_tarjan_phases.search_ms,
-            point.full_tarjan_phases.scc_ms,
-            point.full_tarjan_phases.other_ms()
+            point.removal_ms,
+            phases.build_ms,
+            phases.search_ms,
+            phases.scc_ms,
+            phases.other_ms()
         );
     });
     println!();
-    println!(
-        "totals: full tarjan {:.1} ms, incremental scc {:.1} ms, overall speedup {:.2}x",
-        data.total_full_tarjan_ms,
-        data.total_incremental_ms,
-        data.overall_speedup()
-    );
+    println!("total removal time: {:.1} ms", data.total_removal_ms);
 
     println!();
     println!("# Strategy comparison (points up to {SCALE_STRATEGY_SWITCH_CAP} switches)");

@@ -45,7 +45,7 @@ fn bump(counter: &TaskCounter) {
 /// sweeps; empty params mean the figure's full published grid).
 ///
 /// The timing and aggregate-only figures (`summary_table`,
-/// `cdg_incremental`, `fig_conservatism`, `fig_scale`) return
+/// `fig_conservatism`, `fig_scale`) return
 /// [`JobError::Unsupported`]: their results are wall-clock measurements or
 /// whole-population aggregates, not independently recordable tasks.
 pub fn job_source(spec: &JobRequest) -> Result<Box<dyn JobSource>, JobError> {
@@ -76,7 +76,7 @@ pub fn job_source_counted(
         "fig_strategy_matrix" => Ok(Box::new(MatrixSource::new(&params, counter)?)),
         "fig_sim_strategies" => Ok(Box::new(SimStrategiesSource::build(&params, counter)?)),
         "fig_faults" => Ok(Box::new(FaultsSource::build(&params, counter)?)),
-        figure @ ("summary_table" | "cdg_incremental" | "fig_conservatism" | "fig_scale") => {
+        figure @ ("summary_table" | "fig_conservatism" | "fig_scale") => {
             Err(JobError::Unsupported(figure.to_string()))
         }
         other => Err(JobError::UnknownFigure(other.to_string())),
@@ -575,12 +575,7 @@ mod tests {
             assert_eq!(source.figure(), figure);
             assert!(source.task_count() > 0, "{figure} decomposes into tasks");
         }
-        for figure in [
-            "summary_table",
-            "cdg_incremental",
-            "fig_conservatism",
-            "fig_scale",
-        ] {
+        for figure in ["summary_table", "fig_conservatism", "fig_scale"] {
             assert!(matches!(
                 job_source(&JobRequest::new(figure)),
                 Err(JobError::Unsupported(_))

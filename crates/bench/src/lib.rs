@@ -2,9 +2,7 @@
 //!
 //! Each public function regenerates the data behind one figure or one prose
 //! claim of the paper's Section 5 by driving the [`noc_flow`] pipeline API;
-//! the binaries in `src/bin/` print the corresponding rows/series and the
-//! Criterion benches in `benches/` measure the algorithm's runtime (the
-//! paper's "runs within minutes" claim) and the ablations.
+//! the binaries in `src/bin/` print the corresponding rows/series.
 //!
 //! | Paper artefact | Function | Binary |
 //! |---|---|---|
@@ -902,7 +900,7 @@ impl ToJson for FaultSweepPoint {
 }
 
 /// Synthesizes and routes a benchmark through the flow API (shared entry
-/// point of the harness functions and the `cdg_incremental` timing binary).
+/// point of the harness functions).
 ///
 /// # Panics
 ///
@@ -917,7 +915,7 @@ pub fn routed_benchmark(benchmark: Benchmark, switch_count: usize) -> RoutedStag
 }
 
 /// Runs the removal algorithm once on a copy of the design and returns its
-/// report (used by the runtime Criterion bench and the ablation harness).
+/// report.
 pub fn run_removal(design: &SynthesizedDesign, config: &RemovalConfig) -> RemovalReport {
     let (_, _, resolution) = CycleBreaking::with_config(config.clone())
         .resolve_cloned(&design.topology, &design.routes)
@@ -1531,11 +1529,11 @@ pub const SCALE_GRID: [ScaleTopology; 11] = [
 /// Seed of the synthetic uniform-random workloads of the scaling grid.
 pub const SCALE_SEED: u64 = 0xD47E_2010;
 
-/// Timing runs per SCC mode per grid point; the best (minimum) is reported.
+/// Timing runs per grid point; the best (minimum) is reported.
 pub const SCALE_RUNS: usize = 2;
 
 /// Largest switch count on which the four-strategy comparison runs; beyond
-/// it only the two SCC modes of cycle breaking are timed (the escape and
+/// it only cycle breaking is timed (the escape and
 /// recovery baselines reroute flow-by-flow and would dominate the sweep's
 /// wall time without adding information about the cycle search).
 pub const SCALE_STRATEGY_SWITCH_CAP: usize = 1100;
@@ -1602,65 +1600,31 @@ pub struct ScalePoint {
     pub cycles_broken: usize,
     /// Extra VCs the removal algorithm added.
     pub added_vcs: usize,
-    /// Best-of-[`SCALE_RUNS`] removal time under the incremental SCC
-    /// partition, in milliseconds (wall time of
-    /// [`incremental_scc_phases`](Self::incremental_scc_phases)).
-    pub incremental_scc_ms: f64,
-    /// Best-of-[`SCALE_RUNS`] removal time under full Tarjan per
-    /// verification scan, in milliseconds (wall time of
-    /// [`full_tarjan_phases`](Self::full_tarjan_phases)).
-    pub full_tarjan_ms: f64,
-    /// Telemetry-attributed phase breakdown of the best incremental-SCC
-    /// run.
-    pub incremental_scc_phases: RemovalTiming,
-    /// Telemetry-attributed phase breakdown of the best full-Tarjan run.
-    pub full_tarjan_phases: RemovalTiming,
+    /// Best-of-[`SCALE_RUNS`] removal time in milliseconds (wall time of
+    /// [`removal_phases`](Self::removal_phases)).
+    pub removal_ms: f64,
+    /// Telemetry-attributed phase breakdown of the best removal run.
+    pub removal_phases: RemovalTiming,
     /// Four-strategy comparison rows (empty above
     /// [`SCALE_STRATEGY_SWITCH_CAP`]).
     pub strategies: Vec<ScaleStrategyOutcome>,
 }
 
-impl ScalePoint {
-    /// Full-Tarjan time over incremental-SCC time (>1 means the
-    /// incremental partition wins).
-    pub fn speedup(&self) -> f64 {
-        if self.incremental_scc_ms > 0.0 {
-            self.full_tarjan_ms / self.incremental_scc_ms
-        } else {
-            1.0
-        }
-    }
-}
-
-/// The full scaling sweep: per-point rows plus aggregate totals.
+/// The full scaling sweep: per-point rows plus the aggregate removal time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleArtifact {
     /// One row per [`SCALE_GRID`] entry, in grid order.
     pub points: Vec<ScalePoint>,
-    /// Sum of the incremental-SCC times, in milliseconds.
-    pub total_incremental_ms: f64,
-    /// Sum of the full-Tarjan times, in milliseconds.
-    pub total_full_tarjan_ms: f64,
-}
-
-impl ScaleArtifact {
-    /// Aggregate full-Tarjan over incremental-SCC time ratio.
-    pub fn overall_speedup(&self) -> f64 {
-        if self.total_incremental_ms > 0.0 {
-            self.total_full_tarjan_ms / self.total_incremental_ms
-        } else {
-            1.0
-        }
-    }
+    /// Sum of the removal times, in milliseconds.
+    pub total_removal_ms: f64,
 }
 
 /// Phase breakdown of one `remove_deadlocks` call, attributed from the
 /// telemetry spans the removal loop emits: CDG (re)builds, cycle search
-/// (net of the SCC maintenance nested inside it), and SCC maintenance
-/// (incremental recomputes or the reference full Tarjan passes).  The
-/// timing binaries report these instead of ad-hoc stopwatch fields so the
-/// CI timing guards read numbers that are *attributed* to a phase, not a
-/// lump sum.
+/// (net of the SCC passes nested inside it), and the Tarjan SCC passes
+/// that narrow each search.  `fig_scale` reports these instead of ad-hoc
+/// stopwatch fields so its numbers are *attributed* to a phase, not a lump
+/// sum.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RemovalTiming {
     /// Wall time of the whole call (duration of the wrapper span), in
@@ -1671,7 +1635,7 @@ pub struct RemovalTiming {
     /// Time inside cycle searches excluding nested SCC work, in
     /// milliseconds.
     pub search_ms: f64,
-    /// Time inside SCC maintenance, in milliseconds.
+    /// Time inside SCC passes, in milliseconds.
     pub scc_ms: f64,
 }
 
@@ -1737,25 +1701,21 @@ pub fn attributed_removal_run<T>(f: impl FnOnce() -> T) -> (RemovalTiming, T) {
     (timing, value)
 }
 
-/// Best-of-[`SCALE_RUNS`] timing of the removal under one SCC mode (by
-/// wall time), plus the report of the last run.
-fn time_scc_mode(
-    topology: &Topology,
-    routes: &RouteSet,
-    scc_mode: noc_deadlock::removal::SccMode,
-) -> (RemovalTiming, RemovalReport) {
-    let config = RemovalConfig {
-        scc_mode,
-        ..RemovalConfig::default()
-    };
+/// Best-of-[`SCALE_RUNS`] timing of the removal (by wall time), plus the
+/// report of the last run.
+fn time_removal(topology: &Topology, routes: &RouteSet) -> (RemovalTiming, RemovalReport) {
     let mut best: Option<RemovalTiming> = None;
     let mut report = None;
     for _ in 0..SCALE_RUNS {
         let mut topo = topology.clone();
         let mut routes = routes.clone();
         let (timing, r) = attributed_removal_run(|| {
-            noc_deadlock::removal::remove_deadlocks(&mut topo, &mut routes, &config)
-                .expect("removal succeeds on the scaling grid")
+            noc_deadlock::removal::remove_deadlocks(
+                &mut topo,
+                &mut routes,
+                &RemovalConfig::default(),
+            )
+            .expect("removal succeeds on the scaling grid")
         });
         if best.is_none_or(|b| timing.wall_ms < b.wall_ms) {
             best = Some(timing);
@@ -1768,27 +1728,15 @@ fn time_scc_mode(
     )
 }
 
-/// Times one prepared scaling design: both SCC modes of cycle breaking
-/// (asserting they agree before trusting either number) and, on points at
-/// or below [`SCALE_STRATEGY_SWITCH_CAP`] switches, the four-strategy
+/// Times cycle breaking on one prepared scaling design and, on points at
+/// or below [`SCALE_STRATEGY_SWITCH_CAP`] switches, runs the four-strategy
 /// comparison.
 ///
 /// # Panics
 ///
-/// Panics if the two SCC modes disagree or a strategy fails.
+/// Panics if a strategy fails.
 pub fn scale_point(spec: ScaleTopology, design: &ScaleDesign) -> ScalePoint {
-    use noc_deadlock::removal::SccMode;
-
-    let (incremental_scc_phases, incremental_report) =
-        time_scc_mode(&design.topology, &design.routes, SccMode::Incremental);
-    let (full_tarjan_phases, full_report) =
-        time_scc_mode(&design.topology, &design.routes, SccMode::FullTarjan);
-    assert!(
-        incremental_report.same_outcome(&full_report),
-        "{}/{}: SCC modes disagree — timing numbers would be meaningless",
-        spec.family(),
-        spec.switch_count()
-    );
+    let (removal_phases, report) = time_removal(&design.topology, &design.routes);
 
     let mut strategies = Vec::new();
     if spec.switch_count() <= SCALE_STRATEGY_SWITCH_CAP {
@@ -1824,12 +1772,10 @@ pub fn scale_point(spec: ScaleTopology, design: &ScaleDesign) -> ScalePoint {
         links: design.topology.link_count(),
         channels: design.topology.channel_count(),
         flows: design.flows,
-        cycles_broken: incremental_report.cycles_broken,
-        added_vcs: incremental_report.added_vcs,
-        incremental_scc_ms: incremental_scc_phases.wall_ms,
-        full_tarjan_ms: full_tarjan_phases.wall_ms,
-        incremental_scc_phases,
-        full_tarjan_phases,
+        cycles_broken: report.cycles_broken,
+        added_vcs: report.added_vcs,
+        removal_ms: removal_phases.wall_ms,
+        removal_phases,
         strategies,
     }
 }
@@ -1851,12 +1797,10 @@ pub fn scale_sweep(threads: usize, mut observer: impl FnMut(&ScalePoint)) -> Sca
             point
         })
         .collect();
-    let total_incremental_ms = points.iter().map(|p| p.incremental_scc_ms).sum();
-    let total_full_tarjan_ms = points.iter().map(|p| p.full_tarjan_ms).sum();
+    let total_removal_ms = points.iter().map(|p| p.removal_ms).sum();
     ScaleArtifact {
         points,
-        total_incremental_ms,
-        total_full_tarjan_ms,
+        total_removal_ms,
     }
 }
 
@@ -1881,11 +1825,8 @@ impl ToJson for ScalePoint {
             .field("flows", &self.flows)
             .field("cycles_broken", &self.cycles_broken)
             .field("added_vcs", &self.added_vcs)
-            .field("incremental_scc_ms", &self.incremental_scc_ms)
-            .field("full_tarjan_ms", &self.full_tarjan_ms)
-            .field("incremental_scc_phases", &self.incremental_scc_phases)
-            .field("full_tarjan_phases", &self.full_tarjan_phases)
-            .field("speedup", &self.speedup())
+            .field("removal_ms", &self.removal_ms)
+            .field("removal_phases", &self.removal_phases)
             .field("strategies", &self.strategies)
             .finish();
     }
@@ -1894,11 +1835,9 @@ impl ToJson for ScalePoint {
 impl ToJson for ScaleArtifact {
     fn write_json(&self, out: &mut String) {
         ObjectWriter::new(out)
-            .field("runs_per_mode", &SCALE_RUNS)
+            .field("runs_per_point", &SCALE_RUNS)
             .field("strategy_switch_cap", &SCALE_STRATEGY_SWITCH_CAP)
-            .field("total_incremental_ms", &self.total_incremental_ms)
-            .field("total_full_tarjan_ms", &self.total_full_tarjan_ms)
-            .field("overall_speedup", &self.overall_speedup())
+            .field("total_removal_ms", &self.total_removal_ms)
             .field("points", &self.points)
             .finish();
     }

@@ -22,9 +22,7 @@
 //!    at least one not-yet-drained flow and each round makes strict
 //!    progress.  The CDG is built once; each round applies
 //!    [`Cdg::remove_flow_deps`] / [`Cdg::add_flow_deps`] per drained flow
-//!    and feeds the touched vertices to an incrementally maintained SCC
-//!    partition ([`noc_graph::IncrementalScc`]), so detection cost tracks
-//!    the dirty region instead of the whole design.
+//!    before the next detection pass.
 //!
 //! Each round is one *reconfiguration event*; its cost — SCCs collapsed,
 //! channels involved, flows drained, hop inflation of the recovery routes —
@@ -36,7 +34,7 @@
 //! interesting cost is [`RecoveryResult::extra_hops`].
 
 use crate::cdg::{Cdg, CdgDelta};
-use noc_graph::{IncrementalScc, NodeId};
+use noc_graph::scc;
 use noc_routing::updown::{updown_route, UpDownLabels};
 use noc_routing::{Route, RouteSet};
 use noc_topology::{FlowId, SwitchId, Topology};
@@ -157,19 +155,12 @@ pub fn apply_recovery_reconfig(
     let mut steps: Vec<RecoveryStep> = Vec::new();
 
     // The CDG is built once; each round patches it with the drained flows'
-    // dependency deltas and marks the touched vertices dirty on the
-    // incrementally maintained SCC partition.
+    // dependency deltas.
     let mut cdg = Cdg::build(topology, routes);
-    let mut scc = IncrementalScc::new();
 
     loop {
         let graph = cdg.graph();
-        let components: Vec<Vec<NodeId>> = scc
-            .components(graph)
-            .iter()
-            .filter(|c| c.len() > 1 || graph.has_edge(c[0], c[0]))
-            .cloned()
-            .collect();
+        let components = scc::cyclic_components(graph);
         if components.is_empty() {
             break;
         }
@@ -228,9 +219,6 @@ pub fn apply_recovery_reconfig(
                 &mut delta,
             );
             reconfigured.insert(flow);
-        }
-        for &node in delta.touched_nodes() {
-            scc.mark_dirty(node);
         }
 
         steps.push(RecoveryStep {

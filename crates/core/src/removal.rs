@@ -6,13 +6,13 @@
 //! the new channels, and update the CDG.  Terminates when the CDG is
 //! acyclic.
 //!
-//! The CDG update is incremental by default ([`CdgMode::Incremental`]): a
-//! break only changes the dependencies of the flows it re-routed, so the
-//! loop applies exactly those deltas ([`Cdg::remove_flow_deps`] /
-//! [`Cdg::add_flow_deps`]) and seeds the next smallest-cycle query from the
-//! touched vertices, instead of rebuilding the whole graph from scratch
-//! every iteration.  [`CdgMode::FullRebuild`] keeps the from-scratch
-//! reference path; both produce identical reports
+//! The CDG update is incremental: a break only changes the dependencies of
+//! the flows it re-routed, so the loop applies exactly those deltas
+//! ([`Cdg::remove_flow_deps`] / [`Cdg::add_flow_deps`]) and seeds the next
+//! smallest-cycle query from the touched vertices, instead of rebuilding
+//! the whole graph from scratch every iteration.
+//! [`remove_deadlocks_rebuilding`] keeps the from-scratch path as a
+//! reference oracle; both produce identical reports
 //! ([`RemovalReport::same_outcome`]), which the equivalence tests assert
 //! over the full benchmark grids.
 
@@ -20,7 +20,6 @@ use crate::cdg::{Cdg, CdgDelta};
 use crate::cost::{cost_table, CostTable, Direction};
 use crate::report::{BreakStep, CdgDeltaStats, RemovalReport};
 use noc_graph::cycles::IncrementalCycleFinder;
-use noc_graph::IncrementalScc;
 use noc_routing::RouteSet;
 use noc_topology::{Channel, FlowId, Topology, TopologyError};
 use std::collections::HashMap;
@@ -53,38 +52,6 @@ pub enum CycleOrder {
     FirstFound,
 }
 
-/// How the loop maintains the CDG between cycle breaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CdgMode {
-    /// Build the CDG once and patch it per iteration with the dependencies
-    /// of the re-routed flows, seeding the next smallest-cycle search from
-    /// the touched vertices.  The default — same answers as
-    /// [`FullRebuild`](Self::FullRebuild), far less work per iteration.
-    #[default]
-    Incremental,
-    /// Rebuild the CDG from the topology and routes every iteration — the
-    /// reference path the incremental engine is checked against, and the
-    /// path the cycle-order ablations always take (their bounded cycle
-    /// enumeration is not incremental).
-    FullRebuild,
-}
-
-/// How the smallest-cycle search maintains the SCC partition it uses to
-/// narrow its candidate pool.  Only effective on the incremental CDG path
-/// (see [`CdgMode`]); the rebuild path always runs full Tarjan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SccMode {
-    /// Maintain the partition incrementally ([`noc_graph::IncrementalScc`]):
-    /// recompute only the dirty region around the vertices each cycle break
-    /// touched, falling back to full Tarjan when the region grows past the
-    /// bound.  The default — identical answers, bounded work per iteration.
-    #[default]
-    Incremental,
-    /// Run full Tarjan inside every verification scan — the reference path
-    /// the incremental partition is checked (and benchmarked) against.
-    FullTarjan,
-}
-
 /// Configuration of a removal run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RemovalConfig {
@@ -94,10 +61,6 @@ pub struct RemovalConfig {
     pub cycle_order: CycleOrder,
     /// Safety bound on the number of cycles broken before giving up.
     pub max_iterations: usize,
-    /// CDG maintenance mode (default = incremental).
-    pub cdg_mode: CdgMode,
-    /// SCC maintenance mode for the cycle search (default = incremental).
-    pub scc_mode: SccMode,
 }
 
 impl Default for RemovalConfig {
@@ -106,8 +69,6 @@ impl Default for RemovalConfig {
             direction: DirectionPolicy::Both,
             cycle_order: CycleOrder::SmallestFirst,
             max_iterations: 100_000,
-            cdg_mode: CdgMode::Incremental,
-            scc_mode: SccMode::Incremental,
         }
     }
 }
@@ -178,35 +139,49 @@ pub fn remove_deadlocks(
     routes: &mut RouteSet,
     config: &RemovalConfig,
 ) -> Result<RemovalReport, RemovalError> {
-    let mut report = RemovalReport::default();
-
     // The incremental engine only serves the smallest-cycle order: the
     // ablation orders rank cycles via the bounded enumeration, which is not
-    // incremental, so they keep the rebuild reference path regardless of
-    // the configured mode.
-    let incremental =
-        config.cdg_mode == CdgMode::Incremental && config.cycle_order == CycleOrder::SmallestFirst;
-    let inc_scc = incremental && config.scc_mode == SccMode::Incremental;
+    // incremental, so they take the rebuild path.
+    let incremental = config.cycle_order == CycleOrder::SmallestFirst;
+    run_removal(topology, routes, config, incremental)
+}
+
+/// [`remove_deadlocks`] with the CDG rebuilt from scratch after every cycle
+/// break instead of patched incrementally: the definition the incremental
+/// loop is checked against.  It returns the same report
+/// ([`RemovalReport::same_outcome`]) and the same repaired design, at a
+/// higher cost per iteration, so it only serves as a test oracle.
+///
+/// # Errors
+///
+/// As [`remove_deadlocks`].
+pub fn remove_deadlocks_rebuilding(
+    topology: &mut Topology,
+    routes: &mut RouteSet,
+    config: &RemovalConfig,
+) -> Result<RemovalReport, RemovalError> {
+    run_removal(topology, routes, config, false)
+}
+
+/// The removal loop, patching the CDG per break when `incremental` (which
+/// requires [`CycleOrder::SmallestFirst`]) and rebuilding it otherwise.
+fn run_removal(
+    topology: &mut Topology,
+    routes: &mut RouteSet,
+    config: &RemovalConfig,
+    incremental: bool,
+) -> Result<RemovalReport, RemovalError> {
+    let mut report = RemovalReport::default();
     let mut removal_span = noc_telemetry::span("removal", "remove_deadlocks");
-    removal_span
-        .arg(
-            "cdg_mode",
-            if incremental {
-                "incremental"
-            } else {
-                "rebuild"
-            },
-        )
-        .arg(
-            "scc_mode",
-            if inc_scc {
-                "incremental"
-            } else {
-                "full_tarjan"
-            },
-        );
+    removal_span.arg(
+        "cdg_mode",
+        if incremental {
+            "incremental"
+        } else {
+            "rebuild"
+        },
+    );
     let mut finder = IncrementalCycleFinder::new();
-    let mut scc = IncrementalScc::new();
 
     // Step 2–3: build the CDG and look for an initial cycle.
     let mut cdg = {
@@ -216,9 +191,7 @@ pub fn remove_deadlocks(
     report.cdg.full_builds = 1;
     let mut cycle = {
         let _span = noc_telemetry::span("removal", "cycle_search");
-        if inc_scc {
-            cdg.smallest_cycle_with_scc(&mut finder, &mut scc)
-        } else if incremental {
+        if incremental {
             cdg.smallest_cycle_with(&mut finder)
         } else {
             select_cycle(&cdg, config.cycle_order)
@@ -315,7 +288,6 @@ pub fn remove_deadlocks(
             let dirty_nodes = touched.len();
             for &node in touched {
                 finder.mark_dirty(node);
-                scc.mark_dirty(node);
             }
             iter_span.arg("dirty_nodes", dirty_nodes);
             noc_telemetry::histogram("removal.dirty_region", dirty_nodes as u64);
@@ -326,11 +298,7 @@ pub fn remove_deadlocks(
                 dirty_nodes,
             });
             let _span = noc_telemetry::span("removal", "cycle_search");
-            if inc_scc {
-                cdg.smallest_cycle_with_scc(&mut finder, &mut scc)
-            } else {
-                cdg.smallest_cycle_with(&mut finder)
-            }
+            cdg.smallest_cycle_with(&mut finder)
         } else {
             cdg = {
                 let _span = noc_telemetry::span("removal", "cdg_build");
@@ -724,32 +692,6 @@ mod tests {
     // is a behavioural change of the removal loop.
     const PINNED_CYCLES_BROKEN: usize = 6;
     const PINNED_ADDED_VCS: usize = 11;
-
-    #[test]
-    fn incremental_scc_mode_matches_full_tarjan_mode() {
-        for design in [figure_1_design(), double_crossing_design()] {
-            let (mut topo_a, mut routes_a) = design.clone();
-            let (mut topo_b, mut routes_b) = design;
-            let inc = RemovalConfig::default();
-            let full = RemovalConfig {
-                scc_mode: SccMode::FullTarjan,
-                ..RemovalConfig::default()
-            };
-            let report_a = remove_deadlocks(&mut topo_a, &mut routes_a, &inc).unwrap();
-            let report_b = remove_deadlocks(&mut topo_b, &mut routes_b, &full).unwrap();
-            assert!(report_a.same_outcome(&report_b));
-            assert_eq!(topo_a.extra_vc_count(), topo_b.extra_vc_count());
-            let a: Vec<_> = routes_a
-                .iter()
-                .map(|(_, r)| r.channels().to_vec())
-                .collect();
-            let b: Vec<_> = routes_b
-                .iter()
-                .map(|(_, r)| r.channels().to_vec())
-                .collect();
-            assert_eq!(a, b, "both SCC modes must produce identical routes");
-        }
-    }
 
     #[test]
     fn error_display_for_inconsistent_cycle() {

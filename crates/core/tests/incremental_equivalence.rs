@@ -1,8 +1,8 @@
 //! Equivalence suite for the incremental CDG maintenance engine.
 //!
-//! The incremental removal loop ([`CdgMode::Incremental`]) must produce the
+//! The incremental removal loop ([`remove_deadlocks`]) must produce the
 //! *same algorithmic outcome* as the from-scratch reference
-//! ([`CdgMode::FullRebuild`]) — same cycles broken, in the same order, with
+//! ([`remove_deadlocks_rebuilding`]) — same cycles broken, in the same order, with
 //! the same direction choices, VC costs and re-routed flow counts — on
 //! every seeded benchmark grid point of the paper's Figures 8 and 9, plus a
 //! family of random cycle-heavy designs.  This is the
@@ -10,35 +10,40 @@
 //! work (Verbeek & Schmaltz) motivates: an incremental optimisation is only
 //! admissible if it is observationally identical to the definition.
 
-use noc_deadlock::removal::{remove_deadlocks, CdgMode, RemovalConfig};
+use noc_deadlock::removal::{remove_deadlocks, remove_deadlocks_rebuilding, RemovalConfig};
 use noc_deadlock::verify;
 use noc_routing::{Route, RouteSet};
 use noc_synth::{synthesize, SynthesisConfig};
 use noc_topology::benchmarks::Benchmark;
 use noc_topology::{FlowId, Topology};
 
-/// Runs removal on clones of the design under the given CDG mode and
-/// returns the report together with the repaired design.
+/// The signature shared by the incremental loop and the rebuilding oracle.
+type Removal = fn(
+    &mut Topology,
+    &mut RouteSet,
+    &RemovalConfig,
+) -> Result<noc_deadlock::RemovalReport, noc_deadlock::RemovalError>;
+
+/// Runs `removal` on clones of the design and returns the report together
+/// with the repaired design.
 fn run_mode(
     topology: &Topology,
     routes: &RouteSet,
-    cdg_mode: CdgMode,
+    removal: Removal,
 ) -> (noc_deadlock::RemovalReport, Topology, RouteSet) {
     let mut topo = topology.clone();
     let mut routes = routes.clone();
-    let config = RemovalConfig {
-        cdg_mode,
-        ..RemovalConfig::default()
-    };
-    let report = remove_deadlocks(&mut topo, &mut routes, &config).expect("removal succeeds");
+    let report =
+        removal(&mut topo, &mut routes, &RemovalConfig::default()).expect("removal succeeds");
     (report, topo, routes)
 }
 
 /// Asserts the two modes agree on one design: identical outcome report,
 /// identical repaired topology cost and identical re-routed channel lists.
 fn assert_modes_agree(topology: &Topology, routes: &RouteSet, label: &str) {
-    let (inc_report, inc_topo, inc_routes) = run_mode(topology, routes, CdgMode::Incremental);
-    let (ref_report, ref_topo, ref_routes) = run_mode(topology, routes, CdgMode::FullRebuild);
+    let (inc_report, inc_topo, inc_routes) = run_mode(topology, routes, remove_deadlocks);
+    let (ref_report, ref_topo, ref_routes) =
+        run_mode(topology, routes, remove_deadlocks_rebuilding);
 
     assert!(
         inc_report.same_outcome(&ref_report),

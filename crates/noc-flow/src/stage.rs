@@ -16,7 +16,6 @@ use crate::error::FlowError;
 use crate::router::{Router, ShortestPathRouter};
 use crate::strategy::{DeadlockResolution, DeadlockStrategy};
 use noc_deadlock::certify::{certify_deadlock_free, CertifyReport};
-use noc_deadlock::report::ReconfigStats;
 use noc_deadlock::vcmap::VcMap;
 use noc_deadlock::verify::{check_deadlock_free, DeadlockCycle};
 use noc_power::{NetworkEstimate, NetworkPowerModel, TechParams};
@@ -24,13 +23,12 @@ use noc_routing::updown::route_all_updown;
 use noc_routing::validate::validate_routes;
 use noc_routing::RouteSet;
 use noc_sim::{
-    DeadlockEvent, DrainStats, FaultPlan, SimConfig, SimOutcome, Simulator, TrafficConfig,
-    VcPolicy, VcSimConfig, VcSimOutcome, VcSimulator,
+    AssignedVc, FaultPlan, TrafficConfig, VcPolicy, VcSimConfig, VcSimOutcome, VcSimulator,
 };
 use noc_synth::{synthesize, SynthesisConfig};
 use noc_topology::benchmarks::Benchmark;
 use noc_topology::validate::validate_design;
-use noc_topology::{CommGraph, CoreMap, FlowId, SwitchId, Topology};
+use noc_topology::{CommGraph, CoreMap, SwitchId, Topology};
 
 /// Entry point of the pipeline: a communication specification waiting for a
 /// topology.
@@ -322,29 +320,16 @@ impl RoutedStage {
         })
     }
 
-    /// Simulates the routed design as-is — useful for demonstrating that a
-    /// deadlock-prone design really does deadlock at runtime.  Diagnostic,
-    /// not a stage transition: deadlock-prone designs stay on this stage.
-    pub fn simulate(&self, traffic: &TrafficConfig) -> SimOutcome {
-        self.simulate_with(&SimConfig::default(), traffic)
-    }
-
-    /// Same as [`simulate`](Self::simulate) with an explicit [`SimConfig`].
-    pub fn simulate_with(&self, sim: &SimConfig, traffic: &TrafficConfig) -> SimOutcome {
-        let _span = noc_telemetry::span("stage", "simulate");
-        Simulator::new(&self.topology, &self.comm, &self.routes, sim).run(traffic)
-    }
-
     /// The VC assignment of the routed design (all base VCs before any
     /// deadlock strategy ran), as the simulator's [`VcMap`] seam.
     pub fn vc_map(&self) -> VcMap {
         VcMap::from_design(&self.topology, &self.routes)
     }
 
-    /// Simulates the routed design on the VC-fidelity engine under the
-    /// given [`VcPolicy`] — the diagnostic counterpart of
-    /// [`simulate`](Self::simulate), with exact wait-for-graph deadlock
-    /// detection instead of the timeout heuristic.
+    /// Simulates the routed design as-is under the given [`VcPolicy`] —
+    /// useful for demonstrating that a deadlock-prone design really does
+    /// deadlock at runtime.  Diagnostic, not a stage transition:
+    /// deadlock-prone designs stay on this stage.
     pub fn simulate_vc(
         &self,
         policy: &dyn VcPolicy,
@@ -450,32 +435,16 @@ impl DeadlockFreeStage {
         certify_deadlock_free(&self.topology, &self.routes)
     }
 
-    /// Simulates the repaired design under the given workload, after
-    /// re-validating route/topology consistency (the stage's defensive
-    /// contract check; it cannot fail for stages built by
-    /// [`RoutedStage::resolve_deadlocks`], which already validated).
+    /// Simulates the repaired design under the given workload with every
+    /// flow on the VCs the strategy assigned ([`AssignedVc`]) and the default
+    /// [`VcSimConfig`] — [`simulate_vc`](Self::simulate_vc) with the common
+    /// arguments filled in.
     ///
     /// The run's outcome (including the `deadlocked` flag, which must stay
     /// `false` for a correctly repaired design) is data on the returned
     /// stage, not an error.
     pub fn simulate(&self, traffic: &TrafficConfig) -> Result<SimulatedStage, FlowError> {
-        self.simulate_with(&SimConfig::default(), traffic)
-    }
-
-    /// Same as [`simulate`](Self::simulate) with an explicit [`SimConfig`].
-    pub fn simulate_with(
-        &self,
-        sim: &SimConfig,
-        traffic: &TrafficConfig,
-    ) -> Result<SimulatedStage, FlowError> {
-        let _span = noc_telemetry::span("stage", "simulate");
-        validate_routes(&self.topology, &self.comm, &self.core_map, &self.routes)?;
-        let outcome = Simulator::new(&self.topology, &self.comm, &self.routes, sim).run(traffic);
-        Ok(SimulatedStage {
-            stage: self.clone(),
-            outcome,
-            vc: None,
-        })
+        self.simulate_vc(&AssignedVc, &VcSimConfig::default(), traffic)
     }
 
     /// The strategy's VC assignment (per-link VC counts, per-hop flow
@@ -484,13 +453,12 @@ impl DeadlockFreeStage {
         VcMap::from_design(&self.topology, &self.routes)
     }
 
-    /// Simulates the repaired design on the VC-fidelity engine: buffers per
+    /// Simulates the repaired design after re-validating route/topology
+    /// consistency (the stage's defensive contract check; it cannot fail
+    /// for stages built by [`RoutedStage::resolve_deadlocks`]): buffers per
     /// (link × VC) sized from the strategy's [`VcMap`], credit-based flow
     /// control, the given [`VcPolicy`] deciding how the assignment is used
     /// at runtime, and exact wait-for-graph deadlock detection.
-    ///
-    /// The returned stage carries the usual [`SimOutcome`] view plus the
-    /// VC-run details ([`SimulatedStage::vc_details`]).
     pub fn simulate_vc(
         &self,
         policy: &dyn VcPolicy,
@@ -501,7 +469,10 @@ impl DeadlockFreeStage {
         validate_routes(&self.topology, &self.comm, &self.core_map, &self.routes)?;
         let vc_map = self.vc_map();
         let outcome = VcSimulator::new(&self.comm, &self.routes, &vc_map, policy, sim).run(traffic);
-        Ok(SimulatedStage::from_vc_outcome(self.clone(), outcome))
+        Ok(SimulatedStage {
+            stage: self.clone(),
+            outcome,
+        })
     }
 
     /// Simulates the repaired design on the VC-fidelity engine with the
@@ -510,8 +481,8 @@ impl DeadlockFreeStage {
     /// the cycle-safe two-phase protocol (up*/down* reroutes on the
     /// surviving fabric, scoped drains as the fallback).
     ///
-    /// The returned stage's [`VcRunDetails`] carry the reconfiguration
-    /// statistics and the typed unreachable outcome.
+    /// The returned stage's outcome carries the reconfiguration statistics
+    /// and the typed unreachable outcome.
     pub fn simulate_vc_faulted(
         &self,
         policy: &dyn VcPolicy,
@@ -525,7 +496,10 @@ impl DeadlockFreeStage {
         let outcome = VcSimulator::new(&self.comm, &self.routes, &vc_map, policy, sim)
             .with_faults(&self.topology, &self.core_map, plan)
             .run(traffic);
-        Ok(SimulatedStage::from_vc_outcome(self.clone(), outcome))
+        Ok(SimulatedStage {
+            stage: self.clone(),
+            outcome,
+        })
     }
 
     /// Area/power estimate of the repaired design (the "removal" /
@@ -536,68 +510,18 @@ impl DeadlockFreeStage {
     }
 }
 
-/// What the VC-fidelity engine adds on top of the plain [`SimOutcome`]:
-/// which policy ran, how a deadlock (if any) was established, and the
-/// dynamic-drain statistics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VcRunDetails {
-    /// Name of the [`VcPolicy`] the run used.
-    pub policy: String,
-    /// The first deadlock detection, if any.
-    pub detection: Option<DeadlockEvent>,
-    /// DBR-style drain statistics (all zero without recovery routes).
-    pub drain: DrainStats,
-    /// Live-reconfiguration statistics (default-empty unless the run was
-    /// armed with a [`FaultPlan`] via
-    /// [`DeadlockFreeStage::simulate_vc_faulted`]).
-    pub reconfig: ReconfigStats,
-    /// Flows a fault left with no route on the surviving fabric, sorted.
-    pub unreachable_flows: Vec<FlowId>,
-    /// Packets charged to unreachable flows instead of delivery.
-    pub unreachable_packets: usize,
-}
-
 /// A deadlock-free design plus the outcome of simulating it.
 #[derive(Debug, Clone)]
 pub struct SimulatedStage {
     stage: DeadlockFreeStage,
-    outcome: SimOutcome,
-    /// VC-fidelity run details when the stage came from
-    /// [`DeadlockFreeStage::simulate_vc`]; `None` for the original engine.
-    vc: Option<VcRunDetails>,
+    outcome: VcSimOutcome,
 }
 
 impl SimulatedStage {
-    /// Wraps a VC-fidelity outcome, exposing its stats through the common
-    /// [`SimOutcome`] view and keeping the engine-specific details aside.
-    pub(crate) fn from_vc_outcome(stage: DeadlockFreeStage, outcome: VcSimOutcome) -> Self {
-        SimulatedStage {
-            stage,
-            outcome: SimOutcome {
-                stats: outcome.stats,
-                deadlocked: outcome.deadlocked,
-                stranded_packets: outcome.stranded_packets,
-            },
-            vc: Some(VcRunDetails {
-                policy: outcome.policy,
-                detection: outcome.detection,
-                drain: outcome.drain,
-                reconfig: outcome.reconfig,
-                unreachable_flows: outcome.unreachable_flows,
-                unreachable_packets: outcome.unreachable_packets,
-            }),
-        }
-    }
-
-    /// The simulation outcome (stats, deadlock flag, stranded packets).
-    pub fn outcome(&self) -> &SimOutcome {
+    /// The simulation outcome (stats, deadlock flag, stranded packets,
+    /// detection, drain and reconfiguration details).
+    pub fn outcome(&self) -> &VcSimOutcome {
         &self.outcome
-    }
-
-    /// VC-fidelity details (policy, detection, drain) when the stage was
-    /// produced by [`DeadlockFreeStage::simulate_vc`].
-    pub fn vc_details(&self) -> Option<&VcRunDetails> {
-        self.vc.as_ref()
     }
 
     /// The design that was simulated.
@@ -606,7 +530,7 @@ impl SimulatedStage {
     }
 
     /// Consumes the stage, yielding the bare outcome.
-    pub fn into_outcome(self) -> SimOutcome {
+    pub fn into_outcome(self) -> VcSimOutcome {
         self.outcome
     }
 

@@ -62,16 +62,12 @@ pub struct StrategySimStats {
 impl StrategySimStats {
     /// Summarises a VC-engine outcome.
     pub fn from_outcome(outcome: &VcSimOutcome) -> Self {
-        Self::from_stats(&outcome.stats, outcome.deadlocked)
-    }
-
-    /// Summarises raw run statistics plus the deadlock verdict.
-    pub fn from_stats(stats: &noc_sim::SimStats, deadlocked: bool) -> Self {
+        let stats = &outcome.stats;
         let percentiles = stats.latency_percentiles(&[50.0, 95.0, 99.0]);
         StrategySimStats {
             injected: stats.injected_packets,
             delivered: stats.delivered_packets,
-            deadlocked,
+            deadlocked: outcome.deadlocked,
             mean_latency: stats.mean_latency(),
             p50_latency: percentiles[0],
             p95_latency: percentiles[1],
@@ -151,26 +147,8 @@ pub struct FaultRunStats {
 impl FaultRunStats {
     /// Summarises a fault-armed VC-engine outcome.
     pub fn from_outcome(outcome: &VcSimOutcome, faults_injected: usize, connected: bool) -> Self {
-        Self::from_parts(
-            &outcome.stats,
-            outcome.deadlocked,
-            &outcome.reconfig,
-            outcome.unreachable_flows.len(),
-            outcome.unreachable_packets,
-            faults_injected,
-            connected,
-        )
-    }
-
-    pub(crate) fn from_parts(
-        stats: &noc_sim::SimStats,
-        deadlocked: bool,
-        reconfig: &noc_deadlock::report::ReconfigStats,
-        unreachable_flows: usize,
-        unreachable_packets: usize,
-        faults_injected: usize,
-        connected: bool,
-    ) -> Self {
+        let stats = &outcome.stats;
+        let reconfig = &outcome.reconfig;
         let injected = stats.injected_packets;
         let delivered = stats.delivered_packets;
         FaultRunStats {
@@ -181,8 +159,8 @@ impl FaultRunStats {
             drain_fallbacks: reconfig.drain_fallbacks,
             packets_drained: reconfig.packets_drained,
             flows_rerouted: reconfig.flows_rerouted,
-            unreachable_flows,
-            unreachable_packets,
+            unreachable_flows: outcome.unreachable_flows.len(),
+            unreachable_packets: outcome.unreachable_packets,
             injected,
             delivered,
             delivered_fraction: if injected == 0 {
@@ -192,7 +170,7 @@ impl FaultRunStats {
             },
             mean_latency: stats.mean_latency(),
             connected,
-            deadlocked,
+            deadlocked: outcome.deadlocked,
         }
     }
 }
@@ -606,11 +584,7 @@ impl FlowSweep {
         let sim = match &self.vc_sim {
             Some(spec) => {
                 let simulated = fixed.simulate_vc(&AssignedVc, &spec.sim, &spec.traffic)?;
-                let outcome = simulated.outcome();
-                Some(StrategySimStats::from_stats(
-                    &outcome.stats,
-                    outcome.deadlocked,
-                ))
+                Some(StrategySimStats::from_outcome(simulated.outcome()))
             }
             None => None,
         };
@@ -630,16 +604,8 @@ impl FlowSweep {
                     .is_empty();
                 let simulated =
                     fixed.simulate_vc_faulted(&AssignedVc, &spec.sim, &spec.traffic, plan)?;
-                let outcome = simulated.outcome();
-                let details = simulated
-                    .vc_details()
-                    .expect("fault simulation runs on the VC engine");
-                Some(FaultRunStats::from_parts(
-                    &outcome.stats,
-                    outcome.deadlocked,
-                    &details.reconfig,
-                    details.unreachable_flows.len(),
-                    details.unreachable_packets,
+                Some(FaultRunStats::from_outcome(
+                    simulated.outcome(),
                     faults_injected,
                     connected,
                 ))

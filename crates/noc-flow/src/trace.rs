@@ -555,7 +555,7 @@ mod tests {
 
     fn sample_snapshot() -> Snapshot {
         let mut counters = BTreeMap::new();
-        counters.insert("scc.full_recomputes".to_string(), 3u64);
+        counters.insert("cycles.queries".to_string(), 3u64);
         let mut histograms = BTreeMap::new();
         histograms.insert(
             "removal.dirty_region".to_string(),
@@ -629,10 +629,10 @@ mod tests {
         let sweep = summary.phases.iter().find(|p| p.cat == "sweep").unwrap();
         assert_eq!(sweep.spans, 2);
         assert_eq!(sweep.total_us, 1100);
-        assert_eq!(summary.counters, vec![("scc.full_recomputes".into(), 3)]);
+        assert_eq!(summary.counters, vec![("cycles.queries".into(), 3)]);
         let table = summary.render_table();
         assert!(table.contains("attributed to named phases: 99.0%"));
-        assert!(table.contains("scc.full_recomputes"));
+        assert!(table.contains("cycles.queries"));
     }
 
     #[test]

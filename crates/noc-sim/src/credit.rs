@@ -6,8 +6,8 @@
 //! forwards (or ejects) a buffered flit it returns the credit, optionally
 //! after a propagation delay.  A channel with zero credits cannot accept
 //! flits — this is the backpressure that makes wormhole blocking (and
-//! therefore deadlock) possible in the first place, so the VC-fidelity
-//! engine models it explicitly instead of peeking at buffer occupancy.
+//! therefore deadlock) possible in the first place, so the simulator models
+//! it explicitly instead of peeking at buffer occupancy.
 
 use std::collections::VecDeque;
 

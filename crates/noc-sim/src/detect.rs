@@ -1,6 +1,6 @@
 //! Exact runtime deadlock detection over a flit wait-for graph.
 //!
-//! The timeout heuristic of the original engine declares deadlock after *N*
+//! An idle-timeout heuristic declares deadlock after *N*
 //! cycles without progress — a guess that is both slow (it must wait out
 //! the threshold) and blind to partial deadlocks (a stuck ring keeps the
 //! counter at zero as long as unrelated traffic still moves).  This module

@@ -7,13 +7,26 @@
 //! grids covering the same ranges the proptest strategies drew from.
 
 use noc_deadlock::removal::{remove_deadlocks, RemovalConfig};
-use noc_deadlock::verify;
+use noc_deadlock::{verify, VcMap};
 use noc_routing::shortest::route_all_shortest;
 use noc_routing::xy::{route_all_xy, MeshCoords};
-use noc_sim::{SimConfig, Simulator, TrafficConfig};
+use noc_routing::RouteSet;
+use noc_sim::{AssignedVc, TrafficConfig, VcSimConfig, VcSimOutcome, VcSimulator};
 use noc_synth::{synthesize, SynthesisConfig};
 use noc_topology::benchmarks::Benchmark;
-use noc_topology::{generators, CommGraph, CoreMap};
+use noc_topology::{generators, CommGraph, CoreMap, Topology};
+
+/// Simulates the design with every flow on the VCs its routes name.
+fn simulate(
+    topology: &Topology,
+    comm: &CommGraph,
+    routes: &RouteSet,
+    config: &VcSimConfig,
+    traffic: &TrafficConfig,
+) -> VcSimOutcome {
+    let vc_map = VcMap::from_design(topology, routes);
+    VcSimulator::new(comm, routes, &vc_map, &AssignedVc, config).run(traffic)
+}
 
 /// Builds an all-to-all communication graph and mapping over a generated
 /// topology, one core per switch.
@@ -53,23 +66,22 @@ fn xy_meshes_never_deadlock() {
         let routes = route_all_xy(&generated.topology, &comm, &map, &coords).unwrap();
         assert!(verify::check_deadlock_free(&generated.topology, &routes).is_ok());
 
-        let outcome = Simulator::new(
+        let outcome = simulate(
             &generated.topology,
             &comm,
             &routes,
-            &SimConfig {
+            &VcSimConfig {
                 buffer_depth,
-                deadlock_threshold: 2_000,
-                max_cycles: 2_000_000,
+                ..VcSimConfig::default()
             },
-        )
-        .run(&TrafficConfig {
-            packets_per_flow,
-            packet_length,
-            mean_gap_cycles: 0,
-            seed: 11,
-            ..TrafficConfig::default()
-        });
+            &TrafficConfig {
+                packets_per_flow,
+                packet_length,
+                mean_gap_cycles: 0,
+                seed: 11,
+                ..TrafficConfig::default()
+            },
+        );
         let case = format!("{rows}x{cols} len={packet_length} depth={buffer_depth}");
         assert!(!outcome.deadlocked, "{case}");
         assert_eq!(
@@ -100,23 +112,23 @@ fn repaired_designs_always_drain() {
         remove_deadlocks(&mut topology, &mut routes, &RemovalConfig::default()).unwrap();
         assert!(verify::check_deadlock_free(&topology, &routes).is_ok());
 
-        let outcome = Simulator::new(
+        let outcome = simulate(
             &topology,
             &comm,
             &routes,
-            &SimConfig {
+            &VcSimConfig {
                 buffer_depth,
-                deadlock_threshold: 2_000,
                 max_cycles: 4_000_000,
+                ..VcSimConfig::default()
             },
-        )
-        .run(&TrafficConfig {
-            packets_per_flow: 2,
-            packet_length,
-            mean_gap_cycles: 0,
-            seed: 3,
-            ..TrafficConfig::default()
-        });
+            &TrafficConfig {
+                packets_per_flow: 2,
+                packet_length,
+                mean_gap_cycles: 0,
+                seed: 3,
+                ..TrafficConfig::default()
+            },
+        );
         let case = format!("switches={switches} len={packet_length} depth={buffer_depth}");
         assert!(!outcome.deadlocked, "{case}");
         assert_eq!(
@@ -141,14 +153,19 @@ fn chain_latency_is_at_least_hop_count() {
         map.assign(b, generated.switches[length - 1]).unwrap();
         let routes = route_all_shortest(&generated.topology, &comm, &map).unwrap();
 
-        let outcome = Simulator::new(&generated.topology, &comm, &routes, &SimConfig::default())
-            .run(&TrafficConfig {
+        let outcome = simulate(
+            &generated.topology,
+            &comm,
+            &routes,
+            &VcSimConfig::default(),
+            &TrafficConfig {
                 packets_per_flow: 3,
                 packet_length,
                 mean_gap_cycles: 0,
                 seed: 1,
                 ..TrafficConfig::default()
-            });
+            },
+        );
         let case = format!("length={length} packet_length={packet_length}");
         assert!(!outcome.deadlocked, "{case}");
         assert_eq!(outcome.stats.delivered_packets, 3, "{case}");

@@ -9,7 +9,7 @@
 //! Run with `cargo run --example ring_deadlock`.
 
 use noc_suite::flow::{CycleBreaking, DesignFlow, ShortestPathRouter};
-use noc_suite::sim::{SimConfig, TrafficConfig};
+use noc_suite::sim::{AssignedVc, TrafficConfig, VcSimConfig};
 use noc_suite::topology::{generators, CommGraph, CoreMap};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,10 +32,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_design(generated.topology, core_map)?
         .route(&ShortestPathRouter::default())?;
 
-    let sim_config = SimConfig {
+    let sim_config = VcSimConfig {
         buffer_depth: 1,
-        deadlock_threshold: 300,
         max_cycles: 100_000,
+        ..VcSimConfig::default()
     };
     let traffic = TrafficConfig {
         packets_per_flow: 16,
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     println!("--- original design (cyclic CDG) ---");
-    let outcome = routed.simulate_with(&sim_config, &traffic);
+    let outcome = routed.simulate_vc(&AssignedVc, &sim_config, &traffic);
     println!(
         "deadlocked: {}, delivered {}/{} packets, {} stranded",
         outcome.deadlocked,
@@ -61,7 +61,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fixed.resolution().added_vcs,
         fixed.resolution().cycles_broken
     );
-    let outcome = fixed.simulate_with(&sim_config, &traffic)?.into_outcome();
+    let outcome = fixed
+        .simulate_vc(&AssignedVc, &sim_config, &traffic)?
+        .into_outcome();
     println!(
         "deadlocked: {}, delivered {}/{} packets, mean latency {:.1} cycles",
         outcome.deadlocked,

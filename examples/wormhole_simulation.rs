@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example wormhole_simulation`.
 
 use noc_suite::flow::{CycleBreaking, DesignFlow, ShortestPathRouter};
-use noc_suite::sim::{SimConfig, TrafficConfig};
+use noc_suite::sim::{AssignedVc, TrafficConfig, VcSimConfig};
 use noc_suite::synth::SynthesisConfig;
 use noc_suite::topology::benchmarks::Benchmark;
 
@@ -26,10 +26,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Some(cycle) => println!("input routing can deadlock ({cycle})"),
     }
 
-    let sim_config = SimConfig {
+    let sim_config = VcSimConfig {
         buffer_depth: 2,
-        deadlock_threshold: 1_000,
         max_cycles: 500_000,
+        ..VcSimConfig::default()
     };
     let traffic = TrafficConfig {
         packets_per_flow: 4,
@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..TrafficConfig::default()
     };
 
-    let before = routed.simulate_with(&sim_config, &traffic);
+    let before = routed.simulate_vc(&AssignedVc, &sim_config, &traffic);
     println!(
         "before removal: deadlocked = {}, delivered {}/{}, mean latency {:.1}",
         before.deadlocked,
@@ -49,7 +49,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let fixed = routed.resolve_deadlocks(&CycleBreaking::default())?;
-    let after = fixed.simulate_with(&sim_config, &traffic)?.into_outcome();
+    let after = fixed
+        .simulate_vc(&AssignedVc, &sim_config, &traffic)?
+        .into_outcome();
     println!(
         "after removal ({} VCs added): deadlocked = {}, delivered {}/{}, mean latency {:.1}",
         fixed.resolution().added_vcs,

@@ -8,7 +8,7 @@ use noc_suite::flow::{
     ShortestPathRouter,
 };
 use noc_suite::power::TechParams;
-use noc_suite::sim::{SimConfig, TrafficConfig};
+use noc_suite::sim::{AssignedVc, TrafficConfig, VcSimConfig};
 use noc_suite::synth::SynthesisConfig;
 use noc_suite::topology::benchmarks::Benchmark;
 
@@ -81,11 +81,12 @@ fn repaired_designs_complete_a_simulated_workload() {
         .unwrap()
         .resolve_deadlocks(&CycleBreaking::default())
         .unwrap()
-        .simulate_with(
-            &SimConfig {
+        .simulate_vc(
+            &AssignedVc,
+            &VcSimConfig {
                 buffer_depth: 2,
-                deadlock_threshold: 1_000,
                 max_cycles: 500_000,
+                ..VcSimConfig::default()
             },
             &TrafficConfig {
                 packets_per_flow: 3,
