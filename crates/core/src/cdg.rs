@@ -13,8 +13,9 @@
 //! re-routes.  [`Cdg::remove_flow_deps`] / [`Cdg::add_flow_deps`] apply
 //! exactly that per-flow delta: they maintain the per-edge flow multiset and
 //! drop/create dependency edges as flows leave/enter channel pairs, while a
-//! [`CdgDelta`] records which vertices were touched (the *dirty region* the
-//! incremental cycle search seeds from) and how many dependencies changed.
+//! [`CdgDelta`] records which vertices were touched (the *dirty region*,
+//! reported per break) and how many dependencies changed.  The incremental
+//! cycle search does not rely on it: it finds the changed edges itself.
 //!
 //! All cycle queries rank vertices by their [`Channel`] (not by internal
 //! node id), so an incrementally maintained CDG answers every query
@@ -55,7 +56,8 @@ pub struct CdgDelta {
 
 impl CdgDelta {
     /// The deduplicated, sorted set of vertices incident to changed edges —
-    /// the dirty region to seed the next smallest-cycle query from.
+    /// the dirty region a break's [`CdgDeltaStats`](crate::report::CdgDeltaStats)
+    /// reports.
     pub fn touched_nodes(&mut self) -> &[NodeId] {
         self.touched.sort();
         self.touched.dedup();
@@ -233,10 +235,11 @@ impl Cdg {
     }
 
     /// [`smallest_cycle`](Self::smallest_cycle) through an
-    /// [`IncrementalCycleFinder`], which prunes the search using candidate
-    /// cycles cached from earlier queries and the dirty region reported via
-    /// [`CdgDelta::touched_nodes`].  The answer is always identical to the
-    /// unseeded search; only the work to find it shrinks.
+    /// [`IncrementalCycleFinder`], which skips every channel whose certified
+    /// lower bound from earlier queries rules out a shorter cycle.  The
+    /// finder finds the edits since its last query by itself.  The answer is
+    /// always identical to the plain search; only the work to find it
+    /// shrinks.
     pub fn smallest_cycle_with(&self, finder: &mut IncrementalCycleFinder) -> Option<Vec<Channel>> {
         finder
             .smallest_cycle_by(&self.graph, |n| self.channel_of(n))
@@ -614,8 +617,8 @@ mod tests {
         let cycle = cycle.expect("Figure 1 is cyclic");
         assert!(cycle.iter().all(|c| component.contains(c)));
 
-        // Apply the Figure 3 reroute incrementally and mirror the dirty set
-        // into the finder.
+        // Apply the Figure 3 reroute incrementally; the finder is told
+        // nothing about it.
         let f3 = FlowId::from_index(2);
         let old: Vec<Channel> = routes.route(f3).unwrap().channels().to_vec();
         let new_channel = topo.add_vc(LinkId::from_index(0)).unwrap();
@@ -625,9 +628,6 @@ mod tests {
         cdg.register_channel(new_channel, &mut delta);
         cdg.remove_flow_deps(f3, &old, &mut delta);
         cdg.add_flow_deps(f3, &new, &mut delta);
-        for &node in delta.touched_nodes() {
-            finder.mark_dirty(node);
-        }
         assert_eq!(cdg.smallest_cycle(), None);
         assert_eq!(cdg.smallest_cycle_with(&mut finder), None);
         assert!(scc::cyclic_components(cdg.graph()).is_empty());

@@ -271,7 +271,7 @@ fn run_removal(
         // then search for the next cycle.
         cycle = if incremental {
             // Only the re-routed flows' dependencies changed: apply their
-            // deltas and seed the next search from the touched vertices.
+            // deltas; the finder diffs the patched graph by itself.
             let mut delta = CdgDelta::default();
             for &channel in &outcome.new_channels {
                 cdg.register_channel(channel, &mut delta);
@@ -284,11 +284,7 @@ fn run_removal(
                     .channels();
                 cdg.add_flow_deps(*flow, new_channels, &mut delta);
             }
-            let touched = delta.touched_nodes();
-            let dirty_nodes = touched.len();
-            for &node in touched {
-                finder.mark_dirty(node);
-            }
+            let dirty_nodes = delta.touched_nodes().len();
             iter_span.arg("dirty_nodes", dirty_nodes);
             noc_telemetry::histogram("removal.dirty_region", dirty_nodes as u64);
             report.cdg.step_deltas.push(CdgDeltaStats {

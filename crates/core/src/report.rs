@@ -86,8 +86,8 @@ pub struct CdgDeltaStats {
     pub deps_added: usize,
     /// Channel vertices created (the VCs this break added).
     pub channels_added: usize,
-    /// Vertices incident to changed edges — the dirty region the next
-    /// smallest-cycle query was seeded from.
+    /// Vertices incident to changed edges — the dirty region of this
+    /// break.
     pub dirty_nodes: usize,
 }
 

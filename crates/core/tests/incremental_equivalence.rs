@@ -40,7 +40,12 @@ fn run_mode(
 
 /// Asserts the two modes agree on one design: identical outcome report,
 /// identical repaired topology cost and identical re-routed channel lists.
-fn assert_modes_agree(topology: &Topology, routes: &RouteSet, label: &str) {
+/// Returns the incremental run's report.
+fn assert_modes_agree(
+    topology: &Topology,
+    routes: &RouteSet,
+    label: &str,
+) -> noc_deadlock::RemovalReport {
     let (inc_report, inc_topo, inc_routes) = run_mode(topology, routes, remove_deadlocks);
     let (ref_report, ref_topo, ref_routes) =
         run_mode(topology, routes, remove_deadlocks_rebuilding);
@@ -92,6 +97,7 @@ fn assert_modes_agree(topology: &Topology, routes: &RouteSet, label: &str) {
             "{label}: every added VC enters the CDG exactly once"
         );
     }
+    inc_report
 }
 
 /// Shards the grid across scoped worker threads (the test itself is the
@@ -140,6 +146,30 @@ fn ring_backbone_designs_incremental_matches_full_rebuild() {
             );
         }
     }
+}
+
+/// Shortest-path routed tori are the long-cycle designs: their smallest
+/// cycles run around a whole ring, so most cycle-search work is the scan
+/// over nodes whose certified bound already rules out a shorter cycle.
+/// torus2d 8x8 and 12x12, two traffic seeds each, four flows per core
+/// (22 to 61 breaks per design).
+#[test]
+fn torus_designs_incremental_matches_full_rebuild() {
+    use noc_routing::shortest::route_all_shortest;
+    use noc_topology::generators;
+    let cases: Vec<(usize, u64)> = [8, 12]
+        .into_iter()
+        .flat_map(|side| [(side, 0xD47E_2010), (side, 0x5EED)])
+        .collect();
+    noc_flow::executor::parallel_map_ordered(&cases, 0, |&(side, seed)| {
+        let generated = generators::torus2d(side, side, 1.0);
+        let workload = generators::uniform_traffic(&generated, 4, seed, 1.0);
+        let routes = route_all_shortest(&generated.topology, &workload.comm, &workload.map)
+            .expect("a torus is strongly connected");
+        let label = format!("torus2d {side}x{side} seed {seed:#x}");
+        let report = assert_modes_agree(&generated.topology, &routes, &label);
+        assert!(report.cycles_broken >= 20, "{label}: too few breaks");
+    });
 }
 
 /// Seeded random unidirectional rings with chords and random multi-hop

@@ -738,14 +738,20 @@ impl<'a> Parser<'a> {
                 Some(byte) if byte < 0x20 => {
                     return Err(self.error("raw control character in string"));
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                Some(lead) => {
+                    // Consume one UTF-8 scalar, validating only its own
+                    // bytes: the lead byte gives the width (input is a
+                    // &str, so the byte stream is valid UTF-8).
+                    let width = match lead {
+                        0x00..=0x7F => 1,
+                        0xC0..=0xDF => 2,
+                        0xE0..=0xEF => 3,
+                        _ => 4,
+                    };
+                    let scalar = std::str::from_utf8(&self.bytes[self.pos..self.pos + width])
                         .expect("input was a valid &str");
-                    let ch = rest.chars().next().expect("peek saw a byte");
-                    result.push(ch);
-                    self.pos += ch.len_utf8();
+                    result.push_str(scalar);
+                    self.pos += width;
                 }
             }
         }
@@ -1025,6 +1031,38 @@ mod tests {
         assert_eq!(
             JsonValue::parse(&out).unwrap(),
             JsonValue::String("a\"b\\c\nd\te\r\u{08}\u{0C}\u{01}ü".to_string())
+        );
+    }
+
+    #[test]
+    fn string_parsing_is_linear_in_length() {
+        // Best-of-n parse time of one string literal of about `bytes`
+        // bytes, mixing one- to four-byte scalars.
+        fn best_parse(bytes: usize, runs: usize) -> std::time::Duration {
+            let body: String = "ab\u{fc}\u{20ac}\u{1d11e}"
+                .chars()
+                .cycle()
+                .take(bytes / 2)
+                .collect();
+            let doc = format!("\"{body}\"");
+            (0..runs)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    let value = JsonValue::parse(&doc).expect("a valid literal");
+                    let elapsed = start.elapsed();
+                    assert_eq!(value.as_str().map(str::len), Some(body.len()));
+                    elapsed
+                })
+                .min()
+                .expect("at least one run")
+        }
+        let small = best_parse(10_000, 5);
+        let large = best_parse(1_000_000, 3);
+        // 100x the input: linear parsing takes ~100x as long, a parser
+        // that re-scans the rest of the document per scalar ~10 000x.
+        assert!(
+            large < small * 300,
+            "1 MB took {large:?}, 10 KB took {small:?}"
         );
     }
 

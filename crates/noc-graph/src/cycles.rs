@@ -4,8 +4,8 @@
 //! for the *smallest* cycle of the channel dependency graph
 //! (`GetSmallestCycle`).  The paper finds cycles by running a breadth-first
 //! search from every vertex and checking whether the start vertex is
-//! reached again; [`smallest_cycle`] implements exactly that strategy,
-//! returning the shortest cycle over all start vertices.
+//! reached again; [`smallest_cycle`] returns exactly the shortest cycle that
+//! strategy finds over all start vertices.
 //!
 //! # Canonical search order
 //!
@@ -18,20 +18,32 @@
 //! to a freshly rebuilt copy of the same graph.  The incremental
 //! deadlock-removal loop in `noc-deadlock` relies on this contract.
 //!
+//! # One BFS kernel
+//!
+//! Every search runs the same breadth-first kernel over a compressed,
+//! deduplicated adjacency snapshot with dense `u32` positions and one
+//! epoch-stamped workspace that is reused from BFS to BFS, so a per-vertex
+//! search allocates nothing but the cycle it returns.  For the smallest-cycle scan the snapshot holds
+//! only the members of cyclic strongly connected components, positioned in
+//! rank order, with the edges inside each component: a node outside the
+//! start's component can never lie on a path back to the start, so it can
+//! neither close a cycle nor parent a node that does.  The BFS tree, and so
+//! the cycle reported, is the one the search over the whole graph builds.
+//!
 //! # Incremental search
 //!
 //! [`IncrementalCycleFinder`] answers repeated smallest-cycle queries over a
-//! graph that changes a little between queries.  It caches surviving
-//! candidate cycles as length bounds, seeds the next query from the nodes
-//! incident to changed edges ([`mark_dirty`](IncrementalCycleFinder::mark_dirty)),
-//! and then runs a bound-pruned global verification scan, so the exactness
-//! of the full search is preserved while the per-query cost collapses to
-//! small bounded neighbourhood explorations.
+//! graph that changes a little between queries.  It keeps a certified lower
+//! bound per node ("no cycle through `v` has at most `bounds[v]` nodes"),
+//! skips every node whose bound already rules out a cycle under the current
+//! cap, and lowers the bounds near the edges added since its last query,
+//! which it finds by diffing the graph against the adjacency that query saw.
+//! Skipping a node is exact because the skipped BFS would have returned
+//! nothing, so every answer is identical to the full scan.
 
 use crate::csr::GraphView;
 use crate::digraph::NodeId;
 use crate::scc;
-use std::collections::VecDeque;
 
 /// Returns the shortest directed cycle through `start`, as the ordered list
 /// of nodes `[start, ..., last]` such that every consecutive pair is an edge
@@ -44,7 +56,7 @@ use std::collections::VecDeque;
 /// order, so the returned cycle depends only on the edge set (see the
 /// [module docs](self)).
 pub fn shortest_cycle_through<G: GraphView>(graph: &G, start: NodeId) -> Option<Vec<NodeId>> {
-    bounded_cycle_bfs(graph, start, usize::MAX, &NodeId::index)
+    shortest_cycle_through_bounded(graph, start, usize::MAX)
 }
 
 /// [`shortest_cycle_through`] with an inclusive length bound: only cycles of
@@ -72,7 +84,18 @@ pub fn shortest_cycle_through_bounded<G: GraphView>(
     start: NodeId,
     max_len: usize,
 ) -> Option<Vec<NodeId>> {
-    bounded_cycle_bfs(graph, start, max_len, &NodeId::index)
+    if !graph.contains_node(start) {
+        return None;
+    }
+    // Node-id space is its own rank order: positions are node indices.
+    let adjacency = Csr::of_graph(graph);
+    BfsWorkspace::default()
+        .shortest_cycle(&adjacency, start.index() as u32, max_len)
+        .map(|path| {
+            path.into_iter()
+                .map(|p| NodeId::from_index(p as usize))
+                .collect()
+        })
 }
 
 /// Returns the smallest directed cycle of the graph (fewest nodes), or
@@ -110,11 +133,14 @@ pub fn smallest_cycle<G: GraphView>(graph: &G) -> Option<Vec<NodeId>> {
 /// incremental CDG maintenance in `noc-deadlock` is built on (it ranks
 /// vertices by their channel, which both the rebuilt and the incrementally
 /// maintained CDG agree on).
+///
+/// This is the first query of a fresh [`IncrementalCycleFinder`], so the
+/// stateless and the incremental search share one code path.
 pub fn smallest_cycle_by<G: GraphView, K: Ord>(
     graph: &G,
     rank: impl Fn(NodeId) -> K,
 ) -> Option<Vec<NodeId>> {
-    bounded_smallest_scan(graph, &rank, usize::MAX)
+    IncrementalCycleFinder::new().smallest_cycle_by(graph, rank)
 }
 
 /// Returns `true` if the graph contains no directed cycle.
@@ -235,29 +261,32 @@ pub fn girth<G: GraphView>(graph: &G) -> Option<usize> {
 ///
 /// The deadlock-removal loop breaks one dependency per iteration: a handful
 /// of edges disappear, a handful appear, and the rest of the graph is
-/// untouched.  Re-running the full per-vertex BFS from every node each time
-/// is what made the loop the suite's hot path.  This finder instead:
+/// untouched.  Most per-vertex searches of the next query would therefore
+/// repeat work whose outcome is already known.  The finder keeps two
+/// pieces of state between queries:
 ///
-/// 1. **validates cached candidates** — cycles found in earlier queries
-///    whose edges all still exist give an immediate upper bound on the new
-///    smallest length;
-/// 2. **seeds from the dirty region** — a bounded BFS restarts
-///    [`shortest_cycle_through`] only from nodes incident to changed edges
-///    (reported via [`mark_dirty`](Self::mark_dirty)), which usually
-///    tightens the bound further because new cycles must pass through new
-///    edges;
-/// 3. **falls back to the global scan** — a full ascending-rank pass, but
-///    with every BFS pruned at the current bound.  This pass is what keeps
-///    the search *exact*: the new smallest cycle may be an old cycle far
-///    from any changed edge (e.g. a second, untouched ring), so a
-///    dirty-only restart would be unsound.  When every cached candidate has
-///    died and the dirty pass finds nothing, the bound is infinite and this
-///    degenerates to exactly [`smallest_cycle_by`].
+/// 1. **Certified per-node lower bounds.**  `bounds[v]` means "no cycle
+///    through `v` has at most `bounds[v]` nodes".  The scan visits the
+///    cyclic-component members in rank order under a shrinking cap, exactly
+///    as the full search does, but skips `v` when `bounds[v] >= cap`: the
+///    BFS from `v` would return nothing.  After a BFS under cap `c` the
+///    bound becomes `L - 1` if a cycle of `L` nodes was found and `c`
+///    otherwise.  Skipping never drops a node from another node's BFS, so
+///    BFS trees, and with them the (length, rank) tie-break, are those of
+///    the full search.
+/// 2. **The adjacency seen at the last query.**  Removing edges only
+///    removes cycles, so bounds survive removals.  A cycle through `v` that
+///    is new runs over an added edge `a -> b` and has at least
+///    `dist(v -> tails) + 1 + dist(heads -> v)` nodes, where `tails` and
+///    `heads` collect the endpoints of every added edge inside a cyclic
+///    component.  Each query diffs the graph against the stored adjacency,
+///    so the added edges are found without any hint from the caller, and
+///    lowers the bounds with one forward and one backward multi-source BFS,
+///    both cut off at the largest bound they could lower.
 ///
-/// The result is always identical to calling [`smallest_cycle_by`] from
-/// scratch — the caches and dirty hints only ever *prune*, never change the
-/// answer — which the property tests in `tests/graph_properties.rs` pin
-/// down over randomized edit sequences.
+/// The result is always identical to the full per-vertex scan — the state
+/// only ever prunes, never changes the answer — which the property tests in
+/// `tests/graph_properties.rs` pin against an independent reference.
 ///
 /// # Example
 ///
@@ -270,27 +299,25 @@ pub fn girth<G: GraphView>(graph: &G) -> Option<usize> {
 /// let mut finder = IncrementalCycleFinder::new();
 /// assert_eq!(finder.smallest_cycle_by(&g, |v| v.index()).unwrap().len(), 4);
 ///
-/// // Break the ring; only the endpoints of the removed edge are dirty.
+/// // Break the ring: the finder notices the edit by itself.
 /// let e = g.find_edge(n[3], n[0]).unwrap();
 /// g.remove_edge(e);
-/// finder.mark_dirty(n[3]);
-/// finder.mark_dirty(n[0]);
 /// assert_eq!(finder.smallest_cycle_by(&g, |v| v.index()), None);
+///
+/// // Close a shorter ring: the bounds near the new edge are lowered.
+/// g.add_edge(n[1], n[0], ());
+/// assert_eq!(finder.smallest_cycle_by(&g, |v| v.index()), Some(vec![n[0], n[1]]));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalCycleFinder {
-    /// Cycles found by earlier queries, kept as candidate length bounds.
-    /// Lazily validated against the live edge set at the next query.
-    candidates: Vec<Vec<NodeId>>,
-    /// Nodes incident to edges added or removed since the last query.
-    dirty: Vec<NodeId>,
+    /// Per node id: no cycle through the node has at most this many nodes,
+    /// in the graph the last query saw.  Empty before the first query.
+    bounds: Vec<usize>,
+    /// The deduplicated adjacency the last query saw, in node-id space.
+    seen: Option<Csr>,
+    /// BFS buffers reused by every per-node search.
+    workspace: BfsWorkspace,
 }
-
-/// How many candidate cycles the finder keeps between queries.  The winner
-/// is destroyed by every removal iteration (the loop breaks the cycle it
-/// just found), so the value of the pool is in the runners-up; a handful is
-/// plenty and keeps validation cheap.
-const CANDIDATE_POOL: usize = 8;
 
 impl IncrementalCycleFinder {
     /// A finder with no cached state: the first query is a plain global
@@ -299,176 +326,362 @@ impl IncrementalCycleFinder {
         Self::default()
     }
 
-    /// Declares `node` dirty: an edge incident to it was added or removed
-    /// since the last query.  Dirty nodes seed the next query's search.
-    ///
-    /// Marking is a performance hint, never a correctness requirement — the
-    /// global verification scan catches cycles the dirty region misses —
-    /// so over- or under-marking is always safe.
-    pub fn mark_dirty(&mut self, node: NodeId) {
-        self.dirty.push(node);
-    }
-
-    /// Drops all cached candidates and dirty hints, e.g. after a wholesale
-    /// graph rebuild that invalidates node identities.
+    /// Drops all cached state, e.g. after a wholesale graph rebuild that
+    /// invalidates node identities.
     pub fn clear(&mut self) {
-        self.candidates.clear();
-        self.dirty.clear();
+        *self = Self::default();
     }
 
     /// The smallest cycle of `graph` under the ranking `rank`, exactly as
-    /// [`smallest_cycle_by`] would return it, using the cached candidates
-    /// and the dirty region to prune the search.
+    /// the full per-vertex scan returns it, skipping every node whose
+    /// certified bound rules out a cycle under the current cap.
     ///
-    /// `rank` must be injective and *stable across queries* (the cached
-    /// cycles assume node identities keep their meaning).
+    /// `rank` must be injective.  The bounds are kept per node id and do
+    /// not depend on `rank`; the graph may change arbitrarily between
+    /// queries as long as node ids keep their meaning, and the finder
+    /// detects every edit.
     pub fn smallest_cycle_by<G: GraphView, K: Ord>(
         &mut self,
         graph: &G,
         rank: impl Fn(NodeId) -> K,
     ) -> Option<Vec<NodeId>> {
-        // 1. Candidates whose edges all survived still bound the answer.
         noc_telemetry::counter("cycles.queries", 1);
-        self.candidates.retain(|cycle| cycle_is_live(graph, cycle));
-        noc_telemetry::counter("cycles.candidates_live", self.candidates.len() as u64);
-        let mut bound = self
-            .candidates
-            .iter()
-            .map(Vec::len)
-            .min()
-            .unwrap_or(usize::MAX);
+        let adjacency = Csr::of_graph(graph);
+        let pool = Pool::of(graph, &adjacency, &rank);
+        self.update_bounds(&adjacency, &pool);
 
-        // 2. Dirty seed pass: look for strictly better cycles through the
-        // changed region before paying for the global scan.
-        let mut dirty = std::mem::take(&mut self.dirty);
-        dirty.sort_by_key(|a| rank(*a));
-        dirty.dedup();
-        noc_telemetry::counter("cycles.dirty_seeds", dirty.len() as u64);
-        for &node in &dirty {
-            if bound <= 1 {
+        // The canonical scan: ascending rank, each BFS capped at one less
+        // than the best length so far, so the first node to reach the
+        // smallest length wins.
+        let mut cap = usize::MAX;
+        let mut best = None;
+        let (mut runs, mut skips) = (0u64, 0u64);
+        for (position, &node) in pool.nodes.iter().enumerate() {
+            if cap == 0 {
                 break;
             }
-            if let Some(cycle) = bounded_cycle_bfs(graph, node, bound - 1, &rank) {
-                noc_telemetry::counter("cycles.dirty_seed_hits", 1);
-                bound = cycle.len();
-                self.candidates.push(cycle);
+            let bound = &mut self.bounds[node.index()];
+            if *bound >= cap {
+                skips += 1;
+                continue;
             }
+            runs += 1;
+            if let Some(path) = self
+                .workspace
+                .shortest_cycle(&pool.graph, position as u32, cap)
+            {
+                cap = path.len() - 1;
+                best = Some(path.into_iter().map(|p| pool.nodes[p as usize]).collect());
+            }
+            // Found: nothing shorter through this node.  Not found: nothing
+            // within the cap, which exceeded the old bound.
+            *bound = cap;
         }
-
-        // 3. Exact global verification scan under the seeded bound.
-        let best = bounded_smallest_scan(graph, &rank, bound);
-        if let Some(cycle) = &best {
-            self.candidates.push(cycle.clone());
-        }
-        // Shortest candidates first, duplicates removed (repeated queries
-        // re-find the same winner; copies must not evict distinct
-        // runner-up bounds from the pool).
-        self.candidates
-            .sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
-        self.candidates.dedup();
-        self.candidates.truncate(CANDIDATE_POOL);
+        noc_telemetry::counter("cycles.scan_pool", pool.nodes.len() as u64);
+        noc_telemetry::counter("cycles.bfs_runs", runs);
+        noc_telemetry::counter("cycles.certified_skips", skips);
+        noc_telemetry::counter(
+            "cycles.bfs_visits",
+            std::mem::take(&mut self.workspace.visits),
+        );
+        self.seen = Some(adjacency);
         best
     }
-}
 
-/// `true` when every edge of `cycle` (including the closing one) is live.
-fn cycle_is_live<G: GraphView>(graph: &G, cycle: &[NodeId]) -> bool {
-    let Some((&first, _)) = cycle.split_first() else {
-        return false;
-    };
-    cycle.windows(2).all(|w| graph.has_edge(w[0], w[1]))
-        && graph.has_edge(*cycle.last().expect("non-empty"), first)
-}
-
-/// The canonical global scan behind [`smallest_cycle_by`] and the finder's
-/// verification pass: visit every node of a cyclic SCC in ascending rank
-/// order, BFS-bounded by `bound` until the first hit and then by one less
-/// than the best length found so far.  The first node to reach a given
-/// length wins, which reproduces the (length, rank)-lexicographic tie-break
-/// of the unpruned search.
-fn bounded_smallest_scan<G: GraphView, K: Ord>(
-    graph: &G,
-    rank: &impl Fn(NodeId) -> K,
-    bound: usize,
-) -> Option<Vec<NodeId>> {
-    let mut nodes: Vec<NodeId> = {
-        let _span = noc_telemetry::span("scc", "full_tarjan");
-        scc::cyclic_components(graph)
-            .into_iter()
-            .flatten()
-            .collect()
-    };
-    nodes.sort_by_key(|a| rank(*a));
-    let mut cap = bound;
-    let mut best: Option<Vec<NodeId>> = None;
-    for &node in &nodes {
-        if cap == 0 {
-            break;
+    /// Brings `bounds` from the graph of the last query to `adjacency`:
+    /// nodes on no cycle are certified for every length, new nodes for
+    /// none, and every cyclic node is lowered to the shortest cycle an edge
+    /// added since the last query could close through it.
+    fn update_bounds(&mut self, adjacency: &Csr, pool: &Pool) {
+        self.bounds.resize(adjacency.len(), 0);
+        for (bound, &position) in self.bounds.iter_mut().zip(&pool.position) {
+            if position == OUTSIDE {
+                *bound = usize::MAX;
+            }
         }
-        if let Some(cycle) = bounded_cycle_bfs(graph, node, cap, rank) {
-            cap = cycle.len() - 1;
-            best = Some(cycle);
-        }
-    }
-    best
-}
+        let Some(seen) = &self.seen else {
+            return;
+        };
 
-/// Canonical bounded BFS: the shortest cycle through `start` of at most
-/// `max_len` nodes, scanning successors in ascending `rank` order so the
-/// result depends only on the edge set.
-fn bounded_cycle_bfs<G: GraphView, K: Ord>(
-    graph: &G,
-    start: NodeId,
-    max_len: usize,
-    rank: &impl Fn(NodeId) -> K,
-) -> Option<Vec<NodeId>> {
-    if max_len == 0 || !graph.contains_node(start) {
-        return None;
-    }
-    let n = graph.node_count();
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let mut depth: Vec<usize> = vec![0; n];
-    let mut visited = vec![false; n];
-    let mut queue = VecDeque::new();
-    visited[start.index()] = true;
-    queue.push_back(start);
-    let mut succs: Vec<NodeId> = Vec::new();
-    while let Some(node) = queue.pop_front() {
-        let d = depth[node.index()];
-        succs.clear();
-        succs.extend(graph.successors(node));
-        succs.sort_by_key(|a| rank(*a));
-        succs.dedup(); // parallel edges reach the same successor
-        for &succ in &succs {
-            if succ == start {
-                // Reconstruct start -> ... -> node by walking the BFS tree
-                // from node back to the root; the edge node -> start closes
-                // the cycle (d + 1 <= max_len by the enqueue guard below).
-                // A self-loop is the degenerate walk of length zero
-                // (node == start), yielding the one-element cycle.
-                let mut path = Vec::new();
-                let mut cur = node;
-                loop {
-                    path.push(cur);
-                    if cur == start {
-                        break;
-                    }
-                    cur = parent[cur.index()].expect("BFS parents chain back to the start node");
+        // Added edges inside one cyclic component, the only edges of the
+        // pool graph; an edge between components lies on no cycle.
+        let (mut tails, mut heads) = (Vec::new(), Vec::new());
+        for (tail, node) in pool.nodes.iter().enumerate() {
+            let before = if node.index() < seen.len() {
+                seen.successors(node.index())
+            } else {
+                &[]
+            };
+            for &head in pool.graph.successors(tail) {
+                let succ = pool.nodes[head as usize].index() as u32;
+                if before.binary_search(&succ).is_err() {
+                    tails.push(tail as u32);
+                    heads.push(head);
                 }
-                path.reverse();
-                return Some(path);
             }
-            // A node enqueued at depth d + 1 can close a cycle of
-            // d + 2 nodes at best; deeper layers cannot beat the bound.
-            if !visited[succ.index()] && d + 2 <= max_len {
-                visited[succ.index()] = true;
-                parent[succ.index()] = Some(node);
-                depth[succ.index()] = d + 1;
-                queue.push_back(succ);
+        }
+        if heads.is_empty() {
+            return;
+        }
+
+        // A node farther than the largest bound from either side cannot be
+        // lowered, so both searches stop there.
+        let limit = pool
+            .nodes
+            .iter()
+            .map(|v| self.bounds[v.index()])
+            .max()
+            .unwrap_or(0);
+        let from_heads = pool.graph.distances_from(&heads, limit);
+        let to_tails = pool.graph.reversed().distances_from(&tails, limit);
+        for ((&node, &forward), &backward) in pool.nodes.iter().zip(&from_heads).zip(&to_tails) {
+            if forward != u32::MAX && backward != u32::MAX {
+                let bound = &mut self.bounds[node.index()];
+                *bound = (*bound).min(forward as usize + backward as usize);
             }
         }
     }
-    None
+}
+
+/// Marks a node outside every cyclic component in [`Pool::position`].
+const OUTSIDE: u32 = u32::MAX;
+
+/// One query's search space: the members of the cyclic strongly connected
+/// components, positioned in rank order, with the edges inside each
+/// component.
+struct Pool {
+    /// Position to node, ascending by rank.
+    nodes: Vec<NodeId>,
+    /// Node index to position, [`OUTSIDE`] for nodes on no cycle.
+    position: Vec<u32>,
+    /// The restricted graph over positions.
+    graph: Csr,
+}
+
+impl Pool {
+    /// The pool of `graph`, whose node-id adjacency is `adjacency`.
+    fn of<G: GraphView, K: Ord>(graph: &G, adjacency: &Csr, rank: &impl Fn(NodeId) -> K) -> Self {
+        let components = {
+            let _span = noc_telemetry::span("scc", "full_tarjan");
+            scc::cyclic_components(graph)
+        };
+        let mut component_of = vec![OUTSIDE; adjacency.len()];
+        for (index, members) in components.iter().enumerate() {
+            for &node in members {
+                component_of[node.index()] = index as u32;
+            }
+        }
+        let mut nodes: Vec<NodeId> = components.into_iter().flatten().collect();
+        nodes.sort_by_key(|&node| rank(node));
+        let mut position = vec![OUTSIDE; adjacency.len()];
+        for (p, node) in nodes.iter().enumerate() {
+            position[node.index()] = p as u32;
+        }
+
+        let mut restricted = Csr::with_capacity(nodes.len());
+        for &node in &nodes {
+            let own = component_of[node.index()];
+            restricted.push_row(
+                adjacency
+                    .successors(node.index())
+                    .iter()
+                    .filter(|&&succ| component_of[succ as usize] == own)
+                    .map(|&succ| position[succ as usize]),
+            );
+        }
+        Pool {
+            nodes,
+            position,
+            graph: restricted,
+        }
+    }
+}
+
+/// Compressed adjacency over dense `u32` indices: the successors of `i`
+/// are `targets[offsets[i]..offsets[i + 1]]`, ascending and deduplicated.
+#[derive(Debug, Clone)]
+struct Csr {
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
+}
+
+impl Csr {
+    fn with_capacity(rows: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Csr {
+            offsets,
+            targets: Vec::new(),
+        }
+    }
+
+    /// The live edges of `graph` in node-id space.
+    fn of_graph<G: GraphView>(graph: &G) -> Self {
+        let n = graph.node_count();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "cycle search indexes nodes with u32"
+        );
+        let mut csr = Csr::with_capacity(n);
+        for node in graph.node_ids() {
+            csr.push_row(graph.successors(node).map(|succ| succ.index() as u32));
+        }
+        csr
+    }
+
+    /// Appends the next row, sorting and deduplicating its targets
+    /// (parallel edges reach the same successor).
+    fn push_row(&mut self, targets: impl Iterator<Item = u32>) {
+        let start = *self.offsets.last().expect("offsets start with 0");
+        self.targets.extend(targets);
+        self.targets[start..].sort_unstable();
+        let mut kept = start;
+        for i in start..self.targets.len() {
+            if kept == start || self.targets[i] != self.targets[kept - 1] {
+                self.targets[kept] = self.targets[i];
+                kept += 1;
+            }
+        }
+        self.targets.truncate(kept);
+        self.offsets.push(kept);
+    }
+
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn successors(&self, i: usize) -> &[u32] {
+        &self.targets[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// The same graph with every edge reversed.
+    fn reversed(&self) -> Csr {
+        let mut offsets = vec![0; self.len() + 1];
+        for &target in &self.targets {
+            offsets[target as usize + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut fill = offsets.clone();
+        let mut targets = vec![0; self.targets.len()];
+        for source in 0..self.len() {
+            for &target in self.successors(source) {
+                targets[fill[target as usize]] = source as u32;
+                fill[target as usize] += 1;
+            }
+        }
+        Csr { offsets, targets }
+    }
+
+    /// Hop distance from the nearest of `sources` to every node, with
+    /// `u32::MAX` for nodes at least `limit` hops away.
+    fn distances_from(&self, sources: &[u32], limit: usize) -> Vec<u32> {
+        let mut dist = vec![u32::MAX; self.len()];
+        let mut queue = Vec::with_capacity(sources.len());
+        for &source in sources {
+            if dist[source as usize] == u32::MAX {
+                dist[source as usize] = 0;
+                queue.push(source);
+            }
+        }
+        let mut head = 0;
+        while let Some(&node) = queue.get(head) {
+            head += 1;
+            let next = dist[node as usize] + 1;
+            if next as usize >= limit {
+                break;
+            }
+            for &succ in self.successors(node as usize) {
+                if dist[succ as usize] == u32::MAX {
+                    dist[succ as usize] = next;
+                    queue.push(succ);
+                }
+            }
+        }
+        dist
+    }
+}
+
+/// Buffers of the BFS kernel, reused across searches: a node counts as
+/// visited when its stamp equals the current epoch, so starting a new BFS
+/// clears nothing.
+#[derive(Debug, Clone, Default)]
+struct BfsWorkspace {
+    stamp: Vec<u32>,
+    epoch: u32,
+    parent: Vec<u32>,
+    depth: Vec<u32>,
+    queue: Vec<u32>,
+    /// Nodes dequeued since the counter was last taken.
+    visits: u64,
+}
+
+impl BfsWorkspace {
+    /// The canonical bounded BFS: the shortest cycle through `start` of at
+    /// most `max_len` nodes, as positions `[start, ..., last]`.  Successors
+    /// are scanned in ascending position, so the BFS tree, and the cycle,
+    /// depend only on the edge set and the positions.
+    fn shortest_cycle(&mut self, graph: &Csr, start: u32, max_len: usize) -> Option<Vec<u32>> {
+        if max_len == 0 {
+            return None;
+        }
+        let n = graph.len();
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+            self.parent.resize(n, 0);
+            self.depth.resize(n, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        self.stamp[start as usize] = epoch;
+        self.depth[start as usize] = 0;
+        self.queue.clear();
+        self.queue.push(start);
+        let mut head = 0;
+        let found = loop {
+            let Some(&node) = self.queue.get(head) else {
+                break None;
+            };
+            head += 1;
+            let successors = graph.successors(node as usize);
+            // The edge node -> start closes a cycle of depth + 1 nodes,
+            // within the bound by the enqueue guard below; a self-loop is
+            // the degenerate case node == start.
+            if successors.binary_search(&start).is_ok() {
+                break Some(node);
+            }
+            // A node enqueued at depth d + 1 can close a cycle of d + 2
+            // nodes at best; deeper layers cannot beat the bound.
+            let depth = self.depth[node as usize];
+            if depth as usize + 2 > max_len {
+                continue;
+            }
+            for &succ in successors {
+                if self.stamp[succ as usize] != epoch {
+                    self.stamp[succ as usize] = epoch;
+                    self.parent[succ as usize] = node;
+                    self.depth[succ as usize] = depth + 1;
+                    self.queue.push(succ);
+                }
+            }
+        };
+        self.visits += head as u64;
+        // Walk the BFS tree from the closing node back to the root.
+        let last = found?;
+        let mut path = vec![last];
+        let mut cur = last;
+        while cur != start {
+            cur = self.parent[cur as usize];
+            path.push(cur);
+        }
+        path.reverse();
+        Some(path)
+    }
 }
 
 #[cfg(test)]
@@ -686,8 +899,8 @@ mod tests {
             finder.smallest_cycle_by(&g, |v| v.index()),
             smallest_cycle(&g),
         );
-        // Asking again with stale-but-valid candidates must not change the
-        // answer.
+        // Asking again, with every bound certified by the first query,
+        // must not change the answer.
         assert_eq!(
             finder.smallest_cycle_by(&g, |v| v.index()),
             smallest_cycle(&g),
@@ -697,8 +910,8 @@ mod tests {
     #[test]
     fn finder_survives_a_disjoint_untouched_cycle() {
         // Two disjoint rings; break the one the finder reported.  The other
-        // ring is nowhere near a dirty node, so only the global fallback can
-        // find it — this is the unsoundness trap of a dirty-only restart.
+        // ring is nowhere near the edit, so a search restarted only around
+        // changed edges would miss it.
         let mut g: DiGraph<(), ()> = DiGraph::new();
         let n: Vec<_> = (0..6).map(|_| g.add_node(())).collect();
         for i in 0..3 {
@@ -710,8 +923,6 @@ mod tests {
         assert_eq!(first[0], n[0]);
         let e = g.find_edge(n[2], n[0]).unwrap();
         g.remove_edge(e);
-        finder.mark_dirty(n[2]);
-        finder.mark_dirty(n[0]);
         let second = finder.smallest_cycle_by(&g, |v| v.index()).unwrap();
         assert_eq!(second, smallest_cycle(&g).unwrap());
         assert_eq!(second[0], n[3]);
@@ -725,10 +936,9 @@ mod tests {
             finder.smallest_cycle_by(&g, |v| v.index()).unwrap().len(),
             6
         );
-        // Add a chord creating a 2-cycle.
+        // Add a chord creating a 2-cycle; the finder's diff finds the new
+        // edge and lowers the bounds of the nodes it closes a cycle through.
         g.add_edge(nodes[1], nodes[0], ());
-        finder.mark_dirty(nodes[1]);
-        finder.mark_dirty(nodes[0]);
         let cycle = finder.smallest_cycle_by(&g, |v| v.index()).unwrap();
         assert_eq!(cycle.len(), 2);
         assert_eq!(cycle, smallest_cycle(&g).unwrap());

@@ -6,6 +6,7 @@
 
 use noc_graph::{cycles, scc, shortest_path, topo, traversal, DiGraph, NodeId};
 use noc_rng::SmallRng;
+use std::collections::VecDeque;
 
 const CASES: u64 = 64;
 
@@ -164,8 +165,8 @@ fn dijkstra_triangle_inequality() {
 
 /// The incremental finder must return exactly what the stateless global
 /// search returns, across a randomized sequence of edge removals and
-/// additions with dirty marking — the exactness contract the incremental
-/// deadlock-removal loop relies on.
+/// additions — the exactness contract the incremental deadlock-removal
+/// loop relies on.
 #[test]
 fn incremental_finder_tracks_global_search_through_random_edits() {
     let mut rng = SmallRng::seed_from_u64(0xC1C1E);
@@ -180,18 +181,185 @@ fn incremental_finder_tracks_global_search_through_random_edits() {
             );
             // Random edit: remove a live edge or add a fresh one.
             if rng.gen_range(0..2_usize) == 0 {
-                let live: Vec<_> = g.edges().map(|e| (e.id, e.source, e.target)).collect();
-                if let Some(&(id, a, b)) = live.get(rng.gen_range(0..live.len().max(1))) {
+                let live: Vec<_> = g.edges().map(|e| e.id).collect();
+                if let Some(&id) = live.get(rng.gen_range(0..live.len().max(1))) {
                     g.remove_edge(id);
-                    finder.mark_dirty(a);
-                    finder.mark_dirty(b);
                 }
             } else {
                 let a = nodes[rng.gen_range(0..nodes.len())];
                 let b = nodes[rng.gen_range(0..nodes.len())];
                 g.add_edge(a, b, ());
-                finder.mark_dirty(a);
-                finder.mark_dirty(b);
+            }
+        }
+    }
+}
+
+/// The paper's `GetSmallestCycle`, written without the library's search
+/// code: an allocating BFS over the whole graph from every vertex, scanning
+/// successors in ascending `rank`; the first edge back to the start closes
+/// that vertex's shortest cycle, read off the BFS tree.  The smallest cycle
+/// is the minimum by (length, rank of the start vertex).
+fn reference_smallest_cycle<K: Ord>(
+    g: &DiGraph<usize, ()>,
+    rank: impl Fn(NodeId) -> K,
+) -> Option<Vec<NodeId>> {
+    let mut best: Option<Vec<NodeId>> = None;
+    for start in g.node_ids() {
+        let Some(cycle) = reference_cycle_through(g, start, &rank) else {
+            continue;
+        };
+        let better = best
+            .as_ref()
+            .is_none_or(|b| (cycle.len(), rank(start)) < (b.len(), rank(b[0])));
+        if better {
+            best = Some(cycle);
+        }
+    }
+    best
+}
+
+fn reference_cycle_through<K: Ord>(
+    g: &DiGraph<usize, ()>,
+    start: NodeId,
+    rank: &impl Fn(NodeId) -> K,
+) -> Option<Vec<NodeId>> {
+    let mut parent: Vec<Option<NodeId>> = vec![None; g.node_count()];
+    let mut visited = vec![false; g.node_count()];
+    let mut queue = VecDeque::from([start]);
+    visited[start.index()] = true;
+    while let Some(node) = queue.pop_front() {
+        let mut succs: Vec<NodeId> = g.successors(node).collect();
+        succs.sort_by_key(|&s| rank(s));
+        succs.dedup();
+        for succ in succs {
+            if succ == start {
+                let mut path = vec![node];
+                while let Some(p) = parent[path.last().unwrap().index()] {
+                    path.push(p);
+                }
+                path.reverse();
+                return Some(path);
+            }
+            if !visited[succ.index()] {
+                visited[succ.index()] = true;
+                parent[succ.index()] = Some(node);
+                queue.push_back(succ);
+            }
+        }
+    }
+    None
+}
+
+/// A ring of 8 to 29 nodes with up to three random chords: sparse, with
+/// long smallest cycles and several equal-length ones competing in the
+/// tie-break.
+fn chorded_ring(rng: &mut SmallRng) -> DiGraph<usize, ()> {
+    let n = rng.gen_range(8..30_usize);
+    let mut g = DiGraph::new();
+    let nodes: Vec<_> = (0..n).map(|i| g.add_node(i)).collect();
+    for i in 0..n {
+        g.add_edge(nodes[i], nodes[(i + 1) % n], ());
+    }
+    for _ in 0..rng.gen_range(0..4_usize) {
+        let a = nodes[rng.gen_range(0..n)];
+        let b = nodes[rng.gen_range(0..n)];
+        g.add_edge(a, b, ());
+    }
+    g
+}
+
+/// A directed k x l torus (edges right and down, wrapping) with a few
+/// edges dropped: many equal-length paths, so the BFS tree decides which
+/// of several equal-length cycles is reported.
+fn sparse_torus(rng: &mut SmallRng) -> DiGraph<usize, ()> {
+    let (k, l) = (rng.gen_range(2..6_usize), rng.gen_range(2..6_usize));
+    let mut g = DiGraph::new();
+    let nodes: Vec<_> = (0..k * l).map(|i| g.add_node(i)).collect();
+    for i in 0..k {
+        for j in 0..l {
+            for (di, dj) in [(0, 1), (1, 0)] {
+                if rng.gen_range(0..6_usize) != 0 {
+                    let to = ((i + di) % k) * l + (j + dj) % l;
+                    g.add_edge(nodes[i * l + j], nodes[to], ());
+                }
+            }
+        }
+    }
+    g
+}
+
+/// An injective, non-identity ranking that stays defined as nodes are
+/// added (odd multipliers permute `u64`).
+fn scrambled(v: NodeId) -> u64 {
+    (v.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// `smallest_cycle` and `smallest_cycle_by` under a non-identity rank
+/// equal the independent reference.
+#[test]
+fn smallest_cycle_matches_an_independent_reference() {
+    let mut rng = SmallRng::seed_from_u64(0x0AC1E);
+    for case in 0..CASES {
+        let g = match case % 3 {
+            0 => random_graph(&mut rng, 30, 70).0,
+            1 => chorded_ring(&mut rng),
+            _ => sparse_torus(&mut rng),
+        };
+        assert_eq!(
+            cycles::smallest_cycle(&g),
+            reference_smallest_cycle(&g, NodeId::index)
+        );
+        assert_eq!(
+            cycles::smallest_cycle_by(&g, scrambled),
+            reference_smallest_cycle(&g, scrambled)
+        );
+    }
+}
+
+/// A finder driven through seeded edge removals, edge additions and node
+/// additions, told nothing about the edits, equals the independent
+/// reference after every one of them.  Chorded rings and sparse tori keep
+/// the smallest cycle long, so the certified bounds skip most nodes.
+#[test]
+fn incremental_finder_matches_an_independent_reference_through_edits() {
+    let mut rng = SmallRng::seed_from_u64(0xD1FF);
+    for case in 0..CASES {
+        let mut g = match case % 3 {
+            0 => random_graph(&mut rng, 30, 70).0,
+            1 => chorded_ring(&mut rng),
+            _ => sparse_torus(&mut rng),
+        };
+        let mut by_id = cycles::IncrementalCycleFinder::new();
+        let mut by_scrambled = cycles::IncrementalCycleFinder::new();
+        for _ in 0..16 {
+            assert_eq!(
+                by_id.smallest_cycle_by(&g, NodeId::index),
+                reference_smallest_cycle(&g, NodeId::index)
+            );
+            assert_eq!(
+                by_scrambled.smallest_cycle_by(&g, scrambled),
+                reference_smallest_cycle(&g, scrambled)
+            );
+            let n = g.node_count();
+            match rng.gen_range(0..5_usize) {
+                0 | 1 => {
+                    let live: Vec<_> = g.edges().map(|e| e.id).collect();
+                    if !live.is_empty() {
+                        g.remove_edge(live[rng.gen_range(0..live.len())]);
+                    }
+                }
+                2 | 3 => {
+                    let a = NodeId::from_index(rng.gen_range(0..n));
+                    let b = NodeId::from_index(rng.gen_range(0..n));
+                    g.add_edge(a, b, ());
+                }
+                _ => {
+                    let fresh = g.add_node(n);
+                    let a = NodeId::from_index(rng.gen_range(0..n));
+                    let b = NodeId::from_index(rng.gen_range(0..n));
+                    g.add_edge(a, fresh, ());
+                    g.add_edge(fresh, b, ());
+                }
             }
         }
     }
