@@ -15,7 +15,9 @@ Usage:
     ci/check_artifact.py ARTIFACT.json [--max-wall-ms W] [--min-attribution F]
 
 `--max-wall-ms` applies to `fig_faults` and guards the fault sweep's
-recorded wall time: live reconfiguration getting pathologically slower
+recorded `wall_ms` — the total measured task time, i.e. the sum of the
+per-grid-point task wall times, whether the figure ran in memory or
+through the job store: live reconfiguration getting pathologically slower
 (e.g. the epoch protocol looping on its fallback) fails CI even when every
 logical invariant still holds.
 

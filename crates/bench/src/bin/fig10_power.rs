@@ -2,21 +2,14 @@
 //! resource-ordering baseline relative to the deadlock-removal algorithm for
 //! the six SoC benchmarks at 14 switches.
 //!
-//! All six benchmarks run as one parallel sweep; pass `--threads <n>` to
-//! pin the worker count (default: auto-size to the machine) and
-//! `--json <path>` to write the per-benchmark comparison as a JSON
-//! artifact.
+//! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
+//! `--resume`, `--trace`; see `noc_bench::artifact::FigureCli`).
 
-use noc_bench::artifact::FigureCli;
-use noc_bench::{power_comparisons, sweeps};
-use noc_topology::benchmarks::Benchmark;
+use noc_bench::artifact::{run_figure, Fields};
+use noc_bench::sweeps;
+use noc_flow::json::JsonValue;
 
-fn main() {
-    let args = FigureCli::parse("fig10_power");
-    let _trace = args.trace_session();
-    if noc_bench::jobs::run_resumed(&args) {
-        return;
-    }
+fn print_table(comparisons: &JsonValue) {
     println!(
         "# Figure 10 — normalised power (resource ordering / deadlock removal), {} switches",
         sweeps::FIG10_SWITCHES
@@ -25,26 +18,18 @@ fn main() {
         "{:>12} {:>18} {:>18} {:>12} {:>12}",
         "benchmark", "removal_norm", "ordering_norm", "removal_vc", "ordering_vc"
     );
-    let comparisons = power_comparisons(
-        Benchmark::ALL,
-        sweeps::FIG10_SWITCHES,
-        args.threads,
-        |progress| {
-            eprintln!(
-                "[{}/{}] {} done",
-                progress.completed, progress.total, progress.point.benchmark
-            );
-        },
-    );
-    for c in &comparisons {
+    for c in comparisons.as_array().unwrap_or_default() {
         println!(
             "{:>12} {:>18.3} {:>18.3} {:>12} {:>12}",
-            c.benchmark,
+            c.text("benchmark"),
             1.0,
-            c.normalised_ordering_power(),
-            c.removal_vcs,
-            c.ordering_vcs
+            c.num("normalised_ordering_power"),
+            c.count("removal_vcs"),
+            c.count("ordering_vcs")
         );
     }
-    args.write_artifact(&comparisons);
+}
+
+fn main() {
+    run_figure("fig10_power", print_table);
 }

@@ -1,45 +1,29 @@
 //! Reproduces Figure 9: extra VCs versus switch count for D36_8 (36 cores,
 //! fan-out 8), resource ordering versus the deadlock-removal algorithm.
 //!
-//! The sweep runs sharded across worker threads (progress on stderr); pass
-//! `--threads <n>` to pin the worker count (default: auto-size to the
-//! machine) and `--json <path>` to also write the series as a JSON artifact
-//! for plotting outside Rust.
+//! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
+//! `--resume`, `--trace`; see `noc_bench::artifact::FigureCli`).
 
-use noc_bench::artifact::FigureCli;
-use noc_bench::{sweeps, vc_overhead_sweep_streaming};
-use noc_topology::benchmarks::Benchmark;
+use noc_bench::artifact::{run_figure, Fields};
+use noc_flow::json::JsonValue;
 
-fn main() {
-    let args = FigureCli::parse("fig9_d36_8");
-    let _trace = args.trace_session();
-    if noc_bench::jobs::run_resumed(&args) {
-        return;
-    }
+fn print_table(points: &JsonValue) {
     println!("# Figure 9 — D36_8: extra VCs vs. switch count");
     println!(
         "{:>12} {:>22} {:>22} {:>14}",
         "switches", "resource_ordering_vc", "deadlock_removal_vc", "cycles_broken"
     );
-    let points = vc_overhead_sweep_streaming(
-        Benchmark::D36x8,
-        sweeps::FIG9_SWITCH_COUNTS,
-        args.threads,
-        |progress| {
-            eprintln!(
-                "[{}/{}] {} switches done",
-                progress.completed, progress.total, progress.point.switch_count
-            );
-        },
-    );
-    for point in &points {
+    for point in points.as_array().unwrap_or_default() {
         println!(
             "{:>12} {:>22} {:>22} {:>14}",
-            point.switch_count,
-            point.resource_ordering_vcs,
-            point.deadlock_removal_vcs,
-            point.cycles_broken
+            point.count("switch_count"),
+            point.count("resource_ordering_vcs"),
+            point.count("deadlock_removal_vcs"),
+            point.count("cycles_broken")
         );
     }
-    args.write_artifact(&points);
+}
+
+fn main() {
+    run_figure("fig9_d36_8", print_table);
 }

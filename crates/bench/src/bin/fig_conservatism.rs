@@ -12,18 +12,14 @@
 //! deadlock-free (the false alarms), and how many VCs Algorithm 1 burns
 //! repairing them.
 //!
-//! Pass `--threads <n>` to pin the executor worker count and
-//! `--json <path>` to write the full report as a JSON artifact.
+//! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
+//! `--resume`, `--trace`; see `noc_bench::artifact::FigureCli`).
 
-use noc_bench::artifact::FigureCli;
-use noc_bench::{conservatism_sweep, DEFAULT_RANDOM_DESIGNS};
+use noc_bench::artifact::{run_figure, Fields};
+use noc_bench::DEFAULT_RANDOM_DESIGNS;
+use noc_flow::json::JsonValue;
 
-fn main() {
-    let args = FigureCli::parse("fig_conservatism");
-    let _trace = args.trace_session();
-    if noc_bench::jobs::run_resumed(&args) {
-        return;
-    }
+fn print_table(data: &JsonValue) {
     println!(
         "# Conservatism of the CDG check vs. the certified verifier \
          (Figure 8/9 grids + {DEFAULT_RANDOM_DESIGNS} random designs)"
@@ -40,20 +36,22 @@ fn main() {
         "replays",
         "realized"
     );
-    let report = conservatism_sweep(args.threads, DEFAULT_RANDOM_DESIGNS);
-    for group in &report.benchmarks {
+    for group in data.items("benchmarks") {
         println!(
             "{:>10} {:>7} {:>7} {:>13} {:>10} {:>8} {:>8} {:>9} {:>9}",
-            group.benchmark,
-            group.points.len(),
-            group.cyclic_points,
-            group.certified_deadlockable,
-            group.certified_free_cyclic,
-            group.unknown,
-            group.gap_vcs,
-            group.witness_attempts,
-            group.witness_realized
+            group.text("benchmark"),
+            group.items("points").len(),
+            group.count("cyclic_points"),
+            group.count("certified_deadlockable"),
+            group.count("certified_free_cyclic"),
+            group.count("unknown"),
+            group.count("gap_vcs"),
+            group.count("witness_attempts"),
+            group.count("witness_realized")
         );
     }
-    args.write_artifact(&report);
+}
+
+fn main() {
+    run_figure("fig_conservatism", print_table);
 }

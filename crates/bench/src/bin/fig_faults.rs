@@ -13,37 +13,15 @@
 //! the storm *cost* each strategy: delivered fraction, mean latency,
 //! reroutes, and scoped-drain fallbacks.
 //!
-//! Pass `--threads <n>` to pin the executor worker count and
-//! `--json <path>` to write the full sweep as a JSON artifact.
+//! The artifact's `wall_ms` is the total measured task time of the sweep
+//! (the sum over grid points, whichever way the tasks ran); CI bounds it.
+//! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
+//! `--resume`, `--trace`; see `noc_bench::artifact::FigureCli`).
 
-use noc_bench::artifact::FigureCli;
-use noc_bench::{fault_strategy_sweep, FaultSweepPoint, FAULT_STRATEGIES};
-use noc_flow::json::{ObjectWriter, ToJson};
+use noc_bench::artifact::{run_figure, Fields};
+use noc_flow::json::JsonValue;
 
-/// The artifact payload: the strategy axis, the sweep wall time (guarded by
-/// CI) and every grid point.
-struct FaultsArtifact {
-    strategies: Vec<String>,
-    wall_ms: f64,
-    points: Vec<FaultSweepPoint>,
-}
-
-impl ToJson for FaultsArtifact {
-    fn write_json(&self, out: &mut String) {
-        ObjectWriter::new(out)
-            .field("strategies", &self.strategies)
-            .field("wall_ms", &self.wall_ms)
-            .field("points", &self.points)
-            .finish();
-    }
-}
-
-fn main() {
-    let args = FigureCli::parse("fig_faults");
-    let _trace = args.trace_session();
-    if noc_bench::jobs::run_resumed(&args) {
-        return;
-    }
+fn print_table(data: &JsonValue) {
     println!("# Fault storms under cycle-safe live reconfiguration — Figure 8/9 grids");
     println!(
         "{:>12} {:>9} {:>7} {:>10} {:>10} {:>11} {:>9} {:>10} {:>12}",
@@ -57,41 +35,38 @@ fn main() {
         "fallbacks",
         "unreachable"
     );
-    let start = std::time::Instant::now();
-    let points = fault_strategy_sweep(args.threads);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    for point in &points {
+    let points = data.items("points");
+    for point in points {
+        let runs = point.items("runs");
+        let total = |key: &str| -> usize { runs.iter().map(|r| r.field("stats").count(key)).sum() };
         // The worst delivered fraction across the four strategies — the
         // figure's survivability headline for the point.
-        let min_delivered = point
-            .runs
+        let min_delivered = runs
             .iter()
-            .map(|r| r.stats.delivered_fraction)
+            .map(|r| r.field("stats").num("delivered_fraction"))
             .fold(f64::INFINITY, f64::min);
-        let removal = point
-            .run(FAULT_STRATEGIES[0])
-            .expect("cycle-breaking run present");
-        let reroutes: usize = point.runs.iter().map(|r| r.stats.flows_rerouted).sum();
-        let fallbacks: usize = point.runs.iter().map(|r| r.stats.drain_fallbacks).sum();
-        let unreachable: usize = point.runs.iter().map(|r| r.stats.unreachable_flows).sum();
+        // Runs are in `FAULT_STRATEGIES` order: cycle breaking first.
+        let removal = runs[0].field("stats");
         println!(
             "{:>12} {:>9} {:>7} {:>10} {:>9.1}% {:>11.1} {:>9} {:>10} {:>12}",
-            point.benchmark,
-            point.switch_count,
-            point.faults_injected,
-            point.connected,
+            point.text("benchmark"),
+            point.count("switch_count"),
+            point.count("faults_injected"),
+            point.flag("connected"),
             min_delivered * 100.0,
-            removal.stats.mean_latency,
-            reroutes,
-            fallbacks,
-            unreachable
+            removal.num("mean_latency"),
+            total("flows_rerouted"),
+            total("drain_fallbacks"),
+            total("unreachable_flows")
         );
     }
-    println!("# swept {} points in {:.0} ms", points.len(), wall_ms);
-    let data = FaultsArtifact {
-        strategies: FAULT_STRATEGIES.map(str::to_string).to_vec(),
-        wall_ms,
-        points,
-    };
-    args.write_artifact(&data);
+    println!(
+        "# swept {} points in {:.0} ms",
+        points.len(),
+        data.num("wall_ms")
+    );
+}
+
+fn main() {
+    run_figure("fig_faults", print_table);
 }

@@ -17,36 +17,13 @@
 //! * `recovery-reconfig` — the unrepaired design with the DBR-style
 //!   dynamic drain executing the recovery strategy at runtime.
 //!
-//! Pass `--threads <n>` to pin the executor worker count and
-//! `--json <path>` to write the full sweep as a JSON artifact.
+//! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
+//! `--resume`, `--trace`; see `noc_bench::artifact::FigureCli`).
 
-use noc_bench::artifact::FigureCli;
-use noc_bench::{sim_strategy_sweep, SimSweepPoint, SIM_INJECTION_GAPS, SIM_STRATEGY_POLICIES};
-use noc_flow::json::{ObjectWriter, ToJson};
+use noc_bench::artifact::{run_figure, Fields};
+use noc_flow::json::JsonValue;
 
-/// The artifact payload: both sweep axes plus every grid point.
-struct SimStrategiesArtifact {
-    injection_gaps: Vec<usize>,
-    policies: Vec<String>,
-    points: Vec<SimSweepPoint>,
-}
-
-impl ToJson for SimStrategiesArtifact {
-    fn write_json(&self, out: &mut String) {
-        ObjectWriter::new(out)
-            .field("injection_gaps", &self.injection_gaps)
-            .field("policies", &self.policies)
-            .field("points", &self.points)
-            .finish();
-    }
-}
-
-fn main() {
-    let args = FigureCli::parse("fig_sim_strategies");
-    let _trace = args.trace_session();
-    if noc_bench::jobs::run_resumed(&args) {
-        return;
-    }
+fn print_table(data: &JsonValue) {
     println!("# VC-aware wormhole simulation — per-strategy delivery/latency, Figure 8/9 grids");
     println!(
         "{:>12} {:>9} {:>7} {:>16} {:>10} {:>11} {:>11} {:>11} {:>9}",
@@ -60,17 +37,15 @@ fn main() {
         "p99_cycles",
         "drains"
     );
-    let points = sim_strategy_sweep(args.threads);
-    for point in &points {
-        let unsafe_series = point
-            .series(SIM_STRATEGY_POLICIES[0])
-            .expect("baseline series present");
+    for point in data.items("points") {
+        // One series per policy, in `SIM_STRATEGY_POLICIES` order.
+        let series = point.items("series");
+        let rates = |policy: usize| series[policy].items("rates");
         // The gaps at which the unsafe baseline deadlocked, e.g. "0,8".
-        let deadlock_gaps: Vec<String> = unsafe_series
-            .rates
+        let deadlock_gaps: Vec<String> = rates(0)
             .iter()
-            .filter(|r| r.stats.deadlocked)
-            .map(|r| r.mean_gap_cycles.to_string())
+            .filter(|r| r.field("stats").flag("deadlocked"))
+            .map(|r| r.count("mean_gap_cycles").to_string())
             .collect();
         let deadlock_gaps = if deadlock_gaps.is_empty() {
             "-".to_string()
@@ -79,40 +54,31 @@ fn main() {
         };
         // Saturation-point latency of the paper's strategy, and the total
         // drain events of the recovery policy across all rates.
-        let removal = &point.series(SIM_STRATEGY_POLICIES[1]).unwrap().rates[0];
-        let drains: usize = point
-            .series(SIM_STRATEGY_POLICIES[5])
-            .unwrap()
-            .rates
-            .iter()
-            .map(|r| r.recovery_events)
-            .sum();
-        let strategies_deliver = point
-            .series
+        let removal = rates(1)[0].field("stats");
+        let drains: usize = rates(5).iter().map(|r| r.count("recovery_events")).sum();
+        let strategies_deliver = series
             .iter()
             .skip(1) // everything but the unsafe baseline
-            .all(|s| {
-                s.rates
-                    .iter()
-                    .all(|r| !r.stats.deadlocked && r.stats.delivered == r.stats.injected)
+            .flat_map(|s| s.items("rates"))
+            .all(|r| {
+                let stats = r.field("stats");
+                !stats.flag("deadlocked") && stats.count("delivered") == stats.count("injected")
             });
         println!(
             "{:>12} {:>9} {:>7} {:>16} {:>10} {:>11} {:>11} {:>11} {:>9}",
-            point.benchmark,
-            point.switch_count,
-            point.baseline_cdg_cyclic,
+            point.text("benchmark"),
+            point.count("switch_count"),
+            point.flag("baseline_cdg_cyclic"),
             deadlock_gaps,
             if strategies_deliver { "100%" } else { "FAIL" },
-            removal.stats.p50_latency,
-            removal.stats.p95_latency,
-            removal.stats.p99_latency,
+            removal.count("p50_latency"),
+            removal.count("p95_latency"),
+            removal.count("p99_latency"),
             drains
         );
     }
-    let data = SimStrategiesArtifact {
-        injection_gaps: SIM_INJECTION_GAPS.iter().map(|&g| g as usize).collect(),
-        policies: SIM_STRATEGY_POLICIES.map(str::to_string).to_vec(),
-        points,
-    };
-    args.write_artifact(&data);
+}
+
+fn main() {
+    run_figure("fig_sim_strategies", print_table);
 }

@@ -6,37 +6,15 @@
 //!
 //! Per grid point the table reports each scheme's VC overhead plus the two
 //! scheme-specific costs the VC column cannot show: the cycles the removal
-//! algorithm broke and the hop inflation of the recovery routes.  Pass
-//! `--threads <n>` to pin the executor worker count (the sweep shards down
-//! to individual (point × strategy) tasks) and `--json <path>` to write the
-//! full sweep as a JSON artifact.
+//! algorithm broke and the hop inflation of the recovery routes.
+//!
+//! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
+//! `--resume`, `--trace`; see `noc_bench::artifact::FigureCli`).
 
-use noc_bench::artifact::FigureCli;
-use noc_bench::{strategy_matrix_sweep, STRATEGY_MATRIX_NAMES};
-use noc_flow::json::{ObjectWriter, ToJson};
-use noc_flow::SweepPoint;
+use noc_bench::artifact::{run_figure, Fields};
+use noc_flow::json::JsonValue;
 
-/// The artifact payload: the strategy list plus every sweep point.
-struct MatrixArtifact {
-    strategies: Vec<String>,
-    points: Vec<SweepPoint>,
-}
-
-impl ToJson for MatrixArtifact {
-    fn write_json(&self, out: &mut String) {
-        ObjectWriter::new(out)
-            .field("strategies", &self.strategies)
-            .field("points", &self.points)
-            .finish();
-    }
-}
-
-fn main() {
-    let args = FigureCli::parse("fig_strategy_matrix");
-    let _trace = args.trace_session();
-    if noc_bench::jobs::run_resumed(&args) {
-        return;
-    }
+fn print_table(data: &JsonValue) {
     println!("# Strategy matrix — extra VCs per deadlock strategy, Figure 8/9 grids");
     println!(
         "{:>12} {:>10} {:>16} {:>18} {:>16} {:>18} {:>8} {:>12}",
@@ -49,36 +27,29 @@ fn main() {
         "breaks",
         "extra_hops"
     );
-    let points = strategy_matrix_sweep(args.threads, |progress| {
-        eprintln!(
-            "[{}/{}] {} @ {} switches done",
-            progress.completed,
-            progress.total,
-            progress.point.benchmark,
-            progress.point.switch_count
-        );
-    });
-    for point in &points {
-        let [removal, ordering, escape, recovery] =
-            STRATEGY_MATRIX_NAMES.map(|name| point.outcome(name).expect("strategy ran"));
+    for point in data.items("points") {
+        // One outcome per strategy, in `STRATEGY_MATRIX_NAMES` order.
+        let [removal, ordering, escape, recovery] = point.items("outcomes") else {
+            panic!("the matrix charges four strategies per point");
+        };
         // Recovery's cost is hops, not VCs: report the total extra hops its
         // re-routed flows pay versus the shortest-path input routing.
-        let extra_hops = (recovery.mean_hops - point.mean_hops) * point.active_flows as f64;
+        let extra_hops = (recovery.num("mean_hops") - point.num("mean_hops"))
+            * point.count("active_flows") as f64;
         println!(
             "{:>12} {:>10} {:>16} {:>18} {:>16} {:>18} {:>8} {:>12.0}",
-            point.benchmark.name(),
-            point.switch_count,
-            removal.added_vcs,
-            ordering.added_vcs,
-            escape.added_vcs,
-            recovery.added_vcs,
-            removal.cycles_broken,
+            point.text("benchmark"),
+            point.count("switch_count"),
+            removal.count("added_vcs"),
+            ordering.count("added_vcs"),
+            escape.count("added_vcs"),
+            recovery.count("added_vcs"),
+            removal.count("cycles_broken"),
             extra_hops.max(0.0)
         );
     }
-    let data = MatrixArtifact {
-        strategies: STRATEGY_MATRIX_NAMES.map(str::to_string).to_vec(),
-        points,
-    };
-    args.write_artifact(&data);
+}
+
+fn main() {
+    run_figure("fig_strategy_matrix", print_table);
 }

@@ -7,21 +7,13 @@
 //! removal algorithm assigned, and deadlock is decided by the exact
 //! wait-for-graph detector rather than a timeout guess.
 //!
-//! The per-benchmark simulations run sharded across worker threads; pass
-//! `--threads <n>` to pin the worker count (default: auto-size to the
-//! machine) and `--json <path>` to write the per-benchmark outcomes as a
-//! JSON artifact.
+//! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
+//! `--resume`, `--trace`; see `noc_bench::artifact::FigureCli`).
 
-use noc_bench::artifact::FigureCli;
-use noc_bench::{simulate_before_after_all, sweeps, SimValidation};
-use noc_topology::benchmarks::Benchmark;
+use noc_bench::artifact::{run_figure, Fields};
+use noc_flow::json::JsonValue;
 
-fn main() {
-    let args = FigureCli::parse("sim_validation");
-    let _trace = args.trace_session();
-    if noc_bench::jobs::run_resumed(&args) {
-        return;
-    }
+fn print_table(validations: &JsonValue) {
     println!("# Wormhole simulation: deadlock behaviour before/after removal (10-switch designs)");
     println!(
         "{:>12} {:>14} {:>20} {:>18} {:>16} {:>16} {:>12}",
@@ -33,19 +25,20 @@ fn main() {
         "fixed_latency",
         "fixed_p95"
     );
-    let validations: Vec<SimValidation> =
-        simulate_before_after_all(&Benchmark::ALL, sweeps::SIM_SWITCHES, args.threads);
-    for v in &validations {
+    for v in validations.as_array().unwrap_or_default() {
         println!(
             "{:>12} {:>14} {:>20} {:>18} {:>16} {:>16.1} {:>12}",
-            v.benchmark,
-            v.original_cdg_cyclic,
-            v.original_deadlocked,
-            v.fixed_deadlocked,
-            v.fixed_delivered,
-            v.fixed_mean_latency,
-            v.fixed_p95_latency
+            v.text("benchmark"),
+            v.flag("original_cdg_cyclic"),
+            v.flag("original_deadlocked"),
+            v.flag("fixed_deadlocked"),
+            v.count("fixed_delivered"),
+            v.num("fixed_mean_latency"),
+            v.count("fixed_p95_latency")
         );
     }
-    args.write_artifact(&validations);
+}
+
+fn main() {
+    run_figure("sim_validation", print_table);
 }

@@ -2,37 +2,15 @@
 //! savings of the deadlock-removal algorithm versus resource ordering and its
 //! overhead versus the unmodified (deadlock-prone) designs.
 //!
-//! The six benchmark comparisons run as one parallel sweep; pass
-//! `--threads <n>` to pin the worker count (default: auto-size to the
-//! machine) and `--json <path>` to write the comparisons and aggregates as
-//! a JSON artifact.
+//! It runs the Figure 10 tasks and aggregates them.
+//! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
+//! `--resume`, `--trace`; see `noc_bench::artifact::FigureCli`).
 
-use noc_bench::artifact::FigureCli;
-use noc_bench::{power_comparisons, summary, sweeps, PowerComparison, Summary};
-use noc_flow::json::{ObjectWriter, ToJson};
-use noc_topology::benchmarks::Benchmark;
+use noc_bench::artifact::{run_figure, Fields};
+use noc_bench::{sweeps, PowerComparison};
+use noc_flow::json::JsonValue;
 
-/// The artifact payload: the per-benchmark rows plus the aggregates.
-struct SummaryArtifact {
-    comparisons: Vec<PowerComparison>,
-    summary: Summary,
-}
-
-impl ToJson for SummaryArtifact {
-    fn write_json(&self, out: &mut String) {
-        ObjectWriter::new(out)
-            .field("comparisons", &self.comparisons)
-            .field("summary", &self.summary)
-            .finish();
-    }
-}
-
-fn main() {
-    let args = FigureCli::parse("summary_table");
-    let _trace = args.trace_session();
-    if noc_bench::jobs::run_resumed(&args) {
-        return;
-    }
+fn print_table(data: &JsonValue) {
     println!(
         "# Section 5 summary — per-benchmark comparison at {} switches",
         sweeps::FIG10_SWITCHES
@@ -47,18 +25,8 @@ fn main() {
         "power_saving",
         "power_overhead"
     );
-    let comparisons = power_comparisons(
-        Benchmark::ALL,
-        sweeps::FIG10_SWITCHES,
-        args.threads,
-        |progress| {
-            eprintln!(
-                "[{}/{}] {} done",
-                progress.completed, progress.total, progress.point.benchmark
-            );
-        },
-    );
-    for c in &comparisons {
+    for c in data.items("comparisons") {
+        let c = PowerComparison::from_json(c).expect("the artifact holds power comparisons");
         println!(
             "{:>12} {:>12} {:>12} {:>13.1}% {:>13.1}% {:>15.2}% {:>15.2}%",
             c.benchmark,
@@ -70,32 +38,31 @@ fn main() {
             c.removal_power_overhead() * 100.0
         );
     }
-    let s = summary(&comparisons);
+    let s = data.field("summary");
     println!();
     println!("# Aggregate (paper reports: 88% VC, 66% area, 8.6% power savings; <5% overhead)");
     println!(
         "mean VC saving vs. resource ordering:    {:>6.1}%",
-        s.mean_vc_saving * 100.0
+        s.num("mean_vc_saving") * 100.0
     );
     println!(
         "mean area saving vs. resource ordering:  {:>6.1}%",
-        s.mean_area_saving * 100.0
+        s.num("mean_area_saving") * 100.0
     );
     println!(
         "mean power saving vs. resource ordering: {:>6.2}%",
-        s.mean_power_saving * 100.0
+        s.num("mean_power_saving") * 100.0
     );
     println!(
         "mean power overhead vs. no removal:      {:>6.2}%",
-        s.mean_power_overhead * 100.0
+        s.num("mean_power_overhead") * 100.0
     );
     println!(
         "mean area overhead vs. no removal:       {:>6.2}%",
-        s.mean_area_overhead * 100.0
+        s.num("mean_area_overhead") * 100.0
     );
-    let data = SummaryArtifact {
-        comparisons,
-        summary: s,
-    };
-    args.write_artifact(&data);
+}
+
+fn main() {
+    run_figure("summary_table", print_table);
 }

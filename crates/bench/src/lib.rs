@@ -1,20 +1,25 @@
 //! Experiment harness reproducing the evaluation of the DATE 2010 paper.
 //!
-//! Each public function regenerates the data behind one figure or one prose
-//! claim of the paper's Section 5 by driving the [`noc_flow`] pipeline API;
-//! the binaries in `src/bin/` print the corresponding rows/series.
+//! Each figure is defined once, as a job source in [`figures`]: its task
+//! list, the per-task computation (the point functions of this crate) and
+//! the assembly of the artifact.  Every figure binary in `src/bin/` runs its
+//! source through [`artifact::run_figure`] — in memory, or through the
+//! resumable job store under `--resume` — and prints its table from the
+//! parsed artifact; `noc_serve` runs the same sources as jobs.  `fig_scale`
+//! alone runs directly, because its timings must run serially.
 //!
-//! | Paper artefact | Function | Binary |
+//! | Paper artefact | Source | Binary |
 //! |---|---|---|
-//! | Figure 8 (D26_media, VCs vs. switch count) | [`vc_overhead_sweep`] | `fig8_d26_media` |
-//! | Figure 9 (D36_8, VCs vs. switch count) | [`vc_overhead_sweep`] | `fig9_d36_8` |
-//! | Figure 10 (normalised power, 6 benchmarks @ 14 switches) | [`power_comparison`] | `fig10_power` |
-//! | 88 % VC / 66 % area / 8.6 % power savings, < 5 % overhead | [`summary`] | `summary_table` |
-//! | dynamic deadlock validation (beyond the paper) | [`simulate_before_after`] | `sim_validation` |
-//! | four-way strategy comparison (beyond the paper) | [`strategy_matrix_sweep`] | `fig_strategy_matrix` |
-//! | VC-aware per-strategy simulation sweep (beyond the paper) | [`sim_strategy_sweep`] | `fig_sim_strategies` |
-//! | certified-verifier conservatism gap (beyond the paper) | [`conservatism_sweep`] | `fig_conservatism` |
-//! | fault-storm survivability per strategy (beyond the paper) | [`fault_strategy_sweep`] | `fig_faults` |
+//! | Figure 8 (D26_media, VCs vs. switch count) | [`figures::vc_sweep`] | `fig8_d26_media` |
+//! | Figure 9 (D36_8, VCs vs. switch count) | [`figures::vc_sweep`] | `fig9_d36_8` |
+//! | Figure 10 (normalised power, 6 benchmarks @ 14 switches) | [`figures::power`] | `fig10_power` |
+//! | 88 % VC / 66 % area / 8.6 % power savings, < 5 % overhead | [`figures::summary_table`] | `summary_table` |
+//! | dynamic deadlock validation (beyond the paper) | [`figures::sim_validation`] | `sim_validation` |
+//! | four-way strategy comparison (beyond the paper) | [`figures::strategy_matrix`] | `fig_strategy_matrix` |
+//! | VC-aware per-strategy simulation sweep (beyond the paper) | [`figures::sim_strategies`] | `fig_sim_strategies` |
+//! | certified-verifier conservatism gap (beyond the paper) | [`figures::conservatism`] | `fig_conservatism` |
+//! | fault-storm survivability per strategy (beyond the paper) | [`figures::faults`] | `fig_faults` |
+//! | removal scaling on synthetic fabrics (beyond the paper) | [`scale_sweep`] (direct) | `fig_scale` |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +28,7 @@ use noc_deadlock::cdg::Cdg;
 use noc_deadlock::certify::TrapWitness;
 use noc_deadlock::removal::RemovalConfig;
 use noc_deadlock::report::RemovalReport;
-use noc_flow::json::{ObjectWriter, ToJson};
+use noc_flow::json::{JsonValue, ObjectWriter, ToJson};
 use noc_flow::{
     CycleBreaking, DeadlockFreeStage, DeadlockStrategy, DesignFlow, EscapeChannel, FaultRunStats,
     FlowSweep, RecoveryReconfig, ResourceOrdering, RoutedStage, ShortestPathRouter,
@@ -79,29 +84,13 @@ pub fn vc_overhead_sweep(
     benchmark: Benchmark,
     switch_counts: impl IntoIterator<Item = usize>,
 ) -> Vec<VcSweepPoint> {
-    vc_overhead_sweep_streaming(benchmark, switch_counts, 0, |_| {})
-}
-
-/// [`vc_overhead_sweep`] on the parallel executor, streaming a progress
-/// notification to `observer` as each grid point completes (completion
-/// order); the returned points are in switch-count order regardless.
-///
-/// `threads` is the executor worker count (`0` auto-sizes to the machine,
-/// the figure binaries expose it as `--threads N`).
-pub fn vc_overhead_sweep_streaming(
-    benchmark: Benchmark,
-    switch_counts: impl IntoIterator<Item = usize>,
-    threads: usize,
-    observer: impl FnMut(SweepProgress<'_>),
-) -> Vec<VcSweepPoint> {
     let removal = CycleBreaking::default();
     let ordering = ResourceOrdering;
     let points = FlowSweep::new()
         .benchmark(benchmark)
         .switch_counts(switch_counts)
         .power_estimates(false) // Figures 8/9 only plot VC counts
-        .worker_threads(threads)
-        .run_streaming(&[&removal, &ordering], observer)
+        .run_parallel(&[&removal, &ordering])
         .unwrap_or_else(|e| panic!("sweep failed for {benchmark}: {e}"));
     points
         .into_iter()
@@ -143,6 +132,24 @@ pub struct PowerComparison {
 }
 
 impl PowerComparison {
+    /// Rebuilds a comparison from its artifact rendering (the inverse of
+    /// its [`ToJson`] impl; `f64` round-trips exactly through the writer
+    /// and the parser).  `None` when a field is missing or mistyped.
+    pub fn from_json(value: &JsonValue) -> Option<PowerComparison> {
+        let num = |key: &str| value.get(key).and_then(JsonValue::as_number);
+        Some(PowerComparison {
+            benchmark: value.get("benchmark")?.as_str()?.to_string(),
+            original_power_mw: num("original_power_mw")?,
+            removal_power_mw: num("removal_power_mw")?,
+            ordering_power_mw: num("ordering_power_mw")?,
+            original_area_um2: num("original_area_um2")?,
+            removal_area_um2: num("removal_area_um2")?,
+            ordering_area_um2: num("ordering_area_um2")?,
+            removal_vcs: num("removal_vcs")? as usize,
+            ordering_vcs: num("ordering_vcs")? as usize,
+        })
+    }
+
     /// Resource-ordering power normalised to the removal algorithm (the bar
     /// plotted in Figure 10; > 1 means ordering burns more power).
     pub fn normalised_ordering_power(&self) -> f64 {
@@ -188,46 +195,24 @@ impl PowerComparison {
 
 /// Regenerates one bar group of Figure 10 (default: 14-switch topologies, as
 /// in the paper).
+///
+/// # Panics
+///
+/// Panics if the switch count is infeasible for the benchmark or the flow
+/// fails, which does not happen on the published grid.
 pub fn power_comparison(benchmark: Benchmark, switch_count: usize) -> PowerComparison {
-    power_comparisons([benchmark], switch_count, 0, |_| {})
+    let point = FlowSweep::new()
+        .benchmark(benchmark)
+        .switch_counts([switch_count])
+        .run_parallel(&[&CycleBreaking::default(), &ResourceOrdering])
+        .unwrap_or_else(|e| panic!("flow failed at {switch_count} switches: {e}"))
         .into_iter()
         .next()
-        .unwrap_or_else(|| panic!("switch count {switch_count} infeasible for {benchmark}"))
-}
-
-/// Regenerates a whole Figure 10 bar row in one parallel sweep: every
-/// benchmark at the same switch count, sharded across `threads` worker
-/// threads (`0` auto-sizes), with per-point progress streamed to
-/// `observer`.  Infeasible benchmarks are skipped, so the result can be
-/// shorter than the input.
-pub fn power_comparisons(
-    benchmarks: impl IntoIterator<Item = Benchmark>,
-    switch_count: usize,
-    threads: usize,
-    observer: impl FnMut(SweepProgress<'_>),
-) -> Vec<PowerComparison> {
-    let removal_strategy = CycleBreaking::default();
-    let ordering_strategy = ResourceOrdering;
-    let points = FlowSweep::new()
-        .benchmarks(benchmarks)
-        .switch_counts([switch_count])
-        .worker_threads(threads)
-        .run_streaming(&[&removal_strategy, &ordering_strategy], observer)
-        .unwrap_or_else(|e| panic!("flow failed at {switch_count} switches: {e}"));
-    points
-        .iter()
-        .map(|p| comparison_from_point(p, removal_strategy.name(), ordering_strategy.name()))
-        .collect()
-}
-
-/// Extracts the Figure 10 numbers from one power-enabled sweep point.
-fn comparison_from_point(
-    point: &SweepPoint,
-    removal_name: &str,
-    ordering_name: &str,
-) -> PowerComparison {
-    let removal = point.outcome(removal_name).expect("strategy ran");
-    let ordering = point.outcome(ordering_name).expect("strategy ran");
+        .unwrap_or_else(|| panic!("switch count {switch_count} infeasible for {benchmark}"));
+    // Outcomes come back in strategy order.
+    let [removal, ordering] = &point.outcomes[..] else {
+        unreachable!("two strategies ran");
+    };
     let enabled = "power estimates are on by default";
     PowerComparison {
         benchmark: point.benchmark.name().to_string(),
@@ -358,21 +343,6 @@ pub fn simulate_before_after(benchmark: Benchmark, switch_count: usize) -> SimVa
         fixed_mean_latency: fixed.outcome().stats.mean_latency(),
         fixed_p95_latency: fixed.outcome().stats.p95_latency(),
     }
-}
-
-/// [`simulate_before_after`] for a whole benchmark list, sharded across
-/// `threads` scoped worker threads (`0` auto-sizes to the machine); results
-/// come back in input order.  This is what gives the `sim_validation`
-/// binary its `--threads` knob — the per-benchmark simulations are fully
-/// independent, like the sweep grid points.
-pub fn simulate_before_after_all(
-    benchmarks: &[Benchmark],
-    switch_count: usize,
-    threads: usize,
-) -> Vec<SimValidation> {
-    noc_flow::executor::parallel_map_ordered(benchmarks, threads, |&benchmark| {
-        simulate_before_after(benchmark, switch_count)
-    })
 }
 
 /// The names of the four deadlock strategies of the comparison matrix,
@@ -641,23 +611,6 @@ pub fn sim_strategy_point(benchmark: Benchmark, switch_count: usize) -> SimSweep
     }
 }
 
-/// The full `fig_sim_strategies` sweep: every feasible Figure 8 (D26_media)
-/// and Figure 9 (D36_8) grid point, sharded across `threads` worker threads
-/// via the existing executor (`0` auto-sizes); points come back in grid
-/// order.
-pub fn sim_strategy_sweep(threads: usize) -> Vec<SimSweepPoint> {
-    let mut grid: Vec<(Benchmark, usize)> = Vec::new();
-    for count in sweeps::FIG8_SWITCH_COUNTS {
-        grid.push((Benchmark::D26Media, count));
-    }
-    for count in sweeps::FIG9_SWITCH_COUNTS {
-        grid.push((Benchmark::D36x8, count));
-    }
-    noc_flow::executor::parallel_map_ordered(&grid, threads, |&(benchmark, switch_count)| {
-        sim_strategy_point(benchmark, switch_count)
-    })
-}
-
 /// The strategy axis of the `fig_faults` experiment, in sweep order: every
 /// repaired design (one per deadlock-handling scheme) is pushed through the
 /// *same* seeded link-failure storm under cycle-safe live reconfiguration,
@@ -852,28 +805,6 @@ pub fn fault_strategy_point(benchmark: Benchmark, switch_count: usize) -> FaultS
         connected,
         runs,
     }
-}
-
-/// The (benchmark × switch-count) grid of the fault sweep: every feasible
-/// Figure 8 (D26_media) and Figure 9 (D36_8) point.
-pub fn fault_sweep_grid() -> Vec<(Benchmark, usize)> {
-    let mut grid: Vec<(Benchmark, usize)> = Vec::new();
-    for count in sweeps::FIG8_SWITCH_COUNTS {
-        grid.push((Benchmark::D26Media, count));
-    }
-    for count in sweeps::FIG9_SWITCH_COUNTS {
-        grid.push((Benchmark::D36x8, count));
-    }
-    grid
-}
-
-/// The full `fig_faults` sweep, sharded across `threads` worker threads via
-/// the existing executor (`0` auto-sizes); points come back in grid order.
-pub fn fault_strategy_sweep(threads: usize) -> Vec<FaultSweepPoint> {
-    let grid = fault_sweep_grid();
-    noc_flow::executor::parallel_map_ordered(&grid, threads, |&(benchmark, switch_count)| {
-        fault_strategy_point(benchmark, switch_count)
-    })
 }
 
 impl ToJson for FaultStrategyRun {
@@ -1089,7 +1020,7 @@ fn fired_wait_for_graph(outcome: &VcSimOutcome) -> bool {
 }
 
 /// Runs the three verifiers on one routed design.  Shared by
-/// [`conservatism_sweep`] (the `fig_conservatism` artifact) and the
+/// [`figures::conservatism`] (the `fig_conservatism` artifact) and the
 /// three-way agreement test harness, so the artifact invariants and the
 /// test assertions are computed by the same code path.
 pub fn conservatism_point_for(
@@ -1144,103 +1075,6 @@ pub fn conservatism_point_for(
         wait_for_graph_fired: fired_wait_for_graph(&outcome),
         witness_attempted,
         witness_realized,
-    }
-}
-
-/// Per-benchmark aggregate of the conservatism sweep: how often the
-/// conservative CDG check cries wolf, and what the false alarms cost.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConservatismBenchmark {
-    /// Benchmark (or `random`) the points belong to.
-    pub benchmark: String,
-    /// Points with a cyclic CDG (the conservative check says "unsafe").
-    pub cyclic_points: usize,
-    /// Cyclic points where the trap search found a verified witness.
-    pub certified_deadlockable: usize,
-    /// The conservatism gap: cyclic points certified deadlock-free — the
-    /// conservative check would repair them for nothing.
-    pub certified_free_cyclic: usize,
-    /// Cyclic points where the bounded search was inconclusive.
-    pub unknown: usize,
-    /// VCs Algorithm 1 burns on the certified-free cyclic points.
-    pub gap_vcs: usize,
-    /// Witness replays attempted / realized at runtime (best-effort).
-    pub witness_attempts: usize,
-    /// Replays where the wait-for-graph detector fired on the witness flows.
-    pub witness_realized: usize,
-    /// Every point of the group, in sweep order.
-    pub points: Vec<ConservatismPoint>,
-}
-
-impl ConservatismBenchmark {
-    /// Aggregates a group of points under one benchmark label.
-    pub fn from_points(benchmark: &str, points: Vec<ConservatismPoint>) -> Self {
-        let cyclic: Vec<_> = points.iter().filter(|p| p.cdg_cyclic).collect();
-        ConservatismBenchmark {
-            benchmark: benchmark.to_string(),
-            cyclic_points: cyclic.len(),
-            certified_deadlockable: cyclic
-                .iter()
-                .filter(|p| p.verdict == "certified-deadlockable")
-                .count(),
-            certified_free_cyclic: cyclic
-                .iter()
-                .filter(|p| p.verdict == "certified-free")
-                .count(),
-            unknown: cyclic.iter().filter(|p| p.verdict == "unknown").count(),
-            gap_vcs: cyclic
-                .iter()
-                .filter(|p| p.verdict == "certified-free")
-                .map(|p| p.removal_vcs)
-                .sum(),
-            witness_attempts: points.iter().filter(|p| p.witness_attempted).count(),
-            witness_realized: points.iter().filter(|p| p.witness_realized).count(),
-            points,
-        }
-    }
-}
-
-/// The full `fig_conservatism` report: one group per benchmark sweep plus
-/// the seeded random population.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConservatismReport {
-    /// Aggregated groups (`D26_media`, `D36_8`, `random`).
-    pub benchmarks: Vec<ConservatismBenchmark>,
-}
-
-/// The full conservatism sweep behind the `fig_conservatism` artifact:
-/// every feasible Figure 8/9 grid point plus `random_designs` seeded random
-/// designs (seeds `0..random_designs`), sharded across `threads` workers.
-pub fn conservatism_sweep(threads: usize, random_designs: usize) -> ConservatismReport {
-    let mut grid: Vec<(Benchmark, usize)> = Vec::new();
-    for count in sweeps::FIG8_SWITCH_COUNTS {
-        grid.push((Benchmark::D26Media, count));
-    }
-    for count in sweeps::FIG9_SWITCH_COUNTS {
-        grid.push((Benchmark::D36x8, count));
-    }
-    let bench_points =
-        noc_flow::executor::parallel_map_ordered(&grid, threads, |&(benchmark, switch_count)| {
-            let routed = routed_benchmark(benchmark, switch_count);
-            conservatism_point_for(&routed, benchmark.name(), switch_count)
-        });
-    let (d26_points, d36_points): (Vec<_>, Vec<_>) = bench_points
-        .into_iter()
-        .partition(|p| p.benchmark == Benchmark::D26Media.name());
-
-    let seeds: Vec<u64> = (0..random_designs as u64).collect();
-    let random_points = noc_flow::executor::parallel_map_ordered(&seeds, threads, |&seed| {
-        let routed = random_routed_design(seed);
-        let switch_count = routed.topology().switch_count();
-        conservatism_point_for(&routed, "random", switch_count)
-    });
-
-    ConservatismReport {
-        benchmarks: vec![
-            ConservatismBenchmark::from_points(Benchmark::D26Media.name(), d26_points),
-            ConservatismBenchmark::from_points(Benchmark::D36x8.name(), d36_points),
-            ConservatismBenchmark::from_points("random", random_points),
-        ],
     }
 }
 
@@ -1351,30 +1185,6 @@ impl ToJson for ConservatismPoint {
             .field("wait_for_graph_fired", &self.wait_for_graph_fired)
             .field("witness_attempted", &self.witness_attempted)
             .field("witness_realized", &self.witness_realized)
-            .finish();
-    }
-}
-
-impl ToJson for ConservatismBenchmark {
-    fn write_json(&self, out: &mut String) {
-        ObjectWriter::new(out)
-            .field("benchmark", &self.benchmark)
-            .field("cyclic_points", &self.cyclic_points)
-            .field("certified_deadlockable", &self.certified_deadlockable)
-            .field("certified_free_cyclic", &self.certified_free_cyclic)
-            .field("unknown", &self.unknown)
-            .field("gap_vcs", &self.gap_vcs)
-            .field("witness_attempts", &self.witness_attempts)
-            .field("witness_realized", &self.witness_realized)
-            .field("points", &self.points)
-            .finish();
-    }
-}
-
-impl ToJson for ConservatismReport {
-    fn write_json(&self, out: &mut String) {
-        ObjectWriter::new(out)
-            .field("benchmarks", &self.benchmarks)
             .finish();
     }
 }
@@ -1855,10 +1665,11 @@ impl ToJson for ScaleArtifact {
 /// re-exported here for convenience.
 pub mod artifact {
 
-    use noc_flow::json::{Artifact, ToJson};
+    use noc_flow::json::{write_atomic, Artifact, JsonValue, ParsedArtifact, ToJson};
     use noc_flow::trace::TraceArtifact;
+    use noc_jobs::{run_in_memory, JobError, JobRequest, JobRunner, JobStore};
     use std::fmt;
-    use std::path::{Path, PathBuf};
+    use std::path::PathBuf;
 
     pub use noc_flow::json::SCHEMA_VERSION;
 
@@ -2045,9 +1856,16 @@ runs, the artifact still lands at --json (or --out-dir/<figure>.json)";
         /// atomically.  Exits with status 1 on a write failure — the
         /// binary has nothing useful left to do.
         pub fn write_artifact(&self, data: &dyn ToJson) {
-            if let Some(path) = self.artifact_path() {
-                write_json_artifact(&path, &self.figure, data);
+            let Some(path) = self.artifact_path() else {
+                return;
+            };
+            let mut span = noc_telemetry::span("artifact", "write");
+            span.arg("figure", self.figure.as_str());
+            if let Err(error) = Artifact::new(&self.figure, data).write(&path) {
+                eprintln!("{}: {error}", self.figure);
+                std::process::exit(1);
             }
+            eprintln!("wrote {}", path.display());
         }
 
         /// Arms telemetry for the run when `--trace` was given: installs
@@ -2102,22 +1920,116 @@ runs, the artifact still lands at --json (or --out-dir/<figure>.json)";
         }
     }
 
-    /// Renders a figure artifact under the versioned envelope and commits
-    /// it to `path` atomically (temp file + rename), re-parsing the output
-    /// first so a serializer bug can never publish an unreadable artifact.
-    pub fn write_json_artifact(path: &Path, figure: &str, data: &dyn ToJson) {
-        let mut span = noc_telemetry::span("artifact", "write");
-        span.arg("figure", figure);
-        if let Err(error) = Artifact::new(figure, data).write(path) {
+    /// The whole `main` of a figure binary: parses the [`FigureCli`], runs
+    /// the figure's job source — in memory, or through the resumable job
+    /// store under `--resume` — writes the artifact, and hands the parsed
+    /// artifact's `data` to `print_table`, so both paths print the same
+    /// table.  Exits with status 1 on any job error.
+    pub fn run_figure(figure: &str, print_table: fn(&JsonValue)) {
+        let cli = FigureCli::parse(figure);
+        let _trace = cli.trace_session();
+        let printed = cli.run_job().and_then(|text| {
+            let mut span = noc_telemetry::span("artifact", "table");
+            span.arg("figure", figure);
+            print_table(&ParsedArtifact::parse(&text)?.data);
+            Ok(())
+        });
+        if let Err(error) = printed {
             eprintln!("{figure}: {error}");
             std::process::exit(1);
         }
-        eprintln!("wrote {}", path.display());
+    }
+
+    impl FigureCli {
+        /// Runs the figure's job source and writes the artifact to
+        /// [`FigureCli::artifact_path`], returning the artifact text.
+        fn run_job(&self) -> Result<String, JobError> {
+            let mut spec = JobRequest::new(self.figure.clone());
+            spec.id = self.figure.clone();
+            spec.threads = self.threads;
+            let source = crate::jobs::job_source(&spec)?;
+            let text = match &self.resume {
+                None => run_in_memory(source.as_ref(), self.threads)?,
+                Some(dir) => {
+                    let store = {
+                        let _span = noc_telemetry::span("jobs", "open_store");
+                        JobStore::open(dir, spec)?
+                    };
+                    let report = JobRunner::new(store).run(source.as_ref())?;
+                    let stats = &report.stats;
+                    eprintln!(
+                        "job {}: {} tasks — {} computed, {} resumed, {} cache hits",
+                        self.figure, stats.total, stats.computed, stats.resumed, stats.cache_hits
+                    );
+                    let artifact = report.artifact.expect("unbounded runs always assemble");
+                    if self.artifact_path().is_none() {
+                        eprintln!("artifact committed at {}", artifact.path.display());
+                    }
+                    artifact.text
+                }
+            };
+            if let Some(path) = self.artifact_path() {
+                let mut span = noc_telemetry::span("artifact", "write");
+                span.arg("figure", self.figure.as_str());
+                write_atomic(&path, text.as_bytes()).map_err(|e| JobError::io(&path, e))?;
+                eprintln!("wrote {}", path.display());
+            }
+            Ok(text)
+        }
+    }
+
+    /// Typed field access for the tables the figure binaries print from
+    /// their parsed artifact.  The artifact was assembled and validated by
+    /// the same process, so a missing or mistyped field is a bug: the
+    /// accessors panic, naming the key.
+    pub trait Fields {
+        /// The value under `key`.
+        fn field(&self, key: &str) -> &JsonValue;
+
+        /// A number; `null` (how non-finite floats are written) reads as
+        /// NaN.
+        fn num(&self, key: &str) -> f64 {
+            match self.field(key) {
+                JsonValue::Null => f64::NAN,
+                value => typed(value.as_number(), key),
+            }
+        }
+
+        /// A count.
+        fn count(&self, key: &str) -> usize {
+            self.num(key) as usize
+        }
+
+        /// A string.
+        fn text(&self, key: &str) -> &str {
+            typed(self.field(key).as_str(), key)
+        }
+
+        /// A boolean.
+        fn flag(&self, key: &str) -> bool {
+            typed(self.field(key).as_bool(), key)
+        }
+
+        /// An array.
+        fn items(&self, key: &str) -> &[JsonValue] {
+            typed(self.field(key).as_array(), key)
+        }
+    }
+
+    impl Fields for JsonValue {
+        fn field(&self, key: &str) -> &JsonValue {
+            typed(self.get(key), key)
+        }
+    }
+
+    fn typed<T>(value: Option<T>, key: &str) -> T {
+        value.unwrap_or_else(|| panic!("artifact field {key:?} is missing or mistyped"))
     }
 
     #[cfg(test)]
     mod tests {
         use super::*;
+        use std::path::Path;
 
         fn parse(args: &[&str]) -> Result<FigureCli, CliError> {
             FigureCli::from_iter("fig", args.iter().map(|s| s.to_string()))
@@ -2182,6 +2094,7 @@ runs, the artifact still lands at --json (or --out-dir/<figure>.json)";
     }
 }
 
+pub mod figures;
 pub mod jobs;
 
 /// The switch-count ranges used by the paper for its two sweep figures.

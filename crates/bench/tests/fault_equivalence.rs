@@ -14,9 +14,10 @@
 //! * the sweep is deterministic across executors — the serial and the
 //!   threaded sweep produce byte-identical points.
 
+use noc_bench::jobs::{fig89_grid, Params};
 use noc_bench::{
-    fault_run_outcome, fault_strategy_designs, fault_strategy_point, fault_sweep_grid,
-    fault_sweep_storm, fault_sweep_traffic, FaultSweepPoint,
+    fault_run_outcome, fault_strategy_designs, fault_strategy_point, fault_sweep_storm,
+    fault_sweep_traffic, FaultSweepPoint,
 };
 use noc_deadlock::verify::check_deadlock_free;
 use noc_sim::{FaultPlan, VcSimConfig};
@@ -70,7 +71,7 @@ fn assert_epochs_reverify(benchmark: Benchmark, switch_count: usize) {
 
 #[test]
 fn every_committed_epoch_reverifies_on_the_benchmark_grids() {
-    let grid = fault_sweep_grid();
+    let grid = fig89_grid(&Params::default()).expect("the published grid");
     noc_flow::executor::parallel_map_ordered(&grid, 0, |&(benchmark, switch_count)| {
         assert_epochs_reverify(benchmark, switch_count)
     });
@@ -80,7 +81,11 @@ fn every_committed_epoch_reverifies_on_the_benchmark_grids() {
 fn serial_and_threaded_fault_sweeps_are_byte_identical() {
     // A spread of both benchmark grids, kept small because the points run
     // twice; determinism does not depend on the point, only on the seeding.
-    let subset: Vec<(Benchmark, usize)> = fault_sweep_grid().into_iter().step_by(9).collect();
+    let subset: Vec<(Benchmark, usize)> = fig89_grid(&Params::default())
+        .expect("the published grid")
+        .into_iter()
+        .step_by(9)
+        .collect();
     assert!(subset.len() >= 4, "subset must span both grids");
     let serial: Vec<FaultSweepPoint> = subset
         .iter()

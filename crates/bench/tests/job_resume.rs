@@ -1,20 +1,26 @@
-//! The PR's acceptance properties on the real `fig_strategy_matrix` sweep
-//! (narrowed to a small grid so the suite stays fast):
+//! The job-store properties of the figure sources, on grids narrowed so
+//! the suite stays fast:
 //!
-//! 1. an artifact produced through the job store is **byte-identical** to
-//!    one rendered from a direct `FlowSweep` run,
-//! 2. a sweep killed mid-run and resumed from the store reproduces those
-//!    same bytes while recomputing only the missing tasks, and
+//! 1. a `fig_strategy_matrix` artifact produced through the job store is
+//!    **byte-identical** to one rendered from a direct `FlowSweep` run, and
+//!    a `summary_table` artifact to one rendered from the direct point
+//!    functions,
+//! 2. a run killed mid-way and resumed from the store reproduces those
+//!    same bytes while recomputing only the missing tasks (the matrix,
+//!    `summary_table` and `fig_conservatism`),
 //! 3. a re-submitted identical job with the content-hash cache completes
-//!    with 100 % cache hits and **zero** `run_task` calls.
+//!    with 100 % cache hits and **zero** `run_task` calls, and
+//! 4. every figure's in-memory run (what a figure binary does without
+//!    `--resume`) writes the same bytes as its store run.
 
-use noc_bench::jobs::{job_source_counted, run_resumed};
-use noc_bench::{artifact::FigureCli, STRATEGY_MATRIX_NAMES};
+use noc_bench::artifact::Fields;
+use noc_bench::jobs::{job_source, job_source_counted};
+use noc_bench::{power_comparison, summary, STRATEGY_MATRIX_NAMES};
 use noc_flow::json::{Artifact, ObjectWriter, RawJson, ToJson};
 use noc_flow::{
     CycleBreaking, DeadlockStrategy, EscapeChannel, FlowSweep, RecoveryReconfig, ResourceOrdering,
 };
-use noc_jobs::{ArtifactCache, JobRequest, JobRunner, JobStore};
+use noc_jobs::{run_in_memory, ArtifactCache, JobRequest, JobRunner, JobStore};
 use noc_topology::benchmarks::Benchmark;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -26,10 +32,21 @@ const PARAMS: &str = "{\"benchmarks\":[\"D26_media\"],\"switch_counts\":[6,8]}";
 const TASKS: usize = 8;
 
 fn spec() -> JobRequest {
-    JobRequest::from_json(&format!(
-        "{{\"figure\":\"fig_strategy_matrix\",\"params\":{PARAMS}}}"
-    ))
-    .expect("valid spec")
+    spec_with("fig_strategy_matrix", PARAMS)
+}
+
+fn spec_with(figure: &str, params: &str) -> JobRequest {
+    JobRequest::from_json(&format!("{{\"figure\":\"{figure}\",\"params\":{params}}}"))
+        .expect("valid spec")
+}
+
+/// Runs `spec` through a fresh store in `dir` and returns the artifact.
+fn store_run(spec: &JobRequest, dir: &std::path::Path) -> String {
+    let source = job_source(spec).unwrap();
+    let report = JobRunner::new(JobStore::open(dir, spec.clone()).unwrap())
+        .run(source.as_ref())
+        .unwrap();
+    report.artifact.expect("unbounded runs assemble").text
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -158,11 +175,9 @@ fn resubmitted_matrix_job_recomputes_nothing_with_the_cache() {
 #[test]
 fn figure_cli_resume_mode_runs_supported_figures_end_to_end() {
     // `--resume` on a per-point figure: a narrowed fig8 sweep through the
-    // store, with the artifact copied to the requested --json path.  (The
-    // narrowing rides the spec params only in library runs; the CLI always
-    // runs the published grid, so this test drives the library entry the
-    // CLI path is a thin wrapper over, then exercises the wrapper's
-    // argument plumbing separately.)
+    // store.  (The narrowing rides the spec params only in library runs;
+    // the CLI always runs the published grid, so this test drives the
+    // library entries the CLI runs.)
     let spec = JobRequest::from_json(
         "{\"figure\":\"fig8_d26_media\",\"params\":{\"switch_counts\":[6,8,10]}}",
     )
@@ -179,11 +194,6 @@ fn figure_cli_resume_mode_runs_supported_figures_end_to_end() {
     assert_eq!(parsed.data.as_array().map(<[_]>::len), Some(3));
     std::fs::remove_dir_all(&dir).unwrap();
 
-    // The wrapper itself: no --resume flag means no job-store detour.
-    let cli =
-        FigureCli::from_iter("fig8_d26_media", ["--threads".to_string(), "1".to_string()]).unwrap();
-    assert!(!run_resumed(&cli), "without --resume the direct path runs");
-
     // And each VcSweepPoint task result is exactly the direct rendering.
     let direct = noc_bench::vc_overhead_sweep(Benchmark::D26Media, [6]);
     let expected = direct[0].to_json();
@@ -191,4 +201,127 @@ fn figure_cli_resume_mode_runs_supported_figures_end_to_end() {
         text.contains(&expected),
         "job artifact embeds the direct point rendering verbatim"
     );
+}
+
+/// Kills `spec`'s job after `kill_after` tasks, resumes it in a second
+/// runner, and returns the resumed artifact — asserting that only the
+/// missing tasks were recomputed.
+fn killed_and_resumed(spec: &JobRequest, tag: &str, kill_after: usize) -> String {
+    let dir = temp_dir(tag);
+    let calls = Arc::new(AtomicUsize::new(0));
+    let source = job_source_counted(spec, Some(Arc::clone(&calls))).unwrap();
+    let total = source.task_count();
+    let partial = JobRunner::new(JobStore::open(&dir, spec.clone()).unwrap())
+        .run_bounded(source.as_ref(), kill_after)
+        .unwrap();
+    assert!(
+        partial.artifact.is_none(),
+        "{tag}: budget interrupts the job"
+    );
+    let resumed = JobRunner::new(JobStore::open(&dir, spec.clone()).unwrap())
+        .run(source.as_ref())
+        .unwrap();
+    assert_eq!(resumed.stats.resumed, kill_after, "{tag}");
+    assert_eq!(resumed.stats.computed, total - kill_after, "{tag}");
+    assert_eq!(
+        calls.load(Ordering::Relaxed),
+        total,
+        "{tag}: resume recomputes only the tasks the kill lost"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+    resumed.artifact.unwrap().text
+}
+
+#[test]
+fn summary_table_resumes_byte_identically_to_the_direct_render() {
+    let spec = spec_with(
+        "summary_table",
+        "{\"benchmarks\":[\"D26_media\",\"D36_8\",\"D38_tvopd\"]}",
+    );
+    // The reference: the comparisons and their summary computed directly
+    // and rendered the way the binary used to render them.
+    let comparisons: Vec<_> = [Benchmark::D26Media, Benchmark::D36x8, Benchmark::D38Tvopd]
+        .into_iter()
+        .map(|benchmark| power_comparison(benchmark, 14))
+        .collect();
+    let mut payload = String::new();
+    ObjectWriter::new(&mut payload)
+        .field("comparisons", &comparisons)
+        .field("summary", &summary(&comparisons))
+        .finish();
+    let reference = Artifact::new("summary_table", &RawJson(&payload)).render();
+
+    let source = job_source(&spec).unwrap();
+    assert_eq!(run_in_memory(source.as_ref(), 2).unwrap(), reference);
+    assert_eq!(killed_and_resumed(&spec, "summary-kill", 1), reference);
+}
+
+#[test]
+fn conservatism_resumes_byte_identically_across_kill_points() {
+    let spec = spec_with(
+        "fig_conservatism",
+        "{\"benchmarks\":[\"D36_8\"],\"switch_counts\":[18,24]}",
+    );
+    let source = job_source(&spec).unwrap();
+    assert_eq!(source.task_count(), 2 + noc_bench::DEFAULT_RANDOM_DESIGNS);
+    let reference = run_in_memory(source.as_ref(), 2).unwrap();
+    for kill_after in [1, 150] {
+        assert_eq!(
+            killed_and_resumed(
+                &spec,
+                &format!("conservatism-kill-{kill_after}"),
+                kill_after
+            ),
+            reference,
+            "killed after {kill_after} tasks"
+        );
+    }
+    // The grid points are spliced verbatim from the shared point function.
+    let routed = noc_bench::routed_benchmark(Benchmark::D36x8, 18);
+    let point = noc_bench::conservatism_point_for(&routed, "D36_8", 18).to_json();
+    assert!(reference.contains(&point));
+    // Two groups in first-appearance order: the grid, then the population.
+    let parsed = noc_flow::json::ParsedArtifact::parse(&reference).unwrap();
+    let groups = parsed.data.items("benchmarks");
+    let names: Vec<_> = groups.iter().map(|g| g.text("benchmark")).collect();
+    assert_eq!(names, ["D36_8", "random"]);
+}
+
+/// `fig_faults` records total task time as `wall_ms`, which differs between
+/// any two runs; everything else must match.
+fn mask_wall_ms(artifact: &str) -> String {
+    let Some(start) = artifact.find("\"wall_ms\":") else {
+        return artifact.to_string();
+    };
+    let end = start + artifact[start..].find(',').expect("wall_ms is not last");
+    format!("{}\"wall_ms\":_{}", &artifact[..start], &artifact[end..])
+}
+
+#[test]
+fn every_figure_runs_in_memory_and_through_the_store_alike() {
+    // Every figure the registry serves, narrowed to a point or two.
+    const D26_AT_6: &str = "{\"benchmarks\":[\"D26_media\"],\"switch_counts\":[6]}";
+    for (figure, params) in [
+        ("fig8_d26_media", "{\"switch_counts\":[6]}"),
+        ("fig9_d36_8", "{\"switch_counts\":[10]}"),
+        ("fig10_power", "{\"benchmarks\":[\"D36_8\"]}"),
+        ("summary_table", "{\"benchmarks\":[\"D36_8\"]}"),
+        ("sim_validation", "{\"benchmarks\":[\"D38_tvopd\"]}"),
+        ("fig_strategy_matrix", D26_AT_6),
+        ("fig_sim_strategies", D26_AT_6),
+        ("fig_faults", D26_AT_6),
+        ("fig_conservatism", D26_AT_6),
+    ] {
+        let spec = spec_with(figure, params);
+        let source = job_source(&spec).unwrap();
+        let in_memory = run_in_memory(source.as_ref(), 2).unwrap();
+        let dir = temp_dir(&format!("alike-{figure}"));
+        let stored = store_run(&spec, &dir);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(
+            mask_wall_ms(&in_memory),
+            mask_wall_ms(&stored),
+            "{figure}: in-memory and store runs differ"
+        );
+    }
 }

@@ -1,53 +1,51 @@
 //! Pins the telemetry determinism constraint: instrumentation is
 //! observe-only, so installing the recording collector must not change any
-//! artifact *data* payload — byte for byte — while the figure sweeps run
-//! under the threaded executor.  Traces may (and do) differ between runs;
-//! the science must not.
+//! artifact — byte for byte — while the figure sources run under the
+//! threaded executor.  Traces may (and do) differ between runs; the science
+//! must not.
 
-use noc_bench::vc_overhead_sweep_streaming;
-use noc_flow::json::ToJson;
+use noc_bench::jobs::job_source;
+use noc_jobs::{run_in_memory, JobRequest};
 use noc_telemetry::RecorderScope;
-use noc_topology::benchmarks::Benchmark;
 
-/// Renders the Fig 8/9 sweep series exactly as `write_artifact` would
-/// place it in the envelope's `data` field.
-fn sweep_data_json(benchmark: Benchmark, counts: [usize; 3], threads: usize) -> String {
-    let points = vc_overhead_sweep_streaming(benchmark, counts, threads, |_| {});
-    let mut out = String::new();
-    points.write_json(&mut out);
-    out
+/// The artifact of a narrowed Fig 8/9 source, run in memory the way the
+/// figure binaries run it.
+fn artifact(figure: &str, counts: [usize; 3], threads: usize) -> String {
+    let spec = JobRequest::from_json(&format!(
+        "{{\"figure\":\"{figure}\",\"params\":{{\"switch_counts\":{counts:?}}}}}"
+    ))
+    .expect("valid spec");
+    let source = job_source(&spec).expect("figure has a job source");
+    run_in_memory(source.as_ref(), threads).expect("figure runs")
 }
 
 #[test]
 fn artifact_data_is_byte_identical_with_collector_on_and_off() {
-    for (benchmark, counts) in [
-        (Benchmark::D26Media, [5, 9, 14]),
-        (Benchmark::D36x8, [10, 17, 25]),
-    ] {
-        let silent = sweep_data_json(benchmark, counts, 3);
+    for (figure, counts) in [("fig8_d26_media", [5, 9, 14]), ("fig9_d36_8", [10, 17, 25])] {
+        let silent = artifact(figure, counts, 3);
 
         let scope = RecorderScope::new();
-        let recorded = sweep_data_json(benchmark, counts, 3);
+        let recorded = artifact(figure, counts, 3);
         let snapshot = scope.recorder().snapshot();
         drop(scope);
 
         assert_eq!(
             silent, recorded,
-            "{benchmark:?}: enabling the collector changed the data payload"
+            "{figure}: enabling the collector changed the artifact"
         );
         // The run above must actually have been observed — a vacuous pass
         // (nothing instrumented, nothing recorded) would prove nothing.
         assert!(
             !snapshot.spans.is_empty(),
-            "{benchmark:?}: recorded run produced no spans"
+            "{figure}: recorded run produced no spans"
         );
         assert!(
             snapshot.spans.iter().any(|s| s.cat == "removal"),
-            "{benchmark:?}: removal loop left no spans"
+            "{figure}: removal loop left no spans"
         );
 
         // And a third run with the collector gone again still agrees.
-        let silent_again = sweep_data_json(benchmark, counts, 3);
+        let silent_again = artifact(figure, counts, 3);
         assert_eq!(silent, silent_again);
     }
 }

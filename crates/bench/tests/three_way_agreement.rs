@@ -22,9 +22,9 @@
 //! re-verified statically inside `certify`, and the replay is asserted only
 //! on the deterministic Figure 1 ring where the trap provably closes.
 
+use noc_bench::jobs::{fig89_grid, Params};
 use noc_bench::{conservatism_point_for, random_routed_design, ConservatismPoint};
 use noc_flow::{DesignFlow, ShortestPathRouter};
-use noc_topology::benchmarks::Benchmark;
 use noc_topology::{generators, CommGraph, CoreMap};
 
 /// Number of seeded random designs the property sweep checks.  Matches the
@@ -75,13 +75,7 @@ fn assert_lattice(point: &ConservatismPoint, label: &str) {
 
 #[test]
 fn benchmark_grids_respect_the_lattice() {
-    let mut grid: Vec<(Benchmark, usize)> = Vec::new();
-    for count in noc_bench::sweeps::FIG8_SWITCH_COUNTS {
-        grid.push((Benchmark::D26Media, count));
-    }
-    for count in noc_bench::sweeps::FIG9_SWITCH_COUNTS {
-        grid.push((Benchmark::D36x8, count));
-    }
+    let grid = fig89_grid(&Params::default()).expect("the published grid");
     let points = noc_flow::executor::parallel_map_ordered(&grid, 0, |&(benchmark, count)| {
         let routed = noc_bench::routed_benchmark(benchmark, count);
         conservatism_point_for(&routed, benchmark.name(), count)

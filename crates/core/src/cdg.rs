@@ -256,20 +256,6 @@ impl Cdg {
         cycle.into_iter().map(|n| self.channel_of(n)).collect()
     }
 
-    /// Returns all simple cycles up to `limit`, as channel lists (used by the
-    /// cycle-order ablation and diagnostics).
-    pub fn cycles(&self, limit: usize) -> Vec<Vec<Channel>> {
-        cycles::enumerate_cycles(&self.graph, limit)
-            .into_iter()
-            .map(|cycle| {
-                cycle
-                    .into_iter()
-                    .map(|n| *self.graph.node_weight(n).expect("cycle nodes are valid"))
-                    .collect()
-            })
-            .collect()
-    }
-
     /// The flows responsible for the dependency `from -> to`, if that edge
     /// exists.
     pub fn dependency_flows(&self, from: Channel, to: Channel) -> Option<&[FlowId]> {
@@ -454,15 +440,6 @@ mod tests {
         cdg2.add_dependency(l(0), l(1), FlowId::from_index(0));
         assert_eq!(cdg2.dependency_flows(l(0), l(1)).unwrap().len(), 2);
         assert_eq!(cdg2.dependency_count(), 4);
-    }
-
-    #[test]
-    fn cycle_enumeration_reports_the_ring_cycle_once() {
-        let (topo, routes) = figure_1_design();
-        let cdg = Cdg::build(&topo, &routes);
-        let cycles = cdg.cycles(16);
-        assert_eq!(cycles.len(), 1);
-        assert_eq!(cycles[0].len(), 4);
     }
 
     #[test]

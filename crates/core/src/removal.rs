@@ -39,26 +39,11 @@ pub enum DirectionPolicy {
     BackwardOnly,
 }
 
-/// Which cycle the loop attacks first.  The paper breaks the smallest cycle
-/// first; the other orders exist for the ablation experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CycleOrder {
-    /// Smallest cycle first (the paper's heuristic).
-    #[default]
-    SmallestFirst,
-    /// Largest simple cycle first (bounded enumeration).
-    LargestFirst,
-    /// Whatever cycle the enumeration finds first.
-    FirstFound,
-}
-
 /// Configuration of a removal run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RemovalConfig {
     /// Direction policy (ablation hook; default = both, as in the paper).
     pub direction: DirectionPolicy,
-    /// Cycle selection order (ablation hook; default = smallest first).
-    pub cycle_order: CycleOrder,
     /// Safety bound on the number of cycles broken before giving up.
     pub max_iterations: usize,
 }
@@ -67,7 +52,6 @@ impl Default for RemovalConfig {
     fn default() -> Self {
         RemovalConfig {
             direction: DirectionPolicy::Both,
-            cycle_order: CycleOrder::SmallestFirst,
             max_iterations: 100_000,
         }
     }
@@ -139,11 +123,7 @@ pub fn remove_deadlocks(
     routes: &mut RouteSet,
     config: &RemovalConfig,
 ) -> Result<RemovalReport, RemovalError> {
-    // The incremental engine only serves the smallest-cycle order: the
-    // ablation orders rank cycles via the bounded enumeration, which is not
-    // incremental, so they take the rebuild path.
-    let incremental = config.cycle_order == CycleOrder::SmallestFirst;
-    run_removal(topology, routes, config, incremental)
+    run_removal(topology, routes, config, true)
 }
 
 /// [`remove_deadlocks`] with the CDG rebuilt from scratch after every cycle
@@ -163,8 +143,8 @@ pub fn remove_deadlocks_rebuilding(
     run_removal(topology, routes, config, false)
 }
 
-/// The removal loop, patching the CDG per break when `incremental` (which
-/// requires [`CycleOrder::SmallestFirst`]) and rebuilding it otherwise.
+/// The removal loop, patching the CDG per break when `incremental` and
+/// rebuilding it otherwise.
 fn run_removal(
     topology: &mut Topology,
     routes: &mut RouteSet,
@@ -194,7 +174,7 @@ fn run_removal(
         if incremental {
             cdg.smallest_cycle_with(&mut finder)
         } else {
-            select_cycle(&cdg, config.cycle_order)
+            cdg.smallest_cycle()
         }
     };
     if cycle.is_none() {
@@ -302,28 +282,11 @@ fn run_removal(
             };
             report.cdg.full_builds += 1;
             let _span = noc_telemetry::span("removal", "cycle_search");
-            select_cycle(&cdg, config.cycle_order)
+            cdg.smallest_cycle()
         };
     }
 
     Ok(report)
-}
-
-/// Picks the next cycle to break according to the configured order.
-fn select_cycle(cdg: &Cdg, order: CycleOrder) -> Option<Vec<Channel>> {
-    match order {
-        CycleOrder::SmallestFirst => cdg.smallest_cycle(),
-        CycleOrder::LargestFirst => {
-            let mut all = cdg.cycles(256);
-            all.sort_by_key(|c| std::cmp::Reverse(c.len()));
-            all.into_iter().next().or_else(|| cdg.smallest_cycle())
-        }
-        CycleOrder::FirstFound => cdg
-            .cycles(1)
-            .into_iter()
-            .next()
-            .or_else(|| cdg.smallest_cycle()),
-    }
 }
 
 /// What one [`break_cycle`] call did, with the bookkeeping the incremental
@@ -526,19 +489,6 @@ mod tests {
             };
             let report = remove_deadlocks(&mut topo, &mut routes, &config).unwrap();
             assert!(report.added_vcs >= 1);
-            assert!(verify::check_deadlock_free(&topo, &routes).is_ok());
-        }
-    }
-
-    #[test]
-    fn alternative_cycle_orders_also_terminate() {
-        for order in [CycleOrder::LargestFirst, CycleOrder::FirstFound] {
-            let (mut topo, mut routes) = figure_1_design();
-            let config = RemovalConfig {
-                cycle_order: order,
-                ..RemovalConfig::default()
-            };
-            remove_deadlocks(&mut topo, &mut routes, &config).unwrap();
             assert!(verify::check_deadlock_free(&topo, &routes).is_ok());
         }
     }

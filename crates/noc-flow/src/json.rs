@@ -466,6 +466,14 @@ impl JsonValue {
             _ => None,
         }
     }
+
+    /// The boolean value; `None` for non-booleans.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            JsonValue::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
 }
 
 impl ToJson for JsonValue {

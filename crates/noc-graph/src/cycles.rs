@@ -148,84 +148,6 @@ pub fn is_acyclic<G: GraphView>(graph: &G) -> bool {
     !scc::has_cycle(graph)
 }
 
-/// Enumerates simple cycles of the graph, up to `limit` cycles.
-///
-/// This is a bounded DFS-based enumeration; it is used by the ablation
-/// experiments and diagnostics, while the removal algorithm itself only ever
-/// needs the smallest cycle.
-///
-/// # `limit` semantics
-///
-/// `limit` is an inclusive cap on the *number of cycles returned*, not on
-/// their length: the enumeration stops as soon as `limit` cycles have been
-/// collected, so with more than `limit` simple cycles in the graph the
-/// result is a truncation (which cycles survive depends on the DFS order —
-/// roots ascending by node id, each cycle reported exactly once, rooted at
-/// its minimum node id).  `limit == 0` returns an empty vector without
-/// touching the graph, and a `limit` larger than the true cycle count is
-/// harmless.
-///
-/// ```
-/// use noc_graph::{DiGraph, cycles};
-///
-/// let mut g: DiGraph<(), ()> = DiGraph::new();
-/// let n: Vec<_> = (0..4).map(|_| g.add_node(())).collect();
-/// // Two disjoint 2-cycles: 0 <-> 1 and 2 <-> 3.
-/// g.add_edge(n[0], n[1], ());
-/// g.add_edge(n[1], n[0], ());
-/// g.add_edge(n[2], n[3], ());
-/// g.add_edge(n[3], n[2], ());
-/// assert_eq!(cycles::enumerate_cycles(&g, 0).len(), 0);  // 0 = ask for nothing
-/// assert_eq!(cycles::enumerate_cycles(&g, 1).len(), 1);  // truncated
-/// assert_eq!(cycles::enumerate_cycles(&g, 10).len(), 2); // all of them
-/// ```
-pub fn enumerate_cycles<G: GraphView>(graph: &G, limit: usize) -> Vec<Vec<NodeId>> {
-    let mut result = Vec::new();
-    if limit == 0 {
-        return result;
-    }
-    let n = graph.node_count();
-    for root in graph.node_ids() {
-        if result.len() >= limit {
-            break;
-        }
-        // DFS that only visits nodes with id >= root, so each cycle is
-        // discovered exactly once, rooted at its minimal node.
-        let mut stack: Vec<(NodeId, Vec<NodeId>)> = vec![(root, vec![root])];
-        let mut on_path = vec![false; n];
-        // Iterative DFS with explicit path tracking; for modest graph sizes
-        // (CDGs have at most a few thousand channels) this is sufficient.
-        while let Some((node, path)) = stack.pop() {
-            on_path.iter_mut().for_each(|v| *v = false);
-            for p in &path {
-                on_path[p.index()] = true;
-            }
-            for succ in graph.successors(node) {
-                if succ == root && !path.is_empty() {
-                    // Found a cycle rooted at `root`.
-                    if path.len() > 1 || graph.has_edge(root, root) {
-                        result.push(path.clone());
-                        if result.len() >= limit {
-                            return result;
-                        }
-                    } else if path.len() == 1 && succ == root && node == root {
-                        // self-loop
-                        result.push(vec![root]);
-                        if result.len() >= limit {
-                            return result;
-                        }
-                    }
-                } else if succ > root && !on_path[succ.index()] {
-                    let mut next_path = path.clone();
-                    next_path.push(succ);
-                    stack.push((succ, next_path));
-                }
-            }
-        }
-    }
-    result
-}
-
 /// Returns the length (node count) of the smallest cycle, or `None` for an
 /// acyclic graph.  Convenience wrapper over [`smallest_cycle`].
 ///
@@ -854,25 +776,6 @@ mod tests {
         assert_eq!(ids[0], n[0]);
         let reversed = smallest_cycle_by(&g, |v| usize::MAX - v.index()).unwrap();
         assert_eq!(reversed[0], n[3]);
-    }
-
-    #[test]
-    fn enumerate_respects_limit() {
-        let (g, _) = ring(3);
-        assert_eq!(enumerate_cycles(&g, 0).len(), 0);
-        assert_eq!(enumerate_cycles(&g, 10).len(), 1);
-    }
-
-    #[test]
-    fn enumerate_finds_multiple_cycles() {
-        let mut g: DiGraph<(), ()> = DiGraph::new();
-        let n: Vec<_> = (0..4).map(|_| g.add_node(())).collect();
-        g.add_edge(n[0], n[1], ());
-        g.add_edge(n[1], n[0], ());
-        g.add_edge(n[2], n[3], ());
-        g.add_edge(n[3], n[2], ());
-        let cycles = enumerate_cycles(&g, 10);
-        assert_eq!(cycles.len(), 2);
     }
 
     #[test]

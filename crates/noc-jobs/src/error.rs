@@ -27,9 +27,9 @@ pub enum JobError {
     },
     /// The requested figure has no job source.
     UnknownFigure(String),
-    /// The figure exists but cannot run as a resumable job (the timing and
-    /// aggregate-only figures, whose results are not decomposable into
-    /// independently recordable tasks).
+    /// The figure exists but cannot run as a resumable job (`fig_scale`,
+    /// whose serial wall-clock timings are not independently recordable
+    /// tasks).
     Unsupported(String),
     /// A task-record line that is not the torn tail of a crashed append is
     /// unreadable — the store is corrupt and needs manual attention.
@@ -118,7 +118,7 @@ impl fmt::Display for JobError {
             JobError::UnknownFigure(figure) => write!(f, "unknown figure {figure:?}"),
             JobError::Unsupported(figure) => write!(
                 f,
-                "figure {figure:?} does not support resumable jobs (timing/aggregate-only)"
+                "figure {figure:?} does not support resumable jobs (serial timings)"
             ),
             JobError::Corrupt {
                 path,

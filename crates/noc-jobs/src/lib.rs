@@ -33,7 +33,9 @@ pub mod store;
 
 pub use cache::ArtifactCache;
 pub use error::JobError;
-pub use runner::{task_digest, task_key, JobArtifact, JobReport, JobRunner, RunStats};
+pub use runner::{
+    run_in_memory, task_digest, task_key, JobArtifact, JobReport, JobRunner, RunStats,
+};
 pub use source::{AssembleContext, JobSource};
 pub use spec::JobRequest;
 pub use store::{JobStore, TaskRecord};

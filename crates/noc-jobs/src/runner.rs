@@ -77,16 +77,6 @@ impl<'a> JobRunner<'a> {
         self
     }
 
-    /// The underlying store (e.g. to inspect records in tests).
-    pub fn store(&self) -> &JobStore {
-        &self.store
-    }
-
-    /// Releases the underlying store.
-    pub fn into_store(self) -> JobStore {
-        self.store
-    }
-
     /// Runs the job to completion and commits the artifact.
     pub fn run(&mut self, source: &dyn JobSource) -> Result<JobReport, JobError> {
         self.run_bounded(source, usize::MAX)
@@ -163,57 +153,25 @@ impl<'a> JobRunner<'a> {
             }
         }
 
-        // Compute what remains, up to the budget, streaming each result
-        // into the completion log the moment it lands.
+        // Compute what remains, up to the budget, recording each result
+        // the moment it lands.
         let truncated = missing.len() > max_new_tasks;
         missing.truncate(max_new_tasks);
         let computed = missing.len();
-        let mut record_error: Option<JobError> = None;
-        let results = parallel_map_streaming(
+        let cache = self.cache;
+        let store = &mut self.store;
+        execute(
+            source,
             &missing,
             spec.threads,
-            |_, &index| {
-                let mut task_span = noc_telemetry::span("jobs", "task");
-                task_span
-                    .arg("figure", spec.figure.as_str())
-                    .arg("index", index);
-                let started = std::time::Instant::now();
-                let result = source.run_task(index);
-                let elapsed_ms = started.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
-                (index, elapsed_ms, result)
-            },
-            |_, (index, elapsed_ms, result)| {
-                if record_error.is_some() {
-                    return;
+            |index, elapsed_ms, result| {
+                store.record(index, elapsed_ms, result.to_string())?;
+                if let Some(cache) = cache {
+                    cache.store(&task_digest(&spec, index), &task_key(&spec, index), result);
                 }
-                if let Ok(result) = result {
-                    if let Err(e) = self.store.record(*index, *elapsed_ms, result.clone()) {
-                        record_error = Some(e);
-                        return;
-                    }
-                    if let Some(cache) = self.cache {
-                        cache.store(
-                            &task_digest(&spec, *index),
-                            &task_key(&spec, *index),
-                            result,
-                        );
-                    }
-                }
+                Ok(())
             },
-        );
-        if let Some(e) = record_error {
-            return Err(e);
-        }
-        // Task failures surface after every in-flight success is durably
-        // recorded; the earliest task index wins, like the sweep executor.
-        // The winner is wrapped with its task index so consumers (e.g.
-        // `noc_serve`'s error.json) can point at the failing unit of work.
-        if let Some((index, _, Err(e))) = results.into_iter().find(|(_, _, r)| r.is_err()) {
-            return Err(JobError::Task {
-                index,
-                source: Box::new(e),
-            });
-        }
+        )?;
 
         noc_telemetry::counter("jobs.tasks_computed", computed as u64);
         noc_telemetry::counter("jobs.tasks_resumed", resumed as u64);
@@ -238,14 +196,7 @@ impl<'a> JobRunner<'a> {
             .map(|record| record.result.clone())
             .collect();
         debug_assert_eq!(ordered.len(), total);
-        let text = source.assemble(&AssembleContext {
-            figure: &spec.figure,
-            results: &ordered,
-            task_ms_total: stats.task_ms_total,
-        })?;
-        // Self-validate before committing — a splice bug must fail the
-        // run, never publish an unreadable artifact.
-        ParsedArtifact::parse(&text)?;
+        let text = assemble_checked(source, &ordered, stats.task_ms_total)?;
         self.store.commit_artifact(&text)?;
         Ok(JobReport {
             stats,
@@ -263,4 +214,102 @@ impl<'a> JobRunner<'a> {
             .map(|record| record.elapsed_ms)
             .sum()
     }
+}
+
+/// Runs every task of `source` on `threads` workers (`0` auto-sizes) with
+/// no store and no cache, and returns the assembled artifact text.  It
+/// shares [`JobRunner::run`]'s task execution, timing, assembly and
+/// self-validating parse, so both produce the same bytes for the same
+/// source.
+///
+/// # Errors
+///
+/// The earliest-index task failure (as [`JobError::Task`]), or an
+/// assembly / validation failure.
+pub fn run_in_memory(source: &dyn JobSource, threads: usize) -> Result<String, JobError> {
+    let mut job_span = noc_telemetry::span("jobs", "run_job");
+    job_span.arg("figure", source.figure());
+    let indices: Vec<usize> = (0..source.task_count()).collect();
+    let timed = execute(source, &indices, threads, |_, _, _| Ok(()))?;
+    let task_ms_total = timed.iter().map(|(elapsed_ms, _)| elapsed_ms).sum();
+    let results: Vec<String> = timed.into_iter().map(|(_, result)| result).collect();
+    assemble_checked(source, &results, task_ms_total)
+}
+
+/// Computes the tasks `indices` (ascending) of `source` on `threads`
+/// workers, timing each, and returns `(wall ms, result)` per task in
+/// `indices` order.  `on_success` sees each success as it lands; progress
+/// goes to stderr as `[k/n] <task label> done`.  Its first error stops the
+/// callbacks and wins; otherwise the earliest failing task wins, wrapped
+/// with its index (e.g. for `noc_serve`'s error.json), once every in-flight
+/// success has been handed over.
+fn execute(
+    source: &dyn JobSource,
+    indices: &[usize],
+    threads: usize,
+    mut on_success: impl FnMut(usize, u64, &str) -> Result<(), JobError>,
+) -> Result<Vec<(u64, String)>, JobError> {
+    let figure = source.figure();
+    let mut done = 0usize;
+    let mut callback_error: Option<JobError> = None;
+    let results = parallel_map_streaming(
+        indices,
+        threads,
+        |_, &index| {
+            let mut task_span = noc_telemetry::span("jobs", "task");
+            task_span.arg("figure", figure).arg("index", index);
+            let started = std::time::Instant::now();
+            let result = source.run_task(index);
+            let elapsed_ms = started.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
+            (elapsed_ms, result)
+        },
+        |position, (elapsed_ms, result)| {
+            let index = indices[position];
+            done += 1;
+            eprintln!(
+                "[{done}/{}] {} done",
+                indices.len(),
+                source.task_label(index)
+            );
+            if callback_error.is_some() {
+                return;
+            }
+            if let Ok(result) = result {
+                if let Err(e) = on_success(index, *elapsed_ms, result) {
+                    callback_error = Some(e);
+                }
+            }
+        },
+    );
+    if let Some(e) = callback_error {
+        return Err(e);
+    }
+    indices
+        .iter()
+        .zip(results)
+        .map(|(&index, (elapsed_ms, result))| match result {
+            Ok(text) => Ok((elapsed_ms, text)),
+            Err(e) => Err(JobError::Task {
+                index,
+                source: Box::new(e),
+            }),
+        })
+        .collect()
+}
+
+/// Assembles the artifact from one result per task (task-index order) and
+/// re-parses it before anyone may commit it — a splice bug must fail the
+/// run, never publish an unreadable artifact.
+fn assemble_checked(
+    source: &dyn JobSource,
+    results: &[String],
+    task_ms_total: u64,
+) -> Result<String, JobError> {
+    let text = source.assemble(&AssembleContext {
+        figure: source.figure(),
+        results,
+        task_ms_total,
+    })?;
+    ParsedArtifact::parse(&text)?;
+    Ok(text)
 }

@@ -14,8 +14,9 @@ pub struct AssembleContext<'a> {
     /// values) is what makes a resumed run's artifact byte-identical to an
     /// uninterrupted one.
     pub results: &'a [String],
-    /// Total recorded task wall time in milliseconds (resumed and cached
-    /// tasks contribute their originally recorded time).
+    /// Total task wall time in milliseconds, summed from the per-task
+    /// times the runner measured: on the store path, resumed tasks keep
+    /// their recorded time and cache hits count zero.
     pub task_ms_total: u64,
 }
 

@@ -1,10 +1,10 @@
 //! End-to-end properties of the job system on a synthetic source:
-//! kill-and-resume byte identity, torn-log recovery, bounded runs, and
-//! 100 % cache hits on re-submission.
+//! kill-and-resume byte identity, torn-log recovery, bounded runs, 100 %
+//! cache hits on re-submission, and store-less runs that match store runs.
 
 use noc_jobs::{
-    task_digest, ArtifactCache, AssembleContext, JobError, JobRequest, JobRunner, JobSource,
-    JobStore,
+    run_in_memory, task_digest, ArtifactCache, AssembleContext, JobError, JobRequest, JobRunner,
+    JobSource, JobStore,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -12,10 +12,12 @@ use std::sync::Arc;
 
 /// A deterministic toy sweep: task i computes `{"i": i, "sq": i*i}`, and
 /// the artifact is the array of all task results.  Every `run_task` call
-/// bumps a counter so tests can assert *zero recomputation*.
+/// bumps a counter so tests can assert *zero recomputation*; the tasks in
+/// `failing` return an error instead.
 struct CountingSource {
     tasks: usize,
     calls: Arc<AtomicUsize>,
+    failing: Vec<usize>,
 }
 
 impl CountingSource {
@@ -23,6 +25,7 @@ impl CountingSource {
         CountingSource {
             tasks,
             calls: Arc::new(AtomicUsize::new(0)),
+            failing: Vec::new(),
         }
     }
 }
@@ -38,6 +41,9 @@ impl JobSource for CountingSource {
 
     fn run_task(&self, index: usize) -> Result<String, JobError> {
         self.calls.fetch_add(1, Ordering::Relaxed);
+        if self.failing.contains(&index) {
+            return Err(JobError::Spec(format!("task {index} fails")));
+        }
         Ok(format!("{{\"i\":{index},\"sq\":{}}}", index * index))
     }
 
@@ -77,6 +83,25 @@ fn uninterrupted_run_completes_and_commits() {
         artifact.text
     );
     assert_eq!(source.calls.load(Ordering::Relaxed), 7);
+    // The store-less run assembles the same bytes.
+    assert_eq!(run_in_memory(&source, 3).unwrap(), artifact.text);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn the_earliest_failing_task_wins_on_both_run_paths() {
+    let dir = temp_dir("failing");
+    let source = CountingSource {
+        failing: vec![5, 3],
+        ..CountingSource::new(8)
+    };
+    let stored = JobRunner::new(JobStore::open(&dir, spec()).unwrap()).run(&source);
+    for result in [stored.map(|_| ()), run_in_memory(&source, 3).map(|_| ())] {
+        assert!(matches!(result, Err(JobError::Task { index: 3, .. })));
+    }
+    // Every success was recorded before the failure surfaced.
+    let reopened = JobStore::open(&dir, spec()).unwrap();
+    assert_eq!(reopened.records().len(), 6);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
