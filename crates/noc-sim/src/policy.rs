@@ -17,11 +17,12 @@
 //! where every strategy's assignment delivers 100 % is what makes the VC
 //! budget of the strategies *measurably* buy something.
 //!
-//! A candidate list is a preference order, not a commitment: the engine
-//! re-evaluates it every cycle and takes the first candidate that is free,
-//! so a policy that always includes the assigned escape VC satisfies
-//! Duato's requirement that the escape network stays reachable from every
-//! blocked state.
+//! A candidate list is a preference order, not a commitment.  The engine
+//! compiles it once per route (on admission and on every reroute), and a
+//! blocked head re-tries its whole compiled list every cycle, taking the
+//! first candidate that is free.  So a policy that always includes the
+//! assigned escape VC satisfies Duato's requirement that the escape network
+//! stays reachable from every blocked state.
 
 use noc_topology::{FlowId, LinkId};
 
@@ -51,6 +52,10 @@ pub trait VcPolicy: Sync {
     /// preferred first.  `out` arrives empty; implementations must push at
     /// least one in-range candidate (`< choice.link_vcs`, except for
     /// [`SingleVc`], which intentionally pins VC 0 — present on every link).
+    ///
+    /// Must be a pure function of `choice`: the engine calls it once per
+    /// hop when it puts a packet on a route and keeps the answer for as
+    /// long as the packet stays on that route.
     fn candidates(&self, choice: &VcChoice, out: &mut Vec<usize>);
 }
 
@@ -75,8 +80,8 @@ impl VcPolicy for AssignedVc {
 /// falls back to the VC the strategy assigned — its escape channel, which
 /// is always the final candidate.
 ///
-/// Deadlock freedom follows Duato's argument: the engine re-issues the
-/// candidate list every cycle, so a blocked head can always request its
+/// Deadlock freedom follows Duato's argument: a blocked head re-tries its
+/// whole candidate list every cycle, so it can always request its
 /// assigned escape channel, and every dependency of the escape subnetwork
 /// ascends in escape-layer order — an escape VC `v ≥ 1` is only ever held
 /// by a packet *assigned* layer `v` there (whose later requests sit on

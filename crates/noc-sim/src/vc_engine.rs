@@ -164,14 +164,75 @@ pub struct VcSimOutcome {
     pub reconfig_routes: Vec<RouteSet>,
 }
 
-/// Per-packet bookkeeping.
+/// The dense channels a head flit may claim at one hop, in the policy's
+/// preference order.  Up to two live inline (every shipped policy offers at
+/// most two); longer lists go to the heap.
+#[derive(Debug, Clone)]
+enum Candidates {
+    Inline { len: u8, channels: [usize; 2] },
+    Heap(Box<[usize]>),
+}
+
+impl Candidates {
+    fn new(channels: &[usize]) -> Self {
+        match *channels {
+            [a] => Candidates::Inline {
+                len: 1,
+                channels: [a, 0],
+            },
+            [a, b] => Candidates::Inline {
+                len: 2,
+                channels: [a, b],
+            },
+            _ => Candidates::Heap(channels.into()),
+        }
+    }
+
+    fn as_slice(&self) -> &[usize] {
+        match self {
+            Candidates::Inline { len, channels } => &channels[..usize::from(*len)],
+            Candidates::Heap(channels) => channels,
+        }
+    }
+}
+
+/// One hop of a packet's route, compiled once per route.
+#[derive(Debug, Clone)]
+struct Hop {
+    link: LinkId,
+    /// The VC the strategy assigned at this hop.
+    assigned: usize,
+    /// What the policy offers a head flit entering this hop.
+    candidates: Candidates,
+}
+
+/// The simulator's dense channel numbering plus what a route needs to
+/// compile its VC candidates.
+struct ChannelLayout<'a> {
+    vc_map: &'a VcMap,
+    policy: &'a dyn VcPolicy,
+    /// Dense channel indexing: `offsets[link] + vc`.
+    offsets: Vec<usize>,
+    channel_count: usize,
+}
+
+impl ChannelLayout<'_> {
+    /// Dense channel indices of a `(link, vc)` route.
+    fn dense_path(&self, route: &[(LinkId, usize)]) -> Vec<usize> {
+        route
+            .iter()
+            .map(|&(link, vc)| self.offsets[link.index()] + vc)
+            .collect()
+    }
+}
+
+/// Per-packet bookkeeping, stored in the simulator's slab at the slot the
+/// packet was admitted to.
 #[derive(Debug, Clone)]
 struct PacketState {
     packet: Packet,
-    /// Physical links of the packet's (current) route.
-    links: Vec<LinkId>,
-    /// The VC the strategy assigned at each hop.
-    assigned: Vec<usize>,
+    /// The packet's (current) route.
+    hops: Vec<Hop>,
     /// Dense channel index the head flit actually claimed at each hop so
     /// far (`taken.len() - 1` is the head's frontier hop).
     taken: Vec<usize>,
@@ -181,27 +242,137 @@ struct PacketState {
     ejected: usize,
 }
 
-/// A buffered flit: the flit plus the hop of its packet's route it sits at.
+impl PacketState {
+    /// Puts the packet on `route` and compiles each hop's candidate
+    /// channels.  Runs on admission and on every reroute, never per cycle —
+    /// which is why [`VcPolicy::candidates`] must be pure.
+    fn set_route(
+        &mut self,
+        route: impl IntoIterator<Item = (LinkId, usize)>,
+        layout: &ChannelLayout<'_>,
+    ) {
+        self.hops.clear();
+        let mut vcs = Vec::new();
+        for (hop, (link, assigned)) in route.into_iter().enumerate() {
+            let link_vcs = layout.vc_map.link_vcs(link);
+            vcs.clear();
+            layout.policy.candidates(
+                &VcChoice {
+                    link,
+                    link_vcs,
+                    assigned_vc: assigned,
+                    hop,
+                    flow: self.packet.flow,
+                },
+                &mut vcs,
+            );
+            debug_assert!(!vcs.is_empty(), "policies must offer a candidate");
+            for vc in &mut vcs {
+                *vc = layout.offsets[link.index()] + (*vc).min(link_vcs - 1);
+            }
+            self.hops.push(Hop {
+                link,
+                assigned,
+                candidates: Candidates::new(&vcs),
+            });
+        }
+    }
+
+    /// The `(link, assigned vc)` hops of the packet's current route.
+    fn route(&self) -> Vec<(LinkId, usize)> {
+        self.hops.iter().map(|h| (h.link, h.assigned)).collect()
+    }
+
+    fn in_flight(&self) -> bool {
+        self.ejected < self.packet.length
+    }
+}
+
+/// A buffered flit: the flit, the slab slot of its packet, and the hop of
+/// the packet's route it sits at.
 #[derive(Debug, Clone, Copy)]
 struct BufFlit {
     flit: Flit,
+    slot: usize,
     hop: usize,
 }
 
 /// One decided flit movement, applied in the second phase of a cycle.
 #[derive(Debug, Clone, Copy)]
 enum Move {
-    /// Inject the next flit of a packet into channel `to`; `claim` marks a
-    /// head flit acquiring the channel.
-    Inject {
-        packet: PacketId,
-        to: usize,
-        claim: bool,
-    },
+    /// Inject the next flit of the packet in slab slot `slot` into channel
+    /// `to`; `claim` marks a head flit acquiring the channel.
+    Inject { slot: usize, to: usize, claim: bool },
     /// Advance the head-of-line flit of channel `from` into channel `to`.
     Advance { from: usize, to: usize, claim: bool },
     /// Eject the head-of-line flit of channel `from` at the destination.
     Eject { from: usize },
+}
+
+impl Move {
+    /// The channel a flit enters, if any.
+    fn target(self) -> Option<usize> {
+        match self {
+            Move::Inject { to, .. } | Move::Advance { to, .. } => Some(to),
+            Move::Eject { .. } => None,
+        }
+    }
+}
+
+/// Per-flow injection queues of slab slots, dense by flow index.  `active`
+/// lists the flows whose queue is non-empty in ascending order, so the
+/// engine visits queue fronts in flow-id order without walking empty queues.
+#[derive(Debug, Default)]
+struct FlowQueues {
+    queues: Vec<VecDeque<usize>>,
+    active: Vec<usize>,
+}
+
+impl FlowQueues {
+    fn clear(&mut self) {
+        for &flow in &self.active {
+            self.queues[flow].clear();
+        }
+        self.active.clear();
+    }
+
+    /// The queue of `flow`, for an edit that must be followed by
+    /// [`sync`](Self::sync).
+    fn queue_mut(&mut self, flow: FlowId) -> &mut VecDeque<usize> {
+        let index = flow.index();
+        if index >= self.queues.len() {
+            self.queues.resize_with(index + 1, VecDeque::new);
+        }
+        &mut self.queues[index]
+    }
+
+    /// Re-registers `flow` in `active` after its queue changed.
+    fn sync(&mut self, flow: FlowId) {
+        let index = flow.index();
+        let empty = self.queues.get(index).is_none_or(VecDeque::is_empty);
+        match (self.active.binary_search(&index), empty) {
+            (Ok(at), true) => {
+                self.active.remove(at);
+            }
+            (Err(at), false) => self.active.insert(at, index),
+            _ => {}
+        }
+    }
+
+    fn push_back(&mut self, flow: FlowId, slot: usize) {
+        self.queue_mut(flow).push_back(slot);
+        self.sync(flow);
+    }
+
+    /// The slot at the front of every non-empty queue, in flow-id order.
+    fn fronts(&self) -> impl Iterator<Item = usize> + '_ {
+        self.active.iter().map(|&flow| self.queues[flow][0])
+    }
+
+    /// Every queued slot, queue by queue in flow-id order.
+    fn iter(&self) -> impl Iterator<Item = &VecDeque<usize>> + '_ {
+        self.active.iter().map(|&flow| &self.queues[flow])
+    }
 }
 
 /// Runtime state of the fault seam, armed via
@@ -228,21 +399,28 @@ struct FaultContext<'a> {
 pub struct VcSimulator<'a> {
     comm: &'a CommGraph,
     routes: &'a RouteSet,
-    vc_map: &'a VcMap,
-    policy: &'a dyn VcPolicy,
+    layout: ChannelLayout<'a>,
     config: VcSimConfig,
     /// Recovery routing function for the dynamic drain (`None` = detected
     /// deadlocks end the run).
     recovery: Option<RouteSet>,
-    /// Dense channel indexing: `offsets[link] + vc`.
-    offsets: Vec<usize>,
-    channel_count: usize,
     /// Input buffer of each channel (at the link's downstream switch).
     buffers: Vec<VecDeque<BufFlit>>,
-    /// Which packet currently owns each channel (wormhole VC allocation).
-    owner: Vec<Option<PacketId>>,
+    /// Slab slot of the packet that currently owns each channel (wormhole
+    /// VC allocation).
+    owner: Vec<Option<usize>>,
     credits: CreditBook,
-    packets: HashMap<PacketId, PacketState>,
+    /// Packet slab, indexed by admission slot.  Entries stay for the whole
+    /// run; packets purged by a partition are retired in place.
+    packets: Vec<PacketState>,
+    /// Slab entries retired by [`strand_flows`](Self::strand_flows).
+    purged: usize,
+    queues: FlowQueues,
+    /// Per-cycle scratch, reused across cycles: the decided moves, and
+    /// which channels a decided move already enters (all `false` between
+    /// cycles).
+    moves: Vec<Move>,
+    entering: Vec<bool>,
     /// Flows permanently switched onto the recovery routing function.
     reconfigured: HashSet<FlowId>,
     /// Fault-injection seam (`None` = fault-free run, byte-identical to a
@@ -253,8 +431,8 @@ pub struct VcSimulator<'a> {
 impl<'a> std::fmt::Debug for VcSimulator<'a> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VcSimulator")
-            .field("policy", &self.policy.name())
-            .field("channels", &self.channel_count)
+            .field("policy", &self.layout.policy.name())
+            .field("channels", &self.layout.channel_count)
             .field("config", &self.config)
             .finish_non_exhaustive()
     }
@@ -288,12 +466,14 @@ impl<'a> VcSimulator<'a> {
         VcSimulator {
             comm,
             routes,
-            vc_map,
-            policy,
+            layout: ChannelLayout {
+                vc_map,
+                policy,
+                offsets,
+                channel_count,
+            },
             config: config.clone(),
             recovery: None,
-            offsets,
-            channel_count,
             buffers: vec![VecDeque::new(); channel_count],
             owner: vec![None; channel_count],
             credits: CreditBook::new(
@@ -301,7 +481,11 @@ impl<'a> VcSimulator<'a> {
                 config.buffer_depth,
                 config.credit_return_latency,
             ),
-            packets: HashMap::new(),
+            packets: Vec::new(),
+            purged: 0,
+            queues: FlowQueues::default(),
+            moves: Vec::new(),
+            entering: vec![false; channel_count],
             reconfigured: HashSet::new(),
             faults: None,
         }
@@ -317,7 +501,7 @@ impl<'a> VcSimulator<'a> {
     /// Panics if a recovery route references a link or VC outside the
     /// simulator's [`VcMap`].
     pub fn with_recovery(mut self, recovery_routes: RouteSet) -> Self {
-        validate_routes(&recovery_routes, self.vc_map, "recovery route");
+        validate_routes(&recovery_routes, self.layout.vc_map, "recovery route");
         self.recovery = Some(recovery_routes);
         self
     }
@@ -356,11 +540,6 @@ impl<'a> VcSimulator<'a> {
         self
     }
 
-    fn channel_index(&self, link: LinkId, vc: usize) -> usize {
-        debug_assert!(vc < self.vc_map.link_vcs(link));
-        self.offsets[link.index()] + vc
-    }
-
     /// Generates a workload from the design's communication graph and runs
     /// it to completion, deadlock or the cycle cap.
     pub fn run(&mut self, traffic: &TrafficConfig) -> VcSimOutcome {
@@ -372,7 +551,7 @@ impl<'a> VcSimulator<'a> {
     pub fn run_workload(&mut self, workload: &Workload) -> VcSimOutcome {
         let mut run_span = noc_telemetry::span("sim", "vc_run");
         run_span
-            .arg("policy", self.policy.name())
+            .arg("policy", self.layout.policy.name())
             .arg("packets", workload.packets.len());
         self.reset();
         let mut stats = SimStats::default();
@@ -380,31 +559,25 @@ impl<'a> VcSimulator<'a> {
         let mut detection: Option<DeadlockEvent> = None;
         let mut deadlock_flows: Vec<FlowId> = Vec::new();
         let mut deadlock_channels: Vec<(LinkId, usize)> = Vec::new();
-        let mut pending: VecDeque<Packet> = workload.packets.iter().cloned().collect();
-        // BTreeMap so decide/detect iterate flows in id order without a
-        // per-cycle sort.
-        let mut flow_queues: BTreeMap<FlowId, VecDeque<PacketId>> = BTreeMap::new();
+        let mut pending = workload.packets.iter().peekable();
         let mut idle_cycles = 0u64;
         let mut deadlocked = false;
         // Packets admitted to the network but not yet fully ejected,
         // maintained incrementally so the per-cycle liveness check does not
-        // scan the whole packet map.
+        // scan the whole slab.
         let mut in_flight_packets = 0usize;
 
         let mut cycle = 0u64;
         while cycle < self.config.max_cycles {
             // Scheduled fault events fire first: the epoch protocol
             // reconfigures routes before anything moves this cycle.
-            if self.faults.is_some()
-                && self.process_faults(cycle, &mut flow_queues, &mut in_flight_packets)
-            {
+            if self.faults.is_some() && self.process_faults(cycle, &mut in_flight_packets) {
                 idle_cycles = 0;
             }
             self.credits.collect_returns(cycle);
 
             // Admit newly created packets into their flow queue.
-            while pending.front().is_some_and(|p| p.created_at <= cycle) {
-                let packet = pending.pop_front().expect("checked non-empty");
+            while let Some(packet) = pending.next_if(|p| p.created_at <= cycle) {
                 stats.injected_packets += 1;
                 if self
                     .faults
@@ -425,29 +598,26 @@ impl<'a> VcSimulator<'a> {
                     stats.record_latency(cycle.saturating_sub(packet.created_at));
                     continue;
                 }
-                let state = PacketState {
+                let mut state = PacketState {
                     to_inject: packet.flits().into(),
-                    links: route.iter().map(|&(link, _)| link).collect(),
-                    assigned: route.iter().map(|&(_, vc)| vc).collect(),
+                    hops: Vec::with_capacity(route.len()),
                     taken: Vec::new(),
                     ejected: 0,
                     packet: packet.clone(),
                 };
-                flow_queues
-                    .entry(packet.flow)
-                    .or_default()
-                    .push_back(packet.id);
-                self.packets.insert(packet.id, state);
+                state.set_route(route, &self.layout);
+                self.queues.push_back(packet.flow, self.packets.len());
+                self.packets.push(state);
                 in_flight_packets += 1;
             }
 
-            let moves = self.decide_moves(&flow_queues);
-            let progressed = !moves.is_empty();
-            let completed = self.apply_moves(&moves, cycle, &mut stats, &mut flow_queues);
+            self.decide_moves();
+            let progressed = !self.moves.is_empty();
+            let completed = self.apply_moves(cycle, &mut stats);
             in_flight_packets -= completed;
 
             let in_flight = in_flight_packets > 0;
-            if !in_flight && pending.is_empty() {
+            if !in_flight && pending.peek().is_none() {
                 cycle += 1;
                 break;
             }
@@ -463,58 +633,25 @@ impl<'a> VcSimulator<'a> {
             let periodic = exact_enabled && (cycle + 1).is_multiple_of(self.config.detect_period);
             if in_flight && exact_enabled && (periodic || !progressed) {
                 noc_telemetry::counter("vc.detector_invocations", 1);
-                let snapshot = self.wait_snapshot(&flow_queues);
-                let dead = snapshot.deadlocked_packets();
+                let dead = self.wait_snapshot().deadlocked_packets();
                 if !dead.is_empty() {
-                    if std::env::var_os("NOC_SIM_DEBUG_DETECT").is_some() {
-                        eprintln!("--- detection at cycle {cycle}: dead {dead:?}");
-                        for &p in &dead {
-                            let st = &self.packets[&p];
-                            eprintln!(
-                                "  {p}: flow {} links {:?} taken {:?} to_inject {} ejected {}",
-                                st.packet.flow,
-                                st.links,
-                                st.taken,
-                                st.to_inject.len(),
-                                st.ejected
-                            );
-                        }
-                        for (c, w) in snapshot.channels.iter().enumerate() {
-                            if let Some(w) = w {
-                                eprintln!(
-                                    "  ch{c} owner {:?} buf {:?}: hol {} can_move {} waits {:?}",
-                                    self.owner[c],
-                                    self.buffers[c]
-                                        .iter()
-                                        .map(|b| (b.flit.packet, b.flit.sequence, b.hop))
-                                        .collect::<Vec<_>>(),
-                                    w.packet,
-                                    w.can_move,
-                                    w.waits
-                                );
-                            }
-                        }
-                        for i in &snapshot.injections {
-                            eprintln!(
-                                "  inj {}: can_move {} waits {:?}",
-                                i.packet, i.can_move, i.waits
-                            );
-                        }
-                    }
+                    let dead_slots = self.slots_of(&dead);
                     if detection.is_none() {
                         // Attribute the first detection: the condemned flows
                         // and the channels their worms had claimed, for
                         // comparison against static trap witnesses.
-                        deadlock_flows =
-                            dead.iter().map(|id| self.packets[id].packet.flow).collect();
+                        deadlock_flows = dead_slots
+                            .iter()
+                            .map(|&slot| self.packets[slot].packet.flow)
+                            .collect();
                         deadlock_flows.sort();
                         deadlock_flows.dedup();
-                        deadlock_channels = dead
+                        deadlock_channels = dead_slots
                             .iter()
-                            .flat_map(|id| {
-                                let state = &self.packets[id];
-                                state.taken.iter().zip(&state.links).map(|(&dense, &link)| {
-                                    (link, dense - self.offsets[link.index()])
+                            .flat_map(|&slot| {
+                                let state = &self.packets[slot];
+                                state.taken.iter().zip(&state.hops).map(|(&dense, hop)| {
+                                    (hop.link, dense - self.layout.offsets[hop.link.index()])
                                 })
                             })
                             .collect();
@@ -527,7 +664,7 @@ impl<'a> VcSimulator<'a> {
                         packets: dead.len(),
                     });
                     if self.recovery.is_some() {
-                        self.drain_deadlocked(&dead, &mut flow_queues, &mut drain);
+                        self.drain_deadlocked(&dead_slots, &mut drain);
                         idle_cycles = 0;
                     } else {
                         deadlocked = true;
@@ -563,11 +700,8 @@ impl<'a> VcSimulator<'a> {
         let stranded_packets = in_flight_packets;
         debug_assert_eq!(
             stranded_packets,
-            self.packets
-                .values()
-                .filter(|p| p.ejected < p.packet.length)
-                .count(),
-            "in-flight counter drifted from the packet map"
+            self.packets.iter().filter(|p| p.in_flight()).count(),
+            "in-flight counter drifted from the packet slab"
         );
         let (reconfig, unreachable_flows, unreachable_packets, reconfig_routes) = match &self.faults
         {
@@ -585,7 +719,7 @@ impl<'a> VcSimulator<'a> {
             stranded_packets,
             detection,
             drain,
-            policy: self.policy.name().to_string(),
+            policy: self.layout.policy.name().to_string(),
             deadlock_flows,
             deadlock_channels,
             reconfig,
@@ -603,11 +737,13 @@ impl<'a> VcSimulator<'a> {
             *owner = None;
         }
         self.credits = CreditBook::new(
-            self.channel_count,
+            self.layout.channel_count,
             self.config.buffer_depth,
             self.config.credit_return_latency,
         );
         self.packets.clear();
+        self.purged = 0;
+        self.queues.clear();
         self.reconfigured.clear();
         if let Some(ctx) = self.faults.as_mut() {
             ctx.cursor = 0;
@@ -618,6 +754,27 @@ impl<'a> VcSimulator<'a> {
             ctx.unreachable_packets = 0;
             ctx.route_log.clear();
         }
+    }
+
+    /// The slab slots of the given packets, in the same order — the
+    /// boundary from the detector's packet ids back into the slab.
+    fn slots_of(&self, ids: &[PacketId]) -> Vec<usize> {
+        let mut index: Vec<(PacketId, usize)> = self
+            .packets
+            .iter()
+            .enumerate()
+            .filter(|(_, state)| state.in_flight())
+            .map(|(slot, state)| (state.packet.id, slot))
+            .collect();
+        index.sort_unstable();
+        ids.iter()
+            .map(|id| {
+                let at = index
+                    .binary_search_by_key(id, |&(key, _)| key)
+                    .expect("reported packets are in flight");
+                index[at].1
+            })
+            .collect()
     }
 
     /// The `(link, assigned vc)` hops the given flow currently routes over:
@@ -648,72 +805,57 @@ impl<'a> VcSimulator<'a> {
             .unwrap_or_default()
     }
 
-    /// The candidate dense channel indices the policy offers a head flit
-    /// entering hop `hop` of `state`'s route, in preference order.
-    fn head_candidates(&self, state: &PacketState, hop: usize) -> Vec<usize> {
-        let link = state.links[hop];
-        let mut vcs = Vec::new();
-        self.policy.candidates(
-            &VcChoice {
-                link,
-                link_vcs: self.vc_map.link_vcs(link),
-                assigned_vc: state.assigned[hop],
-                hop,
-                flow: state.packet.flow,
-            },
-            &mut vcs,
-        );
-        debug_assert!(!vcs.is_empty(), "policies must offer a candidate");
-        vcs.into_iter()
-            .map(|vc| self.channel_index(link, vc.min(self.vc_map.link_vcs(link) - 1)))
-            .collect()
-    }
-
-    /// Phase 1: decide all flit movements for this cycle based on the
-    /// start-of-cycle state.  At most one flit enters and one flit leaves
-    /// each channel per cycle.
-    fn decide_moves(&self, flow_queues: &BTreeMap<FlowId, VecDeque<PacketId>>) -> Vec<Move> {
-        let mut moves = Vec::new();
-        let mut entering = vec![false; self.channel_count];
+    /// Phase 1: decide all flit movements for this cycle into `self.moves`
+    /// from the start-of-cycle state.  At most one flit enters and one flit
+    /// leaves each channel per cycle.
+    fn decide_moves(&mut self) {
+        let VcSimulator {
+            buffers,
+            packets,
+            owner,
+            credits,
+            queues,
+            moves,
+            entering,
+            ..
+        } = self;
+        moves.clear();
+        // The first candidate that is unowned (or self-owned), has a credit
+        // and is not already entered this cycle.
+        let claim = |candidates: &[usize], slot: usize, entering: &[bool]| {
+            candidates.iter().copied().find(|&to| {
+                !entering[to] && owner[to].is_none_or(|o| o == slot) && credits.can_send(to)
+            })
+        };
 
         // In-network flits first (drain before filling), iterating channels
         // in reverse index order so downstream channels are not starved; the
         // order does not affect correctness.
-        for from in (0..self.channel_count).rev() {
-            let Some(bf) = self.buffers[from].front() else {
+        for from in (0..buffers.len()).rev() {
+            let Some(bf) = buffers[from].front() else {
                 continue;
             };
-            let state = &self.packets[&bf.flit.packet];
-            if bf.hop + 1 == state.links.len() {
+            let state = &packets[bf.slot];
+            let next = bf.hop + 1;
+            if next == state.hops.len() {
                 // Last hop: eject (destination always sinks flits).
                 moves.push(Move::Eject { from });
-                continue;
-            }
-            let extending = state.taken.len() == bf.hop + 1;
-            if extending {
-                // Head flit claiming the next hop: first candidate that is
-                // unowned (or self-owned) with a credit wins.
-                for to in self.head_candidates(state, bf.hop + 1) {
-                    if entering[to] {
-                        continue;
-                    }
-                    let claimable =
-                        self.owner[to].is_none() || self.owner[to] == Some(bf.flit.packet);
-                    if claimable && self.credits.can_send(to) {
-                        moves.push(Move::Advance {
-                            from,
-                            to,
-                            claim: true,
-                        });
-                        entering[to] = true;
-                        break;
-                    }
+            } else if state.taken.len() == next {
+                // Head flit claiming the next hop.
+                let candidates = state.hops[next].candidates.as_slice();
+                if let Some(to) = claim(candidates, bf.slot, entering) {
+                    moves.push(Move::Advance {
+                        from,
+                        to,
+                        claim: true,
+                    });
+                    entering[to] = true;
                 }
             } else {
                 // Follower flit: the worm's path is established.
-                let to = state.taken[bf.hop + 1];
+                let to = state.taken[next];
                 if !entering[to] {
-                    if self.credits.can_send(to) {
+                    if credits.can_send(to) {
                         moves.push(Move::Advance {
                             from,
                             to,
@@ -731,36 +873,27 @@ impl<'a> VcSimulator<'a> {
 
         // Injections: the packet at the front of each flow queue may push
         // its next flit into the first channel of its route.
-        for queue in flow_queues.values() {
-            let Some(&packet_id) = queue.front() else {
-                continue;
-            };
-            let state = &self.packets[&packet_id];
+        for slot in queues.fronts() {
+            let state = &packets[slot];
             if state.to_inject.is_empty() {
                 continue;
             }
             if state.taken.is_empty() {
-                for to in self.head_candidates(state, 0) {
-                    if entering[to] {
-                        continue;
-                    }
-                    let claimable = self.owner[to].is_none() || self.owner[to] == Some(packet_id);
-                    if claimable && self.credits.can_send(to) {
-                        moves.push(Move::Inject {
-                            packet: packet_id,
-                            to,
-                            claim: true,
-                        });
-                        entering[to] = true;
-                        break;
-                    }
+                let candidates = state.hops[0].candidates.as_slice();
+                if let Some(to) = claim(candidates, slot, entering) {
+                    moves.push(Move::Inject {
+                        slot,
+                        to,
+                        claim: true,
+                    });
+                    entering[to] = true;
                 }
             } else {
                 let to = state.taken[0];
                 if !entering[to] {
-                    if self.credits.can_send(to) {
+                    if credits.can_send(to) {
                         moves.push(Move::Inject {
-                            packet: packet_id,
+                            slot,
                             to,
                             claim: false,
                         });
@@ -771,79 +904,63 @@ impl<'a> VcSimulator<'a> {
                 }
             }
         }
-        moves
+
+        for to in moves.iter().filter_map(|mv| mv.target()) {
+            entering[to] = false;
+        }
     }
 
     /// Phase 2: apply the decided moves, updating ownership, credits,
     /// ejections and statistics.  Returns the number of packets fully
     /// delivered this cycle.
-    fn apply_moves(
-        &mut self,
-        moves: &[Move],
-        cycle: u64,
-        stats: &mut SimStats,
-        flow_queues: &mut BTreeMap<FlowId, VecDeque<PacketId>>,
-    ) -> usize {
+    fn apply_moves(&mut self, cycle: u64, stats: &mut SimStats) -> usize {
         let mut completed = 0usize;
-        for &mv in moves {
-            match mv {
-                Move::Inject { packet, to, claim } => {
-                    let state = self.packets.get_mut(&packet).expect("packet exists");
+        for index in 0..self.moves.len() {
+            match self.moves[index] {
+                Move::Inject { slot, to, claim } => {
+                    let state = &mut self.packets[slot];
                     let flit = state.to_inject.pop_front().expect("decided with a flit");
                     if claim {
-                        self.owner[to] = Some(packet);
+                        self.owner[to] = Some(slot);
                         state.taken.push(to);
                     } else {
-                        debug_assert_eq!(self.owner[to], Some(packet));
+                        debug_assert_eq!(self.owner[to], Some(slot));
                     }
                     self.credits.consume(to);
-                    self.buffers[to].push_back(BufFlit { flit, hop: 0 });
+                    self.buffers[to].push_back(BufFlit { flit, slot, hop: 0 });
                     if state.to_inject.is_empty() {
                         // The whole packet has left the source: the next
                         // packet of this flow may start injecting.
-                        if let Some(queue) = flow_queues.get_mut(&state.packet.flow) {
-                            if queue.front() == Some(&packet) {
-                                queue.pop_front();
-                            }
+                        let flow = state.packet.flow;
+                        let queue = self.queues.queue_mut(flow);
+                        if queue.front() == Some(&slot) {
+                            queue.pop_front();
+                            self.queues.sync(flow);
                         }
                     }
                 }
                 Move::Advance { from, to, claim } => {
                     let bf = self.buffers[from].pop_front().expect("decided with a flit");
                     self.credits.give_back(from, cycle);
-                    let packet = bf.flit.packet;
                     if claim {
-                        self.owner[to] = Some(packet);
-                        self.packets
-                            .get_mut(&packet)
-                            .expect("packet exists")
-                            .taken
-                            .push(to);
+                        self.owner[to] = Some(bf.slot);
+                        self.packets[bf.slot].taken.push(to);
                     }
-                    if matches!(bf.flit.kind, FlitKind::Tail | FlitKind::HeadTail)
-                        && self.owner[from] == Some(packet)
-                    {
-                        self.owner[from] = None;
-                    }
+                    self.release_on_tail(from, &bf);
                     self.credits.consume(to);
                     self.buffers[to].push_back(BufFlit {
-                        flit: bf.flit,
                         hop: bf.hop + 1,
+                        ..bf
                     });
                 }
                 Move::Eject { from } => {
                     let bf = self.buffers[from].pop_front().expect("decided with a flit");
                     self.credits.give_back(from, cycle);
-                    let packet = bf.flit.packet;
-                    if matches!(bf.flit.kind, FlitKind::Tail | FlitKind::HeadTail)
-                        && self.owner[from] == Some(packet)
-                    {
-                        self.owner[from] = None;
-                    }
-                    let state = self.packets.get_mut(&packet).expect("packet exists");
+                    self.release_on_tail(from, &bf);
+                    let state = &mut self.packets[bf.slot];
                     state.ejected += 1;
                     stats.delivered_flits += 1;
-                    if state.ejected == state.packet.length {
+                    if !state.in_flight() {
                         stats.delivered_packets += 1;
                         completed += 1;
                         stats.record_latency(cycle.saturating_sub(state.packet.created_at) + 1);
@@ -854,11 +971,21 @@ impl<'a> VcSimulator<'a> {
         completed
     }
 
+    /// A tail flit leaving channel `from` releases its packet's ownership.
+    fn release_on_tail(&mut self, from: usize, bf: &BufFlit) {
+        if matches!(bf.flit.kind, FlitKind::Tail | FlitKind::HeadTail)
+            && self.owner[from] == Some(bf.slot)
+        {
+            self.owner[from] = None;
+        }
+    }
+
     /// Classifies one pending movement (a buffered flit or an injection)
-    /// into "can move now" or a list of wait targets, for the detector.
+    /// of the packet in `slot` into "can move now" or a list of wait
+    /// targets, for the detector.
     fn classify_candidates(
         &self,
-        packet: PacketId,
+        slot: usize,
         candidates: &[usize],
         established: bool,
     ) -> (bool, Vec<WaitTarget>) {
@@ -866,8 +993,8 @@ impl<'a> VcSimulator<'a> {
         for &to in candidates {
             if !established {
                 if let Some(q) = self.owner[to] {
-                    if q != packet {
-                        waits.push(WaitTarget::Packet(q));
+                    if q != slot {
+                        waits.push(WaitTarget::Packet(self.packets[q].packet.id));
                         continue;
                     }
                 }
@@ -886,21 +1013,22 @@ impl<'a> VcSimulator<'a> {
     }
 
     /// Builds the detector snapshot for the current state.
-    fn wait_snapshot(&self, flow_queues: &BTreeMap<FlowId, VecDeque<PacketId>>) -> WaitForSnapshot {
-        let mut channels = Vec::with_capacity(self.channel_count);
-        for from in 0..self.channel_count {
-            let Some(bf) = self.buffers[from].front() else {
+    fn wait_snapshot(&self) -> WaitForSnapshot {
+        let mut channels = Vec::with_capacity(self.layout.channel_count);
+        for buffer in &self.buffers {
+            let Some(bf) = buffer.front() else {
                 channels.push(None);
                 continue;
             };
-            let state = &self.packets[&bf.flit.packet];
-            let (can_move, waits) = if bf.hop + 1 == state.links.len() {
+            let state = &self.packets[bf.slot];
+            let next = bf.hop + 1;
+            let (can_move, waits) = if next == state.hops.len() {
                 (true, Vec::new()) // ejection is always possible
-            } else if state.taken.len() == bf.hop + 1 {
-                let candidates = self.head_candidates(state, bf.hop + 1);
-                self.classify_candidates(bf.flit.packet, &candidates, false)
+            } else if state.taken.len() == next {
+                let candidates = state.hops[next].candidates.as_slice();
+                self.classify_candidates(bf.slot, candidates, false)
             } else {
-                self.classify_candidates(bf.flit.packet, &[state.taken[bf.hop + 1]], true)
+                self.classify_candidates(bf.slot, &[state.taken[next]], true)
             };
             channels.push(Some(ChannelWait {
                 packet: bf.flit.packet,
@@ -910,22 +1038,19 @@ impl<'a> VcSimulator<'a> {
         }
 
         let mut injections = Vec::new();
-        for queue in flow_queues.values() {
-            let Some(&packet_id) = queue.front() else {
-                continue;
-            };
-            let state = &self.packets[&packet_id];
+        for slot in self.queues.fronts() {
+            let state = &self.packets[slot];
             if state.to_inject.is_empty() {
                 continue;
             }
             let (can_move, waits) = if state.taken.is_empty() {
-                let candidates = self.head_candidates(state, 0);
-                self.classify_candidates(packet_id, &candidates, false)
+                let candidates = state.hops[0].candidates.as_slice();
+                self.classify_candidates(slot, candidates, false)
             } else {
-                self.classify_candidates(packet_id, &[state.taken[0]], true)
+                self.classify_candidates(slot, &[state.taken[0]], true)
             };
             injections.push(InjectionWait {
-                packet: packet_id,
+                packet: state.packet.id,
                 can_move,
                 waits,
                 holds_channels: !state.taken.is_empty(),
@@ -949,164 +1074,43 @@ impl<'a> VcSimulator<'a> {
     }
 
     /// Executes one DBR-style drain event: pulls every deadlocked packet's
-    /// flits out of the network, releases its channel ownerships, resyncs
-    /// the credits, and re-queues the packet at its source on the recovery
-    /// route — permanently reconfiguring its flow.
-    fn drain_deadlocked(
-        &mut self,
-        dead: &[PacketId],
-        flow_queues: &mut BTreeMap<FlowId, VecDeque<PacketId>>,
-        drain: &mut DrainStats,
-    ) {
-        let dead_set: HashSet<PacketId> = dead.iter().copied().collect();
-
-        // 1. Pull every dead flit out of the buffers (order inside each
-        // buffer is preserved for the survivors).
-        let mut removed: HashMap<PacketId, Vec<Flit>> = HashMap::new();
-        for buffer in &mut self.buffers {
-            buffer.retain(|bf| {
-                if dead_set.contains(&bf.flit.packet) {
-                    removed.entry(bf.flit.packet).or_default().push(bf.flit);
-                    false
-                } else {
-                    true
-                }
+    /// flits out of the network back to its source onto the recovery route
+    /// (or the committed fault-reconfiguration route, which supersedes it),
+    /// permanently reconfiguring its flow.
+    fn drain_deadlocked(&mut self, dead: &[usize], drain: &mut DrainStats) {
+        let mut routes: BTreeMap<FlowId, Vec<(LinkId, usize)>> = BTreeMap::new();
+        for &slot in dead {
+            let flow = self.packets[slot].packet.flow;
+            let route = self.recovery_route(flow).unwrap_or_else(|| {
+                panic!("recovery routes must cover flow {flow}");
             });
+            assert!(
+                !route.is_empty(),
+                "flow {flow} deadlocked but its recovery route is empty"
+            );
+            routes.insert(flow, route);
         }
+        self.pull_back_to_source(dead, &routes);
+        self.reconfigured.extend(routes.keys().copied());
 
-        // 2. Release the drained packets' wormhole ownerships.
-        for owner in &mut self.owner {
-            if owner.is_some_and(|p| dead_set.contains(&p)) {
-                *owner = None;
-            }
-        }
-
-        // 3. Resync credits from the post-drain occupancy (the drain is a
-        // reconfiguration event; in-flight credit returns are absorbed).
-        let occupancy: Vec<usize> = self.buffers.iter().map(VecDeque::len).collect();
-        self.credits.reset_from_occupancy(occupancy);
-
-        // 4. Rebuild each drained packet on the recovery route of its flow.
-        let mut newly_reconfigured: Vec<FlowId> = Vec::new();
-        for &packet_id in dead {
-            let state = self
-                .packets
-                .get_mut(&packet_id)
-                .expect("dead packets exist");
-            let flow = state.packet.flow;
-            let mut flits = removed.remove(&packet_id).unwrap_or_default();
-            flits.sort_by_key(|f| f.sequence);
-            flits.extend(state.to_inject.drain(..));
-            // Rebuild the flit kinds so the re-injected worm has a proper
-            // head and tail even when the original head was already ejected.
-            let remaining = flits.len();
-            debug_assert!(remaining > 0, "deadlocked packets have flits left");
-            for (index, flit) in flits.iter_mut().enumerate() {
-                flit.kind = if remaining == 1 {
-                    FlitKind::HeadTail
-                } else if index == 0 {
-                    FlitKind::Head
-                } else if index + 1 == remaining {
-                    FlitKind::Tail
-                } else {
-                    FlitKind::Body
-                };
-            }
-            state.to_inject = flits.into();
-            state.taken.clear();
-            // A fault-reconfiguration route, when committed, supersedes the
-            // recovery function (it already detours the failed region).
-            let live = self
-                .faults
-                .as_ref()
-                .and_then(|ctx| ctx.live_routes.get(&flow))
-                .cloned();
-            if let Some(route) = live {
-                assert!(
-                    !route.is_empty(),
-                    "flow {flow} deadlocked but its live route is empty"
-                );
-                state.links = route.iter().map(|&(link, _)| link).collect();
-                state.assigned = route.iter().map(|&(_, vc)| vc).collect();
-            } else {
-                let recovery = self.recovery.as_ref().expect("drain requires recovery");
-                let route = recovery
-                    .route(flow)
-                    .unwrap_or_else(|| panic!("recovery routes must cover flow {flow}"));
-                assert!(
-                    !route.is_empty(),
-                    "flow {flow} deadlocked but its recovery route is empty"
-                );
-                state.links = route.channels().iter().map(|c| c.link).collect();
-                state.assigned = route.channels().iter().map(|c| c.vc).collect();
-            }
-            if self.reconfigured.insert(flow) {
-                newly_reconfigured.push(flow);
-            }
-        }
-
-        // 5. Packets of reconfigured flows that have not entered the network
+        // Packets of reconfigured flows that have not entered the network
         // yet switch to the recovery route as well (in-flight survivors keep
         // the path they already hold).
-        for state in self.packets.values_mut() {
-            if self.reconfigured.contains(&state.packet.flow)
+        let mut is_dead = vec![false; self.packets.len()];
+        for &slot in dead {
+            is_dead[slot] = true;
+        }
+        for (slot, drained) in is_dead.into_iter().enumerate() {
+            let state = &self.packets[slot];
+            let flow = state.packet.flow;
+            if self.reconfigured.contains(&flow)
                 && state.taken.is_empty()
                 && state.ejected == 0
                 && !state.to_inject.is_empty()
-                && !dead_set.contains(&state.packet.id)
+                && !drained
             {
-                let flow = state.packet.flow;
-                if let Some(route) = self
-                    .faults
-                    .as_ref()
-                    .and_then(|ctx| ctx.live_routes.get(&flow))
-                {
-                    state.links = route.iter().map(|&(link, _)| link).collect();
-                    state.assigned = route.iter().map(|&(_, vc)| vc).collect();
-                } else {
-                    let recovery = self.recovery.as_ref().expect("drain requires recovery");
-                    if let Some(route) = recovery.route(flow) {
-                        state.links = route.channels().iter().map(|c| c.link).collect();
-                        state.assigned = route.channels().iter().map(|c| c.vc).collect();
-                    }
-                }
-            }
-        }
-
-        // 6. Re-queue the drained packets for injection, oldest first and
-        // ahead of packets that have not started injecting — but never
-        // ahead of a surviving packet that is mid-injection.  Such a packet
-        // owns its claimed channels and can only finish from the queue
-        // front; burying it would wedge the flow forever (and hide the
-        // worm from the detector, which only sees queue fronts).
-        let mut per_flow: BTreeMap<FlowId, Vec<PacketId>> = BTreeMap::new();
-        for &packet_id in dead {
-            per_flow
-                .entry(self.packets[&packet_id].packet.flow)
-                .or_default()
-                .push(packet_id);
-        }
-        for (flow, mut ids) in per_flow {
-            ids.sort();
-            let queue = flow_queues.entry(flow).or_default();
-            queue.retain(|id| !dead_set.contains(id));
-            let insert_at = match queue.front() {
-                Some(front) if !self.packets[front].taken.is_empty() => 1,
-                _ => 0,
-            };
-            for &id in ids.iter().rev() {
-                queue.insert(insert_at, id);
-            }
-        }
-        if cfg!(debug_assertions) {
-            // Invariant: every surviving mid-injection worm is still at the
-            // front of its flow queue.
-            for queue in flow_queues.values() {
-                for (position, id) in queue.iter().enumerate() {
-                    debug_assert!(
-                        position == 0 || self.packets[id].taken.is_empty(),
-                        "mid-injection packet {id} buried at queue position {position}"
-                    );
+                if let Some(route) = self.recovery_route(flow) {
+                    self.packets[slot].set_route(route, &self.layout);
                 }
             }
         }
@@ -1117,14 +1121,26 @@ impl<'a> VcSimulator<'a> {
         noc_telemetry::histogram("vc.drained_packets", dead.len() as u64);
     }
 
+    /// The route a drained packet of `flow` restarts on: the committed
+    /// fault-reconfiguration route when there is one (it already detours
+    /// the failed region), otherwise the recovery function's route.
+    fn recovery_route(&self, flow: FlowId) -> Option<Vec<(LinkId, usize)>> {
+        if let Some(route) = self
+            .faults
+            .as_ref()
+            .and_then(|ctx| ctx.live_routes.get(&flow))
+        {
+            return Some(route.clone());
+        }
+        let recovery = self.recovery.as_ref().expect("drain requires recovery");
+        recovery
+            .route(flow)
+            .map(|route| route.channels().iter().map(|c| (c.link, c.vc)).collect())
+    }
+
     /// Applies every fault event due at `cycle` as one reconfiguration
     /// epoch.  Returns `true` when an epoch was committed.
-    fn process_faults(
-        &mut self,
-        cycle: u64,
-        flow_queues: &mut BTreeMap<FlowId, VecDeque<PacketId>>,
-        in_flight: &mut usize,
-    ) -> bool {
+    fn process_faults(&mut self, cycle: u64, in_flight: &mut usize) -> bool {
         let due = self.faults.as_ref().is_some_and(|ctx| {
             ctx.plan
                 .events()
@@ -1140,7 +1156,7 @@ impl<'a> VcSimulator<'a> {
         {
             let mut span = noc_telemetry::span("sim", "reconfig_epoch");
             span.arg("cycle", cycle);
-            self.apply_fault_batch(&mut ctx, cycle, flow_queues, in_flight);
+            self.apply_fault_batch(&mut ctx, cycle, in_flight);
         }
         noc_telemetry::counter("vc.reconfig_epochs", 1);
         self.faults = Some(ctx);
@@ -1152,13 +1168,7 @@ impl<'a> VcSimulator<'a> {
     /// flows, and commit only once the combined dependency graph of
     /// committed routes plus in-flight residues is acyclic — pulling worms
     /// back to their sources (a scoped DBR drain) when it is not.
-    fn apply_fault_batch(
-        &mut self,
-        ctx: &mut FaultContext<'a>,
-        cycle: u64,
-        flow_queues: &mut BTreeMap<FlowId, VecDeque<PacketId>>,
-        in_flight: &mut usize,
-    ) {
+    fn apply_fault_batch(&mut self, ctx: &mut FaultContext<'a>, cycle: u64, in_flight: &mut usize) {
         // 1. Apply every due event atomically (one epoch per batch).
         let mut faults_applied = 0usize;
         let mut any_repair = false;
@@ -1189,10 +1199,11 @@ impl<'a> VcSimulator<'a> {
         }
 
         let flow_count = self.comm.flow_count();
+        let layout = &self.layout;
 
         // 2. Rebuild the committed dependency graph (assigned-VC CDG) from
         // every live flow's committed route.
-        let mut dep = DepGraph::new(self.channel_count);
+        let mut dep = DepGraph::new(layout.channel_count);
         let mut committed: Vec<Option<Vec<(LinkId, usize)>>> = vec![None; flow_count];
         for (index, slot) in committed.iter_mut().enumerate() {
             let flow = FlowId::from_index(index);
@@ -1200,7 +1211,7 @@ impl<'a> VcSimulator<'a> {
                 continue;
             }
             let route = self.committed_route_in(ctx, flow);
-            dep.add_path(&self.dense_path(&route));
+            dep.add_path(&layout.dense_path(&route));
             *slot = Some(route);
         }
 
@@ -1245,11 +1256,11 @@ impl<'a> VcSimulator<'a> {
         let mut rerouted_this_event: HashSet<FlowId> = HashSet::new();
         for flow in candidates {
             if let Some(route) = committed[flow.index()].take() {
-                dep.remove_path(&self.dense_path(&route));
+                dep.remove_path(&layout.dense_path(&route));
             }
             match self.surviving_route(ctx, &conn, &labels, flow) {
                 Some(route) => {
-                    dep.add_path(&self.dense_path(&route));
+                    dep.add_path(&layout.dense_path(&route));
                     ctx.live_routes.insert(flow, route.clone());
                     ctx.unreachable.remove(&flow);
                     committed[flow.index()] = Some(route);
@@ -1269,8 +1280,7 @@ impl<'a> VcSimulator<'a> {
         // the network and the accounting, so a partition surfaces as the
         // typed Unreachable outcome instead of an idle-timeout.
         if !newly_unreachable.is_empty() {
-            ctx.unreachable_packets +=
-                self.strand_flows(&newly_unreachable, flow_queues, in_flight);
+            ctx.unreachable_packets += self.strand_flows(&newly_unreachable, in_flight);
         }
 
         // 7. In-flight packets: pull back worms whose remaining path
@@ -1278,56 +1288,42 @@ impl<'a> VcSimulator<'a> {
         // committed route, and register every worm still travelling a
         // superseded path as a transient residue of the epoch.
         let min_hops = self.min_buffered_hops();
-        let mut ids: Vec<PacketId> = self
-            .packets
-            .iter()
-            .filter(|(_, s)| s.ejected < s.packet.length)
-            .map(|(&id, _)| id)
-            .collect();
-        ids.sort();
-        let mut pulled: Vec<PacketId> = Vec::new();
-        let mut pulled_routes: HashMap<FlowId, Vec<(LinkId, usize)>> = HashMap::new();
-        let mut residues: Vec<(PacketId, Vec<usize>)> = Vec::new();
-        let mut residue_ids: HashSet<PacketId> = HashSet::new();
-        for id in ids {
-            let state = &self.packets[&id];
+        let mut pulled: Vec<usize> = Vec::new();
+        let mut pulled_routes: BTreeMap<FlowId, Vec<(LinkId, usize)>> = BTreeMap::new();
+        let mut residues: Vec<(usize, Vec<usize>)> = Vec::new();
+        let mut is_residue = vec![false; self.packets.len()];
+        for slot in self.in_flight_by_id(|_| true) {
+            let state = &self.packets[slot];
             let flow = state.packet.flow;
             let Some(committed_route) = committed[flow.index()].clone() else {
                 continue; // unreachable flows were purged in step 6
             };
-            let current: Vec<(LinkId, usize)> = state
-                .links
-                .iter()
-                .zip(&state.assigned)
-                .map(|(&link, &vc)| (link, vc))
-                .collect();
-            let started = !state.taken.is_empty() || min_hops.contains_key(&id);
+            let current = state.route();
+            let started = !state.taken.is_empty() || min_hops[slot].is_some();
             if !started {
                 if current != committed_route {
-                    let state = self.packets.get_mut(&id).expect("packet exists");
-                    state.links = committed_route.iter().map(|&(link, _)| link).collect();
-                    state.assigned = committed_route.iter().map(|&(_, vc)| vc).collect();
+                    self.packets[slot].set_route(committed_route, &self.layout);
                 }
                 continue;
             }
             let start = if state.to_inject.is_empty() {
-                min_hops.get(&id).copied().unwrap_or(state.links.len())
+                min_hops[slot].unwrap_or(state.hops.len())
             } else {
                 0
             };
-            let broken = state.links[start..]
+            let broken = state.hops[start..]
                 .iter()
-                .any(|&link| !ctx.down.link_usable(ctx.topology, link));
+                .any(|hop| !ctx.down.link_usable(ctx.topology, hop.link));
             if broken {
-                pulled.push(id);
+                pulled.push(slot);
                 pulled_routes.insert(flow, committed_route);
             } else if current != committed_route {
-                residues.push((id, self.residue_path(state, start)));
-                residue_ids.insert(id);
+                residues.push((slot, self.residue_path(state, start)));
+                is_residue[slot] = true;
             }
         }
         if !pulled.is_empty() {
-            self.pull_back_to_source(&pulled, &pulled_routes, flow_queues);
+            self.pull_back_to_source(&pulled, &pulled_routes);
         }
         let mut packets_drained = pulled.len();
 
@@ -1341,7 +1337,7 @@ impl<'a> VcSimulator<'a> {
             dep.add_path(path);
         }
         let mut fallback_drain = false;
-        let max_rounds = flow_count + self.packets.len() + 4;
+        let max_rounds = flow_count + (self.packets.len() - self.purged) + 4;
         let mut rounds = 0usize;
         loop {
             let cyclic = dep.cyclic_channels();
@@ -1354,27 +1350,27 @@ impl<'a> VcSimulator<'a> {
             let cyclic_set: HashSet<usize> = cyclic.into_iter().collect();
 
             // (a) Drain transient residues crossing the cycle.
-            let mut to_drain: Vec<PacketId> = Vec::new();
-            residues.retain(|(id, path)| {
+            let mut to_drain: Vec<usize> = Vec::new();
+            residues.retain(|(slot, path)| {
                 if path.iter().any(|c| cyclic_set.contains(c)) {
                     dep.remove_path(path);
-                    to_drain.push(*id);
-                    residue_ids.remove(id);
+                    to_drain.push(*slot);
+                    is_residue[*slot] = false;
                     false
                 } else {
                     true
                 }
             });
             if !to_drain.is_empty() {
-                let mut drain_routes: HashMap<FlowId, Vec<(LinkId, usize)>> = HashMap::new();
-                for &id in &to_drain {
-                    let flow = self.packets[&id].packet.flow;
+                let mut drain_routes: BTreeMap<FlowId, Vec<(LinkId, usize)>> = BTreeMap::new();
+                for &slot in &to_drain {
+                    let flow = self.packets[slot].packet.flow;
                     let route = committed[flow.index()]
                         .clone()
                         .expect("residues belong to routed flows");
                     drain_routes.insert(flow, route);
                 }
-                self.pull_back_to_source(&to_drain, &drain_routes, flow_queues);
+                self.pull_back_to_source(&to_drain, &drain_routes);
                 packets_drained += to_drain.len();
                 continue;
             }
@@ -1390,14 +1386,14 @@ impl<'a> VcSimulator<'a> {
                 let Some(route) = committed[flow.index()].clone() else {
                     continue;
                 };
-                let path = self.dense_path(&route);
+                let path = self.layout.dense_path(&route);
                 if !path.iter().any(|c| cyclic_set.contains(c)) {
                     continue;
                 }
                 dep.remove_path(&path);
                 match self.surviving_route(ctx, &conn, &labels, flow) {
                     Some(new_route) => {
-                        dep.add_path(&self.dense_path(&new_route));
+                        dep.add_path(&self.layout.dense_path(&new_route));
                         ctx.live_routes.insert(flow, new_route.clone());
                         committed[flow.index()] = Some(new_route.clone());
                         rerouted_this_event.insert(flow);
@@ -1405,35 +1401,26 @@ impl<'a> VcSimulator<'a> {
                         // Worms of the flow still travelling the old path
                         // become transient residues of this epoch.
                         let fresh_hops = self.min_buffered_hops();
-                        let mut flow_ids: Vec<PacketId> = self
-                            .packets
-                            .iter()
-                            .filter(|(id, s)| {
-                                s.packet.flow == flow
-                                    && s.ejected < s.packet.length
-                                    && !residue_ids.contains(*id)
-                            })
-                            .map(|(&id, _)| id)
-                            .collect();
-                        flow_ids.sort();
-                        for id in flow_ids {
-                            let state = &self.packets[&id];
-                            let started = !state.taken.is_empty() || fresh_hops.contains_key(&id);
+                        let flow_slots = self.in_flight_by_id(|state| state.packet.flow == flow);
+                        for slot in flow_slots {
+                            if is_residue[slot] {
+                                continue;
+                            }
+                            let state = &self.packets[slot];
+                            let started = !state.taken.is_empty() || fresh_hops[slot].is_some();
                             if !started {
-                                let state = self.packets.get_mut(&id).expect("packet exists");
-                                state.links = new_route.iter().map(|&(link, _)| link).collect();
-                                state.assigned = new_route.iter().map(|&(_, vc)| vc).collect();
+                                self.packets[slot].set_route(new_route.clone(), &self.layout);
                                 continue;
                             }
                             let start = if state.to_inject.is_empty() {
-                                fresh_hops.get(&id).copied().unwrap_or(state.links.len())
+                                fresh_hops[slot].unwrap_or(state.hops.len())
                             } else {
                                 0
                             };
                             let residue = self.residue_path(state, start);
                             dep.add_path(&residue);
-                            residues.push((id, residue));
-                            residue_ids.insert(id);
+                            residues.push((slot, residue));
+                            is_residue[slot] = true;
                         }
                         progressed = true;
                     }
@@ -1444,8 +1431,7 @@ impl<'a> VcSimulator<'a> {
                         committed[flow.index()] = None;
                         if ctx.unreachable.insert(flow) {
                             newly_unreachable.push(flow);
-                            ctx.unreachable_packets +=
-                                self.strand_flows(&[flow], flow_queues, in_flight);
+                            ctx.unreachable_packets += self.strand_flows(&[flow], in_flight);
                         }
                         progressed = true;
                     }
@@ -1463,7 +1449,7 @@ impl<'a> VcSimulator<'a> {
         // here rather than committed over.
         let mut wait_rounds = 0usize;
         loop {
-            let dead = self.wait_snapshot(flow_queues).deadlocked_packets();
+            let dead = self.wait_snapshot().deadlocked_packets();
             if dead.is_empty() {
                 break;
             }
@@ -1473,29 +1459,27 @@ impl<'a> VcSimulator<'a> {
                 wait_rounds <= max_rounds,
                 "wait-for drain failed to converge"
             );
-            let mut victims: Vec<PacketId> = Vec::new();
-            let mut drain_routes: HashMap<FlowId, Vec<(LinkId, usize)>> = HashMap::new();
-            for &id in &dead {
-                let flow = self.packets[&id].packet.flow;
+            let mut victims: Vec<(PacketId, usize)> = Vec::new();
+            let mut drain_routes: BTreeMap<FlowId, Vec<(LinkId, usize)>> = BTreeMap::new();
+            for (&id, slot) in dead.iter().zip(self.slots_of(&dead)) {
+                let flow = self.packets[slot].packet.flow;
                 let Some(route) = committed[flow.index()].clone() else {
                     continue;
                 };
                 drain_routes.insert(flow, route);
-                victims.push(id);
+                victims.push((id, slot));
             }
             victims.sort();
             assert!(!victims.is_empty(), "knot without routed flows");
-            self.pull_back_to_source(&victims, &drain_routes, flow_queues);
+            let victims: Vec<usize> = victims.into_iter().map(|(_, slot)| slot).collect();
+            self.pull_back_to_source(&victims, &drain_routes);
             packets_drained += victims.len();
         }
 
         // 10. Commit.  `committed_cyclic` is re-derived from the evidence —
         // it must always be false, and the property suite asserts so.
-        let committed_cyclic = dep.is_cyclic()
-            || !self
-                .wait_snapshot(flow_queues)
-                .deadlocked_packets()
-                .is_empty();
+        let committed_cyclic =
+            dep.is_cyclic() || !self.wait_snapshot().deadlocked_packets().is_empty();
         ctx.stats.record(ReconfigEvent {
             cycle,
             faults_applied,
@@ -1531,42 +1515,40 @@ impl<'a> VcSimulator<'a> {
         self.base_route(flow)
     }
 
-    /// Dense channel indices of a `(link, vc)` route.
-    fn dense_path(&self, route: &[(LinkId, usize)]) -> Vec<usize> {
-        route
-            .iter()
-            .map(|&(link, vc)| self.offsets[link.index()] + vc)
-            .collect()
-    }
-
     /// Dense channel indices a worm still occupies or will request on its
     /// *current* (pre-reconfiguration) path, from hop `start` on: hops the
     /// head already claimed use the channel actually taken, future hops the
     /// assigned VC.
     fn residue_path(&self, state: &PacketState, start: usize) -> Vec<usize> {
-        (start..state.links.len())
-            .map(|hop| {
-                if hop < state.taken.len() {
-                    state.taken[hop]
-                } else {
-                    self.offsets[state.links[hop].index()] + state.assigned[hop]
+        (start..state.hops.len())
+            .map(|hop| match state.taken.get(hop) {
+                Some(&dense) => dense,
+                None => {
+                    let hop = &state.hops[hop];
+                    self.layout.offsets[hop.link.index()] + hop.assigned
                 }
             })
             .collect()
     }
 
-    /// Earliest route hop each in-flight worm still has a flit buffered at.
-    fn min_buffered_hops(&self) -> HashMap<PacketId, usize> {
-        let mut min_hops: HashMap<PacketId, usize> = HashMap::new();
-        for buffer in &self.buffers {
-            for bf in buffer {
-                min_hops
-                    .entry(bf.flit.packet)
-                    .and_modify(|hop| *hop = (*hop).min(bf.hop))
-                    .or_insert(bf.hop);
-            }
+    /// Earliest route hop each slab slot still has a flit buffered at.
+    fn min_buffered_hops(&self) -> Vec<Option<usize>> {
+        let mut min_hops: Vec<Option<usize>> = vec![None; self.packets.len()];
+        for bf in self.buffers.iter().flatten() {
+            let min = &mut min_hops[bf.slot];
+            *min = Some(min.map_or(bf.hop, |hop| hop.min(bf.hop)));
         }
         min_hops
+    }
+
+    /// The slots of the in-flight packets accepted by `keep`, in packet-id
+    /// order.
+    fn in_flight_by_id(&self, keep: impl Fn(&PacketState) -> bool) -> Vec<usize> {
+        let mut slots: Vec<usize> = (0..self.packets.len())
+            .filter(|&slot| self.packets[slot].in_flight() && keep(&self.packets[slot]))
+            .collect();
+        slots.sort_by_key(|&slot| self.packets[slot].packet.id);
+        slots
     }
 
     /// An up*/down* route for `flow` on the surviving fabric (VC 0 on every
@@ -1593,44 +1575,51 @@ impl<'a> VcSimulator<'a> {
         Some(links.into_iter().map(|link| (link, 0)).collect())
     }
 
-    /// Pulls the given packets' flits out of the network and re-queues each
-    /// packet at its source on its flow's route from `new_routes` — the
-    /// drain mechanics of [`drain_deadlocked`](Self::drain_deadlocked)
-    /// without the permanent DBR reconfiguration.
-    fn pull_back_to_source(
-        &mut self,
-        victims: &[PacketId],
-        new_routes: &HashMap<FlowId, Vec<(LinkId, usize)>>,
-        flow_queues: &mut BTreeMap<FlowId, VecDeque<PacketId>>,
-    ) {
-        let victim_set: HashSet<PacketId> = victims.iter().copied().collect();
-        let mut removed: HashMap<PacketId, Vec<Flit>> = HashMap::new();
+    /// Removes every flit of the packets in `victims` from the buffers,
+    /// releases their channel ownerships and resyncs the credits from the
+    /// remaining occupancy (in-flight credit returns are absorbed).
+    /// Returns the removed flits per victim, in buffer order.
+    fn evict(&mut self, victims: &[usize]) -> Vec<Vec<Flit>> {
+        let mut position: Vec<Option<usize>> = vec![None; self.packets.len()];
+        for (index, &slot) in victims.iter().enumerate() {
+            position[slot] = Some(index);
+        }
+        let mut removed: Vec<Vec<Flit>> = vec![Vec::new(); victims.len()];
         for buffer in &mut self.buffers {
-            buffer.retain(|bf| {
-                if victim_set.contains(&bf.flit.packet) {
-                    removed.entry(bf.flit.packet).or_default().push(bf.flit);
+            buffer.retain(|bf| match position[bf.slot] {
+                Some(index) => {
+                    removed[index].push(bf.flit);
                     false
-                } else {
-                    true
                 }
+                None => true,
             });
         }
         for owner in &mut self.owner {
-            if owner.is_some_and(|p| victim_set.contains(&p)) {
+            if owner.is_some_and(|slot| position[slot].is_some()) {
                 *owner = None;
             }
         }
         let occupancy: Vec<usize> = self.buffers.iter().map(VecDeque::len).collect();
         self.credits.reset_from_occupancy(occupancy);
-        for &packet_id in victims {
-            let state = self
-                .packets
-                .get_mut(&packet_id)
-                .expect("pulled packets exist");
+        removed
+    }
+
+    /// Pulls the given packets' flits out of the network and re-queues each
+    /// packet at its source on its flow's route from `new_routes` — the
+    /// drain mechanics shared by the DBR drain and the fault epochs.
+    fn pull_back_to_source(
+        &mut self,
+        victims: &[usize],
+        new_routes: &BTreeMap<FlowId, Vec<(LinkId, usize)>>,
+    ) {
+        let removed = self.evict(victims);
+        for (&slot, mut flits) in victims.iter().zip(removed) {
+            let state = &mut self.packets[slot];
             let flow = state.packet.flow;
-            let mut flits = removed.remove(&packet_id).unwrap_or_default();
             flits.sort_by_key(|f| f.sequence);
             flits.extend(state.to_inject.drain(..));
+            // Rebuild the flit kinds so the re-injected worm has a proper
+            // head and tail even when the original head was already ejected.
             let remaining = flits.len();
             debug_assert!(remaining > 0, "pulled-back packets have flits left");
             for (index, flit) in flits.iter_mut().enumerate() {
@@ -1653,28 +1642,46 @@ impl<'a> VcSimulator<'a> {
                 !route.is_empty(),
                 "flow {flow} pulled back onto an empty route"
             );
-            state.links = route.iter().map(|&(link, _)| link).collect();
-            state.assigned = route.iter().map(|&(_, vc)| vc).collect();
+            state.set_route(route.iter().copied(), &self.layout);
         }
-        // Re-queue, oldest first, never burying a surviving mid-injection
-        // front (same invariant as the DBR drain).
-        let mut per_flow: BTreeMap<FlowId, Vec<PacketId>> = BTreeMap::new();
-        for &packet_id in victims {
+
+        // Re-queue the pulled packets, oldest first and ahead of packets
+        // that have not started injecting — but never ahead of a surviving
+        // packet that is mid-injection.  Such a packet owns its claimed
+        // channels and can only finish from the queue front; burying it
+        // would wedge the flow forever (and hide the worm from the
+        // detector, which only sees queue fronts).
+        let mut per_flow: BTreeMap<FlowId, Vec<usize>> = BTreeMap::new();
+        for &slot in victims {
             per_flow
-                .entry(self.packets[&packet_id].packet.flow)
+                .entry(self.packets[slot].packet.flow)
                 .or_default()
-                .push(packet_id);
+                .push(slot);
         }
-        for (flow, mut ids) in per_flow {
-            ids.sort();
-            let queue = flow_queues.entry(flow).or_default();
-            queue.retain(|id| !victim_set.contains(id));
+        for (flow, mut slots) in per_flow {
+            slots.sort_by_key(|&slot| self.packets[slot].packet.id);
+            let queue = self.queues.queue_mut(flow);
+            queue.retain(|slot| !victims.contains(slot));
             let insert_at = match queue.front() {
-                Some(front) if !self.packets[front].taken.is_empty() => 1,
+                Some(&front) if !self.packets[front].taken.is_empty() => 1,
                 _ => 0,
             };
-            for &id in ids.iter().rev() {
-                queue.insert(insert_at, id);
+            for &slot in slots.iter().rev() {
+                queue.insert(insert_at, slot);
+            }
+            self.queues.sync(flow);
+        }
+        if cfg!(debug_assertions) {
+            // Invariant: every surviving mid-injection worm is still at the
+            // front of its flow queue.
+            for queue in self.queues.iter() {
+                for (position, &slot) in queue.iter().enumerate() {
+                    debug_assert!(
+                        position == 0 || self.packets[slot].taken.is_empty(),
+                        "mid-injection packet {} buried at queue position {position}",
+                        self.packets[slot].packet.id
+                    );
+                }
             }
         }
     }
@@ -1682,42 +1689,27 @@ impl<'a> VcSimulator<'a> {
     /// Removes every undelivered packet of the given flows from the network
     /// and the accounting.  Returns the number of packets purged (each
     /// becomes an unreachable packet, not a stranded one).
-    fn strand_flows(
-        &mut self,
-        flows: &[FlowId],
-        flow_queues: &mut BTreeMap<FlowId, VecDeque<PacketId>>,
-        in_flight: &mut usize,
-    ) -> usize {
-        let flow_set: HashSet<FlowId> = flows.iter().copied().collect();
-        let mut victims: Vec<PacketId> = self
-            .packets
-            .iter()
-            .filter(|(_, s)| flow_set.contains(&s.packet.flow) && s.ejected < s.packet.length)
-            .map(|(&id, _)| id)
-            .collect();
-        victims.sort();
+    fn strand_flows(&mut self, flows: &[FlowId], in_flight: &mut usize) -> usize {
+        let victims = self.in_flight_by_id(|state| flows.contains(&state.packet.flow));
         if victims.is_empty() {
             return 0;
         }
-        let victim_set: HashSet<PacketId> = victims.iter().copied().collect();
-        for buffer in &mut self.buffers {
-            buffer.retain(|bf| !victim_set.contains(&bf.flit.packet));
+        self.evict(&victims);
+        for &flow in flows {
+            self.queues
+                .queue_mut(flow)
+                .retain(|slot| !victims.contains(slot));
+            self.queues.sync(flow);
         }
-        for owner in &mut self.owner {
-            if owner.is_some_and(|p| victim_set.contains(&p)) {
-                *owner = None;
-            }
+        for &slot in &victims {
+            // Retire the slab entry in place: no flits, no claims, and no
+            // longer in flight.
+            let state = &mut self.packets[slot];
+            state.to_inject.clear();
+            state.taken.clear();
+            state.ejected = state.packet.length;
         }
-        let occupancy: Vec<usize> = self.buffers.iter().map(VecDeque::len).collect();
-        self.credits.reset_from_occupancy(occupancy);
-        for flow in flows {
-            if let Some(queue) = flow_queues.get_mut(flow) {
-                queue.retain(|id| !victim_set.contains(id));
-            }
-        }
-        for id in &victims {
-            self.packets.remove(id);
-        }
+        self.purged += victims.len();
         *in_flight -= victims.len();
         victims.len()
     }
