@@ -10,16 +10,14 @@
 
 use crate::jobs::{bump, fig89_grid, segment_grid, Params, TaskCounter};
 use crate::{
-    conservatism_point_for, fault_strategy_point, power_comparison, random_routed_design,
-    routed_benchmark, sim_strategy_point, simulate_before_after, summary, sweeps,
-    vc_overhead_sweep, PowerComparison, DEFAULT_RANDOM_DESIGNS, FAULT_STRATEGIES,
-    SIM_INJECTION_GAPS, SIM_STRATEGY_POLICIES, STRATEGY_MATRIX_NAMES,
+    conservatism_point_for, fault_strategy_point, matrix_strategies, matrix_sweep,
+    power_comparison, random_routed_design, routed_benchmark, sim_strategy_point,
+    simulate_before_after, summary, sweeps, vc_overhead_sweep, PowerComparison,
+    DEFAULT_RANDOM_DESIGNS, FAULT_STRATEGIES, SIM_INJECTION_GAPS, SIM_STRATEGY_POLICIES,
+    STRATEGY_MATRIX_NAMES,
 };
 use noc_flow::json::{Artifact, JsonValue, ObjectWriter, RawJson, ToJson};
-use noc_flow::{
-    CycleBreaking, DeadlockStrategy, EscapeChannel, FlowSweep, PreparedPoint, RecoveryReconfig,
-    ResourceOrdering,
-};
+use noc_flow::{DeadlockStrategy, FlowSweep, PreparedPoint};
 use noc_jobs::{AssembleContext, JobError, JobSource};
 use noc_topology::benchmarks::Benchmark;
 use std::sync::{Arc, Mutex};
@@ -381,9 +379,8 @@ pub fn strategy_matrix(params: &Params, counter: TaskCounter) -> SourceResult {
     let grid = fig89_grid(params)?;
     let prepared = grid.iter().map(|_| Mutex::new(None)).collect();
     Ok(Box::new(MatrixSource {
-        // The configuration of `strategy_matrix_sweep`, the reference the
-        // matrix job is checked against.
-        sweep: FlowSweep::new().power_estimates(false).certify(true),
+        sweep: matrix_sweep(),
+        strategies: matrix_strategies(),
         grid,
         prepared,
         counter,
@@ -392,21 +389,11 @@ pub fn strategy_matrix(params: &Params, counter: TaskCounter) -> SourceResult {
 
 struct MatrixSource {
     sweep: FlowSweep,
+    /// One strategy per column, in `STRATEGY_MATRIX_NAMES` order.
+    strategies: [Box<dyn DeadlockStrategy>; 4],
     grid: Vec<(Benchmark, usize)>,
     prepared: Vec<Mutex<Option<Arc<PreparedPoint>>>>,
     counter: TaskCounter,
-}
-
-/// The four matrix strategies, by column index, freshly built per task
-/// (construction is trivially cheap; sharing them would force `Sync`
-/// bounds the trait objects do not carry).
-fn matrix_strategy(column: usize) -> Box<dyn DeadlockStrategy> {
-    match column {
-        0 => Box::new(CycleBreaking::default()),
-        1 => Box::new(ResourceOrdering),
-        2 => Box::new(EscapeChannel::default()),
-        _ => Box::new(RecoveryReconfig::default()),
-    }
 }
 
 impl MatrixSource {
@@ -442,7 +429,7 @@ impl JobSource for MatrixSource {
     fn run_task(&self, index: usize) -> Result<String, JobError> {
         bump(&self.counter);
         let prepared = self.prepared_point(index / STRATEGY_MATRIX_NAMES.len())?;
-        let strategy = matrix_strategy(index % STRATEGY_MATRIX_NAMES.len());
+        let strategy = &self.strategies[index % STRATEGY_MATRIX_NAMES.len()];
         let outcome = self.sweep.charge(&prepared, strategy.as_ref())?;
         // Point metadata + this strategy's outcome, rendered with the same
         // writers as a `SweepPoint`, so `assemble` can splice the recorded

@@ -32,7 +32,7 @@ use noc_flow::json::{JsonValue, ObjectWriter, ToJson};
 use noc_flow::{
     CycleBreaking, DeadlockFreeStage, DeadlockStrategy, DesignFlow, EscapeChannel, FaultRunStats,
     FlowSweep, RecoveryReconfig, ResourceOrdering, RoutedStage, ShortestPathRouter,
-    StrategySimStats, SweepPoint, SweepProgress,
+    StrategySimStats, SweepPoint,
 };
 use noc_rng::SmallRng;
 use noc_routing::shortest::route_all_shortest;
@@ -90,7 +90,7 @@ pub fn vc_overhead_sweep(
         .benchmark(benchmark)
         .switch_counts(switch_counts)
         .power_estimates(false) // Figures 8/9 only plot VC counts
-        .run_parallel(&[&removal, &ordering])
+        .run(&[&removal, &ordering])
         .unwrap_or_else(|e| panic!("sweep failed for {benchmark}: {e}"));
     points
         .into_iter()
@@ -204,7 +204,7 @@ pub fn power_comparison(benchmark: Benchmark, switch_count: usize) -> PowerCompa
     let point = FlowSweep::new()
         .benchmark(benchmark)
         .switch_counts([switch_count])
-        .run_parallel(&[&CycleBreaking::default(), &ResourceOrdering])
+        .run(&[&CycleBreaking::default(), &ResourceOrdering])
         .unwrap_or_else(|e| panic!("flow failed at {switch_count} switches: {e}"))
         .into_iter()
         .next()
@@ -354,39 +354,51 @@ pub const STRATEGY_MATRIX_NAMES: [&str; 4] = [
     noc_flow::StrategyKind::ALL[3].name(),
 ];
 
+/// The sweep configuration of the strategy matrix: no power model, every
+/// repaired design certified.  Shared by [`strategy_matrix_sweep`] and the
+/// `fig_strategy_matrix` job source ([`figures::strategy_matrix`]).
+pub(crate) fn matrix_sweep() -> FlowSweep {
+    FlowSweep::new().power_estimates(false).certify(true)
+}
+
+/// The four strategies of the matrix, in [`STRATEGY_MATRIX_NAMES`] order.
+pub(crate) fn matrix_strategies() -> [Box<dyn DeadlockStrategy>; 4] {
+    [
+        Box::new(CycleBreaking::default()),
+        Box::new(ResourceOrdering),
+        Box::new(EscapeChannel::default()),
+        Box::new(RecoveryReconfig::default()),
+    ]
+}
+
 /// Sweeps **all four** deadlock strategies — the paper's cycle breaking and
 /// resource ordering plus escape-channel avoidance and recovery-based
 /// reconfiguration — over the Figure 8 (D26_media) and Figure 9 (D36_8)
-/// benchmark grids, the data behind the `fig_strategy_matrix` binary.
+/// benchmark grids, the data behind the `fig_strategy_matrix` figure.
 ///
 /// Each grid point charges every strategy against the same routed design;
-/// the executor shards the (point × strategy) tasks across `threads` worker
-/// threads (`0` auto-sizes).  Progress streams to `observer` per completed
-/// point, per figure grid; the returned points are the Figure 8 grid
-/// followed by the Figure 9 grid, each in switch-count order.
+/// the points are mapped across `threads` worker threads (`0` auto-sizes).
+/// The returned points are the Figure 8 grid followed by the Figure 9 grid,
+/// each in switch-count order; `observer` sees each of them once, in that
+/// order, as each figure grid completes.
 pub fn strategy_matrix_sweep(
     threads: usize,
-    mut observer: impl FnMut(SweepProgress<'_>),
+    mut observer: impl FnMut(&SweepPoint),
 ) -> Vec<SweepPoint> {
-    let cycle_breaking = CycleBreaking::default();
-    let ordering = ResourceOrdering;
-    let escape = EscapeChannel::default();
-    let recovery = RecoveryReconfig::default();
-    let strategies: [&dyn DeadlockStrategy; 4] = [&cycle_breaking, &ordering, &escape, &recovery];
-
+    let strategies = matrix_strategies();
+    let strategies = strategies.each_ref().map(|strategy| strategy.as_ref());
     let mut points = Vec::new();
     for (benchmark, counts) in [
         (Benchmark::D26Media, sweeps::FIG8_SWITCH_COUNTS),
         (Benchmark::D36x8, sweeps::FIG9_SWITCH_COUNTS),
     ] {
-        let grid = FlowSweep::new()
+        let grid = matrix_sweep()
             .benchmark(benchmark)
             .switch_counts(counts)
-            .power_estimates(false)
-            .certify(true)
             .worker_threads(threads)
-            .run_streaming(&strategies, &mut observer)
+            .run(&strategies)
             .unwrap_or_else(|e| panic!("strategy matrix failed for {benchmark}: {e}"));
+        grid.iter().for_each(&mut observer);
         points.extend(grid);
     }
     points

@@ -74,7 +74,7 @@ fn direct_artifact() -> String {
         .switch_counts([6, 8])
         .power_estimates(false)
         .certify(true)
-        .run_streaming(&strategies, |_| {})
+        .run(&strategies)
         .expect("direct sweep succeeds");
     let names = STRATEGY_MATRIX_NAMES.map(str::to_string).to_vec();
     let mut payload = String::new();

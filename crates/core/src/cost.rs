@@ -65,19 +65,8 @@ impl CostTable {
     }
 }
 
-/// Computes the forward-direction cost table for `cycle`
-/// (`FindDepToBreakForward`).
-pub fn cost_table_forward(cycle: &[Channel], routes: &RouteSet) -> CostTable {
-    cost_table(cycle, routes, Direction::Forward)
-}
-
-/// Computes the backward-direction cost table for `cycle`
-/// (`FindDepToBreakBackward`).
-pub fn cost_table_backward(cycle: &[Channel], routes: &RouteSet) -> CostTable {
-    cost_table(cycle, routes, Direction::Backward)
-}
-
-/// Computes the cost table in the given direction.
+/// Computes the cost table for `cycle` in the given direction
+/// (`FindDepToBreakForward` / `FindDepToBreakBackward`).
 pub fn cost_table(cycle: &[Channel], routes: &RouteSet, direction: Direction) -> CostTable {
     let len = cycle.len();
     let pos_in_cycle = |c: Channel| cycle.iter().position(|&x| x == c);
@@ -154,8 +143,8 @@ pub fn cost_table(cycle: &[Channel], routes: &RouteSet, direction: Direction) ->
 /// `(cost, dependency index, direction)`.  Ties go to the forward direction,
 /// matching the `f_cost ≤ b_cost` comparison in Algorithm 1.
 pub fn best_break(cycle: &[Channel], routes: &RouteSet) -> Option<(usize, usize, Direction)> {
-    let forward = cost_table_forward(cycle, routes).best();
-    let backward = cost_table_backward(cycle, routes).best();
+    let forward = cost_table(cycle, routes, Direction::Forward).best();
+    let backward = cost_table(cycle, routes, Direction::Backward).best();
     match (forward, backward) {
         (Some((fc, fp)), Some((bc, bp))) => {
             if fc <= bc {
@@ -204,7 +193,7 @@ mod tests {
     #[test]
     fn forward_cost_table_matches_table_1() {
         let (cycle, routes) = figure_2_cycle_and_routes();
-        let table = cost_table_forward(&cycle, &routes);
+        let table = cost_table(&cycle, &routes, Direction::Forward);
         // Rows: F1 = [1, 2, 0, 0], F2 = [0, 0, 1, 0], F3 = [0, 0, 0, 1],
         //       F4 = [1, 0, 0, 0]; MAX = [1, 2, 1, 1].
         assert_eq!(table.flows.len(), 4);
@@ -219,7 +208,7 @@ mod tests {
     #[test]
     fn backward_cost_table_for_the_example() {
         let (cycle, routes) = figure_2_cycle_and_routes();
-        let table = cost_table_backward(&cycle, &routes);
+        let table = cost_table(&cycle, &routes, Direction::Backward);
         // F1 (L0 L1 L2): D0 needs L1,L2 duplicated (2); D1 needs L2 (1).
         // F2 (L2 L3): D2 needs L3 (1).  F3 (L3 L0): D3 needs L0 (1).
         // F4 (L0 L1): D0 needs L1 (1).
@@ -253,7 +242,7 @@ mod tests {
             Route::new(vec![extra, cycle[0]]),
         );
         routes = routes2;
-        let table = cost_table_forward(&cycle, &routes);
+        let table = cost_table(&cycle, &routes, Direction::Forward);
         assert_eq!(table.flows.len(), 4);
     }
 
@@ -273,7 +262,7 @@ mod tests {
             noc_topology::FlowId::from_index(1),
             Route::new(vec![l(1), l(2)]),
         );
-        let table = cost_table_forward(&cycle, &routes);
+        let table = cost_table(&cycle, &routes, Direction::Forward);
         // Flow 0 creates D0 (cost 1: only L0 seen) and D2 (cost 3: L0, L1, L2 seen);
         // it does NOT create D1 (L1 is followed by L7 in the path) nor D3
         // (the path ends at L3).
@@ -286,7 +275,7 @@ mod tests {
         let cycle = vec![l(0), l(1)];
         let routes = RouteSet::new(1); // empty route, creates nothing
         assert!(best_break(&cycle, &routes).is_none());
-        let table = cost_table_forward(&cycle, &routes);
+        let table = cost_table(&cycle, &routes, Direction::Forward);
         assert!(table.flows.is_empty());
         assert_eq!(table.best(), None);
     }

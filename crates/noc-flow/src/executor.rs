@@ -1,233 +1,34 @@
-//! Sharded execution of [`FlowSweep`] grids on scoped worker threads.
+//! Scoped-thread scatter/gather: the one worker loop behind every parallel
+//! path of the suite.
 //!
-//! The paper's evaluation (Figures 8–10) is a grid of fully independent
-//! (benchmark × switch-count) design points, and *within* a point the
-//! deadlock strategies are independent too (each one repairs its own clone
-//! of the point's routed design).  The work unit is therefore the
-//! **(grid point × strategy) pair**: workers claim flattened work indices
-//! from a shared atomic counter, lazily prepare the point's routed design
-//! through a per-point mutexed once-slot (whichever worker reaches the
-//! point first synthesizes and routes it; others block only if they hit the
-//! same point mid-preparation, and the coordinator frees the design as soon
-//! as the point is assembled), charge their strategy, and send
-//! `(work index, outcome)` back over a channel.  The coordinating thread
-//! assembles each point as its last strategy outcome arrives, streams it to
-//! the observer, and slots it into its grid position — so the returned
-//! vector is in deterministic grid order and byte-identical to the serial
-//! run, no matter how the workers interleave.
-//!
-//! This is what makes a sweep with few grid points but many strategies
-//! (e.g. the `fig_strategy_matrix` four-way comparison) scale with cores:
-//! previously the strategies of a point ran sequentially on one worker.
+//! [`parallel_map_streaming`] maps a slice on a pool of scoped worker
+//! threads: workers claim item indices from a shared atomic counter, compute
+//! them, and send `(index, result)` back over a channel; the coordinating
+//! thread hands each result to an observer as it arrives and slots it into
+//! its input position, so the returned vector is in input order no matter
+//! how the workers interleave.  [`parallel_map_ordered`] is the same loop
+//! without the observer.  [`FlowSweep::run`](crate::FlowSweep::run) maps its
+//! grid points through it, and the `noc-jobs` runner streams its task
+//! records through it.
 //!
 //! Built on `std::thread::scope` + `std::sync::mpsc` only — the offline
 //! build environment has no external dependencies (no rayon/crossbeam).
 
-use crate::error::FlowError;
-use crate::router::Router;
-use crate::strategy::DeadlockStrategy;
-use crate::sweep::{FlowSweep, PointSeed, StrategyOutcome, SweepPoint};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
 
-/// A progress notification handed to the observer of
-/// [`FlowSweep::run_streaming`] each time a worker finishes a grid point.
-#[derive(Debug)]
-pub struct SweepProgress<'a> {
-    /// Position of the point in the deterministic grid order (the index it
-    /// will occupy in the returned vector).
-    pub index: usize,
-    /// Number of points completed so far, this one included.  Completion
-    /// order is not grid order: a sweep is done when `completed == total`,
-    /// not when `index == total - 1`.
-    pub completed: usize,
-    /// Total number of feasible grid points in the sweep.
-    pub total: usize,
-    /// The point that just completed.
-    pub point: &'a SweepPoint,
-}
-
-/// A per-point once-slot: `None` until the first worker prepares the
-/// point's design, then the shared seed (or its preparation error) until
-/// the coordinator takes it on point completion.
-type SeedSlot = Mutex<Option<Result<Arc<PointSeed>, FlowError>>>;
-
-/// Runs the sweep grid across scoped worker threads — one task per
-/// (grid point × strategy) pair — and streams completed points through
-/// `observer`; returns the points in grid order.
-///
-/// The worker count is the sweep's
-/// [`worker_threads`](FlowSweep::worker_threads) setting, auto-sized to the
-/// machine's available parallelism when unset and never larger than the
-/// flattened work-item count.  When a task fails, remaining work is
-/// abandoned (claimed tasks still finish) and the error earliest in the
-/// serial execution order — grid order, then strategy order within a point,
-/// with a point's preparation failure surfacing before any of its strategy
-/// results — is returned, matching what the serial run would have reported.
-pub(crate) fn run_sharded(
-    sweep: &FlowSweep,
-    router: Option<&dyn Router>,
-    strategies: &[&dyn DeadlockStrategy],
-    mut observer: impl FnMut(SweepProgress<'_>),
-) -> Result<Vec<SweepPoint>, FlowError> {
-    if strategies.is_empty() {
-        return Err(FlowError::EmptyStrategySet);
-    }
-    let grid = sweep.grid();
-    let total = grid.len();
-    let per_point = strategies.len();
-    let work_total = total * per_point;
-    let workers = worker_count(sweep.requested_threads(), work_total);
-
-    // Umbrella span on the coordinating thread: per-task spans live on the
-    // workers, so without it the scheduling gaps between tasks would be
-    // unattributed wall time in a trace.
-    let mut sweep_span = noc_telemetry::span("sweep", "run_sharded");
-    sweep_span.arg("points", total).arg("workers", workers);
-
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let (tx, rx) = mpsc::channel::<(usize, Result<StrategyOutcome, FlowError>)>();
-
-    // One lazily prepared design per grid point, shared by its strategy
-    // tasks.  The slot's mutex doubles as the once-guard: the first worker
-    // to reach a point prepares it while holding the lock (same-point
-    // workers block exactly like `OnceLock::get_or_init`), and the
-    // coordinator *takes* the seed once the point is assembled, so a large
-    // sweep only ever retains the in-flight designs, not the whole grid's.
-    let mut seeds: Vec<SeedSlot> = Vec::new();
-    seeds.resize_with(total, || Mutex::new(None));
-    let seeds = &seeds;
-
-    let mut outcome_slots: Vec<Vec<Option<StrategyOutcome>>> = Vec::new();
-    outcome_slots.resize_with(total, || {
-        let mut row = Vec::new();
-        row.resize_with(per_point, || None);
-        row
-    });
-    let mut pending: Vec<usize> = vec![per_point; total];
-    let mut points: Vec<Option<SweepPoint>> = Vec::new();
-    points.resize_with(total, || None);
-    // Errors are kept with their flattened work index: if several in-flight
-    // tasks fail, the one earliest in serial order wins.  A preparation
-    // failure reaches every strategy slot of its point, so the point's
-    // first slot carries it — exactly where the serial run fails.
-    let mut first_error: Option<(usize, FlowError)> = None;
-    let mut completed = 0usize;
-
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let abort = &abort;
-            let grid = &grid;
-            scope.spawn(move || {
-                noc_telemetry::set_thread_label(format!("worker-{worker}"));
-                loop {
-                    if abort.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let work = next.fetch_add(1, Ordering::Relaxed);
-                    if work >= work_total {
-                        break;
-                    }
-                    let (point_index, strategy_index) = (work / per_point, work % per_point);
-                    let (benchmark, switch_count) = grid[point_index];
-                    let seed = {
-                        let mut slot = seeds[point_index].lock().expect("seed lock");
-                        slot.get_or_insert_with(|| {
-                            let mut span = noc_telemetry::span("sweep", "prepare_point");
-                            span.arg("benchmark", benchmark.name())
-                                .arg("switches", switch_count);
-                            sweep
-                                .prepare_point(benchmark, switch_count, router)
-                                .map(Arc::new)
-                        })
-                        .clone()
-                    };
-                    let result = match seed {
-                        Ok(seed) => {
-                            let mut span = noc_telemetry::span("sweep", "strategy_outcome");
-                            span.arg("benchmark", benchmark.name())
-                                .arg("switches", switch_count)
-                                .arg("strategy", strategies[strategy_index].name());
-                            sweep.strategy_outcome(&seed, strategies[strategy_index])
-                        }
-                        Err(error) => Err(error),
-                    };
-                    if result.is_err() {
-                        abort.store(true, Ordering::Relaxed);
-                    }
-                    if tx.send((work, result)).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        // The workers hold the only remaining senders: the loop below ends
-        // once every worker has exited.
-        drop(tx);
-
-        for (work, result) in rx {
-            let (point_index, strategy_index) = (work / per_point, work % per_point);
-            match result {
-                Ok(outcome) => {
-                    outcome_slots[point_index][strategy_index] = Some(outcome);
-                    pending[point_index] -= 1;
-                    if pending[point_index] > 0 {
-                        continue;
-                    }
-                    // Last strategy of the point: assemble and stream it,
-                    // taking the seed so the routed design is dropped now
-                    // instead of living until the sweep ends.
-                    let outcomes = outcome_slots[point_index]
-                        .iter_mut()
-                        .map(|slot| slot.take().expect("all strategy outcomes arrived"))
-                        .collect();
-                    let seed = seeds[point_index]
-                        .lock()
-                        .expect("seed lock")
-                        .take()
-                        .expect("a completed point was prepared")
-                        .expect("a point with outcomes was prepared successfully");
-                    let point = seed.point(outcomes);
-                    completed += 1;
-                    observer(SweepProgress {
-                        index: point_index,
-                        completed,
-                        total,
-                        point: &point,
-                    });
-                    points[point_index] = Some(point);
-                }
-                Err(error) => {
-                    if first_error.as_ref().is_none_or(|(w, _)| work < *w) {
-                        first_error = Some((work, error));
-                    }
-                }
-            }
-        }
-    });
-
-    if let Some((_, error)) = first_error {
-        return Err(error);
-    }
-    Ok(points
-        .into_iter()
-        .map(|slot| slot.expect("every grid point was computed exactly once"))
-        .collect())
-}
-
-/// Maps every item through `f` on a pool of scoped worker threads (atomic
-/// index claiming, like the sweep executor) and returns the results in
-/// input order.  `threads == 0` auto-sizes to the machine's available
+/// Maps every item through `f` on a pool of scoped worker threads and
+/// returns the results in input order: [`parallel_map_streaming`] without
+/// the observer.  `threads == 0` auto-sizes to the machine's available
 /// parallelism; the pool never exceeds the item count.
 ///
-/// This is the shared scatter/gather primitive behind the `--threads` knob
-/// of harness entry points that are not `FlowSweep` grids (per-benchmark
-/// simulation sharding, timed-design preparation, equivalence-test grids).
-/// A panic in `f` propagates when the scope joins its workers.
+/// This is the scatter/gather primitive behind [`FlowSweep::run`] and the
+/// `--threads` knob of harness entry points that are not sweep grids
+/// (per-benchmark simulation sharding, timed-design preparation,
+/// equivalence-test grids).  A panic in `f` propagates when the scope joins
+/// its workers.
+///
+/// [`FlowSweep::run`]: crate::FlowSweep::run
 ///
 /// # Example
 ///
@@ -240,43 +41,14 @@ pub fn parallel_map_ordered<T: Sync, R: Send>(
     threads: usize,
     f: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
-    let workers = worker_count(threads, items.len());
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    let mut slots: Vec<Option<R>> = Vec::new();
-    slots.resize_with(items.len(), || None);
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            scope.spawn(move || {
-                noc_telemetry::set_thread_label(format!("worker-{worker}"));
-                loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(index) else {
-                        break;
-                    };
-                    if tx.send((index, f(item))).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-        for (index, result) in rx {
-            slots[index] = Some(result);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every item was mapped exactly once"))
-        .collect()
+    parallel_map_streaming(items, threads, |_, item| f(item), |_, _| {})
 }
 
-/// Like [`parallel_map_ordered`], but hands each result to `on_complete`
-/// on the coordinating thread *as it arrives* (completion order, not input
-/// order) before returning the full vector in input order.
+/// Maps every item through `f` on a pool of scoped worker threads, hands
+/// each result to `on_complete` on the coordinating thread *as it arrives*
+/// (completion order, not input order), and returns the full vector in
+/// input order.  `threads == 0` auto-sizes to the machine's available
+/// parallelism; the pool never exceeds the item count.
 ///
 /// This is the seam the `noc-jobs` runner needs: a resumable job must
 /// append each task's completion record to its on-disk log the moment the

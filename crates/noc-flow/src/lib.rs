@@ -20,12 +20,9 @@
 //!   (DBR-style drain-and-reconfigure — recovery); swapping schemes is a
 //!   one-line change,
 //! * [`FlowSweep`] drives (benchmark × switch-count × strategy) grids, the
-//!   shape of the paper's Figures 8–10 — serially via
-//!   [`run`](FlowSweep::run) or sharded across scoped worker threads via
-//!   [`run_parallel`](FlowSweep::run_parallel) /
-//!   [`run_streaming`](FlowSweep::run_streaming), which shard down to
-//!   individual (grid point × strategy) tasks, stream completed points to
-//!   an observer and still return them in deterministic grid order,
+//!   shape of the paper's Figures 8–10: [`run`](FlowSweep::run) maps the
+//!   grid points across scoped worker threads ([`executor`]) and returns
+//!   them in deterministic grid order, identical for every worker count,
 //! * [`json`] is a dependency-free JSON writer/parser ([`ToJson`],
 //!   [`JsonValue`]) so sweep results can be exported and plotted outside
 //!   Rust.
@@ -61,7 +58,6 @@ pub mod sweep;
 pub mod trace;
 
 pub use error::FlowError;
-pub use executor::SweepProgress;
 pub use json::{
     Artifact, ArtifactError, JsonParseError, JsonValue, ParsedArtifact, RawJson, ToJson,
     SCHEMA_VERSION,

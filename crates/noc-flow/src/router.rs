@@ -22,9 +22,10 @@ use noc_topology::{CommGraph, CoreMap, SwitchId, Topology};
 /// every call, so a broken implementation fails fast instead of corrupting
 /// downstream stages.
 ///
-/// Routers are shared by reference across the worker threads of a parallel
-/// [`FlowSweep`](crate::FlowSweep), hence the `Sync` bound; routing itself
-/// takes `&self`, so implementations are naturally immutable.
+/// Routers are `Sync` so that one router can be shared by reference across
+/// the worker threads of an [`executor`](crate::executor) map, like the
+/// strategies of a [`FlowSweep`](crate::FlowSweep); routing itself takes
+/// `&self`, so implementations are naturally immutable.
 pub trait Router: Sync {
     /// Human-readable scheme name (used in sweep output and diagnostics).
     fn name(&self) -> &str;

@@ -73,12 +73,12 @@ impl DeadlockResolution {
 /// fail to deliver an acyclic CDG are rejected with
 /// [`FlowError::StillCyclic`] instead of leaking unsafe designs downstream.
 ///
-/// Strategies are shared by reference across the worker threads of a
-/// parallel [`FlowSweep`](crate::FlowSweep) — which shards the strategies of
-/// one grid point across workers, so two strategies may run concurrently
-/// against clones of the same routed design — hence the `Sync` bound; the
-/// design being repaired is owned per task, so implementations only need
-/// immutable configuration.
+/// Strategies are shared by reference across worker threads —
+/// [`FlowSweep::run`](crate::FlowSweep::run) charges one strategy list on
+/// every worker, and the `fig_strategy_matrix` job source shares one set
+/// across its tasks — hence the `Sync` bound; the design being repaired is
+/// a clone owned per call, so implementations only need immutable
+/// configuration.
 pub trait DeadlockStrategy: Sync {
     /// Human-readable scheme name (used in sweep output and diagnostics).
     fn name(&self) -> &str;

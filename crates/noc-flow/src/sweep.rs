@@ -5,19 +5,16 @@
 //! number of deadlock strategies, one pass that synthesizes each design once
 //! and charges every strategy against the same routed input.
 //!
-//! Grid points are independent — and within a point, the strategies are
-//! too, because every strategy is charged against its own clone of the same
-//! routed design — so the sweep can run on a pool of scoped worker threads:
-//! [`FlowSweep::run_parallel`] and [`FlowSweep::run_streaming`] shard the
-//! (grid point × strategy) work items across
-//! [`worker_threads`](FlowSweep::worker_threads) workers (see [`executor`])
-//! and still return points in deterministic grid order, byte-identical to
-//! the serial [`run`](FlowSweep::run).
+//! Grid points are independent, so [`FlowSweep::run`] maps them across
+//! [`worker_threads`](FlowSweep::worker_threads) scoped workers
+//! ([`executor::parallel_map_ordered`]): each point is
+//! [`prepare`](FlowSweep::prepare)d once and [`charge`](FlowSweep::charge)d
+//! with every strategy in order, and the points come back in deterministic
+//! grid order, identical for every worker count.  External schedulers (the
+//! `noc-jobs` runner) drive the same three steps one task at a time.
 
 use crate::error::FlowError;
 use crate::executor;
-pub use crate::executor::SweepProgress;
-use crate::router::Router;
 use crate::stage::{DesignFlow, RoutedStage};
 use crate::strategy::DeadlockStrategy;
 use noc_deadlock::certify::CertifyReport;
@@ -355,12 +352,11 @@ impl FlowSweep {
         self
     }
 
-    /// Sets the number of worker threads for
-    /// [`run_parallel`](Self::run_parallel) and
-    /// [`run_streaming`](Self::run_streaming).
+    /// Sets the number of worker threads [`run`](Self::run) maps the grid
+    /// points across.
     ///
     /// `0` (the default) auto-sizes to the machine's available parallelism.
-    /// The serial [`run`](Self::run) ignores this setting.
+    /// The points, and any error, are the same for every setting.
     pub fn worker_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -423,56 +419,17 @@ impl FlowSweep {
     /// template's `link_cost`, the paper's input routing — then charges
     /// every strategy against that same routed design.
     ///
+    /// The grid points are mapped across
+    /// [`worker_threads`](Self::worker_threads) scoped workers; each point
+    /// is prepared and charged on one worker, and the points come back in
+    /// grid order, identical for every worker count.
+    ///
     /// # Errors
     ///
     /// [`FlowError::EmptyStrategySet`] if `strategies` is empty (a sweep
     /// with no strategies would silently yield points with no outcomes);
-    /// otherwise the first stage error of the grid.
-    pub fn run(&self, strategies: &[&dyn DeadlockStrategy]) -> Result<Vec<SweepPoint>, FlowError> {
-        self.run_inner(None, strategies)
-    }
-
-    /// Same as [`run`](Self::run), but re-routes every synthesized design
-    /// with an explicit input [`Router`] instead of the synthesizer's
-    /// default routes.
-    pub fn run_with_router(
-        &self,
-        router: &dyn Router,
-        strategies: &[&dyn DeadlockStrategy],
-    ) -> Result<Vec<SweepPoint>, FlowError> {
-        self.run_inner(Some(router), strategies)
-    }
-
-    /// Runs the grid on a pool of scoped worker threads — one task per
-    /// (grid point × strategy) pair, so even a single grid point with
-    /// several strategies parallelizes — and returns the points in the same
-    /// deterministic grid order as [`run`](Self::run): the two are
-    /// interchangeable, the parallel path is just faster on multi-core
-    /// machines.
-    ///
-    /// The routed design of a point is prepared once, by whichever worker
-    /// reaches the point first; the point's strategies then run against
-    /// clones of it, exactly like the serial path.
-    ///
-    /// The pool size comes from [`worker_threads`](Self::worker_threads)
-    /// (auto-sized by default).  On the first failing task the sweep stops
-    /// handing out work and returns the error that the serial run would
-    /// have reported.
-    pub fn run_parallel(
-        &self,
-        strategies: &[&dyn DeadlockStrategy],
-    ) -> Result<Vec<SweepPoint>, FlowError> {
-        self.run_streaming(strategies, |_| {})
-    }
-
-    /// Same as [`run_parallel`](Self::run_parallel), but streams every
-    /// completed point through `observer` as soon as its worker finishes —
-    /// in completion order, which under parallelism is *not* grid order —
-    /// so long sweeps can report progress while running.  The returned
-    /// vector is still in deterministic grid order.
-    ///
-    /// The observer runs on the calling thread; workers keep computing
-    /// while it executes.
+    /// otherwise the error of the earliest failing grid point, and within
+    /// it of its preparation or its first failing strategy.
     ///
     /// # Example
     ///
@@ -480,40 +437,46 @@ impl FlowSweep {
     /// use noc_flow::{CycleBreaking, FlowSweep};
     /// use noc_topology::benchmarks::Benchmark;
     ///
-    /// let points = FlowSweep::new()
+    /// let sweep = FlowSweep::new()
     ///     .benchmark(Benchmark::D26Media)
     ///     .switch_counts([6, 10, 14])
-    ///     .power_estimates(false)
-    ///     .worker_threads(2)
-    ///     .run_streaming(&[&CycleBreaking::default()], |progress| {
-    ///         eprintln!(
-    ///             "[{}/{}] {} @ {} switches done",
-    ///             progress.completed,
-    ///             progress.total,
-    ///             progress.point.benchmark,
-    ///             progress.point.switch_count,
-    ///         );
-    ///     })?;
-    /// assert_eq!(points.len(), 3);
+    ///     .power_estimates(false);
+    /// let serial = sweep.clone().worker_threads(1).run(&[&CycleBreaking::default()])?;
+    /// let parallel = sweep.worker_threads(2).run(&[&CycleBreaking::default()])?;
+    /// assert_eq!(serial, parallel);
     /// # Ok::<(), noc_flow::FlowError>(())
     /// ```
-    pub fn run_streaming(
-        &self,
-        strategies: &[&dyn DeadlockStrategy],
-        observer: impl FnMut(SweepProgress<'_>),
-    ) -> Result<Vec<SweepPoint>, FlowError> {
-        executor::run_sharded(self, None, strategies, observer)
-    }
-
-    /// Parallel + streaming sweep with an explicit input [`Router`], the
-    /// parallel counterpart of [`run_with_router`](Self::run_with_router).
-    pub fn run_streaming_with_router(
-        &self,
-        router: &dyn Router,
-        strategies: &[&dyn DeadlockStrategy],
-        observer: impl FnMut(SweepProgress<'_>),
-    ) -> Result<Vec<SweepPoint>, FlowError> {
-        executor::run_sharded(self, Some(router), strategies, observer)
+    pub fn run(&self, strategies: &[&dyn DeadlockStrategy]) -> Result<Vec<SweepPoint>, FlowError> {
+        if strategies.is_empty() {
+            return Err(FlowError::EmptyStrategySet);
+        }
+        let grid = self.grid_points();
+        // Umbrella span on the calling thread: the per-point spans live on
+        // the workers, so without it the pool's start-up and join would be
+        // unattributed wall time in a trace.
+        let mut span = noc_telemetry::span("sweep", "run");
+        span.arg("points", grid.len());
+        executor::parallel_map_ordered(&grid, self.threads, |&(benchmark, switch_count)| {
+            let point = {
+                let mut span = noc_telemetry::span("sweep", "prepare_point");
+                span.arg("benchmark", benchmark.name())
+                    .arg("switches", switch_count);
+                self.prepare(benchmark, switch_count)?
+            };
+            let outcomes = strategies
+                .iter()
+                .map(|&strategy| {
+                    let mut span = noc_telemetry::span("sweep", "strategy_outcome");
+                    span.arg("benchmark", benchmark.name())
+                        .arg("switches", switch_count)
+                        .arg("strategy", strategy.name());
+                    self.charge(&point, strategy)
+                })
+                .collect::<Result<_, _>>()?;
+            Ok(point.assemble(outcomes))
+        })
+        .into_iter()
+        .collect()
     }
 
     /// The feasible, deduplicated (benchmark, switch-count) grid in
@@ -523,7 +486,7 @@ impl FlowSweep {
     /// Infeasible combinations (zero switches, or more switches than cores)
     /// are skipped; duplicate benchmarks or switch counts contribute a
     /// single grid point each.
-    pub(crate) fn grid(&self) -> Vec<(Benchmark, usize)> {
+    pub fn grid_points(&self) -> Vec<(Benchmark, usize)> {
         let benchmarks = dedup_preserving_order(&self.benchmarks);
         let counts = dedup_preserving_order(&self.switch_counts);
         let mut grid = Vec::with_capacity(benchmarks.len() * counts.len());
@@ -538,32 +501,27 @@ impl FlowSweep {
         grid
     }
 
-    /// Number of worker threads a parallel run will use.
-    pub(crate) fn requested_threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Prepares one grid point: synthesize, route, estimate the original
-    /// design.  The returned [`PointSeed`] is what every strategy task of
-    /// the point is charged against — shared by the serial path and the
-    /// sharded executor so both produce identical points.
-    pub(crate) fn prepare_point(
+    /// Prepares one grid point — synthesize, route, estimate the original
+    /// design — returning the routed design every strategy of the point is
+    /// charged against.  Together with [`charge`](Self::charge) and
+    /// [`PreparedPoint::assemble`] this is all [`run`](Self::run) does per
+    /// point, so external schedulers (the `noc-jobs` runner) can drive a
+    /// sweep one (point × strategy) task at a time and produce identical
+    /// points.
+    pub fn prepare(
         &self,
         benchmark: Benchmark,
         switch_count: usize,
-        router: Option<&dyn Router>,
-    ) -> Result<PointSeed, FlowError> {
+    ) -> Result<PreparedPoint, FlowError> {
         let config = SynthesisConfig {
             switch_count,
             ..self.template.clone()
         };
-        let stage = DesignFlow::from_benchmark(benchmark).synthesize(config)?;
-        let routed = match router {
-            Some(router) => stage.route(router)?,
-            None => stage.route_default()?,
-        };
+        let routed = DesignFlow::from_benchmark(benchmark)
+            .synthesize(config)?
+            .route_default()?;
         let original = self.estimate_power.then(|| routed.power(self.tech.clone()));
-        Ok(PointSeed {
+        Ok(PreparedPoint {
             benchmark,
             switch_count,
             original_power_mw: original.as_ref().map(|e| e.total_power_mw),
@@ -574,12 +532,12 @@ impl FlowSweep {
 
     /// Charges one strategy against a prepared point (on a clone of the
     /// routed design, so outcomes are independent of execution order).
-    pub(crate) fn strategy_outcome(
+    pub fn charge(
         &self,
-        seed: &PointSeed,
+        point: &PreparedPoint,
         strategy: &dyn DeadlockStrategy,
     ) -> Result<StrategyOutcome, FlowError> {
-        let fixed = seed.routed.resolve_deadlocks(strategy)?;
+        let fixed = point.routed.resolve_deadlocks(strategy)?;
         let estimate = self.estimate_power.then(|| fixed.power(self.tech.clone()));
         let sim = match &self.vc_sim {
             Some(spec) => {
@@ -629,66 +587,13 @@ impl FlowSweep {
             fault,
         })
     }
-
-    /// The feasible, deduplicated (benchmark, switch-count) grid in
-    /// deterministic sweep order — the public face of `FlowSweep::grid`
-    /// for callers (like the `noc-jobs` task decomposer) that need to
-    /// enumerate a sweep's work units without running it.
-    pub fn grid_points(&self) -> Vec<(Benchmark, usize)> {
-        self.grid()
-    }
-
-    /// Prepares one grid point — synthesize, route, estimate — returning
-    /// the shared design every strategy task of the point is charged
-    /// against.  Together with [`FlowSweep::charge`] this lets external
-    /// schedulers (the `noc-jobs` runner) drive a sweep one (point ×
-    /// strategy) task at a time while producing points byte-identical to
-    /// [`FlowSweep::run`].
-    pub fn prepare(
-        &self,
-        benchmark: Benchmark,
-        switch_count: usize,
-    ) -> Result<PreparedPoint, FlowError> {
-        self.prepare_point(benchmark, switch_count, None)
-            .map(|seed| PreparedPoint { seed })
-    }
-
-    /// Charges one strategy against a prepared point (on a clone of the
-    /// routed design, so outcomes are independent of execution order).
-    pub fn charge(
-        &self,
-        point: &PreparedPoint,
-        strategy: &dyn DeadlockStrategy,
-    ) -> Result<StrategyOutcome, FlowError> {
-        self.strategy_outcome(&point.seed, strategy)
-    }
-
-    fn run_inner(
-        &self,
-        router: Option<&dyn Router>,
-        strategies: &[&dyn DeadlockStrategy],
-    ) -> Result<Vec<SweepPoint>, FlowError> {
-        if strategies.is_empty() {
-            return Err(FlowError::EmptyStrategySet);
-        }
-        self.grid()
-            .into_iter()
-            .map(|(benchmark, switch_count)| {
-                let seed = self.prepare_point(benchmark, switch_count, router)?;
-                let outcomes = strategies
-                    .iter()
-                    .map(|&strategy| self.strategy_outcome(&seed, strategy))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(seed.point(outcomes))
-            })
-            .collect()
-    }
 }
 
-/// A prepared grid point: the routed design every strategy of the point is
-/// charged against, plus the point-level metadata the final [`SweepPoint`]
-/// carries.
-pub(crate) struct PointSeed {
+/// A grid point prepared through [`FlowSweep::prepare`]: the routed design
+/// that [`FlowSweep::charge`] charges strategies against, plus the
+/// point-level metadata that [`PreparedPoint::assemble`] puts into the
+/// final [`SweepPoint`].
+pub struct PreparedPoint {
     benchmark: Benchmark,
     switch_count: usize,
     original_power_mw: Option<f64>,
@@ -696,10 +601,21 @@ pub(crate) struct PointSeed {
     routed: RoutedStage,
 }
 
-impl PointSeed {
+impl PreparedPoint {
+    /// The benchmark this point was prepared for.
+    pub fn benchmark(&self) -> Benchmark {
+        self.benchmark
+    }
+
+    /// The switch count this point was prepared for.
+    pub fn switch_count(&self) -> usize {
+        self.switch_count
+    }
+
     /// Assembles the final point from the per-strategy outcomes (in
-    /// strategy declaration order).
-    pub(crate) fn point(&self, outcomes: Vec<StrategyOutcome>) -> SweepPoint {
+    /// strategy declaration order) — identical to what [`FlowSweep::run`]
+    /// produces for this point.
+    pub fn assemble(&self, outcomes: Vec<StrategyOutcome>) -> SweepPoint {
         SweepPoint {
             benchmark: self.benchmark,
             switch_count: self.switch_count,
@@ -709,33 +625,6 @@ impl PointSeed {
             original_area_um2: self.original_area_um2,
             outcomes,
         }
-    }
-}
-
-/// A grid point prepared through [`FlowSweep::prepare`]: an opaque handle
-/// over the routed design that [`FlowSweep::charge`] charges strategies
-/// against and that [`PreparedPoint::assemble`] turns into the final
-/// [`SweepPoint`].
-pub struct PreparedPoint {
-    seed: PointSeed,
-}
-
-impl PreparedPoint {
-    /// The benchmark this point was prepared for.
-    pub fn benchmark(&self) -> Benchmark {
-        self.seed.benchmark
-    }
-
-    /// The switch count this point was prepared for.
-    pub fn switch_count(&self) -> usize {
-        self.seed.switch_count
-    }
-
-    /// Assembles the final point from the per-strategy outcomes (in
-    /// strategy declaration order) — identical to what a full
-    /// [`FlowSweep::run`] would have produced for this point.
-    pub fn assemble(&self, outcomes: Vec<StrategyOutcome>) -> SweepPoint {
-        self.seed.point(outcomes)
     }
 }
 

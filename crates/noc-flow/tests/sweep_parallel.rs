@@ -1,14 +1,15 @@
-//! Contract tests for the sharded sweep executor: the parallel and
-//! streaming paths must be drop-in replacements for the serial
-//! [`FlowSweep::run`], point for point.
+//! Contract tests for [`FlowSweep::run`] across worker counts: the points,
+//! and the error of a failing sweep, must not depend on
+//! [`worker_threads`](FlowSweep::worker_threads).
 
 use noc_flow::{
     CycleBreaking, DeadlockResolution, DeadlockStrategy, FlowError, FlowSweep, ResourceOrdering,
-    ShortestPathRouter, ToJson,
+    StrategyKind, SweepPoint, ToJson,
 };
 use noc_routing::RouteSet;
 use noc_topology::benchmarks::Benchmark;
-use noc_topology::Topology;
+use noc_topology::{Topology, TopologyError};
+use std::sync::{Condvar, Mutex};
 
 fn two_benchmark_sweep() -> FlowSweep {
     FlowSweep::new()
@@ -18,78 +19,48 @@ fn two_benchmark_sweep() -> FlowSweep {
         .power_estimates(false)
 }
 
+/// The worker counts every determinism test runs, one serial.
+const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 16];
+
+/// Runs `sweep` at every count of [`WORKER_COUNTS`], asserts the points are
+/// identical, and returns them.
+fn run_at_every_worker_count(
+    sweep: &FlowSweep,
+    strategies: &[&dyn DeadlockStrategy],
+) -> Vec<SweepPoint> {
+    let serial = sweep.clone().worker_threads(1).run(strategies).unwrap();
+    for threads in &WORKER_COUNTS[1..] {
+        let parallel = sweep
+            .clone()
+            .worker_threads(*threads)
+            .run(strategies)
+            .unwrap();
+        assert_eq!(serial, parallel, "threads = {threads}");
+    }
+    serial
+}
+
 #[test]
 fn parallel_results_equal_serial_results() {
     let removal = CycleBreaking::default();
     let ordering = ResourceOrdering;
-    let strategies: &[&dyn DeadlockStrategy] = &[&removal, &ordering];
-    let sweep = two_benchmark_sweep();
-
-    let serial = sweep.run(strategies).unwrap();
-    for threads in [1, 2, 4] {
-        let parallel = sweep
-            .clone()
-            .worker_threads(threads)
-            .run_parallel(strategies)
-            .unwrap();
-        assert_eq!(serial, parallel, "threads = {threads}");
-    }
-}
-
-#[test]
-fn parallel_results_equal_serial_results_with_explicit_router() {
-    let removal = CycleBreaking::default();
-    let strategies: &[&dyn DeadlockStrategy] = &[&removal];
-    let router = ShortestPathRouter::default();
-    let sweep = two_benchmark_sweep();
-
-    let serial = sweep.run_with_router(&router, strategies).unwrap();
-    let parallel = sweep
-        .worker_threads(2)
-        .run_streaming_with_router(&router, strategies, |_| {})
-        .unwrap();
-    assert_eq!(serial, parallel);
-}
-
-#[test]
-fn streaming_reports_every_point_exactly_once() {
-    let removal = CycleBreaking::default();
-    let strategies: &[&dyn DeadlockStrategy] = &[&removal];
-    let sweep = two_benchmark_sweep().worker_threads(3);
-
-    let mut seen_indices = Vec::new();
-    let mut completed_sequence = Vec::new();
-    let points = sweep
-        .run_streaming(strategies, |progress| {
-            seen_indices.push(progress.index);
-            completed_sequence.push(progress.completed);
-            assert_eq!(progress.total, 6);
-            assert!(progress.point.switch_count > 0);
-        })
-        .unwrap();
-
+    let points = run_at_every_worker_count(&two_benchmark_sweep(), &[&removal, &ordering]);
     assert_eq!(points.len(), 6);
-    // `completed` counts monotonically on the observer thread...
-    assert_eq!(completed_sequence, (1..=6).collect::<Vec<_>>());
-    // ...and every grid index is observed exactly once, whatever the
-    // completion order was.
-    seen_indices.sort_unstable();
-    assert_eq!(seen_indices, (0..6).collect::<Vec<_>>());
 }
 
 #[test]
 fn duplicate_benchmarks_and_switch_counts_are_deduplicated() {
     let removal = CycleBreaking::default();
     let strategies: &[&dyn DeadlockStrategy] = &[&removal];
-    let deduped = FlowSweep::new()
+    let duplicated = FlowSweep::new()
         .benchmark(Benchmark::D26Media)
         .benchmark(Benchmark::D26Media)
         .benchmarks([Benchmark::D36x8, Benchmark::D26Media])
         .switch_counts([10, 6, 10])
         .switch_counts([6])
-        .power_estimates(false)
-        .run(strategies)
-        .unwrap();
+        .power_estimates(false);
+    // Every worker count shares the same grid.
+    let deduped = run_at_every_worker_count(&duplicated, strategies);
     let clean = FlowSweep::new()
         .benchmarks([Benchmark::D26Media, Benchmark::D36x8])
         .switch_counts([10, 6])
@@ -111,21 +82,9 @@ fn duplicate_benchmarks_and_switch_counts_are_deduplicated() {
             (Benchmark::D36x8, 6),
         ]
     );
-    // The parallel path shares the same grid.
-    let parallel = FlowSweep::new()
-        .benchmark(Benchmark::D26Media)
-        .benchmark(Benchmark::D26Media)
-        .benchmarks([Benchmark::D36x8, Benchmark::D26Media])
-        .switch_counts([10, 6, 10])
-        .switch_counts([6])
-        .power_estimates(false)
-        .worker_threads(2)
-        .run_parallel(strategies)
-        .unwrap();
-    assert_eq!(parallel, clean);
 }
 
-/// A strategy that always fails, for exercising the executor's error path.
+/// A strategy that always fails, for exercising the sweep's error path.
 struct AlwaysFails;
 
 impl DeadlockStrategy for AlwaysFails {
@@ -148,9 +107,101 @@ fn a_failing_point_aborts_the_parallel_sweep_with_its_error() {
     let strategies: &[&dyn DeadlockStrategy] = &[&failing];
     let error = two_benchmark_sweep()
         .worker_threads(2)
-        .run_parallel(strategies)
+        .run(strategies)
         .unwrap_err();
     assert!(matches!(error, FlowError::NoDefaultRoutes));
+}
+
+/// A strategy that fails only at the chosen switch counts, with an error
+/// naming the count, so the point an error came from is visible.
+///
+/// With `hold_earliest`, the earliest count does not fail before every
+/// other count has: under parallelism the earliest failing grid point is
+/// then forced to be the last to fail.  (It would wait forever on one
+/// worker, which reaches the earliest point first.)
+struct FailsAt {
+    /// The failing counts, earliest in grid order first.
+    counts: &'static [usize],
+    hold_earliest: bool,
+    later_failures: Mutex<usize>,
+    later_failed: Condvar,
+}
+
+impl FailsAt {
+    fn new(counts: &'static [usize], hold_earliest: bool) -> Self {
+        FailsAt {
+            counts,
+            hold_earliest,
+            later_failures: Mutex::new(0),
+            later_failed: Condvar::new(),
+        }
+    }
+}
+
+impl DeadlockStrategy for FailsAt {
+    fn name(&self) -> &str {
+        "fails-at"
+    }
+
+    fn resolve(
+        &self,
+        topology: &mut Topology,
+        _routes: &mut RouteSet,
+    ) -> Result<DeadlockResolution, FlowError> {
+        let switches = topology.switch_count();
+        let Some(position) = self.counts.iter().position(|&c| c == switches) else {
+            return Ok(DeadlockResolution::new(
+                self.name(),
+                StrategyKind::CycleBreaking,
+            ));
+        };
+        let mut later_failures = self.later_failures.lock().unwrap();
+        if position > 0 {
+            *later_failures += 1;
+            self.later_failed.notify_all();
+        } else if self.hold_earliest {
+            let later = self.counts.len() - 1;
+            while *later_failures < later {
+                later_failures = self.later_failed.wait(later_failures).unwrap();
+            }
+        }
+        let message = format!("fails at {switches}");
+        Err(FlowError::Topology(TopologyError::InvalidParameter(
+            message,
+        )))
+    }
+}
+
+#[test]
+fn the_earliest_failing_grid_point_wins_under_parallelism() {
+    // Grid order is 6, 8, ..., 20; the points at 8, 14 and 20 fail, and on
+    // more than one worker the one at 8 fails last.  The error must still
+    // be the earliest point's.
+    let sweep = FlowSweep::new()
+        .benchmark(Benchmark::D26Media)
+        .switch_counts((6..=20).step_by(2))
+        .power_estimates(false);
+    let removal = CycleBreaking::default();
+    for threads in [1, 2, 4] {
+        for after_removal in [false, true] {
+            let failing = FailsAt::new(&[8, 14, 20], threads > 1);
+            let strategies: &[&dyn DeadlockStrategy] = if after_removal {
+                &[&removal, &failing]
+            } else {
+                &[&failing]
+            };
+            let error = sweep
+                .clone()
+                .worker_threads(threads)
+                .run(strategies)
+                .unwrap_err();
+            assert_eq!(
+                error,
+                FlowError::Topology(TopologyError::InvalidParameter("fails at 8".into())),
+                "threads = {threads}, after removal = {after_removal}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -160,7 +211,7 @@ fn sweep_points_serialize_to_parseable_json() {
     let points = FlowSweep::new()
         .benchmark(Benchmark::D26Media)
         .switch_counts([10])
-        .run_parallel(strategies)
+        .run(strategies)
         .unwrap();
     let json = points.to_json();
     let value = noc_flow::JsonValue::parse(&json).expect("artifact is valid JSON");
@@ -206,13 +257,8 @@ fn vc_simulation_attaches_sim_stats_and_stays_deterministic() {
             },
         });
 
-    let serial = sweep.run(strategies).unwrap();
-    let parallel = sweep
-        .clone()
-        .worker_threads(2)
-        .run_parallel(strategies)
-        .unwrap();
-    assert_eq!(serial, parallel, "sim results must be deterministic");
+    // Sim results must be deterministic.
+    let serial = run_at_every_worker_count(&sweep, strategies);
 
     for point in &serial {
         for outcome in &point.outcomes {

@@ -4,9 +4,9 @@
 //! estimate the resulting power — i.e. a miniature version of the paper's
 //! Figures 8 and 10, driven by a single `FlowSweep`.
 //!
-//! The sweep runs on the parallel streaming executor: each grid point is
-//! reported on stderr the moment its worker finishes, while the final table
-//! (and the optional JSON export) keeps deterministic switch-count order.
+//! `FlowSweep::run` maps the grid points across the machine's cores and
+//! returns them in deterministic switch-count order, so the table (and the
+//! optional JSON export) is the same however the workers interleave.
 //!
 //! Run with `cargo run --release --example soc_media_synthesis`, optionally
 //! passing a path to also dump the raw sweep points as JSON:
@@ -22,12 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let points = FlowSweep::new()
         .benchmark(Benchmark::D26Media)
         .switch_counts((6..=22).step_by(4))
-        .run_streaming(&[&removal, &ordering], |progress| {
-            eprintln!(
-                "[{}/{}] {} switches synthesized and repaired",
-                progress.completed, progress.total, progress.point.switch_count
-            );
-        })?;
+        .run(&[&removal, &ordering])?;
 
     println!(
         "{:>9} {:>12} {:>12} {:>16} {:>16}",

@@ -105,10 +105,9 @@ fn repaired_designs_complete_a_simulated_workload() {
     );
 }
 
-/// The paper's Figure 8 and Figure 9 grids, through the parallel + streaming
-/// sweep API the figure binaries use: the sharded executor must produce the
-/// exact same point sequence as the serial driver, while streaming every
-/// completion to the observer.
+/// The paper's Figure 8 and Figure 9 grids through `FlowSweep::run`: one
+/// worker and 2, 4 or 16 workers must produce the exact same point
+/// sequence.
 #[test]
 fn figure_grids_are_identical_serial_and_parallel() {
     let removal = CycleBreaking::default();
@@ -122,15 +121,16 @@ fn figure_grids_are_identical_serial_and_parallel() {
             .benchmark(benchmark)
             .switch_counts(counts)
             .power_estimates(false);
-        let serial = sweep.run(strategies).unwrap();
-        let mut streamed = 0;
-        let parallel = sweep
-            .clone()
-            .worker_threads(2)
-            .run_streaming(strategies, |_| streamed += 1)
-            .unwrap();
-        assert_eq!(serial, parallel, "{benchmark}: parallel must match serial");
-        assert_eq!(streamed, serial.len(), "{benchmark}: every point streamed");
+        let serial = sweep.clone().worker_threads(1).run(strategies).unwrap();
+        assert!(!serial.is_empty(), "{benchmark}: the grid is feasible");
+        for threads in [2, 4, 16] {
+            let parallel = sweep
+                .clone()
+                .worker_threads(threads)
+                .run(strategies)
+                .unwrap();
+            assert_eq!(serial, parallel, "{benchmark}: threads = {threads}");
+        }
     }
 }
 
