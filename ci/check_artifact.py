@@ -185,6 +185,24 @@ def check_phase_breakdown(phases, wall_ms, what):
 
 SCALE_FAMILIES = ["mesh2d", "torus2d", "mesh3d", "torus3d", "fat-tree", "dragonfly"]
 
+# fig_scale's deterministic answers per grid point: (cycles_broken,
+# added_vcs) of the timed removal, then (added_vcs, cycles_broken) per
+# strategy row.  Only timings may change between builds; a different answer
+# is a behavioural change of removal or of a strategy.
+SCALE_PINNED = {
+    ("mesh2d", 256): (0, 0, {"cycle-breaking": (0, 0), "resource-ordering": (7328, 0), "escape-channel": (0, 0), "recovery-reconfig": (0, 0)}),
+    ("torus2d", 256): (15, 25, {"cycle-breaking": (25, 15), "resource-ordering": (4891, 0), "escape-channel": (388, 0), "recovery-reconfig": (0, 0)}),
+    ("dragonfly", 272): (0, 0, {"cycle-breaking": (0, 0), "resource-ordering": (614, 0), "escape-channel": (96, 0), "recovery-reconfig": (0, 0)}),
+    ("fat-tree", 341): (0, 0, {"cycle-breaking": (0, 0), "resource-ordering": (1558, 0), "escape-channel": (0, 0), "recovery-reconfig": (0, 0)}),
+    ("torus3d", 512): (16, 16, {"cycle-breaking": (16, 16), "resource-ordering": (5902, 0), "escape-channel": (827, 0), "recovery-reconfig": (0, 0)}),
+    ("mesh3d", 1000): (0, 0, {"cycle-breaking": (0, 0), "resource-ordering": (26961, 0), "escape-channel": (0, 0), "recovery-reconfig": (0, 0)}),
+    ("mesh2d", 1024): (0, 0, {"cycle-breaking": (0, 0), "resource-ordering": (76187, 0), "escape-channel": (0, 0), "recovery-reconfig": (0, 0)}),
+    ("torus2d", 1024): (115, 319, {"cycle-breaking": (319, 115), "resource-ordering": (56029, 0), "escape-channel": (2450, 0), "recovery-reconfig": (0, 0)}),
+    ("torus2d", 2025): (260, 1028, {}),
+    ("mesh2d", 4096): (0, 0, {}),
+    ("mesh2d", 10000): (0, 0, {}),
+}
+
 
 def check_fig_scale(data):
     require_keys(
@@ -254,6 +272,23 @@ def check_fig_scale(data):
                 f"{where}: strategy rows above the {cap}-switch cap",
             )
         by_family.setdefault(point["family"], []).append(point)
+        key = (point["family"], point["switches"])
+        require(key in SCALE_PINNED, f"{where}: not a pinned grid point")
+        breaks, vcs, strategies = SCALE_PINNED[key]
+        require(
+            (point["cycles_broken"], point["added_vcs"]) == (breaks, vcs),
+            f"{where}: cycles_broken/added_vcs {point['cycles_broken']}/{point['added_vcs']}"
+            f" != pinned {breaks}/{vcs}",
+        )
+        rows = {s["strategy"]: (s["added_vcs"], s["cycles_broken"]) for s in point["strategies"]}
+        require(
+            rows == strategies,
+            f"{where}: strategy (added_vcs, cycles_broken) {rows} != pinned {strategies}",
+        )
+    require(
+        sorted((p["family"], p["switches"]) for p in points) == sorted(SCALE_PINNED),
+        "fig_scale grid differs from the pinned grid",
+    )
     # The grid must scale monotonically within each family (it is generated
     # in ascending size order) and reach the headline sizes.
     for family, rows in by_family.items():

@@ -91,8 +91,8 @@ impl Cdg {
         cdg
     }
 
-    /// Looks up the vertex of `channel` in the dense index.
-    fn index_get(&self, channel: Channel) -> Option<NodeId> {
+    /// The vertex of `channel`, looked up in the dense index.
+    pub(crate) fn vertex(&self, channel: Channel) -> Option<NodeId> {
         let slot = *self.index.get(channel.link.index())?.get(channel.vc)?;
         (slot != usize::MAX).then(|| NodeId::from_index(slot))
     }
@@ -111,7 +111,7 @@ impl Cdg {
     }
 
     fn node_of(&mut self, channel: Channel) -> NodeId {
-        if let Some(node) = self.index_get(channel) {
+        if let Some(node) = self.vertex(channel) {
             node
         } else {
             let node = self.graph.add_node(channel);
@@ -141,7 +141,7 @@ impl Cdg {
     /// Creates a vertex for `channel` if it does not have one yet (new VCs
     /// added by a cycle break), counting the creation in `delta`.
     pub fn register_channel(&mut self, channel: Channel, delta: &mut CdgDelta) {
-        if self.index_get(channel).is_none() {
+        if self.vertex(channel).is_none() {
             self.node_of(channel);
             delta.channels_added += 1;
         }
@@ -158,7 +158,7 @@ impl Cdg {
     /// removed with a single linear scan.
     pub fn remove_flow_deps(&mut self, flow: FlowId, channels: &[Channel], delta: &mut CdgDelta) {
         for pair in channels.windows(2) {
-            let (Some(from), Some(to)) = (self.index_get(pair[0]), self.index_get(pair[1])) else {
+            let (Some(from), Some(to)) = (self.vertex(pair[0]), self.vertex(pair[1])) else {
                 continue;
             };
             let Some(edge) = self.graph.find_edge(from, to) else {
@@ -259,8 +259,8 @@ impl Cdg {
     /// The flows responsible for the dependency `from -> to`, if that edge
     /// exists.
     pub fn dependency_flows(&self, from: Channel, to: Channel) -> Option<&[FlowId]> {
-        let from_node = self.index_get(from)?;
-        let to_node = self.index_get(to)?;
+        let from_node = self.vertex(from)?;
+        let to_node = self.vertex(to)?;
         let edge = self.graph.find_edge(from_node, to_node)?;
         self.graph.edge_weight(edge).map(Vec::as_slice)
     }
@@ -292,26 +292,11 @@ impl Cdg {
     /// stress workload should press on).  Empty iff the CDG is acyclic.
     /// Sorted, deduplicated.
     pub fn cyclic_flows(&self) -> Vec<FlowId> {
-        // A read-only whole-graph pass: run Tarjan over the frozen CSR view,
-        // whose node ids coincide with the mutable graph's.
-        let frozen = self.graph.freeze();
-        let components = noc_graph::scc::cyclic_components(&frozen);
-        if components.is_empty() {
-            return Vec::new();
-        }
-        let mut component_of = vec![usize::MAX; self.graph.node_count()];
-        for (index, component) in components.iter().enumerate() {
-            for &node in component {
-                component_of[node.index()] = index;
-            }
-        }
+        let components = noc_graph::scc::components(&self.graph);
         let mut flows: Vec<FlowId> = self
             .graph
             .edges()
-            .filter(|e| {
-                let source = component_of[e.source.index()];
-                source != usize::MAX && source == component_of[e.target.index()]
-            })
+            .filter(|e| components.is_internal(e.source, e.target))
             .flat_map(|e| e.weight.iter().copied())
             .collect();
         flows.sort();

@@ -160,28 +160,21 @@ pub fn apply_recovery_reconfig(
 
     loop {
         let graph = cdg.graph();
-        let components = scc::cyclic_components(graph);
-        if components.is_empty() {
+        let components = scc::components(graph);
+        if !components.has_cycle() {
             break;
         }
-
-        // Which cyclic component (if any) each channel vertex belongs to:
-        // dense, keyed by node index, `usize::MAX` = not in a cyclic SCC.
-        let mut component_of = vec![usize::MAX; graph.node_count()];
-        let mut scc_channels = 0usize;
-        for (index, component) in components.iter().enumerate() {
-            scc_channels += component.len();
-            for &node in component {
-                component_of[node.index()] = index;
-            }
-        }
+        let sccs = components.cyclic_ids().count();
+        let scc_channels: usize = components
+            .cyclic_ids()
+            .map(|id| components.members(id).len())
+            .sum();
 
         // Every flow contributing a dependency *inside* a cyclic SCC gets
         // drained.  BTreeSet keeps the drain order deterministic.
         let mut drain: BTreeSet<FlowId> = BTreeSet::new();
         for edge in graph.edges() {
-            let source = component_of[edge.source.index()];
-            if source != usize::MAX && source == component_of[edge.target.index()] {
+            if components.is_internal(edge.source, edge.target) {
                 drain.extend(edge.weight.iter().copied());
             }
         }
@@ -222,7 +215,7 @@ pub fn apply_recovery_reconfig(
         }
 
         steps.push(RecoveryStep {
-            sccs: components.len(),
+            sccs,
             scc_channels,
             flows_drained: drain.len(),
             hops_before,

@@ -8,16 +8,26 @@
 //!
 //! The CDG update is incremental: a break only changes the dependencies of
 //! the flows it re-routed, so the loop applies exactly those deltas
-//! ([`Cdg::remove_flow_deps`] / [`Cdg::add_flow_deps`]) and seeds the next
-//! smallest-cycle query from the touched vertices, instead of rebuilding
-//! the whole graph from scratch every iteration.
+//! ([`Cdg::remove_flow_deps`] / [`Cdg::add_flow_deps`]) instead of
+//! rebuilding the whole graph from scratch every iteration, and the next
+//! smallest-cycle query finds the changed edges by itself.
 //! [`remove_deadlocks_rebuilding`] keeps the from-scratch path as a
 //! reference oracle; both produce identical reports
 //! ([`RemovalReport::same_outcome`]), which the equivalence tests assert
 //! over the full benchmark grids.
+//!
+//! Each iteration costs what its cycle touches.  The cost tables visit only
+//! the flows the CDG lists on the cycle's edges ([`cost_tables`]), the
+//! cheaper direction comes from one chooser
+//! ([`CycleCosts::best_break`](crate::cost::CycleCosts::best_break),
+//! masked by the [`DirectionPolicy`]), and the flows re-routed are the
+//! chosen edge's CDG flow list in ascending order — the order a scan of the
+//! route set would meet them in, so re-routes and CDG deltas apply in the
+//! same order as the paper's route scan.  Both loops, incremental and
+//! rebuilding, read these from their own CDG.
 
 use crate::cdg::{Cdg, CdgDelta};
-use crate::cost::{cost_table, CostTable, Direction};
+use crate::cost::{cost_tables, Direction};
 use crate::report::{BreakStep, CdgDeltaStats, RemovalReport};
 use noc_graph::cycles::IncrementalCycleFinder;
 use noc_routing::RouteSet;
@@ -37,6 +47,17 @@ pub enum DirectionPolicy {
     ForwardOnly,
     /// Only ever break in the backward direction.
     BackwardOnly,
+}
+
+impl DirectionPolicy {
+    /// `true` when the policy lets Algorithm 1 break in `direction`.
+    pub(crate) fn allows(self, direction: Direction) -> bool {
+        match self {
+            DirectionPolicy::Both => true,
+            DirectionPolicy::ForwardOnly => direction == Direction::Forward,
+            DirectionPolicy::BackwardOnly => direction == Direction::Backward,
+        }
+    }
 }
 
 /// Configuration of a removal run.
@@ -192,39 +213,18 @@ fn run_removal(
             });
         }
 
-        // Steps 5–6: cost of breaking in each allowed direction.
-        let forward = matches!(
-            config.direction,
-            DirectionPolicy::Both | DirectionPolicy::ForwardOnly
-        )
-        .then(|| cost_table(&current, routes, Direction::Forward));
-        let backward = matches!(
-            config.direction,
-            DirectionPolicy::Both | DirectionPolicy::BackwardOnly
-        )
-        .then(|| cost_table(&current, routes, Direction::Backward));
-
-        let f_best = forward.as_ref().and_then(CostTable::best);
-        let b_best = backward.as_ref().and_then(CostTable::best);
-
-        // Step 7: pick the cheaper direction (ties favour forward).
-        let (cost, pos, direction) = match (f_best, b_best) {
-            (Some((fc, fp)), Some((bc, bp))) => {
-                if fc <= bc {
-                    (fc, fp, Direction::Forward)
-                } else {
-                    (bc, bp, Direction::Backward)
-                }
-            }
-            (Some((fc, fp)), None) => (fc, fp, Direction::Forward),
-            (None, Some((bc, bp))) => (bc, bp, Direction::Backward),
-            (None, None) => {
-                return Err(RemovalError::InconsistentCycle { cycle: current });
-            }
+        // Steps 5–7: cost of breaking in each direction; pick the cheaper
+        // allowed one (ties favour forward).
+        let Some((cost, pos, direction)) =
+            cost_tables(&current, &cdg, routes).best_break(config.direction)
+        else {
+            return Err(RemovalError::InconsistentCycle { cycle: current });
         };
 
-        // Steps 8–10: break the cycle by duplicating channels and re-routing.
-        let outcome = break_cycle(topology, routes, &current, pos, cost, direction)?;
+        // Steps 8–10: break the cycle by duplicating channels and re-routing
+        // the flows that create the chosen dependency, in ascending order.
+        let offending = creating_flows(&cdg, current[pos], current[(pos + 1) % current.len()]);
+        let outcome = break_cycle(topology, routes, &current, pos, cost, direction, &offending)?;
 
         report.cycles_broken += 1;
         report.added_vcs += cost;
@@ -304,7 +304,8 @@ struct BreakOutcome {
 
 /// Breaks the dependency `pos` of `cycle` in the given direction
 /// (`BreakCycleForward` / `BreakCycleBackward`): adds `cost` VCs, re-routes
-/// every offending flow onto them and thereby removes the dependency edge.
+/// every `offending` flow (the flows that create the dependency) onto them
+/// and thereby removes the dependency edge.
 fn break_cycle(
     topology: &mut Topology,
     routes: &mut RouteSet,
@@ -312,6 +313,7 @@ fn break_cycle(
     pos: usize,
     cost: usize,
     direction: Direction,
+    offending: &[FlowId],
 ) -> Result<BreakOutcome, RemovalError> {
     let len = cycle.len();
     let from = cycle[pos];
@@ -343,9 +345,8 @@ fn break_cycle(
     // cycle); every occurrence must move onto the duplicates, otherwise the
     // dependency edge survives the break and the loop re-breaks the same
     // cycle, burning extra VCs.
-    let offending = offending_flows(routes, from, to);
     let mut rerouted: Vec<(FlowId, Vec<Channel>)> = Vec::with_capacity(offending.len());
-    for &flow in &offending {
+    for &flow in offending {
         let route = routes
             .route_mut(flow)
             .expect("offending flows exist in the route set");
@@ -404,9 +405,23 @@ fn break_cycle(
     })
 }
 
+/// The flows that create the dependency `from -> to`, read off the CDG and
+/// sorted ascending: the order a scan of the route set meets them in, so
+/// flows are re-routed and their CDG deltas applied in that order.
+pub(crate) fn creating_flows(cdg: &Cdg, from: Channel, to: Channel) -> Vec<FlowId> {
+    let mut flows = cdg
+        .dependency_flows(from, to)
+        .map(<[FlowId]>::to_vec)
+        .unwrap_or_default();
+    flows.sort_unstable();
+    flows
+}
+
 /// The flows whose route contains the channel pair `from` immediately
-/// followed by `to`.
-fn offending_flows(routes: &RouteSet, from: Channel, to: Channel) -> Vec<noc_topology::FlowId> {
+/// followed by `to`, found by scanning every route: the reference for the
+/// CDG's per-dependency flow lists the removal loop reads instead.
+#[cfg(test)]
+pub(crate) fn offending_flows(routes: &RouteSet, from: Channel, to: Channel) -> Vec<FlowId> {
     routes
         .iter()
         .filter(|(_, r)| r.channels().windows(2).any(|w| w[0] == from && w[1] == to))
@@ -591,8 +606,17 @@ mod tests {
         let (a, b, c) = (channels[0], channels[1], channels[2]);
         // Break the dependency A -> B of the cycle [A, B, C] forward at
         // cost 1 (duplicate A only).
-        let outcome =
-            break_cycle(&mut topo, &mut routes, &[a, b, c], 0, 1, Direction::Forward).unwrap();
+        let offending = offending_flows(&routes, a, b);
+        let outcome = break_cycle(
+            &mut topo,
+            &mut routes,
+            &[a, b, c],
+            0,
+            1,
+            Direction::Forward,
+            &offending,
+        )
+        .unwrap();
         assert_eq!(outcome.flows_rerouted, 1, "one flow crosses A -> B (twice)");
         assert_eq!(outcome.new_channels.len(), 1, "cost 1 adds one VC");
         assert_eq!(outcome.rerouted.len(), 1);

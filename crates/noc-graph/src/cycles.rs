@@ -25,7 +25,8 @@
 //! epoch-stamped workspace that is reused from BFS to BFS, so a per-vertex
 //! search allocates nothing but the cycle it returns.  For the smallest-cycle scan the snapshot holds
 //! only the members of cyclic strongly connected components, positioned in
-//! rank order, with the edges inside each component: a node outside the
+//! rank order, with the edges inside each component (found by the
+//! [`scc`] kernel run on the same snapshot): a node outside the
 //! start's component can never lie on a path back to the start, so it can
 //! neither close a cycle nor parent a node that does.  The BFS tree, and so
 //! the cycle reported, is the one the search over the whole graph builds.
@@ -269,7 +270,7 @@ impl IncrementalCycleFinder {
     ) -> Option<Vec<NodeId>> {
         noc_telemetry::counter("cycles.queries", 1);
         let adjacency = Csr::of_graph(graph);
-        let pool = Pool::of(graph, &adjacency, &rank);
+        let pool = Pool::of(&adjacency, &rank);
         self.update_bounds(&adjacency, &pool);
 
         // The canonical scan: ascending rank, each BFS capped at one less
@@ -381,19 +382,19 @@ struct Pool {
 }
 
 impl Pool {
-    /// The pool of `graph`, whose node-id adjacency is `adjacency`.
-    fn of<G: GraphView, K: Ord>(graph: &G, adjacency: &Csr, rank: &impl Fn(NodeId) -> K) -> Self {
+    /// The pool of the graph whose node-id adjacency is `adjacency`.
+    fn of<K: Ord>(adjacency: &Csr, rank: &impl Fn(NodeId) -> K) -> Self {
         let components = {
             let _span = noc_telemetry::span("scc", "full_tarjan");
-            scc::cyclic_components(graph)
+            scc::components_of(adjacency.len(), |v| {
+                adjacency.successors(v).iter().map(|&succ| succ as usize)
+            })
         };
-        let mut component_of = vec![OUTSIDE; adjacency.len()];
-        for (index, members) in components.iter().enumerate() {
-            for &node in members {
-                component_of[node.index()] = index as u32;
-            }
-        }
-        let mut nodes: Vec<NodeId> = components.into_iter().flatten().collect();
+        let mut nodes: Vec<NodeId> = components
+            .cyclic_ids()
+            .flat_map(|id| components.members(id))
+            .copied()
+            .collect();
         nodes.sort_by_key(|&node| rank(node));
         let mut position = vec![OUTSIDE; adjacency.len()];
         for (p, node) in nodes.iter().enumerate() {
@@ -402,12 +403,13 @@ impl Pool {
 
         let mut restricted = Csr::with_capacity(nodes.len());
         for &node in &nodes {
-            let own = component_of[node.index()];
             restricted.push_row(
                 adjacency
                     .successors(node.index())
                     .iter()
-                    .filter(|&&succ| component_of[succ as usize] == own)
+                    .filter(|&&succ| {
+                        components.is_internal(node, NodeId::from_index(succ as usize))
+                    })
                     .map(|&succ| position[succ as usize]),
             );
         }

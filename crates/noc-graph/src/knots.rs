@@ -16,33 +16,26 @@
 
 use crate::csr::GraphView;
 use crate::digraph::NodeId;
-use crate::scc::tarjan_scc;
+use crate::scc;
 
 /// The strongly-connected components of `graph` with no edge leaving the
 /// component (the *sink* components of the condensation), in the reverse
-/// topological order [`tarjan_scc`] yields.
+/// topological order [`scc::tarjan_scc`] yields.
 ///
 /// Every graph with at least one node has at least one sink component; a
 /// trivial single node with no outgoing edges is one.
 pub fn sink_components<G: GraphView>(graph: &G) -> Vec<Vec<NodeId>> {
-    let components = tarjan_scc(graph);
-    let mut component_of = vec![usize::MAX; graph.node_count()];
-    for (index, component) in components.iter().enumerate() {
-        for &node in component {
-            component_of[node.index()] = index;
-        }
-    }
-    components
-        .iter()
-        .enumerate()
-        .filter(|(index, component)| {
-            component.iter().all(|&node| {
+    let components = scc::components(graph);
+    (0..components.len())
+        .map(|id| components.members(id))
+        .filter(|members| {
+            members.iter().all(|&node| {
                 graph
                     .successors(node)
-                    .all(|succ| component_of[succ.index()] == *index)
+                    .all(|succ| components.is_internal(node, succ))
             })
         })
-        .map(|(_, component)| component.clone())
+        .map(<[NodeId]>::to_vec)
         .collect()
 }
 

@@ -4,19 +4,190 @@
 //! trivial (a single node without a self-loop), so SCC computation doubles as
 //! a fast acyclicity check and is also used to restrict expensive cycle
 //! enumeration to the component that actually contains cycles.
+//!
+//! # One kernel
+//!
+//! Every entry point runs the same O(V + E) kernel.  Its DFS stack holds one
+//! frame per open node with that node's successor iterator, so resuming a
+//! node after a child returns continues the iterator where it stopped: no
+//! successor list is collected and no node is rescanned.  "On the Tarjan
+//! stack" is read off the arrays the kernel keeps anyway (visited, and not
+//! yet assigned a component), and a self-loop is noted in the frame, so the
+//! kernel allocates its per-node arrays once per call and nothing per node.
+//!
+//! The kernel returns [`Components`]: a component id per node and a cyclic
+//! flag per component, with the members of each component in the order
+//! Tarjan pops them.  [`tarjan_scc`], [`cyclic_components`] and
+//! [`has_cycle`] are views over it; callers that need "which component is
+//! this node in" read [`Components::component_of`] instead of rebuilding
+//! that map from the component lists.
 
 use crate::csr::GraphView;
 use crate::digraph::NodeId;
+
+/// The strongly-connected components of a graph, numbered in the order
+/// Tarjan's algorithm completes them: reverse topological order of the
+/// condensation, so a component only reaches components with smaller ids.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Components {
+    /// Component id of every node.
+    component: Vec<u32>,
+    /// The members of component `c` are `members[offsets[c]..offsets[c + 1]]`,
+    /// in the order they were popped off the Tarjan stack.
+    members: Vec<NodeId>,
+    offsets: Vec<usize>,
+    /// Whether each component contains a cycle: more than one node, or a
+    /// single node with a self-loop.
+    cyclic: Vec<bool>,
+}
+
+impl Components {
+    /// Number of components.
+    pub fn len(&self) -> usize {
+        self.cyclic.len()
+    }
+
+    /// `true` for the empty graph.
+    pub fn is_empty(&self) -> bool {
+        self.cyclic.is_empty()
+    }
+
+    /// The id of the component containing `node`.
+    pub fn component_of(&self, node: NodeId) -> usize {
+        self.component[node.index()] as usize
+    }
+
+    /// The members of component `id`, in Tarjan pop order.
+    pub fn members(&self, id: usize) -> &[NodeId] {
+        &self.members[self.offsets[id]..self.offsets[id + 1]]
+    }
+
+    /// `true` when some component contains a cycle.
+    pub fn has_cycle(&self) -> bool {
+        self.cyclic.contains(&true)
+    }
+
+    /// The ids of the components that contain a cycle, ascending.
+    pub fn cyclic_ids(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.len()).filter(|&id| self.cyclic[id])
+    }
+
+    /// `true` when both endpoints of the edge `source -> target` lie in one
+    /// component.  Such an edge lies on a cycle, so its component is cyclic.
+    pub fn is_internal(&self, source: NodeId, target: NodeId) -> bool {
+        self.component[source.index()] == self.component[target.index()]
+    }
+}
+
+/// Marks a node the DFS has not reached, or one not yet in a component.
+const NONE: u32 = u32::MAX;
+
+/// One open node of the DFS: the node, the rest of its successors, and
+/// whether a self-loop was seen among those already scanned.
+struct Frame<I> {
+    node: usize,
+    successors: I,
+    self_loop: bool,
+}
+
+/// The Tarjan kernel over nodes `0..node_count`, whose successors
+/// `successors(v)` yields in the order the DFS visits them.  Roots are tried
+/// in ascending node order.
+pub(crate) fn components_of<I: Iterator<Item = usize>>(
+    node_count: usize,
+    successors: impl Fn(usize) -> I,
+) -> Components {
+    assert!(
+        u32::try_from(node_count).is_ok(),
+        "the SCC kernel indexes nodes with u32"
+    );
+    let mut index = vec![NONE; node_count];
+    let mut lowlink = vec![NONE; node_count];
+    let mut component = vec![NONE; node_count];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut frames: Vec<Frame<I>> = Vec::new();
+    let mut members = Vec::with_capacity(node_count);
+    let mut offsets = vec![0];
+    let mut cyclic = Vec::new();
+    let mut next_index = 0u32;
+
+    for root in 0..node_count {
+        if index[root] != NONE {
+            continue;
+        }
+        let mut descend = Some(root);
+        loop {
+            if let Some(v) = descend.take() {
+                index[v] = next_index;
+                lowlink[v] = next_index;
+                next_index += 1;
+                stack.push(v);
+                frames.push(Frame {
+                    node: v,
+                    successors: successors(v),
+                    self_loop: false,
+                });
+            }
+            let Some(frame) = frames.last_mut() else {
+                break;
+            };
+            let v = frame.node;
+            if let Some(w) = frame.successors.next() {
+                frame.self_loop |= w == v;
+                if index[w] == NONE {
+                    descend = Some(w);
+                } else if component[w] == NONE {
+                    // w is still on the Tarjan stack.
+                    lowlink[v] = lowlink[v].min(index[w]);
+                }
+                continue;
+            }
+            let self_loop = frame.self_loop;
+            frames.pop();
+            if let Some(parent) = frames.last() {
+                lowlink[parent.node] = lowlink[parent.node].min(lowlink[v]);
+            }
+            if lowlink[v] == index[v] {
+                let id = cyclic.len() as u32;
+                let start = members.len();
+                loop {
+                    let w = stack.pop().expect("the root is on the Tarjan stack");
+                    component[w] = id;
+                    members.push(NodeId::from_index(w));
+                    if w == v {
+                        break;
+                    }
+                }
+                cyclic.push(members.len() - start > 1 || self_loop);
+                offsets.push(members.len());
+            }
+        }
+    }
+    Components {
+        component,
+        members,
+        offsets,
+        cyclic,
+    }
+}
+
+/// The strongly-connected components of `graph`, with component ids, cyclic
+/// flags and member order exactly as [`tarjan_scc`] reports them.
+///
+/// Generic over [`GraphView`]: runs on both the mutable
+/// [`DiGraph`](crate::DiGraph) and a frozen [`CsrGraph`](crate::CsrGraph)
+/// with identical output (freezing preserves successor iteration order).
+pub fn components<G: GraphView>(graph: &G) -> Components {
+    components_of(graph.node_count(), |v| {
+        graph.successors(NodeId::from_index(v)).map(NodeId::index)
+    })
+}
 
 /// Computes the strongly-connected components of `graph`.
 ///
 /// Components are returned in reverse topological order of the condensation
 /// (i.e. a component only depends on components that appear *before* it in
 /// the returned vector).  Every node appears in exactly one component.
-///
-/// Generic over [`GraphView`]: runs on both the mutable
-/// [`DiGraph`](crate::DiGraph) and a frozen [`CsrGraph`](crate::CsrGraph)
-/// with identical output (freezing preserves successor iteration order).
 ///
 /// # Example
 ///
@@ -34,99 +205,25 @@ use crate::digraph::NodeId;
 /// assert_eq!(comps.len(), 2);
 /// ```
 pub fn tarjan_scc<G: GraphView>(graph: &G) -> Vec<Vec<NodeId>> {
-    let n = graph.node_count();
-    let mut index = vec![usize::MAX; n];
-    let mut lowlink = vec![usize::MAX; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<NodeId> = Vec::new();
-    let mut next_index = 0usize;
-    let mut components = Vec::new();
-
-    // Explicit DFS stack entry: (node, iterator position over successors).
-    enum Frame {
-        Enter(NodeId),
-        Continue(NodeId, usize),
-    }
-
-    for start in graph.node_ids() {
-        if index[start.index()] != usize::MAX {
-            continue;
-        }
-        let mut call_stack = vec![Frame::Enter(start)];
-        while let Some(frame) = call_stack.pop() {
-            match frame {
-                Frame::Enter(v) => {
-                    index[v.index()] = next_index;
-                    lowlink[v.index()] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v.index()] = true;
-                    call_stack.push(Frame::Continue(v, 0));
-                }
-                Frame::Continue(v, succ_pos) => {
-                    let succs: Vec<NodeId> = graph.successors(v).collect();
-                    let mut pos = succ_pos;
-                    let mut descended = false;
-                    while pos < succs.len() {
-                        let w = succs[pos];
-                        if index[w.index()] == usize::MAX {
-                            // Descend into w, then resume v at pos (lowlink of
-                            // w is folded in when we resume).
-                            call_stack.push(Frame::Continue(v, pos));
-                            call_stack.push(Frame::Enter(w));
-                            descended = true;
-                            break;
-                        } else if on_stack[w.index()] {
-                            lowlink[v.index()] = lowlink[v.index()].min(index[w.index()]);
-                        }
-                        pos += 1;
-                    }
-                    if descended {
-                        continue;
-                    }
-                    // All successors processed: fold child lowlinks that were
-                    // computed after we suspended (children are on the stack
-                    // below us in `succs` order; easiest is to re-scan).
-                    for &w in &succs {
-                        if on_stack[w.index()] || index[w.index()] != usize::MAX {
-                            // Only fold lowlink through tree/back edges where the
-                            // child is still on the Tarjan stack, or was a tree
-                            // child (its lowlink is final by now).
-                            if on_stack[w.index()] {
-                                lowlink[v.index()] = lowlink[v.index()].min(lowlink[w.index()]);
-                            }
-                        }
-                    }
-                    if lowlink[v.index()] == index[v.index()] {
-                        let mut component = Vec::new();
-                        while let Some(w) = stack.pop() {
-                            on_stack[w.index()] = false;
-                            component.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        components.push(component);
-                    }
-                }
-            }
-        }
-    }
-    components
+    let components = components(graph);
+    (0..components.len())
+        .map(|id| components.members(id).to_vec())
+        .collect()
 }
 
 /// Returns the strongly-connected components that can contain a cycle:
 /// components with more than one node, plus single nodes with a self-loop.
 pub fn cyclic_components<G: GraphView>(graph: &G) -> Vec<Vec<NodeId>> {
-    tarjan_scc(graph)
-        .into_iter()
-        .filter(|comp| comp.len() > 1 || (comp.len() == 1 && graph.has_edge(comp[0], comp[0])))
+    let components = components(graph);
+    components
+        .cyclic_ids()
+        .map(|id| components.members(id).to_vec())
         .collect()
 }
 
 /// Returns `true` if the graph contains at least one directed cycle.
 pub fn has_cycle<G: GraphView>(graph: &G) -> bool {
-    !cyclic_components(graph).is_empty()
+    components(graph).has_cycle()
 }
 
 #[cfg(test)]
