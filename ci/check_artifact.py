@@ -13,6 +13,7 @@ build instead of silently producing unusable artifacts.
 
 Usage:
     ci/check_artifact.py ARTIFACT.json [--max-wall-ms W] [--min-attribution F]
+                         [--same-as OTHER.json [--ignore KEY]...]
 
 `--max-wall-ms` applies to `fig_faults` and guards the fault sweep's
 recorded `wall_ms` — the total measured task time, i.e. the sum of the
@@ -25,6 +26,12 @@ logical invariant still holds.
 files `--trace` writes): fail when less than the given fraction of the
 root span's wall time is covered by named phase spans, i.e. when the
 instrumentation stops accounting for where the time goes.
+
+`--same-as` additionally requires ARTIFACT to equal OTHER — same keys in
+the same order, same values — after deleting every object key named by an
+`--ignore` at any depth.  It is `cmp` for artifacts that carry a measured
+field, e.g. fig_faults' `wall_ms`: a traced run must reproduce the
+untraced run's data exactly.
 """
 
 import argparse
@@ -837,6 +844,33 @@ CHECKS = {
 }
 
 
+class JsonObject(tuple):
+    """A JSON object as its ordered `(key, value)` pairs."""
+
+
+def strip_keys(value, ignored):
+    """`value` (parsed with key order kept) without the `ignored` keys."""
+    if isinstance(value, JsonObject):
+        return JsonObject(
+            (key, strip_keys(item, ignored)) for key, item in value if key not in ignored
+        )
+    if isinstance(value, list):
+        return [strip_keys(item, ignored) for item in value]
+    return value
+
+
+def load_ordered(path):
+    with open(path) as handle:
+        return json.load(handle, object_pairs_hook=JsonObject)
+
+
+def check_same_as(path, other, ignored):
+    ours = strip_keys(load_ordered(path), ignored)
+    theirs = strip_keys(load_ordered(other), ignored)
+    ignoring = f" (ignoring {', '.join(sorted(ignored))})" if ignored else ""
+    require(ours == theirs, f"differs from {other}{ignoring}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("artifact", help="path to a figure JSON artifact")
@@ -855,7 +889,23 @@ def main():
         help="for noc_trace: fail if less than fraction F of the root span's "
         "wall time is covered by named phase spans",
     )
+    parser.add_argument(
+        "--same-as",
+        default=None,
+        metavar="OTHER",
+        help="also fail unless the artifact equals OTHER (key order included)",
+    )
+    parser.add_argument(
+        "--ignore",
+        action="append",
+        default=[],
+        metavar="KEY",
+        help="with --same-as: drop object key KEY at any depth before comparing "
+        "(repeatable)",
+    )
     args = parser.parse_args()
+    if args.ignore and args.same_as is None:
+        parser.error("--ignore only applies with --same-as")
 
     with open(args.artifact) as handle:
         artifact = json.load(handle)
@@ -877,6 +927,8 @@ def main():
             # The second argument is the recorded wall-time bound, which
             # only fig_faults uses.
             check(artifact["data"], args.max_wall_ms)
+        if args.same_as is not None:
+            check_same_as(args.artifact, args.same_as, set(args.ignore))
     except CheckError as error:
         print(f"{args.artifact}: FAIL — {error}", file=sys.stderr)
         return 1

@@ -23,9 +23,9 @@
 //!   strategy.
 
 use crate::credit::CreditBook;
-use crate::detect::{ChannelWait, InjectionWait, WaitForSnapshot, WaitTarget};
+use crate::detect::{WaitGraph, WaitTarget};
 use crate::fault::{DepGraph, FaultKind, FaultPlan};
-use crate::packet::{Flit, FlitKind, Packet, PacketId};
+use crate::packet::{Flit, FlitKind, Packet};
 use crate::policy::{VcChoice, VcPolicy};
 use crate::stats::SimStats;
 use crate::traffic::{generate_workload, TrafficConfig, Workload};
@@ -37,6 +37,8 @@ use noc_topology::{
     Channel, CommGraph, Connectivity, CoreMap, FaultSet, FlowId, LinkId, SwitchId, Topology,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Parameters of a VC-fidelity simulation run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -166,11 +168,12 @@ pub struct VcSimOutcome {
 
 /// The dense channels a head flit may claim at one hop, in the policy's
 /// preference order.  Up to two live inline (every shipped policy offers at
-/// most two); longer lists go to the heap.
-#[derive(Debug, Clone)]
+/// most two); longer lists go to the heap, shared so that copying them into
+/// a compiled queue head never allocates.
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Candidates {
     Inline { len: u8, channels: [usize; 2] },
-    Heap(Box<[usize]>),
+    Heap(Arc<[usize]>),
 }
 
 impl Candidates {
@@ -319,13 +322,54 @@ impl Move {
     }
 }
 
+/// What the packet at the front of a flow queue tries next, compiled from
+/// the slab whenever that front changes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum HeadStep {
+    /// Claim the first free one of the route's first-hop candidates.
+    Claim(Candidates),
+    /// Push the next flit into the first channel the packet already holds.
+    Follow(usize),
+    /// Nothing left to inject.
+    Idle,
+}
+
+/// The compiled front of one non-empty flow queue.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct QueueHead {
+    slot: usize,
+    step: HeadStep,
+}
+
+impl QueueHead {
+    fn compile(slot: usize, state: &PacketState) -> Self {
+        let step = if state.to_inject.is_empty() {
+            HeadStep::Idle
+        } else if let Some(&first) = state.taken.first() {
+            HeadStep::Follow(first)
+        } else {
+            HeadStep::Claim(state.hops[0].candidates.clone())
+        };
+        QueueHead { slot, step }
+    }
+}
+
 /// Per-flow injection queues of slab slots, dense by flow index.  `active`
 /// lists the flows whose queue is non-empty in ascending order, so the
-/// engine visits queue fronts in flow-id order without walking empty queues.
+/// engine visits queue fronts in flow-id order without walking empty
+/// queues; `heads[i]` is the compiled front of queue `active[i]`, so the
+/// injection scan never reads the slab.
+///
+/// A head is recompiled only when its front can change: on admission into
+/// an empty queue, on every [`sync`](Self::sync) after a queue edit (an
+/// injection that claims a channel or finishes its packet, a drain, a
+/// purge), and wholesale through [`recompile`](Self::recompile) after a
+/// drain event or a fault epoch, which also reroute packets in place.
 #[derive(Debug, Default)]
 struct FlowQueues {
     queues: Vec<VecDeque<usize>>,
     active: Vec<usize>,
+    heads: Vec<QueueHead>,
 }
 
 impl FlowQueues {
@@ -334,6 +378,7 @@ impl FlowQueues {
             self.queues[flow].clear();
         }
         self.active.clear();
+        self.heads.clear();
     }
 
     /// The queue of `flow`, for an edit that must be followed by
@@ -346,25 +391,59 @@ impl FlowQueues {
         &mut self.queues[index]
     }
 
-    /// Re-registers `flow` in `active` after its queue changed.
-    fn sync(&mut self, flow: FlowId) {
+    /// Re-registers `flow` in `active` after its queue changed and
+    /// recompiles its head.
+    fn sync(&mut self, flow: FlowId, packets: &[PacketState]) {
         let index = flow.index();
-        let empty = self.queues.get(index).is_none_or(VecDeque::is_empty);
-        match (self.active.binary_search(&index), empty) {
-            (Ok(at), true) => {
+        let front = self.queues.get(index).and_then(|queue| queue.front());
+        match (self.active.binary_search(&index), front) {
+            (Ok(at), None) => {
                 self.active.remove(at);
+                self.heads.remove(at);
             }
-            (Err(at), false) => self.active.insert(at, index),
-            _ => {}
+            (Ok(at), Some(&slot)) => self.heads[at] = QueueHead::compile(slot, &packets[slot]),
+            (Err(at), Some(&slot)) => {
+                self.active.insert(at, index);
+                self.heads
+                    .insert(at, QueueHead::compile(slot, &packets[slot]));
+            }
+            (Err(_), None) => {}
         }
     }
 
-    fn push_back(&mut self, flow: FlowId, slot: usize) {
-        self.queue_mut(flow).push_back(slot);
-        self.sync(flow);
+    /// Queues the admitted packet in `slot`; only a packet that lands at
+    /// the front compiles a head.
+    fn push_back(&mut self, flow: FlowId, slot: usize, packets: &[PacketState]) {
+        let queue = self.queue_mut(flow);
+        queue.push_back(slot);
+        if queue.len() == 1 {
+            self.sync(flow, packets);
+        }
     }
 
-    /// The slot at the front of every non-empty queue, in flow-id order.
+    /// Recompiles every head from the slab.
+    fn recompile(&mut self, packets: &[PacketState]) {
+        for (head, &flow) in self.heads.iter_mut().zip(&self.active) {
+            let slot = self.queues[flow][0];
+            *head = QueueHead::compile(slot, &packets[slot]);
+        }
+    }
+
+    /// Panics unless every head equals the one compiled from the slab now.
+    fn assert_heads_exact(&self, packets: &[PacketState]) {
+        assert_eq!(self.heads.len(), self.active.len(), "one head per queue");
+        for (head, &flow) in self.heads.iter().zip(&self.active) {
+            let slot = self.queues[flow][0];
+            assert_eq!(
+                *head,
+                QueueHead::compile(slot, &packets[slot]),
+                "stale head of flow {flow}"
+            );
+        }
+    }
+
+    /// The slot at the front of every non-empty queue, in flow-id order,
+    /// read from the queues themselves rather than the compiled heads.
     fn fronts(&self) -> impl Iterator<Item = usize> + '_ {
         self.active.iter().map(|&flow| self.queues[flow][0])
     }
@@ -421,6 +500,15 @@ pub struct VcSimulator<'a> {
     /// cycles).
     moves: Vec<Move>,
     entering: Vec<bool>,
+    /// Credit stalls of the run so far, reported once at its end as
+    /// `vc.credit_stall_flit_cycles`: a counter call per stalled
+    /// flit-cycle would cost more than the cycle itself while a recorder
+    /// is installed.
+    credit_stalls: u64,
+    /// The exact detector and its wait-target scratch, reused across
+    /// checks.
+    wait_graph: WaitGraph,
+    waits: Vec<WaitTarget>,
     /// Flows permanently switched onto the recovery routing function.
     reconfigured: HashSet<FlowId>,
     /// Fault-injection seam (`None` = fault-free run, byte-identical to a
@@ -486,6 +574,9 @@ impl<'a> VcSimulator<'a> {
             queues: FlowQueues::default(),
             moves: Vec::new(),
             entering: vec![false; channel_count],
+            credit_stalls: 0,
+            wait_graph: WaitGraph::new(),
+            waits: Vec::new(),
             reconfigured: HashSet::new(),
             faults: None,
         }
@@ -566,6 +657,7 @@ impl<'a> VcSimulator<'a> {
         // maintained incrementally so the per-cycle liveness check does not
         // scan the whole slab.
         let mut in_flight_packets = 0usize;
+        let mut clock = PhaseClock::new();
 
         let mut cycle = 0u64;
         while cycle < self.config.max_cycles {
@@ -606,14 +698,18 @@ impl<'a> VcSimulator<'a> {
                     packet: packet.clone(),
                 };
                 state.set_route(route, &self.layout);
-                self.queues.push_back(packet.flow, self.packets.len());
                 self.packets.push(state);
+                self.queues
+                    .push_back(packet.flow, self.packets.len() - 1, &self.packets);
                 in_flight_packets += 1;
             }
 
+            clock.start();
             self.decide_moves();
+            clock.lap(Phase::Decide);
             let progressed = !self.moves.is_empty();
             let completed = self.apply_moves(cycle, &mut stats);
+            clock.lap(Phase::Apply);
             in_flight_packets -= completed;
 
             let in_flight = in_flight_packets > 0;
@@ -633,9 +729,10 @@ impl<'a> VcSimulator<'a> {
             let periodic = exact_enabled && (cycle + 1).is_multiple_of(self.config.detect_period);
             if in_flight && exact_enabled && (periodic || !progressed) {
                 noc_telemetry::counter("vc.detector_invocations", 1);
-                let dead = self.wait_snapshot().deadlocked_packets();
-                if !dead.is_empty() {
-                    let dead_slots = self.slots_of(&dead);
+                clock.start();
+                let dead_slots = self.deadlocked_slots();
+                clock.lap(Phase::Detect);
+                if !dead_slots.is_empty() {
                     if detection.is_none() {
                         // Attribute the first detection: the condemned flows
                         // and the channels their worms had claimed, for
@@ -661,7 +758,7 @@ impl<'a> VcSimulator<'a> {
                     detection.get_or_insert(DeadlockEvent {
                         cycle,
                         kind: DetectionKind::WaitForGraph,
-                        packets: dead.len(),
+                        packets: dead_slots.len(),
                     });
                     if self.recovery.is_some() {
                         self.drain_deadlocked(&dead_slots, &mut drain);
@@ -690,6 +787,10 @@ impl<'a> VcSimulator<'a> {
         }
 
         stats.cycles = cycle;
+        clock.report();
+        if self.credit_stalls > 0 {
+            noc_telemetry::counter("vc.credit_stall_flit_cycles", self.credit_stalls);
+        }
         noc_telemetry::counter("vc.injected_packets", stats.injected_packets as u64);
         noc_telemetry::counter("vc.delivered_packets", stats.delivered_packets as u64);
         noc_telemetry::counter("vc.cycles", stats.cycles);
@@ -743,6 +844,7 @@ impl<'a> VcSimulator<'a> {
         );
         self.packets.clear();
         self.purged = 0;
+        self.credit_stalls = 0;
         self.queues.clear();
         self.reconfigured.clear();
         if let Some(ctx) = self.faults.as_mut() {
@@ -754,27 +856,6 @@ impl<'a> VcSimulator<'a> {
             ctx.unreachable_packets = 0;
             ctx.route_log.clear();
         }
-    }
-
-    /// The slab slots of the given packets, in the same order — the
-    /// boundary from the detector's packet ids back into the slab.
-    fn slots_of(&self, ids: &[PacketId]) -> Vec<usize> {
-        let mut index: Vec<(PacketId, usize)> = self
-            .packets
-            .iter()
-            .enumerate()
-            .filter(|(_, state)| state.in_flight())
-            .map(|(slot, state)| (state.packet.id, slot))
-            .collect();
-        index.sort_unstable();
-        ids.iter()
-            .map(|id| {
-                let at = index
-                    .binary_search_by_key(id, |&(key, _)| key)
-                    .expect("reported packets are in flight");
-                index[at].1
-            })
-            .collect()
     }
 
     /// The `(link, assigned vc)` hops the given flow currently routes over:
@@ -817,6 +898,7 @@ impl<'a> VcSimulator<'a> {
             queues,
             moves,
             entering,
+            credit_stalls,
             ..
         } = self;
         moves.clear();
@@ -865,43 +947,45 @@ impl<'a> VcSimulator<'a> {
                     } else {
                         // Established worm blocked on a credit: the
                         // canonical credit stall (one count per flit-cycle).
-                        noc_telemetry::counter("vc.credit_stall_flit_cycles", 1);
+                        *credit_stalls += 1;
                     }
                 }
             }
         }
 
         // Injections: the packet at the front of each flow queue may push
-        // its next flit into the first channel of its route.
-        for slot in queues.fronts() {
-            let state = &packets[slot];
-            if state.to_inject.is_empty() {
-                continue;
-            }
-            if state.taken.is_empty() {
-                let candidates = state.hops[0].candidates.as_slice();
-                if let Some(to) = claim(candidates, slot, entering) {
-                    moves.push(Move::Inject {
-                        slot,
-                        to,
-                        claim: true,
-                    });
-                    entering[to] = true;
-                }
-            } else {
-                let to = state.taken[0];
-                if !entering[to] {
-                    if credits.can_send(to) {
+        // its next flit into the first channel of its route.  The compiled
+        // heads say what each front tries without reading the slab.
+        if cfg!(debug_assertions) {
+            queues.assert_heads_exact(packets);
+        }
+        for &QueueHead { slot, ref step } in &queues.heads {
+            match *step {
+                HeadStep::Claim(ref candidates) => {
+                    if let Some(to) = claim(candidates.as_slice(), slot, entering) {
                         moves.push(Move::Inject {
                             slot,
                             to,
-                            claim: false,
+                            claim: true,
                         });
                         entering[to] = true;
-                    } else {
-                        noc_telemetry::counter("vc.credit_stall_flit_cycles", 1);
                     }
                 }
+                HeadStep::Follow(to) => {
+                    if !entering[to] {
+                        if credits.can_send(to) {
+                            moves.push(Move::Inject {
+                                slot,
+                                to,
+                                claim: false,
+                            });
+                            entering[to] = true;
+                        } else {
+                            *credit_stalls += 1;
+                        }
+                    }
+                }
+                HeadStep::Idle => {}
             }
         }
 
@@ -928,15 +1012,18 @@ impl<'a> VcSimulator<'a> {
                     }
                     self.credits.consume(to);
                     self.buffers[to].push_back(BufFlit { flit, slot, hop: 0 });
-                    if state.to_inject.is_empty() {
+                    let flow = state.packet.flow;
+                    let finished = state.to_inject.is_empty();
+                    if finished {
                         // The whole packet has left the source: the next
                         // packet of this flow may start injecting.
-                        let flow = state.packet.flow;
                         let queue = self.queues.queue_mut(flow);
                         if queue.front() == Some(&slot) {
                             queue.pop_front();
-                            self.queues.sync(flow);
                         }
+                    }
+                    if claim || finished {
+                        self.queues.sync(flow, &self.packets);
                     }
                 }
                 Move::Advance { from, to, claim } => {
@@ -981,96 +1068,95 @@ impl<'a> VcSimulator<'a> {
     }
 
     /// Classifies one pending movement (a buffered flit or an injection)
-    /// of the packet in `slot` into "can move now" or a list of wait
-    /// targets, for the detector.
+    /// of the packet in `slot`: `true` when it can move now, else `waits`
+    /// is left holding what each candidate waits for.
     fn classify_candidates(
         &self,
         slot: usize,
         candidates: &[usize],
         established: bool,
-    ) -> (bool, Vec<WaitTarget>) {
-        let mut waits = Vec::with_capacity(candidates.len());
+        waits: &mut Vec<WaitTarget>,
+    ) -> bool {
+        waits.clear();
         for &to in candidates {
             if !established {
                 if let Some(q) = self.owner[to] {
                     if q != slot {
-                        waits.push(WaitTarget::Packet(self.packets[q].packet.id));
+                        waits.push(WaitTarget::Packet(q));
                         continue;
                     }
                 }
             }
             if self.credits.can_send(to) {
-                return (true, Vec::new());
+                return true;
             }
             if self.buffers[to].len() < self.config.buffer_depth {
                 // The buffer has room; the credit is still travelling back
                 // upstream and will arrive without anyone else moving.
-                return (true, Vec::new());
+                return true;
             }
             waits.push(WaitTarget::Channel(to));
         }
-        (false, waits)
+        false
     }
 
-    /// Builds the detector snapshot for the current state.
-    fn wait_snapshot(&self) -> WaitForSnapshot {
-        let mut channels = Vec::with_capacity(self.layout.channel_count);
-        for buffer in &self.buffers {
+    /// Runs the exact detector on the current state: the slab slots of the
+    /// packets that can never move again, in packet-id order (empty iff no
+    /// deadlock).  Fills the reused wait graph in one pass over the buffers
+    /// and one over the queue fronts, reading the slab and the queues
+    /// themselves — never the compiled heads — so a stale head cannot hide
+    /// a knot.
+    fn deadlocked_slots(&mut self) -> Vec<usize> {
+        let mut graph = std::mem::take(&mut self.wait_graph);
+        let mut waits = std::mem::take(&mut self.waits);
+        graph.begin(self.layout.channel_count, self.packets.len());
+        for (channel, buffer) in self.buffers.iter().enumerate() {
             let Some(bf) = buffer.front() else {
-                channels.push(None);
                 continue;
             };
             let state = &self.packets[bf.slot];
             let next = bf.hop + 1;
-            let (can_move, waits) = if next == state.hops.len() {
-                (true, Vec::new()) // ejection is always possible
+            let can_move = if next == state.hops.len() {
+                true // ejection is always possible
             } else if state.taken.len() == next {
                 let candidates = state.hops[next].candidates.as_slice();
-                self.classify_candidates(bf.slot, candidates, false)
+                self.classify_candidates(bf.slot, candidates, false, &mut waits)
             } else {
-                self.classify_candidates(bf.slot, &[state.taken[next]], true)
+                self.classify_candidates(bf.slot, &[state.taken[next]], true, &mut waits)
             };
-            channels.push(Some(ChannelWait {
-                packet: bf.flit.packet,
-                can_move,
-                waits,
-            }));
+            graph.channel(channel, can_move, &waits);
+            let mut previous = None;
+            for bf in buffer {
+                if previous != Some(bf.slot) {
+                    graph.flit(channel, bf.slot, bf.flit.packet);
+                    previous = Some(bf.slot);
+                }
+            }
         }
-
-        let mut injections = Vec::new();
         for slot in self.queues.fronts() {
             let state = &self.packets[slot];
             if state.to_inject.is_empty() {
                 continue;
             }
-            let (can_move, waits) = if state.taken.is_empty() {
-                let candidates = state.hops[0].candidates.as_slice();
-                self.classify_candidates(slot, candidates, false)
-            } else {
-                self.classify_candidates(slot, &[state.taken[0]], true)
-            };
-            injections.push(InjectionWait {
-                packet: state.packet.id,
-                can_move,
-                waits,
-                holds_channels: !state.taken.is_empty(),
-            });
-        }
-
-        let mut locations: BTreeMap<PacketId, Vec<usize>> = BTreeMap::new();
-        for (channel, buffer) in self.buffers.iter().enumerate() {
-            for bf in buffer {
-                let entry = locations.entry(bf.flit.packet).or_default();
-                if entry.last() != Some(&channel) {
-                    entry.push(channel);
+            let can_move = match state.taken.first() {
+                None => {
+                    let candidates = state.hops[0].candidates.as_slice();
+                    self.classify_candidates(slot, candidates, false, &mut waits)
                 }
-            }
+                Some(&first) => self.classify_candidates(slot, &[first], true, &mut waits),
+            };
+            graph.injection(
+                slot,
+                state.packet.id,
+                !state.taken.is_empty(),
+                can_move,
+                &waits,
+            );
         }
-        WaitForSnapshot {
-            channels,
-            injections,
-            flit_locations: locations.into_iter().collect(),
-        }
+        let dead = graph.dead_slots();
+        self.wait_graph = graph;
+        self.waits = waits;
+        dead
     }
 
     /// Executes one DBR-style drain event: pulls every deadlocked packet's
@@ -1115,6 +1201,7 @@ impl<'a> VcSimulator<'a> {
             }
         }
 
+        self.queues.recompile(&self.packets);
         drain.events += 1;
         drain.packets_drained += dead.len();
         noc_telemetry::counter("vc.drain_events", 1);
@@ -1158,6 +1245,7 @@ impl<'a> VcSimulator<'a> {
             span.arg("cycle", cycle);
             self.apply_fault_batch(&mut ctx, cycle, in_flight);
         }
+        self.queues.recompile(&self.packets);
         noc_telemetry::counter("vc.reconfig_epochs", 1);
         self.faults = Some(ctx);
         true
@@ -1449,7 +1537,7 @@ impl<'a> VcSimulator<'a> {
         // here rather than committed over.
         let mut wait_rounds = 0usize;
         loop {
-            let dead = self.wait_snapshot().deadlocked_packets();
+            let dead = self.deadlocked_slots();
             if dead.is_empty() {
                 break;
             }
@@ -1459,27 +1547,25 @@ impl<'a> VcSimulator<'a> {
                 wait_rounds <= max_rounds,
                 "wait-for drain failed to converge"
             );
-            let mut victims: Vec<(PacketId, usize)> = Vec::new();
+            // Victims keep the detector's packet-id order.
+            let mut victims: Vec<usize> = Vec::new();
             let mut drain_routes: BTreeMap<FlowId, Vec<(LinkId, usize)>> = BTreeMap::new();
-            for (&id, slot) in dead.iter().zip(self.slots_of(&dead)) {
+            for slot in dead {
                 let flow = self.packets[slot].packet.flow;
                 let Some(route) = committed[flow.index()].clone() else {
                     continue;
                 };
                 drain_routes.insert(flow, route);
-                victims.push((id, slot));
+                victims.push(slot);
             }
-            victims.sort();
             assert!(!victims.is_empty(), "knot without routed flows");
-            let victims: Vec<usize> = victims.into_iter().map(|(_, slot)| slot).collect();
             self.pull_back_to_source(&victims, &drain_routes);
             packets_drained += victims.len();
         }
 
         // 10. Commit.  `committed_cyclic` is re-derived from the evidence —
         // it must always be false, and the property suite asserts so.
-        let committed_cyclic =
-            dep.is_cyclic() || !self.wait_snapshot().deadlocked_packets().is_empty();
+        let committed_cyclic = dep.is_cyclic() || !self.deadlocked_slots().is_empty();
         ctx.stats.record(ReconfigEvent {
             cycle,
             faults_applied,
@@ -1669,7 +1755,7 @@ impl<'a> VcSimulator<'a> {
             for &slot in slots.iter().rev() {
                 queue.insert(insert_at, slot);
             }
-            self.queues.sync(flow);
+            self.queues.sync(flow, &self.packets);
         }
         if cfg!(debug_assertions) {
             // Invariant: every surviving mid-injection worm is still at the
@@ -1699,7 +1785,7 @@ impl<'a> VcSimulator<'a> {
             self.queues
                 .queue_mut(flow)
                 .retain(|slot| !victims.contains(slot));
-            self.queues.sync(flow);
+            self.queues.sync(flow, &self.packets);
         }
         for &slot in &victims {
             // Retire the slab entry in place: no flits, no claims, and no
@@ -1712,6 +1798,62 @@ impl<'a> VcSimulator<'a> {
         self.purged += victims.len();
         *in_flight -= victims.len();
         victims.len()
+    }
+}
+
+/// A phase of the simulated cycle, as attributed by [`PhaseClock`].
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    Decide,
+    Apply,
+    Detect,
+}
+
+/// Per-run wall time of the cycle phases — move decision, move application
+/// and the run loop's exact-detector checks — reported as the
+/// `sim.decide_us`, `sim.apply_us` and `sim.detect_us` counters.  The clock
+/// only runs when a telemetry recorder is installed at the start of the
+/// run, and it opens no per-cycle spans.
+struct PhaseClock {
+    /// When the phase being timed started; `None` while not recording.
+    mark: Option<Instant>,
+    spent: [Duration; 3],
+}
+
+impl PhaseClock {
+    fn new() -> Self {
+        PhaseClock {
+            mark: noc_telemetry::enabled().then(Instant::now),
+            spent: [Duration::ZERO; 3],
+        }
+    }
+
+    /// Starts timing a phase.
+    fn start(&mut self) {
+        if let Some(mark) = &mut self.mark {
+            *mark = Instant::now();
+        }
+    }
+
+    /// Charges the time since the last `start` or `lap` to `phase`, and
+    /// starts timing the next phase.
+    fn lap(&mut self, phase: Phase) {
+        if let Some(mark) = &mut self.mark {
+            let now = Instant::now();
+            self.spent[phase as usize] += now - *mark;
+            *mark = now;
+        }
+    }
+
+    fn report(&self) {
+        if self.mark.is_none() {
+            return;
+        }
+        let names = ["sim.decide_us", "sim.apply_us", "sim.detect_us"];
+        for (name, spent) in names.into_iter().zip(self.spent) {
+            let micros = u64::try_from(spent.as_micros()).unwrap_or(u64::MAX);
+            noc_telemetry::counter(name, micros);
+        }
     }
 }
 

@@ -4,20 +4,26 @@
 //! five policy set-ups × four buffer/credit configurations × three designs
 //! (the trapped ring, a seeded random ring, and the random ring under an
 //! armed fault storm) — plus the `vc.*` telemetry counter totals of one
-//! run.  Engine refactors that must not change simulation semantics keep
-//! every digest and counter byte-identical; any intended semantic change
-//! has to restate the pinned table.
+//! run, and the digests and counters of the perfbench `vc_sim`
+//! configuration (D36_8 at 24 switches, where the single-VC baseline
+//! deadlocks and drains).  Engine refactors that must not change
+//! simulation semantics keep every digest and counter byte-identical; any
+//! intended semantic change has to restate the pinned table.
 
+use noc_deadlock::cdg::Cdg;
 use noc_deadlock::escape::apply_escape_channels;
 use noc_deadlock::removal::{remove_deadlocks, RemovalConfig};
 use noc_deadlock::vcmap::VcMap;
 use noc_rng::SmallRng;
 use noc_routing::updown::route_all_updown;
 use noc_routing::{Route, RouteSet};
+use noc_sim::traffic::{generate_workload, Workload};
 use noc_sim::{
-    AdaptiveEscape, AssignedVc, FaultPlan, SingleVc, StormConfig, TrafficConfig, VcChoice,
-    VcPolicy, VcSimConfig, VcSimOutcome, VcSimulator,
+    AdaptiveEscape, AssignedVc, FaultPlan, Packet, PacketId, SingleVc, StormConfig, TrafficConfig,
+    VcChoice, VcPolicy, VcSimConfig, VcSimOutcome, VcSimulator,
 };
+use noc_synth::{synthesize, SynthesisConfig};
+use noc_topology::benchmarks::Benchmark;
 use noc_topology::{generators, CommGraph, CoreMap, FlowId, LinkId, SwitchId, Topology};
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -388,6 +394,113 @@ fn outcomes_match_the_golden_digests() {
              actual table:\n{table}"
         );
     }
+}
+
+/// Renders `actual` as a pasteable table and panics when it differs from
+/// `golden`.
+fn assert_golden(actual: &[String], golden: &[&str]) {
+    if actual == golden {
+        return;
+    }
+    let mut table = String::new();
+    for line in actual {
+        writeln!(table, "    {line:?},").unwrap();
+    }
+    let first = actual
+        .iter()
+        .zip(golden.iter())
+        .position(|(a, g)| a != g)
+        .unwrap_or(actual.len().min(golden.len()));
+    panic!("engine outcomes drifted (first difference at row {first}); actual table:\n{table}");
+}
+
+/// Digests of the unsafe single-VC baseline with up*/down* recovery routes
+/// on D36_8 synthesized at 24 switches, depth-1 buffers, one row per
+/// injection gap: the `fig_sim_strategies` configuration in which the
+/// baseline deadlocks, the detector fires and the drain recovers.
+const GOLDEN_D36_8: &[&str] = &[
+    "gap=0: cyc=4088 inj=1632 del=1632 flits=13056 lat=2607868/4088 dl=0 strand=0 det=wait-for-graph@831x36 drain=3/78/54 flows=[5, 13, 19, 22, 27, 33, 49, 53, 59, 73, 89, 90, 96, 101, 104, 109, 113, 115, 117, 139, 145, 147, 153, 163, 169, 173, 177, 181, 187, 195, 197, 205, 211, 221, 234, 261] ch=c93c4b04 rc=0/0/0/0/0/0 unr=0/0",
+    "gap=8: cyc=4088 inj=1632 del=1632 flits=13056 lat=2592955/4044 dl=0 strand=0 det=wait-for-graph@831x36 drain=3/78/54 flows=[5, 13, 19, 22, 27, 33, 49, 53, 59, 73, 89, 90, 96, 101, 104, 109, 113, 115, 117, 139, 145, 147, 153, 163, 169, 173, 177, 181, 187, 195, 197, 205, 211, 221, 234, 261] ch=c93c4b04 rc=0/0/0/0/0/0 unr=0/0",
+    "gap=32: cyc=4059 inj=1632 del=1632 flits=13056 lat=2661777/4016 dl=0 strand=0 det=wait-for-graph@575x35 drain=4/86/57 flows=[5, 13, 19, 22, 27, 33, 49, 53, 59, 73, 89, 90, 96, 101, 104, 113, 115, 117, 137, 139, 145, 147, 153, 163, 168, 177, 181, 195, 197, 205, 211, 221, 230, 234, 261] ch=4c70ca99 rc=0/0/0/0/0/0 unr=0/0",
+];
+
+/// `vc.*` counter totals over the three runs of [`GOLDEN_D36_8`].
+const GOLDEN_D36_8_COUNTERS: &[(&str, u64)] = &[
+    ("vc.credit_stall_flit_cycles", 253_499),
+    ("vc.cycles", 12_235),
+    ("vc.delivered_packets", 4_896),
+    ("vc.detector_invocations", 189),
+    ("vc.drain_events", 10),
+    ("vc.injected_packets", 4_896),
+];
+
+/// The `fig_sim_strategies` workload: four 8-flit packets on every flow of
+/// a CDG cycle at cycle 0, then seeded uniform traffic.  Ids follow the
+/// generation order, so they are not the admission order.
+fn stress_workload(comm: &CommGraph, traffic: &TrafficConfig, stress: &[FlowId]) -> Workload {
+    let mut packets: Vec<Packet> = stress
+        .iter()
+        .flat_map(|&flow| {
+            (0..4).map(move |_| Packet {
+                id: PacketId(0),
+                flow,
+                length: 8,
+                created_at: 0,
+            })
+        })
+        .collect();
+    packets.extend(generate_workload(comm, traffic).packets);
+    for (index, packet) in packets.iter_mut().enumerate() {
+        packet.id = PacketId(index);
+    }
+    packets.sort_by_key(|p| (p.created_at, p.id.0));
+    Workload { packets }
+}
+
+#[test]
+fn d36_8_single_vc_recovery_matches_the_golden_digests() {
+    let _guard = ENGINE.lock().unwrap_or_else(|e| e.into_inner());
+    let comm = Benchmark::D36x8.comm_graph();
+    let design = synthesize(&comm, &SynthesisConfig::with_switches(24)).unwrap();
+    let stress = Cdg::build(&design.topology, &design.routes).cyclic_flows();
+    let recovery = route_all_updown(
+        &design.topology,
+        &comm,
+        &design.core_map,
+        SwitchId::from_index(0),
+    )
+    .unwrap();
+    let vc_map = VcMap::from_design(&design.topology, &design.routes);
+    let config = VcSimConfig {
+        buffer_depth: 1,
+        max_cycles: 600_000,
+        ..VcSimConfig::default()
+    };
+    let scope = noc_telemetry::RecorderScope::new();
+    let mut actual = Vec::new();
+    for gap in [0, 8, 32] {
+        let traffic = TrafficConfig {
+            packets_per_flow: 4,
+            packet_length: 8,
+            mean_gap_cycles: gap,
+            seed: 0xF1C5,
+            ..TrafficConfig::default()
+        };
+        let workload = stress_workload(&comm, &traffic, &stress);
+        let outcome = VcSimulator::new(&comm, &design.routes, &vc_map, &SingleVc, &config)
+            .with_recovery(recovery.clone())
+            .run_workload(&workload);
+        actual.push(format!("gap={gap}: {}", digest(&outcome)));
+    }
+    let counters = scope.recorder().snapshot().counters;
+    drop(scope);
+    assert_golden(&actual, GOLDEN_D36_8);
+    let totals: Vec<(&str, u64)> = counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("vc."))
+        .map(|(name, &total)| (name.as_str(), total))
+        .collect();
+    assert_eq!(totals, GOLDEN_D36_8_COUNTERS);
 }
 
 /// `vc.*` counter totals of the stormy random ring with recovery routes
