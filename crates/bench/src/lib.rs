@@ -1381,6 +1381,9 @@ pub struct ScaleDesign {
 /// Panics if routing fails, which the generators rule out (every family is
 /// strongly connected).
 pub fn scale_design(spec: ScaleTopology) -> ScaleDesign {
+    let mut span = noc_telemetry::span("scale", "design");
+    span.arg("family", spec.family())
+        .arg("switches", spec.switch_count());
     let generated = spec.generate();
     let workload = generators::uniform_traffic(&generated, 1, SCALE_SEED, 1.0);
     let routes = route_all_shortest(&generated.topology, &workload.comm, &workload.map)
@@ -1568,6 +1571,10 @@ pub fn scale_point(spec: ScaleTopology, design: &ScaleDesign) -> ScalePoint {
         let recovery = RecoveryReconfig::default();
         let all: [&dyn DeadlockStrategy; 4] = [&cycle_breaking, &ordering, &escape, &recovery];
         for strategy in all {
+            let mut span = noc_telemetry::span("scale", "strategy");
+            span.arg("strategy", strategy.name())
+                .arg("family", spec.family())
+                .arg("switches", spec.switch_count());
             let start = std::time::Instant::now();
             let (_, _, resolution) = strategy
                 .resolve_cloned(&design.topology, &design.routes)

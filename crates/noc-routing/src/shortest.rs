@@ -8,8 +8,8 @@
 
 use crate::route::{Route, RouteSet};
 use crate::validate::RouteError;
-use noc_graph::{shortest_path, NodeId};
-use noc_topology::{CommGraph, CoreMap, LinkId, Topology};
+use noc_topology::search::for_each_source;
+use noc_topology::{CommGraph, CoreMap, FlowId, Link, Topology};
 
 /// Cost model for link selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -20,6 +20,17 @@ pub enum LinkCost {
     /// Link cost is inversely proportional to its bandwidth, so wide links
     /// are preferred.
     InverseBandwidth,
+}
+
+impl LinkCost {
+    /// The integer cost of `link` under this model.
+    fn of(self, link: &Link) -> u64 {
+        match self {
+            LinkCost::Hops => 1,
+            // Map bandwidth to an integer cost; wider links cost less.
+            LinkCost::InverseBandwidth => (1_000_000.0 / link.bandwidth.max(1e-6)).round() as u64,
+        }
+    }
 }
 
 /// Routes every flow of `comm` over `topology` along a minimum-cost path.
@@ -41,65 +52,211 @@ pub fn route_all_shortest(
 }
 
 /// Same as [`route_all_shortest`] but with an explicit [`LinkCost`] model.
+///
+/// Each source switch runs one Dijkstra ([`for_each_source`]) that stops
+/// once the source's last destination is settled, so a call holds O(switches + flows) memory.
+/// When several flows fail, the error of the earliest one in flow order is
+/// returned.
 pub fn route_all_with_cost(
     topology: &Topology,
     comm: &CommGraph,
     map: &CoreMap,
     cost: LinkCost,
 ) -> Result<RouteSet, RouteError> {
-    let graph = topology.to_switch_graph();
     let mut routes = RouteSet::new(comm.flow_count());
-
-    // Cache one Dijkstra run per distinct source switch.
-    let mut cache: Vec<Option<shortest_path::ShortestPaths>> = vec![None; topology.switch_count()];
-
-    for (flow_id, flow) in comm.flows() {
-        let src = map.require(flow.source).map_err(RouteError::Topology)?;
-        let dst = map
-            .require(flow.destination)
-            .map_err(RouteError::Topology)?;
-        if src == dst {
-            routes.set_route(flow_id, Route::empty());
-            continue;
+    // Endpoints of every flow before the first one with an unmapped core
+    // (no later flow's error could be the earliest).
+    let mut endpoints = Vec::with_capacity(comm.flow_count());
+    let mut unmapped = None;
+    for (_, flow) in comm.flows() {
+        match (map.require(flow.source), map.require(flow.destination)) {
+            (Ok(src), Ok(dst)) => endpoints.push((src, dst)),
+            (Err(e), _) | (_, Err(e)) => {
+                unmapped = Some(e);
+                break;
+            }
         }
-        let sp = cache[src.index()].get_or_insert_with(|| {
-            shortest_path::dijkstra(&graph, NodeId::from_index(src.index()), |e| {
-                let link = topology
-                    .link(*e.weight)
-                    .expect("switch graph edges reference valid links");
-                Some(match cost {
-                    LinkCost::Hops => 1,
-                    LinkCost::InverseBandwidth => {
-                        // Map bandwidth to an integer cost; wider links cost less.
-                        (1_000_000.0 / link.bandwidth.max(1e-6)).round() as u64
-                    }
-                })
-            })
-        });
-        let edge_path =
-            sp.edge_path_to(NodeId::from_index(dst.index()))
-                .ok_or(RouteError::Unroutable {
-                    flow: flow_id,
-                    from: src,
-                    to: dst,
-                })?;
-        let links: Vec<LinkId> = edge_path
-            .iter()
-            .map(|&e| {
-                *graph
-                    .edge_weight(e)
-                    .expect("edge ids from the path are live")
-            })
-            .collect();
-        routes.set_route(flow_id, Route::from_links(links));
     }
-    Ok(routes)
+    let mut unroutable: Option<usize> = None;
+    let mut path = Vec::new();
+    let link_cost = |link: &Link| cost.of(link);
+    for_each_source(topology, &endpoints, link_cost, |search, flows| {
+        for &f in flows {
+            if search.path_into(topology, endpoints[f].1, &mut path) {
+                routes.set_route(
+                    FlowId::from_index(f),
+                    Route::from_links(path.iter().copied()),
+                );
+            } else {
+                unroutable = Some(unroutable.map_or(f, |g| g.min(f)));
+            }
+        }
+    });
+
+    if let Some(f) = unroutable {
+        let (from, to) = endpoints[f];
+        return Err(RouteError::Unroutable {
+            flow: FlowId::from_index(f),
+            from,
+            to,
+        });
+    }
+    match unmapped {
+        Some(e) => Err(RouteError::Topology(e)),
+        None => Ok(routes),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_topology::{generators, CommGraph, CoreMap};
+    use noc_graph::{shortest_path, NodeId};
+    use noc_rng::SmallRng;
+    use noc_topology::{generators, CommGraph, CoreMap, LinkId, SwitchId};
+
+    /// The router as it used to run: a switch graph, one full Dijkstra per
+    /// distinct source switch kept alive for the whole call, and flows
+    /// resolved one by one in flow order.
+    fn reference_route_all(
+        topology: &Topology,
+        comm: &CommGraph,
+        map: &CoreMap,
+        cost: LinkCost,
+    ) -> Result<RouteSet, RouteError> {
+        let graph = topology.to_switch_graph();
+        let mut routes = RouteSet::new(comm.flow_count());
+        let mut cache: Vec<Option<shortest_path::ShortestPaths>> =
+            vec![None; topology.switch_count()];
+        for (flow_id, flow) in comm.flows() {
+            let src = map.require(flow.source).map_err(RouteError::Topology)?;
+            let dst = map
+                .require(flow.destination)
+                .map_err(RouteError::Topology)?;
+            if src == dst {
+                routes.set_route(flow_id, Route::empty());
+                continue;
+            }
+            let sp = cache[src.index()].get_or_insert_with(|| {
+                shortest_path::dijkstra(&graph, NodeId::from_index(src.index()), |e| {
+                    Some(cost.of(topology.link(*e.weight).expect("valid link")))
+                })
+            });
+            let edge_path =
+                sp.edge_path_to(NodeId::from_index(dst.index()))
+                    .ok_or(RouteError::Unroutable {
+                        flow: flow_id,
+                        from: src,
+                        to: dst,
+                    })?;
+            let links: Vec<LinkId> = edge_path
+                .iter()
+                .map(|&e| *graph.edge_weight(e).expect("live edge"))
+                .collect();
+            routes.set_route(flow_id, Route::from_links(links));
+        }
+        Ok(routes)
+    }
+
+    /// A random design: parallel links, self-loops, few distinct
+    /// bandwidths (cost ties), sometimes too few links to connect the
+    /// fabric, same-switch flows and, rarely, an unmapped core.
+    fn random_design(rng: &mut SmallRng) -> (Topology, CommGraph, CoreMap) {
+        let switches = rng.gen_range(1usize..13);
+        let mut t = Topology::new();
+        let sw: Vec<_> = (0..switches)
+            .map(|i| t.add_switch(format!("s{i}")))
+            .collect();
+        for _ in 0..rng.gen_range(0usize..4 * switches) {
+            let a = sw[rng.gen_range(0..switches)];
+            let b = sw[rng.gen_range(0..switches)];
+            let bw = [1.0, 1.0, 2.0, 3.0, 1e7][rng.gen_range(0usize..5)];
+            t.add_link(a, b, bw);
+            if rng.gen_range(0usize..5) == 0 {
+                t.add_link(a, b, bw); // parallel link
+            }
+        }
+        let cores = rng.gen_range(1usize..10);
+        let mut comm = CommGraph::new();
+        let ids: Vec<_> = (0..cores).map(|i| comm.add_core(format!("c{i}"))).collect();
+        for _ in 0..rng.gen_range(0usize..3 * cores) {
+            comm.add_flow(
+                ids[rng.gen_range(0..cores)],
+                ids[rng.gen_range(0..cores)],
+                1.0,
+            );
+        }
+        let mut map = CoreMap::new(cores);
+        for &c in &ids {
+            if rng.gen_range(0usize..40) != 0 {
+                map.assign(c, sw[rng.gen_range(0..switches)]).unwrap();
+            }
+        }
+        (t, comm, map)
+    }
+
+    #[test]
+    fn grouped_routing_matches_the_cached_dijkstra_reference() {
+        let mut rng = SmallRng::seed_from_u64(0x0019_D1C5);
+        let (mut routed, mut failed) = (0, 0);
+        for case in 0..800 {
+            let (t, comm, map) = random_design(&mut rng);
+            for cost in [LinkCost::Hops, LinkCost::InverseBandwidth] {
+                let actual = route_all_with_cost(&t, &comm, &map, cost);
+                let expected = reference_route_all(&t, &comm, &map, cost);
+                assert_eq!(actual, expected, "case {case} ({cost:?})");
+                if expected.is_ok() {
+                    routed += 1;
+                } else {
+                    failed += 1;
+                }
+            }
+        }
+        // Both outcomes are exercised, not just one.
+        assert!(
+            routed > 200 && failed > 200,
+            "{routed} routed, {failed} failed"
+        );
+    }
+
+    /// Two flows that both fail, on a fabric where `s1` is cut off: one is
+    /// unroutable, the other has an unmapped core.
+    fn two_failing_flows(unroutable_first: bool) -> Result<RouteSet, RouteError> {
+        let mut t = noc_topology::Topology::new();
+        let s0 = t.add_switch("s0");
+        let s1 = t.add_switch("s1");
+        t.add_link(s1, s0, 1.0);
+        let mut comm = CommGraph::new();
+        let (a, b, c) = (comm.add_core("a"), comm.add_core("b"), comm.add_core("c"));
+        let mut map = CoreMap::new(3);
+        map.assign(a, s0).unwrap();
+        map.assign(b, s1).unwrap();
+        if unroutable_first {
+            comm.add_flow(a, b, 1.0);
+            comm.add_flow(a, c, 1.0);
+        } else {
+            comm.add_flow(a, c, 1.0);
+            comm.add_flow(a, b, 1.0);
+        }
+        route_all_shortest(&t, &comm, &map)
+    }
+
+    #[test]
+    fn earliest_failing_flow_wins() {
+        assert_eq!(
+            two_failing_flows(true),
+            Err(RouteError::Unroutable {
+                flow: noc_topology::FlowId::from_index(0),
+                from: SwitchId::from_index(0),
+                to: SwitchId::from_index(1),
+            })
+        );
+        assert_eq!(
+            two_failing_flows(false),
+            Err(RouteError::Topology(
+                noc_topology::TopologyError::UnmappedCore(noc_topology::CoreId::from_index(2))
+            ))
+        );
+    }
 
     fn ring_design() -> (
         noc_topology::Topology,

@@ -60,7 +60,7 @@ impl UpDownLabels {
             let mut queue = VecDeque::from([root]);
             while let Some(sw) = queue.pop_front() {
                 let here = level[sw.index()].expect("queued switches have levels");
-                let neighbors: Vec<SwitchId> = topology
+                let neighbors = topology
                     .links_from(sw)
                     .filter(|&(id, _)| usable(id))
                     .map(|(_, l)| l.target)
@@ -69,8 +69,7 @@ impl UpDownLabels {
                             .links_to(sw)
                             .filter(|&(id, _)| usable(id))
                             .map(|(_, l)| l.source),
-                    )
-                    .collect();
+                    );
                 for n in neighbors {
                     if level[n.index()].is_none() {
                         level[n.index()] = Some(here + 1);

@@ -122,32 +122,7 @@ pub fn build_interconnect(
             }
         }
         Backbone::SpanningTree => {
-            // Prim-style maximum spanning tree over symmetric demand; ties
-            // break towards smaller indices for determinism.
-            let mut in_tree = vec![false; k];
-            in_tree[0] = true;
-            for _ in 1..k {
-                let mut best: Option<(usize, usize, f64)> = None;
-                for a in 0..k {
-                    if !in_tree[a] {
-                        continue;
-                    }
-                    for (b, &b_in_tree) in in_tree.iter().enumerate() {
-                        if b_in_tree {
-                            continue;
-                        }
-                        let w = sym(a, b);
-                        let better = match best {
-                            None => true,
-                            Some((ba, bb, bw)) => w > bw || (w == bw && (a, b) < (ba, bb)),
-                        };
-                        if better {
-                            best = Some((a, b, w));
-                        }
-                    }
-                }
-                let (a, b, _) = best.expect("tree grows one switch per iteration");
-                in_tree[b] = true;
+            for (a, b) in max_spanning_tree(k, sym) {
                 connect(&mut topology, &mut neighbor_count, &mut connected, a, b);
             }
         }
@@ -179,12 +154,106 @@ pub fn build_interconnect(
     Interconnect { topology, switches }
 }
 
+/// Prim-style maximum spanning tree over `k ≥ 1` switches under the
+/// symmetric `weight`, grown from switch 0, as `(tree endpoint, new switch)` edges in
+/// the order they join.
+///
+/// Each switch outside the tree keeps its best tree endpoint as (weight,
+/// smallest endpoint), so one step costs O(k) and the tree O(k²).  The next
+/// edge is the heaviest; ties go to the smallest (tree endpoint, new switch)
+/// pair — the edge a scan over every (tree, outside) pair in ascending order
+/// would keep.
+fn max_spanning_tree(k: usize, weight: impl Fn(usize, usize) -> f64) -> Vec<(usize, usize)> {
+    let mut edges = Vec::with_capacity(k - 1);
+    let mut in_tree = vec![false; k];
+    in_tree[0] = true;
+    let mut best: Vec<(f64, usize)> = (0..k).map(|b| (weight(0, b), 0)).collect();
+    for _ in 1..k {
+        let mut pick: Option<usize> = None;
+        for b in (0..k).filter(|&b| !in_tree[b]) {
+            let better = pick.is_none_or(|p| {
+                let ((w, a), (pw, pa)) = (best[b], best[p]);
+                w > pw || (w == pw && (a, b) < (pa, p))
+            });
+            if better {
+                pick = Some(b);
+            }
+        }
+        let b = pick.expect("tree grows one switch per iteration");
+        in_tree[b] = true;
+        edges.push((best[b].1, b));
+        for c in (0..k).filter(|&c| !in_tree[c]) {
+            let w = weight(b, c);
+            let (cw, ca) = best[c];
+            if w > cw || (w == cw && b < ca) {
+                best[c] = (w, b);
+            }
+        }
+    }
+    edges
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::cluster_cores;
     use noc_graph::traversal;
+    use noc_rng::SmallRng;
     use noc_topology::benchmarks::Benchmark;
+
+    /// The O(k³) Prim the interconnect used to run: every step scans every
+    /// (tree, outside) pair in ascending order and keeps the heaviest,
+    /// ties towards the smallest pair.
+    fn reference_max_spanning_tree(
+        k: usize,
+        weight: impl Fn(usize, usize) -> f64,
+    ) -> Vec<(usize, usize)> {
+        let mut edges = Vec::new();
+        let mut in_tree = vec![false; k];
+        in_tree[0] = true;
+        for _ in 1..k {
+            let mut best: Option<(usize, usize, f64)> = None;
+            for a in (0..k).filter(|&a| in_tree[a]) {
+                for b in (0..k).filter(|&b| !in_tree[b]) {
+                    let w = weight(a, b);
+                    let better = match best {
+                        None => true,
+                        Some((ba, bb, bw)) => w > bw || (w == bw && (a, b) < (ba, bb)),
+                    };
+                    if better {
+                        best = Some((a, b, w));
+                    }
+                }
+            }
+            let (a, b, _) = best.expect("tree grows one switch per iteration");
+            in_tree[b] = true;
+            edges.push((a, b));
+        }
+        edges
+    }
+
+    #[test]
+    fn spanning_tree_matches_the_pairwise_scan() {
+        let mut rng = SmallRng::seed_from_u64(0x0019_7EEE);
+        for case in 0..600 {
+            let k = rng.gen_range(1usize..14);
+            // Few distinct weights, many zeros: ties everywhere.
+            let mut weight = vec![0.0; k * k];
+            for a in 0..k {
+                for b in (a + 1)..k {
+                    let w = [0.0, 0.0, 1.0, 2.5, 2.5, 7.0][rng.gen_range(0usize..6)];
+                    weight[a * k + b] = w;
+                    weight[b * k + a] = w;
+                }
+            }
+            let w = |a: usize, b: usize| weight[a * k + b];
+            assert_eq!(
+                max_spanning_tree(k, w),
+                reference_max_spanning_tree(k, w),
+                "case {case}: {weight:?}"
+            );
+        }
+    }
 
     fn interconnect_for(
         benchmark: Benchmark,

@@ -129,18 +129,6 @@ impl CommGraph {
     pub fn total_bandwidth(&self) -> f64 {
         self.flows.iter().map(|f| f.bandwidth).sum()
     }
-
-    /// Communication affinity between two cores: the sum of flow bandwidths
-    /// in either direction.  Used by the synthesis clusterer.
-    pub fn affinity(&self, a: CoreId, b: CoreId) -> f64 {
-        self.flows
-            .iter()
-            .filter(|f| {
-                (f.source == a && f.destination == b) || (f.source == b && f.destination == a)
-            })
-            .map(|f| f.bandwidth)
-            .sum()
-    }
 }
 
 /// Attachment of cores to switches: each core connects to exactly one switch
@@ -237,14 +225,6 @@ mod tests {
         assert_eq!(g.flows_from(cores[0]).count(), 1);
         assert_eq!(g.flows_to(cores[2]).count(), 2);
         assert_eq!(g.total_bandwidth(), 175.0);
-    }
-
-    #[test]
-    fn affinity_sums_both_directions() {
-        let (g, cores) = sample();
-        assert_eq!(g.affinity(cores[0], cores[2]), 125.0);
-        assert_eq!(g.affinity(cores[2], cores[0]), 125.0);
-        assert_eq!(g.affinity(cores[0], cores[1]), 0.0);
     }
 
     #[test]

@@ -206,7 +206,7 @@ impl Topology {
             component[start] = Some(count);
             let mut queue = VecDeque::from([start_id]);
             while let Some(sw) = queue.pop_front() {
-                let neighbors: Vec<SwitchId> = self
+                let neighbors = self
                     .links_from(sw)
                     .filter(|&(id, _)| faults.link_usable(self, id))
                     .map(|(_, l)| l.target)
@@ -214,8 +214,7 @@ impl Topology {
                         self.links_to(sw)
                             .filter(|&(id, _)| faults.link_usable(self, id))
                             .map(|(_, l)| l.source),
-                    )
-                    .collect();
+                    );
                 for next in neighbors {
                     if component[next.index()].is_none() {
                         component[next.index()] = Some(count);

@@ -382,21 +382,20 @@ pub fn neighbor_traffic(
     bandwidth: f64,
 ) -> SyntheticWorkload {
     let (mut comm, map, cores) = cores_per_switch(generated);
-    // One pass over the links: per-switch out-neighbor lists (`links_from`
-    // would rescan every link per switch — quadratic at 100k switches).
-    let mut neighbors: Vec<Vec<usize>> = vec![Vec::new(); generated.switches.len()];
-    for (_, link) in generated.topology.links() {
-        neighbors[link.source.index()].push(link.target.index());
-    }
+    let topology = &generated.topology;
     let mut rng = SmallRng::seed_from_u64(seed);
     for (i, &source) in cores.iter().enumerate() {
-        let near = &neighbors[i];
-        if near.is_empty() {
+        let switch = SwitchId::from_index(i);
+        let degree = topology.links_from(switch).count();
+        if degree == 0 {
             continue;
         }
         for _ in 0..flows_per_core {
-            let dest = near[rng.gen_range(0..near.len())];
-            comm.add_flow(source, cores[dest], bandwidth);
+            let (_, link) = topology
+                .links_from(switch)
+                .nth(rng.gen_range(0..degree))
+                .expect("the index is below the out-degree");
+            comm.add_flow(source, cores[link.target.index()], bandwidth);
         }
     }
     SyntheticWorkload { comm, map }

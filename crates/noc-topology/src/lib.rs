@@ -9,8 +9,9 @@
 //!   them ([`CommGraph`], [`Flow`]),
 //! * the **core attachment** mapping cores onto switches ([`CoreMap`]),
 //!
-//! plus generators for regular topologies ([`generators`]) and the synthetic
-//! SoC benchmark suite used by the paper's evaluation ([`benchmarks`]).
+//! plus the per-source path search that validation and routing share
+//! ([`search`]), generators for regular topologies ([`generators`]) and the
+//! synthetic SoC benchmark suite used by the paper's evaluation ([`benchmarks`]).
 //!
 //! # Example
 //!
@@ -42,6 +43,7 @@ pub mod error;
 pub mod fault;
 pub mod generators;
 pub mod ids;
+pub mod search;
 pub mod topology;
 pub mod validate;
 

@@ -34,6 +34,21 @@ pub struct Link {
 
 /// The topology graph `TG(S, L)` of Definition 1.
 ///
+/// Next to the link arena the topology keeps, per switch, the ids of the
+/// links leaving it and the links arriving at it.  [`add_link`] appends to
+/// both lists, so each is in ascending [`LinkId`] order — the order a scan
+/// of the whole arena would visit them in.  [`links_from`], [`links_to`],
+/// [`find_link`], [`switch_degree`] and [`switch_input_buffers`] therefore
+/// cost O(degree) instead of O(links), and every search built on them
+/// visits switches in the same order as a filtered arena scan would.
+///
+/// [`add_link`]: Topology::add_link
+/// [`links_from`]: Topology::links_from
+/// [`links_to`]: Topology::links_to
+/// [`find_link`]: Topology::find_link
+/// [`switch_degree`]: Topology::switch_degree
+/// [`switch_input_buffers`]: Topology::switch_input_buffers
+///
 /// # Example
 ///
 /// ```
@@ -52,6 +67,10 @@ pub struct Link {
 pub struct Topology {
     switches: Vec<Switch>,
     links: Vec<Link>,
+    /// `out_links[s]`: the links leaving switch `s`, in ascending id order.
+    out_links: Vec<Vec<LinkId>>,
+    /// `in_links[s]`: the links arriving at switch `s`, in ascending id order.
+    in_links: Vec<Vec<LinkId>>,
 }
 
 impl Topology {
@@ -64,6 +83,8 @@ impl Topology {
     pub fn add_switch(&mut self, name: impl Into<String>) -> SwitchId {
         let id = SwitchId::from_index(self.switches.len());
         self.switches.push(Switch { name: name.into() });
+        self.out_links.push(Vec::new());
+        self.in_links.push(Vec::new());
         id
     }
 
@@ -88,6 +109,8 @@ impl Topology {
             vcs: 1,
             bandwidth,
         });
+        self.out_links[source.index()].push(id);
+        self.in_links[target.index()].push(id);
         id
     }
 
@@ -172,26 +195,40 @@ impl Topology {
             .flat_map(|(id, link)| (0..link.vcs).map(move |vc| Channel::new(id, vc)))
     }
 
-    /// Iterates over the links leaving `switch`.
+    /// Iterates over the links leaving `switch`, in ascending id order
+    /// (empty for an unknown switch).
     pub fn links_from(&self, switch: SwitchId) -> impl Iterator<Item = (LinkId, &Link)> + '_ {
-        self.links().filter(move |(_, l)| l.source == switch)
+        self.listed(&self.out_links, switch)
     }
 
-    /// Iterates over the links arriving at `switch`.
+    /// Iterates over the links arriving at `switch`, in ascending id order
+    /// (empty for an unknown switch).
     pub fn links_to(&self, switch: SwitchId) -> impl Iterator<Item = (LinkId, &Link)> + '_ {
-        self.links().filter(move |(_, l)| l.target == switch)
+        self.listed(&self.in_links, switch)
     }
 
-    /// Returns the first link `source -> target`, if one exists.
+    fn listed<'a>(
+        &'a self,
+        lists: &'a [Vec<LinkId>],
+        switch: SwitchId,
+    ) -> impl Iterator<Item = (LinkId, &'a Link)> + 'a {
+        lists
+            .get(switch.index())
+            .map_or(&[][..], Vec::as_slice)
+            .iter()
+            .map(move |&id| (id, &self.links[id.index()]))
+    }
+
+    /// Returns the first (lowest-id) link `source -> target`, if one exists.
     pub fn find_link(&self, source: SwitchId, target: SwitchId) -> Option<LinkId> {
-        self.links()
-            .find(|(_, l)| l.source == source && l.target == target)
+        self.links_from(source)
+            .find(|(_, l)| l.target == target)
             .map(|(id, _)| id)
     }
 
-    /// In-degree + out-degree of a switch in physical links, plus the extra
-    /// VC channels.  This approximates the router port/buffer count used by
-    /// the power and area models.
+    /// In-degree + out-degree of a switch in physical links.  This
+    /// approximates the router port count used by the power and area
+    /// models.
     pub fn switch_degree(&self, switch: SwitchId) -> usize {
         self.links_from(switch).count() + self.links_to(switch).count()
     }
@@ -272,6 +309,35 @@ mod tests {
         assert_eq!(t.switch_degree(sw[0]), 2);
         assert_eq!(t.channels().count(), 4);
         assert_eq!(t.switches().count(), 4);
+    }
+
+    #[test]
+    fn link_lists_match_a_filtered_arena_scan() {
+        let mut t = Topology::new();
+        let sw: Vec<_> = (0..4).map(|i| t.add_switch(format!("s{i}"))).collect();
+        // Parallel links, a self-loop and interleaved endpoints.
+        for (a, b) in [(0, 1), (2, 0), (0, 1), (1, 1), (3, 0), (0, 2), (1, 0)] {
+            t.add_link(sw[a], sw[b], 1.0);
+        }
+        for &s in &sw {
+            let from: Vec<_> = t.links_from(s).map(|(id, _)| id).collect();
+            let to: Vec<_> = t.links_to(s).map(|(id, _)| id).collect();
+            let scan_from: Vec<_> = t
+                .links()
+                .filter(|(_, l)| l.source == s)
+                .map(|(id, _)| id)
+                .collect();
+            let scan_to: Vec<_> = t
+                .links()
+                .filter(|(_, l)| l.target == s)
+                .map(|(id, _)| id)
+                .collect();
+            assert_eq!(from, scan_from);
+            assert_eq!(to, scan_to);
+        }
+        assert_eq!(t.find_link(sw[0], sw[1]), Some(LinkId::from_index(0)));
+        assert_eq!(t.links_from(SwitchId::from_index(9)).count(), 0);
+        assert_eq!(t.links_to(SwitchId::from_index(9)).count(), 0);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 
 use crate::comm::{CommGraph, CoreMap};
 use crate::error::TopologyError;
+use crate::ids::SwitchId;
+use crate::search::for_each_source;
 use crate::topology::Topology;
-use noc_graph::{shortest_path, NodeId};
 
 /// Checks that the design triple (topology, communication graph, core map)
 /// is internally consistent:
@@ -11,6 +12,10 @@ use noc_graph::{shortest_path, NodeId};
 /// 1. every core is mapped to an existing switch,
 /// 2. for every flow there exists at least one directed switch-level path
 ///    from the source core's switch to the destination core's switch.
+///
+/// Every flow is checked, with one reachability search per distinct source
+/// switch ([`for_each_source`]), so the check costs O(sources × links), not
+/// O(flows × links).
 ///
 /// # Errors
 ///
@@ -27,18 +32,26 @@ pub fn validate_design(
             return Err(TopologyError::UnknownSwitch(switch));
         }
     }
-    // 2. Reachability per flow.
-    let graph = topology.to_switch_graph();
-    for (_, flow) in comm.flows() {
-        let from = map.require(flow.source)?;
-        let to = map.require(flow.destination)?;
-        if from == to {
-            continue; // same switch: traffic never enters the network
-        }
-        let sp = shortest_path::hop_distances(&graph, NodeId::from_index(from.index()));
-        if sp.distance(NodeId::from_index(to.index())).is_none() {
-            return Err(TopologyError::Disconnected { from, to });
-        }
+    // 2. Reachability: one search per distinct source switch, stopping once
+    // its flows' destinations are reached; the earliest failing flow wins.
+    let endpoints = comm
+        .flows()
+        .map(|(_, flow)| Ok((map.require(flow.source)?, map.require(flow.destination)?)))
+        .collect::<Result<Vec<(SwitchId, SwitchId)>, TopologyError>>()?;
+    let mut first_disconnected: Option<usize> = None;
+    for_each_source(
+        topology,
+        &endpoints,
+        |_| 1,
+        |search, flows| {
+            if let Some(&f) = flows.iter().find(|&&f| !search.reached(endpoints[f].1)) {
+                first_disconnected = Some(first_disconnected.map_or(f, |g| g.min(f)));
+            }
+        },
+    );
+    if let Some(f) = first_disconnected {
+        let (from, to) = endpoints[f];
+        return Err(TopologyError::Disconnected { from, to });
     }
     Ok(())
 }
@@ -104,6 +117,45 @@ mod tests {
         assert_eq!(
             validate_design(&t, &c, &m),
             Err(TopologyError::Disconnected { from: s0, to: s1 })
+        );
+    }
+
+    #[test]
+    fn earliest_disconnected_flow_is_reported() {
+        // s2 -> s0 -> s1 is a chain; flows leave s1 (stuck) and s2.
+        let mut t = Topology::new();
+        let s: Vec<_> = (0..3).map(|i| t.add_switch(format!("s{i}"))).collect();
+        t.add_link(s[2], s[0], 1.0);
+        t.add_link(s[0], s[1], 1.0);
+        let mut c = CommGraph::new();
+        let cores: Vec<_> = (0..3).map(|i| c.add_core(format!("c{i}"))).collect();
+        let mut m = CoreMap::new(3);
+        for i in 0..3 {
+            m.assign(cores[i], s[i]).unwrap();
+        }
+        // Flow 0 is fine; flow 1 (from s1, a later source bucket than s0 but
+        // an earlier flow than flow 2) and flow 2 (from s0) are both cut off.
+        c.add_flow(cores[2], cores[1], 1.0);
+        c.add_flow(cores[1], cores[2], 1.0);
+        c.add_flow(cores[0], cores[2], 1.0);
+        assert_eq!(
+            validate_design(&t, &c, &m),
+            Err(TopologyError::Disconnected {
+                from: s[1],
+                to: s[2]
+            })
+        );
+        // Reversed flow order: the s0 flow is now the earliest failure.
+        let mut r = CommGraph::new();
+        let cores: Vec<_> = (0..3).map(|i| r.add_core(format!("c{i}"))).collect();
+        r.add_flow(cores[0], cores[2], 1.0);
+        r.add_flow(cores[1], cores[2], 1.0);
+        assert_eq!(
+            validate_design(&t, &r, &m),
+            Err(TopologyError::Disconnected {
+                from: s[0],
+                to: s[2]
+            })
         );
     }
 
