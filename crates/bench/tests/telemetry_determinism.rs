@@ -1,10 +1,11 @@
 //! Pins the telemetry determinism constraint: instrumentation is
 //! observe-only, so installing the recording collector must not change any
 //! artifact — byte for byte — while the figure sources run under the
-//! threaded executor.  Traces may (and do) differ between runs; the science
-//! must not.
+//! threaded executor, nor the bytes the artifact writer puts on disk.
+//! Traces may (and do) differ between runs; the science must not.
 
 use noc_bench::jobs::job_source;
+use noc_flow::json::{Artifact, ParsedArtifact};
 use noc_jobs::{run_in_memory, JobRequest};
 use noc_telemetry::RecorderScope;
 
@@ -19,19 +20,66 @@ fn artifact(figure: &str, counts: [usize; 3], threads: usize) -> String {
     run_in_memory(source.as_ref(), threads).expect("figure runs")
 }
 
+/// The bytes `Artifact::write` puts on disk for the data of `text`, written
+/// under an `artifact/write` span the way the figure binaries write theirs.
+fn written(figure: &str, text: &str, tag: &str) -> String {
+    let data = ParsedArtifact::parse(text).expect("valid artifact").data;
+    let path = std::env::temp_dir().join(format!(
+        "noc-telemetry-determinism-{}-{figure}-{tag}.json",
+        std::process::id()
+    ));
+    {
+        let _span = noc_telemetry::span("artifact", "write");
+        Artifact::new(figure, &data)
+            .write(&path)
+            .expect("artifact writes");
+    }
+    let bytes = std::fs::read_to_string(&path).expect("artifact reads back");
+    std::fs::remove_file(&path).expect("artifact removed");
+    bytes
+}
+
 #[test]
 fn artifact_data_is_byte_identical_with_collector_on_and_off() {
     for (figure, counts) in [("fig8_d26_media", [5, 9, 14]), ("fig9_d36_8", [10, 17, 25])] {
         let silent = artifact(figure, counts, 3);
+        let silent_file = written(figure, &silent, "silent");
 
         let scope = RecorderScope::new();
         let recorded = artifact(figure, counts, 3);
+        let recorded_file = written(figure, &recorded, "recorded");
         let snapshot = scope.recorder().snapshot();
         drop(scope);
 
         assert_eq!(
             silent, recorded,
             "{figure}: enabling the collector changed the artifact"
+        );
+        assert_eq!(
+            silent_file, recorded_file,
+            "{figure}: enabling the collector changed the written artifact"
+        );
+        // The writer's three steps nest directly under `artifact/write`.
+        let write = snapshot
+            .spans
+            .iter()
+            .find(|s| s.cat == "artifact" && s.name == "write")
+            .expect("the write span was recorded");
+        let mut steps: Vec<_> = snapshot
+            .spans
+            .iter()
+            .filter(|s| s.parent_seq == write.enter_seq)
+            .collect();
+        steps.sort_by_key(|s| s.enter_seq);
+        let steps: Vec<(&str, &str)> = steps.iter().map(|s| (s.cat, s.name.as_str())).collect();
+        assert_eq!(
+            steps,
+            [
+                ("artifact", "render"),
+                ("artifact", "self_parse"),
+                ("artifact", "write_atomic")
+            ],
+            "{figure}: artifact/write children"
         );
         // The run above must actually have been observed — a vacuous pass
         // (nothing instrumented, nothing recorded) would prove nothing.

@@ -23,7 +23,7 @@
 //! the equivalence the incremental removal loop is tested against.
 
 use noc_graph::cycles::IncrementalCycleFinder;
-use noc_graph::{cycles, DiGraph, NodeId};
+use noc_graph::{cycles, scc, DiGraph, NodeId};
 use noc_routing::RouteSet;
 use noc_topology::{Channel, FlowId, Topology};
 
@@ -220,7 +220,7 @@ impl Cdg {
     /// Returns `true` when the CDG has no directed cycle, i.e. the routed
     /// design is deadlock-free.
     pub fn is_acyclic(&self) -> bool {
-        cycles::is_acyclic(&self.graph)
+        !scc::has_cycle(&self.graph)
     }
 
     /// Returns the smallest cycle as an ordered channel list
@@ -292,7 +292,7 @@ impl Cdg {
     /// stress workload should press on).  Empty iff the CDG is acyclic.
     /// Sorted, deduplicated.
     pub fn cyclic_flows(&self) -> Vec<FlowId> {
-        let components = noc_graph::scc::components(&self.graph);
+        let components = scc::components(&self.graph);
         let mut flows: Vec<FlowId> = self
             .graph
             .edges()

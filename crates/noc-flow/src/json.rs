@@ -864,10 +864,18 @@ impl<'a, T: ToJson + ?Sized> Artifact<'a, T> {
     /// produce an unreadable artifact), and writes it to `path` atomically
     /// — temp file in the destination directory plus rename, so readers
     /// never observe a torn artifact and a crash mid-write leaves any
-    /// previous version intact.
+    /// previous version intact.  Each of the three steps is an `artifact`
+    /// span of its own, nested under the caller's `artifact/write`.
     pub fn write(&self, path: &Path) -> Result<(), ArtifactError> {
-        let out = self.render();
-        ParsedArtifact::parse(&out)?;
+        let out = {
+            let _span = noc_telemetry::span("artifact", "render");
+            self.render()
+        };
+        {
+            let _span = noc_telemetry::span("artifact", "self_parse");
+            ParsedArtifact::parse(&out)?;
+        }
+        let _span = noc_telemetry::span("artifact", "write_atomic");
         write_atomic(path, out.as_bytes()).map_err(|source| ArtifactError::Io {
             path: path.to_path_buf(),
             source,

@@ -403,6 +403,14 @@ impl TraceSummary {
             })();
             let event =
                 event.ok_or_else(|| ArtifactError::Envelope("malformed complete event".into()))?;
+            // Every interval below is [ts, ts + dur]; an end past u64::MAX
+            // is no timestamp any recorder writes.
+            if event.ts.checked_add(event.dur).is_none() {
+                return Err(ArtifactError::Envelope(format!(
+                    "complete event {:?} ends past the u64 µs range (ts {} + dur {})",
+                    event.name, event.ts, event.dur
+                )));
+            }
             events.push(event);
         }
         Ok(TraceSummary::from_events(source, counters, &events))
@@ -419,7 +427,7 @@ impl TraceSummary {
             let row = totals.entry(event.cat.as_str()).or_insert((0, 0));
             row.0 += 1;
             if cat_of.get(&event.parent).copied() != Some(event.cat.as_str()) {
-                row.1 += event.dur;
+                row.1 = row.1.saturating_add(event.dur);
             }
         }
         let mut phases: Vec<PhaseRow> = totals
@@ -661,6 +669,64 @@ mod tests {
         let removal = summary.phases.iter().find(|p| p.cat == "removal").unwrap();
         assert_eq!(removal.spans, 2);
         assert_eq!(removal.total_us, 100);
+    }
+
+    /// A trace document holding one root complete event per `(ts, dur)`
+    /// pair, both written as raw JSON numbers, all in one category.
+    fn trace_with_events(events: &[(&str, &str)]) -> String {
+        let events: Vec<String> = events
+            .iter()
+            .enumerate()
+            .map(|(i, (ts, dur))| {
+                format!(
+                    r#"{{"name":"e{i}","cat":"c","ph":"X","ts":{ts},"dur":{dur},"pid":1,"tid":1,"seq":{},"parent":0}}"#,
+                    i + 1
+                )
+            })
+            .collect();
+        format!(
+            r#"{{"figure":"{TRACE_FIGURE}","schema":{SCHEMA_VERSION},"data":{{"source":"s"}},"traceEvents":[{}]}}"#,
+            events.join(",")
+        )
+    }
+
+    #[test]
+    fn event_ending_past_the_u64_range_is_rejected() {
+        let text = trace_with_events(&[("1e30", "1")]);
+        match TraceSummary::parse(&text) {
+            Err(ArtifactError::Envelope(message)) => {
+                assert!(message.contains("ends past the u64"), "{message}")
+            }
+            other => panic!("expected an envelope error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn extreme_timestamps_never_panic() {
+        const EXTREMES: [&str; 5] = ["0", "1", "9007199254740992", "1e19", "1e30"];
+        let mut rng = noc_rng::SmallRng::seed_from_u64(0x007E_ACE5);
+        for case in 0..256 {
+            let events: Vec<(&str, &str)> = (0..rng.gen_range(1..5_usize))
+                .map(|_| {
+                    (
+                        EXTREMES[rng.gen_range(0..EXTREMES.len())],
+                        EXTREMES[rng.gen_range(0..EXTREMES.len())],
+                    )
+                })
+                .collect();
+            let text = trace_with_events(&events);
+            let fits = events.iter().all(|(ts, dur)| {
+                let (ts, dur) = (ts.parse::<f64>().unwrap(), dur.parse::<f64>().unwrap());
+                (ts as u64).checked_add(dur as u64).is_some()
+            });
+            match TraceSummary::parse(&text) {
+                Ok(summary) => {
+                    assert!(fits, "case {case}: {events:?} parsed");
+                    summary.render_table();
+                }
+                Err(error) => assert!(!fits, "case {case}: {events:?}: {error}"),
+            }
+        }
     }
 
     #[test]

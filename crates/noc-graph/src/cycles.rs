@@ -42,8 +42,7 @@
 //! Skipping a node is exact because the skipped BFS would have returned
 //! nothing, so every answer is identical to the full scan.
 
-use crate::csr::GraphView;
-use crate::digraph::NodeId;
+use crate::digraph::{DiGraph, NodeId};
 use crate::scc;
 
 /// Returns the shortest directed cycle through `start`, as the ordered list
@@ -56,7 +55,7 @@ use crate::scc;
 /// search the paper describes).  Successors are scanned in ascending node-id
 /// order, so the returned cycle depends only on the edge set (see the
 /// [module docs](self)).
-pub fn shortest_cycle_through<G: GraphView>(graph: &G, start: NodeId) -> Option<Vec<NodeId>> {
+pub fn shortest_cycle_through<N, E>(graph: &DiGraph<N, E>, start: NodeId) -> Option<Vec<NodeId>> {
     shortest_cycle_through_bounded(graph, start, usize::MAX)
 }
 
@@ -80,8 +79,8 @@ pub fn shortest_cycle_through<G: GraphView>(graph: &G, start: NodeId) -> Option<
 /// assert_eq!(cycles::shortest_cycle_through_bounded(&g, n[0], 4).unwrap().len(), 4);
 /// assert_eq!(cycles::shortest_cycle_through_bounded(&g, n[0], 3), None);
 /// ```
-pub fn shortest_cycle_through_bounded<G: GraphView>(
-    graph: &G,
+pub fn shortest_cycle_through_bounded<N, E>(
+    graph: &DiGraph<N, E>,
     start: NodeId,
     max_len: usize,
 ) -> Option<Vec<NodeId>> {
@@ -119,7 +118,7 @@ pub fn shortest_cycle_through_bounded<G: GraphView>(
 /// let cycle = cycles::smallest_cycle(&g).unwrap();
 /// assert_eq!(cycle.len(), 2);
 /// ```
-pub fn smallest_cycle<G: GraphView>(graph: &G) -> Option<Vec<NodeId>> {
+pub fn smallest_cycle<N, E>(graph: &DiGraph<N, E>) -> Option<Vec<NodeId>> {
     smallest_cycle_by(graph, NodeId::index)
 }
 
@@ -137,46 +136,11 @@ pub fn smallest_cycle<G: GraphView>(graph: &G) -> Option<Vec<NodeId>> {
 ///
 /// This is the first query of a fresh [`IncrementalCycleFinder`], so the
 /// stateless and the incremental search share one code path.
-pub fn smallest_cycle_by<G: GraphView, K: Ord>(
-    graph: &G,
+pub fn smallest_cycle_by<N, E, K: Ord>(
+    graph: &DiGraph<N, E>,
     rank: impl Fn(NodeId) -> K,
 ) -> Option<Vec<NodeId>> {
     IncrementalCycleFinder::new().smallest_cycle_by(graph, rank)
-}
-
-/// Returns `true` if the graph contains no directed cycle.
-pub fn is_acyclic<G: GraphView>(graph: &G) -> bool {
-    !scc::has_cycle(graph)
-}
-
-/// Returns the length (node count) of the smallest cycle, or `None` for an
-/// acyclic graph.  Convenience wrapper over [`smallest_cycle`].
-///
-/// # Edge cases
-///
-/// A self-loop is a cycle of length **1** and beats every longer cycle; a
-/// pair of antiparallel edges is a cycle of length 2; parallel edges do
-/// *not* create a 2-cycle on their own (both point the same way); and an
-/// empty or edge-free graph has no girth at all:
-///
-/// ```
-/// use noc_graph::{DiGraph, cycles};
-///
-/// let mut g: DiGraph<(), ()> = DiGraph::new();
-/// assert_eq!(cycles::girth(&g), None);            // empty graph
-/// let a = g.add_node(());
-/// let b = g.add_node(());
-/// assert_eq!(cycles::girth(&g), None);            // no edges yet
-/// g.add_edge(a, b, ());
-/// g.add_edge(a, b, ());
-/// assert_eq!(cycles::girth(&g), None);            // parallel edges, still acyclic
-/// g.add_edge(b, a, ());
-/// assert_eq!(cycles::girth(&g), Some(2));         // antiparallel pair
-/// g.add_edge(b, b, ());
-/// assert_eq!(cycles::girth(&g), Some(1));         // self-loop wins
-/// ```
-pub fn girth<G: GraphView>(graph: &G) -> Option<usize> {
-    smallest_cycle(graph).map(|c| c.len())
 }
 
 /// Incremental smallest-cycle search over a graph that changes between
@@ -263,9 +227,9 @@ impl IncrementalCycleFinder {
     /// not depend on `rank`; the graph may change arbitrarily between
     /// queries as long as node ids keep their meaning, and the finder
     /// detects every edit.
-    pub fn smallest_cycle_by<G: GraphView, K: Ord>(
+    pub fn smallest_cycle_by<N, E, K: Ord>(
         &mut self,
-        graph: &G,
+        graph: &DiGraph<N, E>,
         rank: impl Fn(NodeId) -> K,
     ) -> Option<Vec<NodeId>> {
         noc_telemetry::counter("cycles.queries", 1);
@@ -440,7 +404,7 @@ impl Csr {
     }
 
     /// The live edges of `graph` in node-id space.
-    fn of_graph<G: GraphView>(graph: &G) -> Self {
+    fn of_graph<N, E>(graph: &DiGraph<N, E>) -> Self {
         let n = graph.node_count();
         assert!(
             u32::try_from(n).is_ok(),
@@ -611,7 +575,6 @@ impl BfsWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::digraph::DiGraph;
 
     fn ring(n: usize) -> (DiGraph<usize, ()>, Vec<NodeId>) {
         let mut g = DiGraph::new();
@@ -629,8 +592,6 @@ mod tests {
         let b = g.add_node(());
         g.add_edge(a, b, ());
         assert!(smallest_cycle(&g).is_none());
-        assert!(is_acyclic(&g));
-        assert_eq!(girth(&g), None);
     }
 
     #[test]
@@ -668,7 +629,6 @@ mod tests {
         g.add_edge(a, a, ());
         let cycle = smallest_cycle(&g).unwrap();
         assert_eq!(cycle, vec![a]);
-        assert_eq!(girth(&g), Some(1));
     }
 
     #[test]
@@ -789,10 +749,10 @@ mod tests {
     }
 
     #[test]
-    fn girth_of_ring_equals_its_length() {
+    fn smallest_cycle_of_a_ring_spans_the_ring() {
         for n in 2..8 {
             let (g, _) = ring(n);
-            assert_eq!(girth(&g), Some(n));
+            assert_eq!(smallest_cycle(&g).map(|c| c.len()), Some(n));
         }
     }
 

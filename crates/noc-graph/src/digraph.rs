@@ -110,7 +110,6 @@ pub struct DiGraph<N, E> {
     nodes: Vec<N>,
     edges: Vec<EdgeData<E>>,
     out_edges: Vec<Vec<EdgeId>>,
-    in_edges: Vec<Vec<EdgeId>>,
 }
 
 impl<N, E> Default for DiGraph<N, E> {
@@ -126,7 +125,6 @@ impl<N, E> DiGraph<N, E> {
             nodes: Vec::new(),
             edges: Vec::new(),
             out_edges: Vec::new(),
-            in_edges: Vec::new(),
         }
     }
 
@@ -136,26 +134,7 @@ impl<N, E> DiGraph<N, E> {
             nodes: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
             out_edges: Vec::with_capacity(nodes),
-            in_edges: Vec::with_capacity(nodes),
         }
-    }
-
-    /// Reserves capacity for at least `additional_nodes` more nodes and
-    /// `additional_edges` more edges, so bulk builders (CDG construction,
-    /// topology generators) can size the arenas up front and avoid
-    /// reallocation during the hot build loop.
-    pub fn reserve(&mut self, additional_nodes: usize, additional_edges: usize) {
-        self.nodes.reserve(additional_nodes);
-        self.out_edges.reserve(additional_nodes);
-        self.in_edges.reserve(additional_nodes);
-        self.edges.reserve(additional_edges);
-    }
-
-    /// Freezes the live edges into a cache-friendly CSR view; see
-    /// [`CsrGraph`](crate::csr::CsrGraph) for the shared-id and
-    /// iteration-order guarantees.
-    pub fn freeze(&self) -> crate::csr::CsrGraph {
-        crate::csr::CsrGraph::freeze(self)
     }
 
     /// Adds a node with the given payload and returns its id.
@@ -163,7 +142,6 @@ impl<N, E> DiGraph<N, E> {
         let id = NodeId(self.nodes.len());
         self.nodes.push(weight);
         self.out_edges.push(Vec::new());
-        self.in_edges.push(Vec::new());
         id
     }
 
@@ -183,7 +161,6 @@ impl<N, E> DiGraph<N, E> {
             removed: false,
         });
         self.out_edges[source.0].push(id);
-        self.in_edges[target.0].push(id);
         id
     }
 
@@ -276,11 +253,6 @@ impl<N, E> DiGraph<N, E> {
         (0..self.nodes.len()).map(NodeId)
     }
 
-    /// Iterates over `(NodeId, &N)` pairs in insertion order.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &N)> + '_ {
-        self.nodes.iter().enumerate().map(|(i, w)| (NodeId(i), w))
-    }
-
     /// Iterates over all live edges.
     pub fn edges(&self) -> impl Iterator<Item = EdgeRef<'_, E>> + '_ {
         self.edges
@@ -314,75 +286,15 @@ impl<N, E> DiGraph<N, E> {
             })
     }
 
-    /// Iterates over the live incoming edges of `node`.
-    pub fn in_edges(&self, node: NodeId) -> impl Iterator<Item = EdgeRef<'_, E>> + '_ {
-        self.in_edges
-            .get(node.0)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-            .iter()
-            .filter(|e| !self.edges[e.0].removed)
-            .map(move |&id| {
-                let e = &self.edges[id.0];
-                EdgeRef {
-                    id,
-                    source: e.source,
-                    target: e.target,
-                    weight: &e.weight,
-                }
-            })
-    }
-
     /// Iterates over the successor nodes of `node` (one entry per live edge,
     /// so parallel edges yield duplicates).
     pub fn successors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         self.out_edges(node).map(|e| e.target)
     }
 
-    /// Iterates over the predecessor nodes of `node`.
-    pub fn predecessors(&self, node: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.in_edges(node).map(|e| e.source)
-    }
-
     /// Number of live outgoing edges of `node`.
     pub fn out_degree(&self, node: NodeId) -> usize {
         self.out_edges(node).count()
-    }
-
-    /// Number of live incoming edges of `node`.
-    pub fn in_degree(&self, node: NodeId) -> usize {
-        self.in_edges(node).count()
-    }
-
-    /// Maps node and edge payloads into a new graph with the same shape.
-    pub fn map<N2, E2>(
-        &self,
-        mut node_map: impl FnMut(NodeId, &N) -> N2,
-        mut edge_map: impl FnMut(EdgeId, &E) -> E2,
-    ) -> DiGraph<N2, E2> {
-        let nodes = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, w)| node_map(NodeId(i), w))
-            .collect();
-        let edges = self
-            .edges
-            .iter()
-            .enumerate()
-            .map(|(i, e)| EdgeData {
-                source: e.source,
-                target: e.target,
-                weight: edge_map(EdgeId(i), &e.weight),
-                removed: e.removed,
-            })
-            .collect();
-        DiGraph {
-            nodes,
-            edges,
-            out_edges: self.out_edges.clone(),
-            in_edges: self.in_edges.clone(),
-        }
     }
 }
 
@@ -434,9 +346,7 @@ mod tests {
         let e = g.find_edge(n[2], n[0]).unwrap();
         assert_eq!(g.edge_endpoints(e), Some((n[2], n[0])));
         assert_eq!(g.out_degree(n[0]), 1);
-        assert_eq!(g.in_degree(n[0]), 1);
         assert_eq!(g.successors(n[0]).collect::<Vec<_>>(), vec![n[1]]);
-        assert_eq!(g.predecessors(n[0]).collect::<Vec<_>>(), vec![n[2]]);
     }
 
     #[test]
@@ -475,16 +385,6 @@ mod tests {
         let e2 = g.add_edge(a, b, 2);
         g.remove_edge(e1);
         assert_eq!(g.find_edge(a, b), Some(e2));
-    }
-
-    #[test]
-    fn map_preserves_shape() {
-        let (g, n) = sample();
-        let mapped = g.map(|id, s| format!("{id}:{s}"), |_, w| *w as u64 * 2);
-        assert_eq!(mapped.node_count(), 3);
-        assert_eq!(mapped.edge_count(), 3);
-        let e = mapped.find_edge(n[0], n[1]).unwrap();
-        assert_eq!(mapped.edge_weight(e), Some(&2));
     }
 
     #[test]

@@ -14,52 +14,49 @@
 //! cyclic knot, otherwise some worm has an escape and the configuration
 //! drains.
 
-use crate::csr::GraphView;
-use crate::digraph::NodeId;
-use crate::scc;
+use crate::digraph::{DiGraph, NodeId};
+use crate::scc::{self, Components};
 
-/// The strongly-connected components of `graph` with no edge leaving the
-/// component (the *sink* components of the condensation), in the reverse
-/// topological order [`scc::tarjan_scc`] yields.
+/// The ids of the components of `graph` with no edge leaving the component
+/// (the *sink* components of the condensation), ascending, i.e. in the
+/// reverse topological order [`scc::tarjan_scc`] yields.
 ///
 /// Every graph with at least one node has at least one sink component; a
 /// trivial single node with no outgoing edges is one.
-pub fn sink_components<G: GraphView>(graph: &G) -> Vec<Vec<NodeId>> {
-    let components = scc::components(graph);
-    (0..components.len())
-        .map(|id| components.members(id))
-        .filter(|members| {
-            members.iter().all(|&node| {
-                graph
-                    .successors(node)
-                    .all(|succ| components.is_internal(node, succ))
-            })
+fn sink_components<'a, N, E>(
+    graph: &'a DiGraph<N, E>,
+    components: &'a Components,
+) -> impl Iterator<Item = usize> + 'a {
+    (0..components.len()).filter(|&id| {
+        components.members(id).iter().all(|&node| {
+            graph
+                .successors(node)
+                .all(|succ| components.is_internal(node, succ))
         })
-        .map(<[NodeId]>::to_vec)
-        .collect()
+    })
 }
 
 /// The **cyclic knots** of `graph`: sink components that contain a cycle
 /// (more than one node, or a single node with a self-loop).  Empty iff every
 /// cycle of the graph can reach an escape successor outside its component.
-pub fn knots<G: GraphView>(graph: &G) -> Vec<Vec<NodeId>> {
-    sink_components(graph)
-        .into_iter()
-        .filter(|component| component.len() > 1 || component.iter().any(|&n| graph.has_edge(n, n)))
+pub fn knots<N, E>(graph: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
+    let components = scc::components(graph);
+    sink_components(graph, &components)
+        .filter(|&id| components.is_cyclic(id))
+        .map(|id| components.members(id).to_vec())
         .collect()
 }
 
 /// `true` when `graph` contains no cyclic knot — every node can reach a node
 /// that is outside every cycle, so no inescapable waiting configuration
 /// exists.
-pub fn is_knot_free<G: GraphView>(graph: &G) -> bool {
+pub fn is_knot_free<N, E>(graph: &DiGraph<N, E>) -> bool {
     knots(graph).is_empty()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::digraph::DiGraph;
 
     fn graph(nodes: usize, edges: &[(usize, usize)]) -> DiGraph<usize, ()> {
         let mut g = DiGraph::new();
@@ -68,6 +65,13 @@ mod tests {
             g.add_edge(ids[a], ids[b], ());
         }
         g
+    }
+
+    fn sinks<N>(g: &DiGraph<N, ()>) -> Vec<Vec<NodeId>> {
+        let components = scc::components(g);
+        sink_components(g, &components)
+            .map(|id| components.members(id).to_vec())
+            .collect()
     }
 
     fn as_indices<N: Copy + Ord>(g: &DiGraph<N, ()>, components: Vec<Vec<NodeId>>) -> Vec<Vec<N>> {
@@ -98,7 +102,7 @@ mod tests {
         assert!(knots(&g).is_empty());
         assert!(is_knot_free(&g));
         // Node 3 is still a (trivial, acyclic) sink component.
-        assert_eq!(as_indices(&g, sink_components(&g)), vec![vec![3]]);
+        assert_eq!(as_indices(&g, sinks(&g)), vec![vec![3]]);
     }
 
     #[test]
@@ -114,7 +118,16 @@ mod tests {
         let g = graph(2, &[(0, 0)]);
         assert_eq!(as_indices(&g, knots(&g)), vec![vec![0]]);
         // Node 1 has no edges at all: a sink component, but acyclic.
-        assert_eq!(sink_components(&g).len(), 2);
+        assert_eq!(sinks(&g).len(), 2);
+    }
+
+    #[test]
+    fn self_loop_with_an_exit_edge_is_not_a_knot() {
+        // Node 0 waits on itself but can also leave to node 1: its component
+        // is cyclic but not a sink, and the sink {1} is acyclic.
+        let g = graph(2, &[(0, 0), (0, 1)]);
+        assert!(knots(&g).is_empty());
+        assert_eq!(as_indices(&g, sinks(&g)), vec![vec![1]]);
     }
 
     #[test]
@@ -126,7 +139,7 @@ mod tests {
     #[test]
     fn empty_graph_has_no_knots() {
         let g: DiGraph<usize, ()> = DiGraph::new();
-        assert!(sink_components(&g).is_empty());
+        assert!(sinks(&g).is_empty());
         assert!(is_knot_free(&g));
     }
 }

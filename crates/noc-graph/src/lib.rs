@@ -1,22 +1,22 @@
 //! Directed-graph substrate for the NoC deadlock-removal suite.
 //!
 //! The paper ("A Method to Remove Deadlocks in Networks-on-Chips with
-//! Wormhole Flow Control", DATE 2010) manipulates three directed graphs:
-//! the topology graph `TG(S, L)`, the communication graph `G(V, E)` and the
-//! channel dependency graph `CDG(C, D)`.  This crate provides the common
-//! graph machinery all of them are built on:
+//! Wormhole Flow Control", DATE 2010) decides deadlock freedom on the
+//! channel dependency graph `CDG(C, D)`: Algorithm 1 builds it and breaks
+//! its smallest cycle (`GetSmallestCycle`) until it is acyclic.  The
+//! certified verifier and the recovery strategies add wait-for graphs,
+//! their strongly connected components and their knots.  This crate is
+//! exactly that machinery:
 //!
 //! * [`DiGraph`] — a compact adjacency-list directed multigraph with stable
-//!   node and edge identifiers,
-//! * [`CsrGraph`] — a frozen compressed-sparse-row view of a [`DiGraph`] for
-//!   cache-friendly read-only passes, abstracted over by [`GraphView`],
-//! * breadth-first and depth-first [`traversal`],
-//! * Tarjan strongly-connected components ([`scc`]),
-//! * cycle search ([`cycles`]) including the per-vertex BFS "smallest cycle"
-//!   search used by the paper's `GetSmallestCycle`,
-//! * Dijkstra shortest paths ([`shortest_path`]),
-//! * topological ordering / acyclicity checks ([`topo`]),
-//! * Graphviz export ([`dot`]).
+//!   node and edge identifiers and logical edge removal, the one graph
+//!   representation the CDG and the wait-for graphs are built on,
+//! * Tarjan strongly-connected components ([`scc`]), which double as the
+//!   acyclicity check,
+//! * cycle search ([`cycles`]): the per-vertex BFS smallest-cycle search
+//!   behind `GetSmallestCycle`, run over a compressed adjacency snapshot
+//!   each query builds for itself,
+//! * knot detection ([`knots`]) for the certified verifier.
 //!
 //! # Example
 //!
@@ -38,15 +38,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod csr;
 pub mod cycles;
 pub mod digraph;
-pub mod dot;
 pub mod knots;
 pub mod scc;
-pub mod shortest_path;
-pub mod topo;
-pub mod traversal;
 
-pub use csr::{CsrGraph, GraphView};
 pub use digraph::{DiGraph, EdgeId, EdgeRef, NodeId};

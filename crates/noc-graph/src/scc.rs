@@ -22,8 +22,7 @@
 //! this node in" read [`Components::component_of`] instead of rebuilding
 //! that map from the component lists.
 
-use crate::csr::GraphView;
-use crate::digraph::NodeId;
+use crate::digraph::{DiGraph, NodeId};
 
 /// The strongly-connected components of a graph, numbered in the order
 /// Tarjan's algorithm completes them: reverse topological order of the
@@ -60,6 +59,12 @@ impl Components {
     /// The members of component `id`, in Tarjan pop order.
     pub fn members(&self, id: usize) -> &[NodeId] {
         &self.members[self.offsets[id]..self.offsets[id + 1]]
+    }
+
+    /// `true` when component `id` contains a cycle: more than one node, or
+    /// a single node with a self-loop.
+    pub fn is_cyclic(&self, id: usize) -> bool {
+        self.cyclic[id]
     }
 
     /// `true` when some component contains a cycle.
@@ -172,12 +177,9 @@ pub(crate) fn components_of<I: Iterator<Item = usize>>(
 }
 
 /// The strongly-connected components of `graph`, with component ids, cyclic
-/// flags and member order exactly as [`tarjan_scc`] reports them.
-///
-/// Generic over [`GraphView`]: runs on both the mutable
-/// [`DiGraph`](crate::DiGraph) and a frozen [`CsrGraph`](crate::CsrGraph)
-/// with identical output (freezing preserves successor iteration order).
-pub fn components<G: GraphView>(graph: &G) -> Components {
+/// flags and member order exactly as [`tarjan_scc`] reports them.  The DFS
+/// follows each node's live out-edges in insertion order.
+pub fn components<N, E>(graph: &DiGraph<N, E>) -> Components {
     components_of(graph.node_count(), |v| {
         graph.successors(NodeId::from_index(v)).map(NodeId::index)
     })
@@ -204,7 +206,7 @@ pub fn components<G: GraphView>(graph: &G) -> Components {
 /// let comps = scc::tarjan_scc(&g);
 /// assert_eq!(comps.len(), 2);
 /// ```
-pub fn tarjan_scc<G: GraphView>(graph: &G) -> Vec<Vec<NodeId>> {
+pub fn tarjan_scc<N, E>(graph: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
     let components = components(graph);
     (0..components.len())
         .map(|id| components.members(id).to_vec())
@@ -213,7 +215,7 @@ pub fn tarjan_scc<G: GraphView>(graph: &G) -> Vec<Vec<NodeId>> {
 
 /// Returns the strongly-connected components that can contain a cycle:
 /// components with more than one node, plus single nodes with a self-loop.
-pub fn cyclic_components<G: GraphView>(graph: &G) -> Vec<Vec<NodeId>> {
+pub fn cyclic_components<N, E>(graph: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
     let components = components(graph);
     components
         .cyclic_ids()
@@ -222,14 +224,13 @@ pub fn cyclic_components<G: GraphView>(graph: &G) -> Vec<Vec<NodeId>> {
 }
 
 /// Returns `true` if the graph contains at least one directed cycle.
-pub fn has_cycle<G: GraphView>(graph: &G) -> bool {
+pub fn has_cycle<N, E>(graph: &DiGraph<N, E>) -> bool {
     components(graph).has_cycle()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::digraph::DiGraph;
 
     #[test]
     fn dag_has_trivial_components() {

@@ -4,7 +4,7 @@
 //! environment, so these properties are checked over a seeded stream of
 //! random graphs from `noc-rng` — same properties, deterministic cases.
 
-use noc_graph::{cycles, scc, shortest_path, topo, traversal, DiGraph, NodeId};
+use noc_graph::{cycles, scc, DiGraph, NodeId};
 use noc_rng::SmallRng;
 use std::collections::VecDeque;
 
@@ -49,17 +49,14 @@ fn scc_is_a_partition() {
     }
 }
 
-/// The three cycle oracles agree: topological sort exists <=> Tarjan finds
-/// no cyclic component <=> smallest_cycle returns None.
+/// The two cycle oracles agree: Tarjan finds no cyclic component <=>
+/// smallest_cycle returns None.
 #[test]
 fn cycle_oracles_agree() {
     let mut rng = SmallRng::seed_from_u64(0xB0B);
     for _ in 0..CASES {
         let (g, _) = random_graph(&mut rng, 25, 80);
-        let dag = topo::is_dag(&g);
-        assert_eq!(dag, !scc::has_cycle(&g));
-        assert_eq!(dag, cycles::smallest_cycle(&g).is_none());
-        assert_eq!(dag, cycles::is_acyclic(&g));
+        assert_eq!(!scc::has_cycle(&g), cycles::smallest_cycle(&g).is_none());
     }
 }
 
@@ -85,43 +82,6 @@ fn returned_cycle_is_valid() {
     }
 }
 
-/// BFS path lengths equal Dijkstra hop distances.
-#[test]
-fn bfs_and_dijkstra_agree_on_hops() {
-    let mut rng = SmallRng::seed_from_u64(0xD1CE);
-    for _ in 0..CASES {
-        let (g, nodes) = random_graph(&mut rng, 20, 60);
-        let src = nodes[0];
-        let sp = shortest_path::hop_distances(&g, src);
-        for &dst in &nodes {
-            let bfs = traversal::bfs_path(&g, src, dst).map(|p| (p.len() - 1) as u64);
-            assert_eq!(bfs, sp.distance(dst));
-        }
-    }
-}
-
-/// A topological order, when it exists, respects every edge.
-#[test]
-fn topological_order_respects_edges() {
-    let mut rng = SmallRng::seed_from_u64(0xE66);
-    for _ in 0..CASES {
-        let (g, _) = random_graph(&mut rng, 25, 60);
-        let n = g.node_count();
-        if let Some(order) = topo::topological_sort(&g) {
-            let pos: Vec<usize> = {
-                let mut p = vec![0; n];
-                for (i, node) in order.iter().enumerate() {
-                    p[node.index()] = i;
-                }
-                p
-            };
-            for e in g.edges() {
-                assert!(pos[e.source.index()] < pos[e.target.index()]);
-            }
-        }
-    }
-}
-
 /// Removing every edge of a found cycle makes that particular cycle
 /// impossible (the graph may still have other cycles, but at least one
 /// fewer).
@@ -143,22 +103,6 @@ fn removing_cycle_edges_reduces_cycles() {
             let still_complete =
                 (0..cycle.len()).all(|i| g.has_edge(cycle[i], cycle[(i + 1) % cycle.len()]));
             assert!(!still_complete);
-        }
-    }
-}
-
-/// Dijkstra distances satisfy the triangle inequality over direct edges.
-#[test]
-fn dijkstra_triangle_inequality() {
-    let mut rng = SmallRng::seed_from_u64(0xFEED);
-    for _ in 0..CASES {
-        let (g, nodes) = random_graph(&mut rng, 20, 60);
-        let src = nodes[0];
-        let sp = shortest_path::dijkstra(&g, src, |_| Some(1));
-        for e in g.edges() {
-            if let (Some(du), Some(dv)) = (sp.distance(e.source), sp.distance(e.target)) {
-                assert!(dv <= du + 1);
-            }
         }
     }
 }
@@ -420,70 +364,10 @@ fn bounded_cycle_search_is_consistent_with_unbounded() {
     }
 }
 
-/// Canonicalizes a Tarjan partition: members ascending within each
-/// component, components ordered by smallest member.
-fn canonical(mut comps: Vec<Vec<NodeId>>) -> Vec<Vec<NodeId>> {
-    for c in &mut comps {
-        c.sort();
-    }
-    comps.sort_by_key(|c| c[0]);
-    comps
-}
-
-/// The frozen CSR view must give every algorithm the same answer as the
-/// mutable adjacency-list graph it was built from — cycles, SCCs, knots
-/// and hop distances.
-#[test]
-fn csr_view_is_equivalent_to_digraph() {
-    let mut rng = SmallRng::seed_from_u64(0xC5A);
-    for _ in 0..CASES {
-        let (g, nodes) = random_graph(&mut rng, 24, 80);
-        let frozen = g.freeze();
-        assert_eq!(cycles::smallest_cycle(&frozen), cycles::smallest_cycle(&g));
-        assert_eq!(
-            canonical(scc::tarjan_scc(&frozen)),
-            canonical(scc::tarjan_scc(&g))
-        );
-        assert_eq!(
-            canonical(noc_graph::knots::knots(&frozen)),
-            canonical(noc_graph::knots::knots(&g))
-        );
-        let src = nodes[0];
-        let sp_g = shortest_path::hop_distances(&g, src);
-        let sp_c = shortest_path::hop_distances(&frozen, src);
-        for &dst in &nodes {
-            assert_eq!(sp_g.distance(dst), sp_c.distance(dst));
-        }
-    }
-}
-
-/// Freezing preserves the exact live-edge iteration order per node, so
-/// order-sensitive searches (the canonical smallest-cycle contract) cannot
-/// drift between the two representations.
-#[test]
-fn csr_preserves_successor_order() {
-    use noc_graph::GraphView;
-    let mut rng = SmallRng::seed_from_u64(0x0D8);
-    for _ in 0..CASES {
-        let (mut g, nodes) = random_graph(&mut rng, 20, 60);
-        // Punch some holes so the free-list / tombstone paths are exercised.
-        let live: Vec<_> = g.edges().map(|e| e.id).collect();
-        for id in live.iter().step_by(3) {
-            g.remove_edge(*id);
-        }
-        let frozen = g.freeze();
-        for &v in &nodes {
-            let from_g: Vec<NodeId> = g.successors(v).collect();
-            let from_c: Vec<NodeId> = frozen.successors(v).collect();
-            assert_eq!(from_g, from_c);
-        }
-    }
-}
-
 /// The iterative Tarjan the SCC kernel replaced, kept as the
 /// reference for component order: on every resume it re-collects the node's
 /// successors, and at the end it re-scans them to fold child lowlinks.
-fn reference_tarjan_scc<G: noc_graph::GraphView>(graph: &G) -> Vec<Vec<NodeId>> {
+fn reference_tarjan_scc(graph: &DiGraph<usize, ()>) -> Vec<Vec<NodeId>> {
     let n = graph.node_count();
     let mut index = vec![usize::MAX; n];
     let mut lowlink = vec![usize::MAX; n];
@@ -556,8 +440,8 @@ fn reference_tarjan_scc<G: noc_graph::GraphView>(graph: &G) -> Vec<Vec<NodeId>> 
 
 /// The SCC kernel reports exactly what the Tarjan it replaced reported:
 /// the same components, in the same order, each with its members in the
-/// same order, on graphs with self-loops, parallel edges and removed edges,
-/// through both graph representations; and the cyclic views agree.
+/// same order, on graphs with self-loops, parallel edges and removed edges;
+/// and the cyclic views agree.
 #[test]
 fn scc_kernel_matches_the_reference_tarjan_exactly() {
     let mut rng = SmallRng::seed_from_u64(0x7A21A);
@@ -581,7 +465,6 @@ fn scc_kernel_matches_the_reference_tarjan_exactly() {
         }
         let expected = reference_tarjan_scc(&g);
         assert_eq!(scc::tarjan_scc(&g), expected, "case {case}");
-        assert_eq!(scc::tarjan_scc(&g.freeze()), expected, "case {case}");
 
         let cyclic: Vec<Vec<NodeId>> = expected
             .iter()

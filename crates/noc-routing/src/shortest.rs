@@ -110,9 +110,95 @@ pub fn route_all_with_cost(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_graph::{shortest_path, NodeId};
+    use noc_graph::{DiGraph, EdgeId, EdgeRef, NodeId};
     use noc_rng::SmallRng;
     use noc_topology::{generators, CommGraph, CoreMap, LinkId, SwitchId};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The switch-level graph the reference routes over: one node per
+    /// switch, one edge per physical link, edge payload = [`LinkId`].
+    fn switch_graph(topology: &Topology) -> DiGraph<SwitchId, LinkId> {
+        let mut g = DiGraph::with_capacity(topology.switch_count(), topology.link_count());
+        for (id, _) in topology.switches() {
+            let node = g.add_node(id);
+            debug_assert_eq!(node.index(), id.index());
+        }
+        for (id, link) in topology.links() {
+            g.add_edge(
+                NodeId::from_index(link.source.index()),
+                NodeId::from_index(link.target.index()),
+                id,
+            );
+        }
+        g
+    }
+
+    /// Result of a single-source Dijkstra run.
+    #[derive(Debug, Clone)]
+    struct ShortestPaths {
+        dist: Vec<Option<u64>>,
+        parent: Vec<Option<(NodeId, EdgeId)>>,
+    }
+
+    impl ShortestPaths {
+        /// Distance from the source to `node`, or `None` if unreachable.
+        fn distance(&self, node: NodeId) -> Option<u64> {
+            self.dist.get(node.index()).copied().flatten()
+        }
+
+        /// Reconstructs the edge path from the source to `target`, or `None`
+        /// if `target` is unreachable.  The source itself yields an empty
+        /// path.
+        fn edge_path_to(&self, target: NodeId) -> Option<Vec<EdgeId>> {
+            self.distance(target)?;
+            let mut edges = Vec::new();
+            let mut cur = target;
+            while let Some((prev, edge)) = self.parent[cur.index()] {
+                edges.push(edge);
+                cur = prev;
+            }
+            edges.reverse();
+            Some(edges)
+        }
+    }
+
+    /// Dijkstra from `source`, weighing each live edge by `edge_cost` and
+    /// scanning out-edges in insertion order; edges mapped to `None` are
+    /// skipped.
+    fn dijkstra<N, E>(
+        graph: &DiGraph<N, E>,
+        source: NodeId,
+        mut edge_cost: impl FnMut(EdgeRef<'_, E>) -> Option<u64>,
+    ) -> ShortestPaths {
+        let n = graph.node_count();
+        let mut dist: Vec<Option<u64>> = vec![None; n];
+        let mut parent: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
+        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        if graph.contains_node(source) {
+            dist[source.index()] = Some(0);
+            heap.push(Reverse((0, source.index())));
+        }
+        while let Some(Reverse((d, idx))) = heap.pop() {
+            if dist[idx] != Some(d) {
+                continue; // stale entry
+            }
+            let node = NodeId::from_index(idx);
+            for edge in graph.out_edges(node) {
+                let next = edge.target;
+                let Some(cost) = edge_cost(edge) else {
+                    continue;
+                };
+                let nd = d.saturating_add(cost);
+                if dist[next.index()].is_none_or(|old| nd < old) {
+                    dist[next.index()] = Some(nd);
+                    parent[next.index()] = Some((node, edge.id));
+                    heap.push(Reverse((nd, next.index())));
+                }
+            }
+        }
+        ShortestPaths { dist, parent }
+    }
 
     /// The router as it used to run: a switch graph, one full Dijkstra per
     /// distinct source switch kept alive for the whole call, and flows
@@ -123,10 +209,9 @@ mod tests {
         map: &CoreMap,
         cost: LinkCost,
     ) -> Result<RouteSet, RouteError> {
-        let graph = topology.to_switch_graph();
+        let graph = switch_graph(topology);
         let mut routes = RouteSet::new(comm.flow_count());
-        let mut cache: Vec<Option<shortest_path::ShortestPaths>> =
-            vec![None; topology.switch_count()];
+        let mut cache: Vec<Option<ShortestPaths>> = vec![None; topology.switch_count()];
         for (flow_id, flow) in comm.flows() {
             let src = map.require(flow.source).map_err(RouteError::Topology)?;
             let dst = map
@@ -137,7 +222,7 @@ mod tests {
                 continue;
             }
             let sp = cache[src.index()].get_or_insert_with(|| {
-                shortest_path::dijkstra(&graph, NodeId::from_index(src.index()), |e| {
+                dijkstra(&graph, NodeId::from_index(src.index()), |e| {
                     Some(cost.of(topology.link(*e.weight).expect("valid link")))
                 })
             });

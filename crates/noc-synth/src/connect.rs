@@ -197,9 +197,9 @@ fn max_spanning_tree(k: usize, weight: impl Fn(usize, usize) -> f64) -> Vec<(usi
 mod tests {
     use super::*;
     use crate::cluster::cluster_cores;
-    use noc_graph::traversal;
     use noc_rng::SmallRng;
     use noc_topology::benchmarks::Benchmark;
+    use noc_topology::FaultSet;
 
     /// The O(k³) Prim the interconnect used to run: every step scans every
     /// (tree, outside) pair in ascending order and keeps the heaviest,
@@ -272,7 +272,9 @@ mod tests {
             for switches in [2, 5, 9, 14] {
                 let (_, _, ic) = interconnect_for(benchmark, switches, &ConnectConfig::default());
                 assert!(
-                    traversal::is_weakly_connected(&ic.topology.to_switch_graph()),
+                    ic.topology
+                        .connectivity_after(&FaultSet::new(&ic.topology))
+                        .is_fully_connected(),
                     "{benchmark} with {switches} switches"
                 );
             }

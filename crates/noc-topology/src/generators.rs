@@ -404,7 +404,14 @@ pub fn neighbor_traffic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_graph::{scc, traversal};
+    use crate::FaultSet;
+
+    /// Weak connectivity: one component with every link taken undirected.
+    fn weakly_connected(topology: &Topology) -> bool {
+        topology
+            .connectivity_after(&FaultSet::new(topology))
+            .is_fully_connected()
+    }
 
     #[test]
     fn unidirectional_ring_matches_figure_1() {
@@ -416,7 +423,13 @@ mod tests {
             assert_eq!(g.topology.links_from(sw).count(), 1);
             assert_eq!(g.topology.links_to(sw).count(), 1);
         }
-        assert!(scc::has_cycle(&g.topology.to_switch_graph()));
+        // Following the one outgoing link from switch 0 returns to it after
+        // exactly four hops: the links form one cycle through every switch.
+        let mut at = g.switches[0];
+        for hop in 1..=4 {
+            at = g.topology.links_from(at).next().unwrap().1.target;
+            assert_eq!(at == g.switches[0], hop == 4);
+        }
     }
 
     #[test]
@@ -429,9 +442,7 @@ mod tests {
     fn chain_is_connected_and_acyclic_in_one_direction() {
         let g = chain(6, 1.0);
         assert_eq!(g.topology.link_count(), 10);
-        assert!(traversal::is_weakly_connected(
-            &g.topology.to_switch_graph()
-        ));
+        assert!(weakly_connected(&g.topology));
     }
 
     #[test]
@@ -440,9 +451,7 @@ mod tests {
         assert_eq!(g.topology.switch_count(), 12);
         // Horizontal: 3 rows * 3 = 9 pairs, vertical: 2 * 4 = 8 pairs, times 2 directions.
         assert_eq!(g.topology.link_count(), 2 * (9 + 8));
-        assert!(traversal::is_weakly_connected(
-            &g.topology.to_switch_graph()
-        ));
+        assert!(weakly_connected(&g.topology));
     }
 
     #[test]
@@ -458,9 +467,7 @@ mod tests {
     #[test]
     fn star_and_tree_are_connected() {
         for generated in [star(7, 1.0), binary_tree(7, 1.0)] {
-            assert!(traversal::is_weakly_connected(
-                &generated.topology.to_switch_graph()
-            ));
+            assert!(weakly_connected(&generated.topology));
         }
         assert_eq!(star(7, 1.0).topology.link_count(), 12);
         assert_eq!(binary_tree(7, 1.0).topology.link_count(), 12);
@@ -492,9 +499,7 @@ mod tests {
         assert_eq!(g.topology.switch_count(), 60);
         // Internal pairs: x: 2*4*5, y: 3*3*5, z: 3*4*4; times 2 directions.
         assert_eq!(g.topology.link_count(), 2 * (40 + 45 + 48));
-        assert!(traversal::is_weakly_connected(
-            &g.topology.to_switch_graph()
-        ));
+        assert!(weakly_connected(&g.topology));
     }
 
     #[test]
@@ -517,9 +522,7 @@ mod tests {
         assert_eq!(root_link.bandwidth, 2.0);
         let (_, leaf_link) = g.topology.links_from(g.switches[1]).nth(1).unwrap();
         assert_eq!(leaf_link.bandwidth, 1.0);
-        assert!(traversal::is_weakly_connected(
-            &g.topology.to_switch_graph()
-        ));
+        assert!(weakly_connected(&g.topology));
     }
 
     #[test]
@@ -528,9 +531,7 @@ mod tests {
         assert_eq!(g.topology.switch_count(), 12);
         // Intra: 4 groups * C(3,2)=3 pairs; global: C(4,2)=6 pairs; times 2.
         assert_eq!(g.topology.link_count(), 2 * (4 * 3 + 6));
-        assert!(traversal::is_weakly_connected(
-            &g.topology.to_switch_graph()
-        ));
+        assert!(weakly_connected(&g.topology));
     }
 
     #[test]

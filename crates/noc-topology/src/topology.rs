@@ -3,7 +3,6 @@
 
 use crate::error::TopologyError;
 use crate::ids::{Channel, LinkId, SwitchId};
-use noc_graph::{DiGraph, NodeId};
 
 /// A switch (router) of the NoC.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -238,25 +237,6 @@ impl Topology {
     pub fn switch_input_buffers(&self, switch: SwitchId) -> usize {
         self.links_to(switch).map(|(_, l)| l.vcs).sum()
     }
-
-    /// Builds the switch-level connectivity graph (one node per switch, one
-    /// edge per physical link, edge payload = [`LinkId`]), used by routing
-    /// and synthesis.
-    pub fn to_switch_graph(&self) -> DiGraph<SwitchId, LinkId> {
-        let mut g = DiGraph::with_capacity(self.switch_count(), self.link_count());
-        for (id, _) in self.switches() {
-            let node = g.add_node(id);
-            debug_assert_eq!(node.index(), id.index());
-        }
-        for (id, link) in self.links() {
-            g.add_edge(
-                NodeId::from_index(link.source.index()),
-                NodeId::from_index(link.target.index()),
-                id,
-            );
-        }
-        g
-    }
 }
 
 #[cfg(test)]
@@ -349,16 +329,6 @@ mod tests {
         assert_eq!(t.link(ab).unwrap().source, a);
         assert_eq!(t.link(ba).unwrap().source, b);
         assert_eq!(t.link_count(), 2);
-    }
-
-    #[test]
-    fn switch_graph_mirrors_topology() {
-        let (t, _, _) = ring4();
-        let g = t.to_switch_graph();
-        assert_eq!(g.node_count(), 4);
-        assert_eq!(g.edge_count(), 4);
-        // The ring in the switch graph is a cycle.
-        assert!(noc_graph::scc::has_cycle(&g));
     }
 
     #[test]
