@@ -207,6 +207,7 @@ SCALE_PINNED = {
     ("torus2d", 1024): (115, 319, {"cycle-breaking": (319, 115), "resource-ordering": (56029, 0), "escape-channel": (2450, 0), "recovery-reconfig": (0, 0)}),
     ("torus2d", 2025): (260, 1028, {}),
     ("mesh2d", 4096): (0, 0, {}),
+    ("torus2d", 4096): (559, 3305, {}),
     ("mesh2d", 10000): (0, 0, {}),
 }
 

@@ -1314,9 +1314,9 @@ impl ScaleTopology {
 /// The default scaling grid, in ascending switch-count order: every family
 /// at a small and/or ~1k-switch point, tori (whose wraparound shortest-path
 /// routes are the cyclic stress case — removal cost grows superlinearly
-/// with the cyclic region) up to ~2k switches, and meshes up to the
+/// with the cyclic region) up to ~4k switches, and meshes up to the
 /// 10⁴-switch headline point.
-pub const SCALE_GRID: [ScaleTopology; 11] = [
+pub const SCALE_GRID: [ScaleTopology; 12] = [
     ScaleTopology::Mesh2d { rows: 16, cols: 16 },
     ScaleTopology::Torus2d { rows: 16, cols: 16 },
     ScaleTopology::Dragonfly {
@@ -1342,6 +1342,7 @@ pub const SCALE_GRID: [ScaleTopology; 11] = [
     ScaleTopology::Torus2d { rows: 32, cols: 32 },
     ScaleTopology::Torus2d { rows: 45, cols: 45 },
     ScaleTopology::Mesh2d { rows: 64, cols: 64 },
+    ScaleTopology::Torus2d { rows: 64, cols: 64 },
     ScaleTopology::Mesh2d {
         rows: 100,
         cols: 100,

@@ -322,6 +322,18 @@ pub struct PhaseRow {
     pub total_us: u64,
 }
 
+/// One thread's row of the utilisation table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ThreadRow {
+    /// The thread id the trace records.
+    pub tid: u64,
+    /// The thread's `thread_name` label, or `tid <n>` when it has none.
+    pub label: String,
+    /// µs of the root span's window during which at least one of the
+    /// thread's non-root spans was active (merged intervals).
+    pub busy_us: u64,
+}
+
 /// A trace file reduced to the numbers `noc_profile` prints.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSummary {
@@ -337,6 +349,8 @@ pub struct TraceSummary {
     pub attributed_us: u64,
     /// Per-category self time, largest first.
     pub phases: Vec<PhaseRow>,
+    /// Busy time per thread, by ascending thread id.
+    pub threads: Vec<ThreadRow>,
     /// Counters from the metrics summary.
     pub counters: Vec<(String, u64)>,
 }
@@ -386,8 +400,17 @@ impl TraceSummary {
             .and_then(JsonValue::as_array)
             .ok_or_else(|| ArtifactError::Envelope("missing array \"traceEvents\"".into()))?;
         let mut events: Vec<ReadEvent> = Vec::new();
+        let mut labels: BTreeMap<u64, String> = BTreeMap::new();
         for raw in raw_events {
-            if raw.get("ph").and_then(JsonValue::as_str) != Some("X") {
+            let ph = raw.get("ph").and_then(JsonValue::as_str);
+            if ph == Some("M") && raw.get("name").and_then(JsonValue::as_str) == Some("thread_name")
+            {
+                let label = raw.get("args").and_then(|args| args.get("name")?.as_str());
+                if let (Some(tid), Some(label)) = (read_u64(raw, "tid"), label) {
+                    labels.insert(tid, label.to_string());
+                }
+            }
+            if ph != Some("X") {
                 continue;
             }
             let event = (|| {
@@ -413,12 +436,13 @@ impl TraceSummary {
             }
             events.push(event);
         }
-        Ok(TraceSummary::from_events(source, counters, &events))
+        Ok(TraceSummary::from_events(source, counters, labels, &events))
     }
 
     fn from_events(
         source: String,
         counters: Vec<(String, u64)>,
+        mut labels: BTreeMap<u64, String>,
         events: &[ReadEvent],
     ) -> TraceSummary {
         let cat_of: BTreeMap<u64, &str> = events.iter().map(|e| (e.seq, e.cat.as_str())).collect();
@@ -444,44 +468,47 @@ impl TraceSummary {
             .iter()
             .filter(|e| e.parent == 0)
             .max_by_key(|e| (e.dur, std::cmp::Reverse(e.seq)));
-        let (wall_us, attributed_us) = match root {
-            Some(root) => {
-                // Union of every non-root span's interval, across all
-                // threads, clipped to the root window: the share of wall
-                // time during which at least one named phase was active
-                // somewhere in the process.  Work mostly happens on
-                // executor worker threads while the root span sits on
-                // main, so a same-thread filter would see nothing.
-                let window = (root.ts, root.ts + root.dur);
-                let mut intervals: Vec<(u64, u64)> = events
-                    .iter()
-                    .filter(|e| e.seq != root.seq)
-                    .map(|e| (e.ts.max(window.0), (e.ts + e.dur).min(window.1)))
-                    .filter(|(lo, hi)| lo < hi)
-                    .collect();
-                intervals.sort_unstable();
-                let mut covered = 0u64;
-                let mut cursor = window.0;
-                for (lo, hi) in intervals {
-                    let lo = lo.max(cursor);
-                    if hi > lo {
-                        covered += hi - lo;
-                        cursor = hi;
-                    }
-                }
-                (root.dur, covered)
-            }
-            None => {
-                let lo = events.iter().map(|e| e.ts).min().unwrap_or(0);
-                let hi = events.iter().map(|e| e.ts + e.dur).max().unwrap_or(0);
-                (hi - lo, 0)
-            }
+        // Without a root span, the wall is the extent of all events and
+        // nothing counts as attributed.
+        let window = match root {
+            Some(root) => (root.ts, root.ts + root.dur),
+            None => (
+                events.iter().map(|e| e.ts).min().unwrap_or(0),
+                events.iter().map(|e| e.ts + e.dur).max().unwrap_or(0),
+            ),
         };
+        let phase_spans = || {
+            events
+                .iter()
+                .filter(|e| root.is_none_or(|r| e.seq != r.seq))
+        };
+        // Across all threads: the share of wall time during which at least
+        // one named phase was active somewhere in the process.  Work mostly
+        // happens on executor worker threads while the root span sits on
+        // main, so a same-thread filter would see nothing.
+        let attributed_us = match root {
+            Some(_) => covered_us(phase_spans(), window),
+            None => 0,
+        };
+        for event in events {
+            labels
+                .entry(event.tid)
+                .or_insert_with(|| format!("tid {}", event.tid));
+        }
+        let threads = labels
+            .into_iter()
+            .map(|(tid, label)| ThreadRow {
+                tid,
+                label,
+                busy_us: covered_us(phase_spans().filter(|e| e.tid == tid), window),
+            })
+            .collect();
         TraceSummary {
             source,
-            wall_us,
+            wall_us: window.1 - window.0,
             attributed_us,
             phases,
+            threads,
             counters,
         }
     }
@@ -505,24 +532,36 @@ impl TraceSummary {
             self.wall_us as f64 / 1000.0,
             self.attribution_pct()
         );
+        // Phase self times sum over threads and nested categories, so they
+        // are not shares of the wall time; a thread's busy time is.
+        let _ = writeln!(out, "{:<16} {:>8} {:>12}", "phase", "spans", "ms");
+        for row in &self.phases {
+            let _ = writeln!(
+                out,
+                "{:<16} {:>8} {:>12.3}",
+                row.cat,
+                row.spans,
+                row.total_us as f64 / 1000.0
+            );
+        }
         let _ = writeln!(
             out,
             "{:<16} {:>8} {:>12} {:>7}",
-            "phase", "spans", "ms", "%"
+            "thread", "tid", "busy ms", "util"
         );
-        for row in &self.phases {
-            let pct = if self.wall_us == 0 {
+        for row in &self.threads {
+            let util = if self.wall_us == 0 {
                 0.0
             } else {
-                100.0 * row.total_us as f64 / self.wall_us as f64
+                (100.0 * row.busy_us as f64 / self.wall_us as f64).min(100.0)
             };
             let _ = writeln!(
                 out,
                 "{:<16} {:>8} {:>12.3} {:>6.1}%",
-                row.cat,
-                row.spans,
-                row.total_us as f64 / 1000.0,
-                pct
+                row.label,
+                row.tid,
+                row.busy_us as f64 / 1000.0,
+                util
             );
         }
         if !self.counters.is_empty() {
@@ -533,6 +572,26 @@ impl TraceSummary {
         }
         out
     }
+}
+
+/// µs of `window` covered by at least one of `spans` (their merged
+/// intervals, clipped to the window).
+fn covered_us<'a>(spans: impl Iterator<Item = &'a ReadEvent>, window: (u64, u64)) -> u64 {
+    let mut intervals: Vec<(u64, u64)> = spans
+        .map(|e| (e.ts.max(window.0), (e.ts + e.dur).min(window.1)))
+        .filter(|(lo, hi)| lo < hi)
+        .collect();
+    intervals.sort_unstable();
+    let mut covered = 0u64;
+    let mut cursor = window.0;
+    for (lo, hi) in intervals {
+        let lo = lo.max(cursor);
+        if hi > lo {
+            covered += hi - lo;
+            cursor = hi;
+        }
+    }
+    covered
 }
 
 #[cfg(test)]
@@ -665,10 +724,60 @@ mod tests {
                 parent: 1,
             },
         ];
-        let summary = TraceSummary::from_events("s".into(), Vec::new(), &events);
+        let summary = TraceSummary::from_events("s".into(), Vec::new(), BTreeMap::new(), &events);
         let removal = summary.phases.iter().find(|p| p.cat == "removal").unwrap();
         assert_eq!(removal.spans, 2);
         assert_eq!(removal.total_us, 100);
+    }
+
+    #[test]
+    fn thread_rows_report_busy_shares_of_the_wall() {
+        let event = |cat: &str, ts, dur, tid, seq, parent| ReadEvent {
+            name: cat.to_string(),
+            cat: cat.to_string(),
+            ts,
+            dur,
+            tid,
+            seq,
+            parent,
+        };
+        let events = vec![
+            event("figure", 0, 1000, 1, 1, 0),
+            // main: [0, 400] and [300, 600] overlap, busy 600 of 1000.
+            event("sweep", 0, 400, 1, 2, 1),
+            event("sweep", 300, 300, 1, 3, 1),
+            // A worker without a label: [100, 900] and [500, 1200], the
+            // latter clipped to the root window, busy 900.  Phase self
+            // times sum over threads and categories: 3.2× the wall.
+            event("sweep", 100, 800, 2, 4, 0),
+            event("removal", 500, 700, 2, 5, 4),
+        ];
+        let labels = BTreeMap::from([(1, "main".to_string())]);
+        let summary = TraceSummary::from_events("s".into(), Vec::new(), labels, &events);
+        let threads: Vec<(&str, u64)> = summary
+            .threads
+            .iter()
+            .map(|t| (t.label.as_str(), t.busy_us))
+            .collect();
+        assert_eq!(threads, vec![("main", 600), ("tid 2", 900)]);
+        let phase_us: u64 = summary.phases.iter().map(|p| p.total_us).sum();
+        assert_eq!(phase_us, 3200);
+
+        let table = summary.render_table();
+        assert!(
+            table.contains("main                    1        0.600   60.0%"),
+            "{table}"
+        );
+        assert!(
+            table.contains("tid 2                   2        0.900   90.0%"),
+            "{table}"
+        );
+        for word in table.split_whitespace() {
+            if let Some(pct) = word.strip_suffix('%') {
+                let pct: f64 = pct.parse().unwrap_or_else(|_| panic!("{word} in {table}"));
+                assert!(pct <= 100.0, "{word} in {table}");
+            }
+        }
     }
 
     /// A trace document holding one root complete event per `(ts, dur)`

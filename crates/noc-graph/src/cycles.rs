@@ -41,6 +41,15 @@
 //! which it finds by diffing the graph against the adjacency that query saw.
 //! Skipping a node is exact because the skipped BFS would have returned
 //! nothing, so every answer is identical to the full scan.
+//!
+//! A BFS the finder does run looks past the cap, up to twice the node's
+//! bound, so the bound it certifies survives later queries whose cap is
+//! larger: as the smallest cycle grows, a node is searched again only a
+//! logarithmic number of times.  A cycle found past the cap raises the
+//! node's bound and leaves the scan's cap and answer alone; a cycle within
+//! the cap is the one a BFS stopped at the cap returns.  The finder also
+//! keeps every node id in rank order across queries, so a query sorts only
+//! the nodes added since the last one.
 
 use crate::digraph::{DiGraph, NodeId};
 use crate::scc;
@@ -149,19 +158,40 @@ pub fn smallest_cycle_by<N, E, K: Ord>(
 /// The deadlock-removal loop breaks one dependency per iteration: a handful
 /// of edges disappear, a handful appear, and the rest of the graph is
 /// untouched.  Most per-vertex searches of the next query would therefore
-/// repeat work whose outcome is already known.  The finder keeps two
+/// repeat work whose outcome is already known.  The finder keeps three
 /// pieces of state between queries:
 ///
 /// 1. **Certified per-node lower bounds.**  `bounds[v]` means "no cycle
 ///    through `v` has at most `bounds[v]` nodes".  The scan visits the
 ///    cyclic-component members in rank order under a shrinking cap, exactly
 ///    as the full search does, but skips `v` when `bounds[v] >= cap`: the
-///    BFS from `v` would return nothing.  After a BFS under cap `c` the
-///    bound becomes `L - 1` if a cycle of `L` nodes was found and `c`
-///    otherwise.  Skipping never drops a node from another node's BFS, so
-///    BFS trees, and with them the (length, rank) tie-break, are those of
-///    the full search.
-/// 2. **The adjacency seen at the last query.**  Removing edges only
+///    BFS from `v` would return nothing.  A BFS that does run searches to
+///    `limit = max(cap, 2 * bounds[v])` nodes, past the cap, and has three
+///    outcomes:
+///    - a cycle of `L <= cap` nodes: the cap becomes `L - 1`, the cycle
+///      becomes the answer so far, and the bound becomes `L - 1`;
+///    - a cycle with `cap < L <= limit`: the bound becomes `L - 1`, and the
+///      cap and the answer stay;
+///    - no cycle: the bound becomes `limit`.
+///
+///    Every bound stays certified, since a BFS finds the shortest cycle
+///    through its start within its limit.  A bounded BFS returns the same
+///    cycle as an unbounded one whenever that cycle fits, so the first
+///    outcome reports exactly the cycle a BFS stopped at the cap reports,
+///    and the other two leave the scan's state as that BFS would.  Skipping
+///    never drops a node from another node's BFS.  The BFS trees, the
+///    cycles and the (length, rank) tie-break are therefore those of the
+///    full search.  Searching past the cap makes a bound outlive the cap it
+///    was found under: doubling it on each search means that while the
+///    smallest cycle grows to `L`, a node is searched `O(log L)` times, not
+///    once per increase of the cap.
+/// 2. **Every node id in rank order.**  A query first checks that the
+///    stored order is still strictly ascending under its `rank` and sorts
+///    every node again if not, so callers may change `rank` between
+///    queries.  Then it sorts the nodes added since the last query and
+///    merges them in.  The pool of a query is this order filtered to the
+///    cyclic components.
+/// 3. **The adjacency seen at the last query.**  Removing edges only
 ///    removes cycles, so bounds survive removals.  A cycle through `v` that
 ///    is new runs over an added edge `a -> b` and has at least
 ///    `dist(v -> tails) + 1 + dist(heads -> v)` nodes, where `tails` and
@@ -202,6 +232,8 @@ pub struct IncrementalCycleFinder {
     bounds: Vec<usize>,
     /// The deduplicated adjacency the last query saw, in node-id space.
     seen: Option<Csr>,
+    /// Every node id of the graph the last query saw, ascending by rank.
+    order: Vec<NodeId>,
     /// BFS buffers reused by every per-node search.
     workspace: BfsWorkspace,
 }
@@ -234,7 +266,8 @@ impl IncrementalCycleFinder {
     ) -> Option<Vec<NodeId>> {
         noc_telemetry::counter("cycles.queries", 1);
         let adjacency = Csr::of_graph(graph);
-        let pool = Pool::of(&adjacency, &rank);
+        self.rank_nodes(adjacency.len(), &rank);
+        let pool = Pool::of(&adjacency, &self.order);
         self.update_bounds(&adjacency, &pool);
 
         // The canonical scan: ascending rank, each BFS capped at one less
@@ -242,7 +275,7 @@ impl IncrementalCycleFinder {
         // smallest length wins.
         let mut cap = usize::MAX;
         let mut best = None;
-        let (mut runs, mut skips) = (0u64, 0u64);
+        let (mut runs, mut beyond, mut skips) = (0u64, 0u64, 0u64);
         for (position, &node) in pool.nodes.iter().enumerate() {
             if cap == 0 {
                 break;
@@ -253,19 +286,29 @@ impl IncrementalCycleFinder {
                 continue;
             }
             runs += 1;
-            if let Some(path) = self
+            // Search past the cap, so the bound this BFS certifies outlives
+            // later increases of the cap.  A cycle within the cap is the one
+            // a BFS capped at `cap` returns.
+            let limit = cap.max(bound.saturating_mul(BOUND_GROWTH));
+            match self
                 .workspace
-                .shortest_cycle(&pool.graph, position as u32, cap)
+                .shortest_cycle(&pool.graph, position as u32, limit)
             {
-                cap = path.len() - 1;
-                best = Some(path.into_iter().map(|p| pool.nodes[p as usize]).collect());
+                Some(path) if path.len() <= cap => {
+                    cap = path.len() - 1;
+                    *bound = cap;
+                    best = Some(path.into_iter().map(|p| pool.nodes[p as usize]).collect());
+                }
+                Some(path) => {
+                    beyond += 1;
+                    *bound = path.len() - 1;
+                }
+                None => *bound = limit,
             }
-            // Found: nothing shorter through this node.  Not found: nothing
-            // within the cap, which exceeded the old bound.
-            *bound = cap;
         }
         noc_telemetry::counter("cycles.scan_pool", pool.nodes.len() as u64);
         noc_telemetry::counter("cycles.bfs_runs", runs);
+        noc_telemetry::counter("cycles.beyond_cap", beyond);
         noc_telemetry::counter("cycles.certified_skips", skips);
         noc_telemetry::counter(
             "cycles.bfs_visits",
@@ -273,6 +316,36 @@ impl IncrementalCycleFinder {
         );
         self.seen = Some(adjacency);
         best
+    }
+
+    /// Brings `order` to every node id of a graph of `n` nodes, ascending by
+    /// `rank`.  An order that is no longer ascending (the caller changed
+    /// `rank`, or the graph was replaced) is rebuilt; otherwise only the
+    /// nodes added since the last query are sorted and merged in.
+    fn rank_nodes<K: Ord>(&mut self, n: usize, rank: &impl Fn(NodeId) -> K) {
+        if self.order.len() > n || !self.order.windows(2).all(|w| rank(w[0]) < rank(w[1])) {
+            self.order.clear();
+        }
+        let mut fresh: Vec<(K, NodeId)> = (self.order.len()..n)
+            .map(|i| {
+                let node = NodeId::from_index(i);
+                (rank(node), node)
+            })
+            .collect();
+        if fresh.is_empty() {
+            return;
+        }
+        fresh.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut merged = Vec::with_capacity(n);
+        let mut rest = &self.order[..];
+        for (key, node) in fresh {
+            let split = rest.partition_point(|&old| rank(old) < key);
+            merged.extend_from_slice(&rest[..split]);
+            merged.push(node);
+            rest = &rest[split..];
+        }
+        merged.extend_from_slice(rest);
+        self.order = merged;
     }
 
     /// Brings `bounds` from the graph of the last query to `adjacency`:
@@ -330,6 +403,11 @@ impl IncrementalCycleFinder {
     }
 }
 
+/// How far past its bound a per-node search looks: a BFS from a node whose
+/// bound is `b` runs to at least `BOUND_GROWTH * b` nodes, so as the smallest
+/// cycle grows to `L`, each node is searched again only `O(log L)` times.
+const BOUND_GROWTH: usize = 2;
+
 /// Marks a node outside every cyclic component in [`Pool::position`].
 const OUTSIDE: u32 = u32::MAX;
 
@@ -346,20 +424,20 @@ struct Pool {
 }
 
 impl Pool {
-    /// The pool of the graph whose node-id adjacency is `adjacency`.
-    fn of<K: Ord>(adjacency: &Csr, rank: &impl Fn(NodeId) -> K) -> Self {
+    /// The pool of the graph whose node-id adjacency is `adjacency`, with
+    /// `order` holding every node id in rank order.
+    fn of(adjacency: &Csr, order: &[NodeId]) -> Self {
         let components = {
             let _span = noc_telemetry::span("scc", "full_tarjan");
             scc::components_of(adjacency.len(), |v| {
                 adjacency.successors(v).iter().map(|&succ| succ as usize)
             })
         };
-        let mut nodes: Vec<NodeId> = components
-            .cyclic_ids()
-            .flat_map(|id| components.members(id))
+        let nodes: Vec<NodeId> = order
+            .iter()
             .copied()
+            .filter(|&node| components.is_cyclic(components.component_of(node)))
             .collect();
-        nodes.sort_by_key(|&node| rank(node));
         let mut position = vec![OUTSIDE; adjacency.len()];
         for (p, node) in nodes.iter().enumerate() {
             position[node.index()] = p as u32;
@@ -807,6 +885,119 @@ mod tests {
         let cycle = finder.smallest_cycle_by(&g, |v| v.index()).unwrap();
         assert_eq!(cycle.len(), 2);
         assert_eq!(cycle, smallest_cycle(&g).unwrap());
+    }
+
+    #[test]
+    fn finder_matches_global_search_as_disjoint_rings_break() {
+        // Rings of 3, 5 and 9 nodes; break the smallest one each time.
+        let mut g: DiGraph<usize, ()> = DiGraph::new();
+        let mut rings = Vec::new();
+        for len in [3, 5, 9] {
+            let nodes: Vec<_> = (0..len).map(|i| g.add_node(i)).collect();
+            for i in 0..len {
+                g.add_edge(nodes[i], nodes[(i + 1) % len], ());
+            }
+            rings.push(nodes);
+        }
+        let mut finder = IncrementalCycleFinder::new();
+        for ring in &rings {
+            let found = finder.smallest_cycle_by(&g, NodeId::index);
+            assert_eq!(found, smallest_cycle(&g));
+            assert_eq!(found.unwrap().len(), ring.len());
+            let e = g.find_edge(ring[ring.len() - 1], ring[0]).unwrap();
+            g.remove_edge(e);
+        }
+        assert_eq!(finder.smallest_cycle_by(&g, NodeId::index), None);
+    }
+
+    #[test]
+    fn finder_finds_a_new_cycle_through_a_node_certified_past_the_cap() {
+        // A 4-ring (0..4) ranks before a 6-ring (4..10).
+        let mut g: DiGraph<usize, ()> = DiGraph::new();
+        let n: Vec<_> = (0..10).map(|i| g.add_node(i)).collect();
+        for i in 0..4 {
+            g.add_edge(n[i], n[(i + 1) % 4], ());
+        }
+        for i in 0..6 {
+            g.add_edge(n[4 + i], n[4 + (i + 1) % 6], ());
+        }
+        let mut finder = IncrementalCycleFinder::new();
+        assert_eq!(
+            finder.smallest_cycle_by(&g, NodeId::index).unwrap().len(),
+            4
+        );
+        assert_eq!(finder.bounds[n[4].index()], 3);
+
+        // Stretch the 4-ring to 5 nodes: the cap drops to 4 only, and the
+        // 6-ring's nodes, bounded by 3, search up to 6 nodes and certify 5.
+        let e = g.find_edge(n[3], n[0]).unwrap();
+        g.remove_edge(e);
+        let extra = g.add_node(10);
+        g.add_edge(n[3], extra, ());
+        g.add_edge(extra, n[0], ());
+        assert_eq!(
+            finder.smallest_cycle_by(&g, NodeId::index).unwrap().len(),
+            5
+        );
+        assert_eq!(finder.bounds[n[4].index()], 5);
+
+        // A chord closes a 3-cycle through nodes whose bound is past the cap.
+        g.add_edge(n[6], n[4], ());
+        let found = finder.smallest_cycle_by(&g, NodeId::index);
+        assert_eq!(found, smallest_cycle(&g));
+        assert_eq!(found, Some(vec![n[4], n[5], n[6]]));
+    }
+
+    #[test]
+    fn finder_follows_a_rank_that_changes_between_queries() {
+        // Two disjoint 2-cycles tie on length; the rank decides.
+        let mut g: DiGraph<(), ()> = DiGraph::new();
+        let n: Vec<_> = (0..4).map(|_| g.add_node(())).collect();
+        for (a, b) in [(0, 1), (1, 0), (2, 3), (3, 2)] {
+            g.add_edge(n[a], n[b], ());
+        }
+        let identity = |v: NodeId| v.index();
+        let reversed = |v: NodeId| usize::MAX - v.index();
+        let mut finder = IncrementalCycleFinder::new();
+        for round in 0..3 {
+            let (found, expected) = if round == 1 {
+                (
+                    finder.smallest_cycle_by(&g, reversed),
+                    smallest_cycle_by(&g, reversed),
+                )
+            } else {
+                (
+                    finder.smallest_cycle_by(&g, identity),
+                    smallest_cycle_by(&g, identity),
+                )
+            };
+            assert_eq!(found, expected, "round {round}");
+            assert_eq!(found.unwrap()[0], if round == 1 { n[3] } else { n[0] });
+        }
+    }
+
+    #[test]
+    fn nodes_added_between_queries_merge_into_the_rank_order() {
+        // Under a reversed rank every new node ranks before the old ones.
+        let reversed = |v: NodeId| usize::MAX - v.index();
+        let (mut g, _) = ring(3);
+        let mut finder = IncrementalCycleFinder::new();
+        assert_eq!(
+            finder.smallest_cycle_by(&g, reversed),
+            smallest_cycle_by(&g, reversed)
+        );
+
+        // A second 3-ring ties with the first and wins on rank.
+        let fresh: Vec<_> = (3..6).map(|i| g.add_node(i)).collect();
+        for i in 0..3 {
+            g.add_edge(fresh[i], fresh[(i + 1) % 3], ());
+        }
+        let found = finder.smallest_cycle_by(&g, reversed);
+        assert_eq!(found, smallest_cycle_by(&g, reversed));
+        assert_eq!(found.unwrap()[0], fresh[2]);
+        let mut expected: Vec<NodeId> = g.node_ids().collect();
+        expected.sort_by_key(|&v| reversed(v));
+        assert_eq!(finder.order, expected);
     }
 
     #[test]

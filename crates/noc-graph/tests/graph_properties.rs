@@ -309,6 +309,60 @@ fn incremental_finder_matches_an_independent_reference_through_edits() {
     }
 }
 
+/// One finder, edited through a seeded sequence, follows a rank that
+/// changes once partway through: every answer equals the independent
+/// reference under the rank of the moment.
+#[test]
+fn incremental_finder_follows_a_rank_change_through_edits() {
+    let other = |v: NodeId| u64::MAX - scrambled(v);
+    let mut rng = SmallRng::seed_from_u64(0x2A4C);
+    for case in 0..CASES {
+        let mut g = match case % 3 {
+            0 => random_graph(&mut rng, 30, 70).0,
+            1 => chorded_ring(&mut rng),
+            _ => sparse_torus(&mut rng),
+        };
+        let switch_at = rng.gen_range(1..12_usize);
+        let mut finder = cycles::IncrementalCycleFinder::new();
+        for step in 0..12 {
+            if step < switch_at {
+                assert_eq!(
+                    finder.smallest_cycle_by(&g, scrambled),
+                    reference_smallest_cycle(&g, scrambled),
+                    "case {case}, step {step}"
+                );
+            } else {
+                assert_eq!(
+                    finder.smallest_cycle_by(&g, other),
+                    reference_smallest_cycle(&g, other),
+                    "case {case}, step {step}"
+                );
+            }
+            let n = g.node_count();
+            match rng.gen_range(0..3_usize) {
+                0 => {
+                    let live: Vec<_> = g.edges().map(|e| e.id).collect();
+                    if !live.is_empty() {
+                        g.remove_edge(live[rng.gen_range(0..live.len())]);
+                    }
+                }
+                1 => {
+                    let a = NodeId::from_index(rng.gen_range(0..n));
+                    let b = NodeId::from_index(rng.gen_range(0..n));
+                    g.add_edge(a, b, ());
+                }
+                _ => {
+                    let fresh = g.add_node(n);
+                    let a = NodeId::from_index(rng.gen_range(0..n));
+                    let b = NodeId::from_index(rng.gen_range(0..n));
+                    g.add_edge(a, fresh, ());
+                    g.add_edge(fresh, b, ());
+                }
+            }
+        }
+    }
+}
+
 /// Under-marking the dirty region must never change the finder's answer
 /// (the global verification scan is what guarantees exactness; dirty nodes
 /// are only a seed).

@@ -50,7 +50,17 @@ impl TaskRecord {
         out
     }
 
+    /// Reads the record on `raw_line`, a line without trailing whitespace
+    /// that parsed as `value`.  Only the layout [`TaskRecord::to_line`]
+    /// writes is accepted.
     fn from_value(value: &JsonValue, raw_line: &str) -> Result<TaskRecord, String> {
+        let keys_in_order = matches!(value, JsonValue::Object(fields)
+            if fields.iter().map(|(key, _)| key.as_str()).eq(RECORD_KEYS));
+        if !keys_in_order {
+            return Err(format!(
+                "a record holds exactly the keys {RECORD_KEYS:?}, in that order"
+            ));
+        }
         let index = value
             .get("index")
             .and_then(JsonValue::as_number)
@@ -68,18 +78,27 @@ impl TaskRecord {
             .ok_or("missing numeric field \"elapsed_ms\"")? as u64;
         // The result is re-extracted as raw text so assembly can splice it
         // byte-identically: it is the last field, so it spans from its key
-        // to the record's closing brace.
+        // to the record's closing brace.  Rendering the record again must
+        // give the line back, so a key spelled with escapes or followed by
+        // whitespace cannot make the marker match inside the result.
         let marker = "\"result\":";
         let at = raw_line.find(marker).ok_or("missing field \"result\"")?;
-        let result = raw_line[at + marker.len()..raw_line.len() - 1].to_string();
-        Ok(TaskRecord {
+        let record = TaskRecord {
             index,
             digest,
             elapsed_ms,
-            result,
-        })
+            result: raw_line[at + marker.len()..raw_line.len() - 1].to_string(),
+        };
+        if record.to_line() != raw_line {
+            return Err("the record is not in the layout the store writes".to_string());
+        }
+        Ok(record)
     }
 }
+
+/// The top-level keys of a record, in the order [`TaskRecord::to_line`]
+/// writes them.
+const RECORD_KEYS: [&str; 4] = ["index", "digest", "elapsed_ms", "result"];
 
 /// A job directory opened for reading and appending — see the module docs
 /// for the layout.
@@ -175,7 +194,7 @@ impl JobStore {
             lines.pop();
         }
         for (number, line) in lines.iter().enumerate() {
-            let trimmed = line.trim_end_matches('\n');
+            let trimmed = line.trim_end_matches(|c: char| c.is_ascii_whitespace());
             if trimmed.is_empty() {
                 good_bytes += line.len();
                 continue;
@@ -355,6 +374,99 @@ mod tests {
             JobStore::open(&dir, spec),
             Err(JobError::Corrupt { line: 1, .. })
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A store for `spec` in `dir` whose log is exactly `log`.
+    fn open_with_log(dir: &Path, spec: &JobRequest, log: &[u8]) -> Result<JobStore, JobError> {
+        let path = dir.join("tasks.ndjson");
+        let _ = std::fs::remove_file(&path);
+        drop(JobStore::open(dir, spec.clone()).unwrap());
+        std::fs::write(&path, log).unwrap();
+        JobStore::open(dir, spec.clone())
+    }
+
+    #[test]
+    fn trailing_whitespace_is_not_part_of_the_result() {
+        let dir = temp_dir("whitespace");
+        let spec = JobRequest::new("fig_demo");
+        let line = TaskRecord {
+            index: 0,
+            digest: spec.digest(),
+            elapsed_ms: 1,
+            result: "[1,2]".to_string(),
+        }
+        .to_line();
+        for ending in ["\r\n", "  \n"] {
+            let store = open_with_log(&dir, &spec, format!("{line}{ending}").as_bytes()).unwrap();
+            assert_eq!(store.records()[&0].result, "[1,2]", "ending {ending:?}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn record_in_another_key_order_is_corrupt() {
+        let dir = temp_dir("key-order");
+        let spec = JobRequest::new("fig_demo");
+        let line = format!(
+            "{{\"index\":0,\"digest\":\"{}\",\"result\":[1,2],\"elapsed_ms\":1}}\n",
+            spec.digest()
+        );
+        assert!(matches!(
+            open_with_log(&dir, &spec, line.as_bytes()),
+            Err(JobError::Corrupt { line: 1, .. })
+        ));
+        // A key followed by whitespace would put the first marker inside
+        // the result.
+        let spaced = format!(
+            "{{\"index\":0,\"digest\":\"{}\",\"elapsed_ms\":1,\"result\" :{{\"result\":2}}}}\n",
+            spec.digest()
+        );
+        assert!(matches!(
+            open_with_log(&dir, &spec, spaced.as_bytes()),
+            Err(JobError::Corrupt { line: 1, .. })
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn damaged_logs_open_cleanly_or_fail_typed() {
+        let dir = temp_dir("damaged");
+        let spec = JobRequest::new("fig_demo");
+        let mut store = JobStore::open(&dir, spec.clone()).unwrap();
+        store
+            .record(0, 4, "{\"x\":[1,2,{\"y\":\"}\"}]}".to_string())
+            .unwrap();
+        store.record(1, 0, "\"result\"".to_string()).unwrap();
+        store.record(2, 17, "[1,2]".to_string()).unwrap();
+        drop(store);
+        let valid = std::fs::read(dir.join("tasks.ndjson")).unwrap();
+
+        let mut rng = noc_rng::SmallRng::seed_from_u64(0x7A5C5);
+        for case in 0..256 {
+            let mut log = valid.clone();
+            for _ in 0..rng.gen_range(1..4_usize) {
+                if rng.gen_range(0..3_usize) == 0 {
+                    log.truncate(rng.gen_range(0..log.len() + 1));
+                } else if !log.is_empty() {
+                    let at = rng.gen_range(0..log.len());
+                    log[at] ^= 1 << rng.gen_range(0..8_usize);
+                }
+            }
+            match open_with_log(&dir, &spec, &log) {
+                Ok(store) => {
+                    for record in store.records().values() {
+                        assert!(
+                            JsonValue::parse(&record.result).is_ok(),
+                            "case {case}: replayed result {:?}",
+                            record.result
+                        );
+                    }
+                }
+                Err(JobError::Corrupt { .. } | JobError::Io { .. }) => {}
+                Err(other) => panic!("case {case}: unexpected error {other}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
