@@ -268,4 +268,30 @@ mod tests {
         let spec = spec_with("fig8_d26_media", "{\"switch_counts\":[0,6,30]}");
         assert_eq!(job_source(&spec).unwrap().task_count(), 1);
     }
+
+    #[test]
+    fn a_huge_count_list_builds_its_grid_in_linear_time() {
+        // 160 000 distinct counts (a 1 MB spec): deduplicating them with a
+        // quadratic scan took seconds before the infeasible ones were
+        // dropped.
+        let counts: Vec<String> = (0..160_000).map(|k| k.to_string()).collect();
+        let spec = spec_with(
+            "fig8_d26_media",
+            &format!("{{\"switch_counts\":[{}]}}", counts.join(",")),
+        );
+        let start = std::time::Instant::now();
+        let source = job_source(&spec).unwrap();
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "job source took {elapsed:?}"
+        );
+        let labels: Vec<String> = (0..source.task_count())
+            .map(|index| source.task_label(index))
+            .collect();
+        let expected: Vec<String> = (1..=26)
+            .map(|k| format!("{} @ {k} switches", Benchmark::D26Media))
+            .collect();
+        assert_eq!(labels, expected, "the 26 feasible points, ascending");
+    }
 }

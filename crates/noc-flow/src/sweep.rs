@@ -25,6 +25,8 @@ use noc_sim::{
 };
 use noc_synth::SynthesisConfig;
 use noc_topology::benchmarks::Benchmark;
+use std::collections::HashSet;
+use std::hash::Hash;
 
 /// Per-strategy VC-fidelity simulation summary, attached to a
 /// [`StrategyOutcome`] when the sweep enables
@@ -628,13 +630,13 @@ impl PreparedPoint {
     }
 }
 
-/// First-seen-order deduplication for the grid axes.
-fn dedup_preserving_order<T: Copy + PartialEq>(items: &[T]) -> Vec<T> {
-    let mut seen = Vec::with_capacity(items.len());
-    for &item in items {
-        if !seen.contains(&item) {
-            seen.push(item);
-        }
-    }
-    seen
+/// First-seen-order deduplication for the grid axes, linear in the axis
+/// length (an axis comes from a job spec, which may be hostile).
+fn dedup_preserving_order<T: Copy + Eq + Hash>(items: &[T]) -> Vec<T> {
+    let mut seen = HashSet::with_capacity(items.len());
+    items
+        .iter()
+        .copied()
+        .filter(|&item| seen.insert(item))
+        .collect()
 }

@@ -1,5 +1,5 @@
-//! The fault-model seam: scheduled runtime faults and the transient
-//! dependency graph behind cycle-safe live reconfiguration.
+//! The fault-model seam: scheduled runtime faults and repairs for
+//! cycle-safe live reconfiguration.
 //!
 //! A [`FaultPlan`] is the *scenario*: seeded link/switch failures (and
 //! optional repairs) at scheduled cycles, either hand-written or produced by
@@ -9,18 +9,16 @@
 //! re-routes them onto surviving up*/down* paths and migrates traffic
 //! old→new *without a global drain* — an epoch only commits after the
 //! transient combined dependency graph (committed routes of every flow plus
-//! the residual old-route segments of in-flight worms) has been checked
-//! acyclic on the incrementally maintained dependency graph.
+//! the residual old-route segments of in-flight worms), built afresh for
+//! each check, has been found acyclic.
 //!
 //! This mirrors the two reconfiguration schools named in the related work:
 //! DBR's recovery-based scheme (drain only what is provably entangled) and
 //! Remote Control's avoidance scheme (never let an unsafe configuration
 //! become active in the first place).
 
-use noc_graph::{scc, DiGraph, NodeId};
 use noc_rng::SmallRng;
 use noc_topology::{FaultSet, LinkId, SwitchId, Topology};
-use std::collections::HashMap;
 
 /// One scheduled fault or repair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,6 +33,21 @@ pub enum FaultKind {
     SwitchDown(SwitchId),
     /// A previously failed switch is repaired.
     SwitchUp(SwitchId),
+}
+
+impl FaultKind {
+    /// Applies the event to `down` with cable-fault semantics: a link
+    /// fails and comes back together with its reverse twin.  Returns
+    /// `true` for a repair.
+    pub(crate) fn apply(self, topology: &Topology, down: &mut FaultSet) -> bool {
+        match self {
+            FaultKind::LinkDown(link) => down.fail_link_pair(topology, link),
+            FaultKind::LinkUp(link) => down.repair_link_pair(topology, link),
+            FaultKind::SwitchDown(switch) => down.fail_switch(switch),
+            FaultKind::SwitchUp(switch) => down.repair_switch(switch),
+        }
+        matches!(self, FaultKind::LinkUp(_) | FaultKind::SwitchUp(_))
+    }
 }
 
 /// A fault or repair scheduled at a simulation cycle.
@@ -123,12 +136,7 @@ impl FaultPlan {
     pub fn final_faults(&self, topology: &Topology) -> FaultSet {
         let mut down = FaultSet::new(topology);
         for event in &self.events {
-            match event.kind {
-                FaultKind::LinkDown(link) => down.fail_link_pair(topology, link),
-                FaultKind::LinkUp(link) => down.repair_link_pair(topology, link),
-                FaultKind::SwitchDown(switch) => down.fail_switch(switch),
-                FaultKind::SwitchUp(switch) => down.repair_switch(switch),
-            }
+            event.kind.apply(topology, &mut down);
         }
         down
     }
@@ -196,92 +204,6 @@ impl FaultPlan {
             }
         }
         FaultPlan::new(events)
-    }
-}
-
-/// The incrementally maintained dependency graph the epoch protocol checks.
-///
-/// Nodes are the simulator's dense channels (link × VC); edges are
-/// refcounted "holding this channel, the worm next needs that one" pairs
-/// contributed by committed flow routes and, transiently during an epoch
-/// check, by the residual old-route segments of in-flight worms.
-#[derive(Debug)]
-pub(crate) struct DepGraph {
-    graph: DiGraph<usize, ()>,
-    nodes: Vec<NodeId>,
-    refs: HashMap<(usize, usize), usize>,
-}
-
-impl DepGraph {
-    /// An edgeless graph over `channel_count` dense channels.
-    pub fn new(channel_count: usize) -> Self {
-        let mut graph = DiGraph::new();
-        let nodes: Vec<NodeId> = (0..channel_count).map(|c| graph.add_node(c)).collect();
-        DepGraph {
-            graph,
-            nodes,
-            refs: HashMap::new(),
-        }
-    }
-
-    /// Adds the consecutive-channel dependencies of one path.
-    pub fn add_path(&mut self, path: &[usize]) {
-        for pair in path.windows(2) {
-            self.add_edge(pair[0], pair[1]);
-        }
-    }
-
-    /// Removes the dependencies previously added for `path`.
-    pub fn remove_path(&mut self, path: &[usize]) {
-        for pair in path.windows(2) {
-            self.remove_edge(pair[0], pair[1]);
-        }
-    }
-
-    fn add_edge(&mut self, from: usize, to: usize) {
-        if from == to {
-            return;
-        }
-        let count = self.refs.entry((from, to)).or_insert(0);
-        *count += 1;
-        if *count == 1 {
-            self.graph.add_edge(self.nodes[from], self.nodes[to], ());
-        }
-    }
-
-    fn remove_edge(&mut self, from: usize, to: usize) {
-        if from == to {
-            return;
-        }
-        let Some(count) = self.refs.get_mut(&(from, to)) else {
-            debug_assert!(false, "removing dependency {from}->{to} never added");
-            return;
-        };
-        *count -= 1;
-        if *count == 0 {
-            self.refs.remove(&(from, to));
-            let edge = self
-                .graph
-                .find_edge(self.nodes[from], self.nodes[to])
-                .expect("refcounted edge exists in the graph");
-            self.graph.remove_edge(edge);
-        }
-    }
-
-    /// Dense channels on cycles (members of non-trivial SCCs), sorted.
-    pub fn cyclic_channels(&self) -> Vec<usize> {
-        let mut channels: Vec<usize> = scc::cyclic_components(&self.graph)
-            .iter()
-            .flatten()
-            .map(|n| n.index())
-            .collect();
-        channels.sort_unstable();
-        channels
-    }
-
-    /// `true` when any dependency cycle exists.
-    pub fn is_cyclic(&self) -> bool {
-        scc::has_cycle(&self.graph)
     }
 }
 
@@ -400,24 +322,5 @@ mod tests {
                 "seed {seed} partitioned the mesh"
             );
         }
-    }
-
-    #[test]
-    fn dep_graph_refcounts_and_detects_cycles() {
-        let mut dep = DepGraph::new(4);
-        assert!(!dep.is_cyclic());
-        dep.add_path(&[0, 1, 2]);
-        dep.add_path(&[1, 2, 3]); // 1->2 now refcounted twice
-        assert!(!dep.is_cyclic());
-        dep.add_path(&[3, 0]);
-        // 0->1->2->3->0 closes the loop.
-        assert_eq!(dep.cyclic_channels(), vec![0, 1, 2, 3]);
-        dep.remove_path(&[0, 1, 2]);
-        // 1->2 survives (still referenced by the second path), but 0->1 is
-        // gone, so the cycle is broken.
-        assert!(!dep.is_cyclic());
-        dep.remove_path(&[1, 2, 3]);
-        dep.remove_path(&[3, 0]);
-        assert!(!dep.is_cyclic());
     }
 }

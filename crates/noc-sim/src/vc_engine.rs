@@ -20,17 +20,26 @@
 //!   packets are pulled back to their sources, their flows are permanently
 //!   reconfigured onto a deadlock-free recovery routing function, and the
 //!   run continues — the dynamic execution of the `RecoveryReconfig`
-//!   strategy.
+//!   strategy;
+//! * optionally, a [`FaultPlan`] fails and repairs links and switches
+//!   mid-run, and each batch re-routes the affected flows in an epoch that
+//!   commits only once the dependency graph of the committed routes and
+//!   the in-flight residues is acyclic.
+//!
+//! The drain and the fault epochs write one per-flow route table (re-routes
+//! over the static routes); admission, every pull-back and the epochs read
+//! it through one lookup.
 
 use crate::credit::CreditBook;
 use crate::detect::{WaitGraph, WaitTarget};
-use crate::fault::{DepGraph, FaultKind, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::packet::{Flit, FlitKind, Packet};
 use crate::policy::{VcChoice, VcPolicy};
 use crate::stats::SimStats;
 use crate::traffic::{generate_workload, TrafficConfig, Workload};
 use noc_deadlock::report::{ReconfigEvent, ReconfigStats};
 use noc_deadlock::vcmap::VcMap;
+use noc_graph::{scc, DiGraph, NodeId};
 use noc_routing::updown::{updown_route_avoiding, UpDownLabels};
 use noc_routing::{Route, RouteSet};
 use noc_topology::{
@@ -202,9 +211,8 @@ impl Candidates {
 /// One hop of a packet's route, compiled once per route.
 #[derive(Debug, Clone)]
 struct Hop {
-    link: LinkId,
-    /// The VC the strategy assigned at this hop.
-    assigned: usize,
+    /// The link and the VC the strategy assigned at this hop.
+    channel: Channel,
     /// What the policy offers a head flit entering this hop.
     candidates: Candidates,
 }
@@ -220,12 +228,14 @@ struct ChannelLayout<'a> {
 }
 
 impl ChannelLayout<'_> {
-    /// Dense channel indices of a `(link, vc)` route.
-    fn dense_path(&self, route: &[(LinkId, usize)]) -> Vec<usize> {
-        route
-            .iter()
-            .map(|&(link, vc)| self.offsets[link.index()] + vc)
-            .collect()
+    /// Dense index of a channel.
+    fn dense(&self, channel: Channel) -> usize {
+        self.offsets[channel.link.index()] + channel.vc
+    }
+
+    /// Dense channel indices of a route.
+    fn dense_path(&self, route: &[Channel]) -> Vec<usize> {
+        route.iter().map(|&channel| self.dense(channel)).collect()
     }
 }
 
@@ -249,21 +259,17 @@ impl PacketState {
     /// Puts the packet on `route` and compiles each hop's candidate
     /// channels.  Runs on admission and on every reroute, never per cycle —
     /// which is why [`VcPolicy::candidates`] must be pure.
-    fn set_route(
-        &mut self,
-        route: impl IntoIterator<Item = (LinkId, usize)>,
-        layout: &ChannelLayout<'_>,
-    ) {
+    fn set_route(&mut self, route: &[Channel], layout: &ChannelLayout<'_>) {
         self.hops.clear();
         let mut vcs = Vec::new();
-        for (hop, (link, assigned)) in route.into_iter().enumerate() {
-            let link_vcs = layout.vc_map.link_vcs(link);
+        for (hop, &channel) in route.iter().enumerate() {
+            let link_vcs = layout.vc_map.link_vcs(channel.link);
             vcs.clear();
             layout.policy.candidates(
                 &VcChoice {
-                    link,
+                    link: channel.link,
                     link_vcs,
-                    assigned_vc: assigned,
+                    assigned_vc: channel.vc,
                     hop,
                     flow: self.packet.flow,
                 },
@@ -271,19 +277,35 @@ impl PacketState {
             );
             debug_assert!(!vcs.is_empty(), "policies must offer a candidate");
             for vc in &mut vcs {
-                *vc = layout.offsets[link.index()] + (*vc).min(link_vcs - 1);
+                *vc = layout.offsets[channel.link.index()] + (*vc).min(link_vcs - 1);
             }
             self.hops.push(Hop {
-                link,
-                assigned,
+                channel,
                 candidates: Candidates::new(&vcs),
             });
         }
     }
 
-    /// The `(link, assigned vc)` hops of the packet's current route.
-    fn route(&self) -> Vec<(LinkId, usize)> {
-        self.hops.iter().map(|h| (h.link, h.assigned)).collect()
+    /// `true` when the packet travels exactly `route`.
+    fn on_route(&self, route: &[Channel]) -> bool {
+        self.hops
+            .iter()
+            .map(|hop| hop.channel)
+            .eq(route.iter().copied())
+    }
+
+    /// Where the residue of a started worm begins — the earliest hop it
+    /// still holds a flit at, or hop 0 while it is still injecting — or
+    /// `None` when its head has not left the source.  `min_hop` is the
+    /// earliest hop the packet has a flit buffered at.
+    fn residue_start(&self, min_hop: Option<usize>) -> Option<usize> {
+        if self.taken.is_empty() && min_hop.is_none() {
+            None
+        } else if self.to_inject.is_empty() {
+            Some(min_hop.unwrap_or(self.hops.len()))
+        } else {
+            Some(0)
+        }
     }
 
     fn in_flight(&self) -> bool {
@@ -464,9 +486,6 @@ struct FaultContext<'a> {
     cursor: usize,
     /// Cumulative failed links and switches.
     down: FaultSet,
-    /// Committed live route per reconfigured flow — overrides both the
-    /// static routes and the DBR recovery function.
-    live_routes: HashMap<FlowId, Vec<(LinkId, usize)>>,
     /// Flows currently stranded by a partition (gated at injection).
     unreachable: BTreeSet<FlowId>,
     stats: ReconfigStats,
@@ -474,10 +493,35 @@ struct FaultContext<'a> {
     route_log: Vec<RouteSet>,
 }
 
+/// The route each flow currently takes: its static route unless the
+/// drain or a fault epoch re-routed it.  Both write `rerouted`; everything
+/// reads [`route_of`](Self::route_of).
+struct RouteTable<'a> {
+    routes: &'a RouteSet,
+    rerouted: HashMap<FlowId, Route>,
+}
+
+impl RouteTable<'_> {
+    /// The channels `flow` currently routes over (empty for a same-switch
+    /// flow).
+    fn route_of(&self, flow: FlowId) -> &[Channel] {
+        self.rerouted
+            .get(&flow)
+            .or_else(|| self.routes.route(flow))
+            .map_or(&[], Route::channels)
+    }
+
+    /// The committed route of `flow` during a fault epoch: `None` while a
+    /// partition strands the flow.
+    fn committed(&self, ctx: &FaultContext<'_>, flow: FlowId) -> Option<&[Channel]> {
+        (!ctx.unreachable.contains(&flow)).then(|| self.route_of(flow))
+    }
+}
+
 /// The VC-fidelity wormhole simulator.  Borrows the design it simulates.
 pub struct VcSimulator<'a> {
     comm: &'a CommGraph,
-    routes: &'a RouteSet,
+    routes: RouteTable<'a>,
     layout: ChannelLayout<'a>,
     config: VcSimConfig,
     /// Recovery routing function for the dynamic drain (`None` = detected
@@ -553,7 +597,10 @@ impl<'a> VcSimulator<'a> {
         }
         VcSimulator {
             comm,
-            routes,
+            routes: RouteTable {
+                routes,
+                rerouted: HashMap::new(),
+            },
             layout: ChannelLayout {
                 vc_map,
                 policy,
@@ -584,16 +631,16 @@ impl<'a> VcSimulator<'a> {
 
     /// Enables the DBR-style dynamic drain: when the exact detector finds a
     /// deadlock, the knotted packets are pulled back to their sources and
-    /// their flows permanently reconfigured onto `recovery_routes` (a
+    /// their flows permanently reconfigured onto `recovery` (a
     /// deadlock-free routing function, e.g. up*/down* routes).
     ///
     /// # Panics
     ///
     /// Panics if a recovery route references a link or VC outside the
     /// simulator's [`VcMap`].
-    pub fn with_recovery(mut self, recovery_routes: RouteSet) -> Self {
-        validate_routes(&recovery_routes, self.layout.vc_map, "recovery route");
-        self.recovery = Some(recovery_routes);
+    pub fn with_recovery(mut self, recovery: RouteSet) -> Self {
+        validate_routes(&recovery, self.layout.vc_map, "recovery route");
+        self.recovery = Some(recovery);
         self
     }
 
@@ -622,7 +669,6 @@ impl<'a> VcSimulator<'a> {
             plan,
             cursor: 0,
             down,
-            live_routes: HashMap::new(),
             unreachable: BTreeSet::new(),
             stats: ReconfigStats::default(),
             unreachable_packets: 0,
@@ -663,7 +709,7 @@ impl<'a> VcSimulator<'a> {
         while cycle < self.config.max_cycles {
             // Scheduled fault events fire first: the epoch protocol
             // reconfigures routes before anything moves this cycle.
-            if self.faults.is_some() && self.process_faults(cycle, &mut in_flight_packets) {
+            if self.process_faults(cycle, &mut in_flight_packets) {
                 idle_cycles = 0;
             }
             self.credits.collect_returns(cycle);
@@ -671,18 +717,17 @@ impl<'a> VcSimulator<'a> {
             // Admit newly created packets into their flow queue.
             while let Some(packet) = pending.next_if(|p| p.created_at <= cycle) {
                 stats.injected_packets += 1;
-                if self
+                let stranded = self
                     .faults
-                    .as_ref()
-                    .is_some_and(|ctx| ctx.unreachable.contains(&packet.flow))
-                {
+                    .as_mut()
+                    .filter(|ctx| ctx.unreachable.contains(&packet.flow));
+                if let Some(ctx) = stranded {
                     // Typed Unreachable: the flow is stranded by a
                     // partition; the packet is refused, not deadlocked.
-                    let ctx = self.faults.as_mut().expect("checked armed");
                     ctx.unreachable_packets += 1;
                     continue;
                 }
-                let route = self.current_route(packet.flow);
+                let route = self.routes.route_of(packet.flow);
                 if route.is_empty() {
                     // Same-switch flow: delivered immediately.
                     stats.delivered_packets += 1;
@@ -748,7 +793,8 @@ impl<'a> VcSimulator<'a> {
                             .flat_map(|&slot| {
                                 let state = &self.packets[slot];
                                 state.taken.iter().zip(&state.hops).map(|(&dense, hop)| {
-                                    (hop.link, dense - self.layout.offsets[hop.link.index()])
+                                    let link = hop.channel.link;
+                                    (link, dense - self.layout.offsets[link.index()])
                                 })
                             })
                             .collect();
@@ -846,44 +892,16 @@ impl<'a> VcSimulator<'a> {
         self.purged = 0;
         self.credit_stalls = 0;
         self.queues.clear();
+        self.routes.rerouted.clear();
         self.reconfigured.clear();
         if let Some(ctx) = self.faults.as_mut() {
             ctx.cursor = 0;
             ctx.down = FaultSet::new(ctx.topology);
-            ctx.live_routes.clear();
             ctx.unreachable.clear();
             ctx.stats = ReconfigStats::default();
             ctx.unreachable_packets = 0;
             ctx.route_log.clear();
         }
-    }
-
-    /// The `(link, assigned vc)` hops the given flow currently routes over:
-    /// the fault-reconfiguration route when one is committed, otherwise the
-    /// [base route](Self::base_route).
-    fn current_route(&self, flow: FlowId) -> Vec<(LinkId, usize)> {
-        if let Some(ctx) = &self.faults {
-            if let Some(route) = ctx.live_routes.get(&flow) {
-                return route.clone();
-            }
-        }
-        self.base_route(flow)
-    }
-
-    /// The committed route ignoring fault reconfigurations: the static
-    /// route, or the recovery route once the flow was DBR-reconfigured.
-    fn base_route(&self, flow: FlowId) -> Vec<(LinkId, usize)> {
-        let routes = if self.reconfigured.contains(&flow) {
-            self.recovery
-                .as_ref()
-                .expect("reconfigured implies recovery")
-        } else {
-            self.routes
-        };
-        routes
-            .route(flow)
-            .map(|r| r.channels().iter().map(|c| (c.link, c.vc)).collect())
-            .unwrap_or_default()
     }
 
     /// Phase 1: decide all flit movements for this cycle into `self.moves`
@@ -1160,44 +1178,32 @@ impl<'a> VcSimulator<'a> {
     }
 
     /// Executes one DBR-style drain event: pulls every deadlocked packet's
-    /// flits out of the network back to its source onto the recovery route
-    /// (or the committed fault-reconfiguration route, which supersedes it),
-    /// permanently reconfiguring its flow.
+    /// flits out of the network back to its source and permanently moves
+    /// its flow onto the recovery route — unless a fault epoch already
+    /// re-routed the flow, whose route detours the failed region and stays.
     fn drain_deadlocked(&mut self, dead: &[usize], drain: &mut DrainStats) {
-        let mut routes: BTreeMap<FlowId, Vec<(LinkId, usize)>> = BTreeMap::new();
+        let recovery = self.recovery.as_ref().expect("drain requires recovery");
         for &slot in dead {
             let flow = self.packets[slot].packet.flow;
-            let route = self.recovery_route(flow).unwrap_or_else(|| {
-                panic!("recovery routes must cover flow {flow}");
+            self.routes.rerouted.entry(flow).or_insert_with(|| {
+                let route = recovery.route(flow).cloned();
+                route.unwrap_or_else(|| panic!("recovery routes must cover flow {flow}"))
             });
-            assert!(
-                !route.is_empty(),
-                "flow {flow} deadlocked but its recovery route is empty"
-            );
-            routes.insert(flow, route);
+            self.reconfigured.insert(flow);
         }
-        self.pull_back_to_source(dead, &routes);
-        self.reconfigured.extend(routes.keys().copied());
+        self.pull_back_to_source(dead);
 
         // Packets of reconfigured flows that have not entered the network
-        // yet switch to the recovery route as well (in-flight survivors keep
-        // the path they already hold).
-        let mut is_dead = vec![false; self.packets.len()];
-        for &slot in dead {
-            is_dead[slot] = true;
-        }
-        for (slot, drained) in is_dead.into_iter().enumerate() {
-            let state = &self.packets[slot];
+        // yet switch to the new route as well (the drained ones are on it
+        // already; in-flight survivors keep the path they hold).
+        for state in &mut self.packets {
             let flow = state.packet.flow;
-            if self.reconfigured.contains(&flow)
-                && state.taken.is_empty()
+            if state.taken.is_empty()
                 && state.ejected == 0
                 && !state.to_inject.is_empty()
-                && !drained
+                && self.reconfigured.contains(&flow)
             {
-                if let Some(route) = self.recovery_route(flow) {
-                    self.packets[slot].set_route(route, &self.layout);
-                }
+                state.set_route(self.routes.route_of(flow), &self.layout);
             }
         }
 
@@ -1208,38 +1214,17 @@ impl<'a> VcSimulator<'a> {
         noc_telemetry::histogram("vc.drained_packets", dead.len() as u64);
     }
 
-    /// The route a drained packet of `flow` restarts on: the committed
-    /// fault-reconfiguration route when there is one (it already detours
-    /// the failed region), otherwise the recovery function's route.
-    fn recovery_route(&self, flow: FlowId) -> Option<Vec<(LinkId, usize)>> {
-        if let Some(route) = self
-            .faults
-            .as_ref()
-            .and_then(|ctx| ctx.live_routes.get(&flow))
-        {
-            return Some(route.clone());
-        }
-        let recovery = self.recovery.as_ref().expect("drain requires recovery");
-        recovery
-            .route(flow)
-            .map(|route| route.channels().iter().map(|c| (c.link, c.vc)).collect())
-    }
-
     /// Applies every fault event due at `cycle` as one reconfiguration
     /// epoch.  Returns `true` when an epoch was committed.
     fn process_faults(&mut self, cycle: u64, in_flight: &mut usize) -> bool {
-        let due = self.faults.as_ref().is_some_and(|ctx| {
-            ctx.plan
-                .events()
-                .get(ctx.cursor)
-                .is_some_and(|e| e.cycle <= cycle)
-        });
-        if !due {
+        // Take the context out so the batch can call `&mut self` helpers.
+        let due = |ctx: &mut FaultContext<'a>| {
+            let next = ctx.plan.events().get(ctx.cursor);
+            next.is_some_and(|e| e.cycle <= cycle)
+        };
+        let Some(mut ctx) = self.faults.take_if(due) else {
             return false;
-        }
-        // Take the context out so the batch can call `&mut self` helpers;
-        // every committed-route lookup inside goes through the context.
-        let mut ctx = self.faults.take().expect("due implies armed");
+        };
         {
             let mut span = noc_telemetry::span("sim", "reconfig_epoch");
             span.arg("cycle", cycle);
@@ -1257,75 +1242,34 @@ impl<'a> VcSimulator<'a> {
     /// committed routes plus in-flight residues is acyclic — pulling worms
     /// back to their sources (a scoped DBR drain) when it is not.
     fn apply_fault_batch(&mut self, ctx: &mut FaultContext<'a>, cycle: u64, in_flight: &mut usize) {
-        // 1. Apply every due event atomically (one epoch per batch).
-        let mut faults_applied = 0usize;
+        // 1. Apply every due event atomically (one epoch per batch).  Link
+        // faults are physical cable faults: both directions of a
+        // bidirectional pair go down (and come back) together, so the
+        // surviving fabric stays symmetric and up*/down* recovery remains
+        // complete per connected component.
+        let due = &ctx.plan.events()[ctx.cursor..];
+        let faults_applied = due.iter().take_while(|e| e.cycle <= cycle).count();
         let mut any_repair = false;
-        while ctx
-            .plan
-            .events()
-            .get(ctx.cursor)
-            .is_some_and(|e| e.cycle <= cycle)
-        {
-            match ctx.plan.events()[ctx.cursor].kind {
-                // Link faults are physical cable faults: both directions of
-                // a bidirectional pair go down (and come back) together, so
-                // the surviving fabric stays symmetric and up*/down*
-                // recovery remains complete per connected component.
-                FaultKind::LinkDown(link) => ctx.down.fail_link_pair(ctx.topology, link),
-                FaultKind::LinkUp(link) => {
-                    ctx.down.repair_link_pair(ctx.topology, link);
-                    any_repair = true;
-                }
-                FaultKind::SwitchDown(switch) => ctx.down.fail_switch(switch),
-                FaultKind::SwitchUp(switch) => {
-                    ctx.down.repair_switch(switch);
-                    any_repair = true;
-                }
-            }
-            faults_applied += 1;
-            ctx.cursor += 1;
+        for event in &due[..faults_applied] {
+            any_repair |= event.kind.apply(ctx.topology, &mut ctx.down);
         }
+        ctx.cursor += faults_applied;
 
         let flow_count = self.comm.flow_count();
-        let layout = &self.layout;
 
-        // 2. Rebuild the committed dependency graph (assigned-VC CDG) from
-        // every live flow's committed route.
-        let mut dep = DepGraph::new(layout.channel_count);
-        let mut committed: Vec<Option<Vec<(LinkId, usize)>>> = vec![None; flow_count];
-        for (index, slot) in committed.iter_mut().enumerate() {
-            let flow = FlowId::from_index(index);
-            if ctx.unreachable.contains(&flow) {
-                continue;
-            }
-            let route = self.committed_route_in(ctx, flow);
-            dep.add_path(&layout.dense_path(&route));
-            *slot = Some(route);
-        }
-
-        // 3. Flows to re-examine: committed routes crossing a now-unusable
+        // 2. Flows to re-examine: committed routes crossing a now-unusable
         // link, plus stranded flows retried after a repair.
-        let mut candidates: Vec<FlowId> = Vec::new();
-        for (index, slot) in committed.iter().enumerate() {
-            let flow = FlowId::from_index(index);
-            match slot {
-                None => {
-                    if any_repair {
-                        candidates.push(flow);
-                    }
-                }
-                Some(route) => {
-                    if route
-                        .iter()
-                        .any(|&(link, _)| !ctx.down.link_usable(ctx.topology, link))
-                    {
-                        candidates.push(flow);
-                    }
-                }
-            }
-        }
+        let candidates: Vec<FlowId> = (0..flow_count)
+            .map(FlowId::from_index)
+            .filter(|&flow| match self.routes.committed(ctx, flow) {
+                None => any_repair,
+                Some(route) => route
+                    .iter()
+                    .any(|channel| !ctx.down.link_usable(ctx.topology, channel.link)),
+            })
+            .collect();
 
-        // 4. Survivor connectivity and per-component up*/down* labels
+        // 3. Survivor connectivity and per-component up*/down* labels
         // (rooted at each component's lowest-index switch).
         let conn = ctx.topology.connectivity_after(&ctx.down);
         let mut labels: HashMap<usize, UpDownLabels> = HashMap::new();
@@ -1338,25 +1282,18 @@ impl<'a> VcSimulator<'a> {
             }
         }
 
-        // 5. Reroute or strand each candidate flow.
-        let mut flows_rerouted = 0usize;
+        // 4. Reroute or strand each candidate flow.
         let mut newly_unreachable: Vec<FlowId> = Vec::new();
         let mut rerouted_this_event: HashSet<FlowId> = HashSet::new();
         for flow in candidates {
-            if let Some(route) = committed[flow.index()].take() {
-                dep.remove_path(&layout.dense_path(&route));
-            }
             match self.surviving_route(ctx, &conn, &labels, flow) {
                 Some(route) => {
-                    dep.add_path(&layout.dense_path(&route));
-                    ctx.live_routes.insert(flow, route.clone());
+                    self.routes.rerouted.insert(flow, route);
                     ctx.unreachable.remove(&flow);
-                    committed[flow.index()] = Some(route);
-                    flows_rerouted += 1;
                     rerouted_this_event.insert(flow);
                 }
                 None => {
-                    ctx.live_routes.remove(&flow);
+                    self.routes.rerouted.remove(&flow);
                     if ctx.unreachable.insert(flow) {
                         newly_unreachable.push(flow);
                     }
@@ -1364,101 +1301,69 @@ impl<'a> VcSimulator<'a> {
             }
         }
 
-        // 6. Purge the traffic of newly stranded flows: their packets leave
+        // 5. Purge the traffic of newly stranded flows: their packets leave
         // the network and the accounting, so a partition surfaces as the
         // typed Unreachable outcome instead of an idle-timeout.
         if !newly_unreachable.is_empty() {
             ctx.unreachable_packets += self.strand_flows(&newly_unreachable, in_flight);
         }
 
-        // 7. In-flight packets: pull back worms whose remaining path
+        // 6. In-flight packets: pull back worms whose remaining path
         // crosses a dead link, swap not-yet-started packets onto the new
         // committed route, and register every worm still travelling a
         // superseded path as a transient residue of the epoch.
         let min_hops = self.min_buffered_hops();
         let mut pulled: Vec<usize> = Vec::new();
-        let mut pulled_routes: BTreeMap<FlowId, Vec<(LinkId, usize)>> = BTreeMap::new();
         let mut residues: Vec<(usize, Vec<usize>)> = Vec::new();
-        let mut is_residue = vec![false; self.packets.len()];
         for slot in self.in_flight_by_id(|_| true) {
             let state = &self.packets[slot];
-            let flow = state.packet.flow;
-            let Some(committed_route) = committed[flow.index()].clone() else {
-                continue; // unreachable flows were purged in step 6
+            let Some(route) = self.routes.committed(ctx, state.packet.flow) else {
+                continue; // unreachable flows were purged in step 5
             };
-            let current = state.route();
-            let started = !state.taken.is_empty() || min_hops[slot].is_some();
-            if !started {
-                if current != committed_route {
-                    self.packets[slot].set_route(committed_route, &self.layout);
-                }
+            let Some(start) = state.residue_start(min_hops[slot]) else {
+                self.packets[slot].set_route(route, &self.layout);
                 continue;
-            }
-            let start = if state.to_inject.is_empty() {
-                min_hops[slot].unwrap_or(state.hops.len())
-            } else {
-                0
             };
             let broken = state.hops[start..]
                 .iter()
-                .any(|hop| !ctx.down.link_usable(ctx.topology, hop.link));
+                .any(|hop| !ctx.down.link_usable(ctx.topology, hop.channel.link));
             if broken {
                 pulled.push(slot);
-                pulled_routes.insert(flow, committed_route);
-            } else if current != committed_route {
+            } else if !state.on_route(route) {
                 residues.push((slot, self.residue_path(state, start)));
-                is_residue[slot] = true;
             }
         }
         if !pulled.is_empty() {
-            self.pull_back_to_source(&pulled, &pulled_routes);
+            self.pull_back_to_source(&pulled);
         }
         let mut packets_drained = pulled.len();
 
-        // 8. Epoch check: the combined graph of committed routes plus
+        // 7. Epoch check: the combined graph of committed routes plus
         // transient residues must be acyclic before the epoch commits.
         // While it is not, drain residues crossing a cycle back to their
         // sources (scoped DBR fallback); when only committed routes remain
         // cyclic, move the involved flows onto the surviving up*/down*
         // function, whose routes cannot cycle among themselves.
-        for (_, path) in &residues {
-            dep.add_path(path);
-        }
         let mut fallback_drain = false;
         let max_rounds = flow_count + (self.packets.len() - self.purged) + 4;
         let mut rounds = 0usize;
         loop {
-            let cyclic = dep.cyclic_channels();
+            let cyclic = self.dependency_cycles(ctx, &residues);
             if cyclic.is_empty() {
                 break;
             }
             fallback_drain = true;
             rounds += 1;
             assert!(rounds <= max_rounds, "fault epoch failed to converge");
-            let cyclic_set: HashSet<usize> = cyclic.into_iter().collect();
+            let crosses = |path: &[usize]| path.iter().any(|c| cyclic.binary_search(c).is_ok());
 
             // (a) Drain transient residues crossing the cycle.
-            let mut to_drain: Vec<usize> = Vec::new();
-            residues.retain(|(slot, path)| {
-                if path.iter().any(|c| cyclic_set.contains(c)) {
-                    dep.remove_path(path);
-                    to_drain.push(*slot);
-                    is_residue[*slot] = false;
-                    false
-                } else {
-                    true
-                }
-            });
-            if !to_drain.is_empty() {
-                let mut drain_routes: BTreeMap<FlowId, Vec<(LinkId, usize)>> = BTreeMap::new();
-                for &slot in &to_drain {
-                    let flow = self.packets[slot].packet.flow;
-                    let route = committed[flow.index()]
-                        .clone()
-                        .expect("residues belong to routed flows");
-                    drain_routes.insert(flow, route);
-                }
-                self.pull_back_to_source(&to_drain, &drain_routes);
+            let (crossing, kept): (Vec<_>, Vec<_>) =
+                residues.into_iter().partition(|(_, path)| crosses(path));
+            residues = kept;
+            if !crossing.is_empty() {
+                let to_drain: Vec<usize> = crossing.into_iter().map(|(slot, _)| slot).collect();
+                self.pull_back_to_source(&to_drain);
                 packets_drained += to_drain.len();
                 continue;
             }
@@ -1471,57 +1376,38 @@ impl<'a> VcSimulator<'a> {
                 if rerouted_this_event.contains(&flow) {
                     continue;
                 }
-                let Some(route) = committed[flow.index()].clone() else {
+                let Some(route) = self.routes.committed(ctx, flow) else {
                     continue;
                 };
-                let path = self.layout.dense_path(&route);
-                if !path.iter().any(|c| cyclic_set.contains(c)) {
+                if !crosses(&self.layout.dense_path(route)) {
                     continue;
                 }
-                dep.remove_path(&path);
-                match self.surviving_route(ctx, &conn, &labels, flow) {
-                    Some(new_route) => {
-                        dep.add_path(&self.layout.dense_path(&new_route));
-                        ctx.live_routes.insert(flow, new_route.clone());
-                        committed[flow.index()] = Some(new_route.clone());
-                        rerouted_this_event.insert(flow);
-                        flows_rerouted += 1;
-                        // Worms of the flow still travelling the old path
-                        // become transient residues of this epoch.
-                        let fresh_hops = self.min_buffered_hops();
-                        let flow_slots = self.in_flight_by_id(|state| state.packet.flow == flow);
-                        for slot in flow_slots {
-                            if is_residue[slot] {
-                                continue;
-                            }
-                            let state = &self.packets[slot];
-                            let started = !state.taken.is_empty() || fresh_hops[slot].is_some();
-                            if !started {
-                                self.packets[slot].set_route(new_route.clone(), &self.layout);
-                                continue;
-                            }
-                            let start = if state.to_inject.is_empty() {
-                                fresh_hops[slot].unwrap_or(state.hops.len())
-                            } else {
-                                0
-                            };
-                            let residue = self.residue_path(state, start);
-                            dep.add_path(&residue);
-                            residues.push((slot, residue));
-                            is_residue[slot] = true;
-                        }
-                        progressed = true;
+                progressed = true;
+                let Some(new_route) = self.surviving_route(ctx, &conn, &labels, flow) else {
+                    // Defensive: the cyclic flow cannot be rerouted on the
+                    // surviving fabric — strand it.
+                    self.routes.rerouted.remove(&flow);
+                    if ctx.unreachable.insert(flow) {
+                        newly_unreachable.push(flow);
+                        ctx.unreachable_packets += self.strand_flows(&[flow], in_flight);
                     }
-                    None => {
-                        // Defensive: the cyclic flow cannot be rerouted on
-                        // the surviving fabric — strand it.
-                        ctx.live_routes.remove(&flow);
-                        committed[flow.index()] = None;
-                        if ctx.unreachable.insert(flow) {
-                            newly_unreachable.push(flow);
-                            ctx.unreachable_packets += self.strand_flows(&[flow], in_flight);
+                    continue;
+                };
+                self.routes.rerouted.insert(flow, new_route);
+                rerouted_this_event.insert(flow);
+                // Worms of the flow still travelling the old path become
+                // transient residues of this epoch.
+                let fresh_hops = self.min_buffered_hops();
+                for slot in self.in_flight_by_id(|state| state.packet.flow == flow) {
+                    if residues.iter().any(|&(residue, _)| residue == slot) {
+                        continue;
+                    }
+                    let state = &self.packets[slot];
+                    match state.residue_start(fresh_hops[slot]) {
+                        None => {
+                            self.packets[slot].set_route(self.routes.route_of(flow), &self.layout)
                         }
-                        progressed = true;
+                        Some(start) => residues.push((slot, self.residue_path(state, start))),
                     }
                 }
             }
@@ -1531,7 +1417,7 @@ impl<'a> VcSimulator<'a> {
             );
         }
 
-        // 9. Post-protocol runtime recheck: the exact wait-for detector must
+        // 8. Post-protocol runtime recheck: the exact wait-for detector must
         // agree no knot survives the epoch; any remaining knot (formed
         // before the event, invisible to the assigned-VC model) is drained
         // here rather than committed over.
@@ -1547,29 +1433,20 @@ impl<'a> VcSimulator<'a> {
                 wait_rounds <= max_rounds,
                 "wait-for drain failed to converge"
             );
-            // Victims keep the detector's packet-id order.
-            let mut victims: Vec<usize> = Vec::new();
-            let mut drain_routes: BTreeMap<FlowId, Vec<(LinkId, usize)>> = BTreeMap::new();
-            for slot in dead {
-                let flow = self.packets[slot].packet.flow;
-                let Some(route) = committed[flow.index()].clone() else {
-                    continue;
-                };
-                drain_routes.insert(flow, route);
-                victims.push(slot);
-            }
-            assert!(!victims.is_empty(), "knot without routed flows");
-            self.pull_back_to_source(&victims, &drain_routes);
-            packets_drained += victims.len();
+            // Victims keep the detector's packet-id order; stranded flows
+            // have no packets left to be among them.
+            self.pull_back_to_source(&dead);
+            packets_drained += dead.len();
         }
 
-        // 10. Commit.  `committed_cyclic` is re-derived from the evidence —
+        // 9. Commit.  `committed_cyclic` is re-derived from the evidence —
         // it must always be false, and the property suite asserts so.
-        let committed_cyclic = dep.is_cyclic() || !self.deadlocked_slots().is_empty();
+        let committed_cyclic = !self.dependency_cycles(ctx, &residues).is_empty()
+            || !self.deadlocked_slots().is_empty();
         ctx.stats.record(ReconfigEvent {
             cycle,
             faults_applied,
-            flows_rerouted,
+            flows_rerouted: rerouted_this_event.len(),
             flows_unreachable: newly_unreachable.len(),
             packets_drained,
             fallback_drain,
@@ -1578,27 +1455,42 @@ impl<'a> VcSimulator<'a> {
         ctx.stats.unreachable_flows = ctx.unreachable.len();
         if self.config.record_reconfig_routes {
             let mut snapshot = RouteSet::new(flow_count);
-            for (index, slot) in committed.iter().enumerate() {
-                let flow = FlowId::from_index(index);
-                let mut route = Route::default();
-                if let Some(channels) = slot {
-                    route
-                        .channels_mut()
-                        .extend(channels.iter().map(|&(link, vc)| Channel::new(link, vc)));
-                }
-                snapshot.set_route(flow, route);
+            for flow in (0..flow_count).map(FlowId::from_index) {
+                let route = self.routes.committed(ctx, flow).unwrap_or_default();
+                snapshot.set_route(flow, Route::new(route.to_vec()));
             }
             ctx.route_log.push(snapshot);
         }
     }
 
-    /// The committed route of `flow` as seen by the fault machinery (the
-    /// context is detached from `self` while an epoch runs).
-    fn committed_route_in(&self, ctx: &FaultContext<'a>, flow: FlowId) -> Vec<(LinkId, usize)> {
-        if let Some(route) = ctx.live_routes.get(&flow) {
-            return route.clone();
+    /// The dense channels on a cycle of the epoch's dependency graph,
+    /// sorted.  The graph's edges are the consecutive channel pairs of
+    /// every committed route and every in-flight residue.
+    fn dependency_cycles(
+        &self,
+        ctx: &FaultContext<'a>,
+        residues: &[(usize, Vec<usize>)],
+    ) -> Vec<usize> {
+        let mut graph = DiGraph::with_capacity(self.layout.channel_count, 0);
+        for channel in 0..self.layout.channel_count {
+            graph.add_node(channel);
         }
-        self.base_route(flow)
+        let committed = (0..self.comm.flow_count())
+            .filter_map(|index| self.routes.committed(ctx, FlowId::from_index(index)))
+            .map(|route| self.layout.dense_path(route));
+        let residues = residues.iter().map(|(_, path)| path.clone());
+        for path in committed.chain(residues) {
+            for pair in path.windows(2).filter(|pair| pair[0] != pair[1]) {
+                graph.add_edge(NodeId::from_index(pair[0]), NodeId::from_index(pair[1]), ());
+            }
+        }
+        let mut channels: Vec<usize> = scc::cyclic_components(&graph)
+            .concat()
+            .into_iter()
+            .map(NodeId::index)
+            .collect();
+        channels.sort_unstable();
+        channels
     }
 
     /// Dense channel indices a worm still occupies or will request on its
@@ -1609,10 +1501,7 @@ impl<'a> VcSimulator<'a> {
         (start..state.hops.len())
             .map(|hop| match state.taken.get(hop) {
                 Some(&dense) => dense,
-                None => {
-                    let hop = &state.hops[hop];
-                    self.layout.offsets[hop.link.index()] + hop.assigned
-                }
+                None => self.layout.dense(state.hops[hop].channel),
             })
             .collect()
     }
@@ -1645,12 +1534,12 @@ impl<'a> VcSimulator<'a> {
         conn: &Connectivity,
         labels: &HashMap<usize, UpDownLabels>,
         flow: FlowId,
-    ) -> Option<Vec<(LinkId, usize)>> {
+    ) -> Option<Route> {
         let payload = self.comm.flow(flow).expect("flow exists");
         let src = ctx.map.switch_of(payload.source)?;
         let dst = ctx.map.switch_of(payload.destination)?;
         if src == dst {
-            return Some(Vec::new());
+            return Some(Route::empty());
         }
         let component = conn.component_of(src)?;
         if conn.component_of(dst) != Some(component) {
@@ -1658,7 +1547,7 @@ impl<'a> VcSimulator<'a> {
         }
         let labels = labels.get(&component)?;
         let links = updown_route_avoiding(ctx.topology, labels, src, dst, &ctx.down)?;
-        Some(links.into_iter().map(|link| (link, 0)).collect())
+        Some(Route::from_links(links))
     }
 
     /// Removes every flit of the packets in `victims` from the buffers,
@@ -1691,13 +1580,9 @@ impl<'a> VcSimulator<'a> {
     }
 
     /// Pulls the given packets' flits out of the network and re-queues each
-    /// packet at its source on its flow's route from `new_routes` — the
-    /// drain mechanics shared by the DBR drain and the fault epochs.
-    fn pull_back_to_source(
-        &mut self,
-        victims: &[usize],
-        new_routes: &BTreeMap<FlowId, Vec<(LinkId, usize)>>,
-    ) {
+    /// packet at its source on its flow's current route — the drain
+    /// mechanics shared by the DBR drain and the fault epochs.
+    fn pull_back_to_source(&mut self, victims: &[usize]) {
         let removed = self.evict(victims);
         for (&slot, mut flits) in victims.iter().zip(removed) {
             let state = &mut self.packets[slot];
@@ -1721,14 +1606,12 @@ impl<'a> VcSimulator<'a> {
             }
             state.to_inject = flits.into();
             state.taken.clear();
-            let route = new_routes
-                .get(&flow)
-                .expect("pulled packets have a committed route");
+            let route = self.routes.route_of(flow);
             assert!(
                 !route.is_empty(),
                 "flow {flow} pulled back onto an empty route"
             );
-            state.set_route(route.iter().copied(), &self.layout);
+            state.set_route(route, &self.layout);
         }
 
         // Re-queue the pulled packets, oldest first and ahead of packets
@@ -1880,7 +1763,8 @@ mod tests {
     use noc_routing::Route;
     use noc_topology::{generators, CoreMap, LinkId, Topology};
 
-    fn line_design() -> (Topology, CommGraph, RouteSet) {
+    /// One flow across a 3-switch chain, from the first switch to the last.
+    fn line_design() -> (Topology, CommGraph, CoreMap, RouteSet, Vec<SwitchId>) {
         let generated = generators::chain(3, 1.0);
         let mut comm = CommGraph::new();
         let a = comm.add_core("a");
@@ -1890,7 +1774,7 @@ mod tests {
         map.assign(a, generated.switches[0]).unwrap();
         map.assign(b, generated.switches[2]).unwrap();
         let routes = route_all_shortest(&generated.topology, &comm, &map).unwrap();
-        (generated.topology, comm, routes)
+        (generated.topology, comm, map, routes, generated.switches)
     }
 
     /// The Figure 1 configuration: four flows chasing each other around a
@@ -1925,7 +1809,7 @@ mod tests {
 
     #[test]
     fn single_flow_delivers_all_packets() {
-        let (topo, comm, routes) = line_design();
+        let (topo, comm, _, routes, _) = line_design();
         let vc_map = VcMap::from_design(&topo, &routes);
         let mut sim = VcSimulator::new(
             &comm,
@@ -2148,13 +2032,18 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dynamic_drain_recovers_a_deadlocked_ring() {
-        // The Figure 1 trap built on a *bidirectional* ring: the four flows
-        // are forced the long way around the clockwise links, so the run
-        // deadlocks exactly like the unidirectional ring — but legal
-        // up*/down* recovery routes exist, and with the drain armed every
-        // deadlock is resolved and the run completes.
+    /// The Figure 1 trap built on a *bidirectional* 4-ring: the four flows
+    /// are forced the long way around the clockwise links, so a single-VC
+    /// run deadlocks exactly like the unidirectional ring — but legal
+    /// up*/down* recovery routes (the last element) exist.
+    fn trapped_ring() -> (
+        Topology,
+        CommGraph,
+        CoreMap,
+        RouteSet,
+        RouteSet,
+        Vec<noc_topology::SwitchId>,
+    ) {
         let generated = generators::bidirectional_ring(4, 1.0);
         let n = 4;
         let mut comm = CommGraph::new();
@@ -2188,6 +2077,14 @@ mod tests {
             noc_topology::SwitchId::from_index(0),
         )
         .unwrap();
+        (topo, comm, map, routes, recovery, generated.switches)
+    }
+
+    #[test]
+    fn dynamic_drain_recovers_a_deadlocked_ring() {
+        // With the drain armed every deadlock of the trapped ring is
+        // resolved and the run completes.
+        let (topo, comm, _, routes, recovery, _) = trapped_ring();
         let vc_map = VcMap::from_design(&topo, &routes);
         let config = VcSimConfig {
             buffer_depth: 1,
@@ -2215,8 +2112,106 @@ mod tests {
     }
 
     #[test]
+    fn drained_flow_stranded_then_repaired() {
+        // The drain moves flow 0 onto its recovery route at the first
+        // detection; then its destination switch fails (a partition strands
+        // the flow) and is repaired (the epoch gives it a surviving route).
+        let (topo, comm, map, routes, recovery, switches) = trapped_ring();
+        let vc_map = VcMap::from_design(&topo, &routes);
+        let config = VcSimConfig {
+            buffer_depth: 1,
+            max_cycles: 500_000,
+            record_reconfig_routes: true,
+            ..VcSimConfig::default()
+        };
+        let traffic = TrafficConfig {
+            packets_per_flow: 40,
+            packet_length: 6,
+            mean_gap_cycles: 8,
+            seed: 1,
+            ..TrafficConfig::default()
+        };
+        let drained = FlowId::from_index(0);
+        let plan = crate::fault::FaultPlan::new(vec![
+            crate::fault::FaultEvent {
+                cycle: 200,
+                kind: crate::fault::FaultKind::SwitchDown(switches[2]),
+            },
+            crate::fault::FaultEvent {
+                cycle: 500,
+                kind: crate::fault::FaultKind::SwitchUp(switches[2]),
+            },
+        ]);
+        let outcome = VcSimulator::new(&comm, &routes, &vc_map, &SingleVc, &config)
+            .with_recovery(recovery)
+            .with_faults(&topo, &map, plan)
+            .run(&traffic);
+        let detection = outcome.detection.expect("the trap is detected");
+        assert!(detection.cycle < 200, "the drain fires before the fault");
+        assert!(outcome.deadlock_flows.contains(&drained));
+        assert_eq!(outcome.reconfig_routes.len(), 2);
+        let route_in = |epoch: usize| outcome.reconfig_routes[epoch].route(drained).unwrap();
+        assert!(route_in(0).is_empty(), "stranded in the down epoch");
+        assert!(!route_in(1).is_empty(), "rerouted in the up epoch");
+        assert!(outcome.unreachable_flows.is_empty());
+        let stats = &outcome.stats;
+        assert_eq!(
+            stats.delivered_packets as usize
+                + outcome.stranded_packets
+                + outcome.unreachable_packets,
+            stats.injected_packets as usize
+        );
+        // Pinned outcome.  This is the one case where the shared route table
+        // reads differently from a lookup that prefers the recovery route
+        // of a drained flow (the stranded flow falls back to its static
+        // route), and nothing the run does may depend on it.
+        let rc = &outcome.reconfig;
+        assert_eq!(
+            (
+                stats.cycles,
+                stats.injected_packets,
+                stats.delivered_packets
+            ),
+            (669, 160, 96)
+        );
+        assert_eq!(
+            (
+                stats.delivered_flits,
+                stats.total_latency_cycles,
+                stats.max_latency_cycles
+            ),
+            (579, 22_822, 525)
+        );
+        assert_eq!(
+            (
+                outcome.deadlocked,
+                outcome.stranded_packets,
+                outcome.unreachable_packets
+            ),
+            (false, 0, 64)
+        );
+        assert_eq!(
+            outcome.drain,
+            DrainStats {
+                events: 1,
+                packets_drained: 4,
+                flows_reconfigured: 4
+            }
+        );
+        assert_eq!(
+            (rc.epochs_committed, rc.drain_fallbacks, rc.cyclic_commits),
+            (2, 0, 0)
+        );
+        assert_eq!((rc.packets_drained, rc.flows_rerouted), (0, 2));
+        assert_eq!(
+            route_in(1).links().map(LinkId::index).collect::<Vec<_>>(),
+            [0, 2]
+        );
+    }
+
+    #[test]
     fn credit_return_latency_throttles_but_still_delivers() {
-        let (topo, comm, routes) = line_design();
+        let (topo, comm, _, routes, _) = line_design();
         let vc_map = VcMap::from_design(&topo, &routes);
         let traffic = TrafficConfig {
             packets_per_flow: 10,
@@ -2348,20 +2343,12 @@ mod tests {
 
     #[test]
     fn partition_is_a_typed_unreachable_not_a_timeout() {
-        let generated = generators::chain(3, 1.0);
-        let mut comm = CommGraph::new();
-        let a = comm.add_core("a");
-        let b = comm.add_core("b");
-        comm.add_flow(a, b, 100.0);
-        let mut map = CoreMap::new(2);
-        map.assign(a, generated.switches[0]).unwrap();
-        map.assign(b, generated.switches[2]).unwrap();
-        let routes = route_all_shortest(&generated.topology, &comm, &map).unwrap();
-        let vc_map = VcMap::from_design(&generated.topology, &routes);
+        let (topo, comm, map, routes, switches) = line_design();
+        let vc_map = VcMap::from_design(&topo, &routes);
         // The destination switch dies mid-run: the flow is stranded.
         let plan = crate::fault::FaultPlan::new(vec![crate::fault::FaultEvent {
             cycle: 30,
-            kind: crate::fault::FaultKind::SwitchDown(generated.switches[2]),
+            kind: crate::fault::FaultKind::SwitchDown(switches[2]),
         }]);
         let traffic = TrafficConfig {
             packets_per_flow: 10,
@@ -2377,7 +2364,7 @@ mod tests {
             &AssignedVc,
             &VcSimConfig::default(),
         )
-        .with_faults(&generated.topology, &map, plan);
+        .with_faults(&topo, &map, plan);
         let outcome = sim.run(&traffic);
         assert!(!outcome.deadlocked, "a partition is not a deadlock");
         assert!(outcome.detection.is_none(), "no knot, no detection");
@@ -2396,24 +2383,10 @@ mod tests {
 
     #[test]
     fn repair_restores_a_stranded_flow() {
-        let generated = generators::chain(3, 1.0);
-        let mut comm = CommGraph::new();
-        let a = comm.add_core("a");
-        let b = comm.add_core("b");
-        comm.add_flow(a, b, 100.0);
-        let mut map = CoreMap::new(2);
-        map.assign(a, generated.switches[0]).unwrap();
-        map.assign(b, generated.switches[2]).unwrap();
-        let routes = route_all_shortest(&generated.topology, &comm, &map).unwrap();
-        let vc_map = VcMap::from_design(&generated.topology, &routes);
-        let fwd = generated
-            .topology
-            .find_link(generated.switches[1], generated.switches[2])
-            .unwrap();
-        let bwd = generated
-            .topology
-            .find_link(generated.switches[2], generated.switches[1])
-            .unwrap();
+        let (topo, comm, map, routes, switches) = line_design();
+        let vc_map = VcMap::from_design(&topo, &routes);
+        let fwd = topo.find_link(switches[1], switches[2]).unwrap();
+        let bwd = topo.find_link(switches[2], switches[1]).unwrap();
         let plan = crate::fault::FaultPlan::new(vec![
             crate::fault::FaultEvent {
                 cycle: 30,
@@ -2446,7 +2419,7 @@ mod tests {
             &AssignedVc,
             &VcSimConfig::default(),
         )
-        .with_faults(&generated.topology, &map, plan);
+        .with_faults(&topo, &map, plan);
         let outcome = sim.run(&traffic);
         assert!(!outcome.deadlocked);
         assert_eq!(outcome.stranded_packets, 0);
@@ -2559,7 +2532,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown channel")]
     fn routes_outside_the_vc_map_are_rejected() {
-        let (topo, comm, mut routes) = line_design();
+        let (topo, comm, _, mut routes, _) = line_design();
         let vc_map = VcMap::from_design(&topo, &routes);
         routes
             .route_mut(FlowId::from_index(0))

@@ -19,12 +19,13 @@ use noc_deadlock::vcmap::VcMap;
 use noc_deadlock::verify::check_deadlock_free;
 use noc_rng::SmallRng;
 use noc_routing::shortest::route_all_shortest;
+use noc_routing::updown::route_all_updown;
 use noc_routing::RouteSet;
 use noc_sim::{
-    AssignedVc, FaultEvent, FaultKind, FaultPlan, StormConfig, TrafficConfig, VcSimConfig,
-    VcSimulator,
+    AssignedVc, FaultEvent, FaultKind, FaultPlan, SingleVc, StormConfig, TrafficConfig,
+    VcSimConfig, VcSimulator,
 };
-use noc_topology::{generators, CommGraph, CoreMap, FaultSet, FlowId, Topology};
+use noc_topology::{generators, CommGraph, CoreMap, FaultSet, FlowId, SwitchId, Topology};
 use std::collections::HashSet;
 
 /// A repaired (deadlock-free) design over `gen` with one core per switch
@@ -99,7 +100,9 @@ fn storm_traffic(seed: u64) -> TrafficConfig {
 
 /// (a) + (b) over seeded storms on repaired meshes, tori, and rings:
 /// every epoch commits acyclic, and with the fabric connected through the
-/// whole storm the full workload is delivered.
+/// whole storm the full workload is delivered.  Each case runs twice: with
+/// the assigned VCs, and VC-obliviously with up*/down* recovery armed, so
+/// that deadlock drains and fault epochs interleave.
 #[test]
 fn storms_on_connected_fabrics_commit_acyclic_and_deliver_everything() {
     let cases: Vec<(&str, generators::Generated, usize, u64, StormConfig)> = vec![
@@ -159,7 +162,22 @@ fn storms_on_connected_fabrics_commit_acyclic_and_deliver_everything() {
                 avoid_partition: true,
             },
         ),
+        (
+            "ring8-dense-repaired",
+            generators::bidirectional_ring(8, 1.0),
+            30,
+            25,
+            StormConfig {
+                faults: 1,
+                first_cycle: 90,
+                spacing: 100,
+                seed: 0xD3,
+                repair_after: Some(150),
+                avoid_partition: true,
+            },
+        ),
     ];
+    let mut drain_events = 0;
     for (name, gen, flows, design_seed, storm) in cases {
         let (topo, comm, map, routes) = seeded_design(gen, flows, design_seed);
         let plan = FaultPlan::storm(&topo, &storm);
@@ -170,42 +188,56 @@ fn storms_on_connected_fabrics_commit_acyclic_and_deliver_everything() {
             "{name}: avoid_partition keeps every flow connected"
         );
         let vc_map = VcMap::from_design(&topo, &routes);
-        let outcome = VcSimulator::new(
-            &comm,
-            &routes,
-            &vc_map,
-            &AssignedVc,
-            &VcSimConfig::default(),
-        )
-        .with_faults(&topo, &map, plan)
-        .run(&storm_traffic(design_seed));
+        let config = VcSimConfig::default();
+        let recovery = route_all_updown(&topo, &comm, &map, SwitchId::from_index(0)).unwrap();
+        let arms = [
+            (
+                name.to_string(),
+                VcSimulator::new(&comm, &routes, &vc_map, &AssignedVc, &config),
+            ),
+            (
+                format!("{name}/single-vc+recovery"),
+                VcSimulator::new(&comm, &routes, &vc_map, &SingleVc, &config)
+                    .with_recovery(recovery),
+            ),
+        ];
+        for (name, sim) in arms {
+            let outcome = sim
+                .with_faults(&topo, &map, plan.clone())
+                .run(&storm_traffic(design_seed));
 
-        // (a) Every epoch committed an acyclic combined graph.
-        assert!(!outcome.reconfig.events.is_empty(), "{name}");
-        assert_eq!(
-            outcome.reconfig.epochs_committed,
-            outcome.reconfig.events.len(),
-            "{name}"
-        );
-        for event in &outcome.reconfig.events {
-            assert!(
-                !event.committed_cyclic,
-                "{name}: epoch at cycle {} committed cyclic",
-                event.cycle
+            // (a) Every epoch committed an acyclic combined graph.
+            assert!(!outcome.reconfig.events.is_empty(), "{name}");
+            assert_eq!(
+                outcome.reconfig.epochs_committed,
+                outcome.reconfig.events.len(),
+                "{name}"
             );
-        }
-        assert_eq!(outcome.reconfig.cyclic_commits, 0, "{name}");
+            for event in &outcome.reconfig.events {
+                assert!(
+                    !event.committed_cyclic,
+                    "{name}: epoch at cycle {} committed cyclic",
+                    event.cycle
+                );
+            }
+            assert_eq!(outcome.reconfig.cyclic_commits, 0, "{name}");
 
-        // (b) Connected end to end → everything injected is delivered.
-        assert_eq!(outcome.unreachable_flows, fin, "{name}");
-        assert!(!outcome.deadlocked, "{name}");
-        assert_eq!(outcome.stranded_packets, 0, "{name}");
-        assert_eq!(outcome.unreachable_packets, 0, "{name}");
-        assert_eq!(
-            outcome.stats.delivered_packets, outcome.stats.injected_packets,
-            "{name}"
-        );
+            // (b) Connected end to end → everything injected is delivered.
+            assert_eq!(outcome.unreachable_flows, fin, "{name}");
+            assert!(!outcome.deadlocked, "{name}");
+            assert_eq!(outcome.stranded_packets, 0, "{name}");
+            assert_eq!(outcome.unreachable_packets, 0, "{name}");
+            assert_eq!(
+                outcome.stats.delivered_packets, outcome.stats.injected_packets,
+                "{name}"
+            );
+            drain_events += outcome.drain.events;
+        }
     }
+    assert!(
+        drain_events > 0,
+        "the single-VC arm drains a deadlock between fault epochs"
+    );
 }
 
 /// (b) on a deliberately partitioning plan: isolating a mesh corner turns
