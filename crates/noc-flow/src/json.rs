@@ -1160,6 +1160,102 @@ mod tests {
         assert!(JsonValue::parse(&wide).is_ok());
     }
 
+    /// Parses `input` and checks the contract every caller relies on: a
+    /// value that renders and parses back to itself, or a typed error
+    /// whose offset lies within the input.  A panic fails the test.
+    fn parse_is_total(input: &str) {
+        match JsonValue::parse(input) {
+            Ok(value) => assert_eq!(
+                JsonValue::parse(&value.to_json()).as_ref(),
+                Ok(&value),
+                "{input:?}"
+            ),
+            Err(err) => assert!(err.offset <= input.len(), "{err} in {input:?}"),
+        }
+    }
+
+    #[test]
+    fn parser_survives_seeded_corruptions_of_a_rendered_artifact() {
+        let data = JsonValue::parse(
+            r#"{"name":"t\u00fcr \ud83d\ude00 \"q\" \\ \n","xs":[0,-1,2.5,-0.125,1e300,1E-7],
+                "nested":{"a":[[],{}],"b":[true,false,null]},"unicode":"ü€𝄞"}"#,
+        )
+        .expect("the seed document parses");
+        let artifact = Artifact::new("fig_fuzz", &data).render();
+        let fragments: Vec<&str> =
+            r#"\u \ud800 \udc00 \ud83d\u \u12 \uD83D\uDE00 1e999 - 0. -0 1e " [ { ] } , :"#
+                .split(' ')
+                .collect();
+        let mut rng = noc_rng::SmallRng::seed_from_u64(0x15_0F);
+        // A char boundary of `text` at or before `at`.
+        let boundary = |text: &str, mut at: usize| {
+            while !text.is_char_boundary(at) {
+                at -= 1;
+            }
+            at
+        };
+        for _ in 0..2_000 {
+            let mut text = artifact.clone();
+            for _ in 0..rng.gen_range(1..4usize) {
+                let at = boundary(&text, rng.gen_range(0..text.len() + 1));
+                match rng.gen_range(0..4usize) {
+                    0 => text.truncate(at),
+                    1 => {
+                        // Flip one byte; a flip that breaks UTF-8 is read
+                        // back lossily, as a file reader would.
+                        let mut bytes = text.into_bytes();
+                        if let Some(byte) = bytes.get_mut(at) {
+                            *byte ^= 1 << rng.gen_range(0..8usize);
+                        }
+                        text = String::from_utf8_lossy(&bytes).into_owned();
+                    }
+                    2 => text.insert_str(at, fragments[rng.gen_range(0..fragments.len())]),
+                    _ => {
+                        let depth = rng.gen_range(120..140usize);
+                        let (open, close) = if rng.gen_range(0..2usize) == 0 {
+                            ("[".repeat(depth), "]".repeat(depth))
+                        } else {
+                            ("{\"k\":".repeat(depth), "}".repeat(depth))
+                        };
+                        text.insert_str(at, &format!("{open}0{close}"));
+                    }
+                }
+            }
+            parse_is_total(&text);
+        }
+    }
+
+    #[test]
+    fn parser_time_per_byte_is_bounded_on_hostile_input() {
+        // Escapes, surrogate pairs, nesting at the depth cap and long
+        // numbers, over and over; the document fails on its last number,
+        // so the parser reads every byte before giving up.
+        let unit = format!(
+            "\"\\ud83d\\ude00\\u00fc\\n\\\"\", -123456789.123456789e-12, {}0{}, ",
+            "[".repeat(127),
+            "]".repeat(127)
+        );
+        let doc = format!("[{}1e999]", unit.repeat(256 * 1024 / unit.len()));
+        let best = (0..3)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                let err = JsonValue::parse(&doc).expect_err("1e999 is out of range");
+                let elapsed = start.elapsed();
+                assert_eq!(err.offset, doc.len() - 1);
+                elapsed
+            })
+            .min()
+            .expect("at least one run");
+        // A linear parser takes about 0.2 µs per byte in a debug build; one
+        // that rescans the input per token, hundreds of microseconds.
+        let per_byte = best / doc.len() as u32;
+        assert!(
+            per_byte < std::time::Duration::from_micros(2),
+            "{per_byte:?} per byte over {} bytes",
+            doc.len()
+        );
+    }
+
     #[test]
     fn parser_handles_unicode_escapes_and_surrogate_pairs() {
         assert_eq!(

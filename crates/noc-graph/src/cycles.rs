@@ -18,18 +18,25 @@
 //! to a freshly rebuilt copy of the same graph.  The incremental
 //! deadlock-removal loop in `noc-deadlock` relies on this contract.
 //!
-//! # One BFS kernel
+//! # A length search decides, the canonical BFS reports
 //!
-//! Every search runs the same breadth-first kernel over a compressed,
-//! deduplicated adjacency snapshot with dense `u32` positions and one
-//! epoch-stamped workspace that is reused from BFS to BFS, so a per-vertex
-//! search allocates nothing but the cycle it returns.  For the smallest-cycle scan the snapshot holds
-//! only the members of cyclic strongly connected components, positioned in
-//! rank order, with the edges inside each component (found by the
-//! [`scc`] kernel run on the same snapshot): a node outside the
-//! start's component can never lie on a path back to the start, so it can
-//! neither close a cycle nor parent a node that does.  The BFS tree, and so
-//! the cycle reported, is the one the search over the whole graph builds.
+//! Every search runs over a compressed, deduplicated adjacency snapshot
+//! with dense `u32` positions and epoch-stamped workspaces that are reused
+//! from search to search, so a per-vertex search allocates nothing but the
+//! cycle it returns.  For the smallest-cycle scan the snapshot holds only
+//! the members of cyclic strongly connected components, positioned in rank
+//! order, with the edges inside each component (found by the [`scc`]
+//! kernel run on the same snapshot): a node outside the start's component
+//! can never lie on a path back to the start, so it can neither close a
+//! cycle nor parent a node that does.
+//!
+//! A per-vertex search of the scan only has to decide how long the
+//! shortest cycle through its vertex is: the outcome and every bound it
+//! certifies depend on that length alone.  A bidirectional length search
+//! (forward from the vertex and backward to it, always growing the smaller
+//! frontier) decides it, and the canonical BFS, capped at that length,
+//! runs only for a cycle the scan returns.  The BFS tree, and so the cycle
+//! reported, is the one the search over the whole graph builds.
 //!
 //! # Incremental search
 //!
@@ -42,7 +49,7 @@
 //! Skipping a node is exact because the skipped BFS would have returned
 //! nothing, so every answer is identical to the full scan.
 //!
-//! A BFS the finder does run looks past the cap, up to twice the node's
+//! A search the finder does run looks past the cap, up to twice the node's
 //! bound, so the bound it certifies survives later queries whose cap is
 //! larger: as the smallest cycle grows, a node is searched again only a
 //! logarithmic number of times.  A cycle found past the cap raises the
@@ -165,26 +172,28 @@ pub fn smallest_cycle_by<N, E, K: Ord>(
 ///    through `v` has at most `bounds[v]` nodes".  The scan visits the
 ///    cyclic-component members in rank order under a shrinking cap, exactly
 ///    as the full search does, but skips `v` when `bounds[v] >= cap`: the
-///    BFS from `v` would return nothing.  A BFS that does run searches to
-///    `limit = max(cap, 2 * bounds[v])` nodes, past the cap, and has three
-///    outcomes:
-///    - a cycle of `L <= cap` nodes: the cap becomes `L - 1`, the cycle
-///      becomes the answer so far, and the bound becomes `L - 1`;
+///    BFS from `v` would return nothing.  A search that does run looks for
+///    the length `L` of the shortest cycle through `v` up to
+///    `limit = max(cap, 2 * bounds[v])` nodes, past the cap, with the
+///    bidirectional length search, and has three outcomes:
+///    - a cycle of `L <= cap` nodes: the canonical BFS capped at `L`
+///      reports the cycle, the cap becomes `L - 1`, the cycle becomes the
+///      answer so far, and the bound becomes `L - 1`;
 ///    - a cycle with `cap < L <= limit`: the bound becomes `L - 1`, and the
 ///      cap and the answer stay;
 ///    - no cycle: the bound becomes `limit`.
 ///
-///    Every bound stays certified, since a BFS finds the shortest cycle
-///    through its start within its limit.  A bounded BFS returns the same
-///    cycle as an unbounded one whenever that cycle fits, so the first
-///    outcome reports exactly the cycle a BFS stopped at the cap reports,
-///    and the other two leave the scan's state as that BFS would.  Skipping
-///    never drops a node from another node's BFS.  The BFS trees, the
-///    cycles and the (length, rank) tie-break are therefore those of the
-///    full search.  Searching past the cap makes a bound outlive the cap it
-///    was found under: doubling it on each search means that while the
-///    smallest cycle grows to `L`, a node is searched `O(log L)` times, not
-///    once per increase of the cap.
+///    Every bound stays certified, since the length search finds the
+///    shortest cycle through its start within its limit.  A bounded BFS
+///    returns the same cycle as an unbounded one whenever that cycle fits,
+///    so the first outcome reports exactly the cycle a BFS stopped at the
+///    cap reports, and the other two leave the scan's state as that BFS
+///    would.  Skipping never drops a node from another node's BFS.  The BFS
+///    trees, the cycles and the (length, rank) tie-break are therefore
+///    those of the full search.  Searching past the cap makes a bound
+///    outlive the cap it was found under: doubling it on each search means
+///    that while the smallest cycle grows to `L`, a node is searched
+///    `O(log L)` times, not once per increase of the cap.
 /// 2. **Every node id in rank order.**  A query first checks that the
 ///    stored order is still strictly ascending under its `rank` and sorts
 ///    every node again if not, so callers may change `rank` between
@@ -234,7 +243,9 @@ pub struct IncrementalCycleFinder {
     seen: Option<Csr>,
     /// Every node id of the graph the last query saw, ascending by rank.
     order: Vec<NodeId>,
-    /// BFS buffers reused by every per-node search.
+    /// Length-search buffers reused by every per-node search.
+    lengths: MeetWorkspace,
+    /// BFS buffers reused by every search that reports a cycle.
     workspace: BfsWorkspace,
 }
 
@@ -286,22 +297,28 @@ impl IncrementalCycleFinder {
                 continue;
             }
             runs += 1;
-            // Search past the cap, so the bound this BFS certifies outlives
-            // later increases of the cap.  A cycle within the cap is the one
-            // a BFS capped at `cap` returns.
+            // Search past the cap, so the bound this search certifies
+            // outlives later increases of the cap.  A cycle within the cap
+            // is the one a BFS capped at `cap` returns.
             let limit = cap.max(bound.saturating_mul(BOUND_GROWTH));
+            let start = position as u32;
             match self
-                .workspace
-                .shortest_cycle(&pool.graph, position as u32, limit)
+                .lengths
+                .cycle_length(&pool.graph, &pool.reverse, start, limit)
             {
-                Some(path) if path.len() <= cap => {
-                    cap = path.len() - 1;
+                Some(len) if len <= cap => {
+                    let path = self
+                        .workspace
+                        .shortest_cycle(&pool.graph, start, len)
+                        .expect("a cycle of the searched length exists");
+                    debug_assert_eq!(path.len(), len);
+                    cap = len - 1;
                     *bound = cap;
                     best = Some(path.into_iter().map(|p| pool.nodes[p as usize]).collect());
                 }
-                Some(path) => {
+                Some(len) => {
                     beyond += 1;
-                    *bound = path.len() - 1;
+                    *bound = len - 1;
                 }
                 None => *bound = limit,
             }
@@ -310,6 +327,10 @@ impl IncrementalCycleFinder {
         noc_telemetry::counter("cycles.bfs_runs", runs);
         noc_telemetry::counter("cycles.beyond_cap", beyond);
         noc_telemetry::counter("cycles.certified_skips", skips);
+        noc_telemetry::counter(
+            "cycles.meet_visits",
+            std::mem::take(&mut self.lengths.visits),
+        );
         noc_telemetry::counter(
             "cycles.bfs_visits",
             std::mem::take(&mut self.workspace.visits),
@@ -393,7 +414,7 @@ impl IncrementalCycleFinder {
             .max()
             .unwrap_or(0);
         let from_heads = pool.graph.distances_from(&heads, limit);
-        let to_tails = pool.graph.reversed().distances_from(&tails, limit);
+        let to_tails = pool.reverse.distances_from(&tails, limit);
         for ((&node, &forward), &backward) in pool.nodes.iter().zip(&from_heads).zip(&to_tails) {
             if forward != u32::MAX && backward != u32::MAX {
                 let bound = &mut self.bounds[node.index()];
@@ -421,6 +442,8 @@ struct Pool {
     position: Vec<u32>,
     /// The restricted graph over positions.
     graph: Csr,
+    /// `graph` with every edge reversed.
+    reverse: Csr,
 }
 
 impl Pool {
@@ -458,6 +481,7 @@ impl Pool {
         Pool {
             nodes,
             position,
+            reverse: restricted.reversed(),
             graph: restricted,
         }
     }
@@ -566,6 +590,147 @@ impl Csr {
             }
         }
         dist
+    }
+}
+
+/// Buffers of the length search, reused across searches: one side grows
+/// from the start along the pool's edges, the other towards the start along
+/// its reversed edges.  A node counts as labelled by a side when that
+/// side's stamp equals the current epoch, so starting a search clears
+/// nothing.
+#[derive(Debug, Clone, Default)]
+struct MeetWorkspace {
+    forward: Side,
+    backward: Side,
+    epoch: u32,
+    /// Nodes expanded since the counter was last taken.
+    visits: u64,
+}
+
+impl MeetWorkspace {
+    /// The length of the shortest cycle through `start` in `graph`, whose
+    /// reversal is `reverse`, if it has at most `limit` nodes: the length of
+    /// the cycle `BfsWorkspace::shortest_cycle(graph, start, limit)`
+    /// returns.
+    ///
+    /// The forward side labels nodes with their distance from `start`, the
+    /// backward side with their distance to it, and each round expands one
+    /// whole layer of the side with the smaller frontier.  Every edge
+    /// `u -> w` scanned with `u` labelled forward and `w` backward closes a
+    /// walk from `start` back to it of `df(u) + 1 + db(w)` edges, which
+    /// contains a cycle through `start` at most that long; `best` is the
+    /// shortest such walk.
+    ///
+    /// Invariant: after `radius` rounds, if the shortest cycle through
+    /// `start` has `L <= radius` nodes, then `best == L`.  No walk is shorter
+    /// than `L`, so `best >= L` always.  The cycle's `i`-th node is at
+    /// distance `i` from the start and `L - i` to it.  In the round that
+    /// brought `radius` from `L - 1` to `L`, the two sides had expanded `a`
+    /// and `b` layers with `a + b = L - 1`, so the cycle's `a`-th node sat
+    /// on the forward frontier and its `(a + 1)`-th on the backward one;
+    /// whichever side expanded scanned the edge between them with both
+    /// labels set, a walk of `a + 1 + b = L` edges.
+    ///
+    /// Hence the search may stop once `radius + 1 >= min(best, limit + 1)`:
+    /// then `L <= radius` (found), or `L > radius`, so `L >= best` (found as
+    /// well) or `L > limit`.  It also stops when a side's frontier empties
+    /// after `a` layers: no node is `a` hops from (or to) the start, so
+    /// `L <= a <= radius`, or there is no cycle at all.
+    fn cycle_length(
+        &mut self,
+        graph: &Csr,
+        reverse: &Csr,
+        start: u32,
+        limit: usize,
+    ) -> Option<usize> {
+        let n = graph.len();
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.forward.stamp.fill(0);
+            self.backward.stamp.fill(0);
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        self.forward.begin(n, start, epoch);
+        self.backward.begin(n, start, epoch);
+
+        let stop = limit.saturating_add(1);
+        let mut best = usize::MAX;
+        let mut radius = 0;
+        while radius + 1 < best.min(stop) {
+            let ahead = self.forward.frontier_len();
+            let behind = self.backward.frontier_len();
+            if ahead == 0 || behind == 0 {
+                break;
+            }
+            let closed = if ahead <= behind {
+                self.visits += ahead as u64;
+                self.forward.expand(graph, &self.backward, epoch)
+            } else {
+                self.visits += behind as u64;
+                self.backward.expand(reverse, &self.forward, epoch)
+            };
+            best = best.min(closed);
+            radius += 1;
+        }
+        // `best < stop` is `best <= limit`, except that the sentinel
+        // `usize::MAX` never passes, even when `limit` is unbounded.
+        (best < stop).then_some(best)
+    }
+}
+
+/// One side of the length search: BFS distances from (or to) the start.
+#[derive(Debug, Clone, Default)]
+struct Side {
+    stamp: Vec<u32>,
+    dist: Vec<u32>,
+    /// Every labelled node in BFS order; the frontier, the last layer, is
+    /// `queue[layer..]`.
+    queue: Vec<u32>,
+    layer: usize,
+}
+
+impl Side {
+    /// Labels only `start`, at distance 0, in a graph of `n` nodes.
+    fn begin(&mut self, n: usize, start: u32, epoch: u32) {
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+            self.dist.resize(n, 0);
+        }
+        self.stamp[start as usize] = epoch;
+        self.dist[start as usize] = 0;
+        self.queue.clear();
+        self.queue.push(start);
+        self.layer = 0;
+    }
+
+    fn frontier_len(&self) -> usize {
+        self.queue.len() - self.layer
+    }
+
+    /// Expands the frontier by one layer along `graph`'s edges and returns
+    /// the shortest walk through the start closed by a scanned edge into a
+    /// node `other` has labelled (`usize::MAX` if none).
+    fn expand(&mut self, graph: &Csr, other: &Side, epoch: u32) -> usize {
+        let mut closed = usize::MAX;
+        let end = self.queue.len();
+        for i in self.layer..end {
+            let node = self.queue[i];
+            let next = self.dist[node as usize] + 1;
+            for &succ in graph.successors(node as usize) {
+                let succ = succ as usize;
+                if other.stamp[succ] == epoch {
+                    closed = closed.min(next as usize + other.dist[succ] as usize);
+                }
+                if self.stamp[succ] != epoch {
+                    self.stamp[succ] = epoch;
+                    self.dist[succ] = next;
+                    self.queue.push(succ as u32);
+                }
+            }
+        }
+        self.layer = end;
+        closed
     }
 }
 
@@ -1010,5 +1175,98 @@ mod tests {
             finder.smallest_cycle_by(&g, |v| v.index()),
             smallest_cycle(&g),
         );
+    }
+
+    /// The length search over the whole node-id adjacency of `g`, with the
+    /// nodes it expanded.
+    fn length_of(g: &DiGraph<usize, ()>, start: NodeId, limit: usize) -> (Option<usize>, u64) {
+        let graph = Csr::of_graph(g);
+        let mut lengths = MeetWorkspace::default();
+        let len = lengths.cycle_length(&graph, &graph.reversed(), start.index() as u32, limit);
+        (len, lengths.visits)
+    }
+
+    /// A random graph with self-loops, 2-cycles, parallel edges and a tail
+    /// of nodes that lie on no cycle.
+    fn cycle_mix(rng: &mut noc_rng::SmallRng) -> DiGraph<usize, ()> {
+        let n = rng.gen_range(1..14usize);
+        let tail = rng.gen_range(0..4usize);
+        let mut g = DiGraph::new();
+        let nodes: Vec<_> = (0..n + tail).map(|i| g.add_node(i)).collect();
+        for _ in 0..rng.gen_range(0..3 * n) {
+            let a = rng.gen_range(0..n);
+            let b = rng.gen_range(0..n);
+            g.add_edge(nodes[a], nodes[b], ());
+            match rng.gen_range(0..8usize) {
+                0 => drop(g.add_edge(nodes[a], nodes[a], ())),
+                1 => drop(g.add_edge(nodes[b], nodes[a], ())),
+                2 => drop(g.add_edge(nodes[a], nodes[b], ())),
+                _ => {}
+            }
+        }
+        // The tail hangs off the core and never leads back.
+        for i in n..n + tail {
+            let from = rng.gen_range(0..i);
+            g.add_edge(nodes[from], nodes[i], ());
+        }
+        g
+    }
+
+    #[test]
+    fn length_search_matches_the_canonical_bfs_at_every_limit() {
+        let mut rng = noc_rng::SmallRng::seed_from_u64(0x4D33);
+        for case in 0..400 {
+            let g = cycle_mix(&mut rng);
+            for start in g.node_ids() {
+                let shortest = shortest_cycle_through(&g, start).map(|c| c.len());
+                let len = shortest.unwrap_or(g.node_count());
+                let limits = [0, 1, 2, len.saturating_sub(1), len, len + 1, usize::MAX];
+                for limit in limits {
+                    let expected =
+                        shortest_cycle_through_bounded(&g, start, limit).map(|c| c.len());
+                    assert_eq!(
+                        length_of(&g, start, limit).0,
+                        expected,
+                        "case {case}, start {start:?}, limit {limit}",
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn length_search_stops_as_soon_as_the_stop_rule_allows() {
+        // Both frontiers of a ring hold one node, so the search expands one
+        // node per round: `L` rounds find the ring, `L - 1` rule it out.
+        for n in 1..9 {
+            let (g, nodes) = ring(n);
+            assert_eq!(length_of(&g, nodes[0], usize::MAX), (Some(n), n as u64));
+            assert_eq!(length_of(&g, nodes[0], n), (Some(n), n as u64));
+            assert_eq!(length_of(&g, nodes[0], n - 1), (None, n as u64 - 1));
+        }
+        // A start off every cycle, with no successor: its forward frontier
+        // empties in the first round and ends the search.
+        let (mut g, nodes) = ring(3);
+        let extra = g.add_node(3);
+        g.add_edge(nodes[0], extra, ());
+        assert_eq!(length_of(&g, extra, usize::MAX), (None, 1));
+    }
+
+    #[test]
+    fn length_search_grows_the_smaller_frontier() {
+        // Node 0 fans out to 1..=4, which all lead to 5, and 5 closes the
+        // cycle back to 0.  After one forward round the forward frontier
+        // holds four nodes and the backward one a single node, so the
+        // search grows backward twice (from 0, then from 5) and meets on
+        // the edges into 5: three nodes expanded, where a forward search
+        // expands all six.
+        let mut g: DiGraph<usize, ()> = DiGraph::new();
+        let n: Vec<_> = (0..6).map(|i| g.add_node(i)).collect();
+        for i in 1..5 {
+            g.add_edge(n[0], n[i], ());
+            g.add_edge(n[i], n[5], ());
+        }
+        g.add_edge(n[5], n[0], ());
+        assert_eq!(length_of(&g, n[0], usize::MAX), (Some(3), 3));
     }
 }

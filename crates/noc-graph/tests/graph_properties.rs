@@ -418,6 +418,72 @@ fn bounded_cycle_search_is_consistent_with_unbounded() {
     }
 }
 
+/// A random graph with self-loops, 2-cycles, parallel edges and a tail of
+/// nodes that lie on no cycle.
+fn cycle_mix(rng: &mut SmallRng) -> DiGraph<usize, ()> {
+    let n = rng.gen_range(1..16_usize);
+    let tail = rng.gen_range(0..4_usize);
+    let mut g = DiGraph::new();
+    let nodes: Vec<_> = (0..n + tail).map(|i| g.add_node(i)).collect();
+    for _ in 0..rng.gen_range(0..3 * n) {
+        let a = rng.gen_range(0..n);
+        let b = rng.gen_range(0..n);
+        g.add_edge(nodes[a], nodes[b], ());
+        match rng.gen_range(0..8_usize) {
+            0 => drop(g.add_edge(nodes[a], nodes[a], ())),
+            1 => drop(g.add_edge(nodes[b], nodes[a], ())),
+            2 => drop(g.add_edge(nodes[a], nodes[b], ())),
+            _ => {}
+        }
+    }
+    // The tail hangs off the core and never leads back.
+    for i in n..n + tail {
+        let from = rng.gen_range(0..i);
+        g.add_edge(nodes[from], nodes[i], ());
+    }
+    g
+}
+
+/// Every node in turn ranks first, so a fresh finder's first per-node
+/// search is that node's length search with no limit, and the searches
+/// after it run under the cap it sets; a second query searches past the
+/// cap from certified bounds, and a third follows the removal of the
+/// answer's closing edge.  Every answer equals the independent reference,
+/// and the first-ranked node is reported exactly when the canonical BFS
+/// from it finds a cycle of the smallest length.
+#[test]
+fn finder_decides_every_first_ranked_node_like_the_canonical_bfs() {
+    let mut rng = SmallRng::seed_from_u64(0x3EE7);
+    for case in 0..CASES {
+        let graph = cycle_mix(&mut rng);
+        for first in graph.node_ids() {
+            let rank = |v: NodeId| (v != first, v.index());
+            let through = cycles::shortest_cycle_through_bounded(&graph, first, usize::MAX)
+                .map(|cycle| cycle.len());
+            let mut g = graph.clone();
+            let mut finder = cycles::IncrementalCycleFinder::new();
+            for query in 0..3 {
+                let expected = reference_smallest_cycle(&g, rank);
+                let found = finder.smallest_cycle_by(&g, rank);
+                assert_eq!(
+                    found, expected,
+                    "case {case}, first {first:?}, query {query}"
+                );
+                let Some(cycle) = found else {
+                    break;
+                };
+                if query < 2 {
+                    assert_eq!(cycle[0] == first, through == Some(cycle.len()));
+                }
+                if query == 1 {
+                    let closing = g.find_edge(*cycle.last().unwrap(), cycle[0]).unwrap();
+                    g.remove_edge(closing);
+                }
+            }
+        }
+    }
+}
+
 /// The iterative Tarjan the SCC kernel replaced, kept as the
 /// reference for component order: on every resume it re-collects the node's
 /// successors, and at the end it re-scans them to fold child lowlinks.
