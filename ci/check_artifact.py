@@ -38,7 +38,7 @@ import argparse
 import json
 import sys
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 CERTIFY_VERDICTS = ["certified-free", "certified-deadlockable", "unknown"]
 
@@ -72,6 +72,12 @@ def require_keys(obj, keys, what):
     require(isinstance(obj, dict), f"{what} must be an object, got {type(obj).__name__}")
     missing = [k for k in keys if k not in obj]
     require(not missing, f"{what} is missing keys: {missing}")
+
+
+def require_exact_keys(obj, keys, what):
+    require_keys(obj, keys, what)
+    extra = sorted(k for k in obj if k not in keys)
+    require(not extra, f"{what} has unknown keys: {extra}")
 
 
 def check_vc_sweep(data, figure):
@@ -351,9 +357,18 @@ def check_strategy_matrix(data):
             f"{where}: expected one outcome per strategy, got {sorted(outcomes)}",
         )
         for outcome in point["outcomes"]:
-            require_keys(
+            require_exact_keys(
                 outcome,
-                ["strategy", "kind", "added_vcs", "cycles_broken", "mean_hops", "sim", "certify"],
+                [
+                    "strategy",
+                    "kind",
+                    "added_vcs",
+                    "cycles_broken",
+                    "mean_hops",
+                    "power_mw",
+                    "area_um2",
+                    "certify",
+                ],
                 f"{where} outcome",
             )
             certify = outcome["certify"]
@@ -750,7 +765,7 @@ TRACE_WORK_CATEGORIES = {"stage", "sweep", "removal", "sim", "jobs", "scc", "tim
 
 
 def check_noc_trace(artifact, min_attribution):
-    """The Chrome-trace telemetry artifact: a schema-v8 envelope whose
+    """The Chrome-trace telemetry artifact: a schema-versioned envelope whose
     document also carries a `traceEvents` array (Perfetto ignores the
     envelope keys, the envelope parser ignores `traceEvents`)."""
     data = artifact["data"]

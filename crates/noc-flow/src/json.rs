@@ -378,9 +378,7 @@ impl ToJson for StrategyOutcome {
             .field("mean_hops", &self.mean_hops)
             .field("power_mw", &self.power_mw)
             .field("area_um2", &self.area_um2)
-            .field("sim", &self.sim)
             .field("certify", &self.certify)
-            .field("fault", &self.fault)
             .finish();
     }
 }
@@ -804,8 +802,10 @@ impl<'a> Parser<'a> {
 /// version; v8 added the `noc_trace` telemetry artifact (envelope plus a
 /// Chrome `traceEvents` array — see [`crate::trace`]) and replaced the
 /// lump `rebuild_ms`/`incremental_ms` timing fields of `cdg_incremental`
-/// and `fig_scale` with telemetry-attributed per-phase breakdowns).
-pub const SCHEMA_VERSION: usize = 8;
+/// and `fig_scale` with telemetry-attributed per-phase breakdowns; v9
+/// dropped the per-outcome `sim` and `fault` blocks of sweep points, which
+/// no sweep filled).
+pub const SCHEMA_VERSION: usize = 9;
 
 /// A JSON value that is *already serialized*: its text is spliced into the
 /// output verbatim.  This is how the job store re-emits recorded task

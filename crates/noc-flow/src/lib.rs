@@ -7,9 +7,10 @@
 //! pipeline a first-class object:
 //!
 //! * [`DesignFlow`] is a staged builder whose stages
-//!   ([`SynthesizedStage`], [`RoutedStage`], [`DeadlockFreeStage`],
-//!   [`SimulatedStage`]) each own their topology/routes and auto-run the
-//!   matching `validate_*`/`verify` check on entry,
+//!   ([`SynthesizedStage`], [`RoutedStage`], [`DeadlockFreeStage`]) each
+//!   own their topology/routes and auto-run the matching
+//!   `validate_*`/`verify` check on entry; the routed and repaired stages
+//!   run the VC-aware simulator through `simulate_vc`,
 //! * [`Router`] is the pluggable routing seam
 //!   ([`ShortestPathRouter`], [`XyRouter`], [`UpDownRouter`]),
 //! * [`DeadlockStrategy`] is the pluggable deadlock-handling seam, with one
@@ -64,13 +65,13 @@ pub use json::{
 };
 pub use noc_deadlock::report::StrategyKind;
 pub use router::{Router, ShortestPathRouter, UpDownRouter, XyRouter};
-pub use stage::{DeadlockFreeStage, DesignFlow, RoutedStage, SimulatedStage, SynthesizedStage};
+pub use stage::{DeadlockFreeStage, DesignFlow, RoutedStage, SynthesizedStage};
 pub use strategy::{
     CycleBreaking, DeadlockResolution, DeadlockStrategy, EscapeChannel, RecoveryReconfig,
     ResourceOrdering,
 };
 pub use sweep::{
-    CertifyOutcome, FaultRunStats, FaultSweepSim, FlowSweep, PreparedPoint, StrategyOutcome,
-    StrategySimStats, SweepPoint, VcSweepSim,
+    CertifyOutcome, FaultRunStats, FlowSweep, PreparedPoint, StrategyOutcome, StrategySimStats,
+    SweepPoint,
 };
 pub use trace::{PhaseRow, TraceArtifact, TraceSummary, TRACE_FIGURE};

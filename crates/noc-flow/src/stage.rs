@@ -5,8 +5,12 @@
 //!
 //! ```text
 //! DesignFlow ──synthesize──▶ SynthesizedStage ──route──▶ RoutedStage
-//!     ──resolve_deadlocks──▶ DeadlockFreeStage ──simulate──▶ SimulatedStage
+//!     ──resolve_deadlocks──▶ DeadlockFreeStage
 //! ```
+//!
+//! `RoutedStage::simulate_vc` and `DeadlockFreeStage::simulate_vc` run the
+//! VC-aware simulator on the design as it stands and return its bare
+//! [`VcSimOutcome`]; a simulation is data, not a further stage.
 //!
 //! Branching is free: `route` and `resolve_deadlocks` take `&self` and copy
 //! internally, so comparing two routers or two deadlock strategies on the
@@ -19,16 +23,13 @@ use noc_deadlock::certify::{certify_deadlock_free, CertifyReport};
 use noc_deadlock::vcmap::VcMap;
 use noc_deadlock::verify::{check_deadlock_free, DeadlockCycle};
 use noc_power::{NetworkEstimate, NetworkPowerModel, TechParams};
-use noc_routing::updown::route_all_updown;
 use noc_routing::validate::validate_routes;
 use noc_routing::RouteSet;
-use noc_sim::{
-    AssignedVc, FaultPlan, TrafficConfig, VcPolicy, VcSimConfig, VcSimOutcome, VcSimulator,
-};
+use noc_sim::{TrafficConfig, VcPolicy, VcSimConfig, VcSimOutcome, VcSimulator};
 use noc_synth::{synthesize, SynthesisConfig};
 use noc_topology::benchmarks::Benchmark;
 use noc_topology::validate::validate_design;
-use noc_topology::{CommGraph, CoreMap, SwitchId, Topology};
+use noc_topology::{CommGraph, CoreMap, Topology};
 
 /// Entry point of the pipeline: a communication specification waiting for a
 /// topology.
@@ -40,17 +41,18 @@ use noc_topology::{CommGraph, CoreMap, SwitchId, Topology};
 /// ```
 /// use noc_flow::{CycleBreaking, DesignFlow, ShortestPathRouter};
 /// use noc_power::TechParams;
-/// use noc_sim::TrafficConfig;
+/// use noc_sim::{AssignedVc, TrafficConfig, VcSimConfig};
 /// use noc_synth::SynthesisConfig;
 /// use noc_topology::benchmarks::Benchmark;
 ///
-/// let simulated = DesignFlow::from_benchmark(Benchmark::D26Media)
+/// let fixed = DesignFlow::from_benchmark(Benchmark::D26Media)
 ///     .synthesize(SynthesisConfig::with_switches(12))?
 ///     .route(&ShortestPathRouter::default())?
-///     .resolve_deadlocks(&CycleBreaking::default())?
-///     .simulate(&TrafficConfig::default())?;
-/// assert!(!simulated.outcome().deadlocked);
-/// let estimate = simulated.power(TechParams::default());
+///     .resolve_deadlocks(&CycleBreaking::default())?;
+/// let traffic = TrafficConfig::default();
+/// let outcome = fixed.simulate_vc(&AssignedVc, &VcSimConfig::default(), &traffic);
+/// assert!(!outcome.deadlocked);
+/// let estimate = fixed.power(TechParams::default());
 /// assert!(estimate.total_power_mw > 0.0);
 /// # Ok::<(), noc_flow::FlowError>(())
 /// ```
@@ -341,33 +343,6 @@ impl RoutedStage {
         VcSimulator::new(&self.comm, &self.routes, &vc_map, policy, sim).run(traffic)
     }
 
-    /// Simulates the routed design on the VC-fidelity engine with the
-    /// DBR-style dynamic drain armed: detected deadlocks are drained onto
-    /// the up*/down* recovery routing function rooted at `root` — the
-    /// runtime execution of the
-    /// [`RecoveryReconfig`](crate::RecoveryReconfig) strategy.
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::Routing`] when the recovery routing function cannot
-    /// serve the design (e.g. a flow with no up*/down* path).
-    pub fn simulate_vc_recovering(
-        &self,
-        policy: &dyn VcPolicy,
-        sim: &VcSimConfig,
-        traffic: &TrafficConfig,
-        root: SwitchId,
-    ) -> Result<VcSimOutcome, FlowError> {
-        let _span = noc_telemetry::span("stage", "simulate_vc_recovering");
-        let recovery = route_all_updown(&self.topology, &self.comm, &self.core_map, root)?;
-        let vc_map = self.vc_map();
-        Ok(
-            VcSimulator::new(&self.comm, &self.routes, &vc_map, policy, sim)
-                .with_recovery(recovery)
-                .run(traffic),
-        )
-    }
-
     /// Area/power estimate of the design as routed (the "original" bars of
     /// Figure 10).
     pub fn power(&self, params: TechParams) -> NetworkEstimate {
@@ -435,71 +410,27 @@ impl DeadlockFreeStage {
         certify_deadlock_free(&self.topology, &self.routes)
     }
 
-    /// Simulates the repaired design under the given workload with every
-    /// flow on the VCs the strategy assigned ([`AssignedVc`]) and the default
-    /// [`VcSimConfig`] — [`simulate_vc`](Self::simulate_vc) with the common
-    /// arguments filled in.
-    ///
-    /// The run's outcome (including the `deadlocked` flag, which must stay
-    /// `false` for a correctly repaired design) is data on the returned
-    /// stage, not an error.
-    pub fn simulate(&self, traffic: &TrafficConfig) -> Result<SimulatedStage, FlowError> {
-        self.simulate_vc(&AssignedVc, &VcSimConfig::default(), traffic)
-    }
-
     /// The strategy's VC assignment (per-link VC counts, per-hop flow
     /// assignments) as the [`VcMap`] the VC-fidelity simulator consumes.
     pub fn vc_map(&self) -> VcMap {
         VcMap::from_design(&self.topology, &self.routes)
     }
 
-    /// Simulates the repaired design after re-validating route/topology
-    /// consistency (the stage's defensive contract check; it cannot fail
-    /// for stages built by [`RoutedStage::resolve_deadlocks`]): buffers per
-    /// (link × VC) sized from the strategy's [`VcMap`], credit-based flow
-    /// control, the given [`VcPolicy`] deciding how the assignment is used
-    /// at runtime, and exact wait-for-graph deadlock detection.
+    /// Simulates the repaired design: buffers per (link × VC) sized from
+    /// the strategy's [`VcMap`], credit-based flow control, the given
+    /// [`VcPolicy`] deciding how the assignment is used at runtime, and
+    /// exact wait-for-graph deadlock detection.  The outcome's `deadlocked`
+    /// flag must stay `false` for a correctly repaired design under
+    /// [`AssignedVc`](noc_sim::AssignedVc).
     pub fn simulate_vc(
         &self,
         policy: &dyn VcPolicy,
         sim: &VcSimConfig,
         traffic: &TrafficConfig,
-    ) -> Result<SimulatedStage, FlowError> {
+    ) -> VcSimOutcome {
         let _span = noc_telemetry::span("stage", "simulate_vc");
-        validate_routes(&self.topology, &self.comm, &self.core_map, &self.routes)?;
         let vc_map = self.vc_map();
-        let outcome = VcSimulator::new(&self.comm, &self.routes, &vc_map, policy, sim).run(traffic);
-        Ok(SimulatedStage {
-            stage: self.clone(),
-            outcome,
-        })
-    }
-
-    /// Simulates the repaired design on the VC-fidelity engine with the
-    /// fault seam armed: the scheduled [`FaultPlan`] is injected mid-run
-    /// and every fault epoch live-reconfigures the affected flows through
-    /// the cycle-safe two-phase protocol (up*/down* reroutes on the
-    /// surviving fabric, scoped drains as the fallback).
-    ///
-    /// The returned stage's outcome carries the reconfiguration statistics
-    /// and the typed unreachable outcome.
-    pub fn simulate_vc_faulted(
-        &self,
-        policy: &dyn VcPolicy,
-        sim: &VcSimConfig,
-        traffic: &TrafficConfig,
-        plan: FaultPlan,
-    ) -> Result<SimulatedStage, FlowError> {
-        let _span = noc_telemetry::span("stage", "simulate_vc_faulted");
-        validate_routes(&self.topology, &self.comm, &self.core_map, &self.routes)?;
-        let vc_map = self.vc_map();
-        let outcome = VcSimulator::new(&self.comm, &self.routes, &vc_map, policy, sim)
-            .with_faults(&self.topology, &self.core_map, plan)
-            .run(traffic);
-        Ok(SimulatedStage {
-            stage: self.clone(),
-            outcome,
-        })
+        VcSimulator::new(&self.comm, &self.routes, &vc_map, policy, sim).run(traffic)
     }
 
     /// Area/power estimate of the repaired design (the "removal" /
@@ -507,35 +438,5 @@ impl DeadlockFreeStage {
     pub fn power(&self, params: TechParams) -> NetworkEstimate {
         let _span = noc_telemetry::span("stage", "power");
         NetworkPowerModel::new(params).estimate(&self.topology, &self.comm, &self.routes)
-    }
-}
-
-/// A deadlock-free design plus the outcome of simulating it.
-#[derive(Debug, Clone)]
-pub struct SimulatedStage {
-    stage: DeadlockFreeStage,
-    outcome: VcSimOutcome,
-}
-
-impl SimulatedStage {
-    /// The simulation outcome (stats, deadlock flag, stranded packets,
-    /// detection, drain and reconfiguration details).
-    pub fn outcome(&self) -> &VcSimOutcome {
-        &self.outcome
-    }
-
-    /// The design that was simulated.
-    pub fn design(&self) -> &DeadlockFreeStage {
-        &self.stage
-    }
-
-    /// Consumes the stage, yielding the bare outcome.
-    pub fn into_outcome(self) -> VcSimOutcome {
-        self.outcome
-    }
-
-    /// Area/power estimate of the simulated design.
-    pub fn power(&self, params: TechParams) -> NetworkEstimate {
-        self.stage.power(params)
     }
 }

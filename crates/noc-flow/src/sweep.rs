@@ -20,19 +20,14 @@ use crate::strategy::DeadlockStrategy;
 use noc_deadlock::certify::CertifyReport;
 use noc_deadlock::report::StrategyKind;
 use noc_power::TechParams;
-use noc_sim::{
-    AssignedVc, FaultKind, FaultPlan, StormConfig, TrafficConfig, VcSimConfig, VcSimOutcome,
-};
+use noc_sim::VcSimOutcome;
 use noc_synth::SynthesisConfig;
 use noc_topology::benchmarks::Benchmark;
 use std::collections::HashSet;
 use std::hash::Hash;
 
-/// Per-strategy VC-fidelity simulation summary, attached to a
-/// [`StrategyOutcome`] when the sweep enables
-/// [`FlowSweep::vc_simulation`].  The repaired design is simulated with the
-/// [`AssignedVc`] policy — honouring exactly the VC assignment the
-/// strategy paid for.
+/// Per-strategy VC-fidelity simulation summary of one run, as the
+/// simulation figures report it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StrategySimStats {
     /// Packets handed to source queues.
@@ -78,35 +73,9 @@ impl StrategySimStats {
     }
 }
 
-/// The VC-fidelity simulation a sweep optionally runs against every
-/// repaired design ([`FlowSweep::vc_simulation`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct VcSweepSim {
-    /// Engine parameters (buffer depth, credits, detection).
-    pub sim: VcSimConfig,
-    /// Workload parameters.
-    pub traffic: TrafficConfig,
-}
-
-/// The fault-storm simulation a sweep optionally runs against every
-/// repaired design ([`FlowSweep::fault_simulation`]): the same VC-fidelity
-/// engine, armed with a seeded [`FaultPlan::storm`] over the repaired
-/// topology, so each strategy's design is live-reconfigured through an
-/// identical failure schedule.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultSweepSim {
-    /// Engine parameters (buffer depth, credits, detection).
-    pub sim: VcSimConfig,
-    /// Workload parameters.
-    pub traffic: TrafficConfig,
-    /// Storm-generator parameters (fault count, schedule, seed).
-    pub storm: StormConfig,
-}
-
-/// Per-strategy fault-storm summary, attached to a [`StrategyOutcome`]
-/// when [`FlowSweep::fault_simulation`] is enabled: how the strategy's
-/// repaired design survived a seeded link-failure storm under cycle-safe
-/// live reconfiguration.
+/// Per-strategy fault-storm summary: how a strategy's repaired design
+/// survived a seeded link-failure storm under cycle-safe live
+/// reconfiguration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultRunStats {
     /// Failure events the plan scheduled (repairs not counted).
@@ -223,15 +192,9 @@ pub struct StrategyOutcome {
     /// Total switch area of the repaired design in µm²
     /// (`None` when [`FlowSweep::power_estimates`] is disabled).
     pub area_um2: Option<f64>,
-    /// VC-fidelity simulation summary of the repaired design
-    /// (`None` unless [`FlowSweep::vc_simulation`] is enabled).
-    pub sim: Option<StrategySimStats>,
     /// Certified static verdict on the repaired design
     /// (`None` unless [`FlowSweep::certify`] is enabled).
     pub certify: Option<CertifyOutcome>,
-    /// Fault-storm survival summary of the repaired design
-    /// (`None` unless [`FlowSweep::fault_simulation`] is enabled).
-    pub fault: Option<FaultRunStats>,
 }
 
 /// One grid point of a [`FlowSweep`]: a synthesized design plus the outcome
@@ -294,12 +257,8 @@ impl SweepPoint {
 pub struct FlowSweep {
     benchmarks: Vec<Benchmark>,
     switch_counts: Vec<usize>,
-    template: SynthesisConfig,
-    tech: TechParams,
     estimate_power: bool,
     threads: usize,
-    vc_sim: Option<VcSweepSim>,
-    fault_sim: Option<FaultSweepSim>,
     certify: bool,
 }
 
@@ -310,18 +269,14 @@ impl Default for FlowSweep {
 }
 
 impl FlowSweep {
-    /// An empty sweep with the default synthesis template and technology
-    /// parameters.
+    /// An empty sweep: default synthesis configuration and technology
+    /// parameters, power estimates on, certification off.
     pub fn new() -> Self {
         FlowSweep {
             benchmarks: Vec::new(),
             switch_counts: Vec::new(),
-            template: SynthesisConfig::with_switches(1),
-            tech: TechParams::default(),
             estimate_power: true,
             threads: 0,
-            vc_sim: None,
-            fault_sim: None,
             certify: false,
         }
     }
@@ -364,47 +319,11 @@ impl FlowSweep {
         self
     }
 
-    /// Overrides the synthesis configuration template (its `switch_count`
-    /// field is replaced per grid point).
-    pub fn synthesis_template(mut self, template: SynthesisConfig) -> Self {
-        self.template = template;
-        self
-    }
-
-    /// Overrides the technology parameters used for the power estimates.
-    pub fn tech_params(mut self, tech: TechParams) -> Self {
-        self.tech = tech;
-        self
-    }
-
     /// Enables or disables per-point power/area estimation (on by default).
     /// VC-only sweeps like Figures 8 and 9 turn it off to skip three
     /// whole-network power-model passes per grid point.
     pub fn power_estimates(mut self, enabled: bool) -> Self {
         self.estimate_power = enabled;
-        self
-    }
-
-    /// Additionally simulates every repaired design on the VC-fidelity
-    /// engine (the [`AssignedVc`] policy, honouring the strategy's exact
-    /// assignment) and attaches a [`StrategySimStats`] summary to each
-    /// [`StrategyOutcome`].  Off by default — simulation costs far more
-    /// than the repair itself.
-    pub fn vc_simulation(mut self, spec: VcSweepSim) -> Self {
-        self.vc_sim = Some(spec);
-        self
-    }
-
-    /// Additionally runs every repaired design through a seeded fault storm
-    /// on the fault-armed VC-fidelity engine and attaches a
-    /// [`FaultRunStats`] summary to each [`StrategyOutcome`].  The storm is
-    /// regenerated per repaired topology from the same [`StormConfig`], so
-    /// every strategy faces the identical failure schedule whenever the
-    /// strategies share a link numbering (all of the paper's strategies
-    /// only add VCs or reroute — they never renumber links).  Off by
-    /// default.
-    pub fn fault_simulation(mut self, spec: FaultSweepSim) -> Self {
-        self.fault_sim = Some(spec);
         self
     }
 
@@ -417,9 +336,9 @@ impl FlowSweep {
     }
 
     /// Runs the grid: synthesizes each feasible (benchmark, switch-count)
-    /// design once — keeping the routes the synthesizer computed under the
-    /// template's `link_cost`, the paper's input routing — then charges
-    /// every strategy against that same routed design.
+    /// design once — keeping the routes the synthesizer computed, the
+    /// paper's input routing — then charges every strategy against that
+    /// same routed design.
     ///
     /// The grid points are mapped across
     /// [`worker_threads`](Self::worker_threads) scoped workers; each point
@@ -515,14 +434,12 @@ impl FlowSweep {
         benchmark: Benchmark,
         switch_count: usize,
     ) -> Result<PreparedPoint, FlowError> {
-        let config = SynthesisConfig {
-            switch_count,
-            ..self.template.clone()
-        };
         let routed = DesignFlow::from_benchmark(benchmark)
-            .synthesize(config)?
+            .synthesize(SynthesisConfig::with_switches(switch_count))?
             .route_default()?;
-        let original = self.estimate_power.then(|| routed.power(self.tech.clone()));
+        let original = self
+            .estimate_power
+            .then(|| routed.power(TechParams::default()));
         Ok(PreparedPoint {
             benchmark,
             switch_count,
@@ -540,38 +457,9 @@ impl FlowSweep {
         strategy: &dyn DeadlockStrategy,
     ) -> Result<StrategyOutcome, FlowError> {
         let fixed = point.routed.resolve_deadlocks(strategy)?;
-        let estimate = self.estimate_power.then(|| fixed.power(self.tech.clone()));
-        let sim = match &self.vc_sim {
-            Some(spec) => {
-                let simulated = fixed.simulate_vc(&AssignedVc, &spec.sim, &spec.traffic)?;
-                Some(StrategySimStats::from_outcome(simulated.outcome()))
-            }
-            None => None,
-        };
-        let fault = match &self.fault_sim {
-            Some(spec) => {
-                let plan = FaultPlan::storm(fixed.topology(), &spec.storm);
-                let faults_injected = plan
-                    .events()
-                    .iter()
-                    .filter(|e| matches!(e.kind, FaultKind::LinkDown(_) | FaultKind::SwitchDown(_)))
-                    .count();
-                let down = plan.final_faults(fixed.topology());
-                let connected = fixed
-                    .topology()
-                    .connectivity_after(&down)
-                    .disconnected_flows(fixed.comm(), fixed.core_map())
-                    .is_empty();
-                let simulated =
-                    fixed.simulate_vc_faulted(&AssignedVc, &spec.sim, &spec.traffic, plan)?;
-                Some(FaultRunStats::from_outcome(
-                    simulated.outcome(),
-                    faults_injected,
-                    connected,
-                ))
-            }
-            None => None,
-        };
+        let estimate = self
+            .estimate_power
+            .then(|| fixed.power(TechParams::default()));
         let certify = self
             .certify
             .then(|| CertifyOutcome::from_report(&fixed.certify()));
@@ -584,9 +472,7 @@ impl FlowSweep {
             mean_hops: fixed.routes().mean_hops(),
             power_mw: estimate.as_ref().map(|e| e.total_power_mw),
             area_um2: estimate.as_ref().map(|e| e.total_area_um2),
-            sim,
             certify,
-            fault,
         })
     }
 }

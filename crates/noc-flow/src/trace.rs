@@ -259,42 +259,6 @@ impl<'a> TraceArtifact<'a> {
     }
 }
 
-/// The metrics summary as newline-delimited JSON: one `counter`,
-/// `histogram`, or `phase` object per line.  `noc_serve` streams these on
-/// stderr as progress events; they carry the same numbers the trace file
-/// folds into its envelope.
-pub fn metrics_ndjson(source: &str, snapshot: &Snapshot) -> String {
-    let mut out = String::new();
-    for (cat, total_us) in phase_totals(snapshot) {
-        ObjectWriter::new(&mut out)
-            .field("event", &"phase")
-            .field("source", &source)
-            .field("cat", &cat)
-            .field("total_us", &total_us)
-            .finish();
-        out.push('\n');
-    }
-    for (name, value) in &snapshot.counters {
-        ObjectWriter::new(&mut out)
-            .field("event", &"counter")
-            .field("source", &source)
-            .field("name", name)
-            .field("value", value)
-            .finish();
-        out.push('\n');
-    }
-    for (name, buckets) in &snapshot.histograms {
-        ObjectWriter::new(&mut out)
-            .field("event", &"histogram")
-            .field("source", &source)
-            .field("name", name)
-            .field("buckets", buckets)
-            .finish();
-        out.push('\n');
-    }
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Read side
 // ---------------------------------------------------------------------------
@@ -838,18 +802,111 @@ mod tests {
         }
     }
 
+    /// `TraceSummary::parse` is what `noc_profile` runs on a file it is
+    /// handed: every corruption of a rendered trace must end in a summary
+    /// that renders or in a typed error, never a panic, in time linear in
+    /// the input.
     #[test]
-    fn metrics_ndjson_is_one_valid_object_per_line() {
-        let snapshot = sample_snapshot();
-        let ndjson = metrics_ndjson("fig8", &snapshot);
-        let lines: Vec<&str> = ndjson.lines().collect();
-        // 3 phase categories + 1 counter + 1 histogram.
-        assert_eq!(lines.len(), 5);
-        for line in lines {
-            let value = JsonValue::parse(line).expect("valid NDJSON line");
-            assert!(value.get("event").and_then(JsonValue::as_str).is_some());
+    fn summary_parse_survives_seeded_corruptions_of_a_rendered_trace() {
+        use std::time::{Duration, Instant};
+        let mut snapshot = sample_snapshot();
+        // Sixteen worker points under the sweep span, each with a removal
+        // child, so the trace has nesting, several threads and ~4.6 KB.
+        for i in 0..16u64 {
+            let (tid, seq, ts) = (2 + (i % 2) as u32, 20 + 2 * i, 10 + 50 * i);
+            let point = span("point", "sweep", ts, 40, tid, (seq, seq + 1, 2));
+            let remove = span(
+                "remove",
+                "removal",
+                ts + 2,
+                30,
+                tid,
+                (seq + 64, seq + 65, seq),
+            );
+            snapshot.spans.extend([point, remove]);
         }
-        assert!(ndjson.contains("\"event\":\"counter\""));
-        assert!(ndjson.contains("\"event\":\"histogram\""));
+        let trace = TraceArtifact::new("fig8_d26_media", &snapshot).render();
+        const FRAGMENTS: [&str; 6] = ["-1", "1e999", "18446744073709551616", "null", "{}", "[]"];
+        // The bound is relative to one plain JSON parse of the intact trace
+        // on this machine: the slowest case takes under six such parses (two
+        // parses plus the event fold and the table), while a reader that
+        // rescans the input per event takes tens.  Inputs are charged at
+        // least 1 KB so fixed costs do not count as per-byte.
+        let json_parse = (0..3)
+            .map(|_| {
+                let start = Instant::now();
+                JsonValue::parse(&trace).expect("the rendered trace parses");
+                start.elapsed()
+            })
+            .min()
+            .expect("three runs");
+        let max_per_byte = json_parse * 16 / trace.len() as u32;
+        let per_byte = |text: &str| {
+            let start = Instant::now();
+            let result = TraceSummary::parse(text);
+            if let Ok(summary) = &result {
+                summary.render_table();
+                assert!(summary.attribution_pct().is_finite(), "{text}");
+            }
+            (result, start.elapsed() / text.len().max(1024) as u32)
+        };
+        let mut rng = noc_rng::SmallRng::seed_from_u64(0x7ACE_F022);
+        let (mut parsed, mut rejected) = (0, 0);
+        for case in 0..1_000 {
+            let mut bytes = trace.clone().into_bytes();
+            for _ in 0..rng.gen_range(1..4usize) {
+                let at = rng.gen_range(0..bytes.len() + 1);
+                let fragment = FRAGMENTS[rng.gen_range(0..FRAGMENTS.len())].bytes();
+                match rng.gen_range(0..4usize) {
+                    0 => bytes.truncate(at),
+                    1 => {
+                        if let Some(byte) = bytes.get_mut(at) {
+                            *byte ^= 1 << rng.gen_range(0..8usize);
+                        }
+                    }
+                    2 => drop(bytes.splice(at..at, fragment)),
+                    _ => {
+                        // Replace the value after some `"key":`, so numbers,
+                        // objects and arrays the reader trusts turn hostile
+                        // while the document stays valid JSON.
+                        let keys: Vec<usize> = (2..=bytes.len())
+                            .filter(|&i| &bytes[i - 2..i] == b"\":")
+                            .collect();
+                        if let Some(&start) = keys.get(rng.gen_range(0..keys.len().max(1))) {
+                            let end = bytes[start..]
+                                .iter()
+                                .position(|b| b",}]".contains(b))
+                                .map_or(bytes.len(), |n| start + n);
+                            drop(bytes.splice(start..end, fragment));
+                        }
+                    }
+                }
+            }
+            // A flip that breaks UTF-8 is read back lossily, as a file
+            // reader would.
+            let text = String::from_utf8_lossy(&bytes);
+            let (result, mut elapsed) = per_byte(&text);
+            if elapsed > max_per_byte {
+                // One slow run may be the scheduler; the best of three is not.
+                elapsed = (0..2)
+                    .map(|_| per_byte(&text).1)
+                    .fold(elapsed, Duration::min);
+            }
+            let (len, bound) = (text.len(), max_per_byte);
+            assert!(
+                elapsed <= bound,
+                "case {case}: {elapsed:?}/byte over {len} bytes > {bound:?}"
+            );
+            match result {
+                Ok(_) => parsed += 1,
+                Err(ArtifactError::Io { .. }) => panic!("case {case}: parsing did I/O"),
+                Err(_) => rejected += 1,
+            }
+        }
+        // Both outcomes occur, so the corruptions reach the event reader.
+        assert!(
+            parsed > 0 && rejected > 0,
+            "{parsed} parsed, {rejected} rejected"
+        );
     }
 }

@@ -231,82 +231,23 @@ fn sweep_points_serialize_to_parseable_json() {
         Some("cycle-breaking")
     );
     assert!(outcomes[0].get("power_mw").unwrap().as_number().is_some());
+
+    // The exact schema-9 layout: no key missing, none extra, in order.
+    assert_eq!(
+        keys(&array[0]),
+        "benchmark,switch_count,active_flows,mean_hops,original_power_mw,original_area_um2,outcomes"
+    );
+    assert_eq!(
+        keys(&outcomes[0]),
+        "strategy,kind,added_vcs,cycles_broken,mean_hops,power_mw,area_um2,certify"
+    );
 }
 
-#[test]
-fn vc_simulation_attaches_sim_stats_and_stays_deterministic() {
-    use noc_flow::VcSweepSim;
-    use noc_sim::{TrafficConfig, VcSimConfig};
-
-    let removal = CycleBreaking::default();
-    let ordering = ResourceOrdering;
-    let strategies: &[&dyn DeadlockStrategy] = &[&removal, &ordering];
-    let sweep = FlowSweep::new()
-        .benchmark(Benchmark::D36x8)
-        .switch_counts([10, 12])
-        .power_estimates(false)
-        .vc_simulation(VcSweepSim {
-            sim: VcSimConfig {
-                buffer_depth: 1,
-                ..VcSimConfig::default()
-            },
-            traffic: TrafficConfig {
-                packets_per_flow: 2,
-                packet_length: 4,
-                ..TrafficConfig::default()
-            },
-        });
-
-    // Sim results must be deterministic.
-    let serial = run_at_every_worker_count(&sweep, strategies);
-
-    for point in &serial {
-        for outcome in &point.outcomes {
-            let sim = outcome
-                .sim
-                .as_ref()
-                .expect("vc_simulation fills the sim block");
-            assert!(!sim.deadlocked, "repaired designs cannot deadlock");
-            assert_eq!(sim.delivered, sim.injected);
-            assert!(sim.p50_latency <= sim.p95_latency);
-            assert!(sim.p95_latency <= sim.p99_latency);
-            assert!(sim.p99_latency <= sim.max_latency);
-            assert!(sim.throughput > 0.0);
-        }
-    }
-
-    // The sim block serializes inside the outcome objects.
-    let json = serial.to_json();
-    let value = noc_flow::JsonValue::parse(&json).expect("valid JSON");
-    let outcomes = value.as_array().unwrap()[0]
-        .get("outcomes")
-        .unwrap()
-        .as_array()
-        .unwrap();
-    let sim = outcomes[0].get("sim").unwrap();
-    assert!(sim.get("p95_latency").unwrap().as_number().is_some());
-    assert_eq!(
-        sim.get("deadlocked"),
-        Some(&noc_flow::JsonValue::Bool(false))
-    );
-
-    // Without the knob the block stays empty and serializes as null.
-    let bare = FlowSweep::new()
-        .benchmark(Benchmark::D36x8)
-        .switch_counts([10])
-        .power_estimates(false)
-        .run(&[&removal as &dyn DeadlockStrategy])
-        .unwrap();
-    assert!(bare[0].outcomes[0].sim.is_none());
-    let bare_json = bare.to_json();
-    let value = noc_flow::JsonValue::parse(&bare_json).unwrap();
-    assert_eq!(
-        value.as_array().unwrap()[0]
-            .get("outcomes")
-            .unwrap()
-            .as_array()
-            .unwrap()[0]
-            .get("sim"),
-        Some(&noc_flow::JsonValue::Null)
-    );
+/// The member names of a JSON object, comma-joined in document order.
+fn keys(value: &noc_flow::JsonValue) -> String {
+    let noc_flow::JsonValue::Object(members) = value else {
+        panic!("expected an object, got {value:?}");
+    };
+    let names: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+    names.join(",")
 }

@@ -11,7 +11,6 @@
 //! * dimension-order XY routing for meshes ([`xy`]),
 //! * up*/down* routing for arbitrary topologies ([`updown`]), a classic
 //!   deadlock-free baseline,
-//! * per-switch routing tables for the simulator ([`table`]),
 //! * route validation ([`validate`]).
 //!
 //! # Example
@@ -38,7 +37,6 @@
 
 pub mod route;
 pub mod shortest;
-pub mod table;
 pub mod updown;
 pub mod validate;
 pub mod xy;

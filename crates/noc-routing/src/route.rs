@@ -55,16 +55,6 @@ impl Route {
         self.channels.is_empty()
     }
 
-    /// Returns `true` if the route uses the given channel.
-    pub fn uses_channel(&self, channel: Channel) -> bool {
-        self.channels.contains(&channel)
-    }
-
-    /// Returns `true` if the route uses any VC of the given link.
-    pub fn uses_link(&self, link: LinkId) -> bool {
-        self.channels.iter().any(|c| c.link == link)
-    }
-
     /// The position of `channel` within the route, if present.
     pub fn position(&self, channel: Channel) -> Option<usize> {
         self.channels.iter().position(|&c| c == channel)
@@ -141,22 +131,6 @@ impl RouteSet {
             .map(|(i, r)| (FlowId::from_index(i), r))
     }
 
-    /// The flows whose route uses the given channel.
-    pub fn flows_using_channel(&self, channel: Channel) -> Vec<FlowId> {
-        self.iter()
-            .filter(|(_, r)| r.uses_channel(channel))
-            .map(|(f, _)| f)
-            .collect()
-    }
-
-    /// The flows whose route uses any VC of the given link.
-    pub fn flows_using_link(&self, link: LinkId) -> Vec<FlowId> {
-        self.iter()
-            .filter(|(_, r)| r.uses_link(link))
-            .map(|(f, _)| f)
-            .collect()
-    }
-
     /// The longest route length across all flows (used by the
     /// resource-ordering baseline to size its channel-class count).
     pub fn max_hops(&self) -> usize {
@@ -213,10 +187,8 @@ mod tests {
         let (t, r) = two_link_route();
         assert_eq!(r.hop_count(), 2);
         assert!(!r.is_empty());
-        assert!(r.uses_link(LinkId::from_index(0)));
-        assert!(r.uses_channel(Channel::base(LinkId::from_index(1))));
-        assert!(!r.uses_channel(Channel::new(LinkId::from_index(1), 1)));
         assert_eq!(r.position(Channel::base(LinkId::from_index(1))), Some(1));
+        assert_eq!(r.position(Channel::new(LinkId::from_index(1), 1)), None);
         let path = r.switch_path(&t).unwrap();
         assert_eq!(path.len(), 3);
         assert_eq!(path[0], SwitchId::from_index(0));
@@ -247,12 +219,6 @@ mod tests {
         rs.set_route(f1, r.clone());
         assert_eq!(rs.route(f1), Some(&r));
         assert_eq!(rs.max_hops(), 2);
-        assert_eq!(rs.flows_using_link(LinkId::from_index(0)), vec![f1]);
-        assert_eq!(
-            rs.flows_using_channel(Channel::base(LinkId::from_index(1))),
-            vec![f1]
-        );
-        assert!(rs.flows_using_link(LinkId::from_index(7)).is_empty());
         assert_eq!(rs.route(FlowId::from_index(9)), None);
     }
 
@@ -294,6 +260,6 @@ mod tests {
     fn channels_mut_allows_rerouting() {
         let (_, mut r) = two_link_route();
         r.channels_mut()[0] = Channel::new(LinkId::from_index(0), 1);
-        assert!(r.uses_channel(Channel::new(LinkId::from_index(0), 1)));
+        assert_eq!(r.position(Channel::new(LinkId::from_index(0), 1)), Some(0));
     }
 }

@@ -16,9 +16,9 @@
 //! enter/exit order, which the balance and nesting property tests — and
 //! the Chrome-trace exporter — rely on.
 //!
-//! This crate is a leaf: it serializes nothing.  The trace/NDJSON
-//! exporters live in `noc_flow::trace`, next to the artifact machinery
-//! they reuse.
+//! This crate is a leaf: it serializes nothing.  The trace exporter and
+//! reader live in `noc_flow::trace`, next to the artifact machinery they
+//! reuse.
 
 #![forbid(unsafe_code)]
 

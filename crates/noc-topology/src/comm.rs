@@ -189,15 +189,6 @@ impl CoreMap {
     pub fn is_complete(&self) -> bool {
         self.attachment.iter().all(|a| a.is_some())
     }
-
-    /// Iterates over the cores attached to `switch`.
-    pub fn cores_on(&self, switch: SwitchId) -> impl Iterator<Item = CoreId> + '_ {
-        self.attachment
-            .iter()
-            .enumerate()
-            .filter(move |(_, s)| **s == Some(switch))
-            .map(|(i, _)| CoreId::from_index(i))
-    }
 }
 
 #[cfg(test)]
@@ -240,7 +231,6 @@ mod tests {
         assert!(map.is_complete());
         assert_eq!(map.switch_of(cores[1]), Some(sw0));
         assert_eq!(map.require(cores[2]).unwrap(), sw1);
-        assert_eq!(map.cores_on(sw0).count(), 2);
         assert_eq!(map.core_count(), 3);
     }
 

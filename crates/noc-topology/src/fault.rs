@@ -114,11 +114,6 @@ impl FaultSet {
     pub fn failed_link_count(&self) -> usize {
         self.link_down.iter().filter(|&&d| d).count()
     }
-
-    /// Number of failed switches.
-    pub fn failed_switch_count(&self) -> usize {
-        self.switch_down.iter().filter(|&&d| d).count()
-    }
 }
 
 /// The `target → source` twin of a link, when the topology has one.

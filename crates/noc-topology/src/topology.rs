@@ -37,7 +37,7 @@ pub struct Link {
 /// links leaving it and the links arriving at it.  [`add_link`] appends to
 /// both lists, so each is in ascending [`LinkId`] order — the order a scan
 /// of the whole arena would visit them in.  [`links_from`], [`links_to`],
-/// [`find_link`], [`switch_degree`] and [`switch_input_buffers`] therefore
+/// [`find_link`] and [`switch_input_buffers`] therefore
 /// cost O(degree) instead of O(links), and every search built on them
 /// visits switches in the same order as a filtered arena scan would.
 ///
@@ -45,7 +45,6 @@ pub struct Link {
 /// [`links_from`]: Topology::links_from
 /// [`links_to`]: Topology::links_to
 /// [`find_link`]: Topology::find_link
-/// [`switch_degree`]: Topology::switch_degree
 /// [`switch_input_buffers`]: Topology::switch_input_buffers
 ///
 /// # Example
@@ -225,13 +224,6 @@ impl Topology {
             .map(|(id, _)| id)
     }
 
-    /// In-degree + out-degree of a switch in physical links.  This
-    /// approximates the router port count used by the power and area
-    /// models.
-    pub fn switch_degree(&self, switch: SwitchId) -> usize {
-        self.links_from(switch).count() + self.links_to(switch).count()
-    }
-
     /// Number of input buffers the switch needs: one per VC of every
     /// incoming link.
     pub fn switch_input_buffers(&self, switch: SwitchId) -> usize {
@@ -286,7 +278,6 @@ mod tests {
         assert_eq!(t.find_link(sw[1], sw[0]), None);
         assert_eq!(t.links_from(sw[0]).count(), 1);
         assert_eq!(t.links_to(sw[0]).count(), 1);
-        assert_eq!(t.switch_degree(sw[0]), 2);
         assert_eq!(t.channels().count(), 4);
         assert_eq!(t.switches().count(), 4);
     }

@@ -61,9 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         fixed.resolution().added_vcs,
         fixed.resolution().cycles_broken
     );
-    let outcome = fixed
-        .simulate_vc(&AssignedVc, &sim_config, &traffic)?
-        .into_outcome();
+    let outcome = fixed.simulate_vc(&AssignedVc, &sim_config, &traffic);
     println!(
         "deadlocked: {}, delivered {}/{} packets, mean latency {:.1} cycles",
         outcome.deadlocked,

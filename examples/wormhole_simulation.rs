@@ -49,9 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let fixed = routed.resolve_deadlocks(&CycleBreaking::default())?;
-    let after = fixed
-        .simulate_vc(&AssignedVc, &sim_config, &traffic)?
-        .into_outcome();
+    let after = fixed.simulate_vc(&AssignedVc, &sim_config, &traffic);
     println!(
         "after removal ({} VCs added): deadlocked = {}, delivered {}/{}, mean latency {:.1}",
         fixed.resolution().added_vcs,
