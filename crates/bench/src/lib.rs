@@ -43,7 +43,7 @@ use noc_sim::{
     AdaptiveEscape, AssignedVc, DetectionKind, FaultKind, FaultPlan, Packet, PacketId, SingleVc,
     StormConfig, TrafficConfig, VcSimConfig, VcSimOutcome, VcSimulator,
 };
-use noc_synth::{synthesize, SynthesisConfig, SynthesisError, SynthesizedDesign};
+use noc_synth::{SynthesisConfig, SynthesizedDesign};
 use noc_topology::benchmarks::Benchmark;
 use noc_topology::{generators, CommGraph, CoreMap, FlowId, SwitchId, Topology};
 
@@ -58,16 +58,6 @@ pub struct VcSweepPoint {
     pub deadlock_removal_vcs: usize,
     /// Number of CDG cycles the removal algorithm had to break.
     pub cycles_broken: usize,
-}
-
-/// Synthesizes the benchmark at the given switch count with the default
-/// (spanning-tree backbone) synthesis configuration.
-pub fn synthesize_benchmark(
-    benchmark: Benchmark,
-    switch_count: usize,
-) -> Result<SynthesizedDesign, SynthesisError> {
-    let comm = benchmark.comm_graph();
-    synthesize(&comm, &SynthesisConfig::with_switches(switch_count))
 }
 
 /// Regenerates the data of Figures 8 and 9: for each switch count, the VC
@@ -2126,6 +2116,7 @@ pub mod sweeps {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_synth::synthesize;
 
     #[test]
     fn sweep_points_reproduce_the_paper_shape() {
@@ -2289,7 +2280,8 @@ mod tests {
 
     #[test]
     fn run_removal_matches_a_direct_flow() {
-        let design = synthesize_benchmark(Benchmark::D36x8, 10).unwrap();
+        let comm = Benchmark::D36x8.comm_graph();
+        let design = synthesize(&comm, &SynthesisConfig::with_switches(10)).unwrap();
         let report = run_removal(&design, &RemovalConfig::default());
         let fixed = routed_benchmark(Benchmark::D36x8, 10)
             .resolve_deadlocks(&CycleBreaking::default())

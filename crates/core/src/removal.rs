@@ -251,7 +251,7 @@ fn run_removal(
         // then search for the next cycle.
         cycle = if incremental {
             // Only the re-routed flows' dependencies changed: apply their
-            // deltas; the finder diffs the patched graph by itself.
+            // deltas; the finder reads the edits off the graph by itself.
             let mut delta = CdgDelta::default();
             for &channel in &outcome.new_channels {
                 cdg.register_channel(channel, &mut delta);

@@ -338,9 +338,14 @@ impl RoutedStage {
         sim: &VcSimConfig,
         traffic: &TrafficConfig,
     ) -> VcSimOutcome {
-        let _span = noc_telemetry::span("stage", "simulate_vc");
-        let vc_map = self.vc_map();
-        VcSimulator::new(&self.comm, &self.routes, &vc_map, policy, sim).run(traffic)
+        simulate_routes(
+            &self.comm,
+            &self.topology,
+            &self.routes,
+            policy,
+            sim,
+            traffic,
+        )
     }
 
     /// Area/power estimate of the design as routed (the "original" bars of
@@ -428,9 +433,14 @@ impl DeadlockFreeStage {
         sim: &VcSimConfig,
         traffic: &TrafficConfig,
     ) -> VcSimOutcome {
-        let _span = noc_telemetry::span("stage", "simulate_vc");
-        let vc_map = self.vc_map();
-        VcSimulator::new(&self.comm, &self.routes, &vc_map, policy, sim).run(traffic)
+        simulate_routes(
+            &self.comm,
+            &self.topology,
+            &self.routes,
+            policy,
+            sim,
+            traffic,
+        )
     }
 
     /// Area/power estimate of the repaired design (the "removal" /
@@ -439,4 +449,20 @@ impl DeadlockFreeStage {
         let _span = noc_telemetry::span("stage", "power");
         NetworkPowerModel::new(params).estimate(&self.topology, &self.comm, &self.routes)
     }
+}
+
+/// Runs the VC-aware simulator on `routes` over `topology`, with the VC
+/// assignment the routes carry: the one simulation behind both stages'
+/// `simulate_vc`.
+fn simulate_routes(
+    comm: &CommGraph,
+    topology: &Topology,
+    routes: &RouteSet,
+    policy: &dyn VcPolicy,
+    sim: &VcSimConfig,
+    traffic: &TrafficConfig,
+) -> VcSimOutcome {
+    let _span = noc_telemetry::span("stage", "simulate_vc");
+    let vc_map = VcMap::from_design(topology, routes);
+    VcSimulator::new(comm, routes, &vc_map, policy, sim).run(traffic)
 }

@@ -44,10 +44,18 @@
 //! graph that changes a little between queries.  It keeps a certified lower
 //! bound per node ("no cycle through `v` has at most `bounds[v]` nodes"),
 //! skips every node whose bound already rules out a cycle under the current
-//! cap, and lowers the bounds near the edges added since its last query,
-//! which it finds by diffing the graph against the adjacency that query saw.
+//! cap, and lowers the bounds near the edges added since its last query.
 //! Skipping a node is exact because the skipped BFS would have returned
 //! nothing, so every answer is identical to the full scan.
+//!
+//! The finder pays for the edits, not for the graph.  It reads them off
+//! [`DiGraph`]'s append-only edge arena (ids past the last query's mark are
+//! new, a kept tail per older id shows which were removed), patches the
+//! adjacency the last query saw, and keeps that query's strongly connected
+//! components.  A certificate that costs the edits times their degree
+//! proves that no two old components merged; Tarjan then runs only over the
+//! components the edits touched and the new nodes, and over the whole graph
+//! only when the certificate fails.
 //!
 //! A search the finder does run looks past the cap, up to twice the node's
 //! bound, so the bound it certifies survives later queries whose cap is
@@ -58,7 +66,7 @@
 //! keeps every node id in rank order across queries, so a query sorts only
 //! the nodes added since the last one.
 
-use crate::digraph::{DiGraph, NodeId};
+use crate::digraph::{DiGraph, EdgeId, NodeId};
 use crate::scc;
 
 /// Returns the shortest directed cycle through `start`, as the ordered list
@@ -200,19 +208,56 @@ pub fn smallest_cycle_by<N, E, K: Ord>(
 ///    queries.  Then it sorts the nodes added since the last query and
 ///    merges them in.  The pool of a query is this order filtered to the
 ///    cyclic components.
-/// 3. **The adjacency seen at the last query.**  Removing edges only
-///    removes cycles, so bounds survive removals.  A cycle through `v` that
-///    is new runs over an added edge `a -> b` and has at least
-///    `dist(v -> tails) + 1 + dist(heads -> v)` nodes, where `tails` and
-///    `heads` collect the endpoints of every added edge inside a cyclic
-///    component.  Each query diffs the graph against the stored adjacency,
-///    so the added edges are found without any hint from the caller, and
-///    lowers the bounds with one forward and one backward multi-source BFS,
-///    both cut off at the largest bound they could lower.
+/// 3. **The adjacency and partition, patched from the arena's edits.**
+///    The finder keeps the deduplicated node-id adjacency the last query
+///    saw, the tail of every edge id that was live then, and that query's
+///    strongly connected components.  A query reads the edits off the
+///    graph's edge arena: ids at or past the last query's
+///    [`DiGraph::edge_id_bound`] are new, and a kept tail whose edge is no
+///    longer live marks a removal.  Only the rows of those tails are read
+///    again from the graph; diffing them against the kept rows gives the
+///    removed and added edges, deduplicated, without any hint from the
+///    caller.
+///
+///    Removing edges only removes cycles, so bounds survive removals.  A
+///    cycle through `v` that is new runs over an added edge `a -> b` and
+///    has at least `dist(v -> tails) + 1 + dist(heads -> v)` nodes, where
+///    `tails` and `heads` collect the endpoints of every added edge inside a
+///    cyclic component.  The bounds are lowered with one forward and one
+///    backward multi-source BFS, both cut off at the largest bound they
+///    could lower.
+///
+///    The old partition is trusted under a certificate.  Every added edge
+///    `u -> w` between old nodes, and every path `u ~> w` from an old node
+///    through new nodes to an old node, must either stay inside one old
+///    component, or leave `comp(u)` for `comp(w)` where `u` had an edge into
+///    `comp(w)` at the last query.  Proof that no two old components merge:
+///    contract every old component to one vertex.  An edge of the new
+///    graph between two old components is either an old edge, or an added
+///    edge or new-node path whose component pair the certificate found
+///    among the old edges, so the contracted graph, new nodes aside, is a
+///    subgraph of the old condensation, which is acyclic.  A cycle of the
+///    new graph through two old components would be a cycle of it.  Hence
+///    every component of the new graph lies inside one old component plus
+///    new nodes.  An old component that lost no internal edge and gained no
+///    internal edge or path keeps every path inside it, and gains no node
+///    (a new node in it would lie on a path through new nodes between two
+///    of its members), so it stays a component, cyclic exactly when it
+///    was.  Tarjan therefore runs only over the touched components and the
+///    new nodes, restricted to the edges among them; every component of the
+///    graph that meets this region lies inside it, so the region's
+///    components are the graph's.  When
+///    the certificate fails, or checking it would cost more than a full
+///    pass, the whole partition is computed again.
 ///
 /// The result is always identical to the full per-vertex scan — the state
 /// only ever prunes, never changes the answer — which the property tests in
 /// `tests/graph_properties.rs` pin against an independent reference.
+///
+/// The graph must be the one the last query saw, changed only through
+/// [`DiGraph`]'s own methods (a clone of it counts), since the finder finds
+/// the edits in its edge arena.  Call [`clear`](Self::clear) before asking
+/// about an unrelated graph.
 ///
 /// # Example
 ///
@@ -239,8 +284,8 @@ pub struct IncrementalCycleFinder {
     /// Per node id: no cycle through the node has at most this many nodes,
     /// in the graph the last query saw.  Empty before the first query.
     bounds: Vec<usize>,
-    /// The deduplicated adjacency the last query saw, in node-id space.
-    seen: Option<Csr>,
+    /// What the last query saw of the graph.  `None` before the first query.
+    seen: Option<Seen>,
     /// Every node id of the graph the last query saw, ascending by rank.
     order: Vec<NodeId>,
     /// Length-search buffers reused by every per-node search.
@@ -267,19 +312,33 @@ impl IncrementalCycleFinder {
     /// certified bound rules out a cycle under the current cap.
     ///
     /// `rank` must be injective.  The bounds are kept per node id and do
-    /// not depend on `rank`; the graph may change arbitrarily between
-    /// queries as long as node ids keep their meaning, and the finder
-    /// detects every edit.
+    /// not depend on `rank`.  The graph may gain nodes and gain or lose
+    /// edges between queries through [`DiGraph`]'s methods; the finder
+    /// finds every edit in the edge arena.  A graph with fewer nodes or a
+    /// shorter edge arena than the last query saw cannot be the same graph,
+    /// so the finder starts afresh on it.
     pub fn smallest_cycle_by<N, E, K: Ord>(
         &mut self,
         graph: &DiGraph<N, E>,
         rank: impl Fn(NodeId) -> K,
     ) -> Option<Vec<NodeId>> {
         noc_telemetry::counter("cycles.queries", 1);
-        let adjacency = Csr::of_graph(graph);
-        self.rank_nodes(adjacency.len(), &rank);
-        let pool = Pool::of(&adjacency, &self.order);
-        self.update_bounds(&adjacency, &pool);
+        let (seen, added, _) = self.sync(graph);
+        self.scan(seen, added.as_deref(), rank)
+    }
+
+    /// The smallest cycle of the graph `seen` holds, with `added` the edges
+    /// added since the last query (`None` if there was none), keeping
+    /// `seen` for the next query.
+    fn scan<K: Ord>(
+        &mut self,
+        seen: Seen,
+        added: Option<&[(u32, u32)]>,
+        rank: impl Fn(NodeId) -> K,
+    ) -> Option<Vec<NodeId>> {
+        self.rank_nodes(seen.adjacency.len(), &rank);
+        let pool = Pool::of(&seen.adjacency, &seen.partition, &self.order);
+        self.update_bounds(&pool, &seen.partition, added);
 
         // The canonical scan: ascending rank, each BFS capped at one less
         // than the best length so far, so the first node to reach the
@@ -335,8 +394,96 @@ impl IncrementalCycleFinder {
             "cycles.bfs_visits",
             std::mem::take(&mut self.workspace.visits),
         );
-        self.seen = Some(adjacency);
+        self.seen = Some(seen);
         best
+    }
+
+    /// Brings what the last query saw up to `graph` and returns it with the
+    /// edges added since that query (deduplicated, in node-id space, `None`
+    /// when there is no last query to compare with) and the pass that
+    /// brought the partition up to date.
+    ///
+    /// The removed and added edges come from the edge arena; only their
+    /// tails' rows are read again.  The partition is patched over the
+    /// components the edits touched while the certificate holds (see the
+    /// [type docs](Self)), and computed again otherwise.
+    fn sync<N, E>(&mut self, graph: &DiGraph<N, E>) -> (Seen, Option<Vec<(u32, u32)>>, Pass) {
+        let n = graph.node_count();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "cycle search indexes nodes with u32"
+        );
+        let bound = graph.edge_id_bound();
+        let Some(mut seen) = self
+            .seen
+            .take()
+            .filter(|seen| seen.adjacency.len() <= n && seen.tails.len() <= bound)
+        else {
+            self.bounds.clear();
+            return (Seen::of(graph), None, Pass::First);
+        };
+        let old_n = seen.adjacency.len();
+
+        // The rows whose live out-edges changed: the tails of the edges
+        // removed since the last query and of those added since.
+        let mut changed = Vec::new();
+        for (id, tail) in seen.tails.iter_mut().enumerate() {
+            if *tail != DEAD && graph.edge_endpoints(EdgeId::from_index(id)).is_none() {
+                changed.push(*tail);
+                *tail = DEAD;
+            }
+        }
+        for id in seen.tails.len()..bound {
+            let tail = live_tail(graph, id);
+            if tail != DEAD {
+                changed.push(tail);
+            }
+            seen.tails.push(tail);
+        }
+        changed.sort_unstable();
+        changed.dedup();
+        let mut rows = Csr::with_capacity(changed.len());
+        for &node in &changed {
+            let successors = graph.successors(NodeId::from_index(node as usize));
+            rows.push_row(successors.map(|succ| succ.index() as u32));
+        }
+
+        // Diff each changed row against the row the last query saw.
+        let (mut removed, mut added) = (Vec::new(), Vec::new());
+        for (i, &node) in changed.iter().enumerate() {
+            let before = if (node as usize) < old_n {
+                seen.adjacency.successors(node as usize)
+            } else {
+                &[]
+            };
+            let after = rows.successors(i);
+            for &w in before {
+                if after.binary_search(&w).is_err() {
+                    removed.push((node, w));
+                }
+            }
+            for &w in after {
+                if before.binary_search(&w).is_err() {
+                    added.push((node, w));
+                }
+            }
+        }
+
+        let touched = seen.touched_components(&changed, &rows, &removed, &added);
+        seen.adjacency.splice(n, &changed, &rows);
+        seen.partition.grow(n);
+        let pass = match touched {
+            Some(touched) => {
+                seen.partition.recompute(&seen.adjacency, old_n, &touched);
+                Pass::Partial
+            }
+            None => {
+                noc_telemetry::counter("scc.fallback_to_full", 1);
+                seen.partition = Partition::of(&seen.adjacency);
+                Pass::Fallback
+            }
+        };
+        (seen, Some(added), pass)
     }
 
     /// Brings `order` to every node id of a graph of `n` nodes, ascending by
@@ -369,36 +516,30 @@ impl IncrementalCycleFinder {
         self.order = merged;
     }
 
-    /// Brings `bounds` from the graph of the last query to `adjacency`:
+    /// Brings `bounds` from the graph of the last query to the pool's:
     /// nodes on no cycle are certified for every length, new nodes for
     /// none, and every cyclic node is lowered to the shortest cycle an edge
-    /// added since the last query could close through it.
-    fn update_bounds(&mut self, adjacency: &Csr, pool: &Pool) {
-        self.bounds.resize(adjacency.len(), 0);
+    /// added since the last query (`added`, `None` on a first query) could
+    /// close through it.
+    fn update_bounds(&mut self, pool: &Pool, partition: &Partition, added: Option<&[(u32, u32)]>) {
+        self.bounds.resize(pool.position.len(), 0);
         for (bound, &position) in self.bounds.iter_mut().zip(&pool.position) {
             if position == OUTSIDE {
                 *bound = usize::MAX;
             }
         }
-        let Some(seen) = &self.seen else {
+        let Some(added) = added else {
             return;
         };
 
         // Added edges inside one cyclic component, the only edges of the
         // pool graph; an edge between components lies on no cycle.
         let (mut tails, mut heads) = (Vec::new(), Vec::new());
-        for (tail, node) in pool.nodes.iter().enumerate() {
-            let before = if node.index() < seen.len() {
-                seen.successors(node.index())
-            } else {
-                &[]
-            };
-            for &head in pool.graph.successors(tail) {
-                let succ = pool.nodes[head as usize].index() as u32;
-                if before.binary_search(&succ).is_err() {
-                    tails.push(tail as u32);
-                    heads.push(head);
-                }
+        for &(tail, head) in added {
+            let position = pool.position[tail as usize];
+            if position != OUTSIDE && partition.is_internal(tail, head) {
+                tails.push(position);
+                heads.push(pool.position[head as usize]);
             }
         }
         if heads.is_empty() {
@@ -447,19 +588,14 @@ struct Pool {
 }
 
 impl Pool {
-    /// The pool of the graph whose node-id adjacency is `adjacency`, with
-    /// `order` holding every node id in rank order.
-    fn of(adjacency: &Csr, order: &[NodeId]) -> Self {
-        let components = {
-            let _span = noc_telemetry::span("scc", "full_tarjan");
-            scc::components_of(adjacency.len(), |v| {
-                adjacency.successors(v).iter().map(|&succ| succ as usize)
-            })
-        };
+    /// The pool of the graph whose node-id adjacency is `adjacency` and
+    /// whose strongly connected components are `partition`, with `order`
+    /// holding every node id in rank order.
+    fn of(adjacency: &Csr, partition: &Partition, order: &[NodeId]) -> Self {
         let nodes: Vec<NodeId> = order
             .iter()
             .copied()
-            .filter(|&node| components.is_cyclic(components.component_of(node)))
+            .filter(|node| partition.is_cyclic(node.index() as u32))
             .collect();
         let mut position = vec![OUTSIDE; adjacency.len()];
         for (p, node) in nodes.iter().enumerate() {
@@ -468,13 +604,12 @@ impl Pool {
 
         let mut restricted = Csr::with_capacity(nodes.len());
         for &node in &nodes {
+            let tail = node.index() as u32;
             restricted.push_row(
                 adjacency
                     .successors(node.index())
                     .iter()
-                    .filter(|&&succ| {
-                        components.is_internal(node, NodeId::from_index(succ as usize))
-                    })
+                    .filter(|&&succ| partition.is_internal(tail, succ))
                     .map(|&succ| position[succ as usize]),
             );
         }
@@ -484,6 +619,233 @@ impl Pool {
             reverse: restricted.reversed(),
             graph: restricted,
         }
+    }
+}
+
+/// How a query brought the kept partition up to the graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// There was no last query to patch: everything was read afresh.
+    First,
+    /// The certificate held: Tarjan ran over the touched components only.
+    Partial,
+    /// The certificate failed, or checking it would have cost more than a
+    /// full pass: Tarjan ran over the whole graph.
+    Fallback,
+}
+
+/// Marks an edge id that was not live at the last query in [`Seen::tails`].
+const DEAD: u32 = u32::MAX;
+
+/// The tail of edge `id` if it is live, [`DEAD`] otherwise.
+fn live_tail<N, E>(graph: &DiGraph<N, E>, id: usize) -> u32 {
+    graph
+        .edge_endpoints(EdgeId::from_index(id))
+        .map_or(DEAD, |(source, _)| source.index() as u32)
+}
+
+/// What a query saw of the graph, kept so that the next query patches it
+/// from the edits instead of rebuilding it.
+#[derive(Debug, Clone)]
+struct Seen {
+    /// The deduplicated adjacency in node-id space.
+    adjacency: Csr,
+    /// Per edge id below the arena's bound at that query: the edge's tail
+    /// if it was live, [`DEAD`] otherwise.
+    tails: Vec<u32>,
+    /// The strongly connected components of `adjacency`.
+    partition: Partition,
+}
+
+impl Seen {
+    /// Everything read from `graph` afresh: its adjacency, its arena and one
+    /// Tarjan pass over all of it.
+    fn of<N, E>(graph: &DiGraph<N, E>) -> Self {
+        let adjacency = Csr::of_graph(graph);
+        let tails = (0..graph.edge_id_bound())
+            .map(|id| live_tail(graph, id))
+            .collect();
+        let partition = Partition::of(&adjacency);
+        Seen {
+            adjacency,
+            tails,
+            partition,
+        }
+    }
+
+    /// The components an edit touched, named as in the kept partition, or
+    /// `None` when the certificate fails and components may have merged, or
+    /// when checking it would cost more than a full pass.
+    ///
+    /// `changed` lists the rows that changed, ascending, `rows` holds their
+    /// new successors, and `removed` and `added` are the edges that left and
+    /// joined them; the adjacency is still the last query's.  A component
+    /// is touched when it lost an internal edge, or gained an internal edge
+    /// or a path through new nodes between two of its members.  Any other
+    /// added edge or new-node path must leave `comp(u)` for a component `u`
+    /// already had an edge into.
+    fn touched_components(
+        &self,
+        changed: &[u32],
+        rows: &Csr,
+        removed: &[(u32, u32)],
+        added: &[(u32, u32)],
+    ) -> Option<Vec<u32>> {
+        let old_n = self.adjacency.len() as u32;
+        let component = &self.partition.component;
+        let mut touched: Vec<u32> = removed
+            .iter()
+            .filter(|&&(u, w)| component[u as usize] == component[w as usize])
+            .map(|&(u, _)| component[u as usize])
+            .collect();
+        // Whether an edge or new-node path `u ~> w` between old nodes keeps
+        // the certificate, noting the component it stays inside.
+        let mut certify = |u: u32, w: u32| {
+            let (from, to) = (component[u as usize], component[w as usize]);
+            if from == to {
+                touched.push(from);
+                true
+            } else {
+                self.adjacency
+                    .successors(u as usize)
+                    .iter()
+                    .any(|&x| component[x as usize] == to)
+            }
+        };
+        // Every edge of a new node is new, so its successors are in `rows`
+        // (none if it has no live out-edge).
+        let new_successors = |v: u32| match changed.binary_search(&v) {
+            Ok(i) => rows.successors(i),
+            Err(_) => &[],
+        };
+        // Per changed row: the mark of the last search that reached it.
+        let mut reached = vec![0; changed.len()];
+        let mut stack = Vec::new();
+        // The searches through new nodes may cost at most a full pass.
+        let mut budget = self.adjacency.len() + self.adjacency.targets.len();
+        for (i, &(u, w)) in added.iter().enumerate() {
+            if u >= old_n {
+                // Covered from the old node that reaches `u`, if any.
+                continue;
+            }
+            if w < old_n {
+                if !certify(u, w) {
+                    return None;
+                }
+                continue;
+            }
+            // Every old node reached from `u` over `w` and new nodes only.
+            let mark = i + 1;
+            stack.push(w);
+            while let Some(v) = stack.pop() {
+                let successors = new_successors(v);
+                budget = budget.checked_sub(successors.len() + 1)?;
+                for &x in successors {
+                    if x < old_n {
+                        if !certify(u, x) {
+                            return None;
+                        }
+                    } else if let Ok(j) = changed.binary_search(&x) {
+                        if reached[j] != mark {
+                            reached[j] = mark;
+                            stack.push(x);
+                        }
+                    }
+                }
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        Some(touched)
+    }
+}
+
+/// The strongly connected components of a graph, each named by one of its
+/// members.
+#[derive(Debug, Clone)]
+struct Partition {
+    /// Per node: the node that names its component.
+    component: Vec<u32>,
+    /// Per naming node: whether its component contains a cycle.  The entry
+    /// of a node that names no component is stale.
+    cyclic: Vec<bool>,
+}
+
+impl Partition {
+    /// The components of `adjacency`, by one Tarjan pass over all of it.
+    fn of(adjacency: &Csr) -> Self {
+        noc_telemetry::counter("scc.full_recomputes", 1);
+        let _span = noc_telemetry::span("scc", "full_tarjan");
+        let n = adjacency.len();
+        let components = scc::components_of(n, |v| {
+            adjacency.successors(v).iter().map(|&succ| succ as usize)
+        });
+        let mut partition = Partition {
+            component: vec![0; n],
+            cyclic: vec![false; n],
+        };
+        partition.assign(&components, |v| v as u32);
+        partition
+    }
+
+    /// Extends the partition to `n` nodes, each new node its own component.
+    fn grow(&mut self, n: usize) {
+        let old_n = self.component.len();
+        self.component.extend(old_n as u32..n as u32);
+        self.cyclic.resize(n, false);
+    }
+
+    /// Computes the components of `adjacency` again over the `touched`
+    /// components and the nodes from `old_n` on, which the certificate
+    /// proved hold every component that changed.
+    fn recompute(&mut self, adjacency: &Csr, old_n: usize, touched: &[u32]) {
+        let n = adjacency.len();
+        let mut in_touched = vec![false; n];
+        for &c in touched {
+            in_touched[c as usize] = true;
+        }
+        let region: Vec<u32> = (0..n as u32)
+            .filter(|&v| v as usize >= old_n || in_touched[self.component[v as usize] as usize])
+            .collect();
+        noc_telemetry::counter("scc.partial_recomputes", 1);
+        noc_telemetry::counter("scc.partial_nodes", region.len() as u64);
+        let _span = noc_telemetry::span("scc", "partial_tarjan");
+        let mut local = vec![OUTSIDE; n];
+        for (i, &v) in region.iter().enumerate() {
+            local[v as usize] = i as u32;
+        }
+        let components = scc::components_of(region.len(), |i| {
+            adjacency
+                .successors(region[i] as usize)
+                .iter()
+                .filter_map(|&succ| {
+                    let i = local[succ as usize];
+                    (i != OUTSIDE).then_some(i as usize)
+                })
+        });
+        self.assign(&components, |i| region[i]);
+    }
+
+    /// Records `components`, found over an index space whose index `i` is
+    /// the node `node(i)`.
+    fn assign(&mut self, components: &scc::Components, node: impl Fn(usize) -> u32) {
+        for id in 0..components.len() {
+            let members = components.members(id);
+            let name = node(members[0].index());
+            for member in members {
+                self.component[node(member.index()) as usize] = name;
+            }
+            self.cyclic[name as usize] = components.is_cyclic(id);
+        }
+    }
+
+    fn is_cyclic(&self, node: u32) -> bool {
+        self.cyclic[self.component[node as usize] as usize]
+    }
+
+    /// `true` when both endpoints of `tail -> head` lie in one component.
+    fn is_internal(&self, tail: u32, head: u32) -> bool {
+        self.component[tail as usize] == self.component[head as usize]
     }
 }
 
@@ -542,6 +904,39 @@ impl Csr {
 
     fn successors(&self, i: usize) -> &[u32] {
         &self.targets[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// Brings the adjacency to `n` rows: row `changed[i]` becomes row `i` of
+    /// `rows`, and rows past the old end that `changed` does not list are
+    /// empty.  Unchanged rows move in bulk, one copy per run between two
+    /// changed rows.
+    fn splice(&mut self, n: usize, changed: &[u32], rows: &Csr) {
+        let old_n = self.len();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(self.targets.len() + rows.targets.len());
+        offsets.push(0);
+        let mut next = 0;
+        for (i, &row) in changed.iter().chain(&[n as u32]).enumerate() {
+            let row = row as usize;
+            // Rows `next..row` keep their targets, or are empty if new.
+            let kept = next.min(old_n)..row.min(old_n);
+            let (from, to) = (self.offsets[kept.start], self.offsets[kept.end]);
+            let at = targets.len();
+            targets.extend_from_slice(&self.targets[from..to]);
+            offsets.extend(
+                self.offsets[kept.start + 1..=kept.end]
+                    .iter()
+                    .map(|&o| o - from + at),
+            );
+            offsets.resize(row + 1, targets.len());
+            if i < changed.len() {
+                targets.extend_from_slice(rows.successors(i));
+                offsets.push(targets.len());
+            }
+            next = row + 1;
+        }
+        self.offsets = offsets;
+        self.targets = targets;
     }
 
     /// The same graph with every edge reversed.
@@ -1175,6 +1570,133 @@ mod tests {
             finder.smallest_cycle_by(&g, |v| v.index()),
             smallest_cycle(&g),
         );
+    }
+
+    /// Rings of 4 to 9 nodes with a chord or two, joined by edges that run
+    /// only from a ring to a later one, so every ring is a component.
+    fn ring_chain(rng: &mut noc_rng::SmallRng) -> DiGraph<usize, ()> {
+        let mut g = DiGraph::new();
+        let mut previous: Vec<NodeId> = Vec::new();
+        for _ in 0..rng.gen_range(2..5usize) {
+            let len = rng.gen_range(4..10usize);
+            let first = g.node_count();
+            let nodes: Vec<_> = (first..first + len).map(|i| g.add_node(i)).collect();
+            for i in 0..len {
+                g.add_edge(nodes[i], nodes[(i + 1) % len], ());
+            }
+            for _ in 0..rng.gen_range(0..3usize) {
+                let a = nodes[rng.gen_range(0..len)];
+                let b = nodes[rng.gen_range(0..len)];
+                g.add_edge(a, b, ());
+            }
+            for _ in 0..rng.gen_range(1..4usize).min(previous.len()) {
+                let from = previous[rng.gen_range(0..previous.len())];
+                g.add_edge(from, nodes[rng.gen_range(0..len)], ());
+            }
+            previous.extend(nodes);
+        }
+        g
+    }
+
+    #[test]
+    fn kept_adjacency_and_partition_match_a_fresh_pass_through_breaks() {
+        let mut rng = noc_rng::SmallRng::seed_from_u64(0x5CC5);
+        let (mut partial, mut fallback) = (0, 0);
+        for case in 0..40 {
+            let mut g = ring_chain(&mut rng);
+            let mut finder = IncrementalCycleFinder::new();
+            for step in 0..30 {
+                let (seen, added, pass) = finder.sync(&g);
+                match pass {
+                    Pass::Partial => partial += 1,
+                    Pass::Fallback => fallback += 1,
+                    Pass::First => assert_eq!(step, 0),
+                }
+                let fresh = Csr::of_graph(&g);
+                assert_eq!(
+                    (&seen.adjacency.offsets, &seen.adjacency.targets),
+                    (&fresh.offsets, &fresh.targets),
+                    "case {case}, step {step}: patched adjacency"
+                );
+                let components = scc::components_of(fresh.len(), |v| {
+                    fresh.successors(v).iter().map(|&succ| succ as usize)
+                });
+                for v in g.node_ids() {
+                    let id = components.component_of(v);
+                    assert_eq!(
+                        seen.partition.is_cyclic(v.index() as u32),
+                        components.is_cyclic(id),
+                        "case {case}, step {step}: cyclic membership of {v}"
+                    );
+                }
+                for edge in g.edges() {
+                    let (u, w) = (edge.source.index() as u32, edge.target.index() as u32);
+                    assert_eq!(
+                        seen.partition.is_internal(u, w),
+                        components.is_internal(edge.source, edge.target),
+                        "case {case}, step {step}: internal edge {u} -> {w}"
+                    );
+                }
+                let found = finder.scan(seen, added.as_deref(), NodeId::index);
+                assert_eq!(found, smallest_cycle(&g), "case {case}, step {step}");
+
+                // Algorithm 1's edit: route the cycle's dependency `a -> b`
+                // through a new node `d`.
+                if let Some(cycle) = found {
+                    let i = rng.gen_range(0..cycle.len());
+                    let (a, b) = (cycle[i], cycle[(i + 1) % cycle.len()]);
+                    let d = g.add_node(g.node_count());
+                    g.add_edge(a, d, ());
+                    g.add_edge(d, b, ());
+                    while let Some(e) = g.find_edge(a, b) {
+                        g.remove_edge(e);
+                    }
+                }
+                // Now and then an edge anywhere, which may join components
+                // and break the certificate, or a removal.
+                let n = g.node_count();
+                match rng.gen_range(0..6usize) {
+                    0 => {
+                        let a = NodeId::from_index(rng.gen_range(0..n));
+                        let b = NodeId::from_index(rng.gen_range(0..n));
+                        g.add_edge(a, b, ());
+                    }
+                    1 => {
+                        let live: Vec<_> = g.edges().map(|e| e.id).collect();
+                        if !live.is_empty() {
+                            g.remove_edge(live[rng.gen_range(0..live.len())]);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert!(
+            partial > 0 && fallback > 0,
+            "partial {partial}, fallback {fallback}"
+        );
+    }
+
+    #[test]
+    fn a_certificate_dearer_than_a_full_pass_falls_back() {
+        // A 3-ring (3 nodes, 3 edges) grows a chain of new nodes from one
+        // ring node to the next.  Following a chain of 2 costs less than a
+        // Tarjan pass over the old graph; following one of 10 costs more.
+        for (len, expected) in [(2, Pass::Partial), (10, Pass::Fallback)] {
+            let (mut g, nodes) = ring(3);
+            let mut finder = IncrementalCycleFinder::new();
+            finder.smallest_cycle_by(&g, NodeId::index);
+            let chain: Vec<_> = (3..3 + len).map(|i| g.add_node(i)).collect();
+            g.add_edge(nodes[0], chain[0], ());
+            for pair in chain.windows(2) {
+                g.add_edge(pair[0], pair[1], ());
+            }
+            g.add_edge(chain[len - 1], nodes[1], ());
+            let (seen, added, pass) = finder.sync(&g);
+            assert_eq!(pass, expected, "chain of {len}");
+            let found = finder.scan(seen, added.as_deref(), NodeId::index);
+            assert_eq!(found, smallest_cycle(&g), "chain of {len}");
+        }
     }
 
     /// The length search over the whole node-id adjacency of `g`, with the

@@ -191,6 +191,15 @@ impl<N, E> DiGraph<N, E> {
         self.edges.iter().filter(|e| !e.removed).count()
     }
 
+    /// One past the largest edge id ever allocated, removed edges included.
+    ///
+    /// Edge ids are allocated in ascending order and never reused, so the
+    /// edges added since this value was last read are exactly the ids at or
+    /// past it.
+    pub fn edge_id_bound(&self) -> usize {
+        self.edges.len()
+    }
+
     /// Returns `true` if the graph has no nodes.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
@@ -362,6 +371,17 @@ mod tests {
         assert_eq!(g.out_degree(n[0]), 0);
         // Other edges unaffected.
         assert!(g.has_edge(n[1], n[2]));
+    }
+
+    #[test]
+    fn edge_id_bound_counts_removed_edges_too() {
+        let (mut g, n) = sample();
+        assert_eq!(g.edge_id_bound(), 3);
+        g.remove_edge(g.find_edge(n[0], n[1]).unwrap());
+        assert_eq!(g.edge_id_bound(), 3);
+        let e = g.add_edge(n[0], n[1], 4);
+        assert_eq!(e.index(), 3);
+        assert_eq!(g.edge_id_bound(), 4);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   acyclicity check,
 //! * cycle search ([`cycles`]): the per-vertex BFS smallest-cycle search
 //!   behind `GetSmallestCycle`, run over a compressed adjacency snapshot
-//!   each query builds for itself,
+//!   that a finder patches from each query's edits,
 //! * knot detection ([`knots`]) for the certified verifier.
 //!
 //! # Example

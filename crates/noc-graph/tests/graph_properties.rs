@@ -363,9 +363,8 @@ fn incremental_finder_follows_a_rank_change_through_edits() {
     }
 }
 
-/// Under-marking the dirty region must never change the finder's answer
-/// (the global verification scan is what guarantees exactness; dirty nodes
-/// are only a seed).
+/// Edges added with no word to the finder never change its answer: it
+/// finds every edit in the graph's edge arena by itself.
 #[test]
 fn incremental_finder_is_exact_even_without_dirty_hints() {
     let mut rng = SmallRng::seed_from_u64(0x5EED);

@@ -371,36 +371,6 @@ pub fn uniform_traffic(
     SyntheticWorkload { comm, map }
 }
 
-/// Neighbor traffic: every core sends `flows_per_core` flows of `bandwidth`
-/// each to cores one link away (destinations drawn uniformly from the
-/// switch's out-neighbors).  Switches with no outgoing link send nothing.
-/// Deterministic in `seed`.
-pub fn neighbor_traffic(
-    generated: &Generated,
-    flows_per_core: usize,
-    seed: u64,
-    bandwidth: f64,
-) -> SyntheticWorkload {
-    let (mut comm, map, cores) = cores_per_switch(generated);
-    let topology = &generated.topology;
-    let mut rng = SmallRng::seed_from_u64(seed);
-    for (i, &source) in cores.iter().enumerate() {
-        let switch = SwitchId::from_index(i);
-        let degree = topology.links_from(switch).count();
-        if degree == 0 {
-            continue;
-        }
-        for _ in 0..flows_per_core {
-            let (_, link) = topology
-                .links_from(switch)
-                .nth(rng.gen_range(0..degree))
-                .expect("the index is below the out-degree");
-            comm.add_flow(source, cores[link.target.index()], bandwidth);
-        }
-    }
-    SyntheticWorkload { comm, map }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,17 +524,5 @@ mod tests {
         }
         let c = uniform_traffic(&g, 3, 8, 1.0);
         assert_ne!(a, c, "different seed, different destinations");
-    }
-
-    #[test]
-    fn neighbor_traffic_only_targets_adjacent_switches() {
-        let g = mesh2d(3, 3, 1.0);
-        let w = neighbor_traffic(&g, 2, 11, 1.0);
-        assert_eq!(w.comm.flow_count(), 18);
-        for (_, flow) in w.comm.flows() {
-            let from = w.map.switch_of(flow.source).unwrap();
-            let to = w.map.switch_of(flow.destination).unwrap();
-            assert!(g.topology.find_link(from, to).is_some());
-        }
     }
 }
