@@ -312,7 +312,6 @@ pub fn simulate_before_after(benchmark: Benchmark, switch_count: usize) -> SimVa
         packet_length: 8,
         mean_gap_cycles: 0,
         seed: 7,
-        ..TrafficConfig::default()
     };
 
     let original_cdg_cyclic = !routed.is_deadlock_free();
@@ -574,7 +573,6 @@ pub fn sim_strategy_point(benchmark: Benchmark, switch_count: usize) -> SimSweep
             packet_length: 8,
             mean_gap_cycles: gap,
             seed: 0xF1C5,
-            ..TrafficConfig::default()
         };
         let workload = cycle_stress_workload(comm, &traffic, &stress, 4, 8);
         let outcomes = [
@@ -661,7 +659,6 @@ pub fn fault_sweep_traffic(benchmark: Benchmark, switch_count: usize) -> Traffic
         packet_length: 4,
         mean_gap_cycles: 36,
         seed: 0xF1C5 ^ fault_point_seed(benchmark, switch_count),
-        ..TrafficConfig::default()
     }
 }
 

@@ -10,7 +10,7 @@
 //!
 //! The removal loop used to rebuild the whole CDG after every cycle break,
 //! even though a break only touches the dependencies of the flows it
-//! re-routes.  [`Cdg::remove_flow_deps`] / [`Cdg::add_flow_deps`] apply
+//! re-routes.  `Cdg::remove_flow_deps` / `Cdg::add_flow_deps` apply
 //! exactly that per-flow delta: they maintain the per-edge flow multiset and
 //! drop/create dependency edges as flows leave/enter channel pairs, while a
 //! [`CdgDelta`] records which vertices were touched (the *dirty region*,
@@ -58,7 +58,7 @@ impl CdgDelta {
     /// The deduplicated, sorted set of vertices incident to changed edges —
     /// the dirty region a break's [`CdgDeltaStats`](crate::report::CdgDeltaStats)
     /// reports.
-    pub fn touched_nodes(&mut self) -> &[NodeId] {
+    pub(crate) fn touched_nodes(&mut self) -> &[NodeId] {
         self.touched.sort();
         self.touched.dedup();
         &self.touched
@@ -122,7 +122,7 @@ impl Cdg {
 
     /// Adds the dependency `from -> to` caused by `flow`, creating vertices
     /// as needed and merging parallel dependencies into one edge.
-    pub fn add_dependency(&mut self, from: Channel, to: Channel, flow: FlowId) {
+    fn add_dependency(&mut self, from: Channel, to: Channel, flow: FlowId) {
         let from_node = self.node_of(from);
         let to_node = self.node_of(to);
         if let Some(edge) = self.graph.find_edge(from_node, to_node) {
@@ -140,7 +140,7 @@ impl Cdg {
 
     /// Creates a vertex for `channel` if it does not have one yet (new VCs
     /// added by a cycle break), counting the creation in `delta`.
-    pub fn register_channel(&mut self, channel: Channel, delta: &mut CdgDelta) {
+    pub(crate) fn register_channel(&mut self, channel: Channel, delta: &mut CdgDelta) {
         if self.vertex(channel).is_none() {
             self.node_of(channel);
             delta.channels_added += 1;
@@ -156,7 +156,12 @@ impl Cdg {
     /// Pairs the flow does not actually sit on are skipped, which makes the
     /// call idempotent and lets routes that cross the same pair twice be
     /// removed with a single linear scan.
-    pub fn remove_flow_deps(&mut self, flow: FlowId, channels: &[Channel], delta: &mut CdgDelta) {
+    pub(crate) fn remove_flow_deps(
+        &mut self,
+        flow: FlowId,
+        channels: &[Channel],
+        delta: &mut CdgDelta,
+    ) {
         for pair in channels.windows(2) {
             let (Some(from), Some(to)) = (self.vertex(pair[0]), self.vertex(pair[1])) else {
                 continue;
@@ -186,7 +191,12 @@ impl Cdg {
     /// a re-route) contributes for `flow`.  Newly created dependency edges
     /// join the delta's dirty region; pairs that already carry other flows
     /// only gain a multiset entry and leave the cycle structure untouched.
-    pub fn add_flow_deps(&mut self, flow: FlowId, channels: &[Channel], delta: &mut CdgDelta) {
+    pub(crate) fn add_flow_deps(
+        &mut self,
+        flow: FlowId,
+        channels: &[Channel],
+        delta: &mut CdgDelta,
+    ) {
         for pair in channels.windows(2) {
             let from = self.node_of(pair[0]);
             let to = self.node_of(pair[1]);
@@ -208,7 +218,7 @@ impl Cdg {
     }
 
     /// Number of channel vertices.
-    pub fn channel_count(&self) -> usize {
+    pub(crate) fn channel_count(&self) -> usize {
         self.graph.node_count()
     }
 
@@ -230,7 +240,7 @@ impl Cdg {
     /// internal node id, so the answer depends only on which dependencies
     /// exist — a freshly built CDG and an incrementally maintained one
     /// return the same cycle for the same design.
-    pub fn smallest_cycle(&self) -> Option<Vec<Channel>> {
+    pub(crate) fn smallest_cycle(&self) -> Option<Vec<Channel>> {
         cycles::smallest_cycle_by(&self.graph, |n| self.channel_of(n)).map(|c| self.to_channels(c))
     }
 
@@ -240,7 +250,10 @@ impl Cdg {
     /// finder finds the edits since its last query by itself.  The answer is
     /// always identical to the plain search; only the work to find it
     /// shrinks.
-    pub fn smallest_cycle_with(&self, finder: &mut IncrementalCycleFinder) -> Option<Vec<Channel>> {
+    pub(crate) fn smallest_cycle_with(
+        &self,
+        finder: &mut IncrementalCycleFinder,
+    ) -> Option<Vec<Channel>> {
         finder
             .smallest_cycle_by(&self.graph, |n| self.channel_of(n))
             .map(|c| self.to_channels(c))
@@ -258,16 +271,11 @@ impl Cdg {
 
     /// The flows responsible for the dependency `from -> to`, if that edge
     /// exists.
-    pub fn dependency_flows(&self, from: Channel, to: Channel) -> Option<&[FlowId]> {
+    pub(crate) fn dependency_flows(&self, from: Channel, to: Channel) -> Option<&[FlowId]> {
         let from_node = self.vertex(from)?;
         let to_node = self.vertex(to)?;
         let edge = self.graph.find_edge(from_node, to_node)?;
         self.graph.edge_weight(edge).map(Vec::as_slice)
-    }
-
-    /// Returns `true` if the CDG has a dependency edge `from -> to`.
-    pub fn has_dependency(&self, from: Channel, to: Channel) -> bool {
-        self.dependency_flows(from, to).is_some()
     }
 
     /// Iterates over all dependencies as `(from, to, flows)`.
@@ -282,7 +290,7 @@ impl Cdg {
     }
 
     /// Borrow the underlying graph (e.g. for DOT export in diagnostics).
-    pub fn graph(&self) -> &DiGraph<Channel, Vec<FlowId>> {
+    pub(crate) fn graph(&self) -> &DiGraph<Channel, Vec<FlowId>> {
         &self.graph
     }
 
@@ -352,10 +360,10 @@ mod tests {
             cdg.dependency_flows(l(0), l(1)).unwrap(),
             &[FlowId::from_index(0), FlowId::from_index(3)]
         );
-        assert!(cdg.has_dependency(l(1), l(2)));
-        assert!(cdg.has_dependency(l(2), l(3)));
-        assert!(cdg.has_dependency(l(3), l(0)));
-        assert!(!cdg.has_dependency(l(0), l(2)));
+        assert!(cdg.dependency_flows(l(1), l(2)).is_some());
+        assert!(cdg.dependency_flows(l(2), l(3)).is_some());
+        assert!(cdg.dependency_flows(l(3), l(0)).is_some());
+        assert!(cdg.dependency_flows(l(0), l(2)).is_none());
     }
 
     #[test]
@@ -499,10 +507,9 @@ mod tests {
         let f1 = FlowId::from_index(0);
         let old: Vec<Channel> = routes.route(f1).unwrap().channels().to_vec();
         let delta = apply_reroute(&mut cdg, f1, &old, &[]);
-        assert!(cdg.has_dependency(l(0), l(1)));
         assert_eq!(cdg.dependency_flows(l(0), l(1)).unwrap().len(), 1);
         // F1 alone carried L1 -> L2.
-        assert!(!cdg.has_dependency(l(1), l(2)));
+        assert!(cdg.dependency_flows(l(1), l(2)).is_none());
         assert_eq!(delta.deps_removed, 1);
         assert_eq!(delta.deps_added, 0);
     }

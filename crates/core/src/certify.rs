@@ -195,7 +195,7 @@ impl Error for WitnessError {}
 impl TrapWitness {
     /// The footprint of worm `index`: the channels `route[0..=head_hop]` its
     /// blocked packet owns.  Empty when the flow has no route.
-    pub fn footprint(&self, routes: &RouteSet, index: usize) -> Vec<Channel> {
+    fn footprint(&self, routes: &RouteSet, index: usize) -> Vec<Channel> {
         let worm = self.worms[index];
         routes
             .route(worm.flow)
@@ -359,11 +359,6 @@ pub struct CertifyReport {
 }
 
 impl CertifyReport {
-    /// `true` for [`CertifyVerdict::CertifiedFree`].
-    pub fn is_certified_free(&self) -> bool {
-        matches!(self.verdict, CertifyVerdict::CertifiedFree)
-    }
-
     /// The witness, when the design is certified deadlockable.
     pub fn witness(&self) -> Option<&TrapWitness> {
         match &self.verdict {
@@ -712,7 +707,7 @@ mod tests {
         routes.set_route(FlowId::from_index(0), Route::from_links([l0, l1]));
         routes.set_route(FlowId::from_index(1), Route::from_links([l1]));
         let report = certify_deadlock_free(&topo, &routes);
-        assert!(report.is_certified_free());
+        assert_eq!(report.verdict, CertifyVerdict::CertifiedFree);
         assert!(!report.cyclic_cdg);
         assert_eq!(report.search_steps, 0);
     }
@@ -734,7 +729,11 @@ mod tests {
         routes.set_route(FlowId::from_index(1), Route::from_links([c0, c2, c1]));
         let report = certify_deadlock_free(&topo, &routes);
         assert!(report.cyclic_cdg, "the CDG is cyclic");
-        assert!(report.is_certified_free(), "yet nothing can trap");
+        assert_eq!(
+            report.verdict,
+            CertifyVerdict::CertifiedFree,
+            "yet nothing can trap"
+        );
         assert!(report.search_steps > 0);
     }
 

@@ -18,9 +18,9 @@
 //! A flow's entry in row `i` is non-zero in either direction exactly when
 //! its route holds `c_i` immediately followed by `c_{i+1}`, i.e. when the
 //! flow creates the dependency `d_i`.  The CDG already lists, per
-//! dependency, the flows that create it ([`Cdg::dependency_flows`]), so the
+//! dependency, the flows that create it (`Cdg::dependency_flows`), so the
 //! flows with a non-zero row are exactly the union of those lists over the
-//! cycle's edges, and every other flow's row is all zeros.  [`cost_tables`]
+//! cycle's edges, and every other flow's row is all zeros.  `cost_tables`
 //! therefore visits only that union, in ascending flow order (the order the
 //! route set iterates in), computes both directions in one walk per route,
 //! and finds cycle positions through a dense per-vertex table.  The cost of
@@ -71,7 +71,7 @@ impl CostTable {
     /// The minimum combined cost and the dependency index achieving it, i.e.
     /// the pair `⟨cost, pos⟩` returned by Algorithm 2.  Dependencies that no
     /// flow creates are skipped.
-    pub fn best(&self) -> Option<(usize, usize)> {
+    fn best(&self) -> Option<(usize, usize)> {
         self.combined
             .iter()
             .enumerate()
@@ -111,7 +111,7 @@ impl CycleCosts {
     /// `(cost, dependency index, direction)`.  Ties go to the forward
     /// direction, matching the `f_cost ≤ b_cost` comparison in Algorithm 1.
     /// `None` when no allowed direction has a plan.
-    pub fn best_break(&self, policy: DirectionPolicy) -> Option<(usize, usize, Direction)> {
+    pub(crate) fn best_break(&self, policy: DirectionPolicy) -> Option<(usize, usize, Direction)> {
         [
             (Direction::Forward, &self.forward),
             (Direction::Backward, &self.backward),
@@ -129,7 +129,7 @@ const OFF_CYCLE: usize = usize::MAX;
 /// Computes the forward and backward cost tables of `cycle`, a cycle of
 /// `cdg`, whose dependencies are created by the flows of `routes` (see the
 /// [module docs](self) for why only the cycle's own flows are visited).
-pub fn cost_tables(cycle: &[Channel], cdg: &Cdg, routes: &RouteSet) -> CycleCosts {
+pub(crate) fn cost_tables(cycle: &[Channel], cdg: &Cdg, routes: &RouteSet) -> CycleCosts {
     let len = cycle.len();
     let mut flows: Vec<FlowId> = (0..len)
         .filter_map(|k| cdg.dependency_flows(cycle[k], cycle[(k + 1) % len]))

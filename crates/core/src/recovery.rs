@@ -21,7 +21,7 @@
 //!    cannot close a cycle on their own), so every remaining cycle involves
 //!    at least one not-yet-drained flow and each round makes strict
 //!    progress.  The CDG is built once; each round applies
-//!    [`Cdg::remove_flow_deps`] / [`Cdg::add_flow_deps`] per drained flow
+//!    `Cdg::remove_flow_deps` / `Cdg::add_flow_deps` per drained flow
 //!    before the next detection pass.
 //!
 //! Each round is one *reconfiguration event*; its cost — SCCs collapsed,

@@ -8,7 +8,7 @@
 //!
 //! The CDG update is incremental: a break only changes the dependencies of
 //! the flows it re-routed, so the loop applies exactly those deltas
-//! ([`Cdg::remove_flow_deps`] / [`Cdg::add_flow_deps`]) instead of
+//! (`Cdg::remove_flow_deps` / `Cdg::add_flow_deps`) instead of
 //! rebuilding the whole graph from scratch every iteration, and the next
 //! smallest-cycle query finds the changed edges by itself.
 //! [`remove_deadlocks_rebuilding`] keeps the from-scratch path as a
@@ -17,9 +17,9 @@
 //! over the full benchmark grids.
 //!
 //! Each iteration costs what its cycle touches.  The cost tables visit only
-//! the flows the CDG lists on the cycle's edges ([`cost_tables`]), the
+//! the flows the CDG lists on the cycle's edges (`cost_tables`), the
 //! cheaper direction comes from one chooser
-//! ([`CycleCosts::best_break`](crate::cost::CycleCosts::best_break),
+//! (`CycleCosts::best_break`,
 //! masked by the [`DirectionPolicy`]), and the flows re-routed are the
 //! chosen edge's CDG flow list in ascending order — the order a scan of the
 //! route set would meet them in, so re-routes and CDG deltas apply in the

@@ -48,13 +48,6 @@ impl StrategyKind {
             StrategyKind::RecoveryReconfig => "recovery-reconfig",
         }
     }
-
-    /// `true` for the one scheme that attacks individual CDG cycles (cycle
-    /// breaking); the other kinds restructure wholesale and always report
-    /// zero cycles broken.
-    pub fn breaks_cycles(self) -> bool {
-        matches!(self, StrategyKind::CycleBreaking)
-    }
 }
 
 impl fmt::Display for StrategyKind {
@@ -159,21 +152,6 @@ impl RemovalReport {
             && self.already_deadlock_free == other.already_deadlock_free
             && self.steps == other.steps
     }
-    /// Number of steps broken in the forward direction.
-    pub fn forward_breaks(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| s.direction == Direction::Forward)
-            .count()
-    }
-
-    /// Number of steps broken in the backward direction.
-    pub fn backward_breaks(&self) -> usize {
-        self.steps
-            .iter()
-            .filter(|s| s.direction == Direction::Backward)
-            .count()
-    }
 }
 
 /// One live-reconfiguration event: the response to a batch of runtime
@@ -234,11 +212,6 @@ pub struct ReconfigStats {
 }
 
 impl ReconfigStats {
-    /// Number of reconfiguration events (fault batches) processed.
-    pub fn event_count(&self) -> usize {
-        self.events.len()
-    }
-
     /// Folds one event into the aggregate counters (the event is also
     /// recorded in [`events`](Self::events)).
     pub fn record(&mut self, event: ReconfigEvent) {
@@ -256,32 +229,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn direction_counters() {
-        let report = RemovalReport {
-            added_vcs: 3,
-            cycles_broken: 2,
-            steps: vec![
-                BreakStep {
-                    cycle_len: 4,
-                    direction: Direction::Forward,
-                    vcs_added: 1,
-                    flows_rerouted: 2,
-                },
-                BreakStep {
-                    cycle_len: 3,
-                    direction: Direction::Backward,
-                    vcs_added: 2,
-                    flows_rerouted: 1,
-                },
-            ],
-            already_deadlock_free: false,
-            cdg: CdgMaintenanceStats::default(),
-        };
-        assert_eq!(report.forward_breaks(), 1);
-        assert_eq!(report.backward_breaks(), 1);
-    }
-
-    #[test]
     fn strategy_kind_names_are_stable() {
         assert_eq!(StrategyKind::ALL.len(), 4);
         let names: Vec<&str> = StrategyKind::ALL.iter().map(|k| k.name()).collect();
@@ -295,8 +242,6 @@ mod tests {
             ]
         );
         assert_eq!(StrategyKind::EscapeChannel.to_string(), "escape-channel");
-        assert!(StrategyKind::CycleBreaking.breaks_cycles());
-        assert!(!StrategyKind::RecoveryReconfig.breaks_cycles());
     }
 
     #[test]
@@ -369,7 +314,7 @@ mod tests {
             committed_cyclic: false,
         });
         stats.unreachable_flows = 1;
-        assert_eq!(stats.event_count(), 2);
+        assert_eq!(stats.events.len(), 2);
         assert_eq!(stats.epochs_committed, 2);
         assert_eq!(stats.drain_fallbacks, 1);
         assert_eq!(stats.cyclic_commits, 0);

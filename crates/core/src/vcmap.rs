@@ -86,15 +86,6 @@ impl VcMap {
         self.flow_vcs.get(flow.index())?.get(hop).copied()
     }
 
-    /// Number of hops of `flow`'s route (0 for same-switch flows and
-    /// unknown flow ids).
-    pub fn flow_hops(&self, flow: FlowId) -> usize {
-        self.flow_vcs
-            .get(flow.index())
-            .map(Vec::len)
-            .unwrap_or_default()
-    }
-
     /// Number of flows covered by the snapshot.
     pub fn flow_count(&self) -> usize {
         self.flow_vcs.len()
@@ -109,12 +100,6 @@ impl VcMap {
     /// VC-fidelity simulator must materialise.
     pub fn total_channels(&self) -> usize {
         self.link_vcs.iter().sum()
-    }
-
-    /// Extra VCs beyond the single base VC of every link — the strategy's
-    /// headline cost, matching [`Topology::extra_vc_count`].
-    pub fn extra_vcs(&self) -> usize {
-        self.link_vcs.iter().map(|&vcs| vcs.saturating_sub(1)).sum()
     }
 
     /// `true` when the assignment never leaves the base layer: every link
@@ -161,12 +146,14 @@ mod tests {
         assert_eq!(map.link_vcs(LinkId::from_index(0)), 1);
         assert_eq!(map.link_vcs(LinkId::from_index(1)), 2);
         assert_eq!(map.total_channels(), 4);
-        assert_eq!(map.extra_vcs(), topo.extra_vc_count());
+        assert_eq!(
+            map.total_channels() - map.link_count(),
+            topo.extra_vc_count()
+        );
         assert_eq!(map.assigned_vc(FlowId::from_index(0), 0), Some(0));
         assert_eq!(map.assigned_vc(FlowId::from_index(0), 1), Some(1));
         assert_eq!(map.assigned_vc(FlowId::from_index(0), 2), None);
-        assert_eq!(map.flow_hops(FlowId::from_index(0)), 2);
-        assert_eq!(map.flow_hops(FlowId::from_index(1)), 0);
+        assert_eq!(map.assigned_vc(FlowId::from_index(1), 0), None);
         assert!(!map.is_single_vc());
     }
 
@@ -176,7 +163,6 @@ mod tests {
         let map = VcMap::from_design(&topo, &routes);
         assert_eq!(map.link_vcs(LinkId::from_index(99)), 0);
         assert_eq!(map.assigned_vc(FlowId::from_index(99), 0), None);
-        assert_eq!(map.flow_hops(FlowId::from_index(99)), 0);
     }
 
     #[test]
@@ -189,6 +175,5 @@ mod tests {
         routes.set_route(FlowId::from_index(0), Route::from_links([l]));
         let map = VcMap::from_design(&topo, &routes);
         assert!(map.is_single_vc());
-        assert_eq!(map.extra_vcs(), 0);
     }
 }

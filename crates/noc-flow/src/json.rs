@@ -44,7 +44,7 @@ pub trait ToJson {
 
 /// Appends `text` as a JSON string literal (quotes included), escaping
 /// quotes, backslashes and every control character.
-pub fn write_escaped(out: &mut String, text: &str) {
+fn write_escaped(out: &mut String, text: &str) {
     out.push('"');
     for ch in text.chars() {
         match ch {

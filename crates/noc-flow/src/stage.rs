@@ -85,11 +85,6 @@ impl DesignFlow {
         self
     }
 
-    /// The communication graph this flow will design for.
-    pub fn comm(&self) -> &CommGraph {
-        &self.comm
-    }
-
     /// The flow's label (benchmark name, or `"custom"`).
     pub fn label(&self) -> &str {
         &self.label
@@ -116,7 +111,6 @@ impl DesignFlow {
             &design.routes,
         )?;
         Ok(SynthesizedStage {
-            label: self.label,
             comm: self.comm,
             topology: design.topology,
             core_map: design.core_map,
@@ -135,7 +129,6 @@ impl DesignFlow {
     ) -> Result<SynthesizedStage, FlowError> {
         validate_design(&topology, &self.comm, &core_map)?;
         Ok(SynthesizedStage {
-            label: self.label,
             comm: self.comm,
             topology,
             core_map,
@@ -148,7 +141,6 @@ impl DesignFlow {
 /// ready to be routed.
 #[derive(Debug, Clone)]
 pub struct SynthesizedStage {
-    label: String,
     comm: CommGraph,
     topology: Topology,
     core_map: CoreMap,
@@ -157,26 +149,6 @@ pub struct SynthesizedStage {
 }
 
 impl SynthesizedStage {
-    /// The synthesized (or imported) topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// The core-to-switch attachment.
-    pub fn core_map(&self) -> &CoreMap {
-        &self.core_map
-    }
-
-    /// The communication graph.
-    pub fn comm(&self) -> &CommGraph {
-        &self.comm
-    }
-
-    /// The flow's label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
     /// Routes every flow with the given scheme and validates the result.
     ///
     /// Takes `&self` so several routers can be compared on one synthesized
@@ -187,7 +159,6 @@ impl SynthesizedStage {
         let routes = router.route(&self.topology, &self.comm, &self.core_map)?;
         validate_routes(&self.topology, &self.comm, &self.core_map, &routes)?;
         Ok(RoutedStage {
-            label: self.label.clone(),
             router: router.name().to_string(),
             comm: self.comm.clone(),
             topology: self.topology.clone(),
@@ -209,7 +180,6 @@ impl SynthesizedStage {
             .clone()
             .ok_or(FlowError::NoDefaultRoutes)?;
         Ok(RoutedStage {
-            label: self.label.clone(),
             router,
             comm: self.comm.clone(),
             topology: self.topology.clone(),
@@ -222,7 +192,6 @@ impl SynthesizedStage {
 /// A fully routed design — the exact triple the deadlock analysis consumes.
 #[derive(Debug, Clone)]
 pub struct RoutedStage {
-    label: String,
     router: String,
     comm: CommGraph,
     topology: Topology,
@@ -249,11 +218,6 @@ impl RoutedStage {
     /// The core-to-switch attachment.
     pub fn core_map(&self) -> &CoreMap {
         &self.core_map
-    }
-
-    /// The flow's label.
-    pub fn label(&self) -> &str {
-        &self.label
     }
 
     /// Name of the router that produced the routes.
@@ -312,8 +276,6 @@ impl RoutedStage {
         check_deadlock_free(&topology, &routes).map_err(FlowError::StillCyclic)?;
         validate_routes(&topology, &self.comm, &self.core_map, &routes)?;
         Ok(DeadlockFreeStage {
-            label: self.label.clone(),
-            router: self.router.clone(),
             comm: self.comm.clone(),
             topology,
             core_map: self.core_map.clone(),
@@ -350,7 +312,7 @@ impl RoutedStage {
 
     /// Area/power estimate of the design as routed (the "original" bars of
     /// Figure 10).
-    pub fn power(&self, params: TechParams) -> NetworkEstimate {
+    pub(crate) fn power(&self, params: TechParams) -> NetworkEstimate {
         let _span = noc_telemetry::span("stage", "power");
         NetworkPowerModel::new(params).estimate(&self.topology, &self.comm, &self.routes)
     }
@@ -359,8 +321,6 @@ impl RoutedStage {
 /// A design whose CDG has been verified acyclic: it cannot deadlock.
 #[derive(Debug, Clone)]
 pub struct DeadlockFreeStage {
-    label: String,
-    router: String,
     comm: CommGraph,
     topology: Topology,
     core_map: CoreMap,
@@ -389,16 +349,6 @@ impl DeadlockFreeStage {
         &self.core_map
     }
 
-    /// The flow's label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// Name of the router that produced the input routes.
-    pub fn router_name(&self) -> &str {
-        &self.router
-    }
-
     /// What the deadlock strategy did (VCs added, cycles broken, reports).
     pub fn resolution(&self) -> &DeadlockResolution {
         &self.resolution
@@ -410,7 +360,7 @@ impl DeadlockFreeStage {
     /// this takes the fast path and must report
     /// [`CertifyVerdict::CertifiedFree`](noc_deadlock::certify::CertifyVerdict) —
     /// the sound end of the three-way verifier lattice.
-    pub fn certify(&self) -> CertifyReport {
+    pub(crate) fn certify(&self) -> CertifyReport {
         let _span = noc_telemetry::span("stage", "certify");
         certify_deadlock_free(&self.topology, &self.routes)
     }

@@ -186,14 +186,6 @@ impl Default for EscapeChannel {
     }
 }
 
-impl EscapeChannel {
-    /// Escape channels over the up*/down* order rooted at `root` (the
-    /// default uses switch 0, which always exists in a non-empty design).
-    pub fn rooted_at(root: SwitchId) -> Self {
-        EscapeChannel { root }
-    }
-}
-
 impl DeadlockStrategy for EscapeChannel {
     fn name(&self) -> &str {
         "escape-channel"
@@ -230,13 +222,6 @@ impl Default for RecoveryReconfig {
         RecoveryReconfig {
             root: SwitchId::from_index(0),
         }
-    }
-}
-
-impl RecoveryReconfig {
-    /// Recovery routing over the up*/down* order rooted at `root`.
-    pub fn rooted_at(root: SwitchId) -> Self {
-        RecoveryReconfig { root }
     }
 }
 

@@ -160,7 +160,7 @@ pub struct CertifyOutcome {
 
 impl CertifyOutcome {
     /// Summarises a certification report.
-    pub fn from_report(report: &CertifyReport) -> Self {
+    fn from_report(report: &CertifyReport) -> Self {
         CertifyOutcome {
             verdict: report.verdict.name().to_string(),
             cdg_cyclic: report.cyclic_cdg,
@@ -490,16 +490,6 @@ pub struct PreparedPoint {
 }
 
 impl PreparedPoint {
-    /// The benchmark this point was prepared for.
-    pub fn benchmark(&self) -> Benchmark {
-        self.benchmark
-    }
-
-    /// The switch count this point was prepared for.
-    pub fn switch_count(&self) -> usize {
-        self.switch_count
-    }
-
     /// Assembles the final point from the per-strategy outcomes (in
     /// strategy declaration order) — identical to what [`FlowSweep::run`]
     /// produces for this point.

@@ -20,8 +20,8 @@
 //! The read side ([`TraceSummary`]) parses a trace file back and answers
 //! the profiling question directly: per-phase self time (nested
 //! same-category spans are not double-counted) and the share of wall time
-//! attributed to named phases, where wall time is the root span — see
-//! [`TraceSummary::attribution_pct`].
+//! attributed to named phases, where wall time is the root span — the
+//! header of [`TraceSummary::render_table`].
 
 use crate::json::{
     write_atomic, ArtifactError, JsonValue, ObjectWriter, ParsedArtifact, ToJson, SCHEMA_VERSION,
@@ -204,7 +204,7 @@ impl<'a> TraceArtifact<'a> {
     /// newline-terminated.  Complete events are sorted by start time (ties
     /// by enter sequence) so per-thread timestamps are monotone, with
     /// `thread_name` metadata events first.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let mut events: Vec<&SpanEvent> = self.snapshot.spans.iter().collect();
         events.sort_by_key(|s| (s.start_us, s.enter_seq));
         let mut event_json = String::new();
@@ -479,7 +479,7 @@ impl TraceSummary {
 
     /// Share of root-span wall time covered by named phases, in percent
     /// (100.0 when the trace has no wall time at all).
-    pub fn attribution_pct(&self) -> f64 {
+    fn attribution_pct(&self) -> f64 {
         if self.wall_us == 0 {
             return 100.0;
         }

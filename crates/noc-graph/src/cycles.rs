@@ -213,7 +213,7 @@ pub fn smallest_cycle_by<N, E, K: Ord>(
 ///    saw, the tail of every edge id that was live then, and that query's
 ///    strongly connected components.  A query reads the edits off the
 ///    graph's edge arena: ids at or past the last query's
-///    [`DiGraph::edge_id_bound`] are new, and a kept tail whose edge is no
+///    `DiGraph::edge_id_bound` are new, and a kept tail whose edge is no
 ///    longer live marks a removal.  Only the rows of those tails are read
 ///    again from the graph; diffing them against the kept rows gives the
 ///    removed and added edges, deduplicated, without any hint from the

@@ -41,7 +41,7 @@ pub struct EdgeId(usize);
 
 impl EdgeId {
     /// Creates an edge id from a raw dense index.
-    pub fn from_index(index: usize) -> Self {
+    pub(crate) fn from_index(index: usize) -> Self {
         EdgeId(index)
     }
 
@@ -196,7 +196,7 @@ impl<N, E> DiGraph<N, E> {
     /// Edge ids are allocated in ascending order and never reused, so the
     /// edges added since this value was last read are exactly the ids at or
     /// past it.
-    pub fn edge_id_bound(&self) -> usize {
+    pub(crate) fn edge_id_bound(&self) -> usize {
         self.edges.len()
     }
 
@@ -208,11 +208,6 @@ impl<N, E> DiGraph<N, E> {
     /// Returns a reference to the payload of `node`, if it exists.
     pub fn node_weight(&self, node: NodeId) -> Option<&N> {
         self.nodes.get(node.0)
-    }
-
-    /// Returns a mutable reference to the payload of `node`, if it exists.
-    pub fn node_weight_mut(&mut self, node: NodeId) -> Option<&mut N> {
-        self.nodes.get_mut(node.0)
     }
 
     /// Returns a reference to the payload of `edge` if it exists and is live.
@@ -232,7 +227,7 @@ impl<N, E> DiGraph<N, E> {
     }
 
     /// Returns the `(source, target)` endpoints of a live edge.
-    pub fn edge_endpoints(&self, edge: EdgeId) -> Option<(NodeId, NodeId)> {
+    pub(crate) fn edge_endpoints(&self, edge: EdgeId) -> Option<(NodeId, NodeId)> {
         self.edges
             .get(edge.0)
             .filter(|e| !e.removed)
@@ -340,8 +335,6 @@ mod tests {
     fn node_and_edge_weights() {
         let (mut g, n) = sample();
         assert_eq!(g.node_weight(n[1]), Some(&"b"));
-        *g.node_weight_mut(n[1]).unwrap() = "B";
-        assert_eq!(g.node_weight(n[1]), Some(&"B"));
 
         let e = g.find_edge(n[0], n[1]).unwrap();
         assert_eq!(g.edge_weight(e), Some(&1));

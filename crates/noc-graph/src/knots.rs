@@ -39,7 +39,7 @@ fn sink_components<'a, N, E>(
 /// The **cyclic knots** of `graph`: sink components that contain a cycle
 /// (more than one node, or a single node with a self-loop).  Empty iff every
 /// cycle of the graph can reach an escape successor outside its component.
-pub fn knots<N, E>(graph: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
+fn knots<N, E>(graph: &DiGraph<N, E>) -> Vec<Vec<NodeId>> {
     let components = scc::components(graph);
     sink_components(graph, &components)
         .filter(|&id| components.is_cyclic(id))

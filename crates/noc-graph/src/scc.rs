@@ -42,7 +42,7 @@ pub struct Components {
 
 impl Components {
     /// Number of components.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cyclic.len()
     }
 
@@ -63,7 +63,7 @@ impl Components {
 
     /// `true` when component `id` contains a cycle: more than one node, or
     /// a single node with a self-loop.
-    pub fn is_cyclic(&self, id: usize) -> bool {
+    pub(crate) fn is_cyclic(&self, id: usize) -> bool {
         self.cyclic[id]
     }
 

@@ -17,7 +17,7 @@
 //! job store.
 
 use noc_flow::json::{write_atomic, JsonValue, ObjectWriter, RawJson};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// A content-addressed task-result cache rooted at a directory.
 #[derive(Debug, Clone)]
@@ -30,11 +30,6 @@ impl ArtifactCache {
     /// rooted at `root`.
     pub fn new(root: impl Into<PathBuf>) -> Self {
         ArtifactCache { root: root.into() }
-    }
-
-    /// The cache root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     fn entry_path(&self, digest: &str) -> PathBuf {

@@ -19,7 +19,7 @@ const K: [u32; 64] = [
 ];
 
 /// Computes the SHA-256 digest of `data`.
-pub fn sha256(data: &[u8]) -> [u8; 32] {
+fn sha256(data: &[u8]) -> [u8; 32] {
     // Initial hash values: first 32 bits of the fractional parts of the
     // square roots of the first 8 primes.
     let mut h: [u32; 8] = [
@@ -93,8 +93,8 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
     out
 }
 
-/// [`sha256`] rendered as 64 lowercase hex characters — the form job and
-/// task digests take on disk and in spec records.
+/// The SHA-256 digest of `data` as 64 lowercase hex characters — the form
+/// job and task digests take on disk and in spec records.
 pub fn sha256_hex(data: &[u8]) -> String {
     let digest = sha256(data);
     let mut out = String::with_capacity(64);

@@ -18,7 +18,7 @@ use noc_flow::json::{JsonValue, ToJson, SCHEMA_VERSION};
 /// configuration; `threads` (optional, default `0` = auto-size) is the
 /// worker-pool width.  Neither `id` nor `threads` is part of the job's
 /// *identity*: two requests for the same figure with the same params are
-/// the same job — see [`JobRequest::canonical`].
+/// the same job — see [`JobRequest::digest`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRequest {
     /// Client-chosen handle (may be empty).
@@ -91,80 +91,52 @@ impl JobRequest {
     /// reuses stale cached results).  `id` and `threads` are deliberately
     /// excluded — they change how and where a job runs, not what it
     /// computes.
-    pub fn canonical(&self) -> String {
+    pub(crate) fn canonical(&self) -> String {
         let mut out = String::from("{\"figure\":");
         self.figure.write_json(&mut out);
         out.push_str(",\"params\":");
-        write_canonical(&self.params, &mut out);
+        sorted_keys(&self.params).write_json(&mut out);
         out.push_str(&format!(",\"schema\":{SCHEMA_VERSION}}}"));
         out
     }
 
-    /// SHA-256 hex digest of [`JobRequest::canonical`] — the job's
-    /// content-hash key in store directories and the result cache.
+    /// SHA-256 hex digest of the job's canonical identity (figure,
+    /// recursively key-sorted params and artifact schema version; `id` and
+    /// `threads` excluded) — its content-hash key in store directories and
+    /// the result cache.
     pub fn digest(&self) -> String {
         sha256_hex(self.canonical().as_bytes())
     }
 
     /// Renders the request back to its wire form (document key order).
-    pub fn to_json_string(&self) -> String {
+    pub(crate) fn to_json_string(&self) -> String {
         let mut out = String::from("{\"id\":");
         self.id.write_json(&mut out);
         out.push_str(",\"figure\":");
         self.figure.write_json(&mut out);
         out.push_str(",\"params\":");
-        write_value(&self.params, &mut out);
+        self.params.write_json(&mut out);
         out.push_str(&format!(",\"threads\":{}}}", self.threads));
         out
     }
 }
 
-/// Renders a parsed [`JsonValue`] preserving document key order.
-pub fn write_value(value: &JsonValue, out: &mut String) {
-    write_json_value(value, out, false);
-}
-
-/// Renders a parsed [`JsonValue`] in canonical form: object keys
-/// recursively sorted (bytewise), numbers through the writer's
-/// shortest-round-trip `f64` rendering.  Two specs that parse to the same
-/// value always canonicalize to the same bytes — the property the digest
-/// keys rely on.
-pub fn write_canonical(value: &JsonValue, out: &mut String) {
-    write_json_value(value, out, true);
-}
-
-fn write_json_value(value: &JsonValue, out: &mut String, canonical: bool) {
+/// `value` with object keys recursively sorted (bytewise; the sort is
+/// stable, so repeated keys keep their document order).  Rendered through
+/// [`ToJson`], two specs that parse to the same value always canonicalize
+/// to the same bytes — the property the digest keys rely on.
+fn sorted_keys(value: &JsonValue) -> JsonValue {
     match value {
-        JsonValue::Null => out.push_str("null"),
-        JsonValue::Bool(b) => b.write_json(out),
-        JsonValue::Number(n) => n.write_json(out),
-        JsonValue::String(s) => s.write_json(out),
-        JsonValue::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_json_value(item, out, canonical);
-            }
-            out.push(']');
-        }
+        JsonValue::Array(items) => JsonValue::Array(items.iter().map(sorted_keys).collect()),
         JsonValue::Object(fields) => {
-            let mut ordered: Vec<&(String, JsonValue)> = fields.iter().collect();
-            if canonical {
-                ordered.sort_by(|a, b| a.0.cmp(&b.0));
-            }
-            out.push('{');
-            for (i, (key, field)) in ordered.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                key.write_json(out);
-                out.push(':');
-                write_json_value(field, out, canonical);
-            }
-            out.push('}');
+            let mut fields: Vec<(String, JsonValue)> = fields
+                .iter()
+                .map(|(key, field)| (key.clone(), sorted_keys(field)))
+                .collect();
+            fields.sort_by(|a, b| a.0.cmp(&b.0));
+            JsonValue::Object(fields)
         }
+        other => other.clone(),
     }
 }
 
@@ -230,6 +202,31 @@ mod tests {
         .unwrap();
         assert_eq!(a.canonical(), b.canonical());
         assert!(a.canonical().contains("\"a\":3,\"b\":{\"x\":2,\"y\":1}"));
+    }
+
+    #[test]
+    fn identity_bytes_are_pinned() {
+        // Store directories and cache entries are keyed by these bytes: a
+        // writer change that alters them orphans every stored job.
+        let request = JobRequest::from_json(
+            r#"{"figure":"fig_strategy_matrix","threads":2,"params":
+               {"z":{"b":[1,0.25,{"y":"caf\u00e9 \"q\"\\\n\u0001","x":null}],"a":true},
+                "n":12345678901234567,"m":-1.5e-7,"big":1e21}}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            request.canonical(),
+            r#"{"figure":"fig_strategy_matrix","params":{"big":1000000000000000000000,"m":-0.00000015,"n":12345678901234568,"z":{"a":true,"b":[1,0.25,{"x":null,"y":"café \"q\"\\\n\u0001"}]}},"schema":9}"#
+        );
+        assert_eq!(
+            request.digest(),
+            "f1b9f5661237fe677cf0bbd21707801db8acacff37592cacdbaa05f31b37e5a3"
+        );
+        // The wire form keeps document key order.
+        assert_eq!(
+            request.to_json_string(),
+            r#"{"id":"","figure":"fig_strategy_matrix","params":{"z":{"b":[1,0.25,{"y":"café \"q\"\\\n\u0001","x":null}],"a":true},"n":12345678901234568,"m":-0.00000015,"big":1000000000000000000000},"threads":2}"#
+        );
     }
 
     #[test]

@@ -231,19 +231,9 @@ impl JobStore {
         Ok(records)
     }
 
-    /// The job directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The spec this store was opened with.
     pub fn spec(&self) -> &JobRequest {
         &self.spec
-    }
-
-    /// The spec's canonical digest (stamped on every record).
-    pub fn spec_digest(&self) -> &str {
-        &self.spec_digest
     }
 
     /// The replayed (plus newly recorded) completions, by task index.
@@ -281,17 +271,17 @@ impl JobStore {
     /// Drops recorded completions whose index is outside the job's task
     /// list (e.g. after a source shrank its grid) so assembly never splices
     /// orphaned results.
-    pub fn forget_beyond(&mut self, task_count: usize) {
+    pub(crate) fn forget_beyond(&mut self, task_count: usize) {
         self.records.retain(|&index, _| index < task_count);
     }
 
     /// Path of the committed artifact.
-    pub fn artifact_path(&self) -> PathBuf {
+    pub(crate) fn artifact_path(&self) -> PathBuf {
         self.dir.join("artifact.json")
     }
 
     /// The committed artifact text, if the job has finished before.
-    pub fn committed_artifact(&self) -> Option<String> {
+    pub(crate) fn committed_artifact(&self) -> Option<String> {
         std::fs::read_to_string(self.artifact_path()).ok()
     }
 

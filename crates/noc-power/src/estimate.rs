@@ -3,7 +3,7 @@
 use crate::params::TechParams;
 use crate::switch::{estimate_switch, SwitchEstimate, SwitchGeometry};
 use noc_routing::RouteSet;
-use noc_topology::{CommGraph, SwitchId, Topology};
+use noc_topology::{CommGraph, Topology};
 
 /// Aggregate estimate for a routed NoC design.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -16,15 +16,6 @@ pub struct NetworkEstimate {
     pub total_power_mw: f64,
     /// Total switch area in µm².
     pub total_area_um2: f64,
-}
-
-impl NetworkEstimate {
-    /// Power of one switch in mW.
-    pub fn switch_power_mw(&self, switch: SwitchId) -> Option<f64> {
-        self.switches
-            .get(switch.index())
-            .map(SwitchEstimate::total_power_mw)
-    }
 }
 
 /// ORION-style network-level power and area model.
@@ -154,11 +145,7 @@ mod tests {
         assert!(e.link_power_mw > 0.0);
         let switch_sum: f64 = e.switches.iter().map(|s| s.total_power_mw()).sum();
         assert!((switch_sum + e.link_power_mw - e.total_power_mw).abs() < 1e-9);
-        assert!(
-            e.switch_power_mw(noc_topology::SwitchId::from_index(0))
-                .unwrap()
-                > 0.0
-        );
+        assert!(e.switches[0].total_power_mw() > 0.0);
     }
 
     #[test]

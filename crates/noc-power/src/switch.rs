@@ -16,17 +16,17 @@ pub struct SwitchGeometry {
 
 impl SwitchGeometry {
     /// Total input ports including the local injection port.
-    pub fn in_ports(&self) -> usize {
+    fn in_ports(&self) -> usize {
         self.in_links + 1
     }
 
     /// Total output ports including the local ejection port.
-    pub fn out_ports(&self) -> usize {
+    fn out_ports(&self) -> usize {
         self.out_links + 1
     }
 
     /// Buffers including the single local-port buffer.
-    pub fn buffers(&self) -> usize {
+    fn buffers(&self) -> usize {
         self.input_buffers + 1
     }
 }
@@ -48,12 +48,12 @@ pub struct SwitchEstimate {
 
 impl SwitchEstimate {
     /// Total switch area in µm².
-    pub fn total_area_um2(&self) -> f64 {
+    pub(crate) fn total_area_um2(&self) -> f64 {
         self.buffer_area_um2 + self.crossbar_area_um2 + self.arbiter_area_um2
     }
 
     /// Total switch power in mW.
-    pub fn total_power_mw(&self) -> f64 {
+    pub(crate) fn total_power_mw(&self) -> f64 {
         self.dynamic_power_mw + self.leakage_power_mw
     }
 }
@@ -65,7 +65,7 @@ impl SwitchEstimate {
 /// terms while area and leakage depend only on the geometry — which is why
 /// adding VCs (buffers) costs area and leakage even on idle links, the
 /// effect behind the paper's Figure 10.
-pub fn estimate_switch(
+pub(crate) fn estimate_switch(
     geometry: SwitchGeometry,
     load_flits_per_cycle: f64,
     params: &TechParams,

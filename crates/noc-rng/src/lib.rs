@@ -75,7 +75,7 @@ impl SmallRng {
     }
 
     /// A uniform `f64` in `[0, 1)` (53 mantissa bits).
-    pub fn next_f64(&mut self) -> f64 {
+    fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 

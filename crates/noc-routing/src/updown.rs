@@ -87,7 +87,7 @@ impl UpDownLabels {
     }
 
     /// BFS level of a switch (0 for the root), or `None` if unreachable.
-    pub fn level(&self, switch: SwitchId) -> Option<usize> {
+    fn level(&self, switch: SwitchId) -> Option<usize> {
         self.level.get(switch.index()).copied().flatten()
     }
 
@@ -365,8 +365,7 @@ mod tests {
         let mut faults = FaultSet::new(&t);
         let fwd = t.find_link(sw[0], sw[1]).unwrap();
         let back = t.find_link(sw[1], sw[0]).unwrap();
-        faults.fail_link(fwd);
-        faults.fail_link(back);
+        faults.fail_link_pair(&t, fwd);
         let labels = UpDownLabels::surviving(&t, sw[0], &faults);
         for i in 0..6 {
             for j in 0..6 {

@@ -45,12 +45,12 @@ impl MeshCoords {
     }
 
     /// The switch at `(row, col)`.
-    pub fn at(&self, row: usize, col: usize) -> SwitchId {
+    fn at(&self, row: usize, col: usize) -> SwitchId {
         self.switches[row * self.cols + col]
     }
 
     /// The `(row, col)` position of `switch`, if it belongs to the mesh.
-    pub fn position(&self, switch: SwitchId) -> Option<(usize, usize)> {
+    fn position(&self, switch: SwitchId) -> Option<(usize, usize)> {
         self.switches
             .iter()
             .position(|&s| s == switch)

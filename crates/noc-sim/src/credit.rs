@@ -104,7 +104,7 @@ impl CreditBook {
 
     /// Immediately restores one credit of `channel` (used when a drained
     /// flit is removed from a buffer outside the normal forwarding path).
-    pub fn restore(&mut self, channel: usize) {
+    fn restore(&mut self, channel: usize) {
         assert!(
             self.available[channel] < self.depth,
             "credit overflow on channel {channel}"
@@ -115,7 +115,7 @@ impl CreditBook {
     /// Discards every in-flight credit of the book (used together with
     /// [`restore`](Self::restore) when a drain rewrites buffer contents
     /// wholesale — the caller re-derives availability from the buffers).
-    pub fn reset_from_occupancy(&mut self, occupancy: impl IntoIterator<Item = usize>) {
+    pub(crate) fn reset_from_occupancy(&mut self, occupancy: impl IntoIterator<Item = usize>) {
         self.in_flight.clear();
         for (channel, used) in occupancy.into_iter().enumerate() {
             assert!(used <= self.depth, "buffer deeper than the credit depth");

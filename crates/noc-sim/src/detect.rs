@@ -54,11 +54,10 @@ pub enum WaitTarget {
 
 /// A reusable wait-for graph over dense channels and packet slots.
 ///
-/// Fill one state with [`begin`](Self::begin), then any number of
-/// [`channel`](Self::channel), [`flit`](Self::flit) and
-/// [`injection`](Self::injection) calls in any order, and read the verdict
-/// with [`dead_slots`](Self::dead_slots).  Channel `c` is node `c`, and the
-/// packet in slab slot `s` is node `channels + s`.
+/// Fill one state with `begin`, then any number of `channel`, `flit` and
+/// `injection` calls in any order, and read the verdict with `dead_slots`.
+/// Channel `c` is node `c`, and the packet in slab slot `s` is node
+/// `channels + s`.
 #[derive(Debug, Clone, Default)]
 pub struct WaitGraph {
     channels: usize,
@@ -81,13 +80,13 @@ pub struct WaitGraph {
 
 impl WaitGraph {
     /// An empty graph.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Starts a new state over `channels` channels and packet slots
     /// `0..slots`, forgetting the previous one.
-    pub fn begin(&mut self, channels: usize, slots: usize) {
+    pub(crate) fn begin(&mut self, channels: usize, slots: usize) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
             // Wrapped: stale stamps could collide with the new epoch.
@@ -110,14 +109,14 @@ impl WaitGraph {
 
     /// Declares the head-of-line flit of occupied `channel`: it can move
     /// now, or it waits on any one of `waits` (ignored when `can_move`).
-    pub fn channel(&mut self, channel: usize, can_move: bool, waits: &[WaitTarget]) {
+    pub(crate) fn channel(&mut self, channel: usize, can_move: bool, waits: &[WaitTarget]) {
         self.movement(channel, can_move, waits);
     }
 
     /// Declares that `channel` buffers at least one flit of the packet in
     /// `slot`: the packet is reported unless it can move, and it is
     /// liberated whenever the channel is.
-    pub fn flit(&mut self, channel: usize, slot: usize, id: PacketId) {
+    pub(crate) fn flit(&mut self, channel: usize, slot: usize, id: PacketId) {
         let node = self.hold(slot, id);
         self.liberates_on(channel, node);
     }
@@ -131,7 +130,7 @@ impl WaitGraph {
     /// leading flits all ejected while its tail is still at the source
     /// keeps every claimed channel — so it is reported when it can never
     /// move again.  An injector holding nothing is never reported.
-    pub fn injection(
+    pub(crate) fn injection(
         &mut self,
         slot: usize,
         id: PacketId,
@@ -155,7 +154,7 @@ impl WaitGraph {
     /// A packet that is neither buffered nor injecting is never seeded and
     /// never liberated, so a wait on it (its owner released everything
     /// already) never fires.
-    pub fn dead_slots(&mut self) -> Vec<usize> {
+    pub(crate) fn dead_slots(&mut self) -> Vec<usize> {
         let epoch = self.epoch;
         while let Some(node) = self.stack.pop() {
             if self.edges[node] != epoch {

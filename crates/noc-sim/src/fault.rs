@@ -123,11 +123,6 @@ impl FaultPlan {
         &self.events
     }
 
-    /// Cycle of the last scheduled event (fault or repair), if any.
-    pub fn last_event_cycle(&self) -> Option<u64> {
-        self.events.last().map(|e| e.cycle)
-    }
-
     /// Replays the whole plan into a [`FaultSet`] with the simulator's
     /// cable-fault (pair) semantics: the cumulative failure state after the
     /// last event.  Harnesses use it with
@@ -217,7 +212,6 @@ mod tests {
         let plan = FaultPlan::none();
         assert!(plan.is_empty());
         assert_eq!(plan.events(), &[]);
-        assert_eq!(plan.last_event_cycle(), None);
     }
 
     #[test]
@@ -241,7 +235,6 @@ mod tests {
         assert_eq!(cycles, vec![100, 300, 300]);
         // Stable: the same-cycle pair keeps its given order.
         assert_eq!(plan.events()[1].kind, FaultKind::LinkDown(l(2)));
-        assert_eq!(plan.last_event_cycle(), Some(300));
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan, StormConfig};
 pub use packet::{Flit, FlitKind, Packet, PacketId};
 pub use policy::{AdaptiveEscape, AssignedVc, SingleVc, VcChoice, VcPolicy};
 pub use stats::{LatencyBucket, SimStats};
-pub use traffic::{TrafficConfig, TrafficPattern};
+pub use traffic::TrafficConfig;
 pub use vc_engine::{
     DeadlockEvent, DetectionKind, DrainStats, VcSimConfig, VcSimOutcome, VcSimulator,
 };

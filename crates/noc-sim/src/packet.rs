@@ -51,7 +51,7 @@ pub struct Packet {
 
 impl Packet {
     /// Builds the flit sequence of this packet.
-    pub fn flits(&self) -> Vec<Flit> {
+    pub(crate) fn flits(&self) -> Vec<Flit> {
         if self.length == 1 {
             return vec![Flit {
                 packet: self.id,

@@ -2,43 +2,11 @@
 
 use crate::packet::{Packet, PacketId};
 use noc_rng::SmallRng;
-use noc_topology::{CommGraph, CoreId, FlowId};
+use noc_topology::CommGraph;
 
-/// The temporal / spatial shape of the generated workload.
-///
-/// All patterns are deterministic per [`TrafficConfig::seed`] (jitter comes
-/// from `noc-rng`), so every scenario is reproducible run-to-run.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum TrafficPattern {
-    /// Every flow injects [`TrafficConfig::packets_per_flow`] packets with
-    /// bandwidth-scaled inter-arrival gaps (the original generator).
-    #[default]
-    Uniform,
-    /// Like [`Uniform`](Self::Uniform), but the flows converging on the
-    /// *hotspot core* — the core with the highest total incoming bandwidth
-    /// demand (ties: lowest core id) — inject `factor` times as many packets,
-    /// concentrating pressure on one region of the network.
-    Hotspot {
-        /// Packet-count multiplier for flows into the hotspot core (values
-        /// below 1.0 are clamped to 1.0; a factor of 1.0 degenerates to
-        /// uniform traffic).
-        factor: f64,
-    },
-    /// Packets arrive in back-to-back bursts of `burst_len` packets,
-    /// separated by an idle gap drawn uniformly from
-    /// `[idle_cycles, 2·idle_cycles]` — on/off traffic, the bursty pattern
-    /// wormhole networks saturate under first.
-    Burst {
-        /// Packets per burst (clamped to at least 1).
-        burst_len: usize,
-        /// Minimum idle gap between bursts, in cycles; the actual gap is
-        /// drawn uniformly from `[idle_cycles, 2·idle_cycles]` (mean
-        /// 1.5·`idle_cycles`).
-        idle_cycles: u64,
-    },
-}
-
-/// Traffic-generation parameters.
+/// Traffic-generation parameters of [`generate_workload`]: how many
+/// packets every flow injects, how long they are, how far apart they
+/// arrive, and the seed of the arrival jitter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficConfig {
     /// Number of packets injected per flow.
@@ -53,8 +21,6 @@ pub struct TrafficConfig {
     pub mean_gap_cycles: u64,
     /// RNG seed for the jitter on inter-arrival times.
     pub seed: u64,
-    /// Spatial/temporal workload shape (uniform, hotspot or bursty).
-    pub pattern: TrafficPattern,
 }
 
 impl Default for TrafficConfig {
@@ -64,7 +30,6 @@ impl Default for TrafficConfig {
             packet_length: 4,
             mean_gap_cycles: 0,
             seed: 0xD1CE,
-            pattern: TrafficPattern::Uniform,
         }
     }
 }
@@ -89,41 +54,15 @@ impl Workload {
     }
 }
 
-/// The core with the highest total incoming bandwidth demand (ties: lowest
-/// core id), or `None` when the graph has no flows — the hotspot the
-/// [`TrafficPattern::Hotspot`] pattern concentrates traffic on.
-pub fn hotspot_core(comm: &CommGraph) -> Option<CoreId> {
-    // One accumulation pass over the flows instead of re-summing each
-    // destination's incoming bandwidth per flow (which would be O(flows²)).
-    let mut incoming: std::collections::BTreeMap<CoreId, f64> = std::collections::BTreeMap::new();
-    for (_, flow) in comm.flows() {
-        *incoming.entry(flow.destination).or_insert(0.0) += flow.bandwidth;
-    }
-    incoming
-        .into_iter()
-        // BTreeMap iterates in ascending core order, so a strict `>` keeps
-        // the lowest core id on ties.
-        .fold(None, |best: Option<(CoreId, f64)>, (core, bw)| match best {
-            Some((_, best_bw)) if best_bw >= bw => best,
-            _ => Some((core, bw)),
-        })
-        .map(|(core, _)| core)
-}
-
-/// Generates the packet workload for every flow of `comm` under the
-/// configured [`TrafficPattern`].
+/// Generates the packet workload for every flow of `comm`: each flow
+/// injects [`TrafficConfig::packets_per_flow`] packets, and flows whose
+/// bandwidth is higher relative to the maximum flow get proportionally
+/// smaller inter-arrival gaps.
 ///
-/// Under [`Uniform`](TrafficPattern::Uniform) and
-/// [`Hotspot`](TrafficPattern::Hotspot), flows whose bandwidth is higher
-/// relative to the maximum flow get proportionally smaller inter-arrival
-/// gaps; under [`Burst`](TrafficPattern::Burst) packets arrive
-/// back-to-back within a burst and idle between bursts.
+/// The workload is deterministic per [`TrafficConfig::seed`] (jitter comes
+/// from `noc-rng`), so every scenario is reproducible run-to-run.
 pub fn generate_workload(comm: &CommGraph, config: &TrafficConfig) -> Workload {
     let mut rng = SmallRng::seed_from_u64(config.seed);
-    let hotspot = match config.pattern {
-        TrafficPattern::Hotspot { .. } => hotspot_core(comm),
-        _ => None,
-    };
     let max_bw = comm
         .flows()
         .map(|(_, f)| f.bandwidth)
@@ -133,14 +72,8 @@ pub fn generate_workload(comm: &CommGraph, config: &TrafficConfig) -> Workload {
     let mut next_id = 0usize;
     for (flow_id, flow) in comm.flows() {
         let relative = (flow.bandwidth / max_bw).clamp(0.05, 1.0);
-        let count = match config.pattern {
-            TrafficPattern::Hotspot { factor } if hotspot == Some(flow.destination) => {
-                (config.packets_per_flow as f64 * factor.max(1.0)).ceil() as usize
-            }
-            _ => config.packets_per_flow,
-        };
         let mut time = 0u64;
-        for index in 0..count {
+        for _ in 0..config.packets_per_flow {
             packets.push(Packet {
                 id: PacketId(next_id),
                 flow: flow_id,
@@ -148,44 +81,20 @@ pub fn generate_workload(comm: &CommGraph, config: &TrafficConfig) -> Workload {
                 created_at: time,
             });
             next_id += 1;
-            let gap = match config.pattern {
-                TrafficPattern::Uniform | TrafficPattern::Hotspot { .. } => {
-                    if config.mean_gap_cycles == 0 {
-                        0
-                    } else {
-                        let scaled = (config.mean_gap_cycles as f64 / relative).round() as u64;
-                        rng.gen_range(0..=scaled.max(1))
-                    }
-                }
-                TrafficPattern::Burst {
-                    burst_len,
-                    idle_cycles,
-                } => {
-                    if (index + 1).is_multiple_of(burst_len.max(1)) && idle_cycles > 0 {
-                        rng.gen_range(idle_cycles..=2 * idle_cycles)
-                    } else {
-                        0
-                    }
-                }
-            };
-            time += gap;
+            if config.mean_gap_cycles > 0 {
+                let scaled = (config.mean_gap_cycles as f64 / relative).round() as u64;
+                time += rng.gen_range(0..=scaled.max(1));
+            }
         }
     }
     packets.sort_by_key(|p| (p.created_at, p.id.0));
     Workload { packets }
 }
 
-/// Convenience: the set of flows that actually appear in a workload.
-pub fn flows_in(workload: &Workload) -> Vec<FlowId> {
-    let mut flows: Vec<FlowId> = workload.packets.iter().map(|p| p.flow).collect();
-    flows.sort();
-    flows.dedup();
-    flows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_topology::FlowId;
 
     fn comm() -> CommGraph {
         let mut g = CommGraph::new();
@@ -202,7 +111,13 @@ mod tests {
         let workload = generate_workload(&comm(), &TrafficConfig::default());
         assert_eq!(workload.len(), 16);
         assert!(!workload.is_empty());
-        assert_eq!(flows_in(&workload).len(), 2);
+        for flow in 0..2 {
+            let flow = FlowId::from_index(flow);
+            assert_eq!(
+                workload.packets.iter().filter(|p| p.flow == flow).count(),
+                8
+            );
+        }
     }
 
     #[test]
@@ -235,24 +150,14 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic_per_seed() {
-        for pattern in [
-            TrafficPattern::Uniform,
-            TrafficPattern::Hotspot { factor: 2.0 },
-            TrafficPattern::Burst {
-                burst_len: 3,
-                idle_cycles: 10,
-            },
-        ] {
-            let config = TrafficConfig {
-                mean_gap_cycles: 10,
-                pattern,
-                ..TrafficConfig::default()
-            };
-            assert_eq!(
-                generate_workload(&comm(), &config),
-                generate_workload(&comm(), &config)
-            );
-        }
+        let config = TrafficConfig {
+            mean_gap_cycles: 10,
+            ..TrafficConfig::default()
+        };
+        assert_eq!(
+            generate_workload(&comm(), &config),
+            generate_workload(&comm(), &config)
+        );
     }
 
     #[test]
@@ -272,89 +177,5 @@ mod tests {
         };
         let workload = generate_workload(&comm(), &config);
         assert!(workload.packets.iter().all(|p| p.length == 1));
-    }
-
-    #[test]
-    fn hotspot_core_is_the_heaviest_destination() {
-        // b receives 800, c receives 100: the hotspot is b.
-        assert_eq!(hotspot_core(&comm()), Some(CoreId::from_index(1)));
-        assert_eq!(hotspot_core(&CommGraph::new()), None);
-    }
-
-    #[test]
-    fn hotspot_pattern_multiplies_the_hot_flows() {
-        let config = TrafficConfig {
-            pattern: TrafficPattern::Hotspot { factor: 3.0 },
-            ..TrafficConfig::default()
-        };
-        let workload = generate_workload(&comm(), &config);
-        let count = |flow: usize| {
-            workload
-                .packets
-                .iter()
-                .filter(|p| p.flow == FlowId::from_index(flow))
-                .count()
-        };
-        // Flow 0 targets the hotspot core b: 3x the packets.
-        assert_eq!(count(0), 24);
-        assert_eq!(count(1), 8);
-        // Sub-unit factors degenerate to uniform counts.
-        let config = TrafficConfig {
-            pattern: TrafficPattern::Hotspot { factor: 0.1 },
-            ..TrafficConfig::default()
-        };
-        let workload = generate_workload(&comm(), &config);
-        assert_eq!(workload.len(), 16);
-    }
-
-    #[test]
-    fn burst_pattern_clusters_arrivals() {
-        let config = TrafficConfig {
-            packets_per_flow: 9,
-            pattern: TrafficPattern::Burst {
-                burst_len: 3,
-                idle_cycles: 50,
-            },
-            ..TrafficConfig::default()
-        };
-        let workload = generate_workload(&comm(), &config);
-        let times: Vec<u64> = workload
-            .packets
-            .iter()
-            .filter(|p| p.flow == FlowId::from_index(0))
-            .map(|p| p.created_at)
-            .collect();
-        // Within a burst the packets share one creation time; between bursts
-        // there is at least the configured idle gap.
-        assert_eq!(times.len(), 9);
-        for burst in times.chunks(3) {
-            assert!(burst.iter().all(|&t| t == burst[0]));
-        }
-        assert!(times[3] >= times[2] + 50);
-        assert!(times[6] >= times[5] + 50);
-    }
-
-    #[test]
-    fn burst_len_zero_is_clamped() {
-        let config = TrafficConfig {
-            packets_per_flow: 4,
-            pattern: TrafficPattern::Burst {
-                burst_len: 0,
-                idle_cycles: 10,
-            },
-            ..TrafficConfig::default()
-        };
-        // Bursts of (clamped) length 1: every consecutive pair is separated
-        // by an idle gap.
-        let workload = generate_workload(&comm(), &config);
-        let times: Vec<u64> = workload
-            .packets
-            .iter()
-            .filter(|p| p.flow == FlowId::from_index(1))
-            .map(|p| p.created_at)
-            .collect();
-        for pair in times.windows(2) {
-            assert!(pair[1] >= pair[0] + 10);
-        }
     }
 }

@@ -1803,7 +1803,6 @@ mod tests {
             packet_length: 6,
             mean_gap_cycles: 0,
             seed: 1,
-            ..TrafficConfig::default()
         }
     }
 
@@ -2129,7 +2128,6 @@ mod tests {
             packet_length: 6,
             mean_gap_cycles: 8,
             seed: 1,
-            ..TrafficConfig::default()
         };
         let drained = FlowId::from_index(0);
         let plan = crate::fault::FaultPlan::new(vec![
@@ -2355,7 +2353,6 @@ mod tests {
             packet_length: 4,
             mean_gap_cycles: 10,
             seed: 1,
-            ..TrafficConfig::default()
         };
         let mut sim = VcSimulator::new(
             &comm,
@@ -2410,7 +2407,6 @@ mod tests {
             packet_length: 4,
             mean_gap_cycles: 20,
             seed: 2,
-            ..TrafficConfig::default()
         };
         let mut sim = VcSimulator::new(
             &comm,

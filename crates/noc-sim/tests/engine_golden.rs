@@ -134,7 +134,6 @@ fn trapped_ring() -> Design {
         packet_length: 5,
         mean_gap_cycles: 0,
         seed: 3,
-        ..TrafficConfig::default()
     };
     Design::new("ring", topo, comm, map, routes, traffic)
 }
@@ -179,7 +178,6 @@ fn random_ring(name: &'static str) -> Design {
         packet_length: 4,
         mean_gap_cycles: 3,
         seed: 11,
-        ..TrafficConfig::default()
     };
     Design::new(name, topo, comm, map, routes, traffic)
 }
@@ -484,7 +482,6 @@ fn d36_8_single_vc_recovery_matches_the_golden_digests() {
             packet_length: 8,
             mean_gap_cycles: gap,
             seed: 0xF1C5,
-            ..TrafficConfig::default()
         };
         let workload = stress_workload(&comm, &traffic, &stress);
         let outcome = VcSimulator::new(&comm, &design.routes, &vc_map, &SingleVc, &config)

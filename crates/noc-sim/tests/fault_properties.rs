@@ -94,7 +94,6 @@ fn storm_traffic(seed: u64) -> TrafficConfig {
         packet_length: 4,
         mean_gap_cycles: 10,
         seed,
-        ..TrafficConfig::default()
     }
 }
 

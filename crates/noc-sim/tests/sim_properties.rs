@@ -79,7 +79,6 @@ fn xy_meshes_never_deadlock() {
                 packet_length,
                 mean_gap_cycles: 0,
                 seed: 11,
-                ..TrafficConfig::default()
             },
         );
         let case = format!("{rows}x{cols} len={packet_length} depth={buffer_depth}");
@@ -126,7 +125,6 @@ fn repaired_designs_always_drain() {
                 packet_length,
                 mean_gap_cycles: 0,
                 seed: 3,
-                ..TrafficConfig::default()
             },
         );
         let case = format!("switches={switches} len={packet_length} depth={buffer_depth}");
@@ -163,7 +161,6 @@ fn chain_latency_is_at_least_hop_count() {
                 packet_length,
                 mean_gap_cycles: 0,
                 seed: 1,
-                ..TrafficConfig::default()
             },
         );
         let case = format!("length={length} packet_length={packet_length}");

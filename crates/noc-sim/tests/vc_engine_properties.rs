@@ -55,7 +55,6 @@ fn pressure(packet_length: usize, seed: u64) -> TrafficConfig {
         packet_length,
         mean_gap_cycles: 0,
         seed,
-        ..TrafficConfig::default()
     }
 }
 

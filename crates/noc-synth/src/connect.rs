@@ -60,7 +60,7 @@ pub struct Interconnect {
 
 /// Inter-cluster demand matrix: `demand[a][b]` is the bandwidth flowing from
 /// cluster `a` to cluster `b`.
-pub fn demand_matrix(comm: &CommGraph, clustering: &Clustering) -> Vec<Vec<f64>> {
+fn demand_matrix(comm: &CommGraph, clustering: &Clustering) -> Vec<Vec<f64>> {
     let k = clustering.switch_count;
     let mut demand = vec![vec![0.0; k]; k];
     for (_, flow) in comm.flows() {
@@ -74,7 +74,7 @@ pub fn demand_matrix(comm: &CommGraph, clustering: &Clustering) -> Vec<Vec<f64>>
 }
 
 /// Builds the switch interconnect for `clustering` under `config`.
-pub fn build_interconnect(
+pub(crate) fn build_interconnect(
     comm: &CommGraph,
     clustering: &Clustering,
     config: &ConnectConfig,

@@ -165,12 +165,6 @@ pub fn synthesize(
     })
 }
 
-/// Convenience: does any core end up alone on a switch?  (Used in tests and
-/// diagnostics; isolated cores waste switch area.)
-pub fn has_singleton_switch(design: &SynthesizedDesign) -> bool {
-    (0..design.clustering.switch_count).any(|c| design.clustering.members(c).len() == 1)
-}
-
 /// Returns the switch a core was attached to; small helper used by examples.
 pub fn switch_of(design: &SynthesizedDesign, core: CoreId) -> Option<noc_topology::SwitchId> {
     design.core_map.switch_of(core)
@@ -238,7 +232,7 @@ mod tests {
         let comm = Benchmark::D26Media.comm_graph();
         let design = synthesize(&comm, &SynthesisConfig::with_switches(1)).unwrap();
         assert_eq!(design.routes.max_hops(), 0);
-        assert!(!has_singleton_switch(&design) || comm.core_count() == 1);
+        assert_eq!(design.clustering.members(0).len(), comm.core_count());
     }
 
     #[test]

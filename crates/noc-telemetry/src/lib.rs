@@ -87,7 +87,7 @@ fn current_recorder() -> Option<Arc<Recorder>> {
 
 /// The integer id of the calling thread (stable for the thread's life,
 /// assigned on first use).
-pub fn thread_id() -> u32 {
+fn thread_id() -> u32 {
     TID.with(|t| *t)
 }
 
@@ -182,7 +182,8 @@ pub struct SpanEvent {
     pub start_us: u64,
     /// Duration in microseconds.
     pub dur_us: u64,
-    /// Recording thread (see [`thread_id`]).
+    /// Recording thread: a small integer id the recorder assigns each
+    /// thread on its first use.
     pub tid: u32,
     /// Global sequence number taken when the span opened.
     pub enter_seq: u64,
@@ -239,12 +240,6 @@ impl SpanGuard {
             open.args.push((key.to_string(), value.into()));
         }
         self
-    }
-
-    /// Whether this guard is actually recording (false when the collector
-    /// was disabled at open time).
-    pub fn is_recording(&self) -> bool {
-        self.open.is_some()
     }
 
     /// The span's global enter sequence number, `None` when not recording.
@@ -488,7 +483,7 @@ mod tests {
         {
             let mut span = span("test", "noop");
             span.arg("k", 1u64);
-            assert!(!span.is_recording());
+            assert_eq!(span.enter_seq(), None);
         }
         counter("test.count", 3);
         histogram("test.hist", 9);

@@ -115,16 +115,6 @@ impl CommGraph {
             .map(|(i, f)| (FlowId::from_index(i), f))
     }
 
-    /// Iterates over the flows leaving `core`.
-    pub fn flows_from(&self, core: CoreId) -> impl Iterator<Item = (FlowId, &Flow)> + '_ {
-        self.flows().filter(move |(_, f)| f.source == core)
-    }
-
-    /// Iterates over the flows arriving at `core`.
-    pub fn flows_to(&self, core: CoreId) -> impl Iterator<Item = (FlowId, &Flow)> + '_ {
-        self.flows().filter(move |(_, f)| f.destination == core)
-    }
-
     /// Sum of the bandwidth demand of every flow.
     pub fn total_bandwidth(&self) -> f64 {
         self.flows.iter().map(|f| f.bandwidth).sum()
@@ -184,11 +174,6 @@ impl CoreMap {
     pub fn core_count(&self) -> usize {
         self.attachment.len()
     }
-
-    /// Returns `true` when every core has an attachment.
-    pub fn is_complete(&self) -> bool {
-        self.attachment.iter().all(|a| a.is_some())
-    }
 }
 
 #[cfg(test)]
@@ -213,8 +198,6 @@ mod tests {
         assert_eq!(g.core_count(), 3);
         assert_eq!(g.flow_count(), 3);
         assert_eq!(g.core(cores[1]).unwrap().name, "dsp");
-        assert_eq!(g.flows_from(cores[0]).count(), 1);
-        assert_eq!(g.flows_to(cores[2]).count(), 2);
         assert_eq!(g.total_bandwidth(), 175.0);
     }
 
@@ -222,13 +205,12 @@ mod tests {
     fn core_map_assignment_and_queries() {
         let (g, cores) = sample();
         let mut map = CoreMap::new(g.core_count());
-        assert!(!map.is_complete());
+        assert_eq!(map.switch_of(cores[0]), None);
         let sw0 = SwitchId::from_index(0);
         let sw1 = SwitchId::from_index(1);
         map.assign(cores[0], sw0).unwrap();
         map.assign(cores[1], sw0).unwrap();
         map.assign(cores[2], sw1).unwrap();
-        assert!(map.is_complete());
         assert_eq!(map.switch_of(cores[1]), Some(sw0));
         assert_eq!(map.require(cores[2]).unwrap(), sw1);
         assert_eq!(map.core_count(), 3);

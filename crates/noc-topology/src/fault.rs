@@ -35,14 +35,14 @@ impl FaultSet {
     }
 
     /// Marks a link failed.  Out-of-range ids are ignored.
-    pub fn fail_link(&mut self, link: LinkId) {
+    fn fail_link(&mut self, link: LinkId) {
         if let Some(slot) = self.link_down.get_mut(link.index()) {
             *slot = true;
         }
     }
 
     /// Repairs a previously failed link.  Out-of-range ids are ignored.
-    pub fn repair_link(&mut self, link: LinkId) {
+    fn repair_link(&mut self, link: LinkId) {
         if let Some(slot) = self.link_down.get_mut(link.index()) {
             *slot = false;
         }
@@ -144,7 +144,7 @@ impl Connectivity {
 
     /// `true` when both switches are up and in the same surviving
     /// component.
-    pub fn connected(&self, from: SwitchId, to: SwitchId) -> bool {
+    fn connected(&self, from: SwitchId, to: SwitchId) -> bool {
         match (self.component_of(from), self.component_of(to)) {
             (Some(a), Some(b)) => a == b,
             _ => false,

@@ -131,7 +131,7 @@ impl SourceSearch {
     /// `true` when the last search reached `switch`.  After an
     /// early stop this is exact for the run's targets (and the switches
     /// settled before them), which is all a caller may ask about.
-    pub fn reached(&self, switch: SwitchId) -> bool {
+    pub(crate) fn reached(&self, switch: SwitchId) -> bool {
         self.reached.get(switch.index()) == Some(&self.epoch)
     }
 

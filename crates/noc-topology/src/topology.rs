@@ -162,7 +162,7 @@ impl Topology {
     }
 
     /// Returns the switch payload, if the id is valid.
-    pub fn switch(&self, id: SwitchId) -> Option<&Switch> {
+    pub(crate) fn switch(&self, id: SwitchId) -> Option<&Switch> {
         self.switches.get(id.index())
     }
 

@@ -42,7 +42,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         packet_length: 6,
         mean_gap_cycles: 0,
         seed: 42,
-        ..TrafficConfig::default()
     };
 
     println!("--- original design (cyclic CDG) ---");

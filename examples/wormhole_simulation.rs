@@ -36,7 +36,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         packet_length: 5,
         mean_gap_cycles: 8,
         seed: 99,
-        ..TrafficConfig::default()
     };
 
     let before = routed.simulate_vc(&AssignedVc, &sim_config, &traffic);

@@ -93,7 +93,6 @@ fn repaired_designs_complete_a_simulated_workload() {
                 packet_length: 4,
                 mean_gap_cycles: 4,
                 seed: 5,
-                ..TrafficConfig::default()
             },
         );
     assert!(!outcome.deadlocked);
