@@ -329,7 +329,7 @@ pub fn simulate_before_after(benchmark: Benchmark, switch_count: usize) -> SimVa
         fixed_deadlocked: fixed.deadlocked,
         fixed_delivered: fixed.stats.delivered_packets,
         fixed_mean_latency: fixed.stats.mean_latency(),
-        fixed_p95_latency: fixed.stats.p95_latency(),
+        fixed_p95_latency: fixed.stats.latency_percentile(95.0),
     }
 }
 

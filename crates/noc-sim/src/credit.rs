@@ -20,14 +20,16 @@ use std::collections::VecDeque;
 ///
 /// // Two channels, buffers two flits deep, credits return after 1 cycle.
 /// let mut credits = CreditBook::new(2, 2, 1);
-/// assert_eq!(credits.available(0), 2);
 /// credits.consume(0);
+/// assert!(credits.can_send(0));
 /// credits.consume(0);
-/// assert_eq!(credits.available(0), 0);
-/// credits.give_back(0, 10); // flit left the buffer at cycle 10
-/// assert_eq!(credits.available(0), 0); // still in flight
-/// credits.collect_returns(11);
-/// assert_eq!(credits.available(0), 1);
+/// assert!(!credits.can_send(0));
+/// assert!(!credits.give_back(0, 10)); // flit left the buffer at cycle 10
+/// assert!(!credits.can_send(0)); // the credit is still in flight
+/// let mut restored = Vec::new();
+/// credits.collect_returns(11, |channel| restored.push(channel));
+/// assert_eq!(restored, [0]);
+/// assert!(credits.can_send(0));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CreditBook {
@@ -56,7 +58,8 @@ impl CreditBook {
     }
 
     /// Credits currently available on `channel`.
-    pub fn available(&self, channel: usize) -> usize {
+    #[cfg(test)]
+    fn available(&self, channel: usize) -> usize {
         self.available[channel]
     }
 
@@ -83,22 +86,27 @@ impl CreditBook {
     /// Returns one credit of `channel` (a flit left its buffer in `cycle`).
     /// With a non-zero return latency the credit becomes available once
     /// [`collect_returns`](Self::collect_returns) reaches
-    /// `cycle + return_latency`.
-    pub fn give_back(&mut self, channel: usize, cycle: u64) {
+    /// `cycle + return_latency`.  Returns `true` when the credit is usable
+    /// at once (zero return latency).
+    pub fn give_back(&mut self, channel: usize, cycle: u64) -> bool {
         if self.return_latency == 0 {
             self.restore(channel);
+            true
         } else {
             self.in_flight
                 .push_back((cycle + self.return_latency, channel));
+            false
         }
     }
 
     /// Delivers every in-flight credit due at or before `cycle` (call once
-    /// at the start of each simulated cycle).
-    pub fn collect_returns(&mut self, cycle: u64) {
+    /// at the start of each simulated cycle), calling `on_restore` with the
+    /// channel of each credit delivered.
+    pub fn collect_returns(&mut self, cycle: u64, mut on_restore: impl FnMut(usize)) {
         while self.in_flight.front().is_some_and(|&(due, _)| due <= cycle) {
             let (_, channel) = self.in_flight.pop_front().expect("checked non-empty");
             self.restore(channel);
+            on_restore(channel);
         }
     }
 
@@ -115,11 +123,20 @@ impl CreditBook {
     /// Discards every in-flight credit of the book (used together with
     /// [`restore`](Self::restore) when a drain rewrites buffer contents
     /// wholesale — the caller re-derives availability from the buffers).
-    pub(crate) fn reset_from_occupancy(&mut self, occupancy: impl IntoIterator<Item = usize>) {
+    /// Calls `on_restore` with every channel that gained a credit.
+    pub(crate) fn reset_from_occupancy(
+        &mut self,
+        occupancy: impl IntoIterator<Item = usize>,
+        mut on_restore: impl FnMut(usize),
+    ) {
         self.in_flight.clear();
         for (channel, used) in occupancy.into_iter().enumerate() {
             assert!(used <= self.depth, "buffer deeper than the credit depth");
-            self.available[channel] = self.depth - used;
+            let available = self.depth - used;
+            if available > self.available[channel] {
+                on_restore(channel);
+            }
+            self.available[channel] = available;
         }
     }
 }
@@ -133,7 +150,7 @@ mod tests {
         let mut credits = CreditBook::new(1, 2, 0);
         credits.consume(0);
         assert_eq!(credits.available(0), 1);
-        credits.give_back(0, 5);
+        assert!(credits.give_back(0, 5), "usable at once");
         assert_eq!(credits.available(0), 2);
         assert!(credits.can_send(0));
     }
@@ -143,10 +160,12 @@ mod tests {
         let mut credits = CreditBook::new(1, 1, 3);
         credits.consume(0);
         assert!(!credits.can_send(0));
-        credits.give_back(0, 10);
-        credits.collect_returns(12);
-        assert!(!credits.can_send(0), "due at 13, not yet arrived");
-        credits.collect_returns(13);
+        assert!(!credits.give_back(0, 10), "in flight");
+        credits.collect_returns(12, |_| panic!("due at 13, not yet arrived"));
+        assert!(!credits.can_send(0));
+        let mut restored = Vec::new();
+        credits.collect_returns(13, |channel| restored.push(channel));
+        assert_eq!(restored, [0]);
         assert!(credits.can_send(0));
     }
 
@@ -157,10 +176,13 @@ mod tests {
         credits.consume(1);
         credits.give_back(0, 1); // due at 3
         credits.give_back(1, 2); // due at 4
-        credits.collect_returns(3);
+        let mut restored = Vec::new();
+        credits.collect_returns(3, |channel| restored.push(channel));
+        assert_eq!(restored, [0]);
         assert_eq!(credits.available(0), 2);
         assert_eq!(credits.available(1), 1);
-        credits.collect_returns(4);
+        credits.collect_returns(4, |channel| restored.push(channel));
+        assert_eq!(restored, [0, 1]);
         assert_eq!(credits.available(1), 2);
     }
 
@@ -172,12 +194,14 @@ mod tests {
         credits.consume(1);
         credits.give_back(0, 7);
         // After a drain the buffers hold 1, 0 and 2 flits respectively.
-        credits.reset_from_occupancy([1, 0, 2]);
+        let mut restored = Vec::new();
+        credits.reset_from_occupancy([1, 0, 2], |channel| restored.push(channel));
+        assert_eq!(restored, [0, 1], "channels 0 and 1 gained a credit");
         assert_eq!(credits.available(0), 1);
         assert_eq!(credits.available(1), 2);
         assert_eq!(credits.available(2), 0);
         // The in-flight return from before the reset was discarded.
-        credits.collect_returns(100);
+        credits.collect_returns(100, |_| panic!("no return is left in flight"));
         assert_eq!(credits.available(0), 1);
     }
 

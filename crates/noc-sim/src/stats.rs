@@ -91,21 +91,6 @@ impl SimStats {
             .collect()
     }
 
-    /// Median latency (nearest-rank p50).
-    pub fn p50_latency(&self) -> u64 {
-        self.latency_percentile(50.0)
-    }
-
-    /// 95th-percentile latency (nearest-rank).
-    pub fn p95_latency(&self) -> u64 {
-        self.latency_percentile(95.0)
-    }
-
-    /// 99th-percentile latency (nearest-rank).
-    pub fn p99_latency(&self) -> u64 {
-        self.latency_percentile(99.0)
-    }
-
     /// Log₂-bucketed latency histogram: buckets `[0,0]`, `[1,1]`, `[2,3]`,
     /// `[4,7]`, … up to the bucket containing the maximum observed latency.
     /// Empty when nothing was delivered; buckets with zero counts between
@@ -200,15 +185,15 @@ mod tests {
         for l in 1..=100u64 {
             stats.record_latency(l);
         }
-        assert_eq!(stats.p50_latency(), 50);
-        assert_eq!(stats.p95_latency(), 95);
-        assert_eq!(stats.p99_latency(), 99);
+        assert_eq!(stats.latency_percentile(50.0), 50);
+        assert_eq!(stats.latency_percentile(95.0), 95);
+        assert_eq!(stats.latency_percentile(99.0), 99);
         assert_eq!(stats.latency_percentile(100.0), 100);
         // One sample: every percentile is that sample.
         let mut one = SimStats::default();
         one.record_latency(7);
-        assert_eq!(one.p50_latency(), 7);
-        assert_eq!(one.p99_latency(), 7);
+        assert_eq!(one.latency_percentile(50.0), 7);
+        assert_eq!(one.latency_percentile(99.0), 7);
     }
 
     #[test]

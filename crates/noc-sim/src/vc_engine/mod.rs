@@ -37,17 +37,18 @@ use crate::packet::{Flit, FlitKind, Packet};
 use crate::policy::{VcChoice, VcPolicy};
 use crate::stats::SimStats;
 use crate::traffic::{generate_workload, TrafficConfig, Workload};
-use noc_deadlock::report::{ReconfigEvent, ReconfigStats};
+use noc_deadlock::report::ReconfigStats;
 use noc_deadlock::vcmap::VcMap;
-use noc_graph::{scc, DiGraph, NodeId};
-use noc_routing::updown::{updown_route_avoiding, UpDownLabels};
 use noc_routing::{Route, RouteSet};
-use noc_topology::{
-    Channel, CommGraph, Connectivity, CoreMap, FaultSet, FlowId, LinkId, SwitchId, Topology,
-};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use noc_topology::{Channel, CommGraph, CoreMap, FaultSet, FlowId, LinkId, Topology};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+mod fault_epoch;
+mod schedule;
+
+use schedule::Schedule;
 
 /// Parameters of a VC-fidelity simulation run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -225,9 +226,56 @@ struct ChannelLayout<'a> {
     /// Dense channel indexing: `offsets[link] + vc`.
     offsets: Vec<usize>,
     channel_count: usize,
+    /// The compiled hops of the route each flow last compiled, shared by
+    /// every packet admitted onto it.
+    compiled: Vec<Option<Arc<[Hop]>>>,
+    /// Scratch for the policy's candidate VCs.
+    vcs: Vec<usize>,
 }
 
 impl ChannelLayout<'_> {
+    /// The compiled hops of `flow` on `route`: each hop's channel and the
+    /// dense channels the policy offers there.  Compiled when the flow's
+    /// route changes, never per cycle — which is why
+    /// [`VcPolicy::candidates`] must be pure.
+    fn hops(&mut self, flow: FlowId, route: &[Channel]) -> Arc<[Hop]> {
+        let index = flow.index();
+        if index >= self.compiled.len() {
+            self.compiled.resize(index + 1, None);
+        }
+        if let Some(hops) = &self.compiled[index] {
+            if hops.iter().map(|hop| hop.channel).eq(route.iter().copied()) {
+                return Arc::clone(hops);
+            }
+        }
+        let mut hops = Vec::with_capacity(route.len());
+        for (hop, &channel) in route.iter().enumerate() {
+            let link_vcs = self.vc_map.link_vcs(channel.link);
+            self.vcs.clear();
+            self.policy.candidates(
+                &VcChoice {
+                    link: channel.link,
+                    link_vcs,
+                    assigned_vc: channel.vc,
+                    hop,
+                    flow,
+                },
+                &mut self.vcs,
+            );
+            debug_assert!(!self.vcs.is_empty(), "policies must offer a candidate");
+            for vc in &mut self.vcs {
+                *vc = self.offsets[channel.link.index()] + (*vc).min(link_vcs - 1);
+            }
+            hops.push(Hop {
+                channel,
+                candidates: Candidates::new(&self.vcs),
+            });
+        }
+        let hops: Arc<[Hop]> = hops.into();
+        self.compiled[index] = Some(Arc::clone(&hops));
+        hops
+    }
+
     /// Dense index of a channel.
     fn dense(&self, channel: Channel) -> usize {
         self.offsets[channel.link.index()] + channel.vc
@@ -245,7 +293,7 @@ impl ChannelLayout<'_> {
 struct PacketState {
     packet: Packet,
     /// The packet's (current) route.
-    hops: Vec<Hop>,
+    hops: Arc<[Hop]>,
     /// Dense channel index the head flit actually claimed at each hop so
     /// far (`taken.len() - 1` is the head's frontier hop).
     taken: Vec<usize>,
@@ -256,34 +304,10 @@ struct PacketState {
 }
 
 impl PacketState {
-    /// Puts the packet on `route` and compiles each hop's candidate
-    /// channels.  Runs on admission and on every reroute, never per cycle —
-    /// which is why [`VcPolicy::candidates`] must be pure.
-    fn set_route(&mut self, route: &[Channel], layout: &ChannelLayout<'_>) {
-        self.hops.clear();
-        let mut vcs = Vec::new();
-        for (hop, &channel) in route.iter().enumerate() {
-            let link_vcs = layout.vc_map.link_vcs(channel.link);
-            vcs.clear();
-            layout.policy.candidates(
-                &VcChoice {
-                    link: channel.link,
-                    link_vcs,
-                    assigned_vc: channel.vc,
-                    hop,
-                    flow: self.packet.flow,
-                },
-                &mut vcs,
-            );
-            debug_assert!(!vcs.is_empty(), "policies must offer a candidate");
-            for vc in &mut vcs {
-                *vc = layout.offsets[channel.link.index()] + (*vc).min(link_vcs - 1);
-            }
-            self.hops.push(Hop {
-                channel,
-                candidates: Candidates::new(&vcs),
-            });
-        }
+    /// Puts the packet on `route` with its flow's compiled hops.  Runs on
+    /// admission and on every reroute.
+    fn set_route(&mut self, route: &[Channel], layout: &mut ChannelLayout<'_>) {
+        self.hops = layout.hops(self.packet.flow, route);
     }
 
     /// `true` when the packet travels exactly `route`.
@@ -323,7 +347,7 @@ struct BufFlit {
 }
 
 /// One decided flit movement, applied in the second phase of a cycle.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Move {
     /// Inject the next flit of the packet in slab slot `slot` into channel
     /// `to`; `claim` marks a head flit acquiring the channel.
@@ -376,11 +400,9 @@ impl QueueHead {
     }
 }
 
-/// Per-flow injection queues of slab slots, dense by flow index.  `active`
-/// lists the flows whose queue is non-empty in ascending order, so the
-/// engine visits queue fronts in flow-id order without walking empty
-/// queues; `heads[i]` is the compiled front of queue `active[i]`, so the
-/// injection scan never reads the slab.
+/// Per-flow injection queues of slab slots, dense by flow index.
+/// `heads[f]` is the compiled front of queue `f` (`None` while it is
+/// empty), so the injection scan never reads the slab.
 ///
 /// A head is recompiled only when its front can change: on admission into
 /// an empty queue, on every [`sync`](Self::sync) after a queue edit (an
@@ -390,17 +412,15 @@ impl QueueHead {
 #[derive(Debug, Default)]
 struct FlowQueues {
     queues: Vec<VecDeque<usize>>,
-    active: Vec<usize>,
-    heads: Vec<QueueHead>,
+    heads: Vec<Option<QueueHead>>,
 }
 
 impl FlowQueues {
     fn clear(&mut self) {
-        for &flow in &self.active {
-            self.queues[flow].clear();
+        for queue in &mut self.queues {
+            queue.clear();
         }
-        self.active.clear();
-        self.heads.clear();
+        self.heads.fill(None);
     }
 
     /// The queue of `flow`, for an edit that must be followed by
@@ -409,70 +429,62 @@ impl FlowQueues {
         let index = flow.index();
         if index >= self.queues.len() {
             self.queues.resize_with(index + 1, VecDeque::new);
+            self.heads.resize(index + 1, None);
         }
         &mut self.queues[index]
     }
 
-    /// Re-registers `flow` in `active` after its queue changed and
-    /// recompiles its head.
-    fn sync(&mut self, flow: FlowId, packets: &[PacketState]) {
+    /// Recompiles the head of `flow` after its queue changed.  Returns
+    /// `true` when the queue is non-empty.
+    fn sync(&mut self, flow: FlowId, packets: &[PacketState]) -> bool {
         let index = flow.index();
         let front = self.queues.get(index).and_then(|queue| queue.front());
-        match (self.active.binary_search(&index), front) {
-            (Ok(at), None) => {
-                self.active.remove(at);
-                self.heads.remove(at);
-            }
-            (Ok(at), Some(&slot)) => self.heads[at] = QueueHead::compile(slot, &packets[slot]),
-            (Err(at), Some(&slot)) => {
-                self.active.insert(at, index);
-                self.heads
-                    .insert(at, QueueHead::compile(slot, &packets[slot]));
-            }
-            (Err(_), None) => {}
+        let head = front.map(|&slot| QueueHead::compile(slot, &packets[slot]));
+        let queued = head.is_some();
+        if let Some(entry) = self.heads.get_mut(index) {
+            *entry = head;
         }
+        queued
     }
 
-    /// Queues the admitted packet in `slot`; only a packet that lands at
-    /// the front compiles a head.
-    fn push_back(&mut self, flow: FlowId, slot: usize, packets: &[PacketState]) {
+    /// Queues the admitted packet in `slot`.  Returns `true` when it
+    /// landed at the front; only then is a head compiled.
+    fn push_back(&mut self, flow: FlowId, slot: usize, packets: &[PacketState]) -> bool {
         let queue = self.queue_mut(flow);
         queue.push_back(slot);
-        if queue.len() == 1 {
-            self.sync(flow, packets);
-        }
+        queue.len() == 1 && self.sync(flow, packets)
     }
 
     /// Recompiles every head from the slab.
     fn recompile(&mut self, packets: &[PacketState]) {
-        for (head, &flow) in self.heads.iter_mut().zip(&self.active) {
-            let slot = self.queues[flow][0];
-            *head = QueueHead::compile(slot, &packets[slot]);
+        for (head, queue) in self.heads.iter_mut().zip(&self.queues) {
+            *head = queue
+                .front()
+                .map(|&slot| QueueHead::compile(slot, &packets[slot]));
         }
     }
 
     /// Panics unless every head equals the one compiled from the slab now.
     fn assert_heads_exact(&self, packets: &[PacketState]) {
-        assert_eq!(self.heads.len(), self.active.len(), "one head per queue");
-        for (head, &flow) in self.heads.iter().zip(&self.active) {
-            let slot = self.queues[flow][0];
-            assert_eq!(
-                *head,
-                QueueHead::compile(slot, &packets[slot]),
-                "stale head of flow {flow}"
-            );
+        for (flow, (head, queue)) in self.heads.iter().zip(&self.queues).enumerate() {
+            let expected = queue
+                .front()
+                .map(|&slot| QueueHead::compile(slot, &packets[slot]));
+            assert_eq!(*head, expected, "stale head of flow {flow}");
         }
     }
 
     /// The slot at the front of every non-empty queue, in flow-id order,
     /// read from the queues themselves rather than the compiled heads.
     fn fronts(&self) -> impl Iterator<Item = usize> + '_ {
-        self.active.iter().map(|&flow| self.queues[flow][0])
+        self.queues
+            .iter()
+            .filter_map(|queue| queue.front().copied())
     }
 
-    /// Every queued slot, queue by queue in flow-id order.
+    /// Every non-empty queue, in flow-id order.
     fn iter(&self) -> impl Iterator<Item = &VecDeque<usize>> + '_ {
-        self.active.iter().map(|&flow| &self.queues[flow])
+        self.queues.iter().filter(|queue| !queue.is_empty())
     }
 }
 
@@ -544,6 +556,11 @@ pub struct VcSimulator<'a> {
     /// cycles).
     moves: Vec<Move>,
     entering: Vec<bool>,
+    /// Which items the decide phase visits.
+    schedule: Schedule,
+    /// The moves of the full reference scan, which debug builds compare
+    /// with `moves` every cycle.
+    scan_moves: Vec<Move>,
     /// Credit stalls of the run so far, reported once at its end as
     /// `vc.credit_stall_flit_cycles`: a counter call per stalled
     /// flit-cycle would cost more than the cycle itself while a recorder
@@ -606,6 +623,8 @@ impl<'a> VcSimulator<'a> {
                 policy,
                 offsets,
                 channel_count,
+                compiled: Vec::new(),
+                vcs: Vec::new(),
             },
             config: config.clone(),
             recovery: None,
@@ -621,6 +640,12 @@ impl<'a> VcSimulator<'a> {
             queues: FlowQueues::default(),
             moves: Vec::new(),
             entering: vec![false; channel_count],
+            schedule: Schedule::new(
+                channel_count,
+                comm.flow_count(),
+                config.credit_return_latency == 0,
+            ),
+            scan_moves: Vec::new(),
             credit_stalls: 0,
             wait_graph: WaitGraph::new(),
             waits: Vec::new(),
@@ -712,7 +737,10 @@ impl<'a> VcSimulator<'a> {
             if self.process_faults(cycle, &mut in_flight_packets) {
                 idle_cycles = 0;
             }
-            self.credits.collect_returns(cycle);
+            let (schedule, owner) = (&mut self.schedule, &self.owner);
+            self.credits.collect_returns(cycle, |channel| {
+                schedule.credited(channel, owner[channel].is_none())
+            });
 
             // Admit newly created packets into their flow queue.
             while let Some(packet) = pending.next_if(|p| p.created_at <= cycle) {
@@ -735,17 +763,17 @@ impl<'a> VcSimulator<'a> {
                     stats.record_latency(cycle.saturating_sub(packet.created_at));
                     continue;
                 }
-                let mut state = PacketState {
+                self.packets.push(PacketState {
                     to_inject: packet.flits().into(),
-                    hops: Vec::with_capacity(route.len()),
-                    taken: Vec::new(),
+                    hops: self.layout.hops(packet.flow, route),
+                    taken: Vec::with_capacity(route.len()),
                     ejected: 0,
                     packet: packet.clone(),
-                };
-                state.set_route(route, &self.layout);
-                self.packets.push(state);
-                self.queues
-                    .push_back(packet.flow, self.packets.len() - 1, &self.packets);
+                });
+                let slot = self.packets.len() - 1;
+                if self.queues.push_back(packet.flow, slot, &self.packets) {
+                    self.schedule.flow_synced(packet.flow.index(), true);
+                }
                 in_flight_packets += 1;
             }
 
@@ -788,16 +816,19 @@ impl<'a> VcSimulator<'a> {
                             .collect();
                         deadlock_flows.sort();
                         deadlock_flows.dedup();
-                        deadlock_channels = dead_slots
-                            .iter()
-                            .flat_map(|&slot| {
-                                let state = &self.packets[slot];
-                                state.taken.iter().zip(&state.hops).map(|(&dense, hop)| {
-                                    let link = hop.channel.link;
-                                    (link, dense - self.layout.offsets[link.index()])
+                        deadlock_channels =
+                            dead_slots
+                                .iter()
+                                .flat_map(|&slot| {
+                                    let state = &self.packets[slot];
+                                    state.taken.iter().zip(state.hops.iter()).map(
+                                        |(&dense, hop)| {
+                                            let link = hop.channel.link;
+                                            (link, dense - self.layout.offsets[link.index()])
+                                        },
+                                    )
                                 })
-                            })
-                            .collect();
+                                .collect();
                         deadlock_channels.sort_by_key(|&(link, vc)| (link.index(), vc));
                         deadlock_channels.dedup();
                     }
@@ -837,6 +868,7 @@ impl<'a> VcSimulator<'a> {
         if self.credit_stalls > 0 {
             noc_telemetry::counter("vc.credit_stall_flit_cycles", self.credit_stalls);
         }
+        noc_telemetry::counter("sim.decide_visits", self.schedule.visits);
         noc_telemetry::counter("vc.injected_packets", stats.injected_packets as u64);
         noc_telemetry::counter("vc.delivered_packets", stats.delivered_packets as u64);
         noc_telemetry::counter("vc.cycles", stats.cycles);
@@ -892,6 +924,7 @@ impl<'a> VcSimulator<'a> {
         self.purged = 0;
         self.credit_stalls = 0;
         self.queues.clear();
+        self.schedule.clear();
         self.routes.rerouted.clear();
         self.reconfigured.clear();
         if let Some(ctx) = self.faults.as_mut() {
@@ -901,114 +934,6 @@ impl<'a> VcSimulator<'a> {
             ctx.stats = ReconfigStats::default();
             ctx.unreachable_packets = 0;
             ctx.route_log.clear();
-        }
-    }
-
-    /// Phase 1: decide all flit movements for this cycle into `self.moves`
-    /// from the start-of-cycle state.  At most one flit enters and one flit
-    /// leaves each channel per cycle.
-    fn decide_moves(&mut self) {
-        let VcSimulator {
-            buffers,
-            packets,
-            owner,
-            credits,
-            queues,
-            moves,
-            entering,
-            credit_stalls,
-            ..
-        } = self;
-        moves.clear();
-        // The first candidate that is unowned (or self-owned), has a credit
-        // and is not already entered this cycle.
-        let claim = |candidates: &[usize], slot: usize, entering: &[bool]| {
-            candidates.iter().copied().find(|&to| {
-                !entering[to] && owner[to].is_none_or(|o| o == slot) && credits.can_send(to)
-            })
-        };
-
-        // In-network flits first (drain before filling), iterating channels
-        // in reverse index order so downstream channels are not starved; the
-        // order does not affect correctness.
-        for from in (0..buffers.len()).rev() {
-            let Some(bf) = buffers[from].front() else {
-                continue;
-            };
-            let state = &packets[bf.slot];
-            let next = bf.hop + 1;
-            if next == state.hops.len() {
-                // Last hop: eject (destination always sinks flits).
-                moves.push(Move::Eject { from });
-            } else if state.taken.len() == next {
-                // Head flit claiming the next hop.
-                let candidates = state.hops[next].candidates.as_slice();
-                if let Some(to) = claim(candidates, bf.slot, entering) {
-                    moves.push(Move::Advance {
-                        from,
-                        to,
-                        claim: true,
-                    });
-                    entering[to] = true;
-                }
-            } else {
-                // Follower flit: the worm's path is established.
-                let to = state.taken[next];
-                if !entering[to] {
-                    if credits.can_send(to) {
-                        moves.push(Move::Advance {
-                            from,
-                            to,
-                            claim: false,
-                        });
-                        entering[to] = true;
-                    } else {
-                        // Established worm blocked on a credit: the
-                        // canonical credit stall (one count per flit-cycle).
-                        *credit_stalls += 1;
-                    }
-                }
-            }
-        }
-
-        // Injections: the packet at the front of each flow queue may push
-        // its next flit into the first channel of its route.  The compiled
-        // heads say what each front tries without reading the slab.
-        if cfg!(debug_assertions) {
-            queues.assert_heads_exact(packets);
-        }
-        for &QueueHead { slot, ref step } in &queues.heads {
-            match *step {
-                HeadStep::Claim(ref candidates) => {
-                    if let Some(to) = claim(candidates.as_slice(), slot, entering) {
-                        moves.push(Move::Inject {
-                            slot,
-                            to,
-                            claim: true,
-                        });
-                        entering[to] = true;
-                    }
-                }
-                HeadStep::Follow(to) => {
-                    if !entering[to] {
-                        if credits.can_send(to) {
-                            moves.push(Move::Inject {
-                                slot,
-                                to,
-                                claim: false,
-                            });
-                            entering[to] = true;
-                        } else {
-                            *credit_stalls += 1;
-                        }
-                    }
-                }
-                HeadStep::Idle => {}
-            }
-        }
-
-        for to in moves.iter().filter_map(|mv| mv.target()) {
-            entering[to] = false;
         }
     }
 
@@ -1029,7 +954,8 @@ impl<'a> VcSimulator<'a> {
                         debug_assert_eq!(self.owner[to], Some(slot));
                     }
                     self.credits.consume(to);
-                    self.buffers[to].push_back(BufFlit { flit, slot, hop: 0 });
+                    self.push_flit(to, BufFlit { flit, slot, hop: 0 });
+                    let state = &self.packets[slot];
                     let flow = state.packet.flow;
                     let finished = state.to_inject.is_empty();
                     if finished {
@@ -1041,26 +967,28 @@ impl<'a> VcSimulator<'a> {
                         }
                     }
                     if claim || finished {
-                        self.queues.sync(flow, &self.packets);
+                        let queued = self.queues.sync(flow, &self.packets);
+                        self.schedule.flow_synced(flow.index(), queued);
                     }
                 }
                 Move::Advance { from, to, claim } => {
-                    let bf = self.buffers[from].pop_front().expect("decided with a flit");
-                    self.credits.give_back(from, cycle);
+                    let bf = self.pop_flit(from, cycle);
                     if claim {
                         self.owner[to] = Some(bf.slot);
                         self.packets[bf.slot].taken.push(to);
                     }
                     self.release_on_tail(from, &bf);
                     self.credits.consume(to);
-                    self.buffers[to].push_back(BufFlit {
-                        hop: bf.hop + 1,
-                        ..bf
-                    });
+                    self.push_flit(
+                        to,
+                        BufFlit {
+                            hop: bf.hop + 1,
+                            ..bf
+                        },
+                    );
                 }
                 Move::Eject { from } => {
-                    let bf = self.buffers[from].pop_front().expect("decided with a flit");
-                    self.credits.give_back(from, cycle);
+                    let bf = self.pop_flit(from, cycle);
                     self.release_on_tail(from, &bf);
                     let state = &mut self.packets[bf.slot];
                     state.ejected += 1;
@@ -1076,12 +1004,36 @@ impl<'a> VcSimulator<'a> {
         completed
     }
 
+    /// Appends a flit to the buffer of `to`; into an empty buffer it
+    /// becomes a new, ready front.
+    fn push_flit(&mut self, to: usize, bf: BufFlit) {
+        if self.buffers[to].is_empty() {
+            self.schedule.channel_filled(to);
+        }
+        self.buffers[to].push_back(bf);
+    }
+
+    /// Takes the front flit of `from`, which left the buffer in `cycle`,
+    /// and returns its credit.  The flit behind it inherits the front's
+    /// place in the ready set.
+    fn pop_flit(&mut self, from: usize, cycle: u64) -> BufFlit {
+        let bf = self.buffers[from].pop_front().expect("decided with a flit");
+        if self.buffers[from].is_empty() {
+            self.schedule.channel_emptied(from);
+        }
+        if self.credits.give_back(from, cycle) {
+            self.schedule.credited(from, self.owner[from].is_none());
+        }
+        bf
+    }
+
     /// A tail flit leaving channel `from` releases its packet's ownership.
     fn release_on_tail(&mut self, from: usize, bf: &BufFlit) {
         if matches!(bf.flit.kind, FlitKind::Tail | FlitKind::HeadTail)
             && self.owner[from] == Some(bf.slot)
         {
             self.owner[from] = None;
+            self.schedule.released(from);
         }
     }
 
@@ -1203,484 +1155,16 @@ impl<'a> VcSimulator<'a> {
                 && !state.to_inject.is_empty()
                 && self.reconfigured.contains(&flow)
             {
-                state.set_route(self.routes.route_of(flow), &self.layout);
+                state.set_route(self.routes.route_of(flow), &mut self.layout);
             }
         }
 
         self.queues.recompile(&self.packets);
+        self.schedule.ready_all(&self.buffers, &self.queues);
         drain.events += 1;
         drain.packets_drained += dead.len();
         noc_telemetry::counter("vc.drain_events", 1);
         noc_telemetry::histogram("vc.drained_packets", dead.len() as u64);
-    }
-
-    /// Applies every fault event due at `cycle` as one reconfiguration
-    /// epoch.  Returns `true` when an epoch was committed.
-    fn process_faults(&mut self, cycle: u64, in_flight: &mut usize) -> bool {
-        // Take the context out so the batch can call `&mut self` helpers.
-        let due = |ctx: &mut FaultContext<'a>| {
-            let next = ctx.plan.events().get(ctx.cursor);
-            next.is_some_and(|e| e.cycle <= cycle)
-        };
-        let Some(mut ctx) = self.faults.take_if(due) else {
-            return false;
-        };
-        {
-            let mut span = noc_telemetry::span("sim", "reconfig_epoch");
-            span.arg("cycle", cycle);
-            self.apply_fault_batch(&mut ctx, cycle, in_flight);
-        }
-        self.queues.recompile(&self.packets);
-        noc_telemetry::counter("vc.reconfig_epochs", 1);
-        self.faults = Some(ctx);
-        true
-    }
-
-    /// One reconfiguration epoch: apply the due faults, reroute affected
-    /// flows onto the surviving up*/down* subgraph, strand disconnected
-    /// flows, and commit only once the combined dependency graph of
-    /// committed routes plus in-flight residues is acyclic — pulling worms
-    /// back to their sources (a scoped DBR drain) when it is not.
-    fn apply_fault_batch(&mut self, ctx: &mut FaultContext<'a>, cycle: u64, in_flight: &mut usize) {
-        // 1. Apply every due event atomically (one epoch per batch).  Link
-        // faults are physical cable faults: both directions of a
-        // bidirectional pair go down (and come back) together, so the
-        // surviving fabric stays symmetric and up*/down* recovery remains
-        // complete per connected component.
-        let due = &ctx.plan.events()[ctx.cursor..];
-        let faults_applied = due.iter().take_while(|e| e.cycle <= cycle).count();
-        let mut any_repair = false;
-        for event in &due[..faults_applied] {
-            any_repair |= event.kind.apply(ctx.topology, &mut ctx.down);
-        }
-        ctx.cursor += faults_applied;
-
-        let flow_count = self.comm.flow_count();
-
-        // 2. Flows to re-examine: committed routes crossing a now-unusable
-        // link, plus stranded flows retried after a repair.
-        let candidates: Vec<FlowId> = (0..flow_count)
-            .map(FlowId::from_index)
-            .filter(|&flow| match self.routes.committed(ctx, flow) {
-                None => any_repair,
-                Some(route) => route
-                    .iter()
-                    .any(|channel| !ctx.down.link_usable(ctx.topology, channel.link)),
-            })
-            .collect();
-
-        // 3. Survivor connectivity and per-component up*/down* labels
-        // (rooted at each component's lowest-index switch).
-        let conn = ctx.topology.connectivity_after(&ctx.down);
-        let mut labels: HashMap<usize, UpDownLabels> = HashMap::new();
-        for index in 0..ctx.topology.switch_count() {
-            let switch = SwitchId::from_index(index);
-            if let Some(component) = conn.component_of(switch) {
-                labels
-                    .entry(component)
-                    .or_insert_with(|| UpDownLabels::surviving(ctx.topology, switch, &ctx.down));
-            }
-        }
-
-        // 4. Reroute or strand each candidate flow.
-        let mut newly_unreachable: Vec<FlowId> = Vec::new();
-        let mut rerouted_this_event: HashSet<FlowId> = HashSet::new();
-        for flow in candidates {
-            match self.surviving_route(ctx, &conn, &labels, flow) {
-                Some(route) => {
-                    self.routes.rerouted.insert(flow, route);
-                    ctx.unreachable.remove(&flow);
-                    rerouted_this_event.insert(flow);
-                }
-                None => {
-                    self.routes.rerouted.remove(&flow);
-                    if ctx.unreachable.insert(flow) {
-                        newly_unreachable.push(flow);
-                    }
-                }
-            }
-        }
-
-        // 5. Purge the traffic of newly stranded flows: their packets leave
-        // the network and the accounting, so a partition surfaces as the
-        // typed Unreachable outcome instead of an idle-timeout.
-        if !newly_unreachable.is_empty() {
-            ctx.unreachable_packets += self.strand_flows(&newly_unreachable, in_flight);
-        }
-
-        // 6. In-flight packets: pull back worms whose remaining path
-        // crosses a dead link, swap not-yet-started packets onto the new
-        // committed route, and register every worm still travelling a
-        // superseded path as a transient residue of the epoch.
-        let min_hops = self.min_buffered_hops();
-        let mut pulled: Vec<usize> = Vec::new();
-        let mut residues: Vec<(usize, Vec<usize>)> = Vec::new();
-        for slot in self.in_flight_by_id(|_| true) {
-            let state = &self.packets[slot];
-            let Some(route) = self.routes.committed(ctx, state.packet.flow) else {
-                continue; // unreachable flows were purged in step 5
-            };
-            let Some(start) = state.residue_start(min_hops[slot]) else {
-                self.packets[slot].set_route(route, &self.layout);
-                continue;
-            };
-            let broken = state.hops[start..]
-                .iter()
-                .any(|hop| !ctx.down.link_usable(ctx.topology, hop.channel.link));
-            if broken {
-                pulled.push(slot);
-            } else if !state.on_route(route) {
-                residues.push((slot, self.residue_path(state, start)));
-            }
-        }
-        if !pulled.is_empty() {
-            self.pull_back_to_source(&pulled);
-        }
-        let mut packets_drained = pulled.len();
-
-        // 7. Epoch check: the combined graph of committed routes plus
-        // transient residues must be acyclic before the epoch commits.
-        // While it is not, drain residues crossing a cycle back to their
-        // sources (scoped DBR fallback); when only committed routes remain
-        // cyclic, move the involved flows onto the surviving up*/down*
-        // function, whose routes cannot cycle among themselves.
-        let mut fallback_drain = false;
-        let max_rounds = flow_count + (self.packets.len() - self.purged) + 4;
-        let mut rounds = 0usize;
-        loop {
-            let cyclic = self.dependency_cycles(ctx, &residues);
-            if cyclic.is_empty() {
-                break;
-            }
-            fallback_drain = true;
-            rounds += 1;
-            assert!(rounds <= max_rounds, "fault epoch failed to converge");
-            let crosses = |path: &[usize]| path.iter().any(|c| cyclic.binary_search(c).is_ok());
-
-            // (a) Drain transient residues crossing the cycle.
-            let (crossing, kept): (Vec<_>, Vec<_>) =
-                residues.into_iter().partition(|(_, path)| crosses(path));
-            residues = kept;
-            if !crossing.is_empty() {
-                let to_drain: Vec<usize> = crossing.into_iter().map(|(slot, _)| slot).collect();
-                self.pull_back_to_source(&to_drain);
-                packets_drained += to_drain.len();
-                continue;
-            }
-
-            // (b) The committed routes themselves are cyclic (e.g. an
-            // unsafe baseline design at fault time): reroute the involved
-            // flows onto the surviving up*/down* function.
-            let mut progressed = false;
-            for flow in (0..flow_count).map(FlowId::from_index) {
-                if rerouted_this_event.contains(&flow) {
-                    continue;
-                }
-                let Some(route) = self.routes.committed(ctx, flow) else {
-                    continue;
-                };
-                if !crosses(&self.layout.dense_path(route)) {
-                    continue;
-                }
-                progressed = true;
-                let Some(new_route) = self.surviving_route(ctx, &conn, &labels, flow) else {
-                    // Defensive: the cyclic flow cannot be rerouted on the
-                    // surviving fabric — strand it.
-                    self.routes.rerouted.remove(&flow);
-                    if ctx.unreachable.insert(flow) {
-                        newly_unreachable.push(flow);
-                        ctx.unreachable_packets += self.strand_flows(&[flow], in_flight);
-                    }
-                    continue;
-                };
-                self.routes.rerouted.insert(flow, new_route);
-                rerouted_this_event.insert(flow);
-                // Worms of the flow still travelling the old path become
-                // transient residues of this epoch.
-                let fresh_hops = self.min_buffered_hops();
-                for slot in self.in_flight_by_id(|state| state.packet.flow == flow) {
-                    if residues.iter().any(|&(residue, _)| residue == slot) {
-                        continue;
-                    }
-                    let state = &self.packets[slot];
-                    match state.residue_start(fresh_hops[slot]) {
-                        None => {
-                            self.packets[slot].set_route(self.routes.route_of(flow), &self.layout)
-                        }
-                        Some(start) => residues.push((slot, self.residue_path(state, start))),
-                    }
-                }
-            }
-            assert!(
-                progressed,
-                "cyclic fault epoch with no residue or committed flow to act on"
-            );
-        }
-
-        // 8. Post-protocol runtime recheck: the exact wait-for detector must
-        // agree no knot survives the epoch; any remaining knot (formed
-        // before the event, invisible to the assigned-VC model) is drained
-        // here rather than committed over.
-        let mut wait_rounds = 0usize;
-        loop {
-            let dead = self.deadlocked_slots();
-            if dead.is_empty() {
-                break;
-            }
-            fallback_drain = true;
-            wait_rounds += 1;
-            assert!(
-                wait_rounds <= max_rounds,
-                "wait-for drain failed to converge"
-            );
-            // Victims keep the detector's packet-id order; stranded flows
-            // have no packets left to be among them.
-            self.pull_back_to_source(&dead);
-            packets_drained += dead.len();
-        }
-
-        // 9. Commit.  `committed_cyclic` is re-derived from the evidence —
-        // it must always be false, and the property suite asserts so.
-        let committed_cyclic = !self.dependency_cycles(ctx, &residues).is_empty()
-            || !self.deadlocked_slots().is_empty();
-        ctx.stats.record(ReconfigEvent {
-            cycle,
-            faults_applied,
-            flows_rerouted: rerouted_this_event.len(),
-            flows_unreachable: newly_unreachable.len(),
-            packets_drained,
-            fallback_drain,
-            committed_cyclic,
-        });
-        ctx.stats.unreachable_flows = ctx.unreachable.len();
-        if self.config.record_reconfig_routes {
-            let mut snapshot = RouteSet::new(flow_count);
-            for flow in (0..flow_count).map(FlowId::from_index) {
-                let route = self.routes.committed(ctx, flow).unwrap_or_default();
-                snapshot.set_route(flow, Route::new(route.to_vec()));
-            }
-            ctx.route_log.push(snapshot);
-        }
-    }
-
-    /// The dense channels on a cycle of the epoch's dependency graph,
-    /// sorted.  The graph's edges are the consecutive channel pairs of
-    /// every committed route and every in-flight residue.
-    fn dependency_cycles(
-        &self,
-        ctx: &FaultContext<'a>,
-        residues: &[(usize, Vec<usize>)],
-    ) -> Vec<usize> {
-        let mut graph = DiGraph::with_capacity(self.layout.channel_count, 0);
-        for channel in 0..self.layout.channel_count {
-            graph.add_node(channel);
-        }
-        let committed = (0..self.comm.flow_count())
-            .filter_map(|index| self.routes.committed(ctx, FlowId::from_index(index)))
-            .map(|route| self.layout.dense_path(route));
-        let residues = residues.iter().map(|(_, path)| path.clone());
-        for path in committed.chain(residues) {
-            for pair in path.windows(2).filter(|pair| pair[0] != pair[1]) {
-                graph.add_edge(NodeId::from_index(pair[0]), NodeId::from_index(pair[1]), ());
-            }
-        }
-        let mut channels: Vec<usize> = scc::cyclic_components(&graph)
-            .concat()
-            .into_iter()
-            .map(NodeId::index)
-            .collect();
-        channels.sort_unstable();
-        channels
-    }
-
-    /// Dense channel indices a worm still occupies or will request on its
-    /// *current* (pre-reconfiguration) path, from hop `start` on: hops the
-    /// head already claimed use the channel actually taken, future hops the
-    /// assigned VC.
-    fn residue_path(&self, state: &PacketState, start: usize) -> Vec<usize> {
-        (start..state.hops.len())
-            .map(|hop| match state.taken.get(hop) {
-                Some(&dense) => dense,
-                None => self.layout.dense(state.hops[hop].channel),
-            })
-            .collect()
-    }
-
-    /// Earliest route hop each slab slot still has a flit buffered at.
-    fn min_buffered_hops(&self) -> Vec<Option<usize>> {
-        let mut min_hops: Vec<Option<usize>> = vec![None; self.packets.len()];
-        for bf in self.buffers.iter().flatten() {
-            let min = &mut min_hops[bf.slot];
-            *min = Some(min.map_or(bf.hop, |hop| hop.min(bf.hop)));
-        }
-        min_hops
-    }
-
-    /// The slots of the in-flight packets accepted by `keep`, in packet-id
-    /// order.
-    fn in_flight_by_id(&self, keep: impl Fn(&PacketState) -> bool) -> Vec<usize> {
-        let mut slots: Vec<usize> = (0..self.packets.len())
-            .filter(|&slot| self.packets[slot].in_flight() && keep(&self.packets[slot]))
-            .collect();
-        slots.sort_by_key(|&slot| self.packets[slot].packet.id);
-        slots
-    }
-
-    /// An up*/down* route for `flow` on the surviving fabric (VC 0 on every
-    /// hop), or `None` when its endpoints are disconnected.
-    fn surviving_route(
-        &self,
-        ctx: &FaultContext<'a>,
-        conn: &Connectivity,
-        labels: &HashMap<usize, UpDownLabels>,
-        flow: FlowId,
-    ) -> Option<Route> {
-        let payload = self.comm.flow(flow).expect("flow exists");
-        let src = ctx.map.switch_of(payload.source)?;
-        let dst = ctx.map.switch_of(payload.destination)?;
-        if src == dst {
-            return Some(Route::empty());
-        }
-        let component = conn.component_of(src)?;
-        if conn.component_of(dst) != Some(component) {
-            return None;
-        }
-        let labels = labels.get(&component)?;
-        let links = updown_route_avoiding(ctx.topology, labels, src, dst, &ctx.down)?;
-        Some(Route::from_links(links))
-    }
-
-    /// Removes every flit of the packets in `victims` from the buffers,
-    /// releases their channel ownerships and resyncs the credits from the
-    /// remaining occupancy (in-flight credit returns are absorbed).
-    /// Returns the removed flits per victim, in buffer order.
-    fn evict(&mut self, victims: &[usize]) -> Vec<Vec<Flit>> {
-        let mut position: Vec<Option<usize>> = vec![None; self.packets.len()];
-        for (index, &slot) in victims.iter().enumerate() {
-            position[slot] = Some(index);
-        }
-        let mut removed: Vec<Vec<Flit>> = vec![Vec::new(); victims.len()];
-        for buffer in &mut self.buffers {
-            buffer.retain(|bf| match position[bf.slot] {
-                Some(index) => {
-                    removed[index].push(bf.flit);
-                    false
-                }
-                None => true,
-            });
-        }
-        for owner in &mut self.owner {
-            if owner.is_some_and(|slot| position[slot].is_some()) {
-                *owner = None;
-            }
-        }
-        let occupancy: Vec<usize> = self.buffers.iter().map(VecDeque::len).collect();
-        self.credits.reset_from_occupancy(occupancy);
-        removed
-    }
-
-    /// Pulls the given packets' flits out of the network and re-queues each
-    /// packet at its source on its flow's current route — the drain
-    /// mechanics shared by the DBR drain and the fault epochs.
-    fn pull_back_to_source(&mut self, victims: &[usize]) {
-        let removed = self.evict(victims);
-        for (&slot, mut flits) in victims.iter().zip(removed) {
-            let state = &mut self.packets[slot];
-            let flow = state.packet.flow;
-            flits.sort_by_key(|f| f.sequence);
-            flits.extend(state.to_inject.drain(..));
-            // Rebuild the flit kinds so the re-injected worm has a proper
-            // head and tail even when the original head was already ejected.
-            let remaining = flits.len();
-            debug_assert!(remaining > 0, "pulled-back packets have flits left");
-            for (index, flit) in flits.iter_mut().enumerate() {
-                flit.kind = if remaining == 1 {
-                    FlitKind::HeadTail
-                } else if index == 0 {
-                    FlitKind::Head
-                } else if index + 1 == remaining {
-                    FlitKind::Tail
-                } else {
-                    FlitKind::Body
-                };
-            }
-            state.to_inject = flits.into();
-            state.taken.clear();
-            let route = self.routes.route_of(flow);
-            assert!(
-                !route.is_empty(),
-                "flow {flow} pulled back onto an empty route"
-            );
-            state.set_route(route, &self.layout);
-        }
-
-        // Re-queue the pulled packets, oldest first and ahead of packets
-        // that have not started injecting — but never ahead of a surviving
-        // packet that is mid-injection.  Such a packet owns its claimed
-        // channels and can only finish from the queue front; burying it
-        // would wedge the flow forever (and hide the worm from the
-        // detector, which only sees queue fronts).
-        let mut per_flow: BTreeMap<FlowId, Vec<usize>> = BTreeMap::new();
-        for &slot in victims {
-            per_flow
-                .entry(self.packets[slot].packet.flow)
-                .or_default()
-                .push(slot);
-        }
-        for (flow, mut slots) in per_flow {
-            slots.sort_by_key(|&slot| self.packets[slot].packet.id);
-            let queue = self.queues.queue_mut(flow);
-            queue.retain(|slot| !victims.contains(slot));
-            let insert_at = match queue.front() {
-                Some(&front) if !self.packets[front].taken.is_empty() => 1,
-                _ => 0,
-            };
-            for &slot in slots.iter().rev() {
-                queue.insert(insert_at, slot);
-            }
-            self.queues.sync(flow, &self.packets);
-        }
-        if cfg!(debug_assertions) {
-            // Invariant: every surviving mid-injection worm is still at the
-            // front of its flow queue.
-            for queue in self.queues.iter() {
-                for (position, &slot) in queue.iter().enumerate() {
-                    debug_assert!(
-                        position == 0 || self.packets[slot].taken.is_empty(),
-                        "mid-injection packet {} buried at queue position {position}",
-                        self.packets[slot].packet.id
-                    );
-                }
-            }
-        }
-    }
-
-    /// Removes every undelivered packet of the given flows from the network
-    /// and the accounting.  Returns the number of packets purged (each
-    /// becomes an unreachable packet, not a stranded one).
-    fn strand_flows(&mut self, flows: &[FlowId], in_flight: &mut usize) -> usize {
-        let victims = self.in_flight_by_id(|state| flows.contains(&state.packet.flow));
-        if victims.is_empty() {
-            return 0;
-        }
-        self.evict(&victims);
-        for &flow in flows {
-            self.queues
-                .queue_mut(flow)
-                .retain(|slot| !victims.contains(slot));
-            self.queues.sync(flow, &self.packets);
-        }
-        for &slot in &victims {
-            // Retire the slab entry in place: no flits, no claims, and no
-            // longer in flight.
-            let state = &mut self.packets[slot];
-            state.to_inject.clear();
-            state.taken.clear();
-            state.ejected = state.packet.length;
-        }
-        self.purged += victims.len();
-        *in_flight -= victims.len();
-        victims.len()
     }
 }
 
@@ -1761,7 +1245,7 @@ mod tests {
     use noc_deadlock::vcmap::VcMap;
     use noc_routing::shortest::route_all_shortest;
     use noc_routing::Route;
-    use noc_topology::{generators, CoreMap, LinkId, Topology};
+    use noc_topology::{generators, CoreMap, LinkId, SwitchId, Topology};
 
     /// One flow across a 3-switch chain, from the first switch to the last.
     fn line_design() -> (Topology, CommGraph, CoreMap, RouteSet, Vec<SwitchId>) {
