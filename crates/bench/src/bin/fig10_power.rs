@@ -5,11 +5,10 @@
 //! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
 //! `--resume`, `--trace`; see `noc_bench::artifact::FigureCli`).
 
-use noc_bench::artifact::{run_figure, Fields};
+use noc_bench::artifact::{run_figure, FieldError, Node};
 use noc_bench::sweeps;
-use noc_flow::json::JsonValue;
 
-fn print_table(comparisons: &JsonValue) {
+fn print_table(comparisons: &Node) -> Result<(), FieldError> {
     println!(
         "# Figure 10 — normalised power (resource ordering / deadlock removal), {} switches",
         sweeps::FIG10_SWITCHES
@@ -18,16 +17,17 @@ fn print_table(comparisons: &JsonValue) {
         "{:>12} {:>18} {:>18} {:>12} {:>12}",
         "benchmark", "removal_norm", "ordering_norm", "removal_vc", "ordering_vc"
     );
-    for c in comparisons.as_array().unwrap_or_default() {
+    for c in comparisons.elements()? {
         println!(
             "{:>12} {:>18.3} {:>18.3} {:>12} {:>12}",
-            c.text("benchmark"),
+            c.text("benchmark")?,
             1.0,
-            c.num("normalised_ordering_power"),
-            c.count("removal_vcs"),
-            c.count("ordering_vcs")
+            c.num("normalised_ordering_power")?,
+            c.count("removal_vcs")?,
+            c.count("ordering_vcs")?
         );
     }
+    Ok(())
 }
 
 fn main() {

@@ -15,11 +15,10 @@
 //! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
 //! `--resume`, `--trace`; see `noc_bench::artifact::FigureCli`).
 
-use noc_bench::artifact::{run_figure, Fields};
+use noc_bench::artifact::{run_figure, FieldError, Node};
 use noc_bench::DEFAULT_RANDOM_DESIGNS;
-use noc_flow::json::JsonValue;
 
-fn print_table(data: &JsonValue) {
+fn print_table(data: &Node) -> Result<(), FieldError> {
     println!(
         "# Conservatism of the CDG check vs. the certified verifier \
          (Figure 8/9 grids + {DEFAULT_RANDOM_DESIGNS} random designs)"
@@ -36,20 +35,21 @@ fn print_table(data: &JsonValue) {
         "replays",
         "realized"
     );
-    for group in data.items("benchmarks") {
+    for group in data.items("benchmarks")? {
         println!(
             "{:>10} {:>7} {:>7} {:>13} {:>10} {:>8} {:>8} {:>9} {:>9}",
-            group.text("benchmark"),
-            group.items("points").len(),
-            group.count("cyclic_points"),
-            group.count("certified_deadlockable"),
-            group.count("certified_free_cyclic"),
-            group.count("unknown"),
-            group.count("gap_vcs"),
-            group.count("witness_attempts"),
-            group.count("witness_realized")
+            group.text("benchmark")?,
+            group.items("points")?.len(),
+            group.count("cyclic_points")?,
+            group.count("certified_deadlockable")?,
+            group.count("certified_free_cyclic")?,
+            group.count("unknown")?,
+            group.count("gap_vcs")?,
+            group.count("witness_attempts")?,
+            group.count("witness_realized")?
         );
     }
+    Ok(())
 }
 
 fn main() {

@@ -18,10 +18,9 @@
 //! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
 //! `--resume`, `--trace`; see `noc_bench::artifact::FigureCli`).
 
-use noc_bench::artifact::{run_figure, Fields};
-use noc_flow::json::JsonValue;
+use noc_bench::artifact::{run_figure, FieldError, Node};
 
-fn print_table(data: &JsonValue) {
+fn print_table(data: &Node) -> Result<(), FieldError> {
     println!("# Fault storms under cycle-safe live reconfiguration — Figure 8/9 grids");
     println!(
         "{:>12} {:>9} {:>7} {:>10} {:>10} {:>11} {:>9} {:>10} {:>12}",
@@ -35,36 +34,40 @@ fn print_table(data: &JsonValue) {
         "fallbacks",
         "unreachable"
     );
-    let points = data.items("points");
-    for point in points {
-        let runs = point.items("runs");
-        let total = |key: &str| -> usize { runs.iter().map(|r| r.field("stats").count(key)).sum() };
+    let points = data.items("points")?;
+    for point in &points {
+        let stats = point
+            .items("runs")?
+            .iter()
+            .map(|r| r.field("stats"))
+            .collect::<Result<Vec<_>, _>>()?;
+        let total = |key: &str| stats.iter().map(|s| s.count(key)).sum::<Result<usize, _>>();
         // The worst delivered fraction across the four strategies — the
         // figure's survivability headline for the point.
-        let min_delivered = runs
-            .iter()
-            .map(|r| r.field("stats").num("delivered_fraction"))
-            .fold(f64::INFINITY, f64::min);
+        let min_delivered = stats.iter().try_fold(f64::INFINITY, |min, s| {
+            Ok::<_, FieldError>(min.min(s.num("delivered_fraction")?))
+        })?;
         // Runs are in `FAULT_STRATEGIES` order: cycle breaking first.
-        let removal = runs[0].field("stats");
+        let removal = &stats[0];
         println!(
             "{:>12} {:>9} {:>7} {:>10} {:>9.1}% {:>11.1} {:>9} {:>10} {:>12}",
-            point.text("benchmark"),
-            point.count("switch_count"),
-            point.count("faults_injected"),
-            point.flag("connected"),
+            point.text("benchmark")?,
+            point.count("switch_count")?,
+            point.count("faults_injected")?,
+            point.flag("connected")?,
             min_delivered * 100.0,
-            removal.num("mean_latency"),
-            total("flows_rerouted"),
-            total("drain_fallbacks"),
-            total("unreachable_flows")
+            removal.num("mean_latency")?,
+            total("flows_rerouted")?,
+            total("drain_fallbacks")?,
+            total("unreachable_flows")?
         );
     }
     println!(
         "# swept {} points in {:.0} ms",
         points.len(),
-        data.num("wall_ms")
+        data.num("wall_ms")?
     );
+    Ok(())
 }
 
 fn main() {

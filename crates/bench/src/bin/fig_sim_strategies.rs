@@ -20,10 +20,9 @@
 //! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
 //! `--resume`, `--trace`; see `noc_bench::artifact::FigureCli`).
 
-use noc_bench::artifact::{run_figure, Fields};
-use noc_flow::json::JsonValue;
+use noc_bench::artifact::{run_figure, FieldError, Node};
 
-fn print_table(data: &JsonValue) {
+fn print_table(data: &Node) -> Result<(), FieldError> {
     println!("# VC-aware wormhole simulation — per-strategy delivery/latency, Figure 8/9 grids");
     println!(
         "{:>12} {:>9} {:>7} {:>16} {:>10} {:>11} {:>11} {:>11} {:>9}",
@@ -37,16 +36,20 @@ fn print_table(data: &JsonValue) {
         "p99_cycles",
         "drains"
     );
-    for point in data.items("points") {
-        // One series per policy, in `SIM_STRATEGY_POLICIES` order.
-        let series = point.items("series");
-        let rates = |policy: usize| series[policy].items("rates");
-        // The gaps at which the unsafe baseline deadlocked, e.g. "0,8".
-        let deadlock_gaps: Vec<String> = rates(0)
+    for point in data.items("points")? {
+        // One series of rates per policy, in `SIM_STRATEGY_POLICIES` order.
+        let rates = point
+            .items("series")?
             .iter()
-            .filter(|r| r.field("stats").flag("deadlocked"))
-            .map(|r| r.count("mean_gap_cycles").to_string())
-            .collect();
+            .map(|s| s.items("rates"))
+            .collect::<Result<Vec<_>, _>>()?;
+        // The gaps at which the unsafe baseline deadlocked, e.g. "0,8".
+        let mut deadlock_gaps = Vec::new();
+        for r in &rates[0] {
+            if r.field("stats")?.flag("deadlocked")? {
+                deadlock_gaps.push(r.count("mean_gap_cycles")?.to_string());
+            }
+        }
         let deadlock_gaps = if deadlock_gaps.is_empty() {
             "-".to_string()
         } else {
@@ -54,29 +57,32 @@ fn print_table(data: &JsonValue) {
         };
         // Saturation-point latency of the paper's strategy, and the total
         // drain events of the recovery policy across all rates.
-        let removal = rates(1)[0].field("stats");
-        let drains: usize = rates(5).iter().map(|r| r.count("recovery_events")).sum();
-        let strategies_deliver = series
+        let removal = rates[1][0].field("stats")?;
+        let drains = rates[5]
             .iter()
-            .skip(1) // everything but the unsafe baseline
-            .flat_map(|s| s.items("rates"))
-            .all(|r| {
-                let stats = r.field("stats");
-                !stats.flag("deadlocked") && stats.count("delivered") == stats.count("injected")
-            });
+            .map(|r| r.count("recovery_events"))
+            .sum::<Result<usize, _>>()?;
+        // Everything but the unsafe baseline delivers every packet.
+        let mut strategies_deliver = true;
+        for r in rates.iter().skip(1).flatten() {
+            let stats = r.field("stats")?;
+            strategies_deliver &= !stats.flag("deadlocked")?
+                && stats.count("delivered")? == stats.count("injected")?;
+        }
         println!(
             "{:>12} {:>9} {:>7} {:>16} {:>10} {:>11} {:>11} {:>11} {:>9}",
-            point.text("benchmark"),
-            point.count("switch_count"),
-            point.flag("baseline_cdg_cyclic"),
+            point.text("benchmark")?,
+            point.count("switch_count")?,
+            point.flag("baseline_cdg_cyclic")?,
             deadlock_gaps,
             if strategies_deliver { "100%" } else { "FAIL" },
-            removal.count("p50_latency"),
-            removal.count("p95_latency"),
-            removal.count("p99_latency"),
+            removal.count("p50_latency")?,
+            removal.count("p95_latency")?,
+            removal.count("p99_latency")?,
             drains
         );
     }
+    Ok(())
 }
 
 fn main() {

@@ -1,49 +1,81 @@
-//! Summarizes a Chrome-trace telemetry artifact (written by any figure
-//! binary's `--trace <path>` flag) as a per-phase wall-time breakdown.
+//! Reads the suite's JSON artifacts.
 //!
 //! ```text
 //! noc_profile summary <trace.json>
+//! noc_profile check <artifact.json> [--same-as <other.json>]
 //! ```
 //!
-//! The table attributes the root `figure` span's wall time to the named
+//! `summary` prints a Chrome-trace telemetry artifact (written by any
+//! figure binary's `--trace <path>` flag) as a per-phase wall-time
+//! breakdown: the root `figure` span's wall time attributed to the named
 //! phase categories (`stage`, `sweep`, `removal`, `sim`, `jobs`,
-//! `artifact`) by merged-interval self time, and lists the recorded
-//! counters.  Exits 1 when the file is missing, is not a `noc_trace`
-//! artifact, or its events are malformed — CI uses that as a
-//! well-formedness smoke check on top of `ci/check_artifact.py`.
+//! `artifact`) by merged-interval self time, plus the recorded counters.
+//!
+//! `check` is the artifact checker CI runs: the envelope and schema
+//! version, then the figure's invariants from its registry entry
+//! (`noc_bench::figures::FIGURES`), or for a trace its well-formedness and
+//! at least 95 % of the root span's wall time attributed to named phases.
+//! `--same-as` also requires the artifact to equal another one, key order
+//! included, with the figure's measured fields (fig_faults' `wall_ms`,
+//! fig_scale's timings) masked.
+//!
+//! Both exit 1 when the file is missing, malformed or fails its checks.
 
+use noc_bench::check::{check, same_as, CheckError};
+use noc_flow::json::SCHEMA_VERSION;
 use noc_flow::TraceSummary;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: noc_profile summary <trace.json>";
+const USAGE: &str = "usage: noc_profile summary <trace.json>\n       \
+noc_profile check <artifact.json> [--same-as <other.json>]";
+
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|error| format!("{path}: {error}"))
+}
+
+fn summary(path: &str) -> Result<(), String> {
+    let summary = TraceSummary::parse(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
+    print!("{}", summary.render_table());
+    Ok(())
+}
+
+fn check_file(path: &str, other: Option<&str>) -> Result<(), String> {
+    let text = read(path)?;
+    let checked = check(&text).and_then(|figure| match other {
+        Some(other) => {
+            let theirs = read(other).map_err(CheckError::Failed)?;
+            same_as(&text, &theirs)
+                .map_err(|e| CheckError::Failed(format!("{e} from {other}")))
+                .map(|()| figure)
+        }
+        None => Ok(figure),
+    });
+    match checked {
+        Ok(figure) => {
+            println!("{path}: ok ({figure}, schema {SCHEMA_VERSION})");
+            Ok(())
+        }
+        Err(error) => Err(format!("{path}: FAIL — {error}")),
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let path = match args.as_slice() {
-        [command, path] if command == "summary" => path,
-        [help] if help == "--help" || help == "-h" => {
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let result = match args.as_slice() {
+        ["summary", path] => summary(path),
+        ["check", path] => check_file(path, None),
+        ["check", path, "--same-as", other] => check_file(path, Some(other)),
+        ["--help" | "-h"] => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
         }
-        _ => {
-            eprintln!("{USAGE}");
-            return ExitCode::FAILURE;
-        }
+        _ => Err(USAGE.to_string()),
     };
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(error) => {
-            eprintln!("noc_profile: {path}: {error}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match TraceSummary::parse(&text) {
-        Ok(summary) => {
-            print!("{}", summary.render_table());
-            ExitCode::SUCCESS
-        }
-        Err(error) => {
-            eprintln!("noc_profile: {path}: {error}");
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(message) => {
+            eprintln!("noc_profile: {message}");
             ExitCode::FAILURE
         }
     }

@@ -10,10 +10,9 @@
 //! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
 //! `--resume`, `--trace`; see `noc_bench::artifact::FigureCli`).
 
-use noc_bench::artifact::{run_figure, Fields};
-use noc_flow::json::JsonValue;
+use noc_bench::artifact::{run_figure, FieldError, Node};
 
-fn print_table(validations: &JsonValue) {
+fn print_table(validations: &Node) -> Result<(), FieldError> {
     println!("# Wormhole simulation: deadlock behaviour before/after removal (10-switch designs)");
     println!(
         "{:>12} {:>14} {:>20} {:>18} {:>16} {:>16} {:>12}",
@@ -25,18 +24,19 @@ fn print_table(validations: &JsonValue) {
         "fixed_latency",
         "fixed_p95"
     );
-    for v in validations.as_array().unwrap_or_default() {
+    for v in validations.elements()? {
         println!(
             "{:>12} {:>14} {:>20} {:>18} {:>16} {:>16.1} {:>12}",
-            v.text("benchmark"),
-            v.flag("original_cdg_cyclic"),
-            v.flag("original_deadlocked"),
-            v.flag("fixed_deadlocked"),
-            v.count("fixed_delivered"),
-            v.num("fixed_mean_latency"),
-            v.count("fixed_p95_latency")
+            v.text("benchmark")?,
+            v.flag("original_cdg_cyclic")?,
+            v.flag("original_deadlocked")?,
+            v.flag("fixed_deadlocked")?,
+            v.count("fixed_delivered")?,
+            v.num("fixed_mean_latency")?,
+            v.count("fixed_p95_latency")?
         );
     }
+    Ok(())
 }
 
 fn main() {

@@ -6,11 +6,10 @@
 //! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
 //! `--resume`, `--trace`; see `noc_bench::artifact::FigureCli`).
 
-use noc_bench::artifact::{run_figure, Fields};
+use noc_bench::artifact::{run_figure, FieldError, Node};
 use noc_bench::{sweeps, PowerComparison};
-use noc_flow::json::JsonValue;
 
-fn print_table(data: &JsonValue) {
+fn print_table(data: &Node) -> Result<(), FieldError> {
     println!(
         "# Section 5 summary — per-benchmark comparison at {} switches",
         sweeps::FIG10_SWITCHES
@@ -25,8 +24,8 @@ fn print_table(data: &JsonValue) {
         "power_saving",
         "power_overhead"
     );
-    for c in data.items("comparisons") {
-        let c = PowerComparison::from_json(c).expect("the artifact holds power comparisons");
+    for c in data.items("comparisons")? {
+        let c = PowerComparison::from_json(c.value).expect("the artifact holds power comparisons");
         println!(
             "{:>12} {:>12} {:>12} {:>13.1}% {:>13.1}% {:>15.2}% {:>15.2}%",
             c.benchmark,
@@ -38,29 +37,30 @@ fn print_table(data: &JsonValue) {
             c.removal_power_overhead() * 100.0
         );
     }
-    let s = data.field("summary");
+    let s = data.field("summary")?;
     println!();
     println!("# Aggregate (paper reports: 88% VC, 66% area, 8.6% power savings; <5% overhead)");
     println!(
         "mean VC saving vs. resource ordering:    {:>6.1}%",
-        s.num("mean_vc_saving") * 100.0
+        s.num("mean_vc_saving")? * 100.0
     );
     println!(
         "mean area saving vs. resource ordering:  {:>6.1}%",
-        s.num("mean_area_saving") * 100.0
+        s.num("mean_area_saving")? * 100.0
     );
     println!(
         "mean power saving vs. resource ordering: {:>6.2}%",
-        s.num("mean_power_saving") * 100.0
+        s.num("mean_power_saving")? * 100.0
     );
     println!(
         "mean power overhead vs. no removal:      {:>6.2}%",
-        s.num("mean_power_overhead") * 100.0
+        s.num("mean_power_overhead")? * 100.0
     );
     println!(
         "mean area overhead vs. no removal:       {:>6.2}%",
-        s.num("mean_area_overhead") * 100.0
+        s.num("mean_area_overhead")? * 100.0
     );
+    Ok(())
 }
 
 fn main() {

@@ -1,11 +1,12 @@
 //! The figure registry and the job parameters.
 //!
-//! [`job_source`] maps a figure name to its job source — the figure's only
-//! definition, built in [`crate::figures`] — and narrows its grid by the
-//! spec's params.  The figure binaries, `--resume` and `noc_serve` all
-//! reach a figure through it.
+//! [`job_source`] looks a figure up by name in
+//! [`FIGURES`](crate::figures::FIGURES) — the figure's only definition: its
+//! job source and the invariants its artifact must hold — and narrows its
+//! grid by the spec's params.  The figure binaries, `--resume` and
+//! `noc_serve` all reach a figure through it.
 
-use crate::{figures, sweeps};
+use crate::sweeps;
 use noc_flow::json::JsonValue;
 use noc_flow::FlowSweep;
 use noc_jobs::{JobError, JobRequest, JobSource};
@@ -41,29 +42,12 @@ pub fn job_source_counted(
     counter: TaskCounter,
 ) -> Result<Box<dyn JobSource>, JobError> {
     let params = Params::parse(&spec.params)?;
-    match spec.figure.as_str() {
-        "fig8_d26_media" => figures::vc_sweep(
-            "fig8_d26_media",
-            Benchmark::D26Media,
-            params.counts_or(sweeps::FIG8_SWITCH_COUNTS)?,
-            counter,
-        ),
-        "fig9_d36_8" => figures::vc_sweep(
-            "fig9_d36_8",
-            Benchmark::D36x8,
-            params.counts_or(sweeps::FIG9_SWITCH_COUNTS)?,
-            counter,
-        ),
-        "fig10_power" => figures::power(&params, counter),
-        "summary_table" => figures::summary_table(&params, counter),
-        "sim_validation" => figures::sim_validation(&params, counter),
-        "fig_strategy_matrix" => figures::strategy_matrix(&params, counter),
-        "fig_sim_strategies" => figures::sim_strategies(&params, counter),
-        "fig_faults" => figures::faults(&params, counter),
-        "fig_conservatism" => figures::conservatism(&params, counter),
-        "fig_scale" => Err(JobError::Unsupported(spec.figure.clone())),
-        other => Err(JobError::UnknownFigure(other.to_string())),
-    }
+    let figure = crate::figures::find(&spec.figure)
+        .ok_or_else(|| JobError::UnknownFigure(spec.figure.clone()))?;
+    let source = figure
+        .source
+        .ok_or_else(|| JobError::Unsupported(spec.figure.clone()))?;
+    source(&params, counter)
 }
 
 /// The recognised job parameters, all optional: `benchmarks` (array of
@@ -96,7 +80,10 @@ impl Params {
         Ok(parsed)
     }
 
-    fn counts_or(&self, default: impl IntoIterator<Item = usize>) -> Result<Vec<usize>, JobError> {
+    pub(crate) fn counts_or(
+        &self,
+        default: impl IntoIterator<Item = usize>,
+    ) -> Result<Vec<usize>, JobError> {
         if self.benchmarks.is_some() || self.switch_count.is_some() {
             return Err(JobError::Spec(
                 "this figure only accepts \"switch_counts\"".into(),

@@ -2,7 +2,8 @@
 //!
 //! Each figure is defined once, as a job source in [`figures`]: its task
 //! list, the per-task computation (the point functions of this crate) and
-//! the assembly of the artifact.  Every figure binary in `src/bin/` runs its
+//! the assembly of the artifact, next to the invariants the artifact must
+//! hold, which `noc_profile check` enforces through [`check`].  Every figure binary in `src/bin/` runs its
 //! source through [`artifact::run_figure`] — in memory, or through the
 //! resumable job store under `--resume` — and prints its table from the
 //! parsed artifact; `noc_serve` runs the same sources as jobs.  `fig_scale`
@@ -1330,6 +1331,33 @@ pub const SCALE_GRID: [ScaleTopology; 12] = [
     },
 ];
 
+/// One fig_scale point's answers; see [`SCALE_PINNED`].
+pub type ScaleAnswers = ((usize, usize), Option<[(usize, usize); 4]>);
+
+/// The deterministic answers of each [`SCALE_GRID`] point, in grid order:
+/// removal's `(cycles_broken, added_vcs)`, then — at or below
+/// [`SCALE_STRATEGY_SWITCH_CAP`] — each strategy's `(added_vcs,
+/// cycles_broken)` in [`STRATEGY_MATRIX_NAMES`] order.  Only timings may
+/// change between builds: a different answer is a behavioural change of
+/// removal or of a strategy.
+pub const SCALE_PINNED: [ScaleAnswers; 12] = [
+    ((0, 0), Some([(0, 0), (7328, 0), (0, 0), (0, 0)])),
+    ((15, 25), Some([(25, 15), (4891, 0), (388, 0), (0, 0)])),
+    ((0, 0), Some([(0, 0), (614, 0), (96, 0), (0, 0)])),
+    ((0, 0), Some([(0, 0), (1558, 0), (0, 0), (0, 0)])),
+    ((16, 16), Some([(16, 16), (5902, 0), (827, 0), (0, 0)])),
+    ((0, 0), Some([(0, 0), (26961, 0), (0, 0), (0, 0)])),
+    ((0, 0), Some([(0, 0), (76187, 0), (0, 0), (0, 0)])),
+    (
+        (115, 319),
+        Some([(319, 115), (56029, 0), (2450, 0), (0, 0)]),
+    ),
+    ((260, 1028), None),
+    ((0, 0), None),
+    ((559, 3305), None),
+    ((0, 0), None),
+];
+
 /// Seed of the synthetic uniform-random workloads of the scaling grid.
 pub const SCALE_SEED: u64 = 0xD47E_2010;
 
@@ -1925,15 +1953,16 @@ runs, the artifact still lands at --json (or --out-dir/<figure>.json)";
     /// the figure's job source — in memory, or through the resumable job
     /// store under `--resume` — writes the artifact, and hands the parsed
     /// artifact's `data` to `print_table`, so both paths print the same
-    /// table.  Exits with status 1 on any job error.
-    pub fn run_figure(figure: &str, print_table: fn(&JsonValue)) {
+    /// table.  Exits with status 1 on any job or field error.
+    pub fn run_figure(figure: &str, print_table: fn(&Node) -> Result<(), FieldError>) {
         let cli = FigureCli::parse(figure);
         let _trace = cli.trace_session();
-        let printed = cli.run_job().and_then(|text| {
+        let printed = cli.run_job().map_err(Box::from).and_then(|text| {
             let mut span = noc_telemetry::span("artifact", "table");
             span.arg("figure", figure);
-            print_table(&ParsedArtifact::parse(&text)?.data);
-            Ok(())
+            let artifact = ParsedArtifact::parse(&text)?;
+            print_table(&Node::new(&artifact.data, "data"))?;
+            Ok::<_, Box<dyn std::error::Error>>(())
         });
         if let Err(error) = printed {
             eprintln!("{figure}: {error}");
@@ -1979,52 +2008,114 @@ runs, the artifact still lands at --json (or --out-dir/<figure>.json)";
         }
     }
 
-    /// Typed field access for the tables the figure binaries print from
-    /// their parsed artifact.  The artifact was assembled and validated by
-    /// the same process, so a missing or mistyped field is a bug: the
-    /// accessors panic, naming the key.
-    pub trait Fields {
-        /// The value under `key`.
-        fn field(&self, key: &str) -> &JsonValue;
+    /// One value of a parsed artifact and the key path that reached it
+    /// (`data.points[3].stats`).  The typed accessors return a
+    /// [`FieldError`] naming that path when a key is missing or mistyped:
+    /// the figure tables read what their own process wrote, but
+    /// `noc_profile check` reads files from anywhere.
+    #[derive(Debug, Clone)]
+    pub struct Node<'a> {
+        /// The value itself.
+        pub value: &'a JsonValue,
+        /// How it was reached from the document root.
+        pub path: String,
+    }
 
-        /// A number; `null` (how non-finite floats are written) reads as
-        /// NaN.
-        fn num(&self, key: &str) -> f64 {
-            match self.field(key) {
-                JsonValue::Null => f64::NAN,
-                value => typed(value.as_number(), key),
+    /// A missing or mistyped artifact field.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct FieldError {
+        /// The key path, e.g. `data.points[3].stats.deadlocked`.
+        pub path: String,
+        /// What the field should have been.
+        pub expected: &'static str,
+    }
+
+    impl fmt::Display for FieldError {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            write!(f, "field {} is missing or not {}", self.path, self.expected)
+        }
+    }
+
+    impl std::error::Error for FieldError {}
+
+    impl<'a> Node<'a> {
+        /// The root of a document, named `path` in errors.
+        pub fn new(value: &'a JsonValue, path: &str) -> Self {
+            let path = path.to_string();
+            Node { value, path }
+        }
+
+        /// Whether the object has `key`.
+        pub(crate) fn has(&self, key: &str) -> bool {
+            self.value.get(key).is_some()
+        }
+
+        /// The value under `key`.
+        pub fn field(&self, key: &str) -> Result<Node<'a>, FieldError> {
+            let path = format!("{}.{key}", self.path);
+            match self.value.get(key) {
+                Some(value) => Ok(Node { value, path }),
+                None => Err(FieldError {
+                    path,
+                    expected: "present",
+                }),
             }
         }
 
+        fn typed<T>(
+            &self,
+            key: &str,
+            expected: &'static str,
+            read: impl FnOnce(&'a JsonValue) -> Option<T>,
+        ) -> Result<T, FieldError> {
+            let Node { value, path } = self.field(key)?;
+            read(value).ok_or(FieldError { path, expected })
+        }
+
+        /// A number; `null` (how non-finite floats are written) reads as
+        /// NaN.
+        pub fn num(&self, key: &str) -> Result<f64, FieldError> {
+            self.typed(key, "a number", |value| match value {
+                JsonValue::Null => Some(f64::NAN),
+                value => value.as_number(),
+            })
+        }
+
         /// A count.
-        fn count(&self, key: &str) -> usize {
-            self.num(key) as usize
+        pub fn count(&self, key: &str) -> Result<usize, FieldError> {
+            Ok(self.num(key)? as usize)
         }
 
         /// A string.
-        fn text(&self, key: &str) -> &str {
-            typed(self.field(key).as_str(), key)
+        pub fn text(&self, key: &str) -> Result<&'a str, FieldError> {
+            self.typed(key, "a string", JsonValue::as_str)
         }
 
         /// A boolean.
-        fn flag(&self, key: &str) -> bool {
-            typed(self.field(key).as_bool(), key)
+        pub fn flag(&self, key: &str) -> Result<bool, FieldError> {
+            self.typed(key, "a boolean", JsonValue::as_bool)
         }
 
-        /// An array.
-        fn items(&self, key: &str) -> &[JsonValue] {
-            typed(self.field(key).as_array(), key)
+        /// The elements of this array.
+        pub fn elements(&self) -> Result<Vec<Node<'a>>, FieldError> {
+            let Some(items) = self.value.as_array() else {
+                let path = self.path.clone();
+                return Err(FieldError {
+                    path,
+                    expected: "an array",
+                });
+            };
+            let node = |(i, value)| Node {
+                value,
+                path: format!("{}[{i}]", self.path),
+            };
+            Ok(items.iter().enumerate().map(node).collect())
         }
-    }
 
-    impl Fields for JsonValue {
-        fn field(&self, key: &str) -> &JsonValue {
-            typed(self.get(key), key)
+        /// The elements of the array under `key`.
+        pub fn items(&self, key: &str) -> Result<Vec<Node<'a>>, FieldError> {
+            self.field(key)?.elements()
         }
-    }
-
-    fn typed<T>(value: Option<T>, key: &str) -> T {
-        value.unwrap_or_else(|| panic!("artifact field {key:?} is missing or mistyped"))
     }
 
     #[cfg(test)]
@@ -2095,6 +2186,7 @@ runs, the artifact still lands at --json (or --out-dir/<figure>.json)";
     }
 }
 
+pub mod check;
 pub mod figures;
 pub mod jobs;
 

@@ -13,7 +13,8 @@
 //! 4. every figure's in-memory run (what a figure binary does without
 //!    `--resume`) writes the same bytes as its store run.
 
-use noc_bench::artifact::Fields;
+use noc_bench::artifact::Node;
+use noc_bench::check::same_as;
 use noc_bench::jobs::{job_source, job_source_counted};
 use noc_bench::{power_comparison, summary, STRATEGY_MATRIX_NAMES};
 use noc_flow::json::{Artifact, ObjectWriter, RawJson, ToJson};
@@ -282,19 +283,12 @@ fn conservatism_resumes_byte_identically_across_kill_points() {
     assert!(reference.contains(&point));
     // Two groups in first-appearance order: the grid, then the population.
     let parsed = noc_flow::json::ParsedArtifact::parse(&reference).unwrap();
-    let groups = parsed.data.items("benchmarks");
-    let names: Vec<_> = groups.iter().map(|g| g.text("benchmark")).collect();
+    let groups = Node::new(&parsed.data, "data").items("benchmarks").unwrap();
+    let names: Vec<_> = groups
+        .iter()
+        .map(|g| g.text("benchmark").unwrap())
+        .collect();
     assert_eq!(names, ["D36_8", "random"]);
-}
-
-/// `fig_faults` records total task time as `wall_ms`, which differs between
-/// any two runs; everything else must match.
-fn mask_wall_ms(artifact: &str) -> String {
-    let Some(start) = artifact.find("\"wall_ms\":") else {
-        return artifact.to_string();
-    };
-    let end = start + artifact[start..].find(',').expect("wall_ms is not last");
-    format!("{}\"wall_ms\":_{}", &artifact[..start], &artifact[end..])
 }
 
 #[test]
@@ -318,10 +312,10 @@ fn every_figure_runs_in_memory_and_through_the_store_alike() {
         let dir = temp_dir(&format!("alike-{figure}"));
         let stored = store_run(&spec, &dir);
         std::fs::remove_dir_all(&dir).unwrap();
-        assert_eq!(
-            mask_wall_ms(&in_memory),
-            mask_wall_ms(&stored),
-            "{figure}: in-memory and store runs differ"
-        );
+        // Equal but for the figure's measured fields (fig_faults' total
+        // task time, `wall_ms`), as `noc_profile check --same-as` compares.
+        if let Err(error) = same_as(&in_memory, &stored) {
+            panic!("{figure}: in-memory and store runs differ: {error}");
+        }
     }
 }

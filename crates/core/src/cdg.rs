@@ -278,17 +278,6 @@ impl Cdg {
         self.graph.edge_weight(edge).map(Vec::as_slice)
     }
 
-    /// Iterates over all dependencies as `(from, to, flows)`.
-    pub fn dependencies(&self) -> impl Iterator<Item = (Channel, Channel, &[FlowId])> + '_ {
-        self.graph.edges().map(move |e| {
-            (
-                *self.graph.node_weight(e.source).expect("valid node"),
-                *self.graph.node_weight(e.target).expect("valid node"),
-                e.weight.as_slice(),
-            )
-        })
-    }
-
     /// Borrow the underlying graph (e.g. for DOT export in diagnostics).
     pub(crate) fn graph(&self) -> &DiGraph<Channel, Vec<FlowId>> {
         &self.graph
@@ -435,12 +424,21 @@ mod tests {
         assert_eq!(cdg2.dependency_count(), 4);
     }
 
+    /// Every dependency of `cdg` as `(from, to, flows)`.
+    fn dependencies(cdg: &Cdg) -> impl Iterator<Item = (Channel, Channel, &[FlowId])> + '_ {
+        let graph = cdg.graph();
+        graph.edges().map(move |e| {
+            let channel = |node| *graph.node_weight(node).expect("valid node");
+            (channel(e.source), channel(e.target), e.weight.as_slice())
+        })
+    }
+
     #[test]
     fn dependencies_iterator_matches_counts() {
         let (topo, routes) = figure_1_design();
         let cdg = Cdg::build(&topo, &routes);
-        assert_eq!(cdg.dependencies().count(), cdg.dependency_count());
-        let total_flow_refs: usize = cdg.dependencies().map(|(_, _, f)| f.len()).sum();
+        assert_eq!(dependencies(&cdg).count(), cdg.dependency_count());
+        let total_flow_refs: usize = dependencies(&cdg).map(|(_, _, f)| f.len()).sum();
         assert_eq!(total_flow_refs, 5); // F1 twice, F2, F3, F4 once each
     }
 
@@ -458,7 +456,7 @@ mod tests {
     /// cycle.
     fn assert_structurally_equal(incremental: &Cdg, rebuilt: &Cdg) {
         assert_eq!(incremental.dependency_count(), rebuilt.dependency_count());
-        for (from, to, flows) in rebuilt.dependencies() {
+        for (from, to, flows) in dependencies(rebuilt) {
             let mut expected: Vec<FlowId> = flows.to_vec();
             expected.sort();
             let mut actual: Vec<FlowId> = incremental

@@ -86,11 +86,6 @@ impl VcMap {
         self.flow_vcs.get(flow.index())?.get(hop).copied()
     }
 
-    /// Number of flows covered by the snapshot.
-    pub fn flow_count(&self) -> usize {
-        self.flow_vcs.len()
-    }
-
     /// Number of links covered by the snapshot.
     pub fn link_count(&self) -> usize {
         self.link_vcs.len()
@@ -142,7 +137,6 @@ mod tests {
         let (topo, routes) = ring_with_escape();
         let map = VcMap::from_design(&topo, &routes);
         assert_eq!(map.link_count(), 3);
-        assert_eq!(map.flow_count(), 2);
         assert_eq!(map.link_vcs(LinkId::from_index(0)), 1);
         assert_eq!(map.link_vcs(LinkId::from_index(1)), 2);
         assert_eq!(map.total_channels(), 4);

@@ -788,7 +788,7 @@ impl<'a> Parser<'a> {
 // ---------------------------------------------------------------------------
 
 /// Version of the artifact envelope and the per-figure payload schemas,
-/// checked by `ci/check_artifact.py`.  Bump it whenever a payload field is
+/// checked by `noc_profile check`.  Bump it whenever a payload field is
 /// added, removed or changes meaning (v2 added the envelope `schema` field
 /// itself, the per-outcome `kind`/`mean_hops` fields of sweep points, and
 /// the `fig_strategy_matrix` artifact; v3 added the `fig_sim_strategies`

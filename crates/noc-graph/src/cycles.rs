@@ -256,8 +256,8 @@ pub fn smallest_cycle_by<N, E, K: Ord>(
 ///
 /// The graph must be the one the last query saw, changed only through
 /// [`DiGraph`]'s own methods (a clone of it counts), since the finder finds
-/// the edits in its edge arena.  Call [`clear`](Self::clear) before asking
-/// about an unrelated graph.
+/// the edits in its edge arena.  Ask about an unrelated graph with a new
+/// finder.
 ///
 /// # Example
 ///
@@ -299,12 +299,6 @@ impl IncrementalCycleFinder {
     /// search.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Drops all cached state, e.g. after a wholesale graph rebuild that
-    /// invalidates node identities.
-    pub fn clear(&mut self) {
-        *self = Self::default();
     }
 
     /// The smallest cycle of `graph` under the ranking `rank`, exactly as
@@ -1558,18 +1552,6 @@ mod tests {
         let mut expected: Vec<NodeId> = g.node_ids().collect();
         expected.sort_by_key(|&v| reversed(v));
         assert_eq!(finder.order, expected);
-    }
-
-    #[test]
-    fn finder_clear_resets_state() {
-        let (g, _) = ring(3);
-        let mut finder = IncrementalCycleFinder::new();
-        finder.smallest_cycle_by(&g, |v| v.index()).unwrap();
-        finder.clear();
-        assert_eq!(
-            finder.smallest_cycle_by(&g, |v| v.index()),
-            smallest_cycle(&g),
-        );
     }
 
     /// Rings of 4 to 9 nodes with a chord or two, joined by edges that run

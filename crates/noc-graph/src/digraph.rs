@@ -44,11 +44,6 @@ impl EdgeId {
     pub(crate) fn from_index(index: usize) -> Self {
         EdgeId(index)
     }
-
-    /// Returns the dense index of this edge.
-    pub fn index(self) -> usize {
-        self.0
-    }
 }
 
 impl fmt::Display for EdgeId {
@@ -373,7 +368,7 @@ mod tests {
         g.remove_edge(g.find_edge(n[0], n[1]).unwrap());
         assert_eq!(g.edge_id_bound(), 3);
         let e = g.add_edge(n[0], n[1], 4);
-        assert_eq!(e.index(), 3);
+        assert_eq!(e, EdgeId::from_index(3));
         assert_eq!(g.edge_id_bound(), 4);
     }
 

@@ -55,11 +55,6 @@ impl Route {
         self.channels.is_empty()
     }
 
-    /// The position of `channel` within the route, if present.
-    pub fn position(&self, channel: Channel) -> Option<usize> {
-        self.channels.iter().position(|&c| c == channel)
-    }
-
     /// The switch sequence the route traverses, derived from `topology`
     /// (source switch of the first link, then target of each link).
     /// Returns `None` if any link is unknown to the topology.
@@ -187,8 +182,7 @@ mod tests {
         let (t, r) = two_link_route();
         assert_eq!(r.hop_count(), 2);
         assert!(!r.is_empty());
-        assert_eq!(r.position(Channel::base(LinkId::from_index(1))), Some(1));
-        assert_eq!(r.position(Channel::new(LinkId::from_index(1), 1)), None);
+        assert_eq!(r.channels()[1], Channel::base(LinkId::from_index(1)));
         let path = r.switch_path(&t).unwrap();
         assert_eq!(path.len(), 3);
         assert_eq!(path[0], SwitchId::from_index(0));
@@ -260,6 +254,6 @@ mod tests {
     fn channels_mut_allows_rerouting() {
         let (_, mut r) = two_link_route();
         r.channels_mut()[0] = Channel::new(LinkId::from_index(0), 1);
-        assert_eq!(r.position(Channel::new(LinkId::from_index(0), 1)), Some(0));
+        assert_eq!(r.channels()[0], Channel::new(LinkId::from_index(0), 1));
     }
 }

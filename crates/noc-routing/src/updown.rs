@@ -16,10 +16,9 @@ use noc_topology::{CommGraph, CoreMap, FaultSet, LinkId, SwitchId, Topology};
 use std::collections::VecDeque;
 
 /// The up/down labelling of a topology's links relative to a BFS spanning
-/// tree rooted at [`UpDownLabels::root`].
+/// tree rooted at the switch it was built from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UpDownLabels {
-    root: SwitchId,
     /// BFS level of every switch (root = 0).
     level: Vec<Option<usize>>,
 }
@@ -78,12 +77,7 @@ impl UpDownLabels {
                 }
             }
         }
-        UpDownLabels { root, level }
-    }
-
-    /// The root switch of the spanning tree.
-    pub fn root(&self) -> SwitchId {
-        self.root
+        UpDownLabels { level }
     }
 
     /// BFS level of a switch (0 for the root), or `None` if unreachable.
@@ -293,7 +287,6 @@ mod tests {
         for (i, &sw) in generated.switches.iter().enumerate() {
             assert_eq!(labels.level(sw), Some(i));
         }
-        assert_eq!(labels.root(), generated.switches[0]);
     }
 
     #[test]

@@ -13,7 +13,6 @@ use noc_topology::{CommGraph, CoreMap, LinkId, SwitchId, Topology};
 /// [`noc_topology::generators::mesh2d`] to (row, column) coordinates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MeshCoords {
-    rows: usize,
     cols: usize,
     switches: Vec<SwitchId>,
 }
@@ -27,21 +26,7 @@ impl MeshCoords {
     /// Panics if `switches.len() != rows * cols`.
     pub fn new(rows: usize, cols: usize, switches: Vec<SwitchId>) -> Self {
         assert_eq!(switches.len(), rows * cols, "switch list must be row-major");
-        MeshCoords {
-            rows,
-            cols,
-            switches,
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
+        MeshCoords { cols, switches }
     }
 
     /// The switch at `(row, col)`.
@@ -174,8 +159,6 @@ mod tests {
     fn coordinates_round_trip() {
         let generated = generators::mesh2d(2, 3, 1.0);
         let coords = MeshCoords::new(2, 3, generated.switches.clone());
-        assert_eq!(coords.rows(), 2);
-        assert_eq!(coords.cols(), 3);
         for r in 0..2 {
             for c in 0..3 {
                 assert_eq!(coords.position(coords.at(r, c)), Some((r, c)));

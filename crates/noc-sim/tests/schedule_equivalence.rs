@@ -10,7 +10,8 @@
 //! latencies 0, 1 and 3, every shipped policy plus a test policy that
 //! offers three candidates per hop, each plain, with recovery routes
 //! armed, and under a fault storm.  Each run is repeated, and the two
-//! outcomes must be equal.
+//! outcomes must be equal.  A designed family reaches the wake of a credit
+//! restored to an unowned channel (see [`SplitVc`]).
 
 use noc_deadlock::escape::apply_escape_channels;
 use noc_deadlock::removal::{remove_deadlocks, RemovalConfig};
@@ -37,6 +38,28 @@ impl VcPolicy for EveryVc {
     fn candidates(&self, choice: &VcChoice, out: &mut Vec<usize>) {
         out.push(choice.assigned_vc);
         out.extend((0..choice.link_vcs).filter(|&vc| vc != choice.assigned_vc));
+    }
+}
+
+/// Test-only policy: even flows may take any VC of the link (the
+/// assignment first), odd flows only their assigned one.  So a release
+/// can wake an even-flow claim alone (the channel is its first choice),
+/// which then takes its second VC while the released channel's credit is
+/// still in flight, and an odd-flow claim stays parked on that channel
+/// until `Schedule::credited` wakes it for the credit restored to an
+/// unowned channel.
+struct SplitVc;
+
+impl VcPolicy for SplitVc {
+    fn name(&self) -> &str {
+        "split-vc"
+    }
+
+    fn candidates(&self, choice: &VcChoice, out: &mut Vec<usize>) {
+        out.push(choice.assigned_vc);
+        if choice.flow.index().is_multiple_of(2) {
+            out.extend((0..choice.link_vcs).filter(|&vc| vc != choice.assigned_vc));
+        }
     }
 }
 
@@ -230,4 +253,30 @@ fn ready_sets_decide_what_the_full_scan_decides() {
         }
     }
     assert!(runs >= 6 * 3 * 3 * 9, "the grid ran {runs} configurations");
+}
+
+#[test]
+fn a_restored_credit_wakes_the_claims_a_release_left_parked() {
+    // Plain rings of three-VC links, one slot per buffer and credits three
+    // cycles in flight: the seeds where the full scan catches a claim left
+    // parked if that wake is missing.
+    let config = VcSimConfig {
+        buffer_depth: 1,
+        credit_return_latency: 3,
+        max_cycles: 20_000,
+        ..VcSimConfig::default()
+    };
+    for seed in [1, 13] {
+        let mut instance = instance(&mut SmallRng::seed_from_u64(seed), 2 * seed as usize);
+        instance.traffic.packets_per_flow = 12;
+        let design = (&instance.wide, &instance.base.1);
+        let outcome = run(&instance, design, &SplitVc, Mode::Plain, &config);
+        let stats = &outcome.stats;
+        assert_eq!(
+            stats.delivered_packets + outcome.stranded_packets + outcome.unreachable_packets,
+            stats.injected_packets,
+            "{}: packets unaccounted for",
+            instance.label
+        );
+    }
 }

@@ -4,7 +4,7 @@ use crate::cluster::{cluster_cores, Clustering};
 use crate::connect::{build_interconnect, Backbone, ConnectConfig};
 use noc_routing::shortest::{route_all_with_cost, LinkCost};
 use noc_routing::{RouteError, RouteSet};
-use noc_topology::{CommGraph, CoreId, CoreMap, Topology, TopologyError};
+use noc_topology::{CommGraph, CoreMap, Topology, TopologyError};
 use std::error::Error;
 use std::fmt;
 
@@ -165,11 +165,6 @@ pub fn synthesize(
     })
 }
 
-/// Returns the switch a core was attached to; small helper used by examples.
-pub fn switch_of(design: &SynthesizedDesign, core: CoreId) -> Option<noc_topology::SwitchId> {
-    design.core_map.switch_of(core)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,14 +235,5 @@ mod tests {
         let comm = Benchmark::D26Media.comm_graph();
         let err = synthesize(&comm, &SynthesisConfig::with_switches(0)).unwrap_err();
         assert!(err.to_string().contains("switch count"));
-    }
-
-    #[test]
-    fn switch_of_matches_core_map() {
-        let comm = Benchmark::D26Media.comm_graph();
-        let design = synthesize(&comm, &SynthesisConfig::with_switches(6)).unwrap();
-        for (core, _) in comm.cores() {
-            assert_eq!(switch_of(&design, core), design.core_map.switch_of(core));
-        }
     }
 }

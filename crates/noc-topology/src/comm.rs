@@ -89,11 +89,6 @@ impl CommGraph {
         self.flows.len()
     }
 
-    /// Returns the core payload, if the id is valid.
-    pub fn core(&self, id: CoreId) -> Option<&Core> {
-        self.cores.get(id.index())
-    }
-
     /// Returns the flow payload, if the id is valid.
     pub fn flow(&self, id: FlowId) -> Option<&Flow> {
         self.flows.get(id.index())
@@ -197,7 +192,8 @@ mod tests {
         let (g, cores) = sample();
         assert_eq!(g.core_count(), 3);
         assert_eq!(g.flow_count(), 3);
-        assert_eq!(g.core(cores[1]).unwrap().name, "dsp");
+        let (id, core) = g.cores().nth(1).unwrap();
+        assert_eq!((id, core.name.as_str()), (cores[1], "dsp"));
         assert_eq!(g.total_bandwidth(), 175.0);
     }
 
