@@ -41,6 +41,7 @@ pub fn job_source_counted(
     spec: &JobRequest,
     counter: TaskCounter,
 ) -> Result<Box<dyn JobSource>, JobError> {
+    let _span = noc_telemetry::span("jobs", "build_source");
     let params = Params::parse(&spec.params)?;
     let figure = crate::figures::find(&spec.figure)
         .ok_or_else(|| JobError::UnknownFigure(spec.figure.clone()))?;

@@ -13,6 +13,11 @@
 //!
 //! Built on `std::thread::scope` + `std::sync::mpsc` only — the offline
 //! build environment has no external dependencies (no rayon/crossbeam).
+//!
+//! A traced run sees the loop's own cost in `executor` spans: `start`
+//! (sizing the pool and spawning the workers) and `join` on the calling
+//! thread, one `hand_off` per result the calling thread takes in, and one
+//! `worker` span per worker thread around everything it runs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -77,17 +82,22 @@ pub fn parallel_map_streaming<T: Sync, R: Send>(
     f: impl Fn(usize, &T) -> R + Sync,
     mut on_complete: impl FnMut(usize, &R),
 ) -> Vec<R> {
+    let start = noc_telemetry::span("executor", "start");
     let workers = worker_count(threads, items.len());
     let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, R)>();
     let mut slots: Vec<Option<R>> = Vec::new();
     slots.resize_with(items.len(), || None);
-    std::thread::scope(|scope| {
+    let join = std::thread::scope(|scope| {
         for worker in 0..workers {
             let tx = tx.clone();
             let next = &next;
             let f = &f;
             scope.spawn(move || {
+                // The worker's whole life: each item's own spans nest
+                // inside, so what is left is claiming items and sending
+                // results.
+                let _span = noc_telemetry::span("executor", "worker");
                 noc_telemetry::set_thread_label(format!("worker-{worker}"));
                 loop {
                     let index = next.fetch_add(1, Ordering::Relaxed);
@@ -101,11 +111,17 @@ pub fn parallel_map_streaming<T: Sync, R: Send>(
             });
         }
         drop(tx);
+        drop(start);
         for (index, result) in rx {
+            let _span = noc_telemetry::span("executor", "hand_off");
             on_complete(index, &result);
             slots[index] = Some(result);
         }
+        // Every worker has sent its last result; the scope joins them as
+        // it returns, inside this span.
+        noc_telemetry::span("executor", "join")
     });
+    drop(join);
     slots
         .into_iter()
         .map(|slot| slot.expect("every item was mapped exactly once"))

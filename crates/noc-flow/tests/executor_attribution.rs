@@ -1,0 +1,67 @@
+//! The executor's own time is attributed: a traced map records its
+//! start-up, every hand-off and the join as `executor` spans under the
+//! span open on the calling thread, and one `worker` span per worker
+//! thread inside that span's sequence window.  Structural only: the spans
+//! exist and nest, whatever they measured.
+
+use noc_flow::executor::parallel_map_streaming;
+use noc_telemetry::RecorderScope;
+
+#[test]
+fn executor_start_hand_off_join_and_workers_nest_under_the_root() {
+    let scope = RecorderScope::new();
+    let root = noc_telemetry::span("figure", "root");
+    let root_seq = root.enter_seq().expect("recording");
+    let items: Vec<usize> = (0..8).collect();
+    let mut handed = 0;
+    parallel_map_streaming(&items, 2, |_, &n| n + 1, |_, _| handed += 1);
+    drop(root);
+    let snapshot = scope.recorder().snapshot();
+    drop(scope);
+    assert_eq!(handed, items.len());
+
+    let root = snapshot
+        .spans
+        .iter()
+        .find(|s| s.enter_seq == root_seq)
+        .expect("the root span was recorded");
+    let named = |name: &str| -> Vec<_> {
+        snapshot
+            .spans
+            .iter()
+            .filter(|s| s.cat == "executor" && s.name == name)
+            .collect()
+    };
+    let (start, hand_offs, join, workers) = (
+        named("start"),
+        named("hand_off"),
+        named("join"),
+        named("worker"),
+    );
+    assert_eq!(start.len(), 1, "one start-up span");
+    assert_eq!(hand_offs.len(), items.len(), "one hand-off per result");
+    assert_eq!(join.len(), 1, "one join span");
+    assert_eq!(workers.len(), 2, "one span per worker thread");
+
+    // The calling thread's spans are children of the root, in order:
+    // start-up, then the hand-offs, then the join.
+    for span in start.iter().chain(&hand_offs).chain(&join) {
+        assert_eq!(
+            span.parent_seq, root_seq,
+            "{} is not under the root",
+            span.name
+        );
+        assert_eq!(span.tid, root.tid);
+    }
+    for hand_off in &hand_offs {
+        assert!(start[0].exit_seq < hand_off.enter_seq);
+        assert!(hand_off.exit_seq < join[0].enter_seq);
+    }
+    // Worker spans live on their own threads, inside the root's window,
+    // and close before the join does.
+    for worker in &workers {
+        assert_ne!(worker.tid, root.tid);
+        assert!(root.enter_seq < worker.enter_seq && worker.exit_seq < root.exit_seq);
+        assert!(worker.exit_seq < join[0].exit_seq);
+    }
+}

@@ -20,15 +20,15 @@
 //!
 //! # A length search decides, the canonical BFS reports
 //!
-//! Every search runs over a compressed, deduplicated adjacency snapshot
-//! with dense `u32` positions and epoch-stamped workspaces that are reused
-//! from search to search, so a per-vertex search allocates nothing but the
-//! cycle it returns.  For the smallest-cycle scan the snapshot holds only
-//! the members of cyclic strongly connected components, positioned in rank
-//! order, with the edges inside each component (found by the [`scc`]
-//! kernel run on the same snapshot): a node outside the start's component
-//! can never lie on a path back to the start, so it can neither close a
-//! cycle nor parent a node that does.
+//! Every search runs over a compressed, deduplicated adjacency with dense
+//! `u32` indices and epoch-stamped workspaces that are reused from search
+//! to search, so a per-vertex search allocates nothing but the cycle it
+//! returns.  For the smallest-cycle scan the adjacency holds only the
+//! members of cyclic strongly connected components, each with its
+//! successors in rank order, and only the edges inside each component
+//! (found by the [`scc`] kernel): a node outside the start's component can
+//! never lie on a path back to the start, so it can neither close a cycle
+//! nor parent a node that does.
 //!
 //! A per-vertex search of the scan only has to decide how long the
 //! shortest cycle through its vertex is: the outcome and every bound it
@@ -50,21 +50,20 @@
 //!
 //! The finder pays for the edits, not for the graph.  It reads them off
 //! [`DiGraph`]'s append-only edge arena (ids past the last query's mark are
-//! new, a kept tail per older id shows which were removed), patches the
-//! adjacency the last query saw, and keeps that query's strongly connected
-//! components.  A certificate that costs the edits times their degree
-//! proves that no two old components merged; Tarjan then runs only over the
-//! components the edits touched and the new nodes, and over the whole graph
-//! only when the certificate fails.
+//! new) and its removal log, patches the adjacency the last query saw, and
+//! keeps that query's strongly connected components.  A certificate that
+//! costs the edits times their degree proves that no two old components
+//! merged; Tarjan then runs only over the components the edits touched and
+//! the new nodes, and over the whole graph only when the certificate fails.
+//! The scan's pool is kept too, and only the rows of the nodes an edit
+//! reached are built again.
 //!
 //! A search the finder does run looks past the cap, up to twice the node's
 //! bound, so the bound it certifies survives later queries whose cap is
 //! larger: as the smallest cycle grows, a node is searched again only a
 //! logarithmic number of times.  A cycle found past the cap raises the
 //! node's bound and leaves the scan's cap and answer alone; a cycle within
-//! the cap is the one a BFS stopped at the cap returns.  The finder also
-//! keeps every node id in rank order across queries, so a query sorts only
-//! the nodes added since the last one.
+//! the cap is the one a BFS stopped at the cap returns.
 
 use crate::digraph::{DiGraph, EdgeId, NodeId};
 use crate::scc;
@@ -111,7 +110,7 @@ pub fn shortest_cycle_through_bounded<N, E>(
     if !graph.contains_node(start) {
         return None;
     }
-    // Node-id space is its own rank order: positions are node indices.
+    // Node-id space is its own rank order: rows ascend by node index.
     let adjacency = Csr::of_graph(graph);
     BfsWorkspace::default()
         .shortest_cycle(&adjacency, start.index() as u32, max_len)
@@ -202,22 +201,37 @@ pub fn smallest_cycle_by<N, E, K: Ord>(
 ///    outlive the cap it was found under: doubling it on each search means
 ///    that while the smallest cycle grows to `L`, a node is searched
 ///    `O(log L)` times, not once per increase of the cap.
-/// 2. **Every node id in rank order.**  A query first checks that the
-///    stored order is still strictly ascending under its `rank` and sorts
-///    every node again if not, so callers may change `rank` between
-///    queries.  Then it sorts the nodes added since the last query and
-///    merges them in.  The pool of a query is this order filtered to the
-///    cyclic components.
-/// 3. **The adjacency and partition, patched from the arena's edits.**
+/// 2. **The pool, patched where an edit changed it.**  The pool is what the
+///    scan searches: the cyclic-component members ascending by rank, each
+///    member's successors inside its component ascending by rank (the
+///    order the canonical BFS scans them in), and the same edges reversed.
+///    Each member keeps one dense slot while it stays in the pool, so a new
+///    node that ranks between two old ones moves no other row, and the
+///    searches' buffers stay sized by the pool.  A query rebuilds only the
+///    rows of its *stale* nodes: those whose out-edges changed, the new
+///    nodes, and, for an old component that split, every member that no
+///    longer shares a part with the member naming it ("away") and every
+///    member with a pool edge into an away one.  An edge inside an old
+///    component that now runs between two of its parts has an away end, so
+///    any other node keeps its row and its cyclic flag (see the certificate
+///    below: a component that did not split keeps every edge inside it and
+///    gains only new nodes, each reached over a changed row).  The reversed
+///    rows of the heads of the pool edges that changed are patched, and
+///    each node that left or joined the cyclic components leaves or enters
+///    the order at its rank.  Before patching, a query checks with one
+///    `rank` call per pool node that the kept order is still strictly
+///    ascending, and builds the whole pool again if not, so callers may
+///    change `rank` between queries.
+/// 3. **The adjacency and partition, patched from the graph's edits.**
 ///    The finder keeps the deduplicated node-id adjacency the last query
-///    saw, the tail of every edge id that was live then, and that query's
-///    strongly connected components.  A query reads the edits off the
-///    graph's edge arena: ids at or past the last query's
-///    `DiGraph::edge_id_bound` are new, and a kept tail whose edge is no
-///    longer live marks a removal.  Only the rows of those tails are read
-///    again from the graph; diffing them against the kept rows gives the
-///    removed and added edges, deduplicated, without any hint from the
-///    caller.
+///    saw, the length of the graph's edge arena and of its removal log at
+///    that query, and that query's strongly connected components.  The
+///    edits since are the ids past the arena's old length (new edges) and
+///    the log's new entries (removed edges, see [`DiGraph::remove_edge`]),
+///    so reading them costs the edits, not the graph.  Only the rows of
+///    their tails are read again from the graph; diffing them against the
+///    kept rows gives the removed and added edges, deduplicated, without
+///    any hint from the caller.
 ///
 ///    Removing edges only removes cycles, so bounds survive removals.  A
 ///    cycle through `v` that is new runs over an added edge `a -> b` and
@@ -252,12 +266,15 @@ pub fn smallest_cycle_by<N, E, K: Ord>(
 ///
 /// The result is always identical to the full per-vertex scan — the state
 /// only ever prunes, never changes the answer — which the property tests in
-/// `tests/graph_properties.rs` pin against an independent reference.
+/// `tests/graph_properties.rs` pin against an independent reference.  Debug
+/// builds also check every query's patched state against one built from
+/// scratch: the adjacency against the graph, and the pool's order, rows and
+/// reversed rows against a fresh pool.
 ///
 /// The graph must be the one the last query saw, changed only through
-/// [`DiGraph`]'s own methods (a clone of it counts), since the finder finds
-/// the edits in its edge arena.  Ask about an unrelated graph with a new
-/// finder.
+/// [`DiGraph`]'s own methods (a clone of it counts), since the finder reads
+/// the edits off its edge arena and removal log.  Ask about an unrelated
+/// graph with a new finder.
 ///
 /// # Example
 ///
@@ -286,8 +303,8 @@ pub struct IncrementalCycleFinder {
     bounds: Vec<usize>,
     /// What the last query saw of the graph.  `None` before the first query.
     seen: Option<Seen>,
-    /// Every node id of the graph the last query saw, ascending by rank.
-    order: Vec<NodeId>,
+    /// The last query's pool, for the next query to patch.
+    pool: Pool,
     /// Length-search buffers reused by every per-node search.
     lengths: MeetWorkspace,
     /// BFS buffers reused by every search that reports a cycle.
@@ -308,31 +325,32 @@ impl IncrementalCycleFinder {
     /// `rank` must be injective.  The bounds are kept per node id and do
     /// not depend on `rank`.  The graph may gain nodes and gain or lose
     /// edges between queries through [`DiGraph`]'s methods; the finder
-    /// finds every edit in the edge arena.  A graph with fewer nodes or a
-    /// shorter edge arena than the last query saw cannot be the same graph,
-    /// so the finder starts afresh on it.
+    /// reads every edit off the edge arena and the removal log.  A graph
+    /// with fewer nodes, a shorter edge arena or a shorter removal log than
+    /// the last query saw cannot be the same graph, so the finder starts
+    /// afresh on it.
     pub fn smallest_cycle_by<N, E, K: Ord>(
         &mut self,
         graph: &DiGraph<N, E>,
         rank: impl Fn(NodeId) -> K,
     ) -> Option<Vec<NodeId>> {
         noc_telemetry::counter("cycles.queries", 1);
-        let (seen, added, _) = self.sync(graph);
-        self.scan(seen, added.as_deref(), rank)
+        let (seen, edits, _) = self.sync(graph);
+        self.scan(seen, edits.as_ref(), rank)
     }
 
-    /// The smallest cycle of the graph `seen` holds, with `added` the edges
-    /// added since the last query (`None` if there was none), keeping
+    /// The smallest cycle of the graph `seen` holds, with `edits` what
+    /// changed since the last query (`None` if there was none), keeping
     /// `seen` for the next query.
     fn scan<K: Ord>(
         &mut self,
         seen: Seen,
-        added: Option<&[(u32, u32)]>,
+        edits: Option<&Edits>,
         rank: impl Fn(NodeId) -> K,
     ) -> Option<Vec<NodeId>> {
-        self.rank_nodes(seen.adjacency.len(), &rank);
-        let pool = Pool::of(&seen.adjacency, &seen.partition, &self.order);
-        self.update_bounds(&pool, &seen.partition, added);
+        let stale = edits.and_then(|edits| edits.stale.as_deref());
+        self.pool.update(&seen, stale, &rank);
+        self.update_bounds(&seen.partition, edits);
 
         // The canonical scan: ascending rank, each BFS capped at one less
         // than the best length so far, so the first node to reach the
@@ -340,11 +358,11 @@ impl IncrementalCycleFinder {
         let mut cap = usize::MAX;
         let mut best = None;
         let (mut runs, mut beyond, mut skips) = (0u64, 0u64, 0u64);
-        for (position, &node) in pool.nodes.iter().enumerate() {
+        for &start in &self.pool.order {
             if cap == 0 {
                 break;
             }
-            let bound = &mut self.bounds[node.index()];
+            let bound = &mut self.bounds[self.pool.node[start as usize] as usize];
             if *bound >= cap {
                 skips += 1;
                 continue;
@@ -354,20 +372,19 @@ impl IncrementalCycleFinder {
             // outlives later increases of the cap.  A cycle within the cap
             // is the one a BFS capped at `cap` returns.
             let limit = cap.max(bound.saturating_mul(BOUND_GROWTH));
-            let start = position as u32;
             match self
                 .lengths
-                .cycle_length(&pool.graph, &pool.reverse, start, limit)
+                .cycle_length(&self.pool.graph, &self.pool.reverse, start, limit)
             {
                 Some(len) if len <= cap => {
                     let path = self
                         .workspace
-                        .shortest_cycle(&pool.graph, start, len)
+                        .shortest_cycle(&self.pool.graph, start, len)
                         .expect("a cycle of the searched length exists");
                     debug_assert_eq!(path.len(), len);
                     cap = len - 1;
                     *bound = cap;
-                    best = Some(path.into_iter().map(|p| pool.nodes[p as usize]).collect());
+                    best = Some(path.into_iter().map(|s| self.pool.node_at(s)).collect());
                 }
                 Some(len) => {
                     beyond += 1;
@@ -376,7 +393,7 @@ impl IncrementalCycleFinder {
                 None => *bound = limit,
             }
         }
-        noc_telemetry::counter("cycles.scan_pool", pool.nodes.len() as u64);
+        noc_telemetry::counter("cycles.scan_pool", self.pool.order.len() as u64);
         noc_telemetry::counter("cycles.bfs_runs", runs);
         noc_telemetry::counter("cycles.beyond_cap", beyond);
         noc_telemetry::counter("cycles.certified_skips", skips);
@@ -393,26 +410,23 @@ impl IncrementalCycleFinder {
     }
 
     /// Brings what the last query saw up to `graph` and returns it with the
-    /// edges added since that query (deduplicated, in node-id space, `None`
-    /// when there is no last query to compare with) and the pass that
-    /// brought the partition up to date.
+    /// edits since that query (`None` when there is no last query to
+    /// compare with) and the pass that brought the partition up to date.
     ///
-    /// The removed and added edges come from the edge arena; only their
-    /// tails' rows are read again.  The partition is patched over the
-    /// components the edits touched while the certificate holds (see the
-    /// [type docs](Self)), and computed again otherwise.
-    fn sync<N, E>(&mut self, graph: &DiGraph<N, E>) -> (Seen, Option<Vec<(u32, u32)>>, Pass) {
+    /// The removed and added edges come from the removal log and the edge
+    /// arena; only their tails' rows are read again.  The partition is
+    /// patched over the components the edits touched while the certificate
+    /// holds (see the [type docs](Self)), and computed again otherwise.
+    fn sync<N, E>(&mut self, graph: &DiGraph<N, E>) -> (Seen, Option<Edits>, Pass) {
         let n = graph.node_count();
         assert!(
             u32::try_from(n).is_ok(),
             "cycle search indexes nodes with u32"
         );
-        let bound = graph.edge_id_bound();
-        let Some(mut seen) = self
-            .seen
-            .take()
-            .filter(|seen| seen.adjacency.len() <= n && seen.tails.len() <= bound)
-        else {
+        let (bound, log) = (graph.edge_id_bound(), graph.removals());
+        let Some(mut seen) = self.seen.take().filter(|seen| {
+            seen.adjacency.len() <= n && seen.edges <= bound && seen.removals <= log.len()
+        }) else {
             self.bounds.clear();
             return (Seen::of(graph), None, Pass::First);
         };
@@ -420,26 +434,22 @@ impl IncrementalCycleFinder {
 
         // The rows whose live out-edges changed: the tails of the edges
         // removed since the last query and of those added since.
-        let mut changed = Vec::new();
-        for (id, tail) in seen.tails.iter_mut().enumerate() {
-            if *tail != DEAD && graph.edge_endpoints(EdgeId::from_index(id)).is_none() {
-                changed.push(*tail);
-                *tail = DEAD;
-            }
-        }
-        for id in seen.tails.len()..bound {
-            let tail = live_tail(graph, id);
-            if tail != DEAD {
-                changed.push(tail);
-            }
-            seen.tails.push(tail);
-        }
+        let mut changed: Vec<u32> = log[seen.removals..]
+            .iter()
+            .map(|&edge| graph.edge_source(edge).index() as u32)
+            .collect();
+        changed.extend(
+            (seen.edges..bound)
+                .filter_map(|id| graph.edge_endpoints(EdgeId::from_index(id)))
+                .map(|(source, _)| source.index() as u32),
+        );
+        (seen.edges, seen.removals) = (bound, log.len());
         changed.sort_unstable();
         changed.dedup();
         let mut rows = Csr::with_capacity(changed.len());
         for &node in &changed {
             let successors = graph.successors(NodeId::from_index(node as usize));
-            rows.push_row(successors.map(|succ| succ.index() as u32));
+            rows.push_set(successors.map(|succ| succ.index() as u32));
         }
 
         // Diff each changed row against the row the last query saw.
@@ -465,75 +475,79 @@ impl IncrementalCycleFinder {
 
         let touched = seen.touched_components(&changed, &rows, &removed, &added);
         seen.adjacency.splice(n, &changed, &rows);
+        if cfg!(debug_assertions) {
+            assert_eq!(
+                seen.adjacency,
+                Csr::of_graph(graph),
+                "the edits read off the removal log and the arena patch the adjacency to the graph's"
+            );
+        }
         seen.partition.grow(n);
-        let pass = match touched {
+        let (stale, pass) = match touched {
             Some(touched) => {
-                seen.partition.recompute(&seen.adjacency, old_n, &touched);
-                Pass::Partial
+                // A pool row changes only where its out-edges changed, or
+                // where an edge inside an old component now runs between
+                // two of its parts.  Such an edge has an end away from the
+                // part holding the old component's name: the away node is
+                // stale, and so is every node with a pool edge into it.
+                let mut away = Vec::new();
+                seen.partition
+                    .recompute(&seen.adjacency, old_n, &touched, &mut away);
+                let mut stale = changed;
+                stale.extend(old_n as u32..n as u32);
+                let pool = &self.pool;
+                for &node in &away {
+                    stale.push(node);
+                    let s = pool.slot[node as usize];
+                    let predecessors = pool.reverse.successors(s as usize);
+                    stale.extend(predecessors.iter().map(|&p| pool.node[p as usize]));
+                }
+                stale.sort_unstable();
+                stale.dedup();
+                (Some(stale), Pass::Partial)
             }
             None => {
                 noc_telemetry::counter("scc.fallback_to_full", 1);
                 seen.partition = Partition::of(&seen.adjacency);
-                Pass::Fallback
+                (None, Pass::Fallback)
             }
         };
-        (seen, Some(added), pass)
+        (seen, Some(Edits { added, stale }), pass)
     }
 
-    /// Brings `order` to every node id of a graph of `n` nodes, ascending by
-    /// `rank`.  An order that is no longer ascending (the caller changed
-    /// `rank`, or the graph was replaced) is rebuilt; otherwise only the
-    /// nodes added since the last query are sorted and merged in.
-    fn rank_nodes<K: Ord>(&mut self, n: usize, rank: &impl Fn(NodeId) -> K) {
-        if self.order.len() > n || !self.order.windows(2).all(|w| rank(w[0]) < rank(w[1])) {
-            self.order.clear();
-        }
-        let mut fresh: Vec<(K, NodeId)> = (self.order.len()..n)
-            .map(|i| {
-                let node = NodeId::from_index(i);
-                (rank(node), node)
-            })
-            .collect();
-        if fresh.is_empty() {
-            return;
-        }
-        fresh.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut merged = Vec::with_capacity(n);
-        let mut rest = &self.order[..];
-        for (key, node) in fresh {
-            let split = rest.partition_point(|&old| rank(old) < key);
-            merged.extend_from_slice(&rest[..split]);
-            merged.push(node);
-            rest = &rest[split..];
-        }
-        merged.extend_from_slice(rest);
-        self.order = merged;
-    }
-
-    /// Brings `bounds` from the graph of the last query to the pool's:
-    /// nodes on no cycle are certified for every length, new nodes for
-    /// none, and every cyclic node is lowered to the shortest cycle an edge
-    /// added since the last query (`added`, `None` on a first query) could
-    /// close through it.
-    fn update_bounds(&mut self, pool: &Pool, partition: &Partition, added: Option<&[(u32, u32)]>) {
-        self.bounds.resize(pool.position.len(), 0);
-        for (bound, &position) in self.bounds.iter_mut().zip(&pool.position) {
-            if position == OUTSIDE {
-                *bound = usize::MAX;
+    /// Brings `bounds` from the graph of the last query to the current
+    /// pool's: nodes on no cycle are certified for every length, new nodes
+    /// for none, and every pool node is lowered to the shortest cycle an
+    /// edge added since the last query could close through it (`edits` is
+    /// `None` on a first query).
+    ///
+    /// Only a stale node can have joined or left the pool, so only stale
+    /// nodes are certified again (every node when `edits` names none), and
+    /// the lowering visits only the pool nodes near an added edge.
+    fn update_bounds(&mut self, partition: &Partition, edits: Option<&Edits>) {
+        let n = partition.component.len();
+        self.bounds.resize(n, 0);
+        let mut certify = |v: u32| {
+            if !partition.is_cyclic(v) {
+                self.bounds[v as usize] = usize::MAX;
             }
+        };
+        match edits.and_then(|edits| edits.stale.as_deref()) {
+            Some(stale) => stale.iter().for_each(|&v| certify(v)),
+            None => (0..n as u32).for_each(certify),
         }
-        let Some(added) = added else {
+        let Some(edits) = edits else {
             return;
         };
 
         // Added edges inside one cyclic component, the only edges of the
         // pool graph; an edge between components lies on no cycle.
         let (mut tails, mut heads) = (Vec::new(), Vec::new());
-        for &(tail, head) in added {
-            let position = pool.position[tail as usize];
-            if position != OUTSIDE && partition.is_internal(tail, head) {
-                tails.push(position);
-                heads.push(pool.position[head as usize]);
+        let slot = |v: u32| self.pool.slot[v as usize];
+        for &(tail, head) in &edits.added {
+            if partition.is_cyclic(tail) && partition.is_internal(tail, head) {
+                tails.push(slot(tail));
+                heads.push(slot(head));
             }
         }
         if heads.is_empty() {
@@ -542,19 +556,22 @@ impl IncrementalCycleFinder {
 
         // A node farther than the largest bound from either side cannot be
         // lowered, so both searches stop there.
-        let limit = pool
-            .nodes
+        let limit = self
+            .pool
+            .node
             .iter()
-            .map(|v| self.bounds[v.index()])
+            .filter(|&&v| v != NO_SLOT)
+            .map(|&v| self.bounds[v as usize])
             .max()
             .unwrap_or(0);
-        let from_heads = pool.graph.distances_from(&heads, limit);
-        let to_tails = pool.reverse.distances_from(&tails, limit);
-        for ((&node, &forward), &backward) in pool.nodes.iter().zip(&from_heads).zip(&to_tails) {
-            if forward != u32::MAX && backward != u32::MAX {
-                let bound = &mut self.bounds[node.index()];
-                *bound = (*bound).min(forward as usize + backward as usize);
-            }
+        let near = self.lengths.around(
+            (&self.pool.graph, &heads),
+            (&self.pool.reverse, &tails),
+            limit,
+        );
+        for (s, len) in near {
+            let bound = &mut self.bounds[self.pool.node[s as usize] as usize];
+            *bound = (*bound).min(len);
         }
     }
 }
@@ -564,55 +581,254 @@ impl IncrementalCycleFinder {
 /// cycle grows to `L`, each node is searched again only `O(log L)` times.
 const BOUND_GROWTH: usize = 2;
 
-/// Marks a node outside every cyclic component in [`Pool::position`].
-const OUTSIDE: u32 = u32::MAX;
+/// What changed since the last query, as `sync` found it.
+struct Edits {
+    /// The edges added, deduplicated, in node-id space.
+    added: Vec<(u32, u32)>,
+    /// Every node whose pool row may differ from the last query's,
+    /// ascending, or `None` when any node's may (the partition was computed
+    /// again over the whole graph).
+    stale: Option<Vec<u32>>,
+}
 
-/// One query's search space: the members of the cyclic strongly connected
-/// components, positioned in rank order, with the edges inside each
+/// The search space of a query, kept from query to query: the members of
+/// the cyclic strongly connected components and the edges inside each
 /// component.
+///
+/// Each member holds a *slot*, a dense index that stays its own while it
+/// stays in the pool, so the searches' buffers are sized by the pool, not
+/// by the graph, and a node that joins between two others in rank order
+/// moves no other row.  A member that leaves frees its slot for the next
+/// one that joins.  A fresh pool gives out slots in rank order.
+#[derive(Debug, Clone, Default)]
 struct Pool {
-    /// Position to node, ascending by rank.
-    nodes: Vec<NodeId>,
-    /// Node index to position, [`OUTSIDE`] for nodes on no cycle.
-    position: Vec<u32>,
-    /// The restricted graph over positions.
+    /// The slots of the members, ascending by the rank of their nodes.
+    order: Vec<u32>,
+    /// Per node: its slot, [`NO_SLOT`] for a node on no cycle.
+    slot: Vec<u32>,
+    /// Per slot: its node, [`NO_SLOT`] for a free slot.
+    node: Vec<u32>,
+    /// The free slots, the next to be taken last.
+    free: Vec<u32>,
+    /// Per slot: the slots of its node's successors inside its component,
+    /// ascending by rank, the order the canonical BFS scans them in.  Empty
+    /// exactly for the free slots: every member of a cyclic component has
+    /// an edge inside it.
     graph: Csr,
-    /// `graph` with every edge reversed.
+    /// `graph` with every edge reversed, each row ascending by slot.
     reverse: Csr,
 }
 
-impl Pool {
-    /// The pool of the graph whose node-id adjacency is `adjacency` and
-    /// whose strongly connected components are `partition`, with `order`
-    /// holding every node id in rank order.
-    fn of(adjacency: &Csr, partition: &Partition, order: &[NodeId]) -> Self {
-        let nodes: Vec<NodeId> = order
-            .iter()
-            .copied()
-            .filter(|node| partition.is_cyclic(node.index() as u32))
-            .collect();
-        let mut position = vec![OUTSIDE; adjacency.len()];
-        for (p, node) in nodes.iter().enumerate() {
-            position[node.index()] = p as u32;
-        }
+/// A pool member as [`Pool::by_node`] shows it: its node, its successors
+/// in rank order and its predecessors ascending.
+type MemberRows = (u32, Vec<u32>, Vec<u32>);
 
-        let mut restricted = Csr::with_capacity(nodes.len());
-        for &node in &nodes {
-            let tail = node.index() as u32;
-            restricted.push_row(
-                adjacency
-                    .successors(node.index())
-                    .iter()
-                    .filter(|&&succ| partition.is_internal(tail, succ))
-                    .map(|&succ| position[succ as usize]),
+/// Marks a node without a slot, or a slot without a node, in [`Pool`].
+const NO_SLOT: u32 = u32::MAX;
+
+impl Pool {
+    /// The pool of the graph `seen` holds, built from scratch under `rank`.
+    fn of<K: Ord>(seen: &Seen, rank: &impl Fn(NodeId) -> K) -> Self {
+        let (adjacency, partition) = (&seen.adjacency, &seen.partition);
+        let n = adjacency.len();
+        let mut keyed: Vec<(K, u32)> = (0..n as u32)
+            .filter(|&v| partition.is_cyclic(v))
+            .map(|v| (rank(NodeId::from_index(v as usize)), v))
+            .collect();
+        keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let node: Vec<u32> = keyed.iter().map(|&(_, v)| v).collect();
+        let mut slot = vec![NO_SLOT; n];
+        for (s, &v) in node.iter().enumerate() {
+            slot[v as usize] = s as u32;
+        }
+        // Slots follow rank, so sorting a row by slot sorts it by rank.
+        let mut graph = Csr::with_capacity(node.len());
+        for &v in &node {
+            graph.push_set(
+                partition
+                    .internal_successors(adjacency, v)
+                    .map(|w| slot[w as usize]),
             );
         }
+        let reverse = graph.reversed();
         Pool {
-            nodes,
-            position,
-            reverse: restricted.reversed(),
-            graph: restricted,
+            order: (0..node.len() as u32).collect(),
+            slot,
+            node,
+            free: Vec::new(),
+            graph,
+            reverse,
         }
+    }
+
+    /// Brings the pool up to the graph `seen` holds, whose stale nodes are
+    /// `stale` (`None`: every node may be), under `rank`.  The pool is
+    /// patched while the kept order is still strictly ascending under
+    /// `rank`, and built again otherwise.
+    fn update<K: Ord>(&mut self, seen: &Seen, stale: Option<&[u32]>, rank: &impl Fn(NodeId) -> K) {
+        let mut keys = self.order.iter().map(|&s| rank(self.node_at(s)));
+        let ascending = keys.next().is_none_or(|mut previous| {
+            keys.all(|key| {
+                let ascending = previous < key;
+                previous = key;
+                ascending
+            })
+        });
+        match stale {
+            Some(stale) if ascending => {
+                self.patch(seen, stale, rank);
+                if cfg!(debug_assertions) {
+                    let (kept, fresh) = (self.by_node(), Pool::of(seen, rank).by_node());
+                    assert_eq!(kept.0, fresh.0, "kept order against a full sort");
+                    assert_eq!(kept.1, fresh.1, "kept rows against a fresh pool");
+                }
+            }
+            _ => *self = Pool::of(seen, rank),
+        }
+    }
+
+    /// The node slot `s` holds.
+    fn node_at(&self, s: u32) -> NodeId {
+        NodeId::from_index(self.node[s as usize] as usize)
+    }
+
+    /// Where `node` goes in the order: the number of members that rank
+    /// before it.
+    fn position<K: Ord>(&self, node: u32, rank: &impl Fn(NodeId) -> K) -> usize {
+        let key = rank(NodeId::from_index(node as usize));
+        self.order.partition_point(|&s| rank(self.node_at(s)) < key)
+    }
+
+    /// Moves the `stale` nodes (ascending; every other node keeps its slot
+    /// and row) in and out of the pool, rebuilds their rows and the
+    /// reversed rows the changes reach, and keeps the order ascending.
+    fn patch<K: Ord>(&mut self, seen: &Seen, stale: &[u32], rank: &impl Fn(NodeId) -> K) {
+        let (adjacency, partition) = (&seen.adjacency, &seen.partition);
+        self.slot.resize(adjacency.len(), NO_SLOT);
+        let (mut changed, mut leaving, mut joining) = (Vec::new(), Vec::new(), Vec::new());
+        for &v in stale {
+            let s = self.slot[v as usize];
+            match (s != NO_SLOT, partition.is_cyclic(v)) {
+                (true, true) => changed.push(s),
+                (true, false) => leaving.push(s),
+                (false, true) => joining.push(v),
+                (false, false) => {}
+            }
+        }
+        // A few nodes leave and join per edit, so each moves the rest of
+        // the order once rather than the order being rebuilt.  Every
+        // leaving slot is free before a joining node takes one.
+        for &s in &leaving {
+            let v = self.node[s as usize];
+            let at = self.position(v, rank);
+            debug_assert_eq!(self.order[at], s);
+            self.order.remove(at);
+            self.slot[v as usize] = NO_SLOT;
+            self.node[s as usize] = NO_SLOT;
+            self.free.push(s);
+            changed.push(s);
+        }
+        for &v in &joining {
+            let s = self.free.pop().unwrap_or_else(|| {
+                self.node.push(NO_SLOT);
+                self.node.len() as u32 - 1
+            });
+            self.slot[v as usize] = s;
+            self.node[s as usize] = v;
+            let at = self.position(v, rank);
+            self.order.insert(at, s);
+            changed.push(s);
+        }
+        changed.sort_unstable();
+        changed.dedup();
+
+        let slots = self.node.len();
+        let by_rank = |a: &u32, b: &u32| rank(self.node_at(*a)).cmp(&rank(self.node_at(*b)));
+        let mut rows = Csr::with_capacity(changed.len());
+        // The pool edges that left and joined, as (head, tail) slots.
+        let (mut gone, mut came) = (Vec::new(), Vec::new());
+        let (mut before, mut after) = (Vec::new(), Vec::new());
+        for &s in &changed {
+            before.clear();
+            if (s as usize) < self.graph.len() {
+                before.extend_from_slice(self.graph.successors(s as usize));
+            }
+            before.sort_unstable();
+            after.clear();
+            if let Some(&v) = self.node.get(s as usize).filter(|&&v| v != NO_SLOT) {
+                after.extend(
+                    partition
+                        .internal_successors(adjacency, v)
+                        .map(|w| self.slot[w as usize]),
+                );
+                after.sort_unstable();
+            }
+            for &w in &before {
+                if after.binary_search(&w).is_err() {
+                    gone.push((w, s));
+                }
+            }
+            for &w in &after {
+                if before.binary_search(&w).is_err() {
+                    came.push((w, s));
+                }
+            }
+            after.sort_unstable_by(by_rank);
+            rows.push_row(after.iter().copied());
+        }
+        self.graph.splice(slots, &changed, &rows);
+
+        gone.sort_unstable();
+        came.sort_unstable();
+        let mut heads: Vec<u32> = gone.iter().chain(&came).map(|&(head, _)| head).collect();
+        heads.sort_unstable();
+        heads.dedup();
+        let mut reversed = Csr::with_capacity(heads.len());
+        for &head in &heads {
+            let old = if (head as usize) < self.reverse.len() {
+                self.reverse.successors(head as usize)
+            } else {
+                &[]
+            };
+            let first = came.partition_point(|&(h, _)| h < head);
+            let last = came.partition_point(|&(h, _)| h <= head);
+            reversed.push_set(
+                old.iter()
+                    .copied()
+                    .filter(|&tail| gone.binary_search(&(head, tail)).is_err())
+                    .chain(came[first..last].iter().map(|&(_, tail)| tail)),
+            );
+        }
+        self.reverse.splice(slots, &heads, &reversed);
+    }
+
+    /// The pool with every slot replaced by its node: the order, and per
+    /// member, ascending by node, its successors (in rank order) and its
+    /// predecessors (ascending).  Two pools search the same space exactly
+    /// when these agree, whichever slots they gave out.
+    fn by_node(&self) -> (Vec<u32>, Vec<MemberRows>) {
+        let order = self.order.iter().map(|&s| self.node[s as usize]).collect();
+        let nodes =
+            |row: &[u32]| -> Vec<u32> { row.iter().map(|&s| self.node[s as usize]).collect() };
+        let mut rows: Vec<MemberRows> = (0..self.node.len())
+            .filter(|&s| self.node[s] != NO_SLOT)
+            .map(|s| {
+                let mut predecessors = nodes(self.reverse.successors(s));
+                predecessors.sort_unstable();
+                (self.node[s], nodes(self.graph.successors(s)), predecessors)
+            })
+            .collect();
+        rows.sort_unstable();
+        for (s, &v) in self.node.iter().enumerate() {
+            if v != NO_SLOT {
+                assert_eq!(self.slot[v as usize], s as u32, "slot maps disagree");
+            } else {
+                assert!(
+                    self.graph.successors(s).is_empty() && self.reverse.successors(s).is_empty()
+                );
+            }
+        }
+        (order, rows)
     }
 }
 
@@ -628,41 +844,32 @@ enum Pass {
     Fallback,
 }
 
-/// Marks an edge id that was not live at the last query in [`Seen::tails`].
-const DEAD: u32 = u32::MAX;
-
-/// The tail of edge `id` if it is live, [`DEAD`] otherwise.
-fn live_tail<N, E>(graph: &DiGraph<N, E>, id: usize) -> u32 {
-    graph
-        .edge_endpoints(EdgeId::from_index(id))
-        .map_or(DEAD, |(source, _)| source.index() as u32)
-}
-
 /// What a query saw of the graph, kept so that the next query patches it
 /// from the edits instead of rebuilding it.
 #[derive(Debug, Clone)]
 struct Seen {
     /// The deduplicated adjacency in node-id space.
     adjacency: Csr,
-    /// Per edge id below the arena's bound at that query: the edge's tail
-    /// if it was live, [`DEAD`] otherwise.
-    tails: Vec<u32>,
+    /// The length of the graph's edge arena: every edge id added later is
+    /// at least this.
+    edges: usize,
+    /// The length of the graph's removal log: every edge removed later is
+    /// logged past this.
+    removals: usize,
     /// The strongly connected components of `adjacency`.
     partition: Partition,
 }
 
 impl Seen {
-    /// Everything read from `graph` afresh: its adjacency, its arena and one
-    /// Tarjan pass over all of it.
+    /// Everything read from `graph` afresh: its adjacency and one Tarjan
+    /// pass over all of it.
     fn of<N, E>(graph: &DiGraph<N, E>) -> Self {
         let adjacency = Csr::of_graph(graph);
-        let tails = (0..graph.edge_id_bound())
-            .map(|id| live_tail(graph, id))
-            .collect();
         let partition = Partition::of(&adjacency);
         Seen {
             adjacency,
-            tails,
+            edges: graph.edge_id_bound(),
+            removals: graph.removals().len(),
             partition,
         }
     }
@@ -716,7 +923,7 @@ impl Seen {
         let mut reached = vec![0; changed.len()];
         let mut stack = Vec::new();
         // The searches through new nodes may cost at most a full pass.
-        let mut budget = self.adjacency.len() + self.adjacency.targets.len();
+        let mut budget = self.adjacency.len() + self.adjacency.edge_count();
         for (i, &(u, w)) in added.iter().enumerate() {
             if u >= old_n {
                 // Covered from the old node that reaches `u`, if any.
@@ -763,7 +970,27 @@ struct Partition {
     /// Per naming node: whether its component contains a cycle.  The entry
     /// of a node that names no component is stale.
     cyclic: Vec<bool>,
+    /// Per node: the next member of its component, [`END`] after the last.
+    /// Each component's list starts at its name.
+    next: Vec<u32>,
+    /// Buffers of [`recompute`](Self::recompute), kept between queries.
+    scratch: Rescan,
 }
+
+/// The buffers of a partial Tarjan pass.  Between passes every entry of
+/// `local` is [`OUTSIDE`].
+#[derive(Debug, Clone, Default)]
+struct Rescan {
+    /// The nodes the pass covers.
+    region: Vec<u32>,
+    /// Per node: its index in `region`.
+    local: Vec<u32>,
+}
+
+/// Marks a node outside the region in [`Rescan::local`].
+const OUTSIDE: u32 = u32::MAX;
+/// Ends a member list in [`Partition::next`].
+const END: u32 = u32::MAX;
 
 impl Partition {
     /// The components of `adjacency`, by one Tarjan pass over all of it.
@@ -777,6 +1004,8 @@ impl Partition {
         let mut partition = Partition {
             component: vec![0; n],
             cyclic: vec![false; n],
+            next: vec![END; n],
+            scratch: Rescan::default(),
         };
         partition.assign(&components, |v| v as u32);
         partition
@@ -787,24 +1016,34 @@ impl Partition {
         let old_n = self.component.len();
         self.component.extend(old_n as u32..n as u32);
         self.cyclic.resize(n, false);
+        self.next.resize(n, END);
     }
 
     /// Computes the components of `adjacency` again over the `touched`
     /// components and the nodes from `old_n` on, which the certificate
-    /// proved hold every component that changed.
-    fn recompute(&mut self, adjacency: &Csr, old_n: usize, touched: &[u32]) {
+    /// proved hold every component that changed, and appends to `away`
+    /// every old node that no longer shares a component with the node that
+    /// named its old one.  An old component none of whose members is away
+    /// kept every edge inside it.
+    fn recompute(&mut self, adjacency: &Csr, old_n: usize, touched: &[u32], away: &mut Vec<u32>) {
         let n = adjacency.len();
-        let mut in_touched = vec![false; n];
-        for &c in touched {
-            in_touched[c as usize] = true;
+        let Rescan {
+            mut region,
+            mut local,
+        } = std::mem::take(&mut self.scratch);
+        local.resize(n, OUTSIDE);
+        region.clear();
+        for &name in touched {
+            let mut member = name;
+            while member != END {
+                region.push(member);
+                member = self.next[member as usize];
+            }
         }
-        let region: Vec<u32> = (0..n as u32)
-            .filter(|&v| v as usize >= old_n || in_touched[self.component[v as usize] as usize])
-            .collect();
+        region.extend(old_n as u32..n as u32);
         noc_telemetry::counter("scc.partial_recomputes", 1);
         noc_telemetry::counter("scc.partial_nodes", region.len() as u64);
         let _span = noc_telemetry::span("scc", "partial_tarjan");
-        let mut local = vec![OUTSIDE; n];
         for (i, &v) in region.iter().enumerate() {
             local[v as usize] = i as u32;
         }
@@ -817,7 +1056,19 @@ impl Partition {
                     (i != OUTSIDE).then_some(i as usize)
                 })
         });
+        // The old name of every old node in the region is in the region.
+        let new_id =
+            |v: u32| components.component_of(NodeId::from_index(local[v as usize] as usize));
+        away.extend(
+            region.iter().filter(|&&v| {
+                (v as usize) < old_n && new_id(v) != new_id(self.component[v as usize])
+            }),
+        );
+        for &v in &region {
+            local[v as usize] = OUTSIDE;
+        }
         self.assign(&components, |i| region[i]);
+        self.scratch = Rescan { region, local };
     }
 
     /// Records `components`, found over an index space whose index `i` is
@@ -826,9 +1077,14 @@ impl Partition {
         for id in 0..components.len() {
             let members = components.members(id);
             let name = node(members[0].index());
+            let mut last = name;
             for member in members {
-                self.component[node(member.index()) as usize] = name;
+                let member = node(member.index());
+                self.component[member as usize] = name;
+                self.next[last as usize] = member;
+                last = member;
             }
+            self.next[last as usize] = END;
             self.cyclic[name as usize] = components.is_cyclic(id);
         }
     }
@@ -841,23 +1097,50 @@ impl Partition {
     fn is_internal(&self, tail: u32, head: u32) -> bool {
         self.component[tail as usize] == self.component[head as usize]
     }
+
+    /// The successors of `node` in `adjacency` inside its component, which
+    /// are none for a node on no cycle.
+    fn internal_successors<'a>(
+        &'a self,
+        adjacency: &'a Csr,
+        node: u32,
+    ) -> impl Iterator<Item = u32> + 'a {
+        adjacency
+            .successors(node as usize)
+            .iter()
+            .copied()
+            .filter(move |&succ| self.is_internal(node, succ))
+    }
 }
 
 /// Compressed adjacency over dense `u32` indices: the successors of `i`
-/// are `targets[offsets[i]..offsets[i + 1]]`, ascending and deduplicated.
-#[derive(Debug, Clone)]
+/// are `targets[spans[i].0..spans[i].1]`, deduplicated, ascending unless
+/// the owner says otherwise.  Replacing a row costs the row: one that fits
+/// where the old row was is written there, a longer one is appended, and
+/// the space rows left behind is reclaimed once it makes up half of
+/// `targets`.
+#[derive(Debug, Clone, Default)]
 struct Csr {
-    offsets: Vec<usize>,
+    spans: Vec<(u32, u32)>,
     targets: Vec<u32>,
+    /// Entries of `targets` that no row holds.
+    slack: usize,
 }
+
+impl PartialEq for Csr {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len()
+            && (0..self.len()).all(|i| self.successors(i) == other.successors(i))
+    }
+}
+
+impl Eq for Csr {}
 
 impl Csr {
     fn with_capacity(rows: usize) -> Self {
-        let mut offsets = Vec::with_capacity(rows + 1);
-        offsets.push(0);
         Csr {
-            offsets,
-            targets: Vec::new(),
+            spans: Vec::with_capacity(rows),
+            ..Csr::default()
         }
     }
 
@@ -870,15 +1153,22 @@ impl Csr {
         );
         let mut csr = Csr::with_capacity(n);
         for node in graph.node_ids() {
-            csr.push_row(graph.successors(node).map(|succ| succ.index() as u32));
+            csr.push_set(graph.successors(node).map(|succ| succ.index() as u32));
         }
         csr
     }
 
+    /// Appends the next row, its targets in the order given.
+    fn push_row(&mut self, targets: impl Iterator<Item = u32>) {
+        let start = self.end();
+        self.targets.extend(targets);
+        self.spans.push((start, self.end()));
+    }
+
     /// Appends the next row, sorting and deduplicating its targets
     /// (parallel edges reach the same successor).
-    fn push_row(&mut self, targets: impl Iterator<Item = u32>) {
-        let start = *self.offsets.last().expect("offsets start with 0");
+    fn push_set(&mut self, targets: impl Iterator<Item = u32>) {
+        let start = self.targets.len();
         self.targets.extend(targets);
         self.targets[start..].sort_unstable();
         let mut kept = start;
@@ -889,96 +1179,82 @@ impl Csr {
             }
         }
         self.targets.truncate(kept);
-        self.offsets.push(kept);
+        self.spans.push((start as u32, self.end()));
+    }
+
+    /// The length of `targets`, which row spans index with `u32`.
+    fn end(&self) -> u32 {
+        u32::try_from(self.targets.len()).expect("cycle search indexes edges with u32")
     }
 
     fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.spans.len()
+    }
+
+    /// The number of edges the rows hold.
+    fn edge_count(&self) -> usize {
+        self.targets.len() - self.slack
     }
 
     fn successors(&self, i: usize) -> &[u32] {
-        &self.targets[self.offsets[i]..self.offsets[i + 1]]
+        let (start, end) = self.spans[i];
+        &self.targets[start as usize..end as usize]
     }
 
     /// Brings the adjacency to `n` rows: row `changed[i]` becomes row `i` of
     /// `rows`, and rows past the old end that `changed` does not list are
-    /// empty.  Unchanged rows move in bulk, one copy per run between two
-    /// changed rows.
+    /// empty.  Costs the changed rows, plus, now and then, one pass that
+    /// reclaims the space old rows left.
     fn splice(&mut self, n: usize, changed: &[u32], rows: &Csr) {
-        let old_n = self.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::with_capacity(self.targets.len() + rows.targets.len());
-        offsets.push(0);
-        let mut next = 0;
-        for (i, &row) in changed.iter().chain(&[n as u32]).enumerate() {
-            let row = row as usize;
-            // Rows `next..row` keep their targets, or are empty if new.
-            let kept = next.min(old_n)..row.min(old_n);
-            let (from, to) = (self.offsets[kept.start], self.offsets[kept.end]);
-            let at = targets.len();
-            targets.extend_from_slice(&self.targets[from..to]);
-            offsets.extend(
-                self.offsets[kept.start + 1..=kept.end]
-                    .iter()
-                    .map(|&o| o - from + at),
-            );
-            offsets.resize(row + 1, targets.len());
-            if i < changed.len() {
-                targets.extend_from_slice(rows.successors(i));
-                offsets.push(targets.len());
+        self.spans.resize(n, (0, 0));
+        for (i, &row) in changed.iter().enumerate() {
+            let (start, end) = self.spans[row as usize];
+            let (old, new) = ((end - start) as usize, rows.successors(i));
+            if new.len() <= old {
+                let start = start as usize;
+                self.targets[start..start + new.len()].copy_from_slice(new);
+                self.spans[row as usize].1 = (start + new.len()) as u32;
+                self.slack += old - new.len();
+            } else {
+                let start = self.end();
+                self.targets.extend_from_slice(new);
+                self.spans[row as usize] = (start, self.end());
+                self.slack += old;
             }
-            next = row + 1;
         }
-        self.offsets = offsets;
-        self.targets = targets;
+        if 2 * self.slack > self.targets.len() {
+            let mut compact = Csr::with_capacity(n);
+            for i in 0..n {
+                compact.push_row(self.successors(i).iter().copied());
+            }
+            *self = compact;
+        }
     }
 
-    /// The same graph with every edge reversed.
+    /// The same graph with every edge reversed, each row ascending.
     fn reversed(&self) -> Csr {
-        let mut offsets = vec![0; self.len() + 1];
-        for &target in &self.targets {
-            offsets[target as usize + 1] += 1;
+        let mut fill = vec![0u32; self.len() + 1];
+        for i in 0..self.len() {
+            for &target in self.successors(i) {
+                fill[target as usize + 1] += 1;
+            }
         }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
+        for i in 1..fill.len() {
+            fill[i] += fill[i - 1];
         }
-        let mut fill = offsets.clone();
-        let mut targets = vec![0; self.targets.len()];
+        let spans = fill.windows(2).map(|w| (w[0], w[1])).collect();
+        let mut targets = vec![0; self.edge_count()];
         for source in 0..self.len() {
             for &target in self.successors(source) {
-                targets[fill[target as usize]] = source as u32;
+                targets[fill[target as usize] as usize] = source as u32;
                 fill[target as usize] += 1;
             }
         }
-        Csr { offsets, targets }
-    }
-
-    /// Hop distance from the nearest of `sources` to every node, with
-    /// `u32::MAX` for nodes at least `limit` hops away.
-    fn distances_from(&self, sources: &[u32], limit: usize) -> Vec<u32> {
-        let mut dist = vec![u32::MAX; self.len()];
-        let mut queue = Vec::with_capacity(sources.len());
-        for &source in sources {
-            if dist[source as usize] == u32::MAX {
-                dist[source as usize] = 0;
-                queue.push(source);
-            }
+        Csr {
+            spans,
+            targets,
+            slack: 0,
         }
-        let mut head = 0;
-        while let Some(&node) = queue.get(head) {
-            head += 1;
-            let next = dist[node as usize] + 1;
-            if next as usize >= limit {
-                break;
-            }
-            for &succ in self.successors(node as usize) {
-                if dist[succ as usize] == u32::MAX {
-                    dist[succ as usize] = next;
-                    queue.push(succ);
-                }
-            }
-        }
-        dist
     }
 }
 
@@ -1033,15 +1309,9 @@ impl MeetWorkspace {
         limit: usize,
     ) -> Option<usize> {
         let n = graph.len();
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.forward.stamp.fill(0);
-            self.backward.stamp.fill(0);
-            self.epoch = 1;
-        }
-        let epoch = self.epoch;
-        self.forward.begin(n, start, epoch);
-        self.backward.begin(n, start, epoch);
+        let epoch = self.next_epoch();
+        self.forward.begin(n, &[start], epoch);
+        self.backward.begin(n, &[start], epoch);
 
         let stop = limit.saturating_add(1);
         let mut best = usize::MAX;
@@ -1066,6 +1336,55 @@ impl MeetWorkspace {
         // `usize::MAX` never passes, even when `limit` is unbounded.
         (best < stop).then_some(best)
     }
+
+    /// Labels forward every node fewer than `limit` hops from the nearest
+    /// of `heads` along `graph`, and backward every node fewer than
+    /// `limit` hops to the nearest of `tails` along `reverse`, `graph`
+    /// reversed.  Yields each node both sides labelled with the sum of its
+    /// two distances.
+    fn around<'a>(
+        &'a mut self,
+        (graph, heads): (&Csr, &[u32]),
+        (reverse, tails): (&Csr, &[u32]),
+        limit: usize,
+    ) -> impl Iterator<Item = (u32, usize)> + 'a {
+        let epoch = self.next_epoch();
+        self.forward.begin(graph.len(), heads, epoch);
+        self.backward.begin(graph.len(), tails, epoch);
+        for _ in 1..limit {
+            if self.forward.frontier_len() == 0 {
+                break;
+            }
+            self.forward.expand(graph, &self.backward, epoch);
+        }
+        for _ in 1..limit {
+            if self.backward.frontier_len() == 0 {
+                break;
+            }
+            self.backward.expand(reverse, &self.forward, epoch);
+        }
+        let (forward, backward) = (&self.forward, &self.backward);
+        forward.queue.iter().filter_map(move |&node| {
+            let node_at = node as usize;
+            (backward.stamp[node_at] == epoch).then(|| {
+                (
+                    node,
+                    forward.dist[node_at] as usize + backward.dist[node_at] as usize,
+                )
+            })
+        })
+    }
+
+    /// A fresh epoch, which leaves every node unlabelled by both sides.
+    fn next_epoch(&mut self) -> u32 {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.forward.stamp.fill(0);
+            self.backward.stamp.fill(0);
+            self.epoch = 1;
+        }
+        self.epoch
+    }
 }
 
 /// One side of the length search: BFS distances from (or to) the start.
@@ -1080,16 +1399,20 @@ struct Side {
 }
 
 impl Side {
-    /// Labels only `start`, at distance 0, in a graph of `n` nodes.
-    fn begin(&mut self, n: usize, start: u32, epoch: u32) {
+    /// Labels only `sources`, at distance 0, in a graph of `n` nodes.
+    fn begin(&mut self, n: usize, sources: &[u32], epoch: u32) {
         if self.stamp.len() < n {
             self.stamp.resize(n, 0);
             self.dist.resize(n, 0);
         }
-        self.stamp[start as usize] = epoch;
-        self.dist[start as usize] = 0;
         self.queue.clear();
-        self.queue.push(start);
+        for &source in sources {
+            if self.stamp[source as usize] != epoch {
+                self.stamp[source as usize] = epoch;
+                self.dist[source as usize] = 0;
+                self.queue.push(source);
+            }
+        }
         self.layer = 0;
     }
 
@@ -1139,9 +1462,9 @@ struct BfsWorkspace {
 
 impl BfsWorkspace {
     /// The canonical bounded BFS: the shortest cycle through `start` of at
-    /// most `max_len` nodes, as positions `[start, ..., last]`.  Successors
-    /// are scanned in ascending position, so the BFS tree, and the cycle,
-    /// depend only on the edge set and the positions.
+    /// most `max_len` nodes, as `[start, ..., last]`.  Successors are
+    /// scanned in the order each row lists them, ascending rank, so the BFS
+    /// tree, and the cycle, depend only on the edge set and the ranking.
     fn shortest_cycle(&mut self, graph: &Csr, start: u32, max_len: usize) -> Option<Vec<u32>> {
         if max_len == 0 {
             return None;
@@ -1172,7 +1495,7 @@ impl BfsWorkspace {
             // The edge node -> start closes a cycle of depth + 1 nodes,
             // within the bound by the enqueue guard below; a self-loop is
             // the degenerate case node == start.
-            if successors.binary_search(&start).is_ok() {
+            if successors.contains(&start) {
                 break Some(node);
             }
             // A node enqueued at depth d + 1 can close a cycle of d + 2
@@ -1551,7 +1874,13 @@ mod tests {
         assert_eq!(found.unwrap()[0], fresh[2]);
         let mut expected: Vec<NodeId> = g.node_ids().collect();
         expected.sort_by_key(|&v| reversed(v));
-        assert_eq!(finder.order, expected);
+        let order: Vec<NodeId> = finder
+            .pool
+            .order
+            .iter()
+            .map(|&s| finder.pool.node_at(s))
+            .collect();
+        assert_eq!(order, expected);
     }
 
     /// Rings of 4 to 9 nodes with a chord or two, joined by edges that run
@@ -1588,7 +1917,7 @@ mod tests {
             let mut g = ring_chain(&mut rng);
             let mut finder = IncrementalCycleFinder::new();
             for step in 0..30 {
-                let (seen, added, pass) = finder.sync(&g);
+                let (seen, edits, pass) = finder.sync(&g);
                 match pass {
                     Pass::Partial => partial += 1,
                     Pass::Fallback => fallback += 1,
@@ -1596,8 +1925,7 @@ mod tests {
                 }
                 let fresh = Csr::of_graph(&g);
                 assert_eq!(
-                    (&seen.adjacency.offsets, &seen.adjacency.targets),
-                    (&fresh.offsets, &fresh.targets),
+                    seen.adjacency, fresh,
                     "case {case}, step {step}: patched adjacency"
                 );
                 let components = scc::components_of(fresh.len(), |v| {
@@ -1619,7 +1947,7 @@ mod tests {
                         "case {case}, step {step}: internal edge {u} -> {w}"
                     );
                 }
-                let found = finder.scan(seen, added.as_deref(), NodeId::index);
+                let found = finder.scan(seen, edits.as_ref(), NodeId::index);
                 assert_eq!(found, smallest_cycle(&g), "case {case}, step {step}");
 
                 // Algorithm 1's edit: route the cycle's dependency `a -> b`
@@ -1660,6 +1988,83 @@ mod tests {
     }
 
     #[test]
+    fn kept_pool_matches_a_fresh_build_under_a_rank_that_interleaves_new_nodes() {
+        // A node added to split the dependency `a -> b` takes `a`'s weight,
+        // so under the rank (weight, id) it sorts right after `a`, before
+        // every later old node, as a break's new VC channels sort between
+        // old channels.  Every fifth query flips the rank, and from step 10
+        // on the finder queries a clone of the graph.
+        let mut rng = noc_rng::SmallRng::seed_from_u64(0x9001);
+        let (mut patched, mut interleaved) = (0, 0);
+        for case in 0..40 {
+            let mut g = ring_chain(&mut rng);
+            let mut finder = IncrementalCycleFinder::new();
+            for step in 0..30 {
+                if step == 10 {
+                    g = g.clone();
+                }
+                let flipped = step % 5 == 4;
+                let rank = |v: NodeId| {
+                    let key = (*g.node_weight(v).unwrap(), v.index());
+                    if flipped {
+                        (usize::MAX - key.0, usize::MAX - key.1)
+                    } else {
+                        key
+                    }
+                };
+                let (seen, edits, pass) = finder.sync(&g);
+                if pass == Pass::Partial && step % 5 != 0 {
+                    patched += 1;
+                }
+                let found = finder.scan(seen, edits.as_ref(), rank);
+                assert_eq!(
+                    finder.pool.by_node(),
+                    Pool::of(finder.seen.as_ref().unwrap(), &rank).by_node(),
+                    "case {case}, step {step}: kept pool"
+                );
+                assert_eq!(
+                    found,
+                    smallest_cycle_by(&g, rank),
+                    "case {case}, step {step}"
+                );
+
+                if let Some(cycle) = found {
+                    let i = rng.gen_range(0..cycle.len());
+                    let (a, b) = (cycle[i], cycle[(i + 1) % cycle.len()]);
+                    let weight = *g.node_weight(a).unwrap();
+                    interleaved +=
+                        usize::from(g.node_ids().any(|v| *g.node_weight(v).unwrap() > weight));
+                    let d = g.add_node(weight);
+                    g.add_edge(a, d, ());
+                    g.add_edge(d, b, ());
+                    while let Some(e) = g.find_edge(a, b) {
+                        g.remove_edge(e);
+                    }
+                }
+                let n = g.node_count();
+                match rng.gen_range(0..6usize) {
+                    0 => {
+                        let a = NodeId::from_index(rng.gen_range(0..n));
+                        let b = NodeId::from_index(rng.gen_range(0..n));
+                        g.add_edge(a, b, ());
+                    }
+                    1 => {
+                        let live: Vec<_> = g.edges().map(|e| e.id).collect();
+                        if !live.is_empty() {
+                            g.remove_edge(live[rng.gen_range(0..live.len())]);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert!(
+            patched > 0 && interleaved > 0,
+            "patched {patched}, interleaved {interleaved}"
+        );
+    }
+
+    #[test]
     fn a_certificate_dearer_than_a_full_pass_falls_back() {
         // A 3-ring (3 nodes, 3 edges) grows a chain of new nodes from one
         // ring node to the next.  Following a chain of 2 costs less than a
@@ -1674,9 +2079,9 @@ mod tests {
                 g.add_edge(pair[0], pair[1], ());
             }
             g.add_edge(chain[len - 1], nodes[1], ());
-            let (seen, added, pass) = finder.sync(&g);
+            let (seen, edits, pass) = finder.sync(&g);
             assert_eq!(pass, expected, "chain of {len}");
-            let found = finder.scan(seen, added.as_deref(), NodeId::index);
+            let found = finder.scan(seen, edits.as_ref(), NodeId::index);
             assert_eq!(found, smallest_cycle(&g), "chain of {len}");
         }
     }

@@ -105,6 +105,8 @@ pub struct DiGraph<N, E> {
     nodes: Vec<N>,
     edges: Vec<EdgeData<E>>,
     out_edges: Vec<Vec<EdgeId>>,
+    /// Every removed edge, in removal order, each once.
+    removals: Vec<EdgeId>,
 }
 
 impl<N, E> Default for DiGraph<N, E> {
@@ -120,6 +122,7 @@ impl<N, E> DiGraph<N, E> {
             nodes: Vec::new(),
             edges: Vec::new(),
             out_edges: Vec::new(),
+            removals: Vec::new(),
         }
     }
 
@@ -129,6 +132,7 @@ impl<N, E> DiGraph<N, E> {
             nodes: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
             out_edges: Vec::with_capacity(nodes),
+            removals: Vec::new(),
         }
     }
 
@@ -166,10 +170,13 @@ impl<N, E> DiGraph<N, E> {
     /// stable, but the edge no longer appears in any iteration, degree count
     /// or traversal.  This matches the paper's CDG surgery where breaking a
     /// cycle removes dependency edges while new channel vertices are added.
+    /// The graph logs the edge in its removal log, which the incremental
+    /// cycle search reads its edits from.
     pub fn remove_edge(&mut self, edge: EdgeId) -> bool {
         match self.edges.get_mut(edge.0) {
             Some(data) if !data.removed => {
                 data.removed = true;
+                self.removals.push(edge);
                 true
             }
             _ => false,
@@ -193,6 +200,23 @@ impl<N, E> DiGraph<N, E> {
     /// past it.
     pub(crate) fn edge_id_bound(&self) -> usize {
         self.edges.len()
+    }
+
+    /// Every edge removed so far, in removal order, each once.
+    ///
+    /// The log only grows, so the edges removed since it was last read are
+    /// the entries past its length then.  A clone carries the log.
+    pub(crate) fn removals(&self) -> &[EdgeId] {
+        &self.removals
+    }
+
+    /// The source of an edge, live or removed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id was never allocated by this graph.
+    pub(crate) fn edge_source(&self, edge: EdgeId) -> NodeId {
+        self.edges[edge.0].source
     }
 
     /// Returns `true` if the graph has no nodes.
@@ -370,6 +394,36 @@ mod tests {
         let e = g.add_edge(n[0], n[1], 4);
         assert_eq!(e, EdgeId::from_index(3));
         assert_eq!(g.edge_id_bound(), 4);
+    }
+
+    #[test]
+    fn removal_log_records_each_removed_edge_once() {
+        let (mut g, n) = sample();
+        let first = g.find_edge(n[1], n[2]).unwrap();
+        let second = g.find_edge(n[0], n[1]).unwrap();
+        assert!(g.removals().is_empty());
+        assert!(g.remove_edge(first));
+        assert!(!g.remove_edge(first), "a second removal is not logged");
+        assert!(g.remove_edge(second));
+        assert_eq!(g.removals(), [first, second]);
+        assert_eq!(
+            g.edge_source(first),
+            n[1],
+            "a removed edge keeps its source"
+        );
+    }
+
+    #[test]
+    fn a_clone_carries_the_removal_log() {
+        let (mut g, n) = sample();
+        let e = g.find_edge(n[2], n[0]).unwrap();
+        g.remove_edge(e);
+        let mut copy = g.clone();
+        assert_eq!(copy.removals(), [e]);
+        let f = copy.find_edge(n[0], n[1]).unwrap();
+        copy.remove_edge(f);
+        assert_eq!(copy.removals(), [e, f]);
+        assert_eq!(g.removals(), [e], "the original's log is its own");
     }
 
     #[test]
