@@ -2,7 +2,7 @@
 //! resource ordering versus the deadlock-removal algorithm.
 //!
 //! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
-//! `--resume`, `--trace`; see `noc_bench::artifact::FigureCli`).
+//! `--trace`; see `noc_bench::artifact::FigureCli`).
 
 use noc_bench::artifact::{run_figure, FieldError, Node};
 

@@ -13,7 +13,7 @@
 //! repairing them.
 //!
 //! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
-//! `--resume`, `--trace`; see `noc_bench::artifact::FigureCli`).
+//! `--trace`; see `noc_bench::artifact::FigureCli`).
 
 use noc_bench::artifact::{run_figure, FieldError, Node};
 use noc_bench::DEFAULT_RANDOM_DESIGNS;

@@ -14,9 +14,9 @@
 //! reroutes, and scoped-drain fallbacks.
 //!
 //! The artifact's `wall_ms` is the total measured task time of the sweep
-//! (the sum over grid points, whichever way the tasks ran); CI bounds it.
+//! (the sum over grid points); CI bounds it.
 //! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
-//! `--resume`, `--trace`; see `noc_bench::artifact::FigureCli`).
+//! `--trace`; see `noc_bench::artifact::FigureCli`).
 
 use noc_bench::artifact::{run_figure, FieldError, Node};
 

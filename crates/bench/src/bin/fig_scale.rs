@@ -13,16 +13,10 @@
 
 use noc_bench::artifact::FigureCli;
 use noc_bench::{scale_sweep, SCALE_RUNS, SCALE_STRATEGY_SWITCH_CAP};
-use noc_jobs::JobError;
 
 fn main() {
     let args = FigureCli::parse("fig_scale");
     let _trace = args.trace_session();
-    // Timing must run serially, so this figure has no job source.
-    if args.resume.is_some() {
-        eprintln!("fig_scale: {}", JobError::Unsupported(args.figure.clone()));
-        std::process::exit(1);
-    }
 
     println!("# Removal scaling (best of {SCALE_RUNS} runs per point)");
     println!(

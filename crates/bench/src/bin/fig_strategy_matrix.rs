@@ -9,7 +9,7 @@
 //! algorithm broke and the hop inflation of the recovery routes.
 //!
 //! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
-//! `--resume`, `--trace`; see `noc_bench::artifact::FigureCli`).
+//! `--trace`; see `noc_bench::artifact::FigureCli`).
 
 use noc_bench::artifact::{run_figure, FieldError, Node};
 

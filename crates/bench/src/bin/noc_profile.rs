@@ -7,9 +7,10 @@
 //!
 //! `summary` prints a Chrome-trace telemetry artifact (written by any
 //! figure binary's `--trace <path>` flag) as a per-phase wall-time
-//! breakdown: the root `figure` span's wall time attributed to the named
-//! phase categories (`stage`, `sweep`, `removal`, `sim`, `jobs`,
-//! `artifact`) by merged-interval self time, plus the recorded counters.
+//! breakdown: the share of the root `figure` span's wall time covered by
+//! named phases (merged intervals), each phase category's self time (its
+//! spans' durations minus their direct children's), each thread's busy
+//! time, and the recorded counters.
 //!
 //! `check` is the artifact checker CI runs: the envelope and schema
 //! version, then the figure's invariants from its registry entry

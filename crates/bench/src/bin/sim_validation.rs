@@ -8,7 +8,7 @@
 //! wait-for-graph detector rather than a timeout guess.
 //!
 //! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
-//! `--resume`, `--trace`; see `noc_bench::artifact::FigureCli`).
+//! `--trace`; see `noc_bench::artifact::FigureCli`).
 
 use noc_bench::artifact::{run_figure, FieldError, Node};
 

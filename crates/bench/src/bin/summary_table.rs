@@ -4,7 +4,7 @@
 //!
 //! It runs the Figure 10 tasks and aggregates them.
 //! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
-//! `--resume`, `--trace`; see `noc_bench::artifact::FigureCli`).
+//! `--trace`; see `noc_bench::artifact::FigureCli`).
 
 use noc_bench::artifact::{run_figure, FieldError, Node};
 use noc_bench::{sweeps, PowerComparison};

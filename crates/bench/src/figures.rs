@@ -2,10 +2,10 @@
 //!
 //! A figure is a task list, a per-task computation that renders one JSON
 //! fragment, and an `assemble` step that splices the fragments into the
-//! artifact.  The figure binaries run these sources in memory, or through
-//! the job store under `--resume`, and `noc_serve` runs them as jobs; every
-//! path assembles from the same fragments, so every path writes the same
-//! bytes — resumed or not, cached or not (pinned by `tests/job_resume.rs`).
+//! artifact.  The figure binaries run these sources in memory; a run
+//! through the job store (`noc_jobs::JobRunner`) assembles from the same
+//! fragments, so it writes the same bytes, resumed or cached (pinned by
+//! `tests/job_resume.rs`).
 //!
 //! Each figure's registry entry in [`FIGURES`] pairs its source with the
 //! invariants its artifact must hold, which `noc_profile check` enforces

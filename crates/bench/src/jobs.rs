@@ -3,8 +3,8 @@
 //! [`job_source`] looks a figure up by name in
 //! [`FIGURES`](crate::figures::FIGURES) — the figure's only definition: its
 //! job source and the invariants its artifact must hold — and narrows its
-//! grid by the spec's params.  The figure binaries, `--resume` and
-//! `noc_serve` all reach a figure through it.
+//! grid by the spec's params.  The figure binaries and the job runner's
+//! store path reach a figure through it.
 
 use crate::sweeps;
 use noc_flow::json::JsonValue;
@@ -182,8 +182,9 @@ mod tests {
     use super::*;
 
     fn spec_with(figure: &str, params: &str) -> JobRequest {
-        JobRequest::from_json(&format!("{{\"figure\":\"{figure}\",\"params\":{params}}}"))
-            .expect("valid spec")
+        let mut spec = JobRequest::new(figure);
+        spec.params = JsonValue::parse(params).expect("valid params");
+        spec
     }
 
     #[test]

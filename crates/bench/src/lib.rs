@@ -3,11 +3,10 @@
 //! Each figure is defined once, as a job source in [`figures`]: its task
 //! list, the per-task computation (the point functions of this crate) and
 //! the assembly of the artifact, next to the invariants the artifact must
-//! hold, which `noc_profile check` enforces through [`check`].  Every figure binary in `src/bin/` runs its
-//! source through [`artifact::run_figure`] — in memory, or through the
-//! resumable job store under `--resume` — and prints its table from the
-//! parsed artifact; `noc_serve` runs the same sources as jobs.  `fig_scale`
-//! alone runs directly, because its timings must run serially.
+//! hold, which `noc_profile check` enforces through [`check`].  Every
+//! figure binary in `src/bin/` runs its source in memory through
+//! [`artifact::run_figure`] and prints its table from the parsed artifact.
+//! `fig_scale` alone runs directly, because its timings must run serially.
 //!
 //! | Paper artefact | Source | Binary |
 //! |---|---|---|
@@ -1696,7 +1695,7 @@ pub mod artifact {
 
     use noc_flow::json::{write_atomic, Artifact, JsonValue, ParsedArtifact, ToJson};
     use noc_flow::trace::TraceArtifact;
-    use noc_jobs::{run_in_memory, JobError, JobRequest, JobRunner, JobStore};
+    use noc_jobs::{run_in_memory, JobError, JobRequest};
     use std::fmt;
     use std::path::PathBuf;
 
@@ -1704,17 +1703,12 @@ pub mod artifact {
 
     /// The flag table the usage text and the parser are both generated
     /// from: `(flag, value placeholder, help)`.
-    const FLAGS: [(&str, &str, &str); 5] = [
+    const FLAGS: [(&str, &str, &str); 4] = [
         ("--json", "<path>", "write the artifact to this exact path"),
         (
             "--threads",
             "<n>",
             "executor worker count (0 or unset: auto-size to the machine)",
-        ),
-        (
-            "--resume",
-            "<dir>",
-            "run through the resumable job store in this directory",
         ),
         (
             "--out-dir",
@@ -1728,11 +1722,8 @@ pub mod artifact {
         ),
     ];
 
-    /// The usage footer, kept next to the flag table it qualifies: flags
-    /// compose in any order, and `--resume` does not change where the
-    /// artifact lands.
-    const USAGE_NOTE: &str = "flags compose in any order; --resume only changes how the sweep \
-runs, the artifact still lands at --json (or --out-dir/<figure>.json)";
+    /// The usage footer, kept next to the flag table it qualifies.
+    const USAGE_NOTE: &str = "flags compose in any order";
 
     /// The command-line options every figure binary accepts.
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -1744,9 +1735,6 @@ runs, the artifact still lands at --json (or --out-dir/<figure>.json)";
         /// `--threads <n>`: executor worker count (`0`, the default,
         /// auto-sizes to the machine's available parallelism).
         pub threads: usize,
-        /// `--resume <dir>`: route the sweep through the resumable job
-        /// store rooted at this directory.
-        pub resume: Option<PathBuf>,
         /// `--out-dir <dir>`: default artifact location
         /// (`<dir>/<figure>.json`) when `--json` is not given.
         pub out_dir: Option<PathBuf>,
@@ -1830,7 +1818,6 @@ runs, the artifact still lands at --json (or --out-dir/<figure>.json)";
                 };
                 match name {
                     "--json" => cli.json = Some(PathBuf::from(value)),
-                    "--resume" => cli.resume = Some(PathBuf::from(value)),
                     "--out-dir" => cli.out_dir = Some(PathBuf::from(value)),
                     "--trace" => cli.trace = Some(PathBuf::from(value)),
                     "--threads" => {
@@ -1852,11 +1839,11 @@ runs, the artifact still lands at --json (or --out-dir/<figure>.json)";
         /// ```
         /// let usage = noc_bench::artifact::FigureCli::usage("fig8_d26_media");
         /// // Every flag the parser accepts is documented...
-        /// for flag in ["--json", "--threads", "--resume", "--out-dir", "--trace"] {
+        /// for flag in ["--json", "--threads", "--out-dir", "--trace"] {
         ///     assert!(usage.contains(flag), "usage must mention {flag}");
         /// }
-        /// // ...including how --resume composes with the artifact flags.
-        /// assert!(usage.contains("--resume only changes how the sweep runs"));
+        /// // ...and nothing else.
+        /// assert_eq!(usage.matches(" [--").count(), 4);
         /// ```
         pub fn usage(figure: &str) -> String {
             let mut out = format!("usage: {figure}");
@@ -1950,10 +1937,9 @@ runs, the artifact still lands at --json (or --out-dir/<figure>.json)";
     }
 
     /// The whole `main` of a figure binary: parses the [`FigureCli`], runs
-    /// the figure's job source — in memory, or through the resumable job
-    /// store under `--resume` — writes the artifact, and hands the parsed
-    /// artifact's `data` to `print_table`, so both paths print the same
-    /// table.  Exits with status 1 on any job or field error.
+    /// the figure's job source in memory, writes the artifact, and hands
+    /// the parsed artifact's `data` to `print_table`.  Exits with status 1
+    /// on any job or field error.
     pub fn run_figure(figure: &str, print_table: fn(&Node) -> Result<(), FieldError>) {
         let cli = FigureCli::parse(figure);
         let _trace = cli.trace_session();
@@ -1974,30 +1960,8 @@ runs, the artifact still lands at --json (or --out-dir/<figure>.json)";
         /// Runs the figure's job source and writes the artifact to
         /// [`FigureCli::artifact_path`], returning the artifact text.
         fn run_job(&self) -> Result<String, JobError> {
-            let mut spec = JobRequest::new(self.figure.clone());
-            spec.id = self.figure.clone();
-            spec.threads = self.threads;
-            let source = crate::jobs::job_source(&spec)?;
-            let text = match &self.resume {
-                None => run_in_memory(source.as_ref(), self.threads)?,
-                Some(dir) => {
-                    let store = {
-                        let _span = noc_telemetry::span("jobs", "open_store");
-                        JobStore::open(dir, spec)?
-                    };
-                    let report = JobRunner::new(store).run(source.as_ref())?;
-                    let stats = &report.stats;
-                    eprintln!(
-                        "job {}: {} tasks — {} computed, {} resumed, {} cache hits",
-                        self.figure, stats.total, stats.computed, stats.resumed, stats.cache_hits
-                    );
-                    let artifact = report.artifact.expect("unbounded runs always assemble");
-                    if self.artifact_path().is_none() {
-                        eprintln!("artifact committed at {}", artifact.path.display());
-                    }
-                    artifact.text
-                }
-            };
+            let source = crate::jobs::job_source(&JobRequest::new(self.figure.clone()))?;
+            let text = run_in_memory(source.as_ref(), self.threads)?;
             if let Some(path) = self.artifact_path() {
                 let mut span = noc_telemetry::span("artifact", "write");
                 span.arg("figure", self.figure.as_str());
@@ -2138,11 +2102,16 @@ runs, the artifact still lands at --json (or --out-dir/<figure>.json)";
             assert_eq!(a.json.as_deref(), Some(Path::new("out.json")));
             assert_eq!(a.threads, 4);
 
-            let b = parse(&["--threads=2", "--json=x.json", "--resume=st", "--out-dir=o"]).unwrap();
+            let b = parse(&["--threads=2", "--json=x.json", "--out-dir=o", "--trace=t"]).unwrap();
             assert_eq!(b.threads, 2);
             assert_eq!(b.json.as_deref(), Some(Path::new("x.json")));
-            assert_eq!(b.resume.as_deref(), Some(Path::new("st")));
             assert_eq!(b.out_dir.as_deref(), Some(Path::new("o")));
+            assert_eq!(b.trace.as_deref(), Some(Path::new("t")));
+
+            assert_eq!(
+                parse(&["--resume=st"]),
+                Err(CliError::UnknownArgument("--resume".to_string()))
+            );
         }
 
         #[test]
@@ -2182,6 +2151,7 @@ runs, the artifact still lands at --json (or --out-dir/<figure>.json)";
             for (flag, _, _) in FLAGS {
                 assert!(usage.contains(flag), "usage must mention {flag}");
             }
+            assert_eq!(usage.matches(" [--").count(), 4, "{usage}");
         }
     }
 }

@@ -102,8 +102,9 @@ fn assert_checked(figure: &str, text: &str, edits: &[&str]) {
 #[test]
 fn every_source_passes_its_check_and_fails_each_broken_invariant() {
     for (figure, params, edits) in CASES {
-        let spec = format!(r#"{{"figure":"{figure}","params":{params}}}"#);
-        let source = job_source(&JobRequest::from_json(&spec).unwrap()).unwrap();
+        let mut spec = JobRequest::new(figure);
+        spec.params = JsonValue::parse(params).unwrap();
+        let source = job_source(&spec).unwrap();
         let text = run_in_memory(source.as_ref(), 2).expect("figure runs");
         assert_checked(figure, &text, edits);
         if figure == "fig_faults" {

@@ -10,20 +10,20 @@
 //!    `summary_table` and `fig_conservatism`),
 //! 3. a re-submitted identical job with the content-hash cache completes
 //!    with 100 % cache hits and **zero** `run_task` calls, and
-//! 4. every figure's in-memory run (what a figure binary does without
-//!    `--resume`) writes the same bytes as its store run.
+//! 4. every figure's in-memory run (what a figure binary does) writes the
+//!    same bytes as its store run.
 
 use noc_bench::artifact::Node;
 use noc_bench::check::same_as;
 use noc_bench::jobs::{job_source, job_source_counted};
 use noc_bench::{power_comparison, summary, STRATEGY_MATRIX_NAMES};
-use noc_flow::json::{Artifact, ObjectWriter, RawJson, ToJson};
+use noc_flow::json::{Artifact, JsonValue, ObjectWriter, RawJson, ToJson};
 use noc_flow::{
     CycleBreaking, DeadlockStrategy, EscapeChannel, FlowSweep, RecoveryReconfig, ResourceOrdering,
 };
-use noc_jobs::{run_in_memory, ArtifactCache, JobRequest, JobRunner, JobStore};
+use noc_jobs::{run_in_memory, ArtifactCache, JobRequest, JobRunner, JobSource, JobStore};
 use noc_topology::benchmarks::Benchmark;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -37,12 +37,23 @@ fn spec() -> JobRequest {
 }
 
 fn spec_with(figure: &str, params: &str) -> JobRequest {
-    JobRequest::from_json(&format!("{{\"figure\":\"{figure}\",\"params\":{params}}}"))
-        .expect("valid spec")
+    let mut spec = JobRequest::new(figure);
+    spec.params = JsonValue::parse(params).expect("valid params");
+    spec
+}
+
+/// What a run of `spec` killed after its first `done` tasks leaves
+/// behind: their records in the store at `dir`, and no artifact.
+fn killed_after(spec: &JobRequest, dir: &Path, source: &dyn JobSource, done: usize) {
+    let mut store = JobStore::open(dir, spec.clone()).unwrap();
+    for index in 0..done {
+        let result = source.run_task(index).unwrap();
+        store.record(index, 0, result).unwrap();
+    }
 }
 
 /// Runs `spec` through a fresh store in `dir` and returns the artifact.
-fn store_run(spec: &JobRequest, dir: &std::path::Path) -> String {
+fn store_run(spec: &JobRequest, dir: &Path) -> String {
     let source = job_source(spec).unwrap();
     let report = JobRunner::new(JobStore::open(dir, spec.clone()).unwrap())
         .run(source.as_ref())
@@ -112,10 +123,7 @@ fn matrix_job_is_byte_identical_to_direct_sweep_across_kill_points() {
     let kill_after = 3;
     let calls = Arc::new(AtomicUsize::new(0));
     let source = job_source_counted(&spec(), Some(Arc::clone(&calls))).unwrap();
-    let partial = JobRunner::new(JobStore::open(&dir, spec()).unwrap())
-        .run_bounded(source.as_ref(), kill_after)
-        .unwrap();
-    assert!(partial.artifact.is_none(), "budget interrupts the job");
+    killed_after(&spec(), &dir, source.as_ref(), kill_after);
     assert_eq!(calls.load(Ordering::Relaxed), kill_after);
 
     let resumed = JobRunner::new(JobStore::open(&dir, spec()).unwrap())
@@ -173,37 +181,6 @@ fn resubmitted_matrix_job_recomputes_nothing_with_the_cache() {
     }
 }
 
-#[test]
-fn figure_cli_resume_mode_runs_supported_figures_end_to_end() {
-    // `--resume` on a per-point figure: a narrowed fig8 sweep through the
-    // store.  (The narrowing rides the spec params only in library runs;
-    // the CLI always runs the published grid, so this test drives the
-    // library entries the CLI runs.)
-    let spec = JobRequest::from_json(
-        "{\"figure\":\"fig8_d26_media\",\"params\":{\"switch_counts\":[6,8,10]}}",
-    )
-    .unwrap();
-    let dir = temp_dir("fig8-store");
-    let source = job_source_counted(&spec, None).unwrap();
-    let report = JobRunner::new(JobStore::open(&dir, spec).unwrap())
-        .run(source.as_ref())
-        .unwrap();
-    assert_eq!(report.stats.total, 3);
-    let text = report.artifact.unwrap().text;
-    let parsed = noc_flow::json::ParsedArtifact::parse(&text).unwrap();
-    assert_eq!(parsed.figure, "fig8_d26_media");
-    assert_eq!(parsed.data.as_array().map(<[_]>::len), Some(3));
-    std::fs::remove_dir_all(&dir).unwrap();
-
-    // And each VcSweepPoint task result is exactly the direct rendering.
-    let direct = noc_bench::vc_overhead_sweep(Benchmark::D26Media, [6]);
-    let expected = direct[0].to_json();
-    assert!(
-        text.contains(&expected),
-        "job artifact embeds the direct point rendering verbatim"
-    );
-}
-
 /// Kills `spec`'s job after `kill_after` tasks, resumes it in a second
 /// runner, and returns the resumed artifact — asserting that only the
 /// missing tasks were recomputed.
@@ -212,13 +189,7 @@ fn killed_and_resumed(spec: &JobRequest, tag: &str, kill_after: usize) -> String
     let calls = Arc::new(AtomicUsize::new(0));
     let source = job_source_counted(spec, Some(Arc::clone(&calls))).unwrap();
     let total = source.task_count();
-    let partial = JobRunner::new(JobStore::open(&dir, spec.clone()).unwrap())
-        .run_bounded(source.as_ref(), kill_after)
-        .unwrap();
-    assert!(
-        partial.artifact.is_none(),
-        "{tag}: budget interrupts the job"
-    );
+    killed_after(spec, &dir, source.as_ref(), kill_after);
     let resumed = JobRunner::new(JobStore::open(&dir, spec.clone()).unwrap())
         .run(source.as_ref())
         .unwrap();

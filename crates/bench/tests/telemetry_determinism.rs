@@ -5,17 +5,16 @@
 //! Traces may (and do) differ between runs; the science must not.
 
 use noc_bench::jobs::job_source;
-use noc_flow::json::{Artifact, ParsedArtifact};
+use noc_flow::json::{Artifact, JsonValue, ParsedArtifact};
+use noc_flow::{TraceArtifact, TraceSummary};
 use noc_jobs::{run_in_memory, JobRequest};
 use noc_telemetry::RecorderScope;
 
 /// The artifact of a narrowed Fig 8/9 source, run in memory the way the
 /// figure binaries run it.
 fn artifact(figure: &str, counts: [usize; 3], threads: usize) -> String {
-    let spec = JobRequest::from_json(&format!(
-        "{{\"figure\":\"{figure}\",\"params\":{{\"switch_counts\":{counts:?}}}}}"
-    ))
-    .expect("valid spec");
+    let mut spec = JobRequest::new(figure);
+    spec.params = JsonValue::parse(&format!("{{\"switch_counts\":{counts:?}}}")).unwrap();
     let source = job_source(&spec).expect("figure has a job source");
     run_in_memory(source.as_ref(), threads).expect("figure runs")
 }
@@ -91,6 +90,38 @@ fn artifact_data_is_byte_identical_with_collector_on_and_off() {
             snapshot.spans.iter().any(|s| s.cat == "removal"),
             "{figure}: removal loop left no spans"
         );
+
+        // The trace's phase rows, as written and as `noc_profile` reads
+        // them back, are the same numbers.
+        let path = std::env::temp_dir().join(format!(
+            "noc-telemetry-determinism-{}-{figure}-trace.json",
+            std::process::id()
+        ));
+        TraceArtifact::new(figure, &snapshot)
+            .write(&path)
+            .expect("trace writes");
+        let trace = std::fs::read_to_string(&path).expect("trace reads back");
+        std::fs::remove_file(&path).expect("trace removed");
+        let data = ParsedArtifact::parse(&trace).expect("trace envelope").data;
+        let written: Vec<(String, u64)> = data
+            .get("phases")
+            .and_then(JsonValue::as_array)
+            .expect("data.phases")
+            .iter()
+            .map(|row| {
+                let cat = row.get("cat").and_then(JsonValue::as_str).unwrap();
+                let total_us = row.get("total_us").and_then(JsonValue::as_number).unwrap();
+                (cat.to_string(), total_us as u64)
+            })
+            .collect();
+        let read: Vec<(String, u64)> = TraceSummary::parse(&trace)
+            .expect("noc_profile reads the trace")
+            .phases
+            .into_iter()
+            .map(|row| (row.cat, row.total_us))
+            .collect();
+        assert_eq!(written, read, "{figure}: data.phases against the summary");
+        assert!(read.iter().any(|(cat, _)| cat == "executor"), "{read:?}");
 
         // And a third run with the collector gone again still agrees.
         let silent_again = artifact(figure, counts, 3);

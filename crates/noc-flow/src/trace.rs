@@ -18,10 +18,11 @@
 //! timestamps to break ties.
 //!
 //! The read side ([`TraceSummary`]) parses a trace file back and answers
-//! the profiling question directly: per-phase self time (nested
-//! same-category spans are not double-counted) and the share of wall time
-//! attributed to named phases, where wall time is the root span — the
-//! header of [`TraceSummary::render_table`].
+//! the profiling question directly: per-phase self time and the share of
+//! wall time attributed to named phases, where wall time is the root span
+//! — the header of [`TraceSummary::render_table`].  Both sides compute the
+//! phase rows with one rule: a span's self time is its duration minus its
+//! direct children's durations, so no µs is counted twice.
 
 use crate::json::{
     write_atomic, ArtifactError, JsonValue, ObjectWriter, ParsedArtifact, ToJson, SCHEMA_VERSION,
@@ -91,19 +92,20 @@ struct MetricsData<'a> {
 
 impl ToJson for MetricsData<'_> {
     fn write_json(&self, out: &mut String) {
-        let phases = phase_totals(self.snapshot);
+        let spans = self.snapshot.spans.iter();
+        let phases = phase_rows(spans.map(|s| (s.enter_seq, s.parent_seq, s.cat, s.dur_us)));
         let mut phase_json = String::new();
         {
             let mut sep = false;
             phase_json.push('[');
-            for (cat, total_us) in &phases {
+            for row in &phases {
                 if sep {
                     phase_json.push(',');
                 }
                 sep = true;
                 ObjectWriter::new(&mut phase_json)
-                    .field("cat", cat)
-                    .field("total_us", total_us)
+                    .field("cat", &row.cat)
+                    .field("total_us", &row.total_us)
                     .finish();
             }
             phase_json.push(']');
@@ -168,21 +170,40 @@ impl ToJson for MetricsData<'_> {
     }
 }
 
-/// Per-category self time (µs), largest first; nested same-category spans
-/// are excluded so a category's total is the time it actually covers.
-fn phase_totals(snapshot: &Snapshot) -> Vec<(String, u64)> {
-    let mut totals: BTreeMap<&str, u64> = BTreeMap::new();
-    for span in &snapshot.spans {
-        totals.entry(span.cat).or_insert(0);
-    }
-    for (cat, total) in &mut totals {
-        *total = snapshot.category_self_us(cat);
-    }
-    let mut rows: Vec<(String, u64)> = totals
-        .into_iter()
-        .map(|(cat, total)| (cat.to_string(), total))
+/// One row per span category, largest self time first (ties by name),
+/// from `(seq, parent seq, category, duration µs)` per span.  A span's self
+/// time is its duration minus its direct children's (saturating, since µs
+/// rounding can let children outlast their parent), so the rows of one
+/// thread add up to its top-level spans' time.  A span whose parent is not
+/// among `spans` counts in full.  O(n log n) in the spans.
+fn phase_rows<'a>(spans: impl Iterator<Item = (u64, u64, &'a str, u64)>) -> Vec<PhaseRow> {
+    let spans: Vec<_> = spans.collect();
+    let position: BTreeMap<u64, usize> = spans
+        .iter()
+        .enumerate()
+        .map(|(i, &(seq, ..))| (seq, i))
         .collect();
-    rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let mut children_us = vec![0u64; spans.len()];
+    for &(_, parent, _, dur) in &spans {
+        if let Some(&i) = position.get(&parent) {
+            children_us[i] = children_us[i].saturating_add(dur);
+        }
+    }
+    let mut totals: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    for (&(_, _, cat, dur), children) in spans.iter().zip(children_us) {
+        let row = totals.entry(cat).or_insert((0, 0));
+        row.0 += 1;
+        row.1 = row.1.saturating_add(dur.saturating_sub(children));
+    }
+    let mut rows: Vec<PhaseRow> = totals
+        .into_iter()
+        .map(|(cat, (spans, total_us))| PhaseRow {
+            cat: cat.to_string(),
+            spans,
+            total_us,
+        })
+        .collect();
+    rows.sort_by(|a, b| b.total_us.cmp(&a.total_us).then_with(|| a.cat.cmp(&b.cat)));
     rows
 }
 
@@ -282,7 +303,8 @@ pub struct PhaseRow {
     pub cat: String,
     /// Spans counted into the row.
     pub spans: u64,
-    /// Self time in microseconds (nested same-category spans excluded).
+    /// Self time in microseconds: the spans' durations minus their direct
+    /// children's.
     pub total_us: u64,
 }
 
@@ -409,24 +431,11 @@ impl TraceSummary {
         mut labels: BTreeMap<u64, String>,
         events: &[ReadEvent],
     ) -> TraceSummary {
-        let cat_of: BTreeMap<u64, &str> = events.iter().map(|e| (e.seq, e.cat.as_str())).collect();
-        let mut totals: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-        for event in events {
-            let row = totals.entry(event.cat.as_str()).or_insert((0, 0));
-            row.0 += 1;
-            if cat_of.get(&event.parent).copied() != Some(event.cat.as_str()) {
-                row.1 = row.1.saturating_add(event.dur);
-            }
-        }
-        let mut phases: Vec<PhaseRow> = totals
-            .into_iter()
-            .map(|(cat, (spans, total_us))| PhaseRow {
-                cat: cat.to_string(),
-                spans,
-                total_us,
-            })
-            .collect();
-        phases.sort_by(|a, b| b.total_us.cmp(&a.total_us).then_with(|| a.cat.cmp(&b.cat)));
+        let phases = phase_rows(
+            events
+                .iter()
+                .map(|e| (e.seq, e.parent, e.cat.as_str(), e.dur)),
+        );
 
         let root = events
             .iter()
@@ -496,8 +505,8 @@ impl TraceSummary {
             self.wall_us as f64 / 1000.0,
             self.attribution_pct()
         );
-        // Phase self times sum over threads and nested categories, so they
-        // are not shares of the wall time; a thread's busy time is.
+        // Phase self times sum over threads, so they are not shares of the
+        // wall time; a thread's busy time is.
         let _ = writeln!(out, "{:<16} {:>8} {:>12}", "phase", "spans", "ms");
         for row in &self.phases {
             let _ = writeln!(
@@ -656,10 +665,12 @@ mod tests {
         assert_eq!(summary.attributed_us, 990);
         assert!((summary.attribution_pct() - 99.0).abs() < 1e-9);
         // Self time: "sweep" counts the worker point span too (its parent
-        // is outside the trace), but not nested same-category spans.
+        // is outside the trace); the root keeps what its children left.
         let sweep = summary.phases.iter().find(|p| p.cat == "sweep").unwrap();
         assert_eq!(sweep.spans, 2);
         assert_eq!(sweep.total_us, 1100);
+        let root = summary.phases.iter().find(|p| p.cat == "figure").unwrap();
+        assert_eq!(root.total_us, 10);
         assert_eq!(summary.counters, vec![("cycles.queries".into(), 3)]);
         let table = summary.render_table();
         assert!(table.contains("attributed to named phases: 99.0%"));
@@ -695,6 +706,55 @@ mod tests {
     }
 
     #[test]
+    fn phase_self_time_subtracts_direct_children_only() {
+        // One worker thread: executor/worker ⊃ jobs/task ⊃ sweep/point ⊃
+        // sweep/prepare, with a second task and an executor hand-off
+        // beside them; the main thread's root holds the join.
+        let event = |cat: &str, ts, dur, tid, seq, parent| ReadEvent {
+            name: cat.to_string(),
+            cat: cat.to_string(),
+            ts,
+            dur,
+            tid,
+            seq,
+            parent,
+        };
+        let events = vec![
+            event("figure", 0, 1000, 1, 1, 0),
+            event("executor", 950, 40, 1, 2, 1),
+            event("executor", 10, 900, 2, 3, 0),
+            event("jobs", 20, 500, 2, 4, 3),
+            event("sweep", 30, 400, 2, 5, 4),
+            event("sweep", 40, 150, 2, 6, 5),
+            event("jobs", 600, 250, 2, 7, 3),
+            event("sweep", 610, 240, 2, 8, 7),
+            // µs rounding: a child 1 µs longer than its parent.
+            event("removal", 610, 241, 2, 9, 8),
+        ];
+        let summary = TraceSummary::from_events("s".into(), Vec::new(), BTreeMap::new(), &events);
+        let rows: Vec<(&str, u64, u64)> = summary
+            .phases
+            .iter()
+            .map(|p| (p.cat.as_str(), p.spans, p.total_us))
+            .collect();
+        let expected = [
+            // 1000 - 40
+            ("figure", 1, 960),
+            // (400 - 150) + 150 + 0: the rounding child outlasts its parent
+            ("sweep", 3, 400),
+            ("removal", 1, 241),
+            // 40 + (900 - 500 - 250)
+            ("executor", 2, 190),
+            // (500 - 400) + (250 - 240)
+            ("jobs", 2, 110),
+        ];
+        assert_eq!(rows, expected);
+        // Self times partition each thread's top-level spans: 1000 + 900.
+        let total: u64 = rows.iter().map(|&(_, _, us)| us).sum();
+        assert_eq!(total, 1901, "1 µs of rounding counted twice, no more");
+    }
+
+    #[test]
     fn thread_rows_report_busy_shares_of_the_wall() {
         let event = |cat: &str, ts, dur, tid, seq, parent| ReadEvent {
             name: cat.to_string(),
@@ -712,7 +772,7 @@ mod tests {
             event("sweep", 300, 300, 1, 3, 1),
             // A worker without a label: [100, 900] and [500, 1200], the
             // latter clipped to the root window, busy 900.  Phase self
-            // times sum over threads and categories: 3.2× the wall.
+            // times sum each thread's top-level spans: 1.8× the wall.
             event("sweep", 100, 800, 2, 4, 0),
             event("removal", 500, 700, 2, 5, 4),
         ];
@@ -725,7 +785,7 @@ mod tests {
             .collect();
         assert_eq!(threads, vec![("main", 600), ("tid 2", 900)]);
         let phase_us: u64 = summary.phases.iter().map(|p| p.total_us).sum();
-        assert_eq!(phase_us, 3200);
+        assert_eq!(phase_us, 1800);
 
         let table = summary.render_table();
         assert!(

@@ -12,8 +12,8 @@ pub enum JobError {
     Json(JsonParseError),
     /// An artifact failed to render, validate, or commit.
     Artifact(ArtifactError),
-    /// A job spec parses but is malformed (missing/unknown fields, wrong
-    /// types).
+    /// A job's params are malformed (unknown keys, wrong types), or a
+    /// source is run against another figure's job.
     Spec(String),
     /// A store directory belongs to a different job than the one being
     /// opened — its spec digest does not match.
@@ -27,9 +27,8 @@ pub enum JobError {
     },
     /// The requested figure has no job source.
     UnknownFigure(String),
-    /// The figure exists but cannot run as a resumable job (`fig_scale`,
-    /// whose serial wall-clock timings are not independently recordable
-    /// tasks).
+    /// The figure exists but has no job source (`fig_scale`, whose serial
+    /// wall-clock timings are not independent tasks).
     Unsupported(String),
     /// A task-record line that is not the torn tail of a crashed append is
     /// unreadable — the store is corrupt and needs manual attention.
@@ -50,9 +49,9 @@ pub enum JobError {
         /// The underlying error.
         source: std::io::Error,
     },
-    /// A specific task of a job failed — the runner wraps the task's own
-    /// error with its index so diagnostics (e.g. `noc_serve`'s
-    /// `error.json`) can say *which* unit of work to look at.
+    /// A specific task of a job failed: the runner wraps the task's own
+    /// error with its index, so the message says which unit of work to
+    /// look at.
     Task {
         /// Zero-based index of the failing task.
         index: usize,
@@ -67,34 +66,6 @@ impl JobError {
         JobError::Io {
             path: path.into(),
             source,
-        }
-    }
-
-    /// A stable machine-readable slug for the error's variant (the `kind`
-    /// field of `noc_serve`'s structured `error.json`).  [`JobError::Task`]
-    /// reports its underlying error's kind; use [`task_index`](Self::task_index)
-    /// for the wrapper's index.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            JobError::Json(_) => "json",
-            JobError::Artifact(_) => "artifact",
-            JobError::Spec(_) => "spec",
-            JobError::SpecMismatch { .. } => "spec_mismatch",
-            JobError::UnknownFigure(_) => "unknown_figure",
-            JobError::Unsupported(_) => "unsupported",
-            JobError::Corrupt { .. } => "corrupt",
-            JobError::Flow(_) => "flow",
-            JobError::Io { .. } => "io",
-            JobError::Task { source, .. } => source.kind(),
-        }
-    }
-
-    /// The failing task's index, when the error is (or wraps) a
-    /// [`JobError::Task`].
-    pub fn task_index(&self) -> Option<usize> {
-        match self {
-            JobError::Task { index, .. } => Some(*index),
-            _ => None,
         }
     }
 }
@@ -116,10 +87,9 @@ impl fmt::Display for JobError {
                 dir.display()
             ),
             JobError::UnknownFigure(figure) => write!(f, "unknown figure {figure:?}"),
-            JobError::Unsupported(figure) => write!(
-                f,
-                "figure {figure:?} does not support resumable jobs (serial timings)"
-            ),
+            JobError::Unsupported(figure) => {
+                write!(f, "figure {figure:?} has no job source (serial timings)")
+            }
             JobError::Corrupt {
                 path,
                 line,

@@ -38,13 +38,14 @@ pub struct RunStats {
     pub task_ms_total: u64,
 }
 
-/// The outcome of a [`JobRunner::run`] / [`JobRunner::run_bounded`] call.
+/// The outcome of a [`JobRunner::run`] call.
 #[derive(Debug, Clone)]
 pub struct JobReport {
     /// How the tasks were satisfied.
     pub stats: RunStats,
-    /// The committed artifact (path + full text) — `None` when a bounded
-    /// run exhausted its task budget with tasks still missing.
+    /// The committed artifact (path + full text).  Always `Some`: a run
+    /// that returns `Ok` has committed its artifact.  It stays an `Option`
+    /// because the `job_service` benchmark workload reads it as one.
     pub artifact: Option<JobArtifact>,
 }
 
@@ -57,8 +58,8 @@ pub struct JobArtifact {
     pub text: String,
 }
 
-/// Drives one job to completion (or up to a task budget) against an open
-/// [`JobStore`], optionally consulting an [`ArtifactCache`].
+/// Drives one job to completion against an open [`JobStore`], optionally
+/// consulting an [`ArtifactCache`].
 #[derive(Debug)]
 pub struct JobRunner<'a> {
     store: JobStore,
@@ -77,21 +78,11 @@ impl<'a> JobRunner<'a> {
         self
     }
 
-    /// Runs the job to completion and commits the artifact.
+    /// Runs the job to completion and commits the artifact.  Every
+    /// computed task is durably recorded the moment it lands, so a run
+    /// killed part-way is picked up where it stopped by the next `run` on
+    /// the same store.
     pub fn run(&mut self, source: &dyn JobSource) -> Result<JobReport, JobError> {
-        self.run_bounded(source, usize::MAX)
-    }
-
-    /// Runs the job, computing at most `max_new_tasks` previously
-    /// unrecorded tasks in this call.  Returns a report with
-    /// `artifact: None` when the budget ran out before the job finished —
-    /// every computed task is durably recorded, so a later call (or
-    /// process) picks up exactly where this one stopped.
-    pub fn run_bounded(
-        &mut self,
-        source: &dyn JobSource,
-        max_new_tasks: usize,
-    ) -> Result<JobReport, JobError> {
         let spec = self.store.spec().clone();
         let mut job_span = noc_telemetry::span("jobs", "run_job");
         job_span
@@ -153,10 +144,7 @@ impl<'a> JobRunner<'a> {
             }
         }
 
-        // Compute what remains, up to the budget, recording each result
-        // the moment it lands.
-        let truncated = missing.len() > max_new_tasks;
-        missing.truncate(max_new_tasks);
+        // Compute what remains, recording each result the moment it lands.
         let computed = missing.len();
         let cache = self.cache;
         let store = &mut self.store;
@@ -182,13 +170,6 @@ impl<'a> JobRunner<'a> {
             cache_hits,
             task_ms_total: self.task_ms(),
         };
-        if truncated {
-            return Ok(JobReport {
-                stats,
-                artifact: None,
-            });
-        }
-
         let ordered: Vec<String> = self
             .store
             .records()
@@ -241,8 +222,7 @@ pub fn run_in_memory(source: &dyn JobSource, threads: usize) -> Result<String, J
 /// `indices` order.  `on_success` sees each success as it lands; progress
 /// goes to stderr as `[k/n] <task label> done`.  Its first error stops the
 /// callbacks and wins; otherwise the earliest failing task wins, wrapped
-/// with its index (e.g. for `noc_serve`'s error.json), once every in-flight
-/// success has been handed over.
+/// with its index, once every in-flight success has been handed over.
 fn execute(
     source: &dyn JobSource,
     indices: &[usize],

@@ -468,8 +468,8 @@ mod tests {
         store.record(0, 1, "1".to_string()).unwrap();
         drop(store);
 
-        let other =
-            JobRequest::from_json("{\"figure\":\"fig_demo\",\"params\":{\"n\":1}}").unwrap();
+        let mut other = spec.clone();
+        other.params = JsonValue::parse("{\"n\":1}").unwrap();
         assert!(matches!(
             JobStore::open(&dir, other),
             Err(JobError::SpecMismatch { .. })

@@ -1,12 +1,13 @@
 //! End-to-end properties of the job system on a synthetic source:
-//! kill-and-resume byte identity, torn-log recovery, bounded runs, 100 %
-//! cache hits on re-submission, and store-less runs that match store runs.
+//! kill-and-resume byte identity, torn-log recovery, 100 % cache hits on
+//! re-submission, and store-less runs that match store runs.
 
+use noc_flow::json::JsonValue;
 use noc_jobs::{
     run_in_memory, task_digest, ArtifactCache, AssembleContext, JobError, JobRequest, JobRunner,
     JobSource, JobStore,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -67,6 +68,17 @@ fn spec() -> JobRequest {
     JobRequest::new("counting")
 }
 
+/// What a run killed after its first `done` tasks leaves behind: their
+/// records in the store at `dir`, and no artifact.
+fn killed_after(dir: &Path, source: &CountingSource, done: usize) {
+    let mut store = JobStore::open(dir, spec()).unwrap();
+    for index in 0..done {
+        store
+            .record(index, 0, source.run_task(index).unwrap())
+            .unwrap();
+    }
+}
+
 #[test]
 fn uninterrupted_run_completes_and_commits() {
     let dir = temp_dir("complete");
@@ -118,17 +130,14 @@ fn killed_run_resumes_byte_identically_for_every_kill_point() {
         .text;
     std::fs::remove_dir_all(&reference_dir).unwrap();
 
-    // "Kill" the job after K completed tasks (drop runner and store), then
-    // reopen the directory and finish.  Every kill point must reproduce
-    // the reference bytes exactly.
+    // "Kill" the job after K completed tasks (their records written, the
+    // store dropped), then reopen the directory and finish.  Every kill
+    // point must reproduce the reference bytes exactly.
     for kill_after in 0..6 {
         let dir = temp_dir(&format!("kill{kill_after}"));
         let source = CountingSource::new(6);
-        let mut runner = JobRunner::new(JobStore::open(&dir, spec()).unwrap());
-        let partial = runner.run_bounded(&source, kill_after).unwrap();
-        assert!(partial.artifact.is_none(), "budget must interrupt the job");
-        assert_eq!(partial.stats.computed, kill_after);
-        drop(runner);
+        killed_after(&dir, &source, kill_after);
+        assert_eq!(source.calls.load(Ordering::Relaxed), kill_after);
 
         let source = CountingSource::new(6);
         let mut resumed = JobRunner::new(JobStore::open(&dir, spec()).unwrap());
@@ -152,10 +161,7 @@ fn killed_run_resumes_byte_identically_for_every_kill_point() {
 #[test]
 fn resume_survives_a_torn_log_tail() {
     let dir = temp_dir("torn");
-    let source = CountingSource::new(4);
-    let mut runner = JobRunner::new(JobStore::open(&dir, spec()).unwrap());
-    runner.run_bounded(&source, 3).unwrap();
-    drop(runner);
+    killed_after(&dir, &CountingSource::new(4), 3);
     // Crash mid-append: garbage with no newline at the log tail.
     use std::io::Write as _;
     let log = dir.join("tasks.ndjson");
@@ -206,7 +212,8 @@ fn resubmitted_job_is_all_cache_hits() {
     assert_eq!(second.artifact.unwrap().text, reference);
 
     // A different spec must not hit the same entries.
-    let other = JobRequest::from_json("{\"figure\":\"counting\",\"params\":{\"n\":1}}").unwrap();
+    let mut other = spec();
+    other.params = JsonValue::parse("{\"n\":1}").unwrap();
     assert_ne!(task_digest(&spec(), 0), task_digest(&other, 0));
 
     std::fs::remove_dir_all(&cache_dir).unwrap();

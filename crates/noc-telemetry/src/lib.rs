@@ -418,25 +418,6 @@ pub struct Snapshot {
     pub dropped_spans: u64,
 }
 
-impl Snapshot {
-    /// Total time attributed to a category: the sum of `dur_us` over spans
-    /// in `cat` that have no parent in the same category (so nested
-    /// same-category spans are not double-counted).
-    pub fn category_self_us(&self, cat: &str) -> u64 {
-        let in_cat: BTreeMap<u64, ()> = self
-            .spans
-            .iter()
-            .filter(|s| s.cat == cat)
-            .map(|s| (s.enter_seq, ()))
-            .collect();
-        self.spans
-            .iter()
-            .filter(|s| s.cat == cat && !in_cat.contains_key(&s.parent_seq))
-            .map(|s| s.dur_us)
-            .sum()
-    }
-}
-
 /// Guard that installs the recorder for a scope and uninstalls on drop.
 /// Test-oriented: keeps collector state from leaking between `#[test]`s
 /// that share a process.
@@ -656,52 +637,5 @@ mod tests {
                 assert_eq!(parent.tid, span.tid);
             }
         }
-    }
-
-    #[test]
-    fn category_self_time_skips_nested_same_category_spans() {
-        let snapshot = Snapshot {
-            spans: vec![
-                SpanEvent {
-                    name: "outer".into(),
-                    cat: "a",
-                    start_us: 0,
-                    dur_us: 100,
-                    tid: 1,
-                    enter_seq: 1,
-                    exit_seq: 6,
-                    parent_seq: 0,
-                    args: Vec::new(),
-                },
-                SpanEvent {
-                    name: "inner-same".into(),
-                    cat: "a",
-                    start_us: 10,
-                    dur_us: 40,
-                    tid: 1,
-                    enter_seq: 2,
-                    exit_seq: 3,
-                    parent_seq: 1,
-                    args: Vec::new(),
-                },
-                SpanEvent {
-                    name: "other".into(),
-                    cat: "b",
-                    start_us: 60,
-                    dur_us: 20,
-                    tid: 1,
-                    enter_seq: 4,
-                    exit_seq: 5,
-                    parent_seq: 1,
-                    args: Vec::new(),
-                },
-            ],
-            counters: BTreeMap::new(),
-            histograms: BTreeMap::new(),
-            threads: BTreeMap::new(),
-            dropped_spans: 0,
-        };
-        assert_eq!(snapshot.category_self_us("a"), 100);
-        assert_eq!(snapshot.category_self_us("b"), 20);
     }
 }
