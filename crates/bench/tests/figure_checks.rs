@@ -223,26 +223,7 @@ fn corrupted_artifacts_and_traces_end_in_a_verdict_never_a_panic() {
         let mut rejected = 0;
         for _ in 0..300 {
             let mut bytes = original.as_bytes().to_vec();
-            let at = rng.gen_range(0..bytes.len() + 1);
-            let fragment = FRAGMENTS[rng.gen_range(0..FRAGMENTS.len())].bytes();
-            match rng.gen_range(0..4usize) {
-                0 => bytes.truncate(at),
-                1 => bytes
-                    .get_mut(at)
-                    .into_iter()
-                    .for_each(|b| *b ^= 1 << (at % 8)),
-                2 => drop(bytes.splice(at..at, fragment)),
-                // Replace the value after the first `":` past `at`: the
-                // document stays JSON while a value turns hostile.
-                _ => {
-                    if let Some(start) =
-                        (at.max(2)..=bytes.len()).find(|&i| &bytes[i - 2..i] == b"\":")
-                    {
-                        let end = bytes[start..].iter().position(|b| b",}]".contains(b));
-                        drop(bytes.splice(start..end.map_or(bytes.len(), |n| start + n), fragment));
-                    }
-                }
-            }
+            noc_rng::mutate(&mut bytes, &mut rng, &FRAGMENTS);
             let text = String::from_utf8_lossy(&bytes);
             rejected += usize::from(check(&text).is_err());
             let _ = same_as(&text, &original);

@@ -16,8 +16,10 @@
 //!
 //! A traced run sees the loop's own cost in `executor` spans: `start`
 //! (sizing the pool and spawning the workers) and `join` on the calling
-//! thread, one `hand_off` per result the calling thread takes in, and one
-//! `worker` span per worker thread around everything it runs.
+//! thread, one `wait` per blocking receive there (each result's and the
+//! last one, which ends when every worker has finished), one `hand_off`
+//! per result the calling thread takes in, and one `worker` span per
+//! worker thread around everything it runs.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -112,7 +114,14 @@ pub fn parallel_map_streaming<T: Sync, R: Send>(
         }
         drop(tx);
         drop(start);
-        for (index, result) in rx {
+        loop {
+            // Blocked until a worker sends: the calling thread waits, it
+            // does not work.
+            let wait = noc_telemetry::span("executor", "wait");
+            let Ok((index, result)) = rx.recv() else {
+                break;
+            };
+            drop(wait);
             let _span = noc_telemetry::span("executor", "hand_off");
             on_complete(index, &result);
             slots[index] = Some(result);

@@ -1182,46 +1182,30 @@ mod tests {
         )
         .expect("the seed document parses");
         let artifact = Artifact::new("fig_fuzz", &data).render();
+        // Nesting one below, at and one above the depth cap, besides
+        // escapes and numbers at the edge of what parses.
+        let nested: Vec<String> = (MAX_DEPTH - 1..=MAX_DEPTH + 1)
+            .flat_map(|depth| {
+                [
+                    format!("{}0{}", "[".repeat(depth), "]".repeat(depth)),
+                    format!("{}0{}", "{\"k\":".repeat(depth), "}".repeat(depth)),
+                ]
+            })
+            .collect();
         let fragments: Vec<&str> =
             r#"\u \ud800 \udc00 \ud83d\u \u12 \uD83D\uDE00 1e999 - 0. -0 1e " [ { ] } , :"#
                 .split(' ')
+                .chain(nested.iter().map(String::as_str))
                 .collect();
         let mut rng = noc_rng::SmallRng::seed_from_u64(0x15_0F);
-        // A char boundary of `text` at or before `at`.
-        let boundary = |text: &str, mut at: usize| {
-            while !text.is_char_boundary(at) {
-                at -= 1;
-            }
-            at
-        };
         for _ in 0..2_000 {
-            let mut text = artifact.clone();
+            let mut bytes = artifact.clone().into_bytes();
             for _ in 0..rng.gen_range(1..4usize) {
-                let at = boundary(&text, rng.gen_range(0..text.len() + 1));
-                match rng.gen_range(0..4usize) {
-                    0 => text.truncate(at),
-                    1 => {
-                        // Flip one byte; a flip that breaks UTF-8 is read
-                        // back lossily, as a file reader would.
-                        let mut bytes = text.into_bytes();
-                        if let Some(byte) = bytes.get_mut(at) {
-                            *byte ^= 1 << rng.gen_range(0..8usize);
-                        }
-                        text = String::from_utf8_lossy(&bytes).into_owned();
-                    }
-                    2 => text.insert_str(at, fragments[rng.gen_range(0..fragments.len())]),
-                    _ => {
-                        let depth = rng.gen_range(120..140usize);
-                        let (open, close) = if rng.gen_range(0..2usize) == 0 {
-                            ("[".repeat(depth), "]".repeat(depth))
-                        } else {
-                            ("{\"k\":".repeat(depth), "}".repeat(depth))
-                        };
-                        text.insert_str(at, &format!("{open}0{close}"));
-                    }
-                }
+                noc_rng::mutate(&mut bytes, &mut rng, &fragments);
             }
-            parse_is_total(&text);
+            // A flip that breaks UTF-8 is read back lossily, as a file
+            // reader would.
+            parse_is_total(&String::from_utf8_lossy(&bytes));
         }
     }
 

@@ -915,32 +915,7 @@ mod tests {
         for case in 0..1_000 {
             let mut bytes = trace.clone().into_bytes();
             for _ in 0..rng.gen_range(1..4usize) {
-                let at = rng.gen_range(0..bytes.len() + 1);
-                let fragment = FRAGMENTS[rng.gen_range(0..FRAGMENTS.len())].bytes();
-                match rng.gen_range(0..4usize) {
-                    0 => bytes.truncate(at),
-                    1 => {
-                        if let Some(byte) = bytes.get_mut(at) {
-                            *byte ^= 1 << rng.gen_range(0..8usize);
-                        }
-                    }
-                    2 => drop(bytes.splice(at..at, fragment)),
-                    _ => {
-                        // Replace the value after some `"key":`, so numbers,
-                        // objects and arrays the reader trusts turn hostile
-                        // while the document stays valid JSON.
-                        let keys: Vec<usize> = (2..=bytes.len())
-                            .filter(|&i| &bytes[i - 2..i] == b"\":")
-                            .collect();
-                        if let Some(&start) = keys.get(rng.gen_range(0..keys.len().max(1))) {
-                            let end = bytes[start..]
-                                .iter()
-                                .position(|b| b",}]".contains(b))
-                                .map_or(bytes.len(), |n| start + n);
-                            drop(bytes.splice(start..end, fragment));
-                        }
-                    }
-                }
+                noc_rng::mutate(&mut bytes, &mut rng, &FRAGMENTS);
             }
             // A flip that breaks UTF-8 is read back lossily, as a file
             // reader would.

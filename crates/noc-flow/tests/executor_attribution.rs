@@ -1,6 +1,6 @@
 //! The executor's own time is attributed: a traced map records its
-//! start-up, every hand-off and the join as `executor` spans under the
-//! span open on the calling thread, and one `worker` span per worker
+//! start-up, every wait for a result, every hand-off and the join as
+//! `executor` spans under the span open on the calling thread, and one `worker` span per worker
 //! thread inside that span's sequence window.  Structural only: the spans
 //! exist and nest, whatever they measured.
 
@@ -32,20 +32,22 @@ fn executor_start_hand_off_join_and_workers_nest_under_the_root() {
             .filter(|s| s.cat == "executor" && s.name == name)
             .collect()
     };
-    let (start, hand_offs, join, workers) = (
+    let (start, waits, hand_offs, join, workers) = (
         named("start"),
+        named("wait"),
         named("hand_off"),
         named("join"),
         named("worker"),
     );
     assert_eq!(start.len(), 1, "one start-up span");
+    assert_eq!(waits.len(), items.len() + 1, "one wait per receive");
     assert_eq!(hand_offs.len(), items.len(), "one hand-off per result");
     assert_eq!(join.len(), 1, "one join span");
     assert_eq!(workers.len(), 2, "one span per worker thread");
 
     // The calling thread's spans are children of the root, in order:
-    // start-up, then the hand-offs, then the join.
-    for span in start.iter().chain(&hand_offs).chain(&join) {
+    // start-up, then the waits and hand-offs, then the join.
+    for span in start.iter().chain(&waits).chain(&hand_offs).chain(&join) {
         assert_eq!(
             span.parent_seq, root_seq,
             "{} is not under the root",
@@ -53,10 +55,18 @@ fn executor_start_hand_off_join_and_workers_nest_under_the_root() {
         );
         assert_eq!(span.tid, root.tid);
     }
-    for hand_off in &hand_offs {
-        assert!(start[0].exit_seq < hand_off.enter_seq);
-        assert!(hand_off.exit_seq < join[0].enter_seq);
+    for span in waits.iter().chain(&hand_offs) {
+        assert!(start[0].exit_seq < span.enter_seq);
+        assert!(span.exit_seq < join[0].enter_seq);
     }
+    // Each hand-off follows the wait for its result, and one last wait
+    // ends the receives.
+    let mut received: Vec<_> = waits.iter().chain(&hand_offs).collect();
+    received.sort_by_key(|span| span.enter_seq);
+    let order: Vec<&str> = received.iter().map(|span| span.name.as_str()).collect();
+    let mut expected = ["wait", "hand_off"].repeat(items.len());
+    expected.push("wait");
+    assert_eq!(order, expected);
     // Worker spans live on their own threads, inside the root's window,
     // and close before the join does.
     for worker in &workers {

@@ -432,16 +432,12 @@ mod tests {
         drop(store);
         let valid = std::fs::read(dir.join("tasks.ndjson")).unwrap();
 
+        const FRAGMENTS: [&str; 6] = ["-1", "1e999", "null", "{}", "\"x\"", "\n"];
         let mut rng = noc_rng::SmallRng::seed_from_u64(0x7A5C5);
         for case in 0..256 {
             let mut log = valid.clone();
             for _ in 0..rng.gen_range(1..4_usize) {
-                if rng.gen_range(0..3_usize) == 0 {
-                    log.truncate(rng.gen_range(0..log.len() + 1));
-                } else if !log.is_empty() {
-                    let at = rng.gen_range(0..log.len());
-                    log[at] ^= 1 << rng.gen_range(0..8_usize);
-                }
+                noc_rng::mutate(&mut log, &mut rng, &FRAGMENTS);
             }
             match open_with_log(&dir, &spec, &log) {
                 Ok(store) => {

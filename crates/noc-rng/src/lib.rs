@@ -143,6 +143,36 @@ impl SampleRange<usize> for Range<usize> {
     }
 }
 
+/// Applies one seeded corruption to `bytes`, the edit the suite's fuzz
+/// tests make to a well-formed document: truncate it at a random
+/// position, flip one bit there, insert one of `fragments` there, or
+/// replace the value after the first `":` at or past it with a fragment.
+/// The last edit keeps a JSON document well formed while a value a reader
+/// trusts turns hostile.
+///
+/// # Panics
+///
+/// Panics if `fragments` is empty.
+pub fn mutate(bytes: &mut Vec<u8>, rng: &mut SmallRng, fragments: &[&str]) {
+    let at = rng.gen_range(0..bytes.len() + 1);
+    let fragment = fragments[rng.gen_range(0..fragments.len())].bytes();
+    match rng.gen_range(0..4usize) {
+        0 => bytes.truncate(at),
+        1 => {
+            if let Some(byte) = bytes.get_mut(at) {
+                *byte ^= 1 << rng.gen_range(0..8usize);
+            }
+        }
+        2 => drop(bytes.splice(at..at, fragment)),
+        _ => {
+            if let Some(start) = (at.max(2)..=bytes.len()).find(|&i| &bytes[i - 2..i] == b"\":") {
+                let end = bytes[start..].iter().position(|b| b",}]".contains(b));
+                drop(bytes.splice(start..end.map_or(bytes.len(), |n| start + n), fragment));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,6 +241,32 @@ mod tests {
     fn degenerate_inclusive_range_returns_the_value() {
         let mut rng = SmallRng::seed_from_u64(4);
         assert_eq!(rng.gen_range(7u64..=7), 7);
+    }
+
+    #[test]
+    fn mutate_makes_each_of_its_four_edits() {
+        let doc = br#"{"a":1,"b":[2,3],"c":"x"}"#;
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut seen = [false; 4];
+        for _ in 0..200 {
+            let mut bytes = doc.to_vec();
+            mutate(&mut bytes, &mut rng, &["@"]);
+            let edit = if bytes.contains(&b'@') {
+                if bytes.len() == doc.len() + 1 {
+                    2
+                } else {
+                    3
+                }
+            } else if doc.starts_with(&bytes) {
+                0
+            } else {
+                let diff = bytes.iter().zip(doc).filter(|(a, b)| a != b).count();
+                assert_eq!((bytes.len(), diff), (doc.len(), 1), "{bytes:?}");
+                1
+            };
+            seen[edit] = true;
+        }
+        assert_eq!(seen, [true; 4]);
     }
 
     #[test]

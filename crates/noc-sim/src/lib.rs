@@ -67,7 +67,7 @@ pub mod traffic;
 pub mod vc_engine;
 
 pub use fault::{FaultEvent, FaultKind, FaultPlan, StormConfig};
-pub use packet::{Flit, FlitKind, Packet, PacketId};
+pub use packet::{Packet, PacketId};
 pub use policy::{AdaptiveEscape, AssignedVc, SingleVc, VcChoice, VcPolicy};
 pub use stats::{LatencyBucket, SimStats};
 pub use traffic::TrafficConfig;

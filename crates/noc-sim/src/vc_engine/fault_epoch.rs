@@ -4,7 +4,6 @@
 //! back to their sources.
 
 use super::{FaultContext, PacketState, VcSimulator};
-use crate::packet::{Flit, FlitKind};
 use noc_deadlock::report::ReconfigEvent;
 use noc_graph::{scc, DiGraph, NodeId};
 use noc_routing::updown::{updown_route_avoiding, UpDownLabels};
@@ -352,24 +351,16 @@ impl<'a> VcSimulator<'a> {
     /// Removes every flit of the packets in `victims` from the buffers,
     /// releases their channel ownerships and resyncs the credits from the
     /// remaining occupancy (in-flight credit returns are absorbed).
-    /// Returns the removed flits per victim, in buffer order.
-    fn evict(&mut self, victims: &[usize]) -> Vec<Vec<Flit>> {
-        let mut position: Vec<Option<usize>> = vec![None; self.packets.len()];
-        for (index, &slot) in victims.iter().enumerate() {
-            position[slot] = Some(index);
+    fn evict(&mut self, victims: &[usize]) {
+        let mut victim = vec![false; self.packets.len()];
+        for &slot in victims {
+            victim[slot] = true;
         }
-        let mut removed: Vec<Vec<Flit>> = vec![Vec::new(); victims.len()];
         for buffer in &mut self.buffers {
-            buffer.retain(|bf| match position[bf.slot] {
-                Some(index) => {
-                    removed[index].push(bf.flit);
-                    false
-                }
-                None => true,
-            });
+            buffer.retain(|bf| !victim[bf.slot]);
         }
         for (channel, owner) in self.owner.iter_mut().enumerate() {
-            if owner.is_some_and(|slot| position[slot].is_some()) {
+            if owner.is_some_and(|slot| victim[slot]) {
                 *owner = None;
                 self.schedule.released(channel);
             }
@@ -379,35 +370,40 @@ impl<'a> VcSimulator<'a> {
         self.credits.reset_from_occupancy(occupancy, |channel| {
             schedule.credited(channel, owner[channel].is_none())
         });
-        removed
     }
 
     /// Pulls the given packets' flits out of the network and re-queues each
     /// packet at its source on its flow's current route — the drain
     /// mechanics shared by the DBR drain and the fault epochs.
+    ///
+    /// Flits eject in order, so a victim's buffered and unsent flits are
+    /// exactly its un-ejected suffix; that suffix injects again as a worm
+    /// whose first flit claims and whose last flit — the packet's last —
+    /// releases.
     pub(super) fn pull_back_to_source(&mut self, victims: &[usize]) {
-        let removed = self.evict(victims);
-        for (&slot, mut flits) in victims.iter().zip(removed) {
+        if cfg!(debug_assertions) {
+            // Invariant: each victim's buffered flits and unsent count make
+            // up its un-ejected suffix, and its tail is buffered exactly
+            // when nothing is left to send.
+            let mut buffered = vec![(0usize, 0usize); self.packets.len()];
+            for bf in self.buffers.iter().flatten() {
+                buffered[bf.slot].0 += 1;
+                buffered[bf.slot].1 += usize::from(bf.tail);
+            }
+            for &slot in victims {
+                let state = &self.packets[slot];
+                let remaining = state.packet.length - state.ejected;
+                let (flits, tails) = buffered[slot];
+                debug_assert!(remaining > 0, "pulled-back packets have flits left");
+                debug_assert_eq!(flits + state.unsent, remaining, "suffix of slot {slot}");
+                debug_assert_eq!(tails, usize::from(state.unsent == 0), "tail of slot {slot}");
+            }
+        }
+        self.evict(victims);
+        for &slot in victims {
             let state = &mut self.packets[slot];
             let flow = state.packet.flow;
-            flits.sort_by_key(|f| f.sequence);
-            flits.extend(state.to_inject.drain(..));
-            // Rebuild the flit kinds so the re-injected worm has a proper
-            // head and tail even when the original head was already ejected.
-            let remaining = flits.len();
-            debug_assert!(remaining > 0, "pulled-back packets have flits left");
-            for (index, flit) in flits.iter_mut().enumerate() {
-                flit.kind = if remaining == 1 {
-                    FlitKind::HeadTail
-                } else if index == 0 {
-                    FlitKind::Head
-                } else if index + 1 == remaining {
-                    FlitKind::Tail
-                } else {
-                    FlitKind::Body
-                };
-            }
-            state.to_inject = flits.into();
+            state.unsent = state.packet.length - state.ejected;
             state.taken.clear();
             let route = self.routes.route_of(flow);
             assert!(
@@ -477,7 +473,7 @@ impl<'a> VcSimulator<'a> {
             // Retire the slab entry in place: no flits, no claims, and no
             // longer in flight.
             let state = &mut self.packets[slot];
-            state.to_inject.clear();
+            state.unsent = 0;
             state.taken.clear();
             state.ejected = state.packet.length;
         }

@@ -33,7 +33,7 @@
 use crate::credit::CreditBook;
 use crate::detect::{WaitGraph, WaitTarget};
 use crate::fault::FaultPlan;
-use crate::packet::{Flit, FlitKind, Packet};
+use crate::packet::Packet;
 use crate::policy::{VcChoice, VcPolicy};
 use crate::stats::SimStats;
 use crate::traffic::{generate_workload, TrafficConfig, Workload};
@@ -297,8 +297,9 @@ struct PacketState {
     /// Dense channel index the head flit actually claimed at each hop so
     /// far (`taken.len() - 1` is the head's frontier hop).
     taken: Vec<usize>,
-    /// Flits not yet injected, front first.
-    to_inject: VecDeque<Flit>,
+    /// Flits not yet injected; a pull-back resets it to the flits not yet
+    /// ejected.
+    unsent: usize,
     /// Number of flits already ejected at the destination.
     ejected: usize,
 }
@@ -325,7 +326,7 @@ impl PacketState {
     fn residue_start(&self, min_hop: Option<usize>) -> Option<usize> {
         if self.taken.is_empty() && min_hop.is_none() {
             None
-        } else if self.to_inject.is_empty() {
+        } else if self.unsent == 0 {
             Some(min_hop.unwrap_or(self.hops.len()))
         } else {
             Some(0)
@@ -337,13 +338,14 @@ impl PacketState {
     }
 }
 
-/// A buffered flit: the flit, the slab slot of its packet, and the hop of
-/// the packet's route it sits at.
+/// A buffered flit: the slab slot of its packet, the hop of the packet's
+/// route it sits at, and whether it is the packet's last flit — the one
+/// that releases each channel it leaves.  Nothing else of a flit matters.
 #[derive(Debug, Clone, Copy)]
 struct BufFlit {
-    flit: Flit,
     slot: usize,
     hop: usize,
+    tail: bool,
 }
 
 /// One decided flit movement, applied in the second phase of a cycle.
@@ -389,7 +391,7 @@ struct QueueHead {
 
 impl QueueHead {
     fn compile(slot: usize, state: &PacketState) -> Self {
-        let step = if state.to_inject.is_empty() {
+        let step = if state.unsent == 0 {
             HeadStep::Idle
         } else if let Some(&first) = state.taken.first() {
             HeadStep::Follow(first)
@@ -764,7 +766,7 @@ impl<'a> VcSimulator<'a> {
                     continue;
                 }
                 self.packets.push(PacketState {
-                    to_inject: packet.flits().into(),
+                    unsent: packet.length,
                     hops: self.layout.hops(packet.flow, route),
                     taken: Vec::with_capacity(route.len()),
                     ejected: 0,
@@ -946,7 +948,8 @@ impl<'a> VcSimulator<'a> {
             match self.moves[index] {
                 Move::Inject { slot, to, claim } => {
                     let state = &mut self.packets[slot];
-                    let flit = state.to_inject.pop_front().expect("decided with a flit");
+                    state.unsent -= 1;
+                    let (flow, tail) = (state.packet.flow, state.unsent == 0);
                     if claim {
                         self.owner[to] = Some(slot);
                         state.taken.push(to);
@@ -954,11 +957,8 @@ impl<'a> VcSimulator<'a> {
                         debug_assert_eq!(self.owner[to], Some(slot));
                     }
                     self.credits.consume(to);
-                    self.push_flit(to, BufFlit { flit, slot, hop: 0 });
-                    let state = &self.packets[slot];
-                    let flow = state.packet.flow;
-                    let finished = state.to_inject.is_empty();
-                    if finished {
+                    self.push_flit(to, BufFlit { slot, hop: 0, tail });
+                    if tail {
                         // The whole packet has left the source: the next
                         // packet of this flow may start injecting.
                         let queue = self.queues.queue_mut(flow);
@@ -966,7 +966,7 @@ impl<'a> VcSimulator<'a> {
                             queue.pop_front();
                         }
                     }
-                    if claim || finished {
+                    if claim || tail {
                         let queued = self.queues.sync(flow, &self.packets);
                         self.schedule.flow_synced(flow.index(), queued);
                     }
@@ -1029,9 +1029,7 @@ impl<'a> VcSimulator<'a> {
 
     /// A tail flit leaving channel `from` releases its packet's ownership.
     fn release_on_tail(&mut self, from: usize, bf: &BufFlit) {
-        if matches!(bf.flit.kind, FlitKind::Tail | FlitKind::HeadTail)
-            && self.owner[from] == Some(bf.slot)
-        {
+        if bf.tail && self.owner[from] == Some(bf.slot) {
             self.owner[from] = None;
             self.schedule.released(from);
         }
@@ -1098,14 +1096,14 @@ impl<'a> VcSimulator<'a> {
             let mut previous = None;
             for bf in buffer {
                 if previous != Some(bf.slot) {
-                    graph.flit(channel, bf.slot, bf.flit.packet);
+                    graph.flit(channel, bf.slot, self.packets[bf.slot].packet.id);
                     previous = Some(bf.slot);
                 }
             }
         }
         for slot in self.queues.fronts() {
             let state = &self.packets[slot];
-            if state.to_inject.is_empty() {
+            if state.unsent == 0 {
                 continue;
             }
             let can_move = match state.taken.first() {
@@ -1152,7 +1150,7 @@ impl<'a> VcSimulator<'a> {
             let flow = state.packet.flow;
             if state.taken.is_empty()
                 && state.ejected == 0
-                && !state.to_inject.is_empty()
+                && state.unsent > 0
                 && self.reconfigured.contains(&flow)
             {
                 state.set_route(self.routes.route_of(flow), &mut self.layout);
