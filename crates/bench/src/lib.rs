@@ -1293,11 +1293,11 @@ impl ScaleTopology {
 }
 
 /// The default scaling grid, in ascending switch-count order: every family
-/// at a small and/or ~1k-switch point, tori (whose wraparound shortest-path
-/// routes are the cyclic stress case — removal cost grows superlinearly
-/// with the cyclic region) up to ~4k switches, and meshes up to the
-/// 10⁴-switch headline point.
-pub const SCALE_GRID: [ScaleTopology; 12] = [
+/// at a small and/or ~1k-switch point, and 2-D meshes and tori (whose
+/// wraparound shortest-path routes are the cyclic stress case — removal
+/// cost grows superlinearly with the cyclic region) up to the 10⁴-switch
+/// headline point.
+pub const SCALE_GRID: [ScaleTopology; 13] = [
     ScaleTopology::Mesh2d { rows: 16, cols: 16 },
     ScaleTopology::Torus2d { rows: 16, cols: 16 },
     ScaleTopology::Dragonfly {
@@ -1328,6 +1328,10 @@ pub const SCALE_GRID: [ScaleTopology; 12] = [
         rows: 100,
         cols: 100,
     },
+    ScaleTopology::Torus2d {
+        rows: 100,
+        cols: 100,
+    },
 ];
 
 /// One fig_scale point's answers; see [`SCALE_PINNED`].
@@ -1339,7 +1343,7 @@ pub type ScaleAnswers = ((usize, usize), Option<[(usize, usize); 4]>);
 /// cycles_broken)` in [`STRATEGY_MATRIX_NAMES`] order.  Only timings may
 /// change between builds: a different answer is a behavioural change of
 /// removal or of a strategy.
-pub const SCALE_PINNED: [ScaleAnswers; 12] = [
+pub const SCALE_PINNED: [ScaleAnswers; 13] = [
     ((0, 0), Some([(0, 0), (7328, 0), (0, 0), (0, 0)])),
     ((15, 25), Some([(25, 15), (4891, 0), (388, 0), (0, 0)])),
     ((0, 0), Some([(0, 0), (614, 0), (96, 0), (0, 0)])),
@@ -1355,6 +1359,7 @@ pub const SCALE_PINNED: [ScaleAnswers; 12] = [
     ((0, 0), None),
     ((559, 3305), None),
     ((0, 0), None),
+    ((1171, 11048), None),
 ];
 
 /// Seed of the synthetic uniform-random workloads of the scaling grid.

@@ -159,7 +159,7 @@ fn scale_answers_match_the_pinned_grid() {
         "data.points.1.added_vcs=26 => torus2d @ 256 switches: cycle-breaking strategy row disagrees",
         "data.points.10.cycles_broken=558 => fig_scale torus2d @ 4096 switches: \
          cycles_broken/added_vcs 558/3305 != pinned 559/3305",
-        "data.total_removal_ms=1 => fig_scale: total_removal_ms 1 != sum of points 24",
+        "data.total_removal_ms=1 => fig_scale: total_removal_ms 1 != sum of points 26",
     ]);
     // A key twice would let readers see different values.
     let twice = text.replacen("\"points\":[{", "\"points\":[{\"flows\":1,", 1);

@@ -316,7 +316,8 @@ pub struct ThreadRow {
     /// The thread's `thread_name` label, or `tid <n>` when it has none.
     pub label: String,
     /// µs of the root span's window during which at least one of the
-    /// thread's non-root spans was active (merged intervals).
+    /// thread's non-root spans was active (merged intervals), minus the
+    /// time the thread spent blocked in `executor/wait` spans.
     pub busy_us: u64,
 }
 
@@ -468,12 +469,20 @@ impl TraceSummary {
                 .entry(event.tid)
                 .or_insert_with(|| format!("tid {}", event.tid));
         }
+        // A blocking receive is a span too, but waiting is not work.  The
+        // waits are themselves non-root spans, so their union lies inside
+        // the thread's covered time and subtracting it is exact.
+        let is_wait = |e: &ReadEvent| e.cat == "executor" && e.name == "wait";
         let threads = labels
             .into_iter()
-            .map(|(tid, label)| ThreadRow {
-                tid,
-                label,
-                busy_us: covered_us(phase_spans().filter(|e| e.tid == tid), window),
+            .map(|(tid, label)| {
+                let spans = || phase_spans().filter(move |e| e.tid == tid);
+                let waiting = covered_us(spans().filter(|e| is_wait(e)), window);
+                ThreadRow {
+                    tid,
+                    label,
+                    busy_us: covered_us(spans(), window) - waiting,
+                }
             })
             .collect();
         TraceSummary {
@@ -802,6 +811,41 @@ mod tests {
                 assert!(pct <= 100.0, "{word} in {table}");
             }
         }
+    }
+
+    #[test]
+    fn blocking_receives_do_not_count_as_busy() {
+        let event = |cat: &str, name: &str, ts, dur, tid, seq, parent| ReadEvent {
+            name: name.to_string(),
+            cat: cat.to_string(),
+            ts,
+            dur,
+            tid,
+            seq,
+            parent,
+        };
+        let events = vec![
+            event("figure", "run", 0, 1000, 1, 1, 0),
+            // main: covered [0, 800] and [900, 950]; it waits in [100, 500]
+            // (two overlapping receives inside the job span) and in
+            // [900, 950], so 850 - 450 µs are busy.
+            event("jobs", "build_source", 0, 800, 1, 2, 1),
+            event("executor", "wait", 100, 300, 1, 3, 2),
+            event("executor", "wait", 300, 200, 1, 4, 2),
+            event("executor", "wait", 900, 50, 1, 5, 1),
+            // A worker: a span of another executor category still counts.
+            event("executor", "worker", 100, 500, 2, 6, 0),
+        ];
+        let labels = BTreeMap::from([(1, "main".to_string())]);
+        let summary = TraceSummary::from_events("s".into(), Vec::new(), labels, &events);
+        let threads: Vec<(&str, u64)> = summary
+            .threads
+            .iter()
+            .map(|t| (t.label.as_str(), t.busy_us))
+            .collect();
+        assert_eq!(threads, vec![("main", 400), ("tid 2", 500)]);
+        // Waiting is still attributed wall time: [0, 800] and [900, 950].
+        assert_eq!(summary.attributed_us, 850);
     }
 
     /// A trace document holding one root complete event per `(ts, dur)`

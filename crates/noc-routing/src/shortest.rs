@@ -9,29 +9,8 @@
 use crate::route::{Route, RouteSet};
 use crate::validate::RouteError;
 use noc_topology::search::for_each_source;
-use noc_topology::{CommGraph, CoreMap, FlowId, Link, Topology};
-
-/// Cost model for link selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LinkCost {
-    /// Every link costs 1: pure hop-count minimisation.
-    #[default]
-    Hops,
-    /// Link cost is inversely proportional to its bandwidth, so wide links
-    /// are preferred.
-    InverseBandwidth,
-}
-
-impl LinkCost {
-    /// The integer cost of `link` under this model.
-    fn of(self, link: &Link) -> u64 {
-        match self {
-            LinkCost::Hops => 1,
-            // Map bandwidth to an integer cost; wider links cost less.
-            LinkCost::InverseBandwidth => (1_000_000.0 / link.bandwidth.max(1e-6)).round() as u64,
-        }
-    }
-}
+pub use noc_topology::search::LinkCost;
+use noc_topology::{CommGraph, CoreMap, FlowId, Topology};
 
 /// Routes every flow of `comm` over `topology` along a minimum-cost path.
 ///
@@ -53,8 +32,12 @@ pub fn route_all_shortest(
 
 /// Same as [`route_all_shortest`] but with an explicit [`LinkCost`] model.
 ///
-/// Each source switch runs one Dijkstra ([`for_each_source`]) that stops
-/// once the source's last destination is settled, so a call holds O(switches + flows) memory.
+/// Each source switch runs one search ([`for_each_source`]) that stops
+/// once the source's last destination is settled, so a call holds
+/// O(switches + flows) memory.  [`LinkCost::Hops`] searches by level-order
+/// BFS and [`LinkCost::InverseBandwidth`] by heap Dijkstra; both settle
+/// switches in (distance, index) order, so a uniform-cost topology gets the
+/// same routes under either model.
 /// When several flows fail, the error of the earliest one in flow order is
 /// returned.
 pub fn route_all_with_cost(
@@ -79,8 +62,7 @@ pub fn route_all_with_cost(
     }
     let mut unroutable: Option<usize> = None;
     let mut path = Vec::new();
-    let link_cost = |link: &Link| cost.of(link);
-    for_each_source(topology, &endpoints, link_cost, |search, flows| {
+    for_each_source(topology, &endpoints, cost, |search, flows| {
         for &f in flows {
             if search.path_into(topology, endpoints[f].1, &mut path) {
                 routes.set_route(
@@ -112,7 +94,8 @@ mod tests {
     use super::*;
     use noc_graph::{DiGraph, EdgeId, EdgeRef, NodeId};
     use noc_rng::SmallRng;
-    use noc_topology::{generators, CommGraph, CoreMap, LinkId, SwitchId};
+    use noc_topology::validate::validate_design;
+    use noc_topology::{generators, CommGraph, CoreId, CoreMap, LinkId, SwitchId};
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
@@ -299,6 +282,98 @@ mod tests {
         // Both outcomes are exercised, not just one.
         assert!(
             routed > 200 && failed > 200,
+            "{routed} routed, {failed} failed"
+        );
+    }
+
+    /// A design whose links all share one bandwidth, so that
+    /// [`LinkCost::InverseBandwidth`] weighs every link alike: a random
+    /// graph of 20–300 switches with parallel links and self-loops
+    /// (`family` 0, a quarter of them without the ring that connects the
+    /// rest), or a torus (1) or mesh (2)
+    /// with random extra links.  Every core is mapped, core `i` to switch
+    /// `i`.
+    fn uniform_design(rng: &mut SmallRng, family: usize) -> (Topology, CommGraph, CoreMap) {
+        // 1e6 costs 1 per link, the others cost more; none rounds to 0.
+        let bw = [1.0, 3.0, 1e6][rng.gen_range(0usize..3)];
+        let (mut t, extra) = match family {
+            0 => {
+                let mut t = Topology::new();
+                let n = rng.gen_range(20usize..301);
+                let sw: Vec<_> = (0..n).map(|i| t.add_switch(format!("s{i}"))).collect();
+                // Mostly strongly connected: a ring through a random
+                // permutation of the switches.
+                if rng.gen_range(0usize..4) != 0 {
+                    let mut order = sw.clone();
+                    for i in (1..n).rev() {
+                        order.swap(i, rng.gen_range(0..i + 1));
+                    }
+                    for i in 0..n {
+                        t.add_link(order[i], order[(i + 1) % n], bw);
+                    }
+                }
+                (t, rng.gen_range(n / 2..4 * n))
+            }
+            _ => {
+                let (rows, cols) = (rng.gen_range(4usize..18), rng.gen_range(5usize..18));
+                let generated = if family == 1 {
+                    generators::torus2d(rows, cols, bw)
+                } else {
+                    generators::mesh2d(rows, cols, bw)
+                };
+                let extra = rng.gen_range(0..generated.switches.len() / 4);
+                (generated.topology, extra)
+            }
+        };
+        let n = t.switch_count();
+        for _ in 0..extra {
+            let a = SwitchId::from_index(rng.gen_range(0..n));
+            let b = match rng.gen_range(0usize..10) {
+                0 => a, // self-loop
+                _ => SwitchId::from_index(rng.gen_range(0..n)),
+            };
+            t.add_link(a, b, bw);
+            if rng.gen_range(0usize..5) == 0 {
+                t.add_link(a, b, bw); // parallel link
+            }
+        }
+        let mut comm = CommGraph::new();
+        let mut map = CoreMap::new(n);
+        for i in 0..n {
+            let core = comm.add_core(format!("c{i}"));
+            map.assign(core, SwitchId::from_index(i)).unwrap();
+        }
+        for _ in 0..rng.gen_range(1..2 * n) {
+            let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            comm.add_flow(CoreId::from_index(a), CoreId::from_index(b), 1.0);
+        }
+        (t, comm, map)
+    }
+
+    /// The level-order BFS that routes [`LinkCost::Hops`] picks the same
+    /// parent link for every switch on a route as the heap Dijkstra that
+    /// routes [`LinkCost::InverseBandwidth`], which is a uniform cost when
+    /// all links share one bandwidth; and `validate_design`, which also
+    /// runs the BFS, accepts a design exactly when it routes.
+    #[test]
+    fn unit_cost_bfs_routes_match_the_heap_on_uniform_bandwidths() {
+        let mut rng = SmallRng::seed_from_u64(0xB0F5_2010);
+        let (mut routed, mut failed) = (0, 0);
+        for case in 0..90 {
+            let (t, comm, map) = uniform_design(&mut rng, case % 3);
+            let hops = route_all_with_cost(&t, &comm, &map, LinkCost::Hops);
+            let heap = route_all_with_cost(&t, &comm, &map, LinkCost::InverseBandwidth);
+            assert_eq!(hops, heap, "case {case}");
+            let valid = validate_design(&t, &comm, &map);
+            assert_eq!(valid.is_ok(), hops.is_ok(), "case {case}: {valid:?}");
+            if hops.is_ok() {
+                routed += 1;
+            } else {
+                failed += 1;
+            }
+        }
+        assert!(
+            routed > 70 && failed > 3,
             "{routed} routed, {failed} failed"
         );
     }

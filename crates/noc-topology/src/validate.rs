@@ -3,7 +3,7 @@
 use crate::comm::{CommGraph, CoreMap};
 use crate::error::TopologyError;
 use crate::ids::SwitchId;
-use crate::search::for_each_source;
+use crate::search::{for_each_source, LinkCost};
 use crate::topology::Topology;
 
 /// Checks that the design triple (topology, communication graph, core map)
@@ -39,16 +39,11 @@ pub fn validate_design(
         .map(|(_, flow)| Ok((map.require(flow.source)?, map.require(flow.destination)?)))
         .collect::<Result<Vec<(SwitchId, SwitchId)>, TopologyError>>()?;
     let mut first_disconnected: Option<usize> = None;
-    for_each_source(
-        topology,
-        &endpoints,
-        |_| 1,
-        |search, flows| {
-            if let Some(&f) = flows.iter().find(|&&f| !search.reached(endpoints[f].1)) {
-                first_disconnected = Some(first_disconnected.map_or(f, |g| g.min(f)));
-            }
-        },
-    );
+    for_each_source(topology, &endpoints, LinkCost::Hops, |search, flows| {
+        if let Some(&f) = flows.iter().find(|&&f| !search.reached(endpoints[f].1)) {
+            first_disconnected = Some(first_disconnected.map_or(f, |g| g.min(f)));
+        }
+    });
     if let Some(f) = first_disconnected {
         let (from, to) = endpoints[f];
         return Err(TopologyError::Disconnected { from, to });
