@@ -30,12 +30,69 @@ use noc_topology::{Channel, FlowId, Topology};
 /// The channel dependency graph of a routed design.
 #[derive(Debug, Clone)]
 pub struct Cdg {
-    graph: DiGraph<Channel, Vec<FlowId>>,
-    /// Dense channel-to-node index: `index[link][vc]` holds the node index,
-    /// or `usize::MAX` when the channel has no vertex yet.  Links and VC
-    /// indices are small and dense, so this replaces a `HashMap<Channel, _>`
-    /// on the hot build/update paths.
-    index: Vec<Vec<usize>>,
+    graph: DiGraph<Channel, FlowList>,
+    /// The channels the topology had at build time are nodes
+    /// `base[link]..base[link + 1]` in VC order, so their lookup is
+    /// arithmetic: `base[link] + vc`.
+    base: Vec<usize>,
+    /// Channels added after the build (new VCs, or links the build's
+    /// topology did not have): `later[link][vc]` holds the node index, or
+    /// `usize::MAX` when the channel has no vertex.  Empty until the first
+    /// such channel.
+    later: Vec<Vec<usize>>,
+}
+
+/// The flows behind one dependency edge, in the order they first created
+/// it.  Most dependencies carry one or two flows, so up to two are stored
+/// inline and only a longer list allocates; the three shapes take the
+/// space of one `Vec`.
+#[derive(Debug, Clone)]
+pub(crate) enum FlowList {
+    One(FlowId),
+    Two([FlowId; 2]),
+    /// Any other count: more than two, or none left (an empty `Vec` does
+    /// not allocate).
+    Spilled(Vec<FlowId>),
+}
+
+impl FlowList {
+    pub(crate) fn as_slice(&self) -> &[FlowId] {
+        match self {
+            FlowList::One(flow) => std::slice::from_ref(flow),
+            FlowList::Two(flows) => flows,
+            FlowList::Spilled(flows) => flows,
+        }
+    }
+
+    /// Appends `flow` unless the list already holds it.
+    fn insert(&mut self, flow: FlowId) {
+        if self.as_slice().contains(&flow) {
+            return;
+        }
+        match self {
+            FlowList::One(first) => *self = FlowList::Two([*first, flow]),
+            FlowList::Two([first, second]) => {
+                *self = FlowList::Spilled(vec![*first, *second, flow]);
+            }
+            FlowList::Spilled(flows) => flows.push(flow),
+        }
+    }
+
+    /// Removes `flow`, keeping the others' order.  Returns `false` when the
+    /// list did not hold it.
+    fn remove(&mut self, flow: FlowId) -> bool {
+        let Some(at) = self.as_slice().iter().position(|&f| f == flow) else {
+            return false;
+        };
+        match self {
+            FlowList::One(_) => *self = FlowList::Spilled(Vec::new()),
+            FlowList::Two(flows) => *self = FlowList::One(flows[1 - at]),
+            FlowList::Spilled(flows) => {
+                flows.remove(at);
+            }
+        }
+        true
+    }
 }
 
 /// Bookkeeping of one incremental CDG update (one cycle-break iteration):
@@ -73,15 +130,20 @@ impl Cdg {
     /// cycle); every consecutive channel pair of every route contributes a
     /// dependency edge annotated with the flows that create it.
     pub fn build(topology: &Topology, routes: &RouteSet) -> Self {
-        let graph = DiGraph::with_capacity(topology.channel_count(), routes.flow_count() * 2);
+        let mut graph = DiGraph::with_capacity(topology.channel_count(), routes.flow_count() * 2);
+        let mut base = Vec::with_capacity(topology.link_count() + 1);
+        for (id, link) in topology.links() {
+            base.push(graph.node_count());
+            for vc in 0..link.vcs {
+                graph.add_node(Channel::new(id, vc));
+            }
+        }
+        base.push(graph.node_count());
         let mut cdg = Cdg {
             graph,
-            index: Vec::new(),
+            base,
+            later: Vec::new(),
         };
-        for channel in topology.channels() {
-            let node = cdg.graph.add_node(channel);
-            cdg.index_insert(channel, node);
-        }
         for (flow, route) in routes.iter() {
             let channels = route.channels();
             for pair in channels.windows(2) {
@@ -91,33 +153,34 @@ impl Cdg {
         cdg
     }
 
-    /// The vertex of `channel`, looked up in the dense index.
+    /// The vertex of `channel`: arithmetic for a channel the build's
+    /// topology had, else looked up among the channels added later.
     pub(crate) fn vertex(&self, channel: Channel) -> Option<NodeId> {
-        let slot = *self.index.get(channel.link.index())?.get(channel.vc)?;
-        (slot != usize::MAX).then(|| NodeId::from_index(slot))
-    }
-
-    /// Records `channel -> node` in the dense index, growing it as needed.
-    fn index_insert(&mut self, channel: Channel, node: NodeId) {
         let link = channel.link.index();
-        if link >= self.index.len() {
-            self.index.resize_with(link + 1, Vec::new);
+        if let Some(range) = self.base.get(link..link + 2) {
+            if channel.vc < range[1] - range[0] {
+                return Some(NodeId::from_index(range[0] + channel.vc));
+            }
         }
-        let row = &mut self.index[link];
-        if channel.vc >= row.len() {
-            row.resize(channel.vc + 1, usize::MAX);
-        }
-        row[channel.vc] = node.index();
+        let slot = *self.later.get(link)?.get(channel.vc)?;
+        (slot != usize::MAX).then(|| NodeId::from_index(slot))
     }
 
     fn node_of(&mut self, channel: Channel) -> NodeId {
         if let Some(node) = self.vertex(channel) {
-            node
-        } else {
-            let node = self.graph.add_node(channel);
-            self.index_insert(channel, node);
-            node
+            return node;
         }
+        let node = self.graph.add_node(channel);
+        let link = channel.link.index();
+        if link >= self.later.len() {
+            self.later.resize_with(link + 1, Vec::new);
+        }
+        let row = &mut self.later[link];
+        if channel.vc >= row.len() {
+            row.resize(channel.vc + 1, usize::MAX);
+        }
+        row[channel.vc] = node.index();
+        node
     }
 
     /// Adds the dependency `from -> to` caused by `flow`, creating vertices
@@ -130,11 +193,9 @@ impl Cdg {
                 .graph
                 .edge_weight_mut(edge)
                 .expect("edge found above is live");
-            if !flows.contains(&flow) {
-                flows.push(flow);
-            }
+            flows.insert(flow);
         } else {
-            self.graph.add_edge(from_node, to_node, vec![flow]);
+            self.graph.add_edge(from_node, to_node, FlowList::One(flow));
         }
     }
 
@@ -173,12 +234,10 @@ impl Cdg {
                 .graph
                 .edge_weight_mut(edge)
                 .expect("edge found above is live");
-            let before = flows.len();
-            flows.retain(|&f| f != flow);
-            if flows.len() == before {
+            if !flows.remove(flow) {
                 continue; // second crossing of the same pair, already removed
             }
-            if flows.is_empty() {
+            if flows.as_slice().is_empty() {
                 self.graph.remove_edge(edge);
                 delta.deps_removed += 1;
                 delta.touched.push(from);
@@ -205,11 +264,9 @@ impl Cdg {
                     .graph
                     .edge_weight_mut(edge)
                     .expect("edge found above is live");
-                if !flows.contains(&flow) {
-                    flows.push(flow);
-                }
+                flows.insert(flow);
             } else {
-                self.graph.add_edge(from, to, vec![flow]);
+                self.graph.add_edge(from, to, FlowList::One(flow));
                 delta.deps_added += 1;
                 delta.touched.push(from);
                 delta.touched.push(to);
@@ -275,11 +332,11 @@ impl Cdg {
         let from_node = self.vertex(from)?;
         let to_node = self.vertex(to)?;
         let edge = self.graph.find_edge(from_node, to_node)?;
-        self.graph.edge_weight(edge).map(Vec::as_slice)
+        self.graph.edge_weight(edge).map(FlowList::as_slice)
     }
 
     /// Borrow the underlying graph (e.g. for DOT export in diagnostics).
-    pub(crate) fn graph(&self) -> &DiGraph<Channel, Vec<FlowId>> {
+    pub(crate) fn graph(&self) -> &DiGraph<Channel, FlowList> {
         &self.graph
     }
 
@@ -294,7 +351,7 @@ impl Cdg {
             .graph
             .edges()
             .filter(|e| components.is_internal(e.source, e.target))
-            .flat_map(|e| e.weight.iter().copied())
+            .flat_map(|e| e.weight.as_slice().iter().copied())
             .collect();
         flows.sort();
         flows.dedup();
@@ -306,7 +363,7 @@ impl Cdg {
 mod tests {
     use super::*;
     use noc_routing::Route;
-    use noc_topology::{CommGraph, CoreMap, LinkId};
+    use noc_topology::{CommGraph, CoreMap, LinkId, SwitchId};
 
     /// The paper's running example: 4-switch unidirectional ring (Figure 1)
     /// with flows F1..F4 whose routes are R1 = {L1,L2,L3}, R2 = {L3,L4},
@@ -551,6 +608,86 @@ mod tests {
         cdg.register_channel(fresh, &mut delta);
         assert_eq!(delta.channels_added, 1);
         assert_eq!(cdg.channel_count(), 5);
+    }
+
+    #[test]
+    fn vertex_finds_channels_added_after_the_build() {
+        let (mut topo, routes) = figure_1_design();
+        let mut cdg = Cdg::build(&topo, &routes);
+        let named = |cdg: &Cdg, channel| {
+            let node = cdg.vertex(channel)?;
+            Some(*cdg.graph().node_weight(node).expect("vertex is a node"))
+        };
+        for channel in topo.channels() {
+            assert_eq!(named(&cdg, channel), Some(channel), "build-time {channel}");
+        }
+        // A second VC on link 2, a third on link 2, and a link the build's
+        // topology did not have, registered out of order.
+        let second = topo.add_vc(LinkId::from_index(2)).unwrap();
+        let third = topo.add_vc(LinkId::from_index(2)).unwrap();
+        let (s0, s2) = (SwitchId::from_index(0), SwitchId::from_index(2));
+        let chord = Channel::base(topo.add_link(s0, s2, 1.0));
+        assert_eq!(cdg.vertex(third), None);
+        assert_eq!(cdg.vertex(chord), None);
+        let mut delta = CdgDelta::default();
+        for channel in [third, chord, second] {
+            cdg.register_channel(channel, &mut delta);
+        }
+        assert_eq!(delta.channels_added, 3);
+        for channel in topo.channels() {
+            assert_eq!(named(&cdg, channel), Some(channel), "{channel}");
+        }
+        // Neither an unregistered VC nor an unknown link has a vertex.
+        assert_eq!(cdg.vertex(Channel::new(LinkId::from_index(2), 3)), None);
+        assert_eq!(cdg.vertex(Channel::new(LinkId::from_index(1), 1)), None);
+        assert_eq!(cdg.vertex(Channel::base(LinkId::from_index(9))), None);
+        // A route through a channel the topology lacks gets its vertex at
+        // build time, through the same side index.
+        let mut routes = RouteSet::new(1);
+        let phantom = Channel::new(LinkId::from_index(7), 2);
+        routes.set_route(FlowId::from_index(0), Route::new(vec![second, phantom]));
+        let cdg = Cdg::build(&topo, &routes);
+        assert_eq!(named(&cdg, phantom), Some(phantom));
+        assert_eq!(cdg.channel_count(), topo.channel_count() + 1);
+    }
+
+    #[test]
+    fn flow_lists_keep_insertion_order_inline_and_spilled() {
+        let f = FlowId::from_index;
+        let mut list = FlowList::One(f(4));
+        let mut model = vec![f(4)];
+        // One -> Two -> One (either slot) -> Two -> spilled -> empty.
+        let steps = [
+            (true, 4),
+            (true, 1),
+            (false, 1),
+            (true, 1),
+            (false, 4),
+            (true, 4),
+            (true, 9),
+            (false, 1),
+            (true, 2),
+            (false, 7),
+            (false, 4),
+            (false, 9),
+            (false, 2),
+            (false, 2),
+            (true, 3),
+        ];
+        for (add, index) in steps {
+            let flow = f(index);
+            if add {
+                list.insert(flow);
+                if !model.contains(&flow) {
+                    model.push(flow);
+                }
+            } else {
+                let held = model.contains(&flow);
+                assert_eq!(list.remove(flow), held);
+                model.retain(|&g| g != flow);
+            }
+            assert_eq!(list.as_slice(), model.as_slice());
+        }
     }
 
     #[test]

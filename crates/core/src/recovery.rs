@@ -14,7 +14,7 @@
 //!    dependency region that could deadlock at runtime;
 //! 2. *drain* every flow that contributes a dependency inside such an SCC
 //!    and re-route it onto a shortest legal up*/down* path
-//!    ([`noc_routing::updown::updown_route`]) — the reconfigured routing
+//!    ([`noc_routing::updown::updown_routes`]) — the reconfigured routing
 //!    function whole-SCC recovery switches to;
 //! 3. patch the CDG with the drained flows' dependency deltas and repeat:
 //!    reconfigured flows only create up*/down*-legal dependencies (which
@@ -35,9 +35,9 @@
 
 use crate::cdg::{Cdg, CdgDelta};
 use noc_graph::scc;
-use noc_routing::updown::{updown_route, UpDownLabels};
+use noc_routing::updown::{updown_routes, UpDownLabels};
 use noc_routing::{Route, RouteSet};
-use noc_topology::{FlowId, SwitchId, Topology};
+use noc_topology::{Channel, FlowId, SwitchId, Topology};
 use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
@@ -175,7 +175,7 @@ pub fn apply_recovery_reconfig(
         let mut drain: BTreeSet<FlowId> = BTreeSet::new();
         for edge in graph.edges() {
             if components.is_internal(edge.source, edge.target) {
-                drain.extend(edge.weight.iter().copied());
+                drain.extend(edge.weight.as_slice().iter().copied());
             }
         }
         drain.retain(|flow| !reconfigured.contains(flow));
@@ -183,26 +183,36 @@ pub fn apply_recovery_reconfig(
             return Err(RecoveryError::Stalled { round: steps.len() });
         }
 
+        // Each drained flow keeps its endpoints; one up*/down* search per
+        // distinct source routes them all.
+        let link = |channel: &Channel| {
+            topology
+                .link(channel.link)
+                .expect("routes reference known links")
+        };
+        let ends: Vec<(SwitchId, SwitchId)> = drain
+            .iter()
+            .map(|&flow| {
+                let route = routes.route(flow).expect("drained flows have routes");
+                // A flow on an in-SCC dependency has at least two hops.
+                let first = route
+                    .channels()
+                    .first()
+                    .expect("dependency implies a route");
+                let last = route.channels().last().expect("dependency implies a route");
+                (link(first).source, link(last).target)
+            })
+            .collect();
+        let found = updown_routes(topology, &labels, &ends);
+
         let mut delta = CdgDelta::default();
         let mut hops_before = 0usize;
         let mut hops_after = 0usize;
-        for &flow in &drain {
+        for ((&flow, &(from, to)), links) in drain.iter().zip(&ends).zip(found) {
             let route = routes.route(flow).expect("drained flows have routes");
             let channels = route.channels().to_vec();
-            // A flow on an in-SCC dependency has at least two hops.
-            let first = channels.first().expect("dependency implies a route");
-            let last = channels.last().expect("dependency implies a route");
-            let from = topology
-                .link(first.link)
-                .expect("routes reference known links")
-                .source;
-            let to = topology
-                .link(last.link)
-                .expect("routes reference known links")
-                .target;
             hops_before += route.hop_count();
-            let links = updown_route(topology, &labels, from, to)
-                .ok_or(RecoveryError::NoEscapeRoute { flow, from, to })?;
+            let links = links.ok_or(RecoveryError::NoEscapeRoute { flow, from, to })?;
             hops_after += links.len();
             cdg.remove_flow_deps(flow, &channels, &mut delta);
             routes.set_route(flow, Route::from_links(links));

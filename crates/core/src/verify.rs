@@ -48,23 +48,24 @@ impl Error for DeadlockCycle {}
 /// can deadlock.
 pub fn check_deadlock_free(topology: &Topology, routes: &RouteSet) -> Result<(), DeadlockCycle> {
     let cdg = Cdg::build(topology, routes);
-    match cdg.smallest_cycle() {
-        None => Ok(()),
-        Some(channels) => {
-            let edge_flows = channels
-                .iter()
-                .enumerate()
-                .map(|(i, &from)| {
-                    let to = channels[(i + 1) % channels.len()];
-                    cdg.dependency_flows(from, to).unwrap_or_default().to_vec()
-                })
-                .collect();
-            Err(DeadlockCycle {
-                channels,
-                edge_flows,
-            })
-        }
+    // One SCC pass settles the common, acyclic case; only a cyclic CDG
+    // pays for the smallest-cycle search.
+    if cdg.is_acyclic() {
+        return Ok(());
     }
+    let channels = cdg.smallest_cycle().expect("a cyclic CDG has a cycle");
+    let edge_flows = channels
+        .iter()
+        .enumerate()
+        .map(|(i, &from)| {
+            let to = channels[(i + 1) % channels.len()];
+            cdg.dependency_flows(from, to).unwrap_or_default().to_vec()
+        })
+        .collect();
+    Err(DeadlockCycle {
+        channels,
+        edge_flows,
+    })
 }
 
 /// Checks that every channel referenced by `routes` exists in `topology`

@@ -19,10 +19,16 @@
 //! thread, one `wait` per blocking receive there (each result's and the
 //! last one, which ends when every worker has finished), one `hand_off`
 //! per result the calling thread takes in, and one `worker` span per
-//! worker thread around everything it runs.
+//! worker thread around everything it runs.  Every worker thread the
+//! process starts gets its own label (`worker-0`, `worker-1`, … counted
+//! across maps), so a trace's per-thread rows never merge two threads.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
+
+/// Worker threads started so far in this process; the next worker is
+/// labelled `worker-<this count>`.
+static WORKERS_SPAWNED: AtomicUsize = AtomicUsize::new(0);
 
 /// Maps every item through `f` on a pool of scoped worker threads and
 /// returns the results in input order: [`parallel_map_streaming`] without
@@ -90,8 +96,9 @@ pub fn parallel_map_streaming<T: Sync, R: Send>(
     let (tx, rx) = mpsc::channel::<(usize, R)>();
     let mut slots: Vec<Option<R>> = Vec::new();
     slots.resize_with(items.len(), || None);
+    let first_label = WORKERS_SPAWNED.fetch_add(workers, Ordering::Relaxed);
     let join = std::thread::scope(|scope| {
-        for worker in 0..workers {
+        for worker in first_label..first_label + workers {
             let tx = tx.clone();
             let next = &next;
             let f = &f;

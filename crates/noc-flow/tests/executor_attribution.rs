@@ -2,13 +2,20 @@
 //! start-up, every wait for a result, every hand-off and the join as
 //! `executor` spans under the span open on the calling thread, and one `worker` span per worker
 //! thread inside that span's sequence window.  Structural only: the spans
-//! exist and nest, whatever they measured.
+//! exist and nest, whatever they measured.  Worker labels are unique across
+//! maps.
 
-use noc_flow::executor::parallel_map_streaming;
+use noc_flow::executor::{parallel_map_ordered, parallel_map_streaming};
 use noc_telemetry::RecorderScope;
+use std::collections::BTreeSet;
+use std::sync::{Mutex, PoisonError};
+
+/// The recorder is process-global: the tests take turns.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 #[test]
 fn executor_start_hand_off_join_and_workers_nest_under_the_root() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let scope = RecorderScope::new();
     let root = noc_telemetry::span("figure", "root");
     let root_seq = root.enter_seq().expect("recording");
@@ -74,4 +81,39 @@ fn executor_start_hand_off_join_and_workers_nest_under_the_root() {
         assert!(root.enter_seq < worker.enter_seq && worker.exit_seq < root.exit_seq);
         assert!(worker.exit_seq < join[0].exit_seq);
     }
+}
+
+#[test]
+fn workers_of_different_maps_get_different_labels() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let scope = RecorderScope::new();
+    let items: Vec<usize> = (0..8).collect();
+    // Two maps in a row, each spawning its own workers, then one more
+    // with a single worker.
+    for threads in [2, 2, 1] {
+        parallel_map_ordered(&items, threads, |&n| n * 2);
+    }
+    let snapshot = scope.recorder().snapshot();
+    drop(scope);
+
+    let worker_tids: BTreeSet<u32> = snapshot
+        .spans
+        .iter()
+        .filter(|s| s.cat == "executor" && s.name == "worker")
+        .map(|s| s.tid)
+        .collect();
+    assert_eq!(worker_tids.len(), 5, "one thread per worker of every map");
+    let labels: Vec<&str> = worker_tids
+        .iter()
+        .map(|tid| {
+            snapshot
+                .threads
+                .get(tid)
+                .expect("workers are labelled")
+                .as_str()
+        })
+        .collect();
+    assert!(labels.iter().all(|label| label.starts_with("worker-")));
+    let distinct: BTreeSet<&str> = labels.iter().copied().collect();
+    assert_eq!(distinct.len(), labels.len(), "labels repeat: {labels:?}");
 }

@@ -73,6 +73,9 @@ impl<'a, E> Clone for EdgeRef<'a, E> {
 
 impl<'a, E> Copy for EdgeRef<'a, E> {}
 
+/// The end of an out-edge list: no edge follows.
+const NIL: usize = usize::MAX;
+
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct EdgeData<E> {
     source: NodeId,
@@ -80,6 +83,23 @@ struct EdgeData<E> {
     weight: E,
     /// Removed edges stay in the arena but are skipped by all iterators.
     removed: bool,
+    /// The next edge out of `source`, in insertion order, or [`NIL`].
+    next: usize,
+}
+
+/// A node's out-edges, threaded through the edge arena: the first and the
+/// last edge out of it ([`NIL`] when it has none).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct OutList {
+    first: usize,
+    last: usize,
+}
+
+impl OutList {
+    const EMPTY: OutList = OutList {
+        first: NIL,
+        last: NIL,
+    };
 }
 
 /// A directed multigraph with payloads on nodes and edges.
@@ -104,7 +124,9 @@ struct EdgeData<E> {
 pub struct DiGraph<N, E> {
     nodes: Vec<N>,
     edges: Vec<EdgeData<E>>,
-    out_edges: Vec<Vec<EdgeId>>,
+    /// Per node, its out-edges in insertion order, linked through
+    /// `EdgeData::next`: no allocation per node.
+    out_lists: Vec<OutList>,
     /// Every removed edge, in removal order, each once.
     removals: Vec<EdgeId>,
 }
@@ -121,7 +143,7 @@ impl<N, E> DiGraph<N, E> {
         DiGraph {
             nodes: Vec::new(),
             edges: Vec::new(),
-            out_edges: Vec::new(),
+            out_lists: Vec::new(),
             removals: Vec::new(),
         }
     }
@@ -131,7 +153,7 @@ impl<N, E> DiGraph<N, E> {
         DiGraph {
             nodes: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
-            out_edges: Vec::with_capacity(nodes),
+            out_lists: Vec::with_capacity(nodes),
             removals: Vec::new(),
         }
     }
@@ -140,7 +162,7 @@ impl<N, E> DiGraph<N, E> {
     pub fn add_node(&mut self, weight: N) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.nodes.push(weight);
-        self.out_edges.push(Vec::new());
+        self.out_lists.push(OutList::EMPTY);
         id
     }
 
@@ -158,8 +180,14 @@ impl<N, E> DiGraph<N, E> {
             target,
             weight,
             removed: false,
+            next: NIL,
         });
-        self.out_edges[source.0].push(id);
+        let list = &mut self.out_lists[source.0];
+        match list.last {
+            NIL => list.first = id.0,
+            last => self.edges[last].next = id.0,
+        }
+        list.last = id.0;
         id
     }
 
@@ -260,10 +288,9 @@ impl<N, E> DiGraph<N, E> {
 
     /// Returns the first live edge `source -> target`, if any.
     pub fn find_edge(&self, source: NodeId, target: NodeId) -> Option<EdgeId> {
-        self.out_edges.get(source.0)?.iter().copied().find(|&e| {
-            let d = &self.edges[e.0];
-            !d.removed && d.target == target
-        })
+        self.out_edges(source)
+            .find(|e| e.target == target)
+            .map(|e| e.id)
     }
 
     /// Returns `true` if there is at least one live edge `source -> target`.
@@ -292,21 +319,23 @@ impl<N, E> DiGraph<N, E> {
 
     /// Iterates over the live outgoing edges of `node`.
     pub fn out_edges(&self, node: NodeId) -> impl Iterator<Item = EdgeRef<'_, E>> + '_ {
-        self.out_edges
-            .get(node.0)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-            .iter()
-            .filter(|e| !self.edges[e.0].removed)
-            .map(move |&id| {
-                let e = &self.edges[id.0];
-                EdgeRef {
-                    id,
-                    source: e.source,
-                    target: e.target,
-                    weight: &e.weight,
+        let mut cursor = self.out_lists.get(node.0).map_or(NIL, |list| list.first);
+        std::iter::from_fn(move || {
+            while cursor != NIL {
+                let id = cursor;
+                let e = &self.edges[id];
+                cursor = e.next;
+                if !e.removed {
+                    return Some(EdgeRef {
+                        id: EdgeId(id),
+                        source: e.source,
+                        target: e.target,
+                        weight: &e.weight,
+                    });
                 }
-            })
+            }
+            None
+        })
     }
 
     /// Iterates over the successor nodes of `node` (one entry per live edge,
@@ -447,6 +476,72 @@ mod tests {
         let e2 = g.add_edge(a, b, 2);
         g.remove_edge(e1);
         assert_eq!(g.find_edge(a, b), Some(e2));
+    }
+
+    /// Random add/remove sequences against a model that keeps each node's
+    /// out-edges in a `Vec`: the threaded lists list the same live edges in
+    /// the same order, and every count and the removal log agree.
+    #[test]
+    fn threaded_out_lists_match_a_vec_model() {
+        let mut rng = noc_rng::SmallRng::seed_from_u64(0x0D15);
+        for _ in 0..48 {
+            let mut g: DiGraph<usize, usize> = DiGraph::new();
+            let mut model: Vec<Vec<EdgeId>> = Vec::new();
+            let mut targets: Vec<NodeId> = Vec::new();
+            let mut removed: Vec<EdgeId> = Vec::new();
+            let mut live = 0usize;
+            for step in 0..rng.gen_range(1..160) {
+                match rng.gen_range(0..10) {
+                    0..=1 => {
+                        model.push(Vec::new());
+                        assert_eq!(g.add_node(step).index(), model.len() - 1);
+                    }
+                    2..=6 if !model.is_empty() => {
+                        // Parallel edges and self-loops come up often on
+                        // few nodes.
+                        let a = NodeId(rng.gen_range(0..model.len()));
+                        let b = NodeId(rng.gen_range(0..model.len()));
+                        let e = g.add_edge(a, b, step);
+                        assert_eq!(e.0, targets.len(), "edge ids are dense");
+                        model[a.0].push(e);
+                        targets.push(b);
+                        live += 1;
+                    }
+                    7..=9 if !targets.is_empty() => {
+                        let e = EdgeId(rng.gen_range(0..targets.len()));
+                        let was_live = !removed.contains(&e);
+                        assert_eq!(g.remove_edge(e), was_live);
+                        if was_live {
+                            removed.push(e);
+                            live -= 1;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(g.node_count(), model.len());
+            assert_eq!(g.edge_count(), live);
+            assert_eq!(g.removals(), removed.as_slice());
+            for (a, list) in model.iter().enumerate() {
+                let a = NodeId(a);
+                let expected: Vec<EdgeId> = list
+                    .iter()
+                    .copied()
+                    .filter(|e| !removed.contains(e))
+                    .collect();
+                let actual: Vec<EdgeId> = g.out_edges(a).map(|e| e.id).collect();
+                assert_eq!(actual, expected, "out-edges of {a}");
+                assert_eq!(g.out_degree(a), expected.len());
+                assert!(g.out_edges(a).all(|e| e.source == a));
+                for b in 0..model.len() {
+                    let b = NodeId(b);
+                    let first = expected.iter().copied().find(|e| targets[e.0] == b);
+                    assert_eq!(g.find_edge(a, b), first, "find_edge({a}, {b})");
+                }
+            }
+            assert_eq!(g.out_edges(NodeId(model.len())).count(), 0);
+            assert_eq!(g.find_edge(NodeId(model.len()), NodeId(0)), None);
+        }
     }
 
     #[test]

@@ -106,9 +106,12 @@ impl UpDownLabels {
 ///
 /// The route search is a BFS over `(switch, phase)` states where the phase
 /// records whether a *down* link has already been taken; this finds a
-/// shortest route among the legal up*/down* routes.
+/// shortest route among the legal up*/down* routes.  It runs once per
+/// distinct source switch ([`updown_routes`]).
 ///
 /// # Errors
+///
+/// The first failing flow, in flow order, decides the error:
 ///
 /// * [`RouteError::Topology`] if a core is unmapped.
 /// * [`RouteError::Unroutable`] if no legal up*/down* route exists (e.g. the
@@ -122,109 +125,156 @@ pub fn route_all_updown(
 ) -> Result<RouteSet, RouteError> {
     let labels = UpDownLabels::new(topology, root);
     let mut routes = RouteSet::new(comm.flow_count());
+    // Flows up to the first unmapped one, with their switch pairs.
+    let mut routed = Vec::new();
+    let mut unmapped = None;
     for (flow_id, flow) in comm.flows() {
-        let src = map.require(flow.source)?;
-        let dst = map.require(flow.destination)?;
-        if src == dst {
-            routes.set_route(flow_id, Route::empty());
-            continue;
+        let ends = map
+            .require(flow.source)
+            .and_then(|src| Ok((src, map.require(flow.destination)?)));
+        match ends {
+            Ok((src, dst)) if src == dst => routes.set_route(flow_id, Route::empty()),
+            Ok(pair) => routed.push((flow_id, pair)),
+            Err(error) => {
+                unmapped = Some(error);
+                break;
+            }
         }
-        let links = updown_route(topology, &labels, src, dst).ok_or(RouteError::Unroutable {
-            flow: flow_id,
-            from: src,
-            to: dst,
-        })?;
-        routes.set_route(flow_id, Route::from_links(links));
     }
-    Ok(routes)
+    let pairs: Vec<(SwitchId, SwitchId)> = routed.iter().map(|&(_, pair)| pair).collect();
+    for ((flow, (from, to)), links) in routed
+        .into_iter()
+        .zip(updown_routes(topology, &labels, &pairs))
+    {
+        let links = links.ok_or(RouteError::Unroutable { flow, from, to })?;
+        routes.set_route(flow, Route::from_links(links));
+    }
+    match unmapped {
+        Some(error) => Err(error.into()),
+        None => Ok(routes),
+    }
 }
 
-/// A shortest legal up*/down* route from `src` to `dst` under `labels`, as a
-/// link list, or `None` when no legal route exists.
+/// The shortest legal up*/down* route of every `(src, dst)` pair under
+/// `labels`, as link lists in `pairs`' order; `None` where no legal route
+/// exists.  One [`UpDownTree`] per distinct source answers all of that
+/// source's pairs.
 ///
-/// This is the per-pair primitive behind [`route_all_updown`], exposed for
-/// callers that re-route individual flows onto the up*/down* subgraph (e.g.
+/// This is the batch search behind [`route_all_updown`], exposed for
+/// callers that re-route some flows onto the up*/down* subgraph (e.g.
 /// recovery-based deadlock reconfiguration, which drains the flows of a
 /// cyclic dependency region and moves only those onto up*/down* paths).
-/// `src == dst` yields an empty route.
-///
-/// The search is a BFS over `(switch, has_gone_down)` states respecting the
-/// up*/down* rule, so the result is deterministic for a given topology.
-pub fn updown_route(
+pub fn updown_routes(
     topology: &Topology,
     labels: &UpDownLabels,
-    src: SwitchId,
-    dst: SwitchId,
-) -> Option<Vec<LinkId>> {
-    updown_route_filtered(topology, labels, src, dst, None)
-}
-
-/// [`updown_route`] over the fabric surviving `faults`: only
-/// [usable](FaultSet::link_usable) links are traversed.  Pair it with
-/// [`UpDownLabels::surviving`] built on the same fault set — labels from the
-/// intact fabric may label a route legal that detours through a failed
-/// region.  `None` means the destination is unreachable on the surviving
-/// up*/down* subgraph — the signal the simulator turns into a typed
-/// `Unreachable` outcome.
-pub fn updown_route_avoiding(
-    topology: &Topology,
-    labels: &UpDownLabels,
-    src: SwitchId,
-    dst: SwitchId,
-    faults: &FaultSet,
-) -> Option<Vec<LinkId>> {
-    updown_route_filtered(topology, labels, src, dst, Some(faults))
-}
-
-fn updown_route_filtered(
-    topology: &Topology,
-    labels: &UpDownLabels,
-    src: SwitchId,
-    dst: SwitchId,
-    faults: Option<&FaultSet>,
-) -> Option<Vec<LinkId>> {
-    let n = topology.switch_count();
-    // visited[switch][phase]; phase 0 = still allowed to go up, 1 = down only.
-    let mut visited = vec![[false; 2]; n];
-    let mut parent: Vec<[Option<(SwitchId, usize, LinkId)>; 2]> = vec![[None; 2]; n];
-    let mut queue = VecDeque::new();
-    visited[src.index()][0] = true;
-    queue.push_back((src, 0usize));
-    while let Some((sw, phase)) = queue.pop_front() {
-        if sw == dst {
-            // Reconstruct.
-            let mut links = Vec::new();
-            let (mut cur, mut ph) = (sw, phase);
-            while let Some((prev, prev_phase, link)) = parent[cur.index()][ph] {
-                links.push(link);
-                cur = prev;
-                ph = prev_phase;
-            }
-            links.reverse();
-            return Some(links);
-        }
-        for (link_id, link) in topology.links_from(sw) {
-            if !faults.is_none_or(|f| f.link_usable(topology, link_id)) {
-                continue;
-            }
-            let Some(dir) = labels.direction(topology, link_id) else {
-                continue;
-            };
-            let next_phase = match (phase, dir) {
-                (0, LinkDirection::Up) => 0,
-                (_, LinkDirection::Down) => 1,
-                (1, LinkDirection::Up) => continue, // illegal down→up turn
-                _ => unreachable!(),
-            };
-            let next = link.target;
-            if !visited[next.index()][next_phase] {
-                visited[next.index()][next_phase] = true;
-                parent[next.index()][next_phase] = Some((sw, phase, link_id));
-                queue.push_back((next, next_phase));
-            }
+    pairs: &[(SwitchId, SwitchId)],
+) -> Vec<Option<Vec<LinkId>>> {
+    let mut order: Vec<usize> = (0..pairs.len()).collect();
+    order.sort_by_key(|&i| pairs[i].0);
+    let mut routes = vec![None; pairs.len()];
+    for group in order.chunk_by(|&a, &b| pairs[a].0 == pairs[b].0) {
+        let tree = UpDownTree::new(topology, labels, pairs[group[0]].0);
+        for &i in group {
+            routes[i] = tree.route_to(pairs[i].1);
         }
     }
-    None
+    routes
+}
+
+/// The shortest legal up*/down* routes from one source switch to every
+/// switch: one BFS over `(switch, has_gone_down)` states respecting the
+/// up*/down* rule.
+///
+/// The route to a destination is the one to the first of its states the
+/// search discovers.  A search for that destination alone would pop exactly
+/// that state first and stop there, so both give the same route; the tree
+/// answers every destination of the source from one search.
+#[derive(Debug, Clone)]
+pub struct UpDownTree {
+    /// Per state `2 * switch + phase` (phase 0 = still allowed to go up,
+    /// 1 = down only): the state it was discovered from and the link taken.
+    /// `None` for the source state and for undiscovered states.
+    parent: Vec<Option<(usize, LinkId)>>,
+    /// Per switch: the first of its states the search discovered.
+    first: Vec<Option<usize>>,
+}
+
+impl UpDownTree {
+    /// Searches every up*/down* route from `src` under `labels`.
+    pub fn new(topology: &Topology, labels: &UpDownLabels, src: SwitchId) -> Self {
+        Self::search(topology, labels, src, None)
+    }
+
+    /// [`new`](Self::new) over the fabric surviving `faults`: only
+    /// [usable](FaultSet::link_usable) links are traversed.  Pair it with
+    /// [`UpDownLabels::surviving`] built on the same fault set — labels from
+    /// the intact fabric may label a route legal that detours through a
+    /// failed region.
+    pub fn avoiding(
+        topology: &Topology,
+        labels: &UpDownLabels,
+        src: SwitchId,
+        faults: &FaultSet,
+    ) -> Self {
+        Self::search(topology, labels, src, Some(faults))
+    }
+
+    fn search(
+        topology: &Topology,
+        labels: &UpDownLabels,
+        src: SwitchId,
+        faults: Option<&FaultSet>,
+    ) -> Self {
+        let n = topology.switch_count();
+        let mut tree = UpDownTree {
+            parent: vec![None; 2 * n],
+            first: vec![None; n],
+        };
+        let root = 2 * src.index();
+        tree.first[src.index()] = Some(root);
+        // Discovery order is pop order: the queue is a list with a cursor.
+        let mut queue = vec![root];
+        let mut head = 0;
+        while let Some(&state) = queue.get(head) {
+            head += 1;
+            let (sw, phase) = (SwitchId::from_index(state / 2), state % 2);
+            for (link_id, link) in topology.links_from(sw) {
+                if !faults.is_none_or(|f| f.link_usable(topology, link_id)) {
+                    continue;
+                }
+                let Some(dir) = labels.direction(topology, link_id) else {
+                    continue;
+                };
+                let next_phase = match (phase, dir) {
+                    (_, LinkDirection::Down) => 1,
+                    (0, LinkDirection::Up) => 0,
+                    _ => continue, // illegal down→up turn
+                };
+                let next = 2 * link.target.index() + next_phase;
+                if next != root && tree.parent[next].is_none() {
+                    tree.parent[next] = Some((state, link_id));
+                    tree.first[link.target.index()].get_or_insert(next);
+                    queue.push(next);
+                }
+            }
+        }
+        tree
+    }
+
+    /// The shortest legal route to `dst` as a link list, or `None` when no
+    /// legal route exists (the signal the simulator's fault epochs turn into
+    /// a typed `Unreachable` outcome).  The source itself yields an empty
+    /// route.
+    pub fn route_to(&self, dst: SwitchId) -> Option<Vec<LinkId>> {
+        let mut state = (*self.first.get(dst.index())?)?;
+        let mut links = Vec::new();
+        while let Some((prev, link)) = self.parent[state] {
+            links.push(link);
+            state = prev;
+        }
+        links.reverse();
+        Some(links)
+    }
 }
 
 #[cfg(test)]
@@ -300,10 +350,11 @@ mod tests {
             t.add_link(sw[i], sw[(i + 1) % 4], 1.0);
         }
         let labels = UpDownLabels::new(&t, sw[0]);
-        let legal = updown_route(&t, &labels, sw[0], sw[2]).unwrap();
+        let route = |src: SwitchId, dst| UpDownTree::new(&t, &labels, src).route_to(dst);
+        let legal = route(sw[0], sw[2]).unwrap();
         assert_eq!(legal.len(), 2);
-        assert!(updown_route(&t, &labels, sw[1], sw[3]).is_none());
-        assert_eq!(updown_route(&t, &labels, sw[2], sw[2]), Some(Vec::new()));
+        assert!(route(sw[1], sw[3]).is_none());
+        assert_eq!(route(sw[2], sw[2]), Some(Vec::new()));
     }
 
     #[test]
@@ -360,16 +411,18 @@ mod tests {
         let back = t.find_link(sw[1], sw[0]).unwrap();
         faults.fail_link_pair(&t, fwd);
         let labels = UpDownLabels::surviving(&t, sw[0], &faults);
-        for i in 0..6 {
-            for j in 0..6 {
-                let route = updown_route_avoiding(&t, &labels, sw[i], sw[j], &faults)
-                    .unwrap_or_else(|| panic!("{i} -> {j} must survive one dead segment"));
+        for &src in &sw {
+            let tree = UpDownTree::avoiding(&t, &labels, src, &faults);
+            for &dst in &sw {
+                let route = tree
+                    .route_to(dst)
+                    .unwrap_or_else(|| panic!("{src} -> {dst} must survive one dead segment"));
                 assert!(!route.contains(&fwd) && !route.contains(&back));
             }
         }
         // The intact-fabric search would happily use the dead segment.
         let intact = UpDownLabels::new(&t, sw[0]);
-        let through = updown_route(&t, &intact, sw[0], sw[1]).unwrap();
+        let through = UpDownTree::new(&t, &intact, sw[0]).route_to(sw[1]).unwrap();
         assert_eq!(through, vec![fwd]);
     }
 
@@ -385,8 +438,9 @@ mod tests {
         let labels = UpDownLabels::surviving(&t, sw[2], &faults);
         assert_eq!(labels.level(sw[1]), None, "failed switches get no level");
         assert_eq!(labels.level(sw[0]), None, "0 is unreachable past the hole");
-        assert!(updown_route_avoiding(&t, &labels, sw[2], sw[0], &faults).is_none());
-        assert!(updown_route_avoiding(&t, &labels, sw[2], sw[3], &faults).is_some());
+        let tree = UpDownTree::avoiding(&t, &labels, sw[2], &faults);
+        assert!(tree.route_to(sw[0]).is_none());
+        assert!(tree.route_to(sw[3]).is_some());
         // A root that is itself failed labels nothing.
         let dead_root = UpDownLabels::surviving(&t, sw[1], &faults);
         assert_eq!(dead_root.level(sw[1]), None);

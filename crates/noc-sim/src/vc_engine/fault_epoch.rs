@@ -6,7 +6,7 @@
 use super::{FaultContext, PacketState, VcSimulator};
 use noc_deadlock::report::ReconfigEvent;
 use noc_graph::{scc, DiGraph, NodeId};
-use noc_routing::updown::{updown_route_avoiding, UpDownLabels};
+use noc_routing::updown::{UpDownLabels, UpDownTree};
 use noc_routing::{Route, RouteSet};
 use noc_topology::{Connectivity, FlowId, SwitchId};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -81,11 +81,15 @@ impl<'a> VcSimulator<'a> {
             }
         }
 
+        // Per source switch, the up*/down* search over this epoch's labels
+        // and fault set, run on first use.
+        let mut trees: HashMap<SwitchId, UpDownTree> = HashMap::new();
+
         // 4. Reroute or strand each candidate flow.
         let mut newly_unreachable: Vec<FlowId> = Vec::new();
         let mut rerouted_this_event: HashSet<FlowId> = HashSet::new();
         for flow in candidates {
-            match self.surviving_route(ctx, &conn, &labels, flow) {
+            match self.surviving_route(ctx, &conn, &labels, &mut trees, flow) {
                 Some(route) => {
                     self.routes.rerouted.insert(flow, route);
                     ctx.unreachable.remove(&flow);
@@ -182,7 +186,8 @@ impl<'a> VcSimulator<'a> {
                     continue;
                 }
                 progressed = true;
-                let Some(new_route) = self.surviving_route(ctx, &conn, &labels, flow) else {
+                let Some(new_route) = self.surviving_route(ctx, &conn, &labels, &mut trees, flow)
+                else {
                     // Defensive: the cyclic flow cannot be rerouted on the
                     // surviving fabric — strand it.
                     self.routes.rerouted.remove(&flow);
@@ -325,12 +330,14 @@ impl<'a> VcSimulator<'a> {
     }
 
     /// An up*/down* route for `flow` on the surviving fabric (VC 0 on every
-    /// hop), or `None` when its endpoints are disconnected.
+    /// hop), or `None` when its endpoints are disconnected.  `trees` caches
+    /// each source's search for the epoch.
     fn surviving_route(
         &self,
         ctx: &FaultContext<'a>,
         conn: &Connectivity,
         labels: &HashMap<usize, UpDownLabels>,
+        trees: &mut HashMap<SwitchId, UpDownTree>,
         flow: FlowId,
     ) -> Option<Route> {
         let payload = self.comm.flow(flow).expect("flow exists");
@@ -344,8 +351,10 @@ impl<'a> VcSimulator<'a> {
             return None;
         }
         let labels = labels.get(&component)?;
-        let links = updown_route_avoiding(ctx.topology, labels, src, dst, &ctx.down)?;
-        Some(Route::from_links(links))
+        let tree = trees
+            .entry(src)
+            .or_insert_with(|| UpDownTree::avoiding(ctx.topology, labels, src, &ctx.down));
+        Some(Route::from_links(tree.route_to(dst)?))
     }
 
     /// Removes every flit of the packets in `victims` from the buffers,
