@@ -47,7 +47,7 @@ fn print_table(data: &Node) -> Result<(), FieldError> {
         let min_delivered = stats.iter().try_fold(f64::INFINITY, |min, s| {
             Ok::<_, FieldError>(min.min(s.num("delivered_fraction")?))
         })?;
-        // Runs are in `FAULT_STRATEGIES` order: cycle breaking first.
+        // Runs are in `STRATEGY_MATRIX_NAMES` order: cycle breaking first.
         let removal = &stats[0];
         println!(
             "{:>12} {:>9} {:>7} {:>10} {:>9.1}% {:>11.1} {:>9} {:>10} {:>12}",

@@ -19,11 +19,11 @@ use crate::{
     conservatism_point_for, fault_strategy_point, matrix_strategies, matrix_sweep,
     power_comparison, random_routed_design, routed_benchmark, sim_strategy_point,
     simulate_before_after, summary, sweeps, vc_overhead_sweep, PowerComparison,
-    DEFAULT_RANDOM_DESIGNS, FAULT_STRATEGIES, SCALE_GRID, SCALE_PINNED, SIM_INJECTION_GAPS,
-    SIM_STRATEGY_POLICIES, STRATEGY_MATRIX_NAMES,
+    DEFAULT_RANDOM_DESIGNS, SCALE_GRID, SCALE_PINNED, SIM_INJECTION_GAPS, SIM_STRATEGY_POLICIES,
+    STRATEGY_MATRIX_NAMES,
 };
 use noc_flow::json::{Artifact, JsonValue, ObjectWriter, ParsedArtifact, RawJson, ToJson};
-use noc_flow::{DeadlockStrategy, FlowSweep, PreparedPoint};
+use noc_flow::{FlowSweep, PreparedPoint};
 use noc_jobs::{AssembleContext, JobError, JobSource};
 use noc_sim::DetectionKind;
 use noc_topology::benchmarks::Benchmark;
@@ -551,7 +551,7 @@ pub fn faults(params: &Params, counter: TaskCounter) -> SourceResult {
         label: grid_label,
         point: |&(benchmark, switch_count)| fault_strategy_point(benchmark, switch_count).to_json(),
         assemble: |ctx| {
-            let strategies = FAULT_STRATEGIES.map(str::to_string).to_vec();
+            let strategies = STRATEGY_MATRIX_NAMES.map(str::to_string).to_vec();
             // Total measured task time: the same on both run paths, and it
             // survives resumption.
             let wall_ms = ctx.task_ms_total as f64;
@@ -579,7 +579,7 @@ pub(crate) const MAX_FAULT_SWEEP_MS: f64 = 180_000.0;
 /// [`MAX_FAULT_SWEEP_MS`].
 fn check_faults(data: &Node<'_>) -> Result<(), CheckError> {
     data.require_keys("strategies wall_ms points", "fig_faults data")?;
-    check_list(data, "strategies", &FAULT_STRATEGIES, "strategy list")?;
+    check_list(data, "strategies", &STRATEGY_MATRIX_NAMES, "strategy list")?;
     let points = data.field("points")?.nonempty("fig_faults points")?;
     check_fig89(&points, "the sweep")?;
     let mut fallbacks = 0.0;
@@ -594,7 +594,7 @@ fn check_faults(data: &Node<'_>) -> Result<(), CheckError> {
         let order = runs.iter().map(|run| run.text("strategy"));
         let order = order.collect::<Result<Vec<_>, _>>()?;
         let what = format!("expected one run per strategy in order, got {order:?}");
-        rule(order == FAULT_STRATEGIES, &at, &what)?;
+        rule(order == STRATEGY_MATRIX_NAMES, &at, &what)?;
         for (run, strategy) in runs.iter().zip(order) {
             run.require_keys("strategy added_vcs stats", &format!("{at} run"))?;
             let stats = run.field("stats")?;
@@ -882,7 +882,6 @@ pub fn strategy_matrix(params: &Params, counter: TaskCounter) -> SourceResult {
     let prepared = grid.iter().map(|_| Mutex::new(None)).collect();
     Ok(Box::new(MatrixSource {
         sweep: matrix_sweep(),
-        strategies: matrix_strategies(),
         grid,
         prepared,
         counter,
@@ -891,8 +890,6 @@ pub fn strategy_matrix(params: &Params, counter: TaskCounter) -> SourceResult {
 
 struct MatrixSource {
     sweep: FlowSweep,
-    /// One strategy per column, in `STRATEGY_MATRIX_NAMES` order.
-    strategies: [Box<dyn DeadlockStrategy>; 4],
     grid: Vec<(Benchmark, usize)>,
     prepared: Vec<Mutex<Option<Arc<PreparedPoint>>>>,
     counter: TaskCounter,
@@ -931,8 +928,8 @@ impl JobSource for MatrixSource {
     fn run_task(&self, index: usize) -> Result<String, JobError> {
         bump(&self.counter);
         let prepared = self.prepared_point(index / STRATEGY_MATRIX_NAMES.len())?;
-        let strategy = &self.strategies[index % STRATEGY_MATRIX_NAMES.len()];
-        let outcome = self.sweep.charge(&prepared, strategy.as_ref())?;
+        let strategy = matrix_strategies()[index % STRATEGY_MATRIX_NAMES.len()];
+        let outcome = self.sweep.charge(&prepared, strategy)?;
         // Point metadata + this strategy's outcome, rendered with the same
         // writers as a `SweepPoint`, so `assemble` can splice the recorded
         // fragments back into byte-identical points.

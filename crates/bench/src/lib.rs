@@ -26,13 +26,12 @@
 
 use noc_deadlock::cdg::Cdg;
 use noc_deadlock::certify::TrapWitness;
-use noc_deadlock::removal::RemovalConfig;
+use noc_deadlock::removal::{remove_deadlocks, RemovalConfig};
 use noc_deadlock::report::RemovalReport;
 use noc_flow::json::{JsonValue, ObjectWriter, ToJson};
 use noc_flow::{
-    CycleBreaking, DeadlockFreeStage, DeadlockStrategy, DesignFlow, EscapeChannel, FaultRunStats,
-    FlowSweep, RecoveryReconfig, ResourceOrdering, RoutedStage, ShortestPathRouter,
-    StrategySimStats, SweepPoint,
+    CycleBreaking, DeadlockFreeStage, DeadlockStrategy, EscapeChannel, FaultRunStats, FlowSweep,
+    RecoveryReconfig, ResourceOrdering, RoutedStage, StrategySimStats, SweepPoint,
 };
 use noc_rng::SmallRng;
 use noc_routing::shortest::route_all_shortest;
@@ -74,7 +73,7 @@ pub fn vc_overhead_sweep(
     benchmark: Benchmark,
     switch_counts: impl IntoIterator<Item = usize>,
 ) -> Vec<VcSweepPoint> {
-    let removal = CycleBreaking::default();
+    let removal = CycleBreaking;
     let ordering = ResourceOrdering;
     let points = FlowSweep::new()
         .benchmark(benchmark)
@@ -194,7 +193,7 @@ pub fn power_comparison(benchmark: Benchmark, switch_count: usize) -> PowerCompa
     let point = FlowSweep::new()
         .benchmark(benchmark)
         .switch_counts([switch_count])
-        .run(&[&CycleBreaking::default(), &ResourceOrdering])
+        .run(&[&CycleBreaking, &ResourceOrdering])
         .unwrap_or_else(|e| panic!("flow failed at {switch_count} switches: {e}"))
         .into_iter()
         .next()
@@ -318,7 +317,7 @@ pub fn simulate_before_after(benchmark: Benchmark, switch_count: usize) -> SimVa
     let original = routed.simulate_vc(&AssignedVc, &sim_config, &traffic);
 
     let fixed = routed
-        .resolve_deadlocks(&CycleBreaking::default())
+        .resolve_deadlocks(&CycleBreaking)
         .expect("removal succeeds on the benchmark suite")
         .simulate_vc(&AssignedVc, &sim_config, &traffic);
 
@@ -350,12 +349,12 @@ pub(crate) fn matrix_sweep() -> FlowSweep {
 }
 
 /// The four strategies of the matrix, in [`STRATEGY_MATRIX_NAMES`] order.
-pub(crate) fn matrix_strategies() -> [Box<dyn DeadlockStrategy>; 4] {
+pub(crate) fn matrix_strategies() -> [&'static dyn DeadlockStrategy; 4] {
     [
-        Box::new(CycleBreaking::default()),
-        Box::new(ResourceOrdering),
-        Box::new(EscapeChannel::default()),
-        Box::new(RecoveryReconfig::default()),
+        &CycleBreaking,
+        &ResourceOrdering,
+        &EscapeChannel,
+        &RecoveryReconfig,
     ]
 }
 
@@ -374,7 +373,6 @@ pub fn strategy_matrix_sweep(
     mut observer: impl FnMut(&SweepPoint),
 ) -> Vec<SweepPoint> {
     let strategies = matrix_strategies();
-    let strategies = strategies.each_ref().map(|strategy| strategy.as_ref());
     let mut points = Vec::new();
     for (benchmark, counts) in [
         (Benchmark::D26Media, sweeps::FIG8_SWITCH_COUNTS),
@@ -538,13 +536,13 @@ pub fn sim_strategy_point(benchmark: Benchmark, switch_count: usize) -> SimSweep
     // The repaired designs, one per VC-assigning strategy (the escape
     // design serves both the static and the Duato-adaptive policy).
     let broken = routed
-        .resolve_deadlocks(&CycleBreaking::default())
+        .resolve_deadlocks(&CycleBreaking)
         .expect("cycle breaking succeeds on the benchmark suite");
     let ordered = routed
         .resolve_deadlocks(&ResourceOrdering)
         .expect("resource ordering succeeds on the benchmark suite");
     let escaped = routed
-        .resolve_deadlocks(&EscapeChannel::default())
+        .resolve_deadlocks(&EscapeChannel)
         .expect("escape channels succeed on the benchmark suite");
     let recovery_routes = route_all_updown(
         routed.topology(),
@@ -610,18 +608,6 @@ pub fn sim_strategy_point(benchmark: Benchmark, switch_count: usize) -> SimSweep
     }
 }
 
-/// The strategy axis of the `fig_faults` experiment, in sweep order: every
-/// repaired design (one per deadlock-handling scheme) is pushed through the
-/// *same* seeded link-failure storm under cycle-safe live reconfiguration,
-/// so the survivability comparison isolates the VC handling from the fault
-/// schedule.
-pub const FAULT_STRATEGIES: [&str; 4] = [
-    "cycle-breaking",
-    "resource-ordering",
-    "escape-channel",
-    "recovery-reconfig",
-];
-
 /// Deterministic per-grid-point seed of the fault sweep, mixed from the
 /// benchmark name and switch count so every point (and every strategy on
 /// it) sees its own storm and workload jitter.
@@ -662,22 +648,22 @@ pub fn fault_sweep_traffic(benchmark: Benchmark, switch_count: usize) -> Traffic
     }
 }
 
-/// Resolves the routed design under every [`FAULT_STRATEGIES`] scheme, in
-/// that order (shared by [`fault_strategy_point`] and the cross-strategy
-/// fault-equivalence harness in `tests/`).
+/// Resolves the routed design under every strategy of the matrix, in
+/// [`STRATEGY_MATRIX_NAMES`] order (shared by [`fault_strategy_point`] and
+/// the cross-strategy fault-equivalence harness in `tests/`).  The
+/// `fig_faults` experiment pushes each repaired design through the *same*
+/// seeded link-failure storm under cycle-safe live reconfiguration, so the
+/// survivability comparison isolates the VC handling from the fault
+/// schedule.
 ///
 /// # Panics
 ///
 /// Panics if a strategy fails, which does not happen on the bundled
 /// benchmarks.
 pub fn fault_strategy_designs(routed: &RoutedStage) -> Vec<DeadlockFreeStage> {
-    let breaking = CycleBreaking::default();
-    let ordering = ResourceOrdering;
-    let escape = EscapeChannel::default();
-    let recovery = RecoveryReconfig::default();
-    let all: [&dyn DeadlockStrategy; 4] = [&breaking, &ordering, &escape, &recovery];
-    all.iter()
-        .map(|&strategy| {
+    matrix_strategies()
+        .into_iter()
+        .map(|strategy| {
             routed
                 .resolve_deadlocks(strategy)
                 .unwrap_or_else(|e| panic!("{} failed: {e}", strategy.name()))
@@ -703,7 +689,7 @@ pub fn fault_run_outcome(
 /// One strategy's run through the storm on one grid point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultStrategyRun {
-    /// Strategy name ([`FAULT_STRATEGIES`]).
+    /// Strategy name ([`STRATEGY_MATRIX_NAMES`]).
     pub strategy: String,
     /// Extra VCs the strategy had added before the storm.
     pub added_vcs: usize,
@@ -725,7 +711,7 @@ pub struct FaultSweepPoint {
     /// Whether the storm's final failure state leaves every flow's
     /// endpoints connected (predicted by replaying the plan).
     pub connected: bool,
-    /// Per-strategy runs, in [`FAULT_STRATEGIES`] order.
+    /// Per-strategy runs, in [`STRATEGY_MATRIX_NAMES`] order.
     pub runs: Vec<FaultStrategyRun>,
 }
 
@@ -736,7 +722,7 @@ impl FaultSweepPoint {
     }
 }
 
-/// Simulates every [`FAULT_STRATEGIES`] design through the point's seeded
+/// Simulates every [`fault_strategy_designs`] design through the point's seeded
 /// storm and asserts the protocol's hard guarantees in place: no epoch ever
 /// commits cyclic, no run ends deadlocked, and on a storm that keeps the
 /// fabric connected every strategy keeps delivering (no flow goes
@@ -836,20 +822,20 @@ impl ToJson for FaultSweepPoint {
 /// Panics if synthesis fails, which does not happen for feasible switch
 /// counts of the bundled benchmarks.
 pub fn routed_benchmark(benchmark: Benchmark, switch_count: usize) -> RoutedStage {
-    DesignFlow::from_benchmark(benchmark)
-        .synthesize(SynthesisConfig::with_switches(switch_count))
-        .unwrap_or_else(|e| panic!("synthesis failed for {benchmark}/{switch_count}: {e}"))
-        .route_default()
-        .expect("synthesized designs carry default routes")
+    RoutedStage::synthesize(
+        benchmark.comm_graph(),
+        &SynthesisConfig::with_switches(switch_count),
+    )
+    .unwrap_or_else(|e| panic!("synthesis failed for {benchmark}/{switch_count}: {e}"))
 }
 
 /// Runs the removal algorithm once on a copy of the design and returns its
 /// report.
 pub fn run_removal(design: &SynthesizedDesign, config: &RemovalConfig) -> RemovalReport {
-    let (_, _, resolution) = CycleBreaking::with_config(config.clone())
-        .resolve_cloned(&design.topology, &design.routes)
-        .expect("removal succeeds on the benchmark suite");
-    resolution.removal.expect("cycle breaking reports removal")
+    let mut topology = design.topology.clone();
+    let mut routes = design.routes.clone();
+    remove_deadlocks(&mut topology, &mut routes, config)
+        .expect("removal succeeds on the benchmark suite")
 }
 
 /// Number of seeded random designs the `fig_conservatism` artifact and the
@@ -954,12 +940,8 @@ pub fn random_routed_design(seed: u64) -> RoutedStage {
             .expect("generated switches exist");
     }
 
-    DesignFlow::from_comm(comm)
-        .labelled(format!("random-{seed}"))
-        .with_design(generated.topology, core_map)
-        .unwrap_or_else(|e| panic!("random design {seed} invalid: {e}"))
-        .route(&ShortestPathRouter::default())
-        .unwrap_or_else(|e| panic!("random design {seed} unroutable: {e}"))
+    RoutedStage::with_design(comm, generated.topology, core_map)
+        .unwrap_or_else(|e| panic!("random design {seed} invalid or unroutable: {e}"))
 }
 
 /// One routed design run through all three verifiers: the conservative CDG
@@ -1023,7 +1005,7 @@ pub fn conservatism_point_for(
 ) -> ConservatismPoint {
     let report = routed.certify();
     let removal_vcs = routed
-        .resolve_deadlocks(&CycleBreaking::default())
+        .resolve_deadlocks(&CycleBreaking)
         .map(|fixed| fixed.resolution().added_vcs)
         .unwrap_or(0);
 
@@ -1579,19 +1561,16 @@ pub fn scale_point(spec: ScaleTopology, design: &ScaleDesign) -> ScalePoint {
 
     let mut strategies = Vec::new();
     if spec.switch_count() <= SCALE_STRATEGY_SWITCH_CAP {
-        let cycle_breaking = CycleBreaking::default();
-        let ordering = ResourceOrdering;
-        let escape = EscapeChannel::default();
-        let recovery = RecoveryReconfig::default();
-        let all: [&dyn DeadlockStrategy; 4] = [&cycle_breaking, &ordering, &escape, &recovery];
-        for strategy in all {
+        for strategy in matrix_strategies() {
             let mut span = noc_telemetry::span("scale", "strategy");
             span.arg("strategy", strategy.name())
                 .arg("family", spec.family())
                 .arg("switches", spec.switch_count());
             let start = std::time::Instant::now();
-            let (_, _, resolution) = strategy
-                .resolve_cloned(&design.topology, &design.routes)
+            let mut topology = design.topology.clone();
+            let mut routes = design.routes.clone();
+            let resolution = strategy
+                .resolve(&mut topology, &mut routes)
                 .unwrap_or_else(|e| {
                     panic!(
                         "{} failed on {}/{}: {e}",
@@ -2205,9 +2184,9 @@ mod tests {
     #[test]
     fn fault_point_shape_holds() {
         let point = fault_strategy_point(Benchmark::D26Media, 8);
-        assert_eq!(point.runs.len(), FAULT_STRATEGIES.len());
+        assert_eq!(point.runs.len(), STRATEGY_MATRIX_NAMES.len());
         assert!(point.faults_injected >= 1);
-        for (run, &name) in point.runs.iter().zip(FAULT_STRATEGIES.iter()) {
+        for (run, &name) in point.runs.iter().zip(STRATEGY_MATRIX_NAMES.iter()) {
             // fault_strategy_point already asserts the hard guarantees
             // (acyclic commits, no deadlock, delivery when connected);
             // here we pin the row shape the artifact depends on.
@@ -2348,7 +2327,7 @@ mod tests {
         let design = synthesize(&comm, &SynthesisConfig::with_switches(10)).unwrap();
         let report = run_removal(&design, &RemovalConfig::default());
         let fixed = routed_benchmark(Benchmark::D36x8, 10)
-            .resolve_deadlocks(&CycleBreaking::default())
+            .resolve_deadlocks(&CycleBreaking)
             .unwrap();
         assert_eq!(report.added_vcs, fixed.resolution().added_vcs);
     }

@@ -2,8 +2,8 @@
 //! strategy's repaired design is pushed through the *same* seeded
 //! three-link-failure storm (the `fig_faults` configuration) on every
 //! feasible Figure 8 (D26_media) and Figure 9 (D36_8) grid point, with the
-//! route table snapshotted after every live-reconfiguration epoch
-//! (`record_reconfig_routes`), and the harness hard-fails unless
+//! route table the engine snapshots after every live-reconfiguration epoch
+//! (`VcSimOutcome::reconfig_routes`), and the harness hard-fails unless
 //!
 //! * every run survives the storm — no deadlock, no cyclic epoch commit —
 //!   regardless of which strategy repaired the design, and
@@ -23,12 +23,11 @@ use noc_deadlock::verify::check_deadlock_free;
 use noc_sim::{FaultPlan, VcSimConfig};
 use noc_topology::benchmarks::Benchmark;
 
-/// The `fig_faults` engine configuration plus per-epoch route snapshots.
-fn recording_config() -> VcSimConfig {
+/// The `fig_faults` engine configuration.
+fn sweep_config() -> VcSimConfig {
     VcSimConfig {
         buffer_depth: 1,
         max_cycles: 600_000,
-        record_reconfig_routes: true,
         ..VcSimConfig::default()
     }
 }
@@ -40,7 +39,7 @@ fn assert_epochs_reverify(benchmark: Benchmark, switch_count: usize) {
     let storm = fault_sweep_storm(benchmark, switch_count);
     let plan = FaultPlan::storm(routed.topology(), &storm);
     let traffic = fault_sweep_traffic(benchmark, switch_count);
-    let config = recording_config();
+    let config = sweep_config();
     for fixed in fault_strategy_designs(&routed) {
         let label = format!("{benchmark}/{switch_count}/{}", fixed.resolution().strategy);
         let outcome = fault_run_outcome(&fixed, &plan, &traffic, &config);

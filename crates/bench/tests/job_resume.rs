@@ -76,10 +76,10 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// and rendered exactly how the `fig_strategy_matrix` binary renders its
 /// artifact.
 fn direct_artifact() -> String {
-    let cycle_breaking = CycleBreaking::default();
+    let cycle_breaking = CycleBreaking;
     let ordering = ResourceOrdering;
-    let escape = EscapeChannel::default();
-    let recovery = RecoveryReconfig::default();
+    let escape = EscapeChannel;
+    let recovery = RecoveryReconfig;
     let strategies: [&dyn DeadlockStrategy; 4] = [&cycle_breaking, &ordering, &escape, &recovery];
     let points = FlowSweep::new()
         .benchmark(Benchmark::D26Media)

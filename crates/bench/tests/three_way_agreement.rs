@@ -24,7 +24,7 @@
 
 use noc_bench::jobs::{fig89_grid, Params};
 use noc_bench::{conservatism_point_for, random_routed_design, ConservatismPoint};
-use noc_flow::{DesignFlow, ShortestPathRouter};
+use noc_flow::RoutedStage;
 use noc_topology::{generators, CommGraph, CoreMap};
 
 /// Number of seeded random designs the property sweep checks.  Matches the
@@ -129,12 +129,8 @@ fn figure_one_ring_witness_realizes_its_deadlock() {
     for (i, &core) in cores.iter().enumerate() {
         core_map.assign(core, generated.switches[i]).unwrap();
     }
-    let routed = DesignFlow::from_comm(comm)
-        .labelled("figure-1-ring")
-        .with_design(generated.topology, core_map)
-        .expect("figure 1 design is valid")
-        .route(&ShortestPathRouter::default())
-        .expect("ring routes exist");
+    let routed = RoutedStage::with_design(comm, generated.topology, core_map)
+        .expect("figure 1 design is valid and routable");
 
     let point = conservatism_point_for(&routed, "figure-1", 4);
     assert!(point.cdg_cyclic, "figure 1 ring must have a cyclic CDG");

@@ -42,8 +42,8 @@
 //! The search is exhaustive over minimal traps: every minimal trap is a worm
 //! cycle whose wait segments live inside one cyclic CDG component, so the
 //! backtracking is seeded per component and covers uncovered wait channels
-//! one at a time.  A step budget ([`CertifyConfig::search_budget`]) bounds
-//! the worst case; exhausting it yields [`CertifyVerdict::Unknown`], never a
+//! one at a time.  A step budget of two million worm placements bounds the
+//! worst case; exhausting it yields [`CertifyVerdict::Unknown`], never a
 //! wrong verdict.
 //!
 //! # Example
@@ -82,22 +82,9 @@ use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
-/// Tuning knobs for [`certify_with`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CertifyConfig {
-    /// Maximum number of worm placements the backtracking search may try
-    /// across the whole design before giving up with
-    /// [`CertifyVerdict::Unknown`].
-    pub search_budget: usize,
-}
-
-impl Default for CertifyConfig {
-    fn default() -> Self {
-        CertifyConfig {
-            search_budget: 2_000_000,
-        }
-    }
-}
+/// Maximum number of worm placements the backtracking search may try
+/// across the whole design before giving up with [`CertifyVerdict::Unknown`].
+const SEARCH_BUDGET: usize = 2_000_000;
 
 /// One blocked worm of a [`TrapWitness`]: `flow`'s single in-flight packet
 /// with its head having claimed hop `head_hop`, owning the footprint
@@ -277,11 +264,10 @@ impl TrapWitness {
     }
 }
 
-/// Why [`certify_with`] could not decide.
+/// Why [`certify_deadlock_free`] could not decide.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UnknownReason {
-    /// The backtracking search hit [`CertifyConfig::search_budget`] before
-    /// either finding a trap or exhausting the space.
+    /// The backtracking search hit its step budget before either finding a trap or exhausting the space.
     BudgetExhausted {
         /// Steps spent when the search gave up.
         steps: usize,
@@ -344,7 +330,7 @@ impl fmt::Display for CertifyVerdict {
     }
 }
 
-/// The result of [`certify_deadlock_free`] / [`certify_with`].
+/// The result of [`certify_deadlock_free`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertifyReport {
     /// The three-valued verdict.
@@ -368,19 +354,15 @@ impl CertifyReport {
     }
 }
 
-/// Certifies `routes` on `topology` with the default [`CertifyConfig`].
+/// Certifies `routes` on `topology`: decides whether a trappable
+/// configuration (see the module docs) exists, exactly, up to the search
+/// budget.
 pub fn certify_deadlock_free(topology: &Topology, routes: &RouteSet) -> CertifyReport {
-    certify_with(topology, routes, &CertifyConfig::default())
+    certify_within(topology, routes, SEARCH_BUDGET)
 }
 
-/// Certifies `routes` on `topology`: decides whether a trappable
-/// configuration (see the module docs) exists, exactly, up to the
-/// configured search budget.
-pub fn certify_with(
-    topology: &Topology,
-    routes: &RouteSet,
-    config: &CertifyConfig,
-) -> CertifyReport {
+/// [`certify_deadlock_free`] with an explicit step budget.
+fn certify_within(topology: &Topology, routes: &RouteSet, budget: usize) -> CertifyReport {
     let cdg = Cdg::build(topology, routes);
     if cdg.is_acyclic() {
         return CertifyReport {
@@ -407,14 +389,7 @@ pub fn certify_with(
             .iter()
             .map(|&node| *cdg.graph().node_weight(node).expect("scc node"))
             .collect();
-        match search_component(
-            routes,
-            &vcs,
-            &occurrences,
-            &in_scc,
-            config.search_budget,
-            &mut steps,
-        ) {
+        match search_component(routes, &vcs, &occurrences, &in_scc, budget, &mut steps) {
             SearchOutcome::Found(worms) => {
                 let witness = TrapWitness { worms };
                 let verdict = match witness.verify(topology, routes) {
@@ -758,8 +733,7 @@ mod tests {
     #[test]
     fn zero_budget_reports_unknown() {
         let (topo, routes) = figure_1_design();
-        let config = CertifyConfig { search_budget: 0 };
-        let report = certify_with(&topo, &routes, &config);
+        let report = certify_within(&topo, &routes, 0);
         assert!(matches!(
             report.verdict,
             CertifyVerdict::Unknown(UnknownReason::BudgetExhausted { .. })

@@ -17,8 +17,9 @@
 //! * [`recovery`] implements DBR-style *recovery* (detect cyclic SCCs,
 //!   drain their flows onto up*/down* routes; no VCs, hop inflation and
 //!   reconfiguration events instead),
-//! * [`verify`] checks deadlock freedom and route integrity after any of the
-//!   transformations,
+//! * [`verify`] checks deadlock freedom after any of the transformations,
+//! * [`certify`] decides exactly whether a cyclic design can really trap
+//!   long worms, within a fixed search budget,
 //! * [`vcmap`] snapshots the VC assignment a strategy produced (per-link VC
 //!   counts + per-hop flow assignments) as the [`VcMap`] the VC-fidelity
 //!   simulator consumes,
@@ -59,18 +60,17 @@
 //!
 //! Most callers do not drive this crate directly: the `noc-flow` crate wraps
 //! it as the [`CycleBreaking`](https://docs.rs/noc-flow) strategy of its
-//! staged `DesignFlow` API, where the same ring repair is a chain with the
+//! staged pipeline API, where the same repair is a chain with the
 //! verification built into every stage transition:
 //!
 //! ```
-//! use noc_flow::{CycleBreaking, DesignFlow, ShortestPathRouter};
+//! use noc_flow::{CycleBreaking, RoutedStage};
 //! use noc_synth::SynthesisConfig;
 //! use noc_topology::benchmarks::Benchmark;
 //!
-//! let fixed = DesignFlow::from_benchmark(Benchmark::D36x8)
-//!     .synthesize(SynthesisConfig::with_switches(10))?
-//!     .route(&ShortestPathRouter::default())?
-//!     .resolve_deadlocks(&CycleBreaking::default())?; // Algorithm 1 + re-verify
+//! let comm = Benchmark::D36x8.comm_graph();
+//! let fixed = RoutedStage::synthesize(comm, &SynthesisConfig::with_switches(10))?
+//!     .resolve_deadlocks(&CycleBreaking)?; // Algorithm 1 + re-verify
 //! assert!(fixed.resolution().removal.is_some());
 //! # Ok::<(), noc_flow::FlowError>(())
 //! ```
@@ -91,8 +91,8 @@ pub mod verify;
 
 pub use cdg::{Cdg, CdgDelta};
 pub use certify::{
-    certify_deadlock_free, certify_with, CertifyConfig, CertifyReport, CertifyVerdict, TrapWitness,
-    TrapWorm, UnknownReason, WitnessError,
+    certify_deadlock_free, CertifyReport, CertifyVerdict, TrapWitness, TrapWorm, UnknownReason,
+    WitnessError,
 };
 pub use escape::{apply_escape_channels, EscapeChannelResult, EscapeError};
 pub use recovery::{apply_recovery_reconfig, RecoveryError, RecoveryResult, RecoveryStep};

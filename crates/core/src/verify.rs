@@ -1,4 +1,4 @@
-//! Deadlock-freedom and integrity verification.
+//! Deadlock-freedom verification.
 
 use crate::cdg::Cdg;
 use noc_routing::RouteSet;
@@ -68,26 +68,6 @@ pub fn check_deadlock_free(topology: &Topology, routes: &RouteSet) -> Result<(),
     })
 }
 
-/// Checks that every channel referenced by `routes` exists in `topology`
-/// (link known, VC index within the link's VC count).  Returns the offending
-/// channels, empty when everything is consistent.
-pub fn missing_channels(topology: &Topology, routes: &RouteSet) -> Vec<Channel> {
-    let mut missing = Vec::new();
-    for (_, route) in routes.iter() {
-        for &channel in route.channels() {
-            match topology.link(channel.link) {
-                Some(link) if channel.vc < link.vcs => {}
-                _ => {
-                    if !missing.contains(&channel) {
-                        missing.push(channel);
-                    }
-                }
-            }
-        }
-    }
-    missing
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,28 +123,5 @@ mod tests {
             .unwrap()
             .channels_mut()[1] = new_vc;
         assert!(check_deadlock_free(&topo, &routes).is_ok());
-    }
-
-    #[test]
-    fn missing_channels_detects_phantom_vcs_and_links() {
-        let (topo, mut routes) = ring_with_cycle();
-        routes
-            .route_mut(FlowId::from_index(0))
-            .unwrap()
-            .channels_mut()[0] = Channel::new(LinkId::from_index(0), 7);
-        routes
-            .route_mut(FlowId::from_index(1))
-            .unwrap()
-            .channels_mut()[0] = Channel::base(LinkId::from_index(42));
-        let missing = missing_channels(&topo, &routes);
-        assert_eq!(missing.len(), 2);
-        assert!(missing.contains(&Channel::new(LinkId::from_index(0), 7)));
-        assert!(missing.contains(&Channel::base(LinkId::from_index(42))));
-    }
-
-    #[test]
-    fn consistent_design_has_no_missing_channels() {
-        let (topo, routes) = ring_with_cycle();
-        assert!(missing_channels(&topo, &routes).is_empty());
     }
 }

@@ -15,6 +15,18 @@ use noc_synth::{synthesize, SynthesisConfig};
 use noc_topology::benchmarks::Benchmark;
 use noc_topology::{LinkId, Topology};
 
+/// `true` when every channel the routes use exists in the topology: the
+/// link is known and the VC index is within the link's VC count.
+fn every_channel_exists(topology: &Topology, routes: &RouteSet) -> bool {
+    routes.iter().all(|(_, route)| {
+        route.channels().iter().all(|channel| {
+            topology
+                .link(channel.link)
+                .is_some_and(|link| channel.vc < link.vcs)
+        })
+    })
+}
+
 /// Every benchmark, at several switch counts: the removal algorithm must
 /// leave a deadlock-free design with valid routes and must never cost more
 /// VCs than the resource-ordering baseline.
@@ -36,7 +48,7 @@ fn removal_beats_or_matches_resource_ordering_on_all_benchmarks() {
                 .unwrap_or_else(|c| panic!("{benchmark}/{switches}: still cyclic: {c}"));
             validate_routes(&topo, &comm, &design.core_map, &routes)
                 .unwrap_or_else(|e| panic!("{benchmark}/{switches}: invalid routes: {e}"));
-            assert!(verify::missing_channels(&topo, &routes).is_empty());
+            assert!(every_channel_exists(&topo, &routes));
 
             assert!(
                 report.added_vcs <= baseline,
@@ -137,7 +149,7 @@ fn random_ring_designs_are_always_fixed() {
             "case {case}"
         );
         assert!(
-            verify::missing_channels(&fixed_topo, &fixed_routes).is_empty(),
+            every_channel_exists(&fixed_topo, &fixed_routes),
             "case {case}"
         );
         assert_eq!(report.added_vcs, fixed_topo.extra_vc_count(), "case {case}");
@@ -168,9 +180,6 @@ fn resource_ordering_is_always_deadlock_free() {
             verify::check_deadlock_free(&topo, &routes).is_ok(),
             "case {case}"
         );
-        assert!(
-            verify::missing_channels(&topo, &routes).is_empty(),
-            "case {case}"
-        );
+        assert!(every_channel_exists(&topo, &routes), "case {case}");
     }
 }

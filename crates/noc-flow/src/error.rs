@@ -10,7 +10,7 @@ use noc_topology::TopologyError;
 use std::error::Error;
 use std::fmt;
 
-/// Any failure a [`DesignFlow`](crate::DesignFlow) stage can report.
+/// Any failure a pipeline stage can report.
 ///
 /// Every stage boundary validates its output (the `validate_*`/`verify`
 /// checks the longhand pipelines used to call by hand), so the variants here
@@ -38,11 +38,6 @@ pub enum FlowError {
     /// evidence that a [`DeadlockStrategy`](crate::DeadlockStrategy)
     /// implementation is broken.
     StillCyclic(DeadlockCycle),
-    /// [`route_default`](crate::SynthesizedStage::route_default) was called
-    /// on a design that was imported rather than synthesized, so no default
-    /// routes exist; call [`route`](crate::SynthesizedStage::route) with an
-    /// explicit [`Router`](crate::Router) instead.
-    NoDefaultRoutes,
 }
 
 impl fmt::Display for FlowError {
@@ -61,10 +56,6 @@ impl fmt::Display for FlowError {
             FlowError::StillCyclic(c) => {
                 write!(f, "deadlock strategy left a cyclic CDG: {c}")
             }
-            FlowError::NoDefaultRoutes => write!(
-                f,
-                "design was imported, not synthesized: no default routes; use route() with an explicit Router"
-            ),
         }
     }
 }
@@ -79,7 +70,7 @@ impl Error for FlowError {
             FlowError::Recovery(e) => Some(e),
             FlowError::Topology(e) => Some(e),
             FlowError::StillCyclic(c) => Some(c),
-            FlowError::NoDefaultRoutes | FlowError::EmptyStrategySet => None,
+            FlowError::EmptyStrategySet => None,
         }
     }
 }
@@ -130,8 +121,6 @@ mod tests {
         let e: FlowError = TopologyError::UnknownLink(LinkId::from_index(3)).into();
         assert!(e.to_string().contains("L3"));
         assert!(e.source().is_some());
-        assert!(FlowError::NoDefaultRoutes.source().is_none());
-        assert!(FlowError::NoDefaultRoutes.to_string().contains("Router"));
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //! it longhand with its own clone/verify boilerplate.  `noc-flow` makes the
 //! pipeline a first-class object:
 //!
-//! * [`DesignFlow`] is a staged builder whose stages
-//!   ([`SynthesizedStage`], [`RoutedStage`], [`DeadlockFreeStage`]) each
-//!   own their topology/routes and auto-run the matching
-//!   `validate_*`/`verify` check on entry; the routed and repaired stages
+//! * [`RoutedStage`] is the pipeline's one entry point: a design routed by
+//!   deadlock-oblivious shortest paths, the paper's input, built by
+//!   [`synthesize`](RoutedStage::synthesize) or imported with
+//!   [`with_design`](RoutedStage::with_design).  It and the
+//!   [`DeadlockFreeStage`] it repairs into each own their topology/routes
+//!   and auto-run the matching `validate_*`/`verify` check on entry; both
 //!   run the VC-aware simulator through `simulate_vc`,
-//! * [`Router`] is the pluggable routing seam
-//!   ([`ShortestPathRouter`], [`XyRouter`], [`UpDownRouter`]),
 //! * [`DeadlockStrategy`] is the pluggable deadlock-handling seam, with one
 //!   implementation per point of the deadlock design space:
 //!   [`CycleBreaking`] (the paper's Algorithm 1 — removal),
@@ -31,16 +31,15 @@
 //! # Quick start
 //!
 //! ```
-//! use noc_flow::{CycleBreaking, DesignFlow, ResourceOrdering, ShortestPathRouter};
+//! use noc_flow::{CycleBreaking, ResourceOrdering, RoutedStage};
 //! use noc_synth::SynthesisConfig;
 //! use noc_topology::benchmarks::Benchmark;
 //!
-//! let routed = DesignFlow::from_benchmark(Benchmark::D36x8)
-//!     .synthesize(SynthesisConfig::with_switches(10))?
-//!     .route(&ShortestPathRouter::default())?;
+//! let comm = Benchmark::D36x8.comm_graph();
+//! let routed = RoutedStage::synthesize(comm, &SynthesisConfig::with_switches(10))?;
 //!
 //! // The same routed design under both schemes — no hand-cloning.
-//! let removal = routed.resolve_deadlocks(&CycleBreaking::default())?;
+//! let removal = routed.resolve_deadlocks(&CycleBreaking)?;
 //! let ordering = routed.resolve_deadlocks(&ResourceOrdering)?;
 //! assert!(removal.resolution().added_vcs <= ordering.resolution().added_vcs);
 //! # Ok::<(), noc_flow::FlowError>(())
@@ -52,7 +51,6 @@
 pub mod error;
 pub mod executor;
 pub mod json;
-pub mod router;
 pub mod stage;
 pub mod strategy;
 pub mod sweep;
@@ -64,8 +62,7 @@ pub use json::{
     SCHEMA_VERSION,
 };
 pub use noc_deadlock::report::StrategyKind;
-pub use router::{Router, ShortestPathRouter, UpDownRouter, XyRouter};
-pub use stage::{DeadlockFreeStage, DesignFlow, RoutedStage, SynthesizedStage};
+pub use stage::{DeadlockFreeStage, RoutedStage};
 pub use strategy::{
     CycleBreaking, DeadlockResolution, DeadlockStrategy, EscapeChannel, RecoveryReconfig,
     ResourceOrdering,

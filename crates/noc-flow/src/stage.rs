@@ -1,10 +1,10 @@
-//! The staged `DesignFlow` builder.
+//! The pipeline's stages.
 //!
-//! One type per pipeline stage, each owning the artifacts it produced, each
+//! One type per stage, each owning the artifacts it produced, each
 //! transition re-running the matching `validate_*`/`verify` check:
 //!
 //! ```text
-//! DesignFlow ──synthesize──▶ SynthesizedStage ──route──▶ RoutedStage
+//! RoutedStage::synthesize / RoutedStage::with_design ──▶ RoutedStage
 //!     ──resolve_deadlocks──▶ DeadlockFreeStage
 //! ```
 //!
@@ -12,43 +12,43 @@
 //! VC-aware simulator on the design as it stands and return its bare
 //! [`VcSimOutcome`]; a simulation is data, not a further stage.
 //!
-//! Branching is free: `route` and `resolve_deadlocks` take `&self` and copy
-//! internally, so comparing two routers or two deadlock strategies on the
-//! same synthesized design needs no hand-cloning at the call site.
+//! Branching is free: `resolve_deadlocks` takes `&self` and copies
+//! internally, so comparing two deadlock strategies on the same routed
+//! design needs no hand-cloning at the call site.
 
 use crate::error::FlowError;
-use crate::router::{Router, ShortestPathRouter};
 use crate::strategy::{DeadlockResolution, DeadlockStrategy};
 use noc_deadlock::certify::{certify_deadlock_free, CertifyReport};
 use noc_deadlock::vcmap::VcMap;
 use noc_deadlock::verify::{check_deadlock_free, DeadlockCycle};
 use noc_power::{NetworkEstimate, NetworkPowerModel, TechParams};
+use noc_routing::shortest::route_all_shortest;
 use noc_routing::validate::validate_routes;
 use noc_routing::RouteSet;
 use noc_sim::{TrafficConfig, VcPolicy, VcSimConfig, VcSimOutcome, VcSimulator};
 use noc_synth::{synthesize, SynthesisConfig};
-use noc_topology::benchmarks::Benchmark;
 use noc_topology::validate::validate_design;
 use noc_topology::{CommGraph, CoreMap, Topology};
 
-/// Entry point of the pipeline: a communication specification waiting for a
-/// topology.
+/// A fully routed design — the exact triple the deadlock analysis consumes.
+///
+/// The paper's method takes a routed design as its input, routed by
+/// deadlock-oblivious shortest paths; both constructors produce one.
 ///
 /// # Example
 ///
 /// The full Figure-8-style pipeline in one chain:
 ///
 /// ```
-/// use noc_flow::{CycleBreaking, DesignFlow, ShortestPathRouter};
+/// use noc_flow::{CycleBreaking, RoutedStage};
 /// use noc_power::TechParams;
 /// use noc_sim::{AssignedVc, TrafficConfig, VcSimConfig};
 /// use noc_synth::SynthesisConfig;
 /// use noc_topology::benchmarks::Benchmark;
 ///
-/// let fixed = DesignFlow::from_benchmark(Benchmark::D26Media)
-///     .synthesize(SynthesisConfig::with_switches(12))?
-///     .route(&ShortestPathRouter::default())?
-///     .resolve_deadlocks(&CycleBreaking::default())?;
+/// let comm = Benchmark::D26Media.comm_graph();
+/// let fixed = RoutedStage::synthesize(comm, &SynthesisConfig::with_switches(12))?
+///     .resolve_deadlocks(&CycleBreaking)?;
 /// let traffic = TrafficConfig::default();
 /// let outcome = fixed.simulate_vc(&AssignedVc, &VcSimConfig::default(), &traffic);
 /// assert!(!outcome.deadlocked);
@@ -57,142 +57,7 @@ use noc_topology::{CommGraph, CoreMap, Topology};
 /// # Ok::<(), noc_flow::FlowError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct DesignFlow {
-    comm: CommGraph,
-    label: String,
-}
-
-impl DesignFlow {
-    /// Starts a flow from one of the paper's six SoC benchmarks.
-    pub fn from_benchmark(benchmark: Benchmark) -> Self {
-        DesignFlow {
-            comm: benchmark.comm_graph(),
-            label: benchmark.name().to_string(),
-        }
-    }
-
-    /// Starts a flow from an arbitrary communication graph.
-    pub fn from_comm(comm: CommGraph) -> Self {
-        DesignFlow {
-            comm,
-            label: "custom".to_string(),
-        }
-    }
-
-    /// Overrides the label used in diagnostics and sweep output.
-    pub fn labelled(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
-    }
-
-    /// The flow's label (benchmark name, or `"custom"`).
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// Synthesizes an application-specific topology, attachment and default
-    /// shortest-path routes, then validates the design triple and the routes
-    /// (the checks `tests/end_to_end.rs` used to run by hand).
-    pub fn synthesize(self, config: SynthesisConfig) -> Result<SynthesizedStage, FlowError> {
-        let mut span = noc_telemetry::span("stage", "synthesize");
-        span.arg("label", self.label.as_str());
-        // The synthesizer routes with a shortest-path router under the
-        // configured cost model; remember which one so route_default() can
-        // report the scheme accurately.
-        let default_router = ShortestPathRouter::with_cost(config.link_cost)
-            .name()
-            .to_string();
-        let design = synthesize(&self.comm, &config)?;
-        validate_design(&design.topology, &self.comm, &design.core_map)?;
-        validate_routes(
-            &design.topology,
-            &self.comm,
-            &design.core_map,
-            &design.routes,
-        )?;
-        Ok(SynthesizedStage {
-            comm: self.comm,
-            topology: design.topology,
-            core_map: design.core_map,
-            default_routes: Some((default_router, design.routes)),
-        })
-    }
-
-    /// Imports a hand-built topology and core attachment instead of
-    /// synthesizing one (validated like a synthesized design).  The
-    /// resulting stage has no default routes; route it with an explicit
-    /// [`Router`].
-    pub fn with_design(
-        self,
-        topology: Topology,
-        core_map: CoreMap,
-    ) -> Result<SynthesizedStage, FlowError> {
-        validate_design(&topology, &self.comm, &core_map)?;
-        Ok(SynthesizedStage {
-            comm: self.comm,
-            topology,
-            core_map,
-            default_routes: None,
-        })
-    }
-}
-
-/// A validated design triple (topology, communication graph, attachment),
-/// ready to be routed.
-#[derive(Debug, Clone)]
-pub struct SynthesizedStage {
-    comm: CommGraph,
-    topology: Topology,
-    core_map: CoreMap,
-    /// `(router name, routes)` the synthesizer produced, when synthesized.
-    default_routes: Option<(String, RouteSet)>,
-}
-
-impl SynthesizedStage {
-    /// Routes every flow with the given scheme and validates the result.
-    ///
-    /// Takes `&self` so several routers can be compared on one synthesized
-    /// design without caller-side cloning.
-    pub fn route(&self, router: &dyn Router) -> Result<RoutedStage, FlowError> {
-        let mut span = noc_telemetry::span("stage", "route");
-        span.arg("router", router.name());
-        let routes = router.route(&self.topology, &self.comm, &self.core_map)?;
-        validate_routes(&self.topology, &self.comm, &self.core_map, &routes)?;
-        Ok(RoutedStage {
-            router: router.name().to_string(),
-            comm: self.comm.clone(),
-            topology: self.topology.clone(),
-            core_map: self.core_map.clone(),
-            routes,
-        })
-    }
-
-    /// Adopts the deadlock-oblivious shortest-path routes the synthesizer
-    /// already computed (the paper's input routing) without re-routing.
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::NoDefaultRoutes`] if the design was imported via
-    /// [`DesignFlow::with_design`] rather than synthesized.
-    pub fn route_default(&self) -> Result<RoutedStage, FlowError> {
-        let (router, routes) = self
-            .default_routes
-            .clone()
-            .ok_or(FlowError::NoDefaultRoutes)?;
-        Ok(RoutedStage {
-            router,
-            comm: self.comm.clone(),
-            topology: self.topology.clone(),
-            core_map: self.core_map.clone(),
-            routes,
-        })
-    }
-}
-
-/// A fully routed design — the exact triple the deadlock analysis consumes.
-#[derive(Debug, Clone)]
 pub struct RoutedStage {
-    router: String,
     comm: CommGraph,
     topology: Topology,
     core_map: CoreMap,
@@ -200,6 +65,42 @@ pub struct RoutedStage {
 }
 
 impl RoutedStage {
+    /// Synthesizes an application-specific topology and attachment for
+    /// `comm` and keeps the synthesizer's shortest-path routes, after
+    /// validating the design triple and the routes.
+    pub fn synthesize(comm: CommGraph, config: &SynthesisConfig) -> Result<Self, FlowError> {
+        let _span = noc_telemetry::span("stage", "synthesize");
+        let design = synthesize(&comm, config)?;
+        validate_design(&design.topology, &comm, &design.core_map)?;
+        validate_routes(&design.topology, &comm, &design.core_map, &design.routes)?;
+        Ok(RoutedStage {
+            comm,
+            topology: design.topology,
+            core_map: design.core_map,
+            routes: design.routes,
+        })
+    }
+
+    /// Imports a hand-built topology and core attachment, validates them
+    /// like a synthesized design and routes every flow by hop-count
+    /// shortest paths.
+    pub fn with_design(
+        comm: CommGraph,
+        topology: Topology,
+        core_map: CoreMap,
+    ) -> Result<Self, FlowError> {
+        let _span = noc_telemetry::span("stage", "route");
+        validate_design(&topology, &comm, &core_map)?;
+        let routes = route_all_shortest(&topology, &comm, &core_map)?;
+        validate_routes(&topology, &comm, &core_map, &routes)?;
+        Ok(RoutedStage {
+            comm,
+            topology,
+            core_map,
+            routes,
+        })
+    }
+
     /// The routed topology.
     pub fn topology(&self) -> &Topology {
         &self.topology
@@ -218,11 +119,6 @@ impl RoutedStage {
     /// The core-to-switch attachment.
     pub fn core_map(&self) -> &CoreMap {
         &self.core_map
-    }
-
-    /// Name of the router that produced the routes.
-    pub fn router_name(&self) -> &str {
-        &self.router
     }
 
     /// `true` when the CDG of the routed design is already acyclic.
@@ -271,8 +167,9 @@ impl RoutedStage {
     ) -> Result<DeadlockFreeStage, FlowError> {
         let mut span = noc_telemetry::span("stage", "resolve_deadlocks");
         span.arg("strategy", strategy.name());
-        let (topology, routes, resolution) =
-            strategy.resolve_cloned(&self.topology, &self.routes)?;
+        let mut topology = self.topology.clone();
+        let mut routes = self.routes.clone();
+        let resolution = strategy.resolve(&mut topology, &mut routes)?;
         check_deadlock_free(&topology, &routes).map_err(FlowError::StillCyclic)?;
         validate_routes(&topology, &self.comm, &self.core_map, &routes)?;
         Ok(DeadlockFreeStage {

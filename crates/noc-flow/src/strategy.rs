@@ -77,8 +77,7 @@ impl DeadlockResolution {
 /// [`FlowSweep::run`](crate::FlowSweep::run) charges one strategy list on
 /// every worker, and the `fig_strategy_matrix` job source shares one set
 /// across its tasks — hence the `Sync` bound; the design being repaired is
-/// a clone owned per call, so implementations only need immutable
-/// configuration.
+/// a clone owned per call, and the shipped strategies carry no state at all.
 pub trait DeadlockStrategy: Sync {
     /// Human-readable scheme name (used in sweep output and diagnostics).
     fn name(&self) -> &str;
@@ -89,38 +88,13 @@ pub trait DeadlockStrategy: Sync {
         topology: &mut Topology,
         routes: &mut RouteSet,
     ) -> Result<DeadlockResolution, FlowError>;
-
-    /// Convenience for harnesses that need the repaired design *and* the
-    /// pristine input: resolves on an internal copy, leaving the caller's
-    /// borrow untouched.
-    fn resolve_cloned(
-        &self,
-        topology: &Topology,
-        routes: &RouteSet,
-    ) -> Result<(Topology, RouteSet, DeadlockResolution), FlowError> {
-        let mut topology = topology.clone();
-        let mut routes = routes.clone();
-        let resolution = self.resolve(&mut topology, &mut routes)?;
-        Ok((topology, routes, resolution))
-    }
 }
 
 /// The paper's contribution: smallest-cycle-first CDG cycle breaking
-/// (Algorithm 1) with forward/backward cost tables (Algorithm 2).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CycleBreaking {
-    /// Algorithm configuration (direction policy, cycle order, iteration
-    /// bound).
-    pub config: RemovalConfig,
-}
-
-impl CycleBreaking {
-    /// Cycle breaking with an explicit [`RemovalConfig`] (used by the
-    /// ablation experiments).
-    pub fn with_config(config: RemovalConfig) -> Self {
-        CycleBreaking { config }
-    }
-}
+/// (Algorithm 1) with forward/backward cost tables (Algorithm 2), under
+/// the default [`RemovalConfig`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CycleBreaking;
 
 impl DeadlockStrategy for CycleBreaking {
     fn name(&self) -> &str {
@@ -132,7 +106,7 @@ impl DeadlockStrategy for CycleBreaking {
         topology: &mut Topology,
         routes: &mut RouteSet,
     ) -> Result<DeadlockResolution, FlowError> {
-        let report = remove_deadlocks(topology, routes, &self.config)?;
+        let report = remove_deadlocks(topology, routes, &RemovalConfig::default())?;
         Ok(DeadlockResolution {
             added_vcs: report.added_vcs,
             cycles_broken: report.cycles_broken,
@@ -171,20 +145,10 @@ impl DeadlockStrategy for ResourceOrdering {
 /// a deadlock-free subgraph and the CDG is acyclic by construction
 /// ([`noc_deadlock::escape`]).  Zero cycles are ever broken; the cost is the
 /// escape VCs reserved, reported through the same
-/// [`RemovalReport`]-style path as the other strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EscapeChannel {
-    /// Root of the BFS spanning tree defining the up*/down* order.
-    pub root: SwitchId,
-}
-
-impl Default for EscapeChannel {
-    fn default() -> Self {
-        EscapeChannel {
-            root: SwitchId::from_index(0),
-        }
-    }
-}
+/// [`RemovalReport`]-style path as the other strategies.  The up*/down*
+/// spanning tree is rooted at switch 0, which every non-empty topology has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EscapeChannel;
 
 impl DeadlockStrategy for EscapeChannel {
     fn name(&self) -> &str {
@@ -196,7 +160,7 @@ impl DeadlockStrategy for EscapeChannel {
         topology: &mut Topology,
         routes: &mut RouteSet,
     ) -> Result<DeadlockResolution, FlowError> {
-        let result = apply_escape_channels(topology, routes, self.root)?;
+        let result = apply_escape_channels(topology, routes, SwitchId::from_index(0))?;
         Ok(DeadlockResolution {
             added_vcs: result.added_vcs,
             escape: Some(result),
@@ -210,20 +174,10 @@ impl DeadlockStrategy for EscapeChannel {
 /// their flows are drained onto up*/down* routes, whole SCCs at a time,
 /// until the CDG is acyclic.  Adds zero VCs — the cost is reconfiguration
 /// events and the hop inflation of the recovery routes, reported in the
-/// resolution's [`RecoveryResult`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryReconfig {
-    /// Root of the BFS spanning tree of the recovery routing function.
-    pub root: SwitchId,
-}
-
-impl Default for RecoveryReconfig {
-    fn default() -> Self {
-        RecoveryReconfig {
-            root: SwitchId::from_index(0),
-        }
-    }
-}
+/// resolution's [`RecoveryResult`].  The recovery routing function's
+/// spanning tree is rooted at switch 0.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RecoveryReconfig;
 
 impl DeadlockStrategy for RecoveryReconfig {
     fn name(&self) -> &str {
@@ -235,7 +189,7 @@ impl DeadlockStrategy for RecoveryReconfig {
         topology: &mut Topology,
         routes: &mut RouteSet,
     ) -> Result<DeadlockResolution, FlowError> {
-        let result = apply_recovery_reconfig(topology, routes, self.root)?;
+        let result = apply_recovery_reconfig(topology, routes, SwitchId::from_index(0))?;
         Ok(DeadlockResolution {
             recovery: Some(result),
             ..DeadlockResolution::new(self.name(), StrategyKind::RecoveryReconfig)

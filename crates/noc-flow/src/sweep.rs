@@ -15,7 +15,7 @@
 
 use crate::error::FlowError;
 use crate::executor;
-use crate::stage::{DesignFlow, RoutedStage};
+use crate::stage::RoutedStage;
 use crate::strategy::DeadlockStrategy;
 use noc_deadlock::certify::CertifyReport;
 use noc_deadlock::report::StrategyKind;
@@ -244,7 +244,7 @@ impl SweepPoint {
 /// let points = FlowSweep::new()
 ///     .benchmark(Benchmark::D26Media)
 ///     .switch_counts([6, 10, 14])
-///     .run(&[&CycleBreaking::default(), &ResourceOrdering])?;
+///     .run(&[&CycleBreaking, &ResourceOrdering])?;
 /// assert_eq!(points.len(), 3);
 /// for p in &points {
 ///     let removal = p.outcome("cycle-breaking").unwrap();
@@ -362,8 +362,8 @@ impl FlowSweep {
     ///     .benchmark(Benchmark::D26Media)
     ///     .switch_counts([6, 10, 14])
     ///     .power_estimates(false);
-    /// let serial = sweep.clone().worker_threads(1).run(&[&CycleBreaking::default()])?;
-    /// let parallel = sweep.worker_threads(2).run(&[&CycleBreaking::default()])?;
+    /// let serial = sweep.clone().worker_threads(1).run(&[&CycleBreaking])?;
+    /// let parallel = sweep.worker_threads(2).run(&[&CycleBreaking])?;
     /// assert_eq!(serial, parallel);
     /// # Ok::<(), noc_flow::FlowError>(())
     /// ```
@@ -434,9 +434,10 @@ impl FlowSweep {
         benchmark: Benchmark,
         switch_count: usize,
     ) -> Result<PreparedPoint, FlowError> {
-        let routed = DesignFlow::from_benchmark(benchmark)
-            .synthesize(SynthesisConfig::with_switches(switch_count))?
-            .route_default()?;
+        let routed = RoutedStage::synthesize(
+            benchmark.comm_graph(),
+            &SynthesisConfig::with_switches(switch_count),
+        )?;
         let original = self
             .estimate_power
             .then(|| routed.power(TechParams::default()));

@@ -1,26 +1,26 @@
-//! Property tests for the pipeline's extension traits:
+//! Property tests for the pipeline:
 //!
-//! 1. every [`Router`] implementation produces routes that pass
-//!    `validate_routes` (checked here explicitly, on top of the stage's own
-//!    auto-validation),
-//! 2. both [`DeadlockStrategy`] implementations leave the CDG acyclic on a
-//!    ring, a mesh, and every benchmark of the paper's suite.
+//! 1. every routing function the pipeline can be fed (shortest paths under
+//!    both cost models, up*/down* from two roots, XY on meshes) produces
+//!    routes that pass `validate_routes`, and both [`DeadlockStrategy`]
+//!    implementations make those routes deadlock-free,
+//! 2. both strategies leave the CDG acyclic on a ring, a mesh, and every
+//!    benchmark of the paper's suite.
 
 use noc_deadlock::verify::check_deadlock_free;
-use noc_flow::{
-    CycleBreaking, DeadlockStrategy, DesignFlow, ResourceOrdering, Router, ShortestPathRouter,
-    UpDownRouter, XyRouter,
-};
-use noc_routing::shortest::LinkCost;
+use noc_flow::{CycleBreaking, DeadlockStrategy, ResourceOrdering, RoutedStage};
+use noc_routing::shortest::{route_all_with_cost, LinkCost};
+use noc_routing::updown::route_all_updown;
 use noc_routing::validate::validate_routes;
-use noc_routing::xy::MeshCoords;
+use noc_routing::xy::{route_all_xy, MeshCoords};
+use noc_routing::RouteSet;
 use noc_synth::SynthesisConfig;
 use noc_topology::benchmarks::Benchmark;
 use noc_topology::{generators, CommGraph, CoreMap, SwitchId, Topology};
 
 /// An all-to-all traffic pattern over a generated regular topology, one
 /// core per switch.
-fn all_to_all_flow(generated: generators::Generated) -> (DesignFlow, Topology, CoreMap) {
+fn all_to_all_flow(generated: generators::Generated) -> (CommGraph, Topology, CoreMap) {
     let n = generated.switches.len();
     let mut comm = CommGraph::new();
     let cores: Vec<_> = (0..n).map(|i| comm.add_core(format!("c{i}"))).collect();
@@ -35,37 +35,67 @@ fn all_to_all_flow(generated: generators::Generated) -> (DesignFlow, Topology, C
     for (i, &c) in cores.iter().enumerate() {
         map.assign(c, generated.switches[i]).unwrap();
     }
-    (DesignFlow::from_comm(comm), generated.topology, map)
+    (comm, generated.topology, map)
 }
 
-/// Every router implementation, over every topology it supports, yields
-/// routes that pass `validate_routes`.
+/// Runs `strategy` on a copy of the design and checks the repaired CDG is
+/// acyclic.  Returns the VCs the strategy added.
+fn resolve_acyclic(
+    strategy: &dyn DeadlockStrategy,
+    topology: &Topology,
+    routes: &RouteSet,
+    label: &str,
+) -> usize {
+    let mut topology = topology.clone();
+    let mut routes = routes.clone();
+    let resolution = strategy
+        .resolve(&mut topology, &mut routes)
+        .unwrap_or_else(|e| panic!("{} on {label}: {e}", strategy.name()));
+    check_deadlock_free(&topology, &routes)
+        .unwrap_or_else(|c| panic!("{} left a cycle on {label}: {c}", strategy.name()));
+    resolution.added_vcs
+}
+
+/// Every routing function, over every topology it supports, yields routes
+/// that pass `validate_routes` and that both strategies repair.
 #[test]
 fn every_router_impl_produces_valid_routes() {
+    let strategies: [&dyn DeadlockStrategy; 2] = [&CycleBreaking, &ResourceOrdering];
     // Shortest-path (both cost models) and up*/down* handle arbitrary
-    // topologies: rings, meshes, and synthesized benchmark designs.
+    // topologies: rings and meshes.
     for size in [3, 5, 8] {
         for gen in [
             generators::bidirectional_ring(size, 1000.0),
             generators::mesh2d(size, 2, 1000.0),
         ] {
-            let (flow, topology, map) = all_to_all_flow(gen);
-            let stage = flow.with_design(topology, map).unwrap();
-            let routers: Vec<Box<dyn Router>> = vec![
-                Box::new(ShortestPathRouter::default()),
-                Box::new(ShortestPathRouter::with_cost(LinkCost::InverseBandwidth)),
-                Box::new(UpDownRouter::default()),
-                Box::new(UpDownRouter::rooted_at(SwitchId::from_index(size - 1))),
+            let (comm, topology, map) = all_to_all_flow(gen);
+            let last = SwitchId::from_index(size - 1);
+            let route_sets = [
+                (
+                    "shortest-path",
+                    route_all_with_cost(&topology, &comm, &map, LinkCost::Hops),
+                ),
+                (
+                    "shortest-path-bw",
+                    route_all_with_cost(&topology, &comm, &map, LinkCost::InverseBandwidth),
+                ),
+                (
+                    "up-down",
+                    route_all_updown(&topology, &comm, &map, SwitchId::from_index(0)),
+                ),
+                (
+                    "up-down-last",
+                    route_all_updown(&topology, &comm, &map, last),
+                ),
             ];
-            for router in routers {
-                let routed = stage.route(router.as_ref()).unwrap();
-                validate_routes(
-                    routed.topology(),
-                    routed.comm(),
-                    routed.core_map(),
-                    routed.routes(),
-                )
-                .unwrap_or_else(|e| panic!("{} on size {size}: {e}", router.name()));
+            for (name, routes) in route_sets {
+                let label = format!("{name} on size {size}");
+                let routes = routes.unwrap_or_else(|e| panic!("{label}: {e}"));
+                validate_routes(&topology, &comm, &map, &routes)
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                for strategy in strategies {
+                    resolve_acyclic(strategy, &topology, &routes, &label);
+                }
             }
         }
     }
@@ -74,21 +104,15 @@ fn every_router_impl_produces_valid_routes() {
     for (rows, cols) in [(2, 2), (2, 4), (3, 3)] {
         let gen = generators::mesh2d(rows, cols, 1000.0);
         let coords = MeshCoords::new(rows, cols, gen.switches.clone());
-        let (flow, topology, map) = all_to_all_flow(gen);
-        let routed = flow
-            .with_design(topology, map)
-            .unwrap()
-            .route(&XyRouter::new(coords))
-            .unwrap();
-        validate_routes(
-            routed.topology(),
-            routed.comm(),
-            routed.core_map(),
-            routed.routes(),
-        )
-        .unwrap_or_else(|e| panic!("xy on {rows}x{cols}: {e}"));
+        let (comm, topology, map) = all_to_all_flow(gen);
+        let label = format!("xy on {rows}x{cols}");
+        let routes = route_all_xy(&topology, &comm, &map, &coords).unwrap();
+        validate_routes(&topology, &comm, &map, &routes).unwrap_or_else(|e| panic!("{label}: {e}"));
         // XY on a mesh is deadlock-free by construction.
-        assert!(routed.is_deadlock_free());
+        assert!(check_deadlock_free(&topology, &routes).is_ok());
+        for strategy in strategies {
+            resolve_acyclic(strategy, &topology, &routes, &label);
+        }
     }
 }
 
@@ -96,15 +120,11 @@ fn every_router_impl_produces_valid_routes() {
 /// cyclic Figure 1 shape) and on a mesh (already acyclic under XY).
 #[test]
 fn both_strategies_fix_ring_and_mesh() {
-    let strategies: [&dyn DeadlockStrategy; 2] = [&CycleBreaking::default(), &ResourceOrdering];
+    let strategies: [&dyn DeadlockStrategy; 2] = [&CycleBreaking, &ResourceOrdering];
 
     // Unidirectional ring: the canonical cyclic CDG.
-    let (flow, topology, map) = all_to_all_flow(generators::unidirectional_ring(5, 1000.0));
-    let routed = flow
-        .with_design(topology, map)
-        .unwrap()
-        .route(&ShortestPathRouter::default())
-        .unwrap();
+    let (comm, topology, map) = all_to_all_flow(generators::unidirectional_ring(5, 1000.0));
+    let routed = RoutedStage::with_design(comm, topology, map).unwrap();
     assert!(!routed.is_deadlock_free(), "a routed ring must be cyclic");
     for strategy in strategies {
         let fixed = routed.resolve_deadlocks(strategy).unwrap();
@@ -115,39 +135,29 @@ fn both_strategies_fix_ring_and_mesh() {
     // Mesh under XY: already safe, and cycle breaking must add zero VCs.
     let gen = generators::mesh2d(3, 3, 1000.0);
     let coords = MeshCoords::new(3, 3, gen.switches.clone());
-    let (flow, topology, map) = all_to_all_flow(gen);
-    let routed = flow
-        .with_design(topology, map)
-        .unwrap()
-        .route(&XyRouter::new(coords))
-        .unwrap();
+    let (comm, topology, map) = all_to_all_flow(gen);
+    let routes = route_all_xy(&topology, &comm, &map, &coords).unwrap();
+    validate_routes(&topology, &comm, &map, &routes).unwrap();
     for strategy in strategies {
-        let fixed = routed.resolve_deadlocks(strategy).unwrap();
-        check_deadlock_free(fixed.topology(), fixed.routes()).unwrap();
+        resolve_acyclic(strategy, &topology, &routes, "the xy mesh");
     }
-    let removal = routed.resolve_deadlocks(&CycleBreaking::default()).unwrap();
-    assert_eq!(removal.resolution().added_vcs, 0);
-    assert!(
-        removal
-            .resolution()
-            .removal
-            .as_ref()
-            .unwrap()
-            .already_deadlock_free
-    );
+    let (mut fixed_topology, mut fixed_routes) = (topology.clone(), routes.clone());
+    let removal = CycleBreaking
+        .resolve(&mut fixed_topology, &mut fixed_routes)
+        .unwrap();
+    assert_eq!(removal.added_vcs, 0);
+    assert!(removal.removal.as_ref().unwrap().already_deadlock_free);
 }
 
 /// Both strategies leave the CDG acyclic on every benchmark of the paper's
 /// suite (synthesized designs, the paper's input routing).
 #[test]
 fn both_strategies_fix_every_benchmark() {
-    let strategies: [&dyn DeadlockStrategy; 2] = [&CycleBreaking::default(), &ResourceOrdering];
+    let strategies: [&dyn DeadlockStrategy; 2] = [&CycleBreaking, &ResourceOrdering];
     for benchmark in Benchmark::ALL {
-        let routed = DesignFlow::from_benchmark(benchmark)
-            .synthesize(SynthesisConfig::with_switches(9))
-            .unwrap()
-            .route_default()
-            .unwrap();
+        let routed =
+            RoutedStage::synthesize(benchmark.comm_graph(), &SynthesisConfig::with_switches(9))
+                .unwrap();
         for strategy in strategies {
             let fixed = routed
                 .resolve_deadlocks(strategy)
@@ -164,28 +174,6 @@ fn both_strategies_fix_every_benchmark() {
             .unwrap();
         }
     }
-}
-
-/// `route_default` reports the routing scheme the synthesizer actually
-/// used, including the non-default cost model.
-#[test]
-fn route_default_reports_the_synthesis_cost_model() {
-    let hops = DesignFlow::from_benchmark(Benchmark::D26Media)
-        .synthesize(SynthesisConfig::with_switches(8))
-        .unwrap()
-        .route_default()
-        .unwrap();
-    assert_eq!(hops.router_name(), "shortest-path");
-
-    let bw = DesignFlow::from_benchmark(Benchmark::D26Media)
-        .synthesize(SynthesisConfig {
-            link_cost: LinkCost::InverseBandwidth,
-            ..SynthesisConfig::with_switches(8)
-        })
-        .unwrap()
-        .route_default()
-        .unwrap();
-    assert_eq!(bw.router_name(), "shortest-path-bw");
 }
 
 /// A broken strategy (one that does nothing) is rejected by the stage's
@@ -209,12 +197,8 @@ fn stage_rejects_strategies_that_leave_cycles() {
         }
     }
 
-    let (flow, topology, map) = all_to_all_flow(generators::unidirectional_ring(4, 1000.0));
-    let routed = flow
-        .with_design(topology, map)
-        .unwrap()
-        .route(&ShortestPathRouter::default())
-        .unwrap();
+    let (comm, topology, map) = all_to_all_flow(generators::unidirectional_ring(4, 1000.0));
+    let routed = RoutedStage::with_design(comm, topology, map).unwrap();
     let err = routed.resolve_deadlocks(&DoNothing).unwrap_err();
     assert!(matches!(err, noc_flow::FlowError::StillCyclic(_)));
 }
@@ -226,11 +210,8 @@ fn stage_rejects_strategies_that_leave_cycles() {
 fn vc_aware_simulation_paths_work_end_to_end() {
     use noc_sim::{AssignedVc, SingleVc, TrafficConfig, VcSimConfig};
 
-    let routed = DesignFlow::from_benchmark(Benchmark::D36x8)
-        .synthesize(SynthesisConfig::with_switches(12))
-        .unwrap()
-        .route_default()
-        .unwrap();
+    let comm = Benchmark::D36x8.comm_graph();
+    let routed = RoutedStage::synthesize(comm, &SynthesisConfig::with_switches(12)).unwrap();
     assert!(!routed.is_deadlock_free(), "the input design is cyclic");
     assert!(routed.vc_map().is_single_vc(), "input routing rides VC 0");
 
@@ -249,7 +230,7 @@ fn vc_aware_simulation_paths_work_end_to_end() {
     assert_eq!(diagnostic.policy, "unsafe-single-vc");
 
     // The repaired design through the staged path.
-    let fixed = routed.resolve_deadlocks(&CycleBreaking::default()).unwrap();
+    let fixed = routed.resolve_deadlocks(&CycleBreaking).unwrap();
     assert!(!fixed.vc_map().is_single_vc(), "removal assigned extra VCs");
     let outcome = fixed.simulate_vc(&AssignedVc, &sim, &traffic);
     assert!(!outcome.deadlocked);

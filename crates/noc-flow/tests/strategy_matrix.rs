@@ -10,8 +10,8 @@
 
 use noc_deadlock::verify::check_deadlock_free;
 use noc_flow::{
-    CycleBreaking, DeadlockStrategy, DesignFlow, EscapeChannel, FlowError, FlowSweep,
-    RecoveryReconfig, ResourceOrdering, StrategyKind,
+    CycleBreaking, DeadlockStrategy, EscapeChannel, FlowError, FlowSweep, RecoveryReconfig,
+    ResourceOrdering, RoutedStage, StrategyKind,
 };
 use noc_synth::SynthesisConfig;
 use noc_topology::benchmarks::Benchmark;
@@ -27,19 +27,19 @@ fn fig8_fig9_grid() -> Vec<(Benchmark, usize)> {
 
 #[test]
 fn every_strategy_yields_a_verified_deadlock_free_design_on_every_grid_point() {
-    let cycle_breaking = CycleBreaking::default();
+    let cycle_breaking = CycleBreaking;
     let ordering = ResourceOrdering;
-    let escape = EscapeChannel::default();
-    let recovery = RecoveryReconfig::default();
+    let escape = EscapeChannel;
+    let recovery = RecoveryReconfig;
     let strategies: [&dyn DeadlockStrategy; 4] = [&cycle_breaking, &ordering, &escape, &recovery];
 
     let grid = fig8_fig9_grid();
     noc_flow::executor::parallel_map_ordered(&grid, 0, |&(benchmark, switch_count)| {
-        let routed = DesignFlow::from_benchmark(benchmark)
-            .synthesize(SynthesisConfig::with_switches(switch_count))
-            .unwrap_or_else(|e| panic!("synthesis {benchmark}/{switch_count}: {e}"))
-            .route_default()
-            .expect("synthesized designs carry default routes");
+        let routed = RoutedStage::synthesize(
+            benchmark.comm_graph(),
+            &SynthesisConfig::with_switches(switch_count),
+        )
+        .unwrap_or_else(|e| panic!("synthesis {benchmark}/{switch_count}: {e}"));
         let input_links: Vec<Vec<LinkId>> = routed
             .routes()
             .iter()
@@ -106,10 +106,10 @@ fn every_strategy_yields_a_verified_deadlock_free_design_on_every_grid_point() {
 
 #[test]
 fn strategy_matrix_sweep_carries_all_four_outcomes_per_point() {
-    let cycle_breaking = CycleBreaking::default();
+    let cycle_breaking = CycleBreaking;
     let ordering = ResourceOrdering;
-    let escape = EscapeChannel::default();
-    let recovery = RecoveryReconfig::default();
+    let escape = EscapeChannel;
+    let recovery = RecoveryReconfig;
     let strategies: [&dyn DeadlockStrategy; 4] = [&cycle_breaking, &ordering, &escape, &recovery];
 
     let points = FlowSweep::new()
@@ -142,10 +142,10 @@ fn strategy_matrix_sweep_carries_all_four_outcomes_per_point() {
 
 #[test]
 fn four_strategy_matrix_is_identical_for_every_worker_count() {
-    let cycle_breaking = CycleBreaking::default();
+    let cycle_breaking = CycleBreaking;
     let ordering = ResourceOrdering;
-    let escape = EscapeChannel::default();
-    let recovery = RecoveryReconfig::default();
+    let escape = EscapeChannel;
+    let recovery = RecoveryReconfig;
     let strategies: [&dyn DeadlockStrategy; 4] = [&cycle_breaking, &ordering, &escape, &recovery];
 
     let sweep = FlowSweep::new()

@@ -42,7 +42,7 @@ fn run_at_every_worker_count(
 
 #[test]
 fn parallel_results_equal_serial_results() {
-    let removal = CycleBreaking::default();
+    let removal = CycleBreaking;
     let ordering = ResourceOrdering;
     let points = run_at_every_worker_count(&two_benchmark_sweep(), &[&removal, &ordering]);
     assert_eq!(points.len(), 6);
@@ -50,7 +50,7 @@ fn parallel_results_equal_serial_results() {
 
 #[test]
 fn duplicate_benchmarks_and_switch_counts_are_deduplicated() {
-    let removal = CycleBreaking::default();
+    let removal = CycleBreaking;
     let strategies: &[&dyn DeadlockStrategy] = &[&removal];
     let duplicated = FlowSweep::new()
         .benchmark(Benchmark::D26Media)
@@ -87,6 +87,10 @@ fn duplicate_benchmarks_and_switch_counts_are_deduplicated() {
 /// A strategy that always fails, for exercising the sweep's error path.
 struct AlwaysFails;
 
+fn always_fails_error() -> FlowError {
+    FlowError::Topology(TopologyError::InvalidParameter("always fails".into()))
+}
+
 impl DeadlockStrategy for AlwaysFails {
     fn name(&self) -> &str {
         "always-fails"
@@ -97,7 +101,7 @@ impl DeadlockStrategy for AlwaysFails {
         _topology: &mut Topology,
         _routes: &mut RouteSet,
     ) -> Result<DeadlockResolution, FlowError> {
-        Err(FlowError::NoDefaultRoutes)
+        Err(always_fails_error())
     }
 }
 
@@ -109,7 +113,7 @@ fn a_failing_point_aborts_the_parallel_sweep_with_its_error() {
         .worker_threads(2)
         .run(strategies)
         .unwrap_err();
-    assert!(matches!(error, FlowError::NoDefaultRoutes));
+    assert_eq!(error, always_fails_error());
 }
 
 /// A strategy that fails only at the chosen switch counts, with an error
@@ -181,7 +185,7 @@ fn the_earliest_failing_grid_point_wins_under_parallelism() {
         .benchmark(Benchmark::D26Media)
         .switch_counts((6..=20).step_by(2))
         .power_estimates(false);
-    let removal = CycleBreaking::default();
+    let removal = CycleBreaking;
     for threads in [1, 2, 4] {
         for after_removal in [false, true] {
             let failing = FailsAt::new(&[8, 14, 20], threads > 1);
@@ -206,7 +210,7 @@ fn the_earliest_failing_grid_point_wins_under_parallelism() {
 
 #[test]
 fn sweep_points_serialize_to_parseable_json() {
-    let removal = CycleBreaking::default();
+    let removal = CycleBreaking;
     let strategies: &[&dyn DeadlockStrategy] = &[&removal];
     let points = FlowSweep::new()
         .benchmark(Benchmark::D26Media)

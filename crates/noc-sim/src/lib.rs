@@ -24,8 +24,10 @@
 //! strategy's [`VcMap`](noc_deadlock::vcmap::VcMap), explicit
 //! [`credit`]-based flow control, pluggable VC-allocation [`policy`]s
 //! (static assignment, Duato-adaptive escape, and a deliberately unsafe
-//! single-VC baseline), exact wait-for-graph deadlock [`detect`]ion, and an
-//! optional DBR-style dynamic drain onto a recovery routing function.
+//! single-VC baseline), exact wait-for-graph deadlock [`detect`]ion, an
+//! optional DBR-style dynamic drain onto a recovery routing function, and
+//! live reconfiguration under a [`FaultPlan`], whose every committed epoch
+//! leaves its route table in [`VcSimOutcome::reconfig_routes`].
 //!
 //! # Example
 //!

@@ -256,14 +256,12 @@ impl<'a> VcSimulator<'a> {
             committed_cyclic,
         });
         ctx.stats.unreachable_flows = ctx.unreachable.len();
-        if self.config.record_reconfig_routes {
-            let mut snapshot = RouteSet::new(flow_count);
-            for flow in (0..flow_count).map(FlowId::from_index) {
-                let route = self.routes.committed(ctx, flow).unwrap_or_default();
-                snapshot.set_route(flow, Route::new(route.to_vec()));
-            }
-            ctx.route_log.push(snapshot);
+        let mut snapshot = RouteSet::new(flow_count);
+        for flow in (0..flow_count).map(FlowId::from_index) {
+            let route = self.routes.committed(ctx, flow).unwrap_or_default();
+            snapshot.set_route(flow, Route::new(route.to_vec()));
         }
+        ctx.route_log.push(snapshot);
     }
 
     /// The dense channels on a cycle of the epoch's dependency graph,

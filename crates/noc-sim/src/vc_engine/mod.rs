@@ -69,11 +69,6 @@ pub struct VcSimConfig {
     /// cycles without movement while flits are in flight.  0 disables the
     /// heuristic entirely (the exact detector subsumes it).
     pub idle_timeout: u64,
-    /// Snapshot the committed route table after every fault-reconfiguration
-    /// epoch into [`VcSimOutcome::reconfig_routes`] (for external
-    /// re-verification of each committed epoch).  Off by default — the
-    /// snapshots are only meaningful with a [`FaultPlan`] armed.
-    pub record_reconfig_routes: bool,
 }
 
 impl Default for VcSimConfig {
@@ -84,7 +79,6 @@ impl Default for VcSimConfig {
             max_cycles: 2_000_000,
             detect_period: 64,
             idle_timeout: 1_024,
-            record_reconfig_routes: false,
         }
     }
 }
@@ -170,9 +164,9 @@ pub struct VcSimOutcome {
     /// afterwards.  `delivered + stranded + unreachable` accounts for every
     /// injected packet.
     pub unreachable_packets: usize,
-    /// Committed route table after each reconfiguration epoch, recorded only
-    /// when [`VcSimConfig::record_reconfig_routes`] is set (unreachable
-    /// flows carry an empty route).
+    /// Committed route table after each reconfiguration epoch, for external
+    /// re-verification of every commit (unreachable flows carry an empty
+    /// route; empty when no [`FaultPlan`] is armed).
     pub reconfig_routes: Vec<RouteSet>,
 }
 
@@ -884,16 +878,16 @@ impl<'a> VcSimulator<'a> {
             self.packets.iter().filter(|p| p.in_flight()).count(),
             "in-flight counter drifted from the packet slab"
         );
-        let (reconfig, unreachable_flows, unreachable_packets, reconfig_routes) = match &self.faults
-        {
-            Some(ctx) => (
-                ctx.stats.clone(),
-                ctx.unreachable.iter().copied().collect(),
-                ctx.unreachable_packets,
-                ctx.route_log.clone(),
-            ),
-            None => (ReconfigStats::default(), Vec::new(), 0, Vec::new()),
-        };
+        let (reconfig, unreachable_flows, unreachable_packets, reconfig_routes) =
+            match self.faults.as_mut() {
+                Some(ctx) => (
+                    ctx.stats.clone(),
+                    ctx.unreachable.iter().copied().collect(),
+                    ctx.unreachable_packets,
+                    std::mem::take(&mut ctx.route_log),
+                ),
+                None => (ReconfigStats::default(), Vec::new(), 0, Vec::new()),
+            };
         VcSimOutcome {
             stats,
             deadlocked,
@@ -1602,7 +1596,6 @@ mod tests {
         let config = VcSimConfig {
             buffer_depth: 1,
             max_cycles: 500_000,
-            record_reconfig_routes: true,
             ..VcSimConfig::default()
         };
         let traffic = TrafficConfig {
@@ -1978,7 +1971,6 @@ mod tests {
         let config = VcSimConfig {
             buffer_depth: 1,
             max_cycles: 500_000,
-            record_reconfig_routes: true,
             ..VcSimConfig::default()
         };
         let mut sim = VcSimulator::new(&comm, &routes, &vc_map, &SingleVc, &config)

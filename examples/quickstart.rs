@@ -1,10 +1,10 @@
 //! Quickstart: build the paper's Figure 1 ring design, detect the deadlock
 //! condition, remove it with the paper's algorithm and compare against the
-//! resource-ordering baseline — all through the `DesignFlow` pipeline API.
+//! resource-ordering baseline — all through the `noc-flow` pipeline API.
 //!
 //! Run with `cargo run --example quickstart`.
 
-use noc_suite::flow::{CycleBreaking, DesignFlow, ResourceOrdering, ShortestPathRouter};
+use noc_suite::flow::{CycleBreaking, ResourceOrdering, RoutedStage};
 use noc_suite::topology::{CommGraph, CoreMap, Topology};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -29,13 +29,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         core_map.assign(core, switches[i])?;
     }
 
-    // --- 3. Import the hand-built design into a flow and route it with
+    // --- 3. Import the hand-built design and route it with
     // deadlock-oblivious shortest paths (the paper's input routing).  The
-    // stage transitions validate the design and the routes automatically.
-    let routed = DesignFlow::from_comm(comm)
-        .labelled("figure-1-ring")
-        .with_design(topology, core_map)?
-        .route(&ShortestPathRouter::default())?;
+    // stage validates the design and the routes automatically.
+    let routed = RoutedStage::with_design(comm, topology, core_map)?;
 
     // --- 4. The CDG has a cycle: the design can deadlock.
     match routed.deadlock_evidence() {
@@ -57,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- 6. The paper's algorithm (swapping strategies is a one-line change).
-    let fixed = routed.resolve_deadlocks(&CycleBreaking::default())?;
+    let fixed = routed.resolve_deadlocks(&CycleBreaking)?;
     println!(
         "deadlock removal:    {} extra VC(s), {} cycle(s) broken",
         fixed.resolution().added_vcs,

@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo run --example ring_deadlock`.
 
-use noc_suite::flow::{CycleBreaking, DesignFlow, ShortestPathRouter};
+use noc_suite::flow::{CycleBreaking, RoutedStage};
 use noc_suite::sim::{AssignedVc, TrafficConfig, VcSimConfig};
 use noc_suite::topology::{generators, CommGraph, CoreMap};
 
@@ -27,10 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         core_map.assign(core, generated.switches[i])?;
     }
 
-    let routed = DesignFlow::from_comm(comm)
-        .labelled("ring-deadlock")
-        .with_design(generated.topology, core_map)?
-        .route(&ShortestPathRouter::default())?;
+    let routed = RoutedStage::with_design(comm, generated.topology, core_map)?;
 
     let sim_config = VcSimConfig {
         buffer_depth: 1,
@@ -54,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         outcome.stranded_packets
     );
 
-    let fixed = routed.resolve_deadlocks(&CycleBreaking::default())?;
+    let fixed = routed.resolve_deadlocks(&CycleBreaking)?;
     println!(
         "--- after deadlock removal ({} VC added, {} cycle broken) ---",
         fixed.resolution().added_vcs,

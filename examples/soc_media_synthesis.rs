@@ -17,7 +17,7 @@ use noc_suite::flow::{CycleBreaking, DeadlockStrategy, FlowSweep, ResourceOrderi
 use noc_suite::topology::benchmarks::Benchmark;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let removal = CycleBreaking::default();
+    let removal = CycleBreaking;
     let ordering = ResourceOrdering;
     let points = FlowSweep::new()
         .benchmark(Benchmark::D26Media)

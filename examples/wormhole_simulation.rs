@@ -4,16 +4,15 @@
 //!
 //! Run with `cargo run --release --example wormhole_simulation`.
 
-use noc_suite::flow::{CycleBreaking, DesignFlow, ShortestPathRouter};
+use noc_suite::flow::{CycleBreaking, RoutedStage};
 use noc_suite::sim::{AssignedVc, TrafficConfig, VcSimConfig};
 use noc_suite::synth::SynthesisConfig;
 use noc_suite::topology::benchmarks::Benchmark;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let benchmark = Benchmark::D36x8;
-    let routed = DesignFlow::from_benchmark(benchmark)
-        .synthesize(SynthesisConfig::with_switches(12))?
-        .route(&ShortestPathRouter::default())?;
+    let routed =
+        RoutedStage::synthesize(benchmark.comm_graph(), &SynthesisConfig::with_switches(12))?;
 
     println!(
         "{benchmark}: {} cores, {} flows ({} active), 12-switch application-specific topology",
@@ -47,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         before.stats.mean_latency()
     );
 
-    let fixed = routed.resolve_deadlocks(&CycleBreaking::default())?;
+    let fixed = routed.resolve_deadlocks(&CycleBreaking)?;
     let after = fixed.simulate_vc(&AssignedVc, &sim_config, &traffic);
     println!(
         "after removal ({} VCs added): deadlocked = {}, delivered {}/{}, mean latency {:.1}",

@@ -5,9 +5,9 @@
 //! stack.  Downstream users normally depend on the individual crates
 //! (`noc-deadlock`, `noc-sim`, ...) directly — or on [`flow`], the staged
 //! pipeline API that drives the full benchmark → synthesis → routing →
-//! deadlock-removal → power/simulation chain with pluggable
-//! [`Router`](flow::Router) and [`DeadlockStrategy`](flow::DeadlockStrategy)
-//! implementations.
+//! deadlock-removal → power/simulation chain from one
+//! [`RoutedStage`](flow::RoutedStage) with pluggable
+//! [`DeadlockStrategy`](flow::DeadlockStrategy) implementations.
 
 #![forbid(unsafe_code)]
 

@@ -4,8 +4,7 @@
 //! the examples and the experiment harness do.
 
 use noc_suite::flow::{
-    CycleBreaking, DeadlockFreeStage, DeadlockStrategy, DesignFlow, FlowSweep, ResourceOrdering,
-    ShortestPathRouter,
+    CycleBreaking, DeadlockFreeStage, DeadlockStrategy, FlowSweep, ResourceOrdering, RoutedStage,
 };
 use noc_suite::power::TechParams;
 use noc_suite::sim::{AssignedVc, TrafficConfig, VcSimConfig};
@@ -16,16 +15,16 @@ use noc_suite::topology::benchmarks::Benchmark;
 /// Every stage transition auto-runs the `validate_*`/`verify` checks this
 /// test used to call by hand.
 fn pipeline(benchmark: Benchmark, switches: usize) {
-    let routed = DesignFlow::from_benchmark(benchmark)
-        .synthesize(SynthesisConfig::with_switches(switches))
-        .unwrap()
-        .route(&ShortestPathRouter::default())
-        .unwrap();
+    let routed = RoutedStage::synthesize(
+        benchmark.comm_graph(),
+        &SynthesisConfig::with_switches(switches),
+    )
+    .unwrap();
 
     let baseline = routed.resource_ordering_overhead();
 
     // The paper's algorithm: deadlock-free and never worse than the baseline.
-    let fixed = routed.resolve_deadlocks(&CycleBreaking::default()).unwrap();
+    let fixed = routed.resolve_deadlocks(&CycleBreaking).unwrap();
     assert!(fixed.resolution().added_vcs <= baseline);
 
     // The power model sees the extra buffers of the baseline.
@@ -56,16 +55,14 @@ fn d35_bott_full_pipeline() {
 #[test]
 fn strategies_are_one_line_swaps() {
     fn fix(strategy: &dyn DeadlockStrategy) -> DeadlockFreeStage {
-        DesignFlow::from_benchmark(Benchmark::D36x8)
-            .synthesize(SynthesisConfig::with_switches(10))
-            .unwrap()
-            .route(&ShortestPathRouter::default())
+        let comm = Benchmark::D36x8.comm_graph();
+        RoutedStage::synthesize(comm, &SynthesisConfig::with_switches(10))
             .unwrap()
             .resolve_deadlocks(strategy) // <- the one line that changes
             .unwrap()
     }
 
-    let removal = fix(&CycleBreaking::default());
+    let removal = fix(&CycleBreaking);
     let ordering = fix(&ResourceOrdering);
     assert_eq!(removal.resolution().strategy, "cycle-breaking");
     assert_eq!(ordering.resolution().strategy, "resource-ordering");
@@ -74,12 +71,10 @@ fn strategies_are_one_line_swaps() {
 
 #[test]
 fn repaired_designs_complete_a_simulated_workload() {
-    let outcome = DesignFlow::from_benchmark(Benchmark::D36x6)
-        .synthesize(SynthesisConfig::with_switches(10))
+    let comm = Benchmark::D36x6.comm_graph();
+    let outcome = RoutedStage::synthesize(comm, &SynthesisConfig::with_switches(10))
         .unwrap()
-        .route_default()
-        .unwrap()
-        .resolve_deadlocks(&CycleBreaking::default())
+        .resolve_deadlocks(&CycleBreaking)
         .unwrap()
         .simulate_vc(
             &AssignedVc,
@@ -107,7 +102,7 @@ fn repaired_designs_complete_a_simulated_workload() {
 /// sequence.
 #[test]
 fn figure_grids_are_identical_serial_and_parallel() {
-    let removal = CycleBreaking::default();
+    let removal = CycleBreaking;
     let ordering = ResourceOrdering;
     let strategies: &[&dyn DeadlockStrategy] = &[&removal, &ordering];
     for (benchmark, counts) in [
@@ -141,6 +136,7 @@ fn umbrella_reexports_are_usable() {
     let params = TechParams::default();
     assert!(params.buffer_bits() > 0);
     // The flow API is reachable as noc_suite::flow.
-    let flow = DesignFlow::from_benchmark(Benchmark::D26Media);
-    assert_eq!(flow.label(), "D26_media");
+    let comm = Benchmark::D26Media.comm_graph();
+    let routed = RoutedStage::synthesize(comm, &SynthesisConfig::with_switches(4)).unwrap();
+    assert_eq!(routed.comm().core_count(), 26);
 }
