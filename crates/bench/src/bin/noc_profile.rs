@@ -7,15 +7,16 @@
 //!
 //! `summary` prints a Chrome-trace telemetry artifact (written by any
 //! figure binary's `--trace <path>` flag) as a per-phase wall-time
-//! breakdown: the share of the root `figure` span's wall time covered by
-//! named phases (merged intervals), each phase category's self time (its
+//! breakdown: the share of the root spans' wall time (first root's start
+//! to last root's end; a figure has one root, its `figure` span) covered
+//! by named phases (merged intervals), each phase category's self time (its
 //! spans' durations minus their direct children's), each thread's busy
 //! time, and the recorded counters.
 //!
 //! `check` is the artifact checker CI runs: the envelope and schema
 //! version, then the figure's invariants from its registry entry
 //! (`noc_bench::figures::FIGURES`), or for a trace its well-formedness and
-//! at least 95 % of the root span's wall time attributed to named phases.
+//! at least 95 % of the root spans' wall time attributed to named phases.
 //! `--same-as` also requires the artifact to equal another one, key order
 //! included, with the figure's measured fields (fig_faults' `wall_ms`,
 //! fig_scale's timings) masked.

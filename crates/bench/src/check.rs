@@ -152,7 +152,7 @@ fn mask(value: &JsonValue, measured: &str) -> JsonValue {
     }
 }
 
-/// Share of the root span's wall time that named phase spans must cover.
+/// Share of the root spans' wall time that named phase spans must cover.
 pub const MIN_ATTRIBUTION: f64 = 0.95;
 
 /// The Chrome-trace artifact: the envelope's `data` keys, well-formed
@@ -213,7 +213,7 @@ pub fn check_trace(text: &str) -> Result<(), CheckError> {
         wall => summary.attributed_us as f64 / wall as f64,
     };
     let what = format!(
-        "only {:.1}% of the root span's wall time is attributed to named phases (required {:.1}%)",
+        "only {:.1}% of the root spans' wall time is attributed to named phases (required {:.1}%)",
         100.0 * attribution,
         100.0 * MIN_ATTRIBUTION
     );

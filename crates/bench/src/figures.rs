@@ -976,9 +976,10 @@ impl JobSource for MatrixSource {
     }
 }
 
-/// The strategy matrix: every strategy's design is certified free, the
-/// strategies keep their contracts ([`check_strategy_rows`]), and
-/// recovery's routes are no shorter than the shortest-path input.
+/// The strategy matrix: every strategy's certify block is the acyclic fast
+/// path's (certified free), the strategies keep their contracts
+/// ([`check_strategy_rows`]), and recovery's routes are no shorter than
+/// the shortest-path input.
 fn check_strategy_matrix(data: &Node<'_>) -> Result<(), CheckError> {
     data.require_keys("strategies points", "fig_strategy_matrix data")?;
     check_list(data, "strategies", &STRATEGY_MATRIX_NAMES, "strategy list")?;
@@ -1013,12 +1014,18 @@ fn check_strategy_matrix(data: &Node<'_>) -> Result<(), CheckError> {
             let (strategy, certify) = (outcome.text("strategy")?, outcome.field("certify")?);
             let keys = "verdict cdg_cyclic witness_worms search_steps";
             certify.require_keys(keys, &format!("{at} {strategy} certify block"))?;
-            let verdict = certify.text("verdict")?;
-            let what = format!(
-                "{strategy} produced a repaired design the certified verifier rates {verdict:?}, \
-                 not certified-free"
+            let block = (
+                certify.text("verdict")?,
+                certify.flag("cdg_cyclic")?,
+                certify.num("witness_worms")?,
+                certify.num("search_steps")?,
             );
-            must(verdict == "certified-free", &what)?;
+            let fast_path = ("certified-free", false, 0.0, 0.0);
+            let what = format!(
+                "{strategy} produced a repaired design the certified verifier rates {block:?}, \
+                 not the acyclic fast path's {fast_path:?}"
+            );
+            must(block == fast_path, &what)?;
         }
         check_strategy_rows(&outcomes, &at)?;
         let recovery_hops = named(&outcomes, "strategy", "recovery-reconfig")?.num("mean_hops")?;

@@ -26,7 +26,7 @@
 
 use noc_deadlock::cdg::Cdg;
 use noc_deadlock::certify::TrapWitness;
-use noc_deadlock::removal::{remove_deadlocks, RemovalConfig};
+use noc_deadlock::removal::RemovalConfig;
 use noc_deadlock::report::RemovalReport;
 use noc_flow::json::{JsonValue, ObjectWriter, ToJson};
 use noc_flow::{
@@ -42,7 +42,7 @@ use noc_sim::{
     AdaptiveEscape, AssignedVc, DetectionKind, FaultKind, FaultPlan, Packet, PacketId, SingleVc,
     StormConfig, TrafficConfig, VcSimConfig, VcSimOutcome, VcSimulator,
 };
-use noc_synth::{SynthesisConfig, SynthesizedDesign};
+use noc_synth::SynthesisConfig;
 use noc_topology::benchmarks::Benchmark;
 use noc_topology::{generators, CommGraph, CoreMap, FlowId, SwitchId, Topology};
 
@@ -313,7 +313,7 @@ pub fn simulate_before_after(benchmark: Benchmark, switch_count: usize) -> SimVa
         seed: 7,
     };
 
-    let original_cdg_cyclic = !routed.is_deadlock_free();
+    let original_cdg_cyclic = routed.deadlock_evidence().is_some();
     let original = routed.simulate_vc(&AssignedVc, &sim_config, &traffic);
 
     let fixed = routed
@@ -341,11 +341,11 @@ pub const STRATEGY_MATRIX_NAMES: [&str; 4] = [
     noc_flow::StrategyKind::ALL[3].name(),
 ];
 
-/// The sweep configuration of the strategy matrix: no power model, every
-/// repaired design certified.  Shared by [`strategy_matrix_sweep`] and the
-/// `fig_strategy_matrix` job source ([`figures::strategy_matrix`]).
+/// The sweep configuration of the strategy matrix: no power model.  Shared
+/// by [`strategy_matrix_sweep`] and the `fig_strategy_matrix` job source
+/// ([`figures::strategy_matrix`]).
 pub(crate) fn matrix_sweep() -> FlowSweep {
-    FlowSweep::new().power_estimates(false).certify(true)
+    FlowSweep::new().power_estimates(false)
 }
 
 /// The four strategies of the matrix, in [`STRATEGY_MATRIX_NAMES`] order.
@@ -827,15 +827,6 @@ pub fn routed_benchmark(benchmark: Benchmark, switch_count: usize) -> RoutedStag
         &SynthesisConfig::with_switches(switch_count),
     )
     .unwrap_or_else(|e| panic!("synthesis failed for {benchmark}/{switch_count}: {e}"))
-}
-
-/// Runs the removal algorithm once on a copy of the design and returns its
-/// report.
-pub fn run_removal(design: &SynthesizedDesign, config: &RemovalConfig) -> RemovalReport {
-    let mut topology = design.topology.clone();
-    let mut routes = design.routes.clone();
-    remove_deadlocks(&mut topology, &mut routes, config)
-        .expect("removal succeeds on the benchmark suite")
 }
 
 /// Number of seeded random designs the `fig_conservatism` artifact and the
@@ -2159,7 +2150,6 @@ pub mod sweeps {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_synth::synthesize;
 
     #[test]
     fn sweep_points_reproduce_the_paper_shape() {
@@ -2319,16 +2309,5 @@ mod tests {
                 assert!(recovery_rate.flows_reconfigured >= 1);
             }
         }
-    }
-
-    #[test]
-    fn run_removal_matches_a_direct_flow() {
-        let comm = Benchmark::D36x8.comm_graph();
-        let design = synthesize(&comm, &SynthesisConfig::with_switches(10)).unwrap();
-        let report = run_removal(&design, &RemovalConfig::default());
-        let fixed = routed_benchmark(Benchmark::D36x8, 10)
-            .resolve_deadlocks(&CycleBreaking)
-            .unwrap();
-        assert_eq!(report.added_vcs, fixed.resolution().added_vcs);
     }
 }

@@ -48,6 +48,8 @@ const CASES: [(&str, &str, &[&str]); 9] = [
     ("fig_strategy_matrix", FIG89_AT_10, &[
         "data.points.1.outcomes.2.cycles_broken=1 => D36_8 @ 10 switches: escape-channel avoidance",
         "data.points.0.outcomes.1.certify.verdict=\"unknown\" => the certified verifier rates",
+        "data.points.0.outcomes.0.certify.cdg_cyclic=true => cycle-breaking produced a repaired \
+         design the certified verifier rates (\"certified-free\", true, 0.0, 0.0), not the acyclic",
     ]),
     ("fig_sim_strategies", FIG89_AT_18, &[
         "data.points.1.series.5.rates.0.recovery_events=0 => D36_8 @ 18 switches: unsafe run \

@@ -85,7 +85,6 @@ fn direct_artifact() -> String {
         .benchmark(Benchmark::D26Media)
         .switch_counts([6, 8])
         .power_estimates(false)
-        .certify(true)
         .run(&strategies)
         .expect("direct sweep succeeds");
     let names = STRATEGY_MATRIX_NAMES.map(str::to_string).to_vec();

@@ -345,6 +345,16 @@ pub struct CertifyReport {
 }
 
 impl CertifyReport {
+    /// The acyclic fast path's report: with no CDG cycle there is no trap
+    /// to search for, so the design is certified free after zero steps.
+    pub fn acyclic() -> Self {
+        CertifyReport {
+            verdict: CertifyVerdict::CertifiedFree,
+            cyclic_cdg: false,
+            search_steps: 0,
+        }
+    }
+
     /// The witness, when the design is certified deadlockable.
     pub fn witness(&self) -> Option<&TrapWitness> {
         match &self.verdict {
@@ -365,11 +375,7 @@ pub fn certify_deadlock_free(topology: &Topology, routes: &RouteSet) -> CertifyR
 fn certify_within(topology: &Topology, routes: &RouteSet, budget: usize) -> CertifyReport {
     let cdg = Cdg::build(topology, routes);
     if cdg.is_acyclic() {
-        return CertifyReport {
-            verdict: CertifyVerdict::CertifiedFree,
-            cyclic_cdg: false,
-            search_steps: 0,
-        };
+        return CertifyReport::acyclic();
     }
     let vcs = VcMap::from_design(topology, routes);
     // Every (channel → occurrences in routes) pair, in flow order: the
@@ -685,6 +691,7 @@ mod tests {
         assert_eq!(report.verdict, CertifyVerdict::CertifiedFree);
         assert!(!report.cyclic_cdg);
         assert_eq!(report.search_steps, 0);
+        assert_eq!(report, CertifyReport::acyclic());
     }
 
     #[test]

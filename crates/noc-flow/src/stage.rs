@@ -121,22 +121,19 @@ impl RoutedStage {
         &self.core_map
     }
 
-    /// `true` when the CDG of the routed design is already acyclic.
-    pub fn is_deadlock_free(&self) -> bool {
-        check_deadlock_free(&self.topology, &self.routes).is_ok()
-    }
-
     /// The smallest CDG cycle of the design, if any — evidence that the
-    /// design can deadlock.
+    /// design can deadlock; `None` when the CDG is already acyclic.
     pub fn deadlock_evidence(&self) -> Option<DeadlockCycle> {
         check_deadlock_free(&self.topology, &self.routes).err()
     }
 
     /// Certifies the routed design with the exact static verifier
     /// (`noc_deadlock::certify`): unlike
-    /// [`is_deadlock_free`](Self::is_deadlock_free), which condemns any CDG
-    /// cycle, this searches for a genuinely trappable configuration and
+    /// [`deadlock_evidence`](Self::deadlock_evidence), which condemns any
+    /// CDG cycle, this searches for a genuinely trappable configuration and
     /// returns a three-valued verdict with a machine-checkable witness.
+    /// For designs before repair: a [`DeadlockFreeStage`] is certified by
+    /// its acyclicity proof.
     pub fn certify(&self) -> CertifyReport {
         let _span = noc_telemetry::span("stage", "certify");
         certify_deadlock_free(&self.topology, &self.routes)
@@ -216,6 +213,9 @@ impl RoutedStage {
 }
 
 /// A design whose CDG has been verified acyclic: it cannot deadlock.
+///
+/// [`RoutedStage::resolve_deadlocks`], its only constructor, checks that
+/// first, so its certify report is [`CertifyReport::acyclic`].
 #[derive(Debug, Clone)]
 pub struct DeadlockFreeStage {
     comm: CommGraph,
@@ -249,17 +249,6 @@ impl DeadlockFreeStage {
     /// What the deadlock strategy did (VCs added, cycles broken, reports).
     pub fn resolution(&self) -> &DeadlockResolution {
         &self.resolution
-    }
-
-    /// Certifies the repaired design with the exact static verifier
-    /// (`noc_deadlock::certify`).  For stages built by
-    /// [`RoutedStage::resolve_deadlocks`] the CDG is already acyclic, so
-    /// this takes the fast path and must report
-    /// [`CertifyVerdict::CertifiedFree`](noc_deadlock::certify::CertifyVerdict) —
-    /// the sound end of the three-way verifier lattice.
-    pub(crate) fn certify(&self) -> CertifyReport {
-        let _span = noc_telemetry::span("stage", "certify");
-        certify_deadlock_free(&self.topology, &self.routes)
     }
 
     /// The strategy's VC assignment (per-link VC counts, per-hop flow

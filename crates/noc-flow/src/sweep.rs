@@ -143,8 +143,9 @@ impl FaultRunStats {
     }
 }
 
-/// Summary of the certified static verifier's verdict on a repaired design,
-/// attached to a [`StrategyOutcome`] when [`FlowSweep::certify`] is enabled.
+/// Summary of the certified static verifier's verdict on a repaired design:
+/// the acyclic fast-path report ([`CertifyReport::acyclic`]), since its
+/// [`DeadlockFreeStage`](crate::DeadlockFreeStage) was verified acyclic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CertifyOutcome {
     /// The stable verdict name: `certified-free`, `certified-deadlockable`
@@ -192,8 +193,8 @@ pub struct StrategyOutcome {
     /// Total switch area of the repaired design in µm²
     /// (`None` when [`FlowSweep::power_estimates`] is disabled).
     pub area_um2: Option<f64>,
-    /// Certified static verdict on the repaired design
-    /// (`None` unless [`FlowSweep::certify`] is enabled).
+    /// Certified static verdict on the repaired design; always `Some` for
+    /// outcomes built from a stage ([`FlowSweep::charge`]).
     pub certify: Option<CertifyOutcome>,
 }
 
@@ -235,6 +236,9 @@ impl SweepPoint {
 /// switches than cores) are skipped, exactly like the paper's sweeps only
 /// plot feasible topologies.
 ///
+/// Every [`StrategyOutcome`] carries a [`CertifyOutcome`], at no cost: a
+/// repaired design is verified acyclic, the certified verifier's fast path.
+///
 /// # Example
 ///
 /// ```
@@ -259,7 +263,6 @@ pub struct FlowSweep {
     switch_counts: Vec<usize>,
     estimate_power: bool,
     threads: usize,
-    certify: bool,
 }
 
 impl Default for FlowSweep {
@@ -270,14 +273,13 @@ impl Default for FlowSweep {
 
 impl FlowSweep {
     /// An empty sweep: default synthesis configuration and technology
-    /// parameters, power estimates on, certification off.
+    /// parameters, power estimates on.
     pub fn new() -> Self {
         FlowSweep {
             benchmarks: Vec::new(),
             switch_counts: Vec::new(),
             estimate_power: true,
             threads: 0,
-            certify: false,
         }
     }
 
@@ -324,14 +326,6 @@ impl FlowSweep {
     /// whole-network power-model passes per grid point.
     pub fn power_estimates(mut self, enabled: bool) -> Self {
         self.estimate_power = enabled;
-        self
-    }
-
-    /// Additionally runs the certified static verifier
-    /// (`noc_deadlock::certify`) on every repaired design and attaches a
-    /// [`CertifyOutcome`] to each [`StrategyOutcome`].  Off by default.
-    pub fn certify(mut self, enabled: bool) -> Self {
-        self.certify = enabled;
         self
     }
 
@@ -452,6 +446,7 @@ impl FlowSweep {
 
     /// Charges one strategy against a prepared point (on a clone of the
     /// routed design, so outcomes are independent of execution order).
+    /// The certify block is the acyclic fast-path report, without a CDG.
     pub fn charge(
         &self,
         point: &PreparedPoint,
@@ -461,9 +456,6 @@ impl FlowSweep {
         let estimate = self
             .estimate_power
             .then(|| fixed.power(TechParams::default()));
-        let certify = self
-            .certify
-            .then(|| CertifyOutcome::from_report(&fixed.certify()));
         let resolution = fixed.resolution();
         Ok(StrategyOutcome {
             strategy: resolution.strategy.clone(),
@@ -473,7 +465,7 @@ impl FlowSweep {
             mean_hops: fixed.routes().mean_hops(),
             power_mw: estimate.as_ref().map(|e| e.total_power_mw),
             area_um2: estimate.as_ref().map(|e| e.total_area_um2),
-            certify,
+            certify: Some(CertifyOutcome::from_report(&CertifyReport::acyclic())),
         })
     }
 }

@@ -19,10 +19,11 @@
 //!
 //! The read side ([`TraceSummary`]) parses a trace file back and answers
 //! the profiling question directly: per-phase self time and the share of
-//! wall time attributed to named phases, where wall time is the root span
-//! — the header of [`TraceSummary::render_table`].  Both sides compute the
-//! phase rows with one rule: a span's self time is its duration minus its
-//! direct children's durations, so no µs is counted twice.
+//! wall time attributed to named phases, where wall time is the extent of
+//! the root spans — the header of [`TraceSummary::render_table`].  Both
+//! sides compute the phase rows with one rule: a span's self time is its
+//! duration minus its direct children's durations, so no µs is counted
+//! twice.
 
 use crate::json::{
     write_atomic, ArtifactError, JsonValue, ObjectWriter, ParsedArtifact, ToJson, SCHEMA_VERSION,
@@ -315,9 +316,9 @@ pub struct ThreadRow {
     pub tid: u64,
     /// The thread's `thread_name` label, or `tid <n>` when it has none.
     pub label: String,
-    /// µs of the root span's window during which at least one of the
-    /// thread's non-root spans was active (merged intervals), minus the
-    /// time the thread spent blocked in `executor/wait` spans.
+    /// µs of the roots' window during which at least one of the thread's
+    /// non-root spans was active (merged intervals), minus the time the
+    /// thread spent blocked in `executor/wait` spans.
     pub busy_us: u64,
 }
 
@@ -326,11 +327,12 @@ pub struct ThreadRow {
 pub struct TraceSummary {
     /// The figure the trace was recorded from (`data.source`).
     pub source: String,
-    /// Wall time in µs: the duration of the root span (the parentless span
-    /// with the longest duration), or the overall event extent if no span
-    /// is parentless.
+    /// Wall time in µs: the extent of the root spans (the parentless spans
+    /// of the thread that opened the first parentless span), from the
+    /// first root's start to the last one's end, or the overall event
+    /// extent if no span is parentless.
     pub wall_us: u64,
-    /// µs of the root span's window during which at least one named phase
+    /// µs of the roots' window during which at least one named phase
     /// span was active on any thread (merged intervals, so overlapping
     /// workers are not double-counted).
     pub attributed_us: u64,
@@ -438,29 +440,29 @@ impl TraceSummary {
                 .map(|e| (e.seq, e.parent, e.cat.as_str(), e.dur)),
         );
 
-        let root = events
+        // The roots are the parentless spans of the thread that opened the
+        // first one: the recording thread, which may run several in turn
+        // (a benchmark's op, then its probes).  Parentless spans of other
+        // threads (executor workers) are those threads' work, so phases.
+        let root_tid = events
             .iter()
             .filter(|e| e.parent == 0)
-            .max_by_key(|e| (e.dur, std::cmp::Reverse(e.seq)));
-        // Without a root span, the wall is the extent of all events and
-        // nothing counts as attributed.
-        let window = match root {
-            Some(root) => (root.ts, root.ts + root.dur),
-            None => (
-                events.iter().map(|e| e.ts).min().unwrap_or(0),
-                events.iter().map(|e| e.ts + e.dur).max().unwrap_or(0),
-            ),
-        };
-        let phase_spans = || {
-            events
-                .iter()
-                .filter(|e| root.is_none_or(|r| e.seq != r.seq))
-        };
+            .min_by_key(|e| e.seq)
+            .map(|e| e.tid);
+        let is_root = |e: &ReadEvent| e.parent == 0 && Some(e.tid) == root_tid;
+        // The wall is the extent of every root; without one, it is the
+        // extent of all events and nothing counts as attributed.
+        let bounds = || events.iter().filter(|e| root_tid.is_none() || is_root(e));
+        let window = (
+            bounds().map(|e| e.ts).min().unwrap_or(0),
+            bounds().map(|e| e.ts + e.dur).max().unwrap_or(0),
+        );
+        let phase_spans = || events.iter().filter(|e| !is_root(e));
         // Across all threads: the share of wall time during which at least
         // one named phase was active somewhere in the process.  Work mostly
         // happens on executor worker threads while the root span sits on
         // main, so a same-thread filter would see nothing.
-        let attributed_us = match root {
+        let attributed_us = match root_tid {
             Some(_) => covered_us(phase_spans(), window),
             None => 0,
         };
@@ -495,7 +497,7 @@ impl TraceSummary {
         }
     }
 
-    /// Share of root-span wall time covered by named phases, in percent
+    /// Share of the roots' wall time covered by named phases, in percent
     /// (100.0 when the trace has no wall time at all).
     fn attribution_pct(&self) -> f64 {
         if self.wall_us == 0 {
@@ -602,6 +604,19 @@ mod tests {
         }
     }
 
+    /// A read-back span named after its category.
+    fn event(cat: &str, ts: u64, dur: u64, tid: u64, seq: u64, parent: u64) -> ReadEvent {
+        ReadEvent {
+            name: cat.to_string(),
+            cat: cat.to_string(),
+            ts,
+            dur,
+            tid,
+            seq,
+            parent,
+        }
+    }
+
     fn sample_snapshot() -> Snapshot {
         let mut counters = BTreeMap::new();
         counters.insert("cycles.queries".to_string(), 3u64);
@@ -689,24 +704,8 @@ mod tests {
     #[test]
     fn nested_same_category_spans_count_once() {
         let events = vec![
-            ReadEvent {
-                name: "outer".into(),
-                cat: "removal".into(),
-                ts: 0,
-                dur: 100,
-                tid: 1,
-                seq: 1,
-                parent: 0,
-            },
-            ReadEvent {
-                name: "inner".into(),
-                cat: "removal".into(),
-                ts: 10,
-                dur: 50,
-                tid: 1,
-                seq: 2,
-                parent: 1,
-            },
+            event("removal", 0, 100, 1, 1, 0),
+            event("removal", 10, 50, 1, 2, 1),
         ];
         let summary = TraceSummary::from_events("s".into(), Vec::new(), BTreeMap::new(), &events);
         let removal = summary.phases.iter().find(|p| p.cat == "removal").unwrap();
@@ -719,15 +718,6 @@ mod tests {
         // One worker thread: executor/worker ⊃ jobs/task ⊃ sweep/point ⊃
         // sweep/prepare, with a second task and an executor hand-off
         // beside them; the main thread's root holds the join.
-        let event = |cat: &str, ts, dur, tid, seq, parent| ReadEvent {
-            name: cat.to_string(),
-            cat: cat.to_string(),
-            ts,
-            dur,
-            tid,
-            seq,
-            parent,
-        };
         let events = vec![
             event("figure", 0, 1000, 1, 1, 0),
             event("executor", 950, 40, 1, 2, 1),
@@ -765,15 +755,6 @@ mod tests {
 
     #[test]
     fn thread_rows_report_busy_shares_of_the_wall() {
-        let event = |cat: &str, ts, dur, tid, seq, parent| ReadEvent {
-            name: cat.to_string(),
-            cat: cat.to_string(),
-            ts,
-            dur,
-            tid,
-            seq,
-            parent,
-        };
         let events = vec![
             event("figure", 0, 1000, 1, 1, 0),
             // main: [0, 400] and [300, 600] overlap, busy 600 of 1000.
@@ -811,6 +792,29 @@ mod tests {
                 assert!(pct <= 100.0, "{word} in {table}");
             }
         }
+    }
+
+    #[test]
+    fn sequential_roots_on_one_thread_share_one_wall() {
+        // A benchmark op, then its probes: two roots on main.  The op's
+        // worker opens a parentless span of its own, which is a phase.
+        let events = vec![
+            event("bench", 0, 2000, 1, 1, 0),
+            event("removal", 0, 1900, 1, 2, 1),
+            event("bench", 2000, 1000, 1, 3, 0),
+            event("cdg", 2000, 900, 1, 4, 3),
+            event("executor", 100, 500, 2, 5, 0),
+        ];
+        let summary = TraceSummary::from_events("s".into(), Vec::new(), BTreeMap::new(), &events);
+        // The wall spans both roots, so main's phase self times (all but
+        // the worker's 500 µs) add up to it instead of exceeding it.
+        assert_eq!(summary.wall_us, 3000);
+        let phase_us: u64 = summary.phases.iter().map(|p| p.total_us).sum();
+        assert_eq!(phase_us - 500, summary.wall_us);
+        // Neither root is a phase: main is busy in removal and cdg only.
+        assert_eq!(summary.attributed_us, 2800);
+        let busy: Vec<u64> = summary.threads.iter().map(|t| t.busy_us).collect();
+        assert_eq!(busy, [2800, 500]);
     }
 
     #[test]

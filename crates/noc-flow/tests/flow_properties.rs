@@ -125,7 +125,10 @@ fn both_strategies_fix_ring_and_mesh() {
     // Unidirectional ring: the canonical cyclic CDG.
     let (comm, topology, map) = all_to_all_flow(generators::unidirectional_ring(5, 1000.0));
     let routed = RoutedStage::with_design(comm, topology, map).unwrap();
-    assert!(!routed.is_deadlock_free(), "a routed ring must be cyclic");
+    assert!(
+        routed.deadlock_evidence().is_some(),
+        "a routed ring must be cyclic"
+    );
     for strategy in strategies {
         let fixed = routed.resolve_deadlocks(strategy).unwrap();
         check_deadlock_free(fixed.topology(), fixed.routes())
@@ -212,7 +215,10 @@ fn vc_aware_simulation_paths_work_end_to_end() {
 
     let comm = Benchmark::D36x8.comm_graph();
     let routed = RoutedStage::synthesize(comm, &SynthesisConfig::with_switches(12)).unwrap();
-    assert!(!routed.is_deadlock_free(), "the input design is cyclic");
+    assert!(
+        routed.deadlock_evidence().is_some(),
+        "the input design is cyclic"
+    );
     assert!(routed.vc_map().is_single_vc(), "input routing rides VC 0");
 
     let sim = VcSimConfig {

@@ -6,8 +6,11 @@
 //! confirms deadlock-free — on top of the stage's own re-verification.
 //! Scheme-specific contracts are pinned too: escape channels never break a
 //! cycle, recovery never buys a VC, and the two VC schemes never touch
-//! physical routes.
+//! physical routes.  The exact certifier is the reference for the certify
+//! block a sweep attaches without running it: on every repaired design it
+//! must return the acyclic fast-path report.
 
+use noc_deadlock::certify::{certify_deadlock_free, CertifyReport};
 use noc_deadlock::verify::check_deadlock_free;
 use noc_flow::{
     CycleBreaking, DeadlockStrategy, EscapeChannel, FlowError, FlowSweep, RecoveryReconfig,
@@ -58,6 +61,12 @@ fn every_strategy_yields_a_verified_deadlock_free_design_on_every_grid_point() {
                     strategy.name()
                 )
             });
+            assert_eq!(
+                certify_deadlock_free(fixed.topology(), fixed.routes()),
+                CertifyReport::acyclic(),
+                "{} on {benchmark}/{switch_count}: the certifier disagrees with the fast path",
+                strategy.name()
+            );
 
             let resolution = fixed.resolution();
             assert_eq!(resolution.strategy, strategy.name());
