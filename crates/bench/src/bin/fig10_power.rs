@@ -2,8 +2,8 @@
 //! resource-ordering baseline relative to the deadlock-removal algorithm for
 //! the six SoC benchmarks at 14 switches.
 //!
-//! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
-//! `--trace`; see `noc_bench::artifact::FigureCli`).
+//! Takes the shared figure flags (`--threads`, `--json`, `--trace`; see
+//! `noc_bench::artifact::FigureCli`).
 
 use noc_bench::artifact::{run_figure, FieldError, Node};
 use noc_bench::sweeps;

@@ -1,8 +1,8 @@
 //! Reproduces Figure 8: extra VCs versus switch count for D26_media,
 //! resource ordering versus the deadlock-removal algorithm.
 //!
-//! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
-//! `--trace`; see `noc_bench::artifact::FigureCli`).
+//! Takes the shared figure flags (`--threads`, `--json`, `--trace`; see
+//! `noc_bench::artifact::FigureCli`).
 
 use noc_bench::artifact::{run_figure, FieldError, Node};
 

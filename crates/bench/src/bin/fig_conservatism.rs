@@ -12,8 +12,8 @@
 //! deadlock-free (the false alarms), and how many VCs Algorithm 1 burns
 //! repairing them.
 //!
-//! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
-//! `--trace`; see `noc_bench::artifact::FigureCli`).
+//! Takes the shared figure flags (`--threads`, `--json`, `--trace`; see
+//! `noc_bench::artifact::FigureCli`).
 
 use noc_bench::artifact::{run_figure, FieldError, Node};
 use noc_bench::DEFAULT_RANDOM_DESIGNS;

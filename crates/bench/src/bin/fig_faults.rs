@@ -15,8 +15,8 @@
 //!
 //! The artifact's `wall_ms` is the total measured task time of the sweep
 //! (the sum over grid points); CI bounds it.
-//! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
-//! `--trace`; see `noc_bench::artifact::FigureCli`).
+//! Takes the shared figure flags (`--threads`, `--json`, `--trace`; see
+//! `noc_bench::artifact::FigureCli`).
 
 use noc_bench::artifact::{run_figure, FieldError, Node};
 

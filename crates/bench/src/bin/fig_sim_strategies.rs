@@ -17,8 +17,8 @@
 //! * `recovery-reconfig` — the unrepaired design with the DBR-style
 //!   dynamic drain executing the recovery strategy at runtime.
 //!
-//! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
-//! `--trace`; see `noc_bench::artifact::FigureCli`).
+//! Takes the shared figure flags (`--threads`, `--json`, `--trace`; see
+//! `noc_bench::artifact::FigureCli`).
 
 use noc_bench::artifact::{run_figure, FieldError, Node};
 

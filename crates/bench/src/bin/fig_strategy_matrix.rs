@@ -8,8 +8,8 @@
 //! scheme-specific costs the VC column cannot show: the cycles the removal
 //! algorithm broke and the hop inflation of the recovery routes.
 //!
-//! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
-//! `--trace`; see `noc_bench::artifact::FigureCli`).
+//! Takes the shared figure flags (`--threads`, `--json`, `--trace`; see
+//! `noc_bench::artifact::FigureCli`).
 
 use noc_bench::artifact::{run_figure, FieldError, Node};
 

@@ -7,8 +7,8 @@
 //! removal algorithm assigned, and deadlock is decided by the exact
 //! wait-for-graph detector rather than a timeout guess.
 //!
-//! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
-//! `--trace`; see `noc_bench::artifact::FigureCli`).
+//! Takes the shared figure flags (`--threads`, `--json`, `--trace`; see
+//! `noc_bench::artifact::FigureCli`).
 
 use noc_bench::artifact::{run_figure, FieldError, Node};
 

@@ -3,8 +3,8 @@
 //! overhead versus the unmodified (deadlock-prone) designs.
 //!
 //! It runs the Figure 10 tasks and aggregates them.
-//! Takes the shared figure flags (`--threads`, `--json`, `--out-dir`,
-//! `--trace`; see `noc_bench::artifact::FigureCli`).
+//! Takes the shared figure flags (`--threads`, `--json`, `--trace`; see
+//! `noc_bench::artifact::FigureCli`).
 
 use noc_bench::artifact::{run_figure, FieldError, Node};
 use noc_bench::{sweeps, PowerComparison};

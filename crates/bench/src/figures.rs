@@ -14,7 +14,7 @@
 
 use crate::artifact::Node;
 use crate::check::{rule, CheckError};
-use crate::jobs::{bump, fig89_grid, segment_grid, Params, TaskCounter};
+use crate::jobs::{fig89_grid, segment_grid, Params};
 use crate::{
     conservatism_point_for, fault_strategy_point, matrix_strategies, matrix_sweep,
     power_comparison, random_routed_design, routed_benchmark, sim_strategy_point,
@@ -43,7 +43,7 @@ pub struct Figure {
     /// Builds the job source, its grid narrowed by the spec's params.
     /// `None` for `fig_scale`, whose timings must run serially rather
     /// than as independently recordable tasks sharing the executor.
-    pub source: Option<fn(&Params, TaskCounter) -> SourceResult>,
+    pub source: Option<fn(&Params) -> SourceResult>,
     invariants: Invariants,
     /// The keys (whitespace-separated), at any depth, that hold
     /// measurements rather than answers;
@@ -60,7 +60,7 @@ impl Figure {
 
 const fn figure(
     name: &'static str,
-    source: Option<fn(&Params, TaskCounter) -> SourceResult>,
+    source: Option<fn(&Params) -> SourceResult>,
     invariants: Invariants,
     measured: &'static str,
 ) -> Figure {
@@ -189,7 +189,6 @@ struct PointSource<T> {
     label: fn(&T) -> String,
     point: fn(&T) -> String,
     assemble: fn(&AssembleContext<'_>) -> Result<String, JobError>,
-    counter: TaskCounter,
 }
 
 impl<T: Sync> JobSource for PointSource<T> {
@@ -206,7 +205,6 @@ impl<T: Sync> JobSource for PointSource<T> {
     }
 
     fn run_task(&self, index: usize) -> Result<String, JobError> {
-        bump(&self.counter);
         Ok((self.point)(&self.items[index]))
     }
 
@@ -237,12 +235,7 @@ fn assemble_plain(ctx: &AssembleContext<'_>) -> Result<String, JobError> {
 
 /// Figures 8 and 9: one task per feasible switch count of `benchmark`,
 /// each the removal-versus-ordering VC counts of one synthesized design.
-pub fn vc_sweep(
-    figure: &'static str,
-    benchmark: Benchmark,
-    counts: Vec<usize>,
-    counter: TaskCounter,
-) -> SourceResult {
+pub fn vc_sweep(figure: &'static str, benchmark: Benchmark, counts: Vec<usize>) -> SourceResult {
     Ok(Box::new(PointSource {
         figure,
         items: segment_grid(benchmark, &counts),
@@ -257,18 +250,17 @@ pub fn vc_sweep(
                 .to_json()
         },
         assemble: assemble_plain,
-        counter,
     }))
 }
 
-fn fig8(params: &Params, counter: TaskCounter) -> SourceResult {
+fn fig8(params: &Params) -> SourceResult {
     let counts = params.counts_or(sweeps::FIG8_SWITCH_COUNTS)?;
-    vc_sweep("fig8_d26_media", Benchmark::D26Media, counts, counter)
+    vc_sweep("fig8_d26_media", Benchmark::D26Media, counts)
 }
 
-fn fig9(params: &Params, counter: TaskCounter) -> SourceResult {
+fn fig9(params: &Params) -> SourceResult {
     let counts = params.counts_or(sweeps::FIG9_SWITCH_COUNTS)?;
-    vc_sweep("fig9_d36_8", Benchmark::D36x8, counts, counter)
+    vc_sweep("fig9_d36_8", Benchmark::D36x8, counts)
 }
 
 /// Figures 8 and 9: removal never needs more VCs than resource ordering.
@@ -339,20 +331,19 @@ fn check_power(data: &Node<'_>) -> Result<(), CheckError> {
 }
 
 /// Figure 10: one power/area comparison per benchmark.
-pub fn power(params: &Params, counter: TaskCounter) -> SourceResult {
+pub fn power(params: &Params) -> SourceResult {
     Ok(Box::new(PointSource {
         figure: "fig10_power",
         items: benchmark_grid("fig10_power", params, sweeps::FIG10_SWITCHES)?,
         label: grid_label,
         point: power_point,
         assemble: assemble_plain,
-        counter,
     }))
 }
 
 /// The Section 5 summary: the Figure 10 tasks, assembled into the
 /// per-benchmark comparisons plus their aggregate savings.
-pub fn summary_table(params: &Params, counter: TaskCounter) -> SourceResult {
+pub fn summary_table(params: &Params) -> SourceResult {
     Ok(Box::new(PointSource {
         figure: "summary_table",
         items: benchmark_grid("summary_table", params, sweeps::FIG10_SWITCHES)?,
@@ -378,7 +369,6 @@ pub fn summary_table(params: &Params, counter: TaskCounter) -> SourceResult {
                 .finish();
             Ok(envelope(ctx.figure, &payload))
         },
-        counter,
     }))
 }
 
@@ -403,7 +393,7 @@ fn check_summary(data: &Node<'_>) -> Result<(), CheckError> {
 
 /// The dynamic validation: every benchmark simulated before and after
 /// removal.
-pub fn sim_validation(params: &Params, counter: TaskCounter) -> SourceResult {
+pub fn sim_validation(params: &Params) -> SourceResult {
     Ok(Box::new(PointSource {
         figure: "sim_validation",
         items: benchmark_grid("sim_validation", params, sweeps::SIM_SWITCHES)?,
@@ -412,7 +402,6 @@ pub fn sim_validation(params: &Params, counter: TaskCounter) -> SourceResult {
             simulate_before_after(benchmark, switch_count).to_json()
         },
         assemble: assemble_plain,
-        counter,
     }))
 }
 
@@ -434,7 +423,7 @@ fn check_sim_validation(data: &Node<'_>) -> Result<(), CheckError> {
 
 /// The VC-aware simulation sweep: every policy × injection rate on each
 /// Figure 8/9 grid point.
-pub fn sim_strategies(params: &Params, counter: TaskCounter) -> SourceResult {
+pub fn sim_strategies(params: &Params) -> SourceResult {
     Ok(Box::new(PointSource {
         figure: "fig_sim_strategies",
         items: fig89_grid(params)?,
@@ -451,7 +440,6 @@ pub fn sim_strategies(params: &Params, counter: TaskCounter) -> SourceResult {
                 .finish();
             Ok(envelope(ctx.figure, &payload))
         },
-        counter,
     }))
 }
 
@@ -544,7 +532,7 @@ fn check_sim_strategies(data: &Node<'_>) -> Result<(), CheckError> {
 
 /// The fault-storm sweep: every strategy's repaired design through the
 /// same seeded storm on each Figure 8/9 grid point.
-pub fn faults(params: &Params, counter: TaskCounter) -> SourceResult {
+pub fn faults(params: &Params) -> SourceResult {
     Ok(Box::new(PointSource {
         figure: "fig_faults",
         items: fig89_grid(params)?,
@@ -563,7 +551,6 @@ pub fn faults(params: &Params, counter: TaskCounter) -> SourceResult {
                 .finish();
             Ok(envelope(ctx.figure, &payload))
         },
-        counter,
     }))
 }
 
@@ -669,7 +656,7 @@ enum Design {
 /// The conservatism gap: every Figure 8/9 grid point plus
 /// [`DEFAULT_RANDOM_DESIGNS`] seeded random designs, each through the
 /// verifier triad, aggregated per benchmark (`random` for the population).
-pub fn conservatism(params: &Params, counter: TaskCounter) -> SourceResult {
+pub fn conservatism(params: &Params) -> SourceResult {
     let mut items: Vec<Design> = fig89_grid(params)?
         .into_iter()
         .map(|(benchmark, switch_count)| Design::Grid(benchmark, switch_count))
@@ -694,7 +681,6 @@ pub fn conservatism(params: &Params, counter: TaskCounter) -> SourceResult {
             }
         },
         assemble: assemble_conservatism,
-        counter,
     }))
 }
 
@@ -877,14 +863,13 @@ const OUTCOME_MARKER: &str = ",\"outcome\":";
 /// grain the sweep decomposes into.  The expensive per-point preparation
 /// (synthesis, routing, estimation) is shared between the four strategy
 /// tasks of a point through lazily filled once-slots.
-pub fn strategy_matrix(params: &Params, counter: TaskCounter) -> SourceResult {
+pub fn strategy_matrix(params: &Params) -> SourceResult {
     let grid = fig89_grid(params)?;
     let prepared = grid.iter().map(|_| Mutex::new(None)).collect();
     Ok(Box::new(MatrixSource {
         sweep: matrix_sweep(),
         grid,
         prepared,
-        counter,
     }))
 }
 
@@ -892,7 +877,6 @@ struct MatrixSource {
     sweep: FlowSweep,
     grid: Vec<(Benchmark, usize)>,
     prepared: Vec<Mutex<Option<Arc<PreparedPoint>>>>,
-    counter: TaskCounter,
 }
 
 impl MatrixSource {
@@ -926,7 +910,6 @@ impl JobSource for MatrixSource {
     }
 
     fn run_task(&self, index: usize) -> Result<String, JobError> {
-        bump(&self.counter);
         let prepared = self.prepared_point(index / STRATEGY_MATRIX_NAMES.len())?;
         let strategy = matrix_strategies()[index % STRATEGY_MATRIX_NAMES.len()];
         let outcome = self.sweep.charge(&prepared, strategy)?;

@@ -11,19 +11,6 @@ use noc_flow::json::JsonValue;
 use noc_flow::FlowSweep;
 use noc_jobs::{JobError, JobRequest, JobSource};
 use noc_topology::benchmarks::Benchmark;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-/// Optional shared task-call counter, bumped at the top of every
-/// `run_task` — what lets the cache tests assert *zero recomputation*
-/// rather than merely "the stats said so".
-pub type TaskCounter = Option<Arc<AtomicUsize>>;
-
-pub(crate) fn bump(counter: &TaskCounter) {
-    if let Some(counter) = counter {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
 
 /// Builds the job source for `spec` — the figure name picks the
 /// decomposition, `spec.params` narrows the grid (for tests and partial
@@ -33,14 +20,6 @@ pub(crate) fn bump(counter: &TaskCounter) {
 /// wall-clock timings that must run serially, not independently
 /// recordable tasks sharing the executor.
 pub fn job_source(spec: &JobRequest) -> Result<Box<dyn JobSource>, JobError> {
-    job_source_counted(spec, None)
-}
-
-/// [`job_source`] with a shared call counter wired into every task.
-pub fn job_source_counted(
-    spec: &JobRequest,
-    counter: TaskCounter,
-) -> Result<Box<dyn JobSource>, JobError> {
     let _span = noc_telemetry::span("jobs", "build_source");
     let params = Params::parse(&spec.params)?;
     let figure = crate::figures::find(&spec.figure)
@@ -48,7 +27,7 @@ pub fn job_source_counted(
     let source = figure
         .source
         .ok_or_else(|| JobError::Unsupported(spec.figure.clone()))?;
-    source(&params, counter)
+    source(&params)
 }
 
 /// The recognised job parameters, all optional: `benchmarks` (array of

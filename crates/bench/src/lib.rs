@@ -1678,17 +1678,12 @@ pub mod artifact {
 
     /// The flag table the usage text and the parser are both generated
     /// from: `(flag, value placeholder, help)`.
-    const FLAGS: [(&str, &str, &str); 4] = [
+    const FLAGS: [(&str, &str, &str); 3] = [
         ("--json", "<path>", "write the artifact to this exact path"),
         (
             "--threads",
             "<n>",
             "executor worker count (0 or unset: auto-size to the machine)",
-        ),
-        (
-            "--out-dir",
-            "<dir>",
-            "write the artifact to <dir>/<figure>.json (unless --json is given)",
         ),
         (
             "--trace",
@@ -1710,9 +1705,6 @@ pub mod artifact {
         /// `--threads <n>`: executor worker count (`0`, the default,
         /// auto-sizes to the machine's available parallelism).
         pub threads: usize,
-        /// `--out-dir <dir>`: default artifact location
-        /// (`<dir>/<figure>.json`) when `--json` is not given.
-        pub out_dir: Option<PathBuf>,
         /// `--trace <path>`: install the telemetry recorder for the run and
         /// write a Chrome-trace JSON (also a schema-versioned artifact) to
         /// this path on exit.
@@ -1793,7 +1785,6 @@ pub mod artifact {
                 };
                 match name {
                     "--json" => cli.json = Some(PathBuf::from(value)),
-                    "--out-dir" => cli.out_dir = Some(PathBuf::from(value)),
                     "--trace" => cli.trace = Some(PathBuf::from(value)),
                     "--threads" => {
                         cli.threads = value
@@ -1814,11 +1805,11 @@ pub mod artifact {
         /// ```
         /// let usage = noc_bench::artifact::FigureCli::usage("fig8_d26_media");
         /// // Every flag the parser accepts is documented...
-        /// for flag in ["--json", "--threads", "--out-dir", "--trace"] {
+        /// for flag in ["--json", "--threads", "--trace"] {
         ///     assert!(usage.contains(flag), "usage must mention {flag}");
         /// }
         /// // ...and nothing else.
-        /// assert_eq!(usage.matches(" [--").count(), 4);
+        /// assert_eq!(usage.matches(" [--").count(), 3);
         /// ```
         pub fn usage(figure: &str) -> String {
             let mut out = format!("usage: {figure}");
@@ -1832,27 +1823,17 @@ pub mod artifact {
             out
         }
 
-        /// Where the artifact goes: `--json` verbatim, else
-        /// `<out-dir>/<figure>.json`, else nowhere.
-        pub fn artifact_path(&self) -> Option<PathBuf> {
-            self.json.clone().or_else(|| {
-                self.out_dir
-                    .as_ref()
-                    .map(|dir| dir.join(format!("{}.json", self.figure)))
-            })
-        }
-
-        /// Writes `data` under the versioned envelope to
-        /// [`FigureCli::artifact_path`] (no-op when no path was requested),
+        /// Writes `data` under the versioned envelope to the `--json` path
+        /// ([`FigureCli::json`]; no-op when no path was requested),
         /// atomically.  Exits with status 1 on a write failure — the
         /// binary has nothing useful left to do.
         pub fn write_artifact(&self, data: &dyn ToJson) {
-            let Some(path) = self.artifact_path() else {
+            let Some(path) = &self.json else {
                 return;
             };
             let mut span = noc_telemetry::span("artifact", "write");
             span.arg("figure", self.figure.as_str());
-            if let Err(error) = Artifact::new(&self.figure, data).write(&path) {
+            if let Err(error) = Artifact::new(&self.figure, data).write(path) {
                 eprintln!("{}: {error}", self.figure);
                 std::process::exit(1);
             }
@@ -1932,15 +1913,15 @@ pub mod artifact {
     }
 
     impl FigureCli {
-        /// Runs the figure's job source and writes the artifact to
-        /// [`FigureCli::artifact_path`], returning the artifact text.
+        /// Runs the figure's job source and writes the artifact to the
+        /// `--json` path ([`FigureCli::json`]), returning the artifact text.
         fn run_job(&self) -> Result<String, JobError> {
             let source = crate::jobs::job_source(&JobRequest::new(self.figure.clone()))?;
             let text = run_in_memory(source.as_ref(), self.threads)?;
-            if let Some(path) = self.artifact_path() {
+            if let Some(path) = &self.json {
                 let mut span = noc_telemetry::span("artifact", "write");
                 span.arg("figure", self.figure.as_str());
-                write_atomic(&path, text.as_bytes()).map_err(|e| JobError::io(&path, e))?;
+                write_atomic(path, text.as_bytes()).map_err(|e| JobError::io(path, e))?;
                 eprintln!("wrote {}", path.display());
             }
             Ok(text)
@@ -2077,10 +2058,9 @@ pub mod artifact {
             assert_eq!(a.json.as_deref(), Some(Path::new("out.json")));
             assert_eq!(a.threads, 4);
 
-            let b = parse(&["--threads=2", "--json=x.json", "--out-dir=o", "--trace=t"]).unwrap();
+            let b = parse(&["--threads=2", "--json=x.json", "--trace=t"]).unwrap();
             assert_eq!(b.threads, 2);
             assert_eq!(b.json.as_deref(), Some(Path::new("x.json")));
-            assert_eq!(b.out_dir.as_deref(), Some(Path::new("o")));
             assert_eq!(b.trace.as_deref(), Some(Path::new("t")));
 
             assert_eq!(
@@ -2109,24 +2089,12 @@ pub mod artifact {
         }
 
         #[test]
-        fn artifact_path_prefers_json_over_out_dir() {
-            let both = parse(&["--json=a.json", "--out-dir=d"]).unwrap();
-            assert_eq!(both.artifact_path().as_deref(), Some(Path::new("a.json")));
-            let dir_only = parse(&["--out-dir=d"]).unwrap();
-            assert_eq!(
-                dir_only.artifact_path().as_deref(),
-                Some(Path::new("d/fig.json"))
-            );
-            assert_eq!(parse(&[]).unwrap().artifact_path(), None);
-        }
-
-        #[test]
         fn usage_lists_every_flag() {
             let usage = FigureCli::usage("fig");
             for (flag, _, _) in FLAGS {
                 assert!(usage.contains(flag), "usage must mention {flag}");
             }
-            assert_eq!(usage.matches(" [--").count(), 4, "{usage}");
+            assert_eq!(usage.matches(" [--").count(), 3, "{usage}");
         }
     }
 }

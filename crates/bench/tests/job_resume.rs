@@ -15,17 +15,19 @@
 
 use noc_bench::artifact::Node;
 use noc_bench::check::same_as;
-use noc_bench::jobs::{job_source, job_source_counted};
+use noc_bench::jobs::job_source;
 use noc_bench::{power_comparison, summary, STRATEGY_MATRIX_NAMES};
 use noc_flow::json::{Artifact, JsonValue, ObjectWriter, RawJson, ToJson};
 use noc_flow::{
     CycleBreaking, DeadlockStrategy, EscapeChannel, FlowSweep, RecoveryReconfig, ResourceOrdering,
 };
-use noc_jobs::{run_in_memory, ArtifactCache, JobRequest, JobRunner, JobSource, JobStore};
+use noc_jobs::{
+    run_in_memory, ArtifactCache, AssembleContext, JobError, JobRequest, JobRunner, JobSource,
+    JobStore,
+};
 use noc_topology::benchmarks::Benchmark;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// The narrowed matrix grid: D26_media at 6 and 8 switches — 2 points × 4
 /// strategies = 8 tasks.
@@ -40,6 +42,49 @@ fn spec_with(figure: &str, params: &str) -> JobRequest {
     let mut spec = JobRequest::new(figure);
     spec.params = JsonValue::parse(params).expect("valid params");
     spec
+}
+
+/// `spec`'s job source, counting its `run_task` calls so the tests can
+/// assert exactly which tasks were recomputed.
+struct Counted {
+    inner: Box<dyn JobSource>,
+    calls: AtomicUsize,
+}
+
+impl Counted {
+    fn new(spec: &JobRequest) -> Counted {
+        Counted {
+            inner: job_source(spec).unwrap(),
+            calls: AtomicUsize::new(0),
+        }
+    }
+
+    fn calls(&self) -> usize {
+        self.calls.load(Ordering::Relaxed)
+    }
+}
+
+impl JobSource for Counted {
+    fn figure(&self) -> &str {
+        self.inner.figure()
+    }
+
+    fn task_count(&self) -> usize {
+        self.inner.task_count()
+    }
+
+    fn task_label(&self, index: usize) -> String {
+        self.inner.task_label(index)
+    }
+
+    fn run_task(&self, index: usize) -> Result<String, JobError> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.run_task(index)
+    }
+
+    fn assemble(&self, ctx: &AssembleContext<'_>) -> Result<String, JobError> {
+        self.inner.assemble(ctx)
+    }
 }
 
 /// What a run of `spec` killed after its first `done` tasks leaves
@@ -102,13 +147,12 @@ fn matrix_job_is_byte_identical_to_direct_sweep_across_kill_points() {
 
     // Uninterrupted job run: byte-identical to the direct path.
     let dir = temp_dir("matrix-full");
-    let calls = Arc::new(AtomicUsize::new(0));
-    let source = job_source_counted(&spec(), Some(Arc::clone(&calls))).unwrap();
+    let source = Counted::new(&spec());
     let report = JobRunner::new(JobStore::open(&dir, spec()).unwrap())
-        .run(source.as_ref())
+        .run(&source)
         .unwrap();
     assert_eq!(report.stats.total, TASKS);
-    assert_eq!(calls.load(Ordering::Relaxed), TASKS);
+    assert_eq!(source.calls(), TASKS);
     assert_eq!(
         report.artifact.unwrap().text,
         reference,
@@ -120,18 +164,17 @@ fn matrix_job_is_byte_identical_to_direct_sweep_across_kill_points() {
     // only the missing tasks recomputed.
     let dir = temp_dir("matrix-kill");
     let kill_after = 3;
-    let calls = Arc::new(AtomicUsize::new(0));
-    let source = job_source_counted(&spec(), Some(Arc::clone(&calls))).unwrap();
-    killed_after(&spec(), &dir, source.as_ref(), kill_after);
-    assert_eq!(calls.load(Ordering::Relaxed), kill_after);
+    let source = Counted::new(&spec());
+    killed_after(&spec(), &dir, &source, kill_after);
+    assert_eq!(source.calls(), kill_after);
 
     let resumed = JobRunner::new(JobStore::open(&dir, spec()).unwrap())
-        .run(source.as_ref())
+        .run(&source)
         .unwrap();
     assert_eq!(resumed.stats.resumed, kill_after);
     assert_eq!(resumed.stats.computed, TASKS - kill_after);
     assert_eq!(
-        calls.load(Ordering::Relaxed),
+        source.calls(),
         TASKS,
         "resume recomputes only the tasks the kill lost"
     );
@@ -149,7 +192,7 @@ fn resubmitted_matrix_job_recomputes_nothing_with_the_cache() {
     let cache = ArtifactCache::new(&cache_dir);
 
     let first_dir = temp_dir("matrix-first");
-    let source = job_source_counted(&spec(), None).unwrap();
+    let source = job_source(&spec()).unwrap();
     let first = JobRunner::new(JobStore::open(&first_dir, spec()).unwrap())
         .with_cache(&cache)
         .run(source.as_ref())
@@ -160,16 +203,15 @@ fn resubmitted_matrix_job_recomputes_nothing_with_the_cache() {
     // Identical spec, fresh store: every task comes from the cache and the
     // sweep code never runs.
     let second_dir = temp_dir("matrix-second");
-    let calls = Arc::new(AtomicUsize::new(0));
-    let source = job_source_counted(&spec(), Some(Arc::clone(&calls))).unwrap();
+    let source = Counted::new(&spec());
     let second = JobRunner::new(JobStore::open(&second_dir, spec()).unwrap())
         .with_cache(&cache)
-        .run(source.as_ref())
+        .run(&source)
         .unwrap();
     assert_eq!(second.stats.cache_hits, TASKS, "100% cache hits");
     assert_eq!(second.stats.computed, 0);
     assert_eq!(
-        calls.load(Ordering::Relaxed),
+        source.calls(),
         0,
         "a re-submitted identical job performs zero recomputation"
     );
@@ -185,17 +227,16 @@ fn resubmitted_matrix_job_recomputes_nothing_with_the_cache() {
 /// missing tasks were recomputed.
 fn killed_and_resumed(spec: &JobRequest, tag: &str, kill_after: usize) -> String {
     let dir = temp_dir(tag);
-    let calls = Arc::new(AtomicUsize::new(0));
-    let source = job_source_counted(spec, Some(Arc::clone(&calls))).unwrap();
+    let source = Counted::new(spec);
     let total = source.task_count();
-    killed_after(spec, &dir, source.as_ref(), kill_after);
+    killed_after(spec, &dir, &source, kill_after);
     let resumed = JobRunner::new(JobStore::open(&dir, spec.clone()).unwrap())
-        .run(source.as_ref())
+        .run(&source)
         .unwrap();
     assert_eq!(resumed.stats.resumed, kill_after, "{tag}");
     assert_eq!(resumed.stats.computed, total - kill_after, "{tag}");
     assert_eq!(
-        calls.load(Ordering::Relaxed),
+        source.calls(),
         total,
         "{tag}: resume recomputes only the tasks the kill lost"
     );

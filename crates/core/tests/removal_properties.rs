@@ -6,7 +6,7 @@
 //! stream of inputs from `noc-rng` — same properties, deterministic cases.
 
 use noc_deadlock::removal::{remove_deadlocks, RemovalConfig};
-use noc_deadlock::resource_ordering::resource_ordering_overhead;
+use noc_deadlock::resource_ordering::apply_resource_ordering;
 use noc_deadlock::verify;
 use noc_rng::SmallRng;
 use noc_routing::validate::validate_routes;
@@ -27,6 +27,14 @@ fn every_channel_exists(topology: &Topology, routes: &RouteSet) -> bool {
     })
 }
 
+/// The VCs resource ordering adds when applied to a copy of the design.
+fn ordering_baseline(topology: &Topology, routes: &RouteSet) -> usize {
+    let (mut topology, mut routes) = (topology.clone(), routes.clone());
+    apply_resource_ordering(&mut topology, &mut routes)
+        .unwrap()
+        .added_vcs
+}
+
 /// Every benchmark, at several switch counts: the removal algorithm must
 /// leave a deadlock-free design with valid routes and must never cost more
 /// VCs than the resource-ordering baseline.
@@ -37,7 +45,7 @@ fn removal_beats_or_matches_resource_ordering_on_all_benchmarks() {
         for switches in [5, 9, 14] {
             let design = synthesize(&comm, &SynthesisConfig::with_switches(switches)).unwrap();
 
-            let baseline = resource_ordering_overhead(&design.topology, &design.routes);
+            let baseline = ordering_baseline(&design.topology, &design.routes);
 
             let mut topo = design.topology.clone();
             let mut routes = design.routes.clone();
@@ -73,7 +81,7 @@ fn ring_backbone_designs_are_fixed() {
             let report =
                 remove_deadlocks(&mut topo, &mut routes, &RemovalConfig::default()).unwrap();
             verify::check_deadlock_free(&topo, &routes).unwrap();
-            let baseline = resource_ordering_overhead(&design.topology, &design.routes);
+            let baseline = ordering_baseline(&design.topology, &design.routes);
             assert!(report.added_vcs <= baseline);
         }
     }
@@ -133,7 +141,7 @@ fn random_ring_designs_are_always_fixed() {
     let mut rng = SmallRng::seed_from_u64(0x5EED_0001);
     for case in 0..48 {
         let (topo, routes) = draw_design(&mut rng);
-        let baseline = resource_ordering_overhead(&topo, &routes);
+        let baseline = ordering_baseline(&topo, &routes);
 
         let mut fixed_topo = topo.clone();
         let mut fixed_routes = routes.clone();

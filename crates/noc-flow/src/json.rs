@@ -4,9 +4,9 @@
 //! serde this module provides the small slice of JSON the suite needs:
 //!
 //! * [`ToJson`] — a writer trait implemented for the sweep result types
-//!   ([`SweepPoint`], [`StrategyOutcome`],
-//!   [`RemovalReport`]) and the primitives they are built from, with an
-//!   escaping-correct string encoder,
+//!   ([`SweepPoint`], [`StrategyOutcome`] and the stat blocks the figures
+//!   carry), the [`Artifact`] envelope and the primitives they are built
+//!   from, with an escaping-correct string encoder,
 //! * [`JsonValue`] — a tiny parsed representation with a strict parser,
 //!   used by the figure binaries' `--json` artifact checker and the
 //!   round-trip tests.
@@ -16,11 +16,7 @@
 //! notation), non-finite floats as `null`.
 
 use crate::sweep::{CertifyOutcome, FaultRunStats, StrategyOutcome, StrategySimStats, SweepPoint};
-use noc_deadlock::cost::Direction;
-use noc_deadlock::escape::EscapeChannelResult;
-use noc_deadlock::recovery::{RecoveryResult, RecoveryStep};
-use noc_deadlock::report::{BreakStep, CdgMaintenanceStats, RemovalReport, StrategyKind};
-use noc_sim::{DrainStats, LatencyBucket, SimStats};
+use noc_deadlock::report::StrategyKind;
 use noc_topology::benchmarks::Benchmark;
 use std::fmt;
 use std::io::Write as _;
@@ -191,130 +187,9 @@ impl ToJson for Benchmark {
     }
 }
 
-impl ToJson for Direction {
-    fn write_json(&self, out: &mut String) {
-        write_escaped(out, &self.to_string());
-    }
-}
-
-impl ToJson for BreakStep {
-    fn write_json(&self, out: &mut String) {
-        ObjectWriter::new(out)
-            .field("cycle_len", &self.cycle_len)
-            .field("direction", &self.direction)
-            .field("vcs_added", &self.vcs_added)
-            .field("flows_rerouted", &self.flows_rerouted)
-            .finish();
-    }
-}
-
-impl ToJson for RemovalReport {
-    fn write_json(&self, out: &mut String) {
-        ObjectWriter::new(out)
-            .field("added_vcs", &self.added_vcs)
-            .field("cycles_broken", &self.cycles_broken)
-            .field("already_deadlock_free", &self.already_deadlock_free)
-            .field("steps", &self.steps)
-            .field("cdg", &self.cdg)
-            .finish();
-    }
-}
-
-impl ToJson for CdgMaintenanceStats {
-    fn write_json(&self, out: &mut String) {
-        ObjectWriter::new(out)
-            .field("incremental", &self.incremental())
-            .field("full_builds", &self.full_builds)
-            .field("deps_removed", &self.deps_removed())
-            .field("deps_added", &self.deps_added())
-            .field("channels_added", &self.channels_added())
-            .finish();
-    }
-}
-
 impl ToJson for StrategyKind {
     fn write_json(&self, out: &mut String) {
         write_escaped(out, self.name());
-    }
-}
-
-impl ToJson for EscapeChannelResult {
-    fn write_json(&self, out: &mut String) {
-        ObjectWriter::new(out)
-            .field("added_vcs", &self.added_vcs)
-            .field("layers", &self.layers)
-            .field("escaped_flows", &self.escaped_flows)
-            .field("escape_hops", &self.escape_hops)
-            .field("root", &self.root.index())
-            .finish();
-    }
-}
-
-impl ToJson for RecoveryStep {
-    fn write_json(&self, out: &mut String) {
-        ObjectWriter::new(out)
-            .field("sccs", &self.sccs)
-            .field("scc_channels", &self.scc_channels)
-            .field("flows_drained", &self.flows_drained)
-            .field("hops_before", &self.hops_before)
-            .field("hops_after", &self.hops_after)
-            .finish();
-    }
-}
-
-impl ToJson for RecoveryResult {
-    fn write_json(&self, out: &mut String) {
-        ObjectWriter::new(out)
-            .field("reconfigurations", &self.reconfigurations)
-            .field("flows_reconfigured", &self.flows_reconfigured)
-            .field("extra_hops", &self.extra_hops())
-            .field("already_deadlock_free", &self.already_deadlock_free)
-            .field("root", &self.root.index())
-            .field("steps", &self.steps)
-            .finish();
-    }
-}
-
-impl ToJson for LatencyBucket {
-    fn write_json(&self, out: &mut String) {
-        ObjectWriter::new(out)
-            .field("lower", &self.lower)
-            .field("upper", &self.upper)
-            .field("count", &self.count)
-            .finish();
-    }
-}
-
-impl ToJson for SimStats {
-    fn write_json(&self, out: &mut String) {
-        let percentiles = self.latency_percentiles(&[50.0, 95.0, 99.0]);
-        ObjectWriter::new(out)
-            .field("injected_packets", &self.injected_packets)
-            .field("delivered_packets", &self.delivered_packets)
-            .field("delivered_flits", &self.delivered_flits)
-            .field("cycles", &self.cycles)
-            .field("mean_latency", &self.mean_latency())
-            .field("p50_latency", &percentiles[0])
-            .field("p95_latency", &percentiles[1])
-            .field("p99_latency", &percentiles[2])
-            .field("max_latency", &self.max_latency_cycles)
-            .field(
-                "throughput_flits_per_cycle",
-                &self.throughput_flits_per_cycle(),
-            )
-            .field("delivery_ratio", &self.delivery_ratio())
-            .field("latency_histogram", &self.latency_histogram())
-            .finish();
-    }
-}
-
-impl ToJson for DrainStats {
-    fn write_json(&self, out: &mut String) {
-        ObjectWriter::new(out)
-            .field("events", &self.events)
-            .field("packets_drained", &self.packets_drained)
-            .field("flows_reconfigured", &self.flows_reconfigured)
-            .finish();
     }
 }
 
@@ -997,7 +872,19 @@ static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// and is renamed over `path` — so a crash at any point leaves either the
 /// old file or the new one, never a torn mix.  Shared by the artifact
 /// writer and the job store's commit path.
+///
+/// # Errors
+///
+/// Refuses with [`InvalidInput`](std::io::ErrorKind::InvalidInput) when
+/// `path` exists and is not a regular file: renaming over a device node
+/// such as `/dev/null`, a socket or a directory would replace it.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    if std::fs::metadata(path).is_ok_and(|m| !m.is_file()) {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("{} exists and is not a regular file", path.display()),
+        ));
+    }
     let dir = match path.parent() {
         Some(parent) if !parent.as_os_str().is_empty() => parent,
         _ => Path::new("."),
@@ -1258,75 +1145,8 @@ mod tests {
     }
 
     #[test]
-    fn strategy_stat_blocks_serialize() {
-        use noc_topology::SwitchId;
+    fn strategy_kinds_serialize_as_their_names() {
         assert_eq!(StrategyKind::EscapeChannel.to_json(), "\"escape-channel\"");
-
-        let escape = EscapeChannelResult {
-            added_vcs: 3,
-            layers: 2,
-            escaped_flows: 4,
-            escape_hops: 7,
-            root: SwitchId::from_index(0),
-        };
-        let value = JsonValue::parse(&escape.to_json()).unwrap();
-        assert_eq!(value.get("added_vcs").unwrap().as_number(), Some(3.0));
-        assert_eq!(value.get("layers").unwrap().as_number(), Some(2.0));
-        assert_eq!(value.get("root").unwrap().as_number(), Some(0.0));
-
-        let recovery = RecoveryResult {
-            reconfigurations: 1,
-            flows_reconfigured: 5,
-            steps: vec![RecoveryStep {
-                sccs: 2,
-                scc_channels: 9,
-                flows_drained: 5,
-                hops_before: 10,
-                hops_after: 14,
-            }],
-            already_deadlock_free: false,
-            root: SwitchId::from_index(1),
-        };
-        let value = JsonValue::parse(&recovery.to_json()).unwrap();
-        assert_eq!(value.get("extra_hops").unwrap().as_number(), Some(4.0));
-        let steps = value.get("steps").unwrap().as_array().unwrap();
-        assert_eq!(steps[0].get("sccs").unwrap().as_number(), Some(2.0));
-        assert_eq!(
-            value.get("already_deadlock_free"),
-            Some(&JsonValue::Bool(false))
-        );
-    }
-
-    #[test]
-    fn removal_report_serializes_with_steps() {
-        let report = RemovalReport {
-            added_vcs: 2,
-            cycles_broken: 1,
-            steps: vec![BreakStep {
-                cycle_len: 4,
-                direction: Direction::Forward,
-                vcs_added: 2,
-                flows_rerouted: 3,
-            }],
-            already_deadlock_free: false,
-            cdg: CdgMaintenanceStats {
-                full_builds: 1,
-                step_deltas: vec![noc_deadlock::report::CdgDeltaStats {
-                    deps_removed: 2,
-                    deps_added: 1,
-                    channels_added: 2,
-                    dirty_nodes: 4,
-                }],
-            },
-        };
-        let json = report.to_json();
-        let value = JsonValue::parse(&json).expect("valid JSON");
-        assert_eq!(value.get("added_vcs").unwrap().as_number(), Some(2.0));
-        let steps = value.get("steps").unwrap().as_array().unwrap();
-        assert_eq!(steps[0].get("direction").unwrap().as_str(), Some("forward"));
-        let cdg = value.get("cdg").unwrap();
-        assert_eq!(cdg.get("incremental"), Some(&JsonValue::Bool(true)));
-        assert_eq!(cdg.get("deps_removed").unwrap().as_number(), Some(2.0));
     }
 
     #[test]
@@ -1387,6 +1207,27 @@ mod tests {
             .collect();
         assert_eq!(leftovers.len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn write_atomic_refuses_a_target_that_is_not_a_regular_file() {
+        use std::os::unix::fs::FileTypeExt;
+        let dir = std::env::temp_dir().join(format!(
+            "noc-json-socket-{}-{}",
+            std::process::id(),
+            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("artifact.sock");
+        let _listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+        let result = write_atomic(&path, b"bytes");
+        let kind = std::fs::symlink_metadata(&path).unwrap().file_type();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let error = result.expect_err("a socket is not replaced");
+        assert_eq!(error.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(error.to_string().contains("artifact.sock"), "{error}");
+        assert!(kind.is_socket(), "the socket must survive");
     }
 
     #[test]

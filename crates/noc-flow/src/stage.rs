@@ -21,7 +21,7 @@ use crate::strategy::{DeadlockResolution, DeadlockStrategy};
 use noc_deadlock::certify::{certify_deadlock_free, CertifyReport};
 use noc_deadlock::vcmap::VcMap;
 use noc_deadlock::verify::{check_deadlock_free, DeadlockCycle};
-use noc_power::{NetworkEstimate, NetworkPowerModel, TechParams};
+use noc_power::NetworkEstimate;
 use noc_routing::shortest::route_all_shortest;
 use noc_routing::validate::validate_routes;
 use noc_routing::RouteSet;
@@ -41,7 +41,6 @@ use noc_topology::{CommGraph, CoreMap, Topology};
 ///
 /// ```
 /// use noc_flow::{CycleBreaking, RoutedStage};
-/// use noc_power::TechParams;
 /// use noc_sim::{AssignedVc, TrafficConfig, VcSimConfig};
 /// use noc_synth::SynthesisConfig;
 /// use noc_topology::benchmarks::Benchmark;
@@ -52,7 +51,7 @@ use noc_topology::{CommGraph, CoreMap, Topology};
 /// let traffic = TrafficConfig::default();
 /// let outcome = fixed.simulate_vc(&AssignedVc, &VcSimConfig::default(), &traffic);
 /// assert!(!outcome.deadlocked);
-/// let estimate = fixed.power(TechParams::default());
+/// let estimate = fixed.power();
 /// assert!(estimate.total_power_mw > 0.0);
 /// # Ok::<(), noc_flow::FlowError>(())
 /// ```
@@ -139,12 +138,6 @@ impl RoutedStage {
         certify_deadlock_free(&self.topology, &self.routes)
     }
 
-    /// VC overhead resource ordering *would* cost on this design, without
-    /// modifying anything (the dry-run baseline of Figures 8 and 9).
-    pub fn resource_ordering_overhead(&self) -> usize {
-        noc_deadlock::resource_ordering::resource_ordering_overhead(&self.topology, &self.routes)
-    }
-
     /// Number of flows that actually enter the switch network.
     pub fn active_flow_count(&self) -> usize {
         self.routes.active_flow_count()
@@ -206,9 +199,9 @@ impl RoutedStage {
 
     /// Area/power estimate of the design as routed (the "original" bars of
     /// Figure 10).
-    pub(crate) fn power(&self, params: TechParams) -> NetworkEstimate {
+    pub(crate) fn power(&self) -> NetworkEstimate {
         let _span = noc_telemetry::span("stage", "power");
-        NetworkPowerModel::new(params).estimate(&self.topology, &self.comm, &self.routes)
+        noc_power::estimate(&self.topology, &self.comm, &self.routes)
     }
 }
 
@@ -281,9 +274,9 @@ impl DeadlockFreeStage {
 
     /// Area/power estimate of the repaired design (the "removal" /
     /// "ordering" bars of Figure 10, depending on the strategy used).
-    pub fn power(&self, params: TechParams) -> NetworkEstimate {
+    pub fn power(&self) -> NetworkEstimate {
         let _span = noc_telemetry::span("stage", "power");
-        NetworkPowerModel::new(params).estimate(&self.topology, &self.comm, &self.routes)
+        noc_power::estimate(&self.topology, &self.comm, &self.routes)
     }
 }
 

@@ -19,7 +19,6 @@ use crate::stage::RoutedStage;
 use crate::strategy::DeadlockStrategy;
 use noc_deadlock::certify::CertifyReport;
 use noc_deadlock::report::StrategyKind;
-use noc_power::TechParams;
 use noc_sim::VcSimOutcome;
 use noc_synth::SynthesisConfig;
 use noc_topology::benchmarks::Benchmark;
@@ -272,8 +271,7 @@ impl Default for FlowSweep {
 }
 
 impl FlowSweep {
-    /// An empty sweep: default synthesis configuration and technology
-    /// parameters, power estimates on.
+    /// An empty sweep: default synthesis configuration, power estimates on.
     pub fn new() -> Self {
         FlowSweep {
             benchmarks: Vec::new(),
@@ -432,9 +430,7 @@ impl FlowSweep {
             benchmark.comm_graph(),
             &SynthesisConfig::with_switches(switch_count),
         )?;
-        let original = self
-            .estimate_power
-            .then(|| routed.power(TechParams::default()));
+        let original = self.estimate_power.then(|| routed.power());
         Ok(PreparedPoint {
             benchmark,
             switch_count,
@@ -453,9 +449,7 @@ impl FlowSweep {
         strategy: &dyn DeadlockStrategy,
     ) -> Result<StrategyOutcome, FlowError> {
         let fixed = point.routed.resolve_deadlocks(strategy)?;
-        let estimate = self
-            .estimate_power
-            .then(|| fixed.power(TechParams::default()));
+        let estimate = self.estimate_power.then(|| fixed.power());
         let resolution = fixed.resolution();
         Ok(StrategyOutcome {
             strategy: resolution.strategy.clone(),

@@ -1,6 +1,6 @@
 //! Whole-network area and power estimation.
 
-use crate::params::TechParams;
+use crate::params::{FLIT_WIDTH_BITS, FREQUENCY_MHZ, LINK_ENERGY_PJ_PER_BIT};
 use crate::switch::{estimate_switch, SwitchEstimate, SwitchGeometry};
 use noc_routing::RouteSet;
 use noc_topology::{CommGraph, Topology};
@@ -18,94 +18,70 @@ pub struct NetworkEstimate {
     pub total_area_um2: f64,
 }
 
-/// ORION-style network-level power and area model.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct NetworkPowerModel {
-    params: TechParams,
-}
+/// Estimates area and power of `topology` carrying `routes` for the flow
+/// bandwidths of `comm`, with the ORION-style switch model at the
+/// [`params`](crate::params) operating point.
+///
+/// Traffic load: a flow of bandwidth `B` MB/s at `flit_width` bits per
+/// flit and frequency `f` MHz injects `B·8 / (flit_width · f)` flits per
+/// cycle; that load is charged to every switch its route traverses (the
+/// switch driven by each channel's link) and to every link it crosses.
+pub fn estimate(topology: &Topology, comm: &CommGraph, routes: &RouteSet) -> NetworkEstimate {
+    let flits_per_cycle =
+        |bandwidth_mb_s: f64| (bandwidth_mb_s * 8.0) / (FLIT_WIDTH_BITS as f64 * FREQUENCY_MHZ);
 
-impl NetworkPowerModel {
-    /// Creates a model with the given technology parameters.
-    pub fn new(params: TechParams) -> Self {
-        NetworkPowerModel { params }
-    }
-
-    /// The technology parameters of this model.
-    pub fn params(&self) -> &TechParams {
-        &self.params
-    }
-
-    /// Estimates area and power of `topology` carrying `routes` for the flow
-    /// bandwidths of `comm`.
-    ///
-    /// Traffic load: a flow of bandwidth `B` MB/s at `flit_width` bits per
-    /// flit and frequency `f` MHz injects `B·8 / (flit_width · f)` flits per
-    /// cycle; that load is charged to every switch its route traverses (the
-    /// switch driven by each channel's link) and to every link it crosses.
-    pub fn estimate(
-        &self,
-        topology: &Topology,
-        comm: &CommGraph,
-        routes: &RouteSet,
-    ) -> NetworkEstimate {
-        let p = &self.params;
-        let flits_per_cycle = |bandwidth_mb_s: f64| {
-            (bandwidth_mb_s * 8.0) / (p.flit_width_bits as f64 * p.frequency_mhz)
+    // Aggregate per-switch load (flits/cycle) and total link traversals.
+    let mut switch_load = vec![0.0f64; topology.switch_count()];
+    let mut link_flits_per_cycle = 0.0f64;
+    for (flow_id, flow) in comm.flows() {
+        let Some(route) = routes.route(flow_id) else {
+            continue;
         };
-
-        // Aggregate per-switch load (flits/cycle) and total link traversals.
-        let mut switch_load = vec![0.0f64; topology.switch_count()];
-        let mut link_flits_per_cycle = 0.0f64;
-        for (flow_id, flow) in comm.flows() {
-            let Some(route) = routes.route(flow_id) else {
-                continue;
-            };
-            let load = flits_per_cycle(flow.bandwidth);
-            for link_id in route.links() {
-                if let Some(link) = topology.link(link_id) {
-                    // The switch that drives this link pays buffering,
-                    // arbitration and crossbar energy for the flow.
-                    switch_load[link.source.index()] += load;
-                    link_flits_per_cycle += load;
-                }
-            }
-            // The final switch ejects the flow to its local port.
-            if let Some(last) = route.channels().last() {
-                if let Some(link) = topology.link(last.link) {
-                    switch_load[link.target.index()] += load;
-                }
+        let load = flits_per_cycle(flow.bandwidth);
+        for link_id in route.links() {
+            if let Some(link) = topology.link(link_id) {
+                // The switch that drives this link pays buffering,
+                // arbitration and crossbar energy for the flow.
+                switch_load[link.source.index()] += load;
+                link_flits_per_cycle += load;
             }
         }
-
-        let mut switches = Vec::with_capacity(topology.switch_count());
-        let mut total_area = 0.0;
-        let mut total_power = 0.0;
-        for (switch_id, _) in topology.switches() {
-            let geometry = SwitchGeometry {
-                in_links: topology.links_to(switch_id).count(),
-                out_links: topology.links_from(switch_id).count(),
-                input_buffers: topology.switch_input_buffers(switch_id),
-            };
-            let estimate = estimate_switch(geometry, switch_load[switch_id.index()], p);
-            total_area += estimate.total_area_um2();
-            total_power += estimate.total_power_mw();
-            switches.push(estimate);
+        // The final switch ejects the flow to its local port.
+        if let Some(last) = route.channels().last() {
+            if let Some(link) = topology.link(last.link) {
+                switch_load[link.target.index()] += load;
+            }
         }
+    }
 
-        let link_power_mw = link_flits_per_cycle
-            * p.frequency_mhz
-            * 1.0e6
-            * p.flit_width_bits as f64
-            * p.link_energy_pj_per_bit
-            * 1.0e-9;
-        total_power += link_power_mw;
+    let mut switches = Vec::with_capacity(topology.switch_count());
+    let mut total_area = 0.0;
+    let mut total_power = 0.0;
+    for (switch_id, _) in topology.switches() {
+        let geometry = SwitchGeometry {
+            in_links: topology.links_to(switch_id).count(),
+            out_links: topology.links_from(switch_id).count(),
+            input_buffers: topology.switch_input_buffers(switch_id),
+        };
+        let estimate = estimate_switch(geometry, switch_load[switch_id.index()]);
+        total_area += estimate.total_area_um2();
+        total_power += estimate.total_power_mw();
+        switches.push(estimate);
+    }
 
-        NetworkEstimate {
-            switches,
-            link_power_mw,
-            total_power_mw: total_power,
-            total_area_um2: total_area,
-        }
+    let link_power_mw = link_flits_per_cycle
+        * FREQUENCY_MHZ
+        * 1.0e6
+        * FLIT_WIDTH_BITS as f64
+        * LINK_ENERGY_PJ_PER_BIT
+        * 1.0e-9;
+    total_power += link_power_mw;
+
+    NetworkEstimate {
+        switches,
+        link_power_mw,
+        total_power_mw: total_power,
+        total_area_um2: total_area,
     }
 }
 
@@ -137,8 +113,7 @@ mod tests {
     #[test]
     fn estimate_is_positive_and_consistent() {
         let (topo, comm, routes) = ring_design(0);
-        let model = NetworkPowerModel::new(TechParams::default());
-        let e = model.estimate(&topo, &comm, &routes);
+        let e = estimate(&topo, &comm, &routes);
         assert_eq!(e.switches.len(), 4);
         assert!(e.total_power_mw > 0.0);
         assert!(e.total_area_um2 > 0.0);
@@ -150,20 +125,18 @@ mod tests {
 
     #[test]
     fn extra_vcs_increase_area_and_power() {
-        let model = NetworkPowerModel::new(TechParams::default());
         let (t0, c0, r0) = ring_design(0);
         let (t4, c4, r4) = ring_design(4);
-        let base = model.estimate(&t0, &c0, &r0);
-        let padded = model.estimate(&t4, &c4, &r4);
+        let base = estimate(&t0, &c0, &r0);
+        let padded = estimate(&t4, &c4, &r4);
         assert!(padded.total_area_um2 > base.total_area_um2);
         assert!(padded.total_power_mw > base.total_power_mw);
     }
 
     #[test]
     fn more_traffic_means_more_dynamic_power() {
-        let model = NetworkPowerModel::new(TechParams::default());
         let (topo, mut comm, routes) = ring_design(0);
-        let low = model.estimate(&topo, &comm, &routes);
+        let low = estimate(&topo, &comm, &routes);
         // Double the traffic by adding the same flows again.
         let cores: Vec<_> = comm.cores().map(|(id, _)| id).collect();
         for i in 0..4 {
@@ -176,7 +149,7 @@ mod tests {
             map.assign(c, generated.switches[i]).unwrap();
         }
         let routes2 = route_all_shortest(&topo, &comm, &map).unwrap();
-        let high = model.estimate(&topo, &comm, &routes2);
+        let high = estimate(&topo, &comm, &routes2);
         assert!(high.total_power_mw > low.total_power_mw);
         // Area unchanged: traffic does not change the hardware.
         assert!((high.total_area_um2 - low.total_area_um2).abs() < 1e-9);
@@ -186,8 +159,7 @@ mod tests {
     fn flows_without_routes_are_ignored() {
         let (topo, comm, _) = ring_design(0);
         let empty = RouteSet::new(comm.flow_count());
-        let model = NetworkPowerModel::new(TechParams::default());
-        let e = model.estimate(&topo, &comm, &empty);
+        let e = estimate(&topo, &comm, &empty);
         assert_eq!(e.link_power_mw, 0.0);
         assert!(e.total_power_mw > 0.0, "leakage remains");
         assert!(e.switches.iter().all(|s| s.dynamic_power_mw == 0.0));

@@ -4,17 +4,17 @@
 //! ORION itself is a C++ tool that is not vendored here, so this crate
 //! provides an analytical substitute with the same structure: per-component
 //! (input buffers, crossbar, arbiter, output links) area and energy terms,
-//! parameterised by port count, VC count, buffer depth, flit width,
-//! frequency and traffic load.  Absolute numbers are calibrated to a
-//! 65 nm-like operating point; the paper's Figure 10 only uses *normalised*
-//! power, for which the dominant effect — extra VCs mean extra input
-//! buffers, which mean extra area, leakage and buffering energy — is
-//! captured faithfully.
+//! driven by port count, VC count and traffic load at one fixed
+//! technology point (the constants in [`params`]: buffer depth, flit
+//! width, frequency, per-bit areas and energies).  Absolute numbers are
+//! calibrated to a 65 nm-like operating point; the paper's Figure 10 only
+//! uses *normalised* power, for which the dominant effect — extra VCs mean
+//! extra input buffers, which mean extra area, leakage and buffering
+//! energy — is captured faithfully.
 //!
 //! # Example
 //!
 //! ```
-//! use noc_power::{NetworkPowerModel, TechParams};
 //! use noc_topology::{Topology, CommGraph, CoreMap};
 //! use noc_routing::shortest::route_all_shortest;
 //!
@@ -31,8 +31,7 @@
 //! map.assign(c1, b)?;
 //! let routes = route_all_shortest(&topo, &comm, &map)?;
 //!
-//! let model = NetworkPowerModel::new(TechParams::default());
-//! let estimate = model.estimate(&topo, &comm, &routes);
+//! let estimate = noc_power::estimate(&topo, &comm, &routes);
 //! assert!(estimate.total_power_mw > 0.0);
 //! assert!(estimate.total_area_um2 > 0.0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -45,6 +44,5 @@ pub mod estimate;
 pub mod params;
 pub mod switch;
 
-pub use estimate::{NetworkEstimate, NetworkPowerModel};
-pub use params::TechParams;
+pub use estimate::{estimate, NetworkEstimate};
 pub use switch::{SwitchEstimate, SwitchGeometry};

@@ -1,86 +1,39 @@
-//! Technology and architecture parameters of the power/area model.
+//! Technology and micro-architecture constants of the power/area model.
+//!
+//! They describe a 65 nm-like switch running at 1 GHz with 32-bit flits
+//! and 4-flit-deep VC buffers, in the same ballpark as the ORION 2.0
+//! defaults the paper used.  Only relative comparisons matter for the
+//! reproduced figures.
 
-/// Technology and micro-architecture parameters.
+/// Flit width in bits.
+pub const FLIT_WIDTH_BITS: usize = 32;
+/// Depth of each VC input buffer in flits.
+pub const BUFFER_DEPTH_FLITS: usize = 4;
+/// Clock frequency in MHz.
+pub const FREQUENCY_MHZ: f64 = 1000.0;
+/// Area of one bit of buffer storage, in µm².
+pub const BUFFER_BIT_AREA_UM2: f64 = 1.5;
+/// Area of one crossbar crosspoint per bit, in µm².
+pub const CROSSBAR_BIT_AREA_UM2: f64 = 0.6;
+/// Area of the arbiter per request pair, in µm².
+pub const ARBITER_PAIR_AREA_UM2: f64 = 12.0;
+/// Energy of one buffer write + read, per bit, in pJ.
+pub const BUFFER_ACCESS_ENERGY_PJ_PER_BIT: f64 = 0.012;
+/// Energy of one crossbar traversal, per bit, in pJ.
+pub const CROSSBAR_ENERGY_PJ_PER_BIT: f64 = 0.006;
+/// Energy of one arbitration, in pJ.
+pub const ARBITRATION_ENERGY_PJ: f64 = 0.4;
+/// Energy of driving one bit over one inter-switch link, in pJ.
+pub const LINK_ENERGY_PJ_PER_BIT: f64 = 0.02;
+/// Leakage power per µm² of switch area, in mW.
 ///
-/// The default values describe a 65 nm-like switch running at 1 GHz with
-/// 32-bit flits and 4-flit-deep VC buffers, in the same ballpark as the
-/// ORION 2.0 defaults the paper used.  Only relative comparisons matter for
-/// the reproduced figures.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TechParams {
-    /// Flit width in bits.
-    pub flit_width_bits: usize,
-    /// Depth of each VC input buffer in flits.
-    pub buffer_depth_flits: usize,
-    /// Clock frequency in MHz.
-    pub frequency_mhz: f64,
-    /// Area of one bit of buffer storage, in µm².
-    pub buffer_bit_area_um2: f64,
-    /// Area of one crossbar crosspoint per bit, in µm².
-    pub crossbar_bit_area_um2: f64,
-    /// Area of the arbiter per request pair, in µm².
-    pub arbiter_pair_area_um2: f64,
-    /// Energy of one buffer write + read, per bit, in pJ.
-    pub buffer_access_energy_pj_per_bit: f64,
-    /// Energy of one crossbar traversal, per bit, in pJ.
-    pub crossbar_energy_pj_per_bit: f64,
-    /// Energy of one arbitration, in pJ.
-    pub arbitration_energy_pj: f64,
-    /// Energy of driving one bit over one inter-switch link, in pJ.
-    pub link_energy_pj_per_bit: f64,
-    /// Leakage power per µm² of switch area, in mW.
-    pub leakage_mw_per_um2: f64,
-}
+/// Calibrated so that static (leakage) power is a realistic fraction of
+/// total NoC power at 65 nm; this is what makes idle VC buffers — the
+/// resource-ordering overhead — visible in Figure 10, as they are under
+/// ORION 2.0.
+pub const LEAKAGE_MW_PER_UM2: f64 = 1.0e-4;
 
-impl Default for TechParams {
-    fn default() -> Self {
-        TechParams {
-            flit_width_bits: 32,
-            buffer_depth_flits: 4,
-            frequency_mhz: 1000.0,
-            buffer_bit_area_um2: 1.5,
-            crossbar_bit_area_um2: 0.6,
-            arbiter_pair_area_um2: 12.0,
-            buffer_access_energy_pj_per_bit: 0.012,
-            crossbar_energy_pj_per_bit: 0.006,
-            arbitration_energy_pj: 0.4,
-            link_energy_pj_per_bit: 0.02,
-            // Calibrated so that static (leakage) power is a realistic
-            // fraction of total NoC power at 65 nm; this is what makes idle
-            // VC buffers — the resource-ordering overhead — visible in
-            // Figure 10, as they are under ORION 2.0.
-            leakage_mw_per_um2: 1.0e-4,
-        }
-    }
-}
+/// Bits stored by one VC buffer.
+pub const BUFFER_BITS: usize = FLIT_WIDTH_BITS * BUFFER_DEPTH_FLITS;
 
-impl TechParams {
-    /// Bits stored by one VC buffer.
-    pub fn buffer_bits(&self) -> usize {
-        self.flit_width_bits * self.buffer_depth_flits
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn defaults_are_positive_and_consistent() {
-        let p = TechParams::default();
-        assert!(p.flit_width_bits > 0);
-        assert!(p.buffer_depth_flits > 0);
-        assert!(p.frequency_mhz > 0.0);
-        assert_eq!(p.buffer_bits(), 128);
-    }
-
-    #[test]
-    fn buffer_bits_scales_with_width_and_depth() {
-        let p = TechParams {
-            flit_width_bits: 64,
-            buffer_depth_flits: 8,
-            ..TechParams::default()
-        };
-        assert_eq!(p.buffer_bits(), 512);
-    }
-}
+const _: () = assert!(BUFFER_BITS == 128);

@@ -1,6 +1,10 @@
 //! Per-switch area and power estimation.
 
-use crate::params::TechParams;
+use crate::params::{
+    ARBITER_PAIR_AREA_UM2, ARBITRATION_ENERGY_PJ, BUFFER_ACCESS_ENERGY_PJ_PER_BIT, BUFFER_BITS,
+    BUFFER_BIT_AREA_UM2, CROSSBAR_BIT_AREA_UM2, CROSSBAR_ENERGY_PJ_PER_BIT, FLIT_WIDTH_BITS,
+    FREQUENCY_MHZ, LEAKAGE_MW_PER_UM2,
+};
 
 /// Geometry of one switch, derived from the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,28 +72,26 @@ impl SwitchEstimate {
 pub(crate) fn estimate_switch(
     geometry: SwitchGeometry,
     load_flits_per_cycle: f64,
-    params: &TechParams,
 ) -> SwitchEstimate {
-    let buffer_area_um2 =
-        geometry.buffers() as f64 * params.buffer_bits() as f64 * params.buffer_bit_area_um2;
+    let buffer_area_um2 = geometry.buffers() as f64 * BUFFER_BITS as f64 * BUFFER_BIT_AREA_UM2;
     let crossbar_area_um2 = geometry.in_ports() as f64
         * geometry.out_ports() as f64
-        * params.flit_width_bits as f64
-        * params.crossbar_bit_area_um2;
+        * FLIT_WIDTH_BITS as f64
+        * CROSSBAR_BIT_AREA_UM2;
     let arbiter_area_um2 =
-        geometry.in_ports() as f64 * geometry.out_ports() as f64 * params.arbiter_pair_area_um2;
+        geometry.in_ports() as f64 * geometry.out_ports() as f64 * ARBITER_PAIR_AREA_UM2;
 
     // Dynamic energy per flit: buffer write+read, crossbar traversal, one
     // arbitration.
-    let energy_per_flit_pj = params.flit_width_bits as f64
-        * (params.buffer_access_energy_pj_per_bit + params.crossbar_energy_pj_per_bit)
-        + params.arbitration_energy_pj;
+    let energy_per_flit_pj = FLIT_WIDTH_BITS as f64
+        * (BUFFER_ACCESS_ENERGY_PJ_PER_BIT + CROSSBAR_ENERGY_PJ_PER_BIT)
+        + ARBITRATION_ENERGY_PJ;
     // flits/cycle * cycles/s * pJ = pW; convert to mW.
     let dynamic_power_mw =
-        load_flits_per_cycle * params.frequency_mhz * 1.0e6 * energy_per_flit_pj * 1.0e-9;
+        load_flits_per_cycle * FREQUENCY_MHZ * 1.0e6 * energy_per_flit_pj * 1.0e-9;
 
     let total_area = buffer_area_um2 + crossbar_area_um2 + arbiter_area_um2;
-    let leakage_power_mw = total_area * params.leakage_mw_per_um2;
+    let leakage_power_mw = total_area * LEAKAGE_MW_PER_UM2;
 
     SwitchEstimate {
         buffer_area_um2,
@@ -122,9 +124,8 @@ mod tests {
 
     #[test]
     fn more_buffers_mean_more_area_and_leakage() {
-        let p = TechParams::default();
-        let small = estimate_switch(geometry(3), 0.5, &p);
-        let big = estimate_switch(geometry(6), 0.5, &p);
+        let small = estimate_switch(geometry(3), 0.5);
+        let big = estimate_switch(geometry(6), 0.5);
         assert!(big.buffer_area_um2 > small.buffer_area_um2);
         assert!(big.total_area_um2() > small.total_area_um2());
         assert!(big.leakage_power_mw > small.leakage_power_mw);
@@ -134,8 +135,7 @@ mod tests {
 
     #[test]
     fn idle_switch_has_only_leakage() {
-        let p = TechParams::default();
-        let e = estimate_switch(geometry(3), 0.0, &p);
+        let e = estimate_switch(geometry(3), 0.0);
         assert_eq!(e.dynamic_power_mw, 0.0);
         assert!(e.leakage_power_mw > 0.0);
         assert!(e.total_power_mw() > 0.0);
@@ -143,9 +143,8 @@ mod tests {
 
     #[test]
     fn dynamic_power_scales_linearly_with_load() {
-        let p = TechParams::default();
-        let half = estimate_switch(geometry(3), 0.5, &p);
-        let full = estimate_switch(geometry(3), 1.0, &p);
+        let half = estimate_switch(geometry(3), 0.5);
+        let full = estimate_switch(geometry(3), 1.0);
         assert!((full.dynamic_power_mw - 2.0 * half.dynamic_power_mw).abs() < 1e-9);
     }
 }

@@ -71,7 +71,7 @@ pub mod vc_engine;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, StormConfig};
 pub use packet::{Packet, PacketId};
 pub use policy::{AdaptiveEscape, AssignedVc, SingleVc, VcChoice, VcPolicy};
-pub use stats::{LatencyBucket, SimStats};
+pub use stats::SimStats;
 pub use traffic::TrafficConfig;
 pub use vc_engine::{
     DeadlockEvent, DetectionKind, DrainStats, VcSimConfig, VcSimOutcome, VcSimulator,

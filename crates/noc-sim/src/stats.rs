@@ -1,24 +1,11 @@
 //! Simulation statistics.
 
-/// One bucket of the per-flit latency histogram: every delivered packet
-/// whose latency `l` satisfies `lower <= l <= upper` is counted here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencyBucket {
-    /// Inclusive lower bound of the bucket, in cycles.
-    pub lower: u64,
-    /// Inclusive upper bound of the bucket, in cycles.
-    pub upper: u64,
-    /// Packets whose latency falls into the bucket.
-    pub count: usize,
-}
-
 /// Latency / throughput statistics of a simulation run.
 ///
 /// Per-packet network latencies are recorded individually
 /// ([`record_latency`](Self::record_latency)), so besides the mean the run
 /// reports order statistics ([`latency_percentile`](Self::latency_percentile)
-/// — p50/p95/p99 in the artifacts) and a log₂-bucketed histogram
-/// ([`latency_histogram`](Self::latency_histogram)).
+/// — p50/p95/p99 in the artifacts).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimStats {
     /// Packets handed to source queues.
@@ -34,7 +21,7 @@ pub struct SimStats {
     /// Number of cycles simulated.
     pub cycles: u64,
     /// Every delivered packet's latency, in delivery order (the raw samples
-    /// behind the percentiles and the histogram).
+    /// behind the percentiles).
     pub latency_samples: Vec<u64>,
 }
 
@@ -91,34 +78,6 @@ impl SimStats {
             .collect()
     }
 
-    /// Log₂-bucketed latency histogram: buckets `[0,0]`, `[1,1]`, `[2,3]`,
-    /// `[4,7]`, … up to the bucket containing the maximum observed latency.
-    /// Empty when nothing was delivered; buckets with zero counts between
-    /// populated ones are included so the shape plots directly.
-    pub fn latency_histogram(&self) -> Vec<LatencyBucket> {
-        if self.latency_samples.is_empty() {
-            return Vec::new();
-        }
-        let bucket_of = |latency: u64| {
-            // Bucket 0 = latency 0; bucket k>=1 covers [2^(k-1), 2^k - 1].
-            (u64::BITS - latency.leading_zeros()) as usize
-        };
-        let buckets = bucket_of(self.max_latency_cycles) + 1;
-        let mut counts = vec![0usize; buckets];
-        for &latency in &self.latency_samples {
-            counts[bucket_of(latency)] += 1;
-        }
-        counts
-            .into_iter()
-            .enumerate()
-            .map(|(k, count)| LatencyBucket {
-                lower: if k == 0 { 0 } else { 1u64 << (k - 1) },
-                upper: if k == 0 { 0 } else { (1u64 << k) - 1 },
-                count,
-            })
-            .collect()
-    }
-
     /// Delivered flits per simulated cycle.
     pub fn throughput_flits_per_cycle(&self) -> f64 {
         if self.cycles == 0 {
@@ -165,7 +124,6 @@ mod tests {
         assert_eq!(stats.throughput_flits_per_cycle(), 0.0);
         assert_eq!(stats.delivery_ratio(), 0.0);
         assert_eq!(stats.latency_percentile(50.0), 0);
-        assert!(stats.latency_histogram().is_empty());
     }
 
     #[test]
@@ -209,25 +167,5 @@ mod tests {
         for p in [10.0, 50.0, 90.0, 99.0] {
             assert_eq!(a.latency_percentile(p), b.latency_percentile(p));
         }
-    }
-
-    #[test]
-    fn histogram_buckets_are_log2_and_cover_all_samples() {
-        let mut stats = SimStats::default();
-        for l in [0u64, 1, 2, 3, 4, 9, 9] {
-            stats.record_latency(l);
-        }
-        let histogram = stats.latency_histogram();
-        // Buckets: [0,0], [1,1], [2,3], [4,7], [8,15].
-        assert_eq!(histogram.len(), 5);
-        assert_eq!((histogram[0].lower, histogram[0].upper), (0, 0));
-        assert_eq!((histogram[2].lower, histogram[2].upper), (2, 3));
-        assert_eq!((histogram[4].lower, histogram[4].upper), (8, 15));
-        let counts: Vec<usize> = histogram.iter().map(|b| b.count).collect();
-        assert_eq!(counts, vec![1, 1, 2, 1, 2]);
-        assert_eq!(
-            histogram.iter().map(|b| b.count).sum::<usize>(),
-            stats.latency_samples.len()
-        );
     }
 }

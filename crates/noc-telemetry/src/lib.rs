@@ -282,8 +282,8 @@ impl Drop for SpanGuard {
     }
 }
 
-/// One bucket of a log₂ histogram, mirroring `SimStats::latency_histogram`:
-/// bucket 0 covers exactly 0, bucket k ≥ 1 covers `[2^(k-1), 2^k - 1]`.
+/// One bucket of a log₂ histogram: bucket 0 covers exactly 0, bucket
+/// k ≥ 1 covers `[2^(k-1), 2^k - 1]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistBucket {
     /// Inclusive lower bound of the bucket.

@@ -6,7 +6,6 @@
 use noc_suite::flow::{
     CycleBreaking, DeadlockFreeStage, DeadlockStrategy, FlowSweep, ResourceOrdering, RoutedStage,
 };
-use noc_suite::power::TechParams;
 use noc_suite::sim::{AssignedVc, TrafficConfig, VcSimConfig};
 use noc_suite::synth::SynthesisConfig;
 use noc_suite::topology::benchmarks::Benchmark;
@@ -21,17 +20,15 @@ fn pipeline(benchmark: Benchmark, switches: usize) {
     )
     .unwrap();
 
-    let baseline = routed.resource_ordering_overhead();
-
-    // The paper's algorithm: deadlock-free and never worse than the baseline.
+    // The paper's algorithm: deadlock-free and never worse than the
+    // resource-ordering baseline.
     let fixed = routed.resolve_deadlocks(&CycleBreaking).unwrap();
-    assert!(fixed.resolution().added_vcs <= baseline);
+    let ordered = routed.resolve_deadlocks(&ResourceOrdering).unwrap();
+    assert!(fixed.resolution().added_vcs <= ordered.resolution().added_vcs);
 
     // The power model sees the extra buffers of the baseline.
-    let ordered = routed.resolve_deadlocks(&ResourceOrdering).unwrap();
-    let params = TechParams::default();
-    let removal_power = fixed.power(params.clone()).total_power_mw;
-    let ordering_power = ordered.power(params).total_power_mw;
+    let removal_power = fixed.power().total_power_mw;
+    let ordering_power = ordered.power().total_power_mw;
     assert!(ordering_power >= removal_power);
 }
 
@@ -133,10 +130,10 @@ fn umbrella_reexports_are_usable() {
     let g: noc_suite::graph::DiGraph<(), ()> = noc_suite::graph::DiGraph::new();
     assert_eq!(g.node_count(), 0);
     assert_eq!(Benchmark::ALL.len(), 6);
-    let params = TechParams::default();
-    assert!(params.buffer_bits() > 0);
     // The flow API is reachable as noc_suite::flow.
     let comm = Benchmark::D26Media.comm_graph();
     let routed = RoutedStage::synthesize(comm, &SynthesisConfig::with_switches(4)).unwrap();
     assert_eq!(routed.comm().core_count(), 26);
+    let estimate = noc_suite::power::estimate(routed.topology(), routed.comm(), routed.routes());
+    assert!(estimate.total_power_mw > 0.0);
 }
