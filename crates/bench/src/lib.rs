@@ -30,8 +30,9 @@ use noc_deadlock::removal::RemovalConfig;
 use noc_deadlock::report::RemovalReport;
 use noc_flow::json::{JsonValue, ObjectWriter, ToJson};
 use noc_flow::{
-    CycleBreaking, DeadlockFreeStage, DeadlockStrategy, EscapeChannel, FaultRunStats, FlowSweep,
-    RecoveryReconfig, ResourceOrdering, RoutedStage, StrategySimStats, SweepPoint,
+    CycleBreaking, DeadlockFreeStage, DeadlockResolution, DeadlockStrategy, EscapeChannel,
+    FaultRunStats, FlowSweep, RecoveryReconfig, ResourceOrdering, RoutedStage, StrategySimStats,
+    SweepPoint,
 };
 use noc_rng::SmallRng;
 use noc_routing::shortest::route_all_shortest;
@@ -1560,8 +1561,7 @@ pub fn scale_point(spec: ScaleTopology, design: &ScaleDesign) -> ScalePoint {
             let start = std::time::Instant::now();
             let mut topology = design.topology.clone();
             let mut routes = design.routes.clone();
-            let resolution = strategy
-                .resolve(&mut topology, &mut routes)
+            let resolution = DeadlockResolution::apply(strategy, &mut topology, &mut routes)
                 .unwrap_or_else(|e| {
                     panic!(
                         "{} failed on {}/{}: {e}",
@@ -1672,7 +1672,7 @@ pub mod artifact {
     use noc_flow::trace::TraceArtifact;
     use noc_jobs::{run_in_memory, JobError, JobRequest};
     use std::fmt;
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
 
     pub use noc_flow::json::SCHEMA_VERSION;
 
@@ -1825,19 +1825,39 @@ pub mod artifact {
 
         /// Writes `data` under the versioned envelope to the `--json` path
         /// ([`FigureCli::json`]; no-op when no path was requested),
-        /// atomically.  Exits with status 1 on a write failure — the
-        /// binary has nothing useful left to do.
+        /// self-parsed first and written atomically.  Exits with status 1
+        /// on a failure.
         pub fn write_artifact(&self, data: &dyn ToJson) {
+            self.write_json(|path| Artifact::new(&self.figure, data).write(path));
+        }
+
+        /// The one artifact-write path of a figure binary: under an
+        /// `artifact/write` span, `write` puts the artifact at the `--json`
+        /// path atomically (no-op when no path was requested), then
+        /// `wrote <path>` goes to stderr.  Exits with status 1 on a write
+        /// failure — the binary has nothing useful left to do.
+        fn write_json<E: fmt::Display>(&self, write: impl FnOnce(&Path) -> Result<(), E>) {
             let Some(path) = &self.json else {
                 return;
             };
             let mut span = noc_telemetry::span("artifact", "write");
             span.arg("figure", self.figure.as_str());
-            if let Err(error) = Artifact::new(&self.figure, data).write(path) {
+            if let Err(error) = write(path) {
                 eprintln!("{}: {error}", self.figure);
                 std::process::exit(1);
             }
             eprintln!("wrote {}", path.display());
+        }
+
+        /// Runs the figure's job source and writes the artifact to the
+        /// `--json` path ([`FigureCli::json`]), returning the artifact text.
+        fn run_job(&self) -> Result<String, JobError> {
+            let source = crate::jobs::job_source(&JobRequest::new(self.figure.clone()))?;
+            let text = run_in_memory(source.as_ref(), self.threads)?;
+            self.write_json(|path| {
+                write_atomic(path, text.as_bytes()).map_err(|e| JobError::io(path, e))
+            });
+            Ok(text)
         }
 
         /// Arms telemetry for the run when `--trace` was given: installs
@@ -1909,22 +1929,6 @@ pub mod artifact {
         if let Err(error) = printed {
             eprintln!("{figure}: {error}");
             std::process::exit(1);
-        }
-    }
-
-    impl FigureCli {
-        /// Runs the figure's job source and writes the artifact to the
-        /// `--json` path ([`FigureCli::json`]), returning the artifact text.
-        fn run_job(&self) -> Result<String, JobError> {
-            let source = crate::jobs::job_source(&JobRequest::new(self.figure.clone()))?;
-            let text = run_in_memory(source.as_ref(), self.threads)?;
-            if let Some(path) = &self.json {
-                let mut span = noc_telemetry::span("artifact", "write");
-                span.arg("figure", self.figure.as_str());
-                write_atomic(path, text.as_bytes()).map_err(|e| JobError::io(path, e))?;
-                eprintln!("wrote {}", path.display());
-            }
-            Ok(text)
         }
     }
 

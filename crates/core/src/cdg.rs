@@ -362,37 +362,9 @@ impl Cdg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figure_1_design;
     use noc_routing::Route;
     use noc_topology::{CommGraph, CoreMap, LinkId, SwitchId};
-
-    /// The paper's running example: 4-switch unidirectional ring (Figure 1)
-    /// with flows F1..F4 whose routes are R1 = {L1,L2,L3}, R2 = {L3,L4},
-    /// R3 = {L4,L1}, R4 = {L1,L2} (link indices shifted to 0-based).
-    fn figure_1_design() -> (Topology, RouteSet) {
-        let mut topo = Topology::new();
-        let sw: Vec<_> = (1..=4).map(|i| topo.add_switch(format!("SW{i}"))).collect();
-        let links: Vec<LinkId> = (0..4)
-            .map(|i| topo.add_link(sw[i], sw[(i + 1) % 4], 1.0))
-            .collect();
-        let mut routes = RouteSet::new(4);
-        routes.set_route(
-            FlowId::from_index(0),
-            Route::from_links([links[0], links[1], links[2]]),
-        );
-        routes.set_route(
-            FlowId::from_index(1),
-            Route::from_links([links[2], links[3]]),
-        );
-        routes.set_route(
-            FlowId::from_index(2),
-            Route::from_links([links[3], links[0]]),
-        );
-        routes.set_route(
-            FlowId::from_index(3),
-            Route::from_links([links[0], links[1]]),
-        );
-        (topo, routes)
-    }
 
     #[test]
     fn figure_2_cdg_shape() {

@@ -644,26 +644,8 @@ fn cover_channel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figure_1_design;
     use noc_routing::Route;
-    use noc_topology::LinkId;
-
-    /// Figure 1 of the paper: four flows on a 4-switch unidirectional ring.
-    fn figure_1_design() -> (Topology, RouteSet) {
-        let mut topo = Topology::new();
-        let sw: Vec<_> = (0..4).map(|i| topo.add_switch(format!("s{i}"))).collect();
-        let links: Vec<LinkId> = (0..4)
-            .map(|i| topo.add_link(sw[i], sw[(i + 1) % 4], 1.0))
-            .collect();
-        let mut routes = RouteSet::new(4);
-        let spec: [&[usize]; 4] = [&[0, 1, 2], &[2, 3], &[3, 0], &[0, 1]];
-        for (i, link_indices) in spec.iter().enumerate() {
-            routes.set_route(
-                FlowId::from_index(i),
-                Route::from_links(link_indices.iter().map(|&l| links[l])),
-            );
-        }
-        (topo, routes)
-    }
 
     #[test]
     fn figure_1_is_certified_deadlockable_with_a_valid_witness() {

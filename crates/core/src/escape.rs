@@ -32,9 +32,10 @@
 //! [`EscapeChannelResult::added_vcs`] and compared against the other
 //! strategies in the `fig_strategy_matrix` sweep.
 
+use crate::resource_ordering::assign_vc_layers;
 use noc_routing::updown::{LinkDirection, UpDownLabels};
 use noc_routing::RouteSet;
-use noc_topology::{Channel, SwitchId, Topology, TopologyError};
+use noc_topology::{SwitchId, Topology, TopologyError};
 use std::error::Error;
 use std::fmt;
 
@@ -120,66 +121,31 @@ pub fn apply_escape_channels(
     root: SwitchId,
 ) -> Result<EscapeChannelResult, EscapeError> {
     let labels = UpDownLabels::new(topology, root);
-
-    // Highest layer needed on every link (every link keeps its base VC).
-    let mut needed_vcs: Vec<usize> = vec![1; topology.link_count()];
-    let mut layers = 1usize;
-    let mut escaped_flows = 0usize;
-    let mut escape_hops = 0usize;
-
-    for flow_index in 0..routes.flow_count() {
-        let flow = noc_topology::FlowId::from_index(flow_index);
-        let route = routes.route_mut(flow).expect("index is in range");
-        let mut layer = 0usize;
-        let mut prev: Option<LinkDirection> = None;
-        let mut used_escape = false;
-        for channel in route.channels_mut().iter_mut() {
-            let Some(direction) = labels.direction(topology, channel.link) else {
-                return Err(if topology.link(channel.link).is_none() {
-                    EscapeError::Topology(TopologyError::UnknownLink(channel.link))
-                } else {
-                    EscapeError::UnreachableLink {
-                        link: channel.link,
-                        root,
-                    }
-                });
-            };
-            if prev == Some(LinkDirection::Down) && direction == LinkDirection::Up {
-                layer += 1;
-            }
-            *channel = Channel::new(channel.link, layer);
-            if layer > 0 {
-                used_escape = true;
-                escape_hops += 1;
-            }
-            let slot = &mut needed_vcs[channel.link.index()];
-            *slot = (*slot).max(layer + 1);
-            prev = Some(direction);
+    let mut layer = 0usize;
+    let mut prev: Option<LinkDirection> = None;
+    let added_vcs = assign_vc_layers(topology, routes, |topology, hop, link| {
+        let Some(direction) = labels.direction(topology, link) else {
+            return Err(EscapeError::UnreachableLink { link, root });
+        };
+        if hop == 0 {
+            layer = 0;
+        } else if prev == Some(LinkDirection::Down) && direction == LinkDirection::Up {
+            layer += 1;
         }
-        if used_escape {
-            escaped_flows += 1;
-        }
-        layers = layers.max(layer + 1);
-    }
+        prev = Some(direction);
+        Ok(layer)
+    })?;
 
-    let mut added = 0usize;
-    for (index, &needed) in needed_vcs.iter().enumerate() {
-        let link = noc_topology::LinkId::from_index(index);
-        let current = topology
-            .link(link)
-            .ok_or(TopologyError::UnknownLink(link))?
-            .vcs;
-        for _ in current..needed {
-            topology.add_vc(link)?;
-            added += 1;
-        }
-    }
-
+    // Read the escape statistics back from the rewritten routes.
+    let channels = || routes.iter().flat_map(|(_, route)| route.channels());
     Ok(EscapeChannelResult {
-        added_vcs: added,
-        layers,
-        escaped_flows,
-        escape_hops,
+        added_vcs,
+        layers: 1 + channels().map(|c| c.vc).max().unwrap_or(0),
+        escaped_flows: routes
+            .iter()
+            .filter(|(_, route)| route.channels().iter().any(|c| c.vc > 0))
+            .count(),
+        escape_hops: channels().filter(|c| c.vc > 0).count(),
         root,
     })
 }
@@ -187,36 +153,10 @@ pub fn apply_escape_channels(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figure_1_design;
     use crate::verify;
     use noc_routing::Route;
     use noc_topology::{FlowId, LinkId};
-
-    /// The paper's Figure 1 ring with its four flows (cyclic CDG).
-    fn figure_1_design() -> (Topology, RouteSet) {
-        let mut topo = Topology::new();
-        let sw: Vec<_> = (1..=4).map(|i| topo.add_switch(format!("SW{i}"))).collect();
-        let links: Vec<LinkId> = (0..4)
-            .map(|i| topo.add_link(sw[i], sw[(i + 1) % 4], 1.0))
-            .collect();
-        let mut routes = RouteSet::new(4);
-        routes.set_route(
-            FlowId::from_index(0),
-            Route::from_links([links[0], links[1], links[2]]),
-        );
-        routes.set_route(
-            FlowId::from_index(1),
-            Route::from_links([links[2], links[3]]),
-        );
-        routes.set_route(
-            FlowId::from_index(2),
-            Route::from_links([links[3], links[0]]),
-        );
-        routes.set_route(
-            FlowId::from_index(3),
-            Route::from_links([links[0], links[1]]),
-        );
-        (topo, routes)
-    }
 
     #[test]
     fn escape_layers_make_the_ring_deadlock_free() {

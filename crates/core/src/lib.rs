@@ -64,14 +64,14 @@
 //! verification built into every stage transition:
 //!
 //! ```
-//! use noc_flow::{CycleBreaking, RoutedStage};
+//! use noc_flow::{CycleBreaking, ResolutionDetail, RoutedStage};
 //! use noc_synth::SynthesisConfig;
 //! use noc_topology::benchmarks::Benchmark;
 //!
 //! let comm = Benchmark::D36x8.comm_graph();
 //! let fixed = RoutedStage::synthesize(comm, &SynthesisConfig::with_switches(10))?
 //!     .resolve_deadlocks(&CycleBreaking)?; // Algorithm 1 + re-verify
-//! assert!(fixed.resolution().removal.is_some());
+//! assert!(matches!(fixed.resolution().detail, ResolutionDetail::Removal(_)));
 //! # Ok::<(), noc_flow::FlowError>(())
 //! ```
 
@@ -102,3 +102,23 @@ pub use report::{
 };
 pub use resource_ordering::{apply_resource_ordering, ResourceOrderingResult};
 pub use vcmap::VcMap;
+
+/// The paper's Figure 1: four flows on a 4-switch unidirectional ring, a
+/// design with a cyclic CDG (the unit tests' shared fixture).
+#[cfg(test)]
+pub(crate) fn figure_1_design() -> (noc_topology::Topology, noc_routing::RouteSet) {
+    use noc_routing::{Route, RouteSet};
+    use noc_topology::{FlowId, LinkId, Topology};
+    let mut topo = Topology::new();
+    let sw: Vec<_> = (1..=4).map(|i| topo.add_switch(format!("SW{i}"))).collect();
+    let links: Vec<LinkId> = (0..4)
+        .map(|i| topo.add_link(sw[i], sw[(i + 1) % 4], 1.0))
+        .collect();
+    let mut routes = RouteSet::new(4);
+    let spec: [&[usize]; 4] = [&[0, 1, 2], &[2, 3], &[3, 0], &[0, 1]];
+    for (flow, hops) in spec.iter().enumerate() {
+        let route = Route::from_links(hops.iter().map(|&l| links[l]));
+        routes.set_route(FlowId::from_index(flow), route);
+    }
+    (topo, routes)
+}

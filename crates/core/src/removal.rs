@@ -432,36 +432,10 @@ pub(crate) fn offending_flows(routes: &RouteSet, from: Channel, to: Channel) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figure_1_design;
     use crate::verify;
     use noc_routing::Route;
     use noc_topology::{FlowId, LinkId};
-
-    /// The paper's Figure 1 example as a (topology, routes) pair.
-    fn figure_1_design() -> (Topology, RouteSet) {
-        let mut topo = Topology::new();
-        let sw: Vec<_> = (1..=4).map(|i| topo.add_switch(format!("SW{i}"))).collect();
-        let links: Vec<LinkId> = (0..4)
-            .map(|i| topo.add_link(sw[i], sw[(i + 1) % 4], 1.0))
-            .collect();
-        let mut routes = RouteSet::new(4);
-        routes.set_route(
-            FlowId::from_index(0),
-            Route::from_links([links[0], links[1], links[2]]),
-        );
-        routes.set_route(
-            FlowId::from_index(1),
-            Route::from_links([links[2], links[3]]),
-        );
-        routes.set_route(
-            FlowId::from_index(2),
-            Route::from_links([links[3], links[0]]),
-        );
-        routes.set_route(
-            FlowId::from_index(3),
-            Route::from_links([links[0], links[1]]),
-        );
-        (topo, routes)
-    }
 
     #[test]
     fn figure_1_is_fixed_with_exactly_one_extra_vc() {

@@ -11,8 +11,9 @@ use std::fmt;
 /// The four kinds span the design space the strategy-comparison sweeps
 /// explore: *removal* (the paper's cycle breaking), *prevention by
 /// construction* (resource ordering), *avoidance* (escape channels) and
-/// *recovery* (drain-and-reconfigure).  Custom strategies should pick the
-/// kind whose cost model matches theirs.
+/// *recovery* (drain-and-reconfigure).  A strategy's kind is the variant
+/// of the detail its `resolve` returns: a custom strategy reports the
+/// detail whose cost model matches its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StrategyKind {
     /// The paper's Algorithm 1: break CDG cycles with minimal extra VCs.

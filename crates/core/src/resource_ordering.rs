@@ -10,7 +10,7 @@
 //! paper measures against in Figures 8–10.
 
 use noc_routing::RouteSet;
-use noc_topology::{Channel, Topology, TopologyError};
+use noc_topology::{Channel, FlowId, LinkId, Topology, TopologyError};
 
 /// Result of applying resource ordering to a design.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,24 +36,50 @@ pub fn apply_resource_ordering(
     topology: &mut Topology,
     routes: &mut RouteSet,
 ) -> Result<ResourceOrderingResult, TopologyError> {
-    // Highest class needed on every link.
+    let added_vcs = assign_vc_layers(topology, routes, |_, hop, _| Ok::<_, TopologyError>(hop))?;
+    Ok(ResourceOrderingResult {
+        added_vcs,
+        classes: routes.max_hops(),
+    })
+}
+
+/// Moves every hop onto the VC layer `layer_of(topology, hop, link)` picks
+/// for it, walking each route from its first hop (`hop` is 0 at the start
+/// of every route), then grows every link to cover the highest layer that
+/// crosses it.  Returns the VCs added.
+///
+/// The one layering routine behind resource ordering (the layer is the hop
+/// index) and escape channels ([`crate::escape`]: the layer climbs at every
+/// down→up turn).
+///
+/// # Errors
+///
+/// Stops at the first hop whose link the topology does not know
+/// ([`TopologyError::UnknownLink`]) or whose layer `layer_of` refuses.
+pub(crate) fn assign_vc_layers<E: From<TopologyError>>(
+    topology: &mut Topology,
+    routes: &mut RouteSet,
+    mut layer_of: impl FnMut(&Topology, usize, LinkId) -> Result<usize, E>,
+) -> Result<usize, E> {
+    // Highest layer needed on every link (every link keeps its base VC).
     let mut needed_vcs: Vec<usize> = vec![1; topology.link_count()];
-    let flow_count = routes.flow_count();
-    for flow_index in 0..flow_count {
-        let flow = noc_topology::FlowId::from_index(flow_index);
-        let route = routes.route_mut(flow).expect("index is in range");
+    for flow_index in 0..routes.flow_count() {
+        let route = routes
+            .route_mut(FlowId::from_index(flow_index))
+            .expect("index is in range");
         for (hop, channel) in route.channels_mut().iter_mut().enumerate() {
-            if channel.link.index() >= needed_vcs.len() {
-                return Err(TopologyError::UnknownLink(channel.link));
-            }
-            *channel = Channel::new(channel.link, hop);
-            needed_vcs[channel.link.index()] = needed_vcs[channel.link.index()].max(hop + 1);
+            let Some(needed) = needed_vcs.get_mut(channel.link.index()) else {
+                return Err(TopologyError::UnknownLink(channel.link).into());
+            };
+            let layer = layer_of(topology, hop, channel.link)?;
+            *channel = Channel::new(channel.link, layer);
+            *needed = (*needed).max(layer + 1);
         }
     }
 
     let mut added = 0usize;
     for (index, &needed) in needed_vcs.iter().enumerate() {
-        let link = noc_topology::LinkId::from_index(index);
+        let link = LinkId::from_index(index);
         let current = topology
             .link(link)
             .ok_or(TopologyError::UnknownLink(link))?
@@ -63,45 +89,15 @@ pub fn apply_resource_ordering(
             added += 1;
         }
     }
-
-    Ok(ResourceOrderingResult {
-        added_vcs: added,
-        classes: routes.max_hops(),
-    })
+    Ok(added)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figure_1_design;
     use crate::verify;
     use noc_routing::Route;
-    use noc_topology::{FlowId, LinkId};
-
-    fn figure_1_design() -> (Topology, RouteSet) {
-        let mut topo = Topology::new();
-        let sw: Vec<_> = (1..=4).map(|i| topo.add_switch(format!("SW{i}"))).collect();
-        let links: Vec<LinkId> = (0..4)
-            .map(|i| topo.add_link(sw[i], sw[(i + 1) % 4], 1.0))
-            .collect();
-        let mut routes = RouteSet::new(4);
-        routes.set_route(
-            FlowId::from_index(0),
-            Route::from_links([links[0], links[1], links[2]]),
-        );
-        routes.set_route(
-            FlowId::from_index(1),
-            Route::from_links([links[2], links[3]]),
-        );
-        routes.set_route(
-            FlowId::from_index(2),
-            Route::from_links([links[3], links[0]]),
-        );
-        routes.set_route(
-            FlowId::from_index(3),
-            Route::from_links([links[0], links[1]]),
-        );
-        (topo, routes)
-    }
 
     #[test]
     fn resource_ordering_makes_the_ring_deadlock_free() {

@@ -10,16 +10,18 @@
 //!   deadlock-oblivious shortest paths, the paper's input, built by
 //!   [`synthesize`](RoutedStage::synthesize) or imported with
 //!   [`with_design`](RoutedStage::with_design).  It and the
-//!   [`DeadlockFreeStage`] it repairs into each own their topology/routes
-//!   and auto-run the matching `validate_*`/`verify` check on entry; both
-//!   run the VC-aware simulator through `simulate_vc`,
+//!   [`DeadlockFreeStage`] it repairs into are one type,
+//!   [`Stage`](stage::Stage), in two states: each owns its topology/routes
+//!   and auto-runs the matching `validate_*`/`verify` check on entry, and
+//!   both read and simulate (`simulate_vc`) the same way,
 //! * [`DeadlockStrategy`] is the pluggable deadlock-handling seam, with one
 //!   implementation per point of the deadlock design space:
 //!   [`CycleBreaking`] (the paper's Algorithm 1 — removal),
 //!   [`ResourceOrdering`] (its baseline — prevention), [`EscapeChannel`]
 //!   (up*/down* escape-VC layers — avoidance) and [`RecoveryReconfig`]
 //!   (DBR-style drain-and-reconfigure — recovery); swapping schemes is a
-//!   one-line change,
+//!   one-line change.  Each returns one [`ResolutionDetail`], from which
+//!   [`DeadlockResolution`] derives the kind and counts,
 //! * [`FlowSweep`] drives (benchmark × switch-count × strategy) grids, the
 //!   shape of the paper's Figures 8–10: [`run`](FlowSweep::run) maps the
 //!   grid points across scoped worker threads ([`executor`]) and returns
@@ -65,7 +67,7 @@ pub use noc_deadlock::report::StrategyKind;
 pub use stage::{DeadlockFreeStage, RoutedStage};
 pub use strategy::{
     CycleBreaking, DeadlockResolution, DeadlockStrategy, EscapeChannel, RecoveryReconfig,
-    ResourceOrdering,
+    ResolutionDetail, ResourceOrdering,
 };
 pub use sweep::{
     CertifyOutcome, FaultRunStats, FlowSweep, PreparedPoint, StrategyOutcome, StrategySimStats,

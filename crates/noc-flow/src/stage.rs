@@ -1,16 +1,20 @@
 //! The pipeline's stages.
 //!
-//! One type per stage, each owning the artifacts it produced, each
-//! transition re-running the matching `validate_*`/`verify` check:
+//! One type, [`Stage`], holds a design — communication graph, topology,
+//! core map and routes — plus a private state that says how far along the
+//! pipeline it is.  Each transition re-runs the matching
+//! `validate_*`/`verify` check:
 //!
 //! ```text
 //! RoutedStage::synthesize / RoutedStage::with_design ──▶ RoutedStage
 //!     ──resolve_deadlocks──▶ DeadlockFreeStage
 //! ```
 //!
-//! `RoutedStage::simulate_vc` and `DeadlockFreeStage::simulate_vc` run the
-//! VC-aware simulator on the design as it stands and return its bare
-//! [`VcSimOutcome`]; a simulation is data, not a further stage.
+//! Every stage reads the same way: the accessors,
+//! [`vc_map`](Stage::vc_map), [`power`](Stage::power) and
+//! [`simulate_vc`](Stage::simulate_vc), which runs the VC-aware simulator
+//! on the design as it stands and returns its bare [`VcSimOutcome`]; a
+//! simulation is data, not a further stage.
 //!
 //! Branching is free: `resolve_deadlocks` takes `&self` and copies
 //! internally, so comparing two deadlock strategies on the same routed
@@ -29,6 +33,25 @@ use noc_sim::{TrafficConfig, VcPolicy, VcSimConfig, VcSimOutcome, VcSimulator};
 use noc_synth::{synthesize, SynthesisConfig};
 use noc_topology::validate::validate_design;
 use noc_topology::{CommGraph, CoreMap, Topology};
+
+/// A validated design at one point of the pipeline; `S` is its state,
+/// [`Routed`] before repair and [`DeadlockResolution`] after.
+///
+/// The fields are private: [`RoutedStage`]'s two constructors and
+/// [`RoutedStage::resolve_deadlocks`] are the only ways to build one.
+#[derive(Debug, Clone)]
+pub struct Stage<S> {
+    comm: CommGraph,
+    topology: Topology,
+    core_map: CoreMap,
+    routes: RouteSet,
+    state: S,
+}
+
+/// The state of a design routed by deadlock-oblivious shortest paths,
+/// before any deadlock strategy ran.
+#[derive(Debug, Clone)]
+pub struct Routed;
 
 /// A fully routed design — the exact triple the deadlock analysis consumes.
 ///
@@ -55,52 +78,16 @@ use noc_topology::{CommGraph, CoreMap, Topology};
 /// assert!(estimate.total_power_mw > 0.0);
 /// # Ok::<(), noc_flow::FlowError>(())
 /// ```
-#[derive(Debug, Clone)]
-pub struct RoutedStage {
-    comm: CommGraph,
-    topology: Topology,
-    core_map: CoreMap,
-    routes: RouteSet,
-}
+pub type RoutedStage = Stage<Routed>;
 
-impl RoutedStage {
-    /// Synthesizes an application-specific topology and attachment for
-    /// `comm` and keeps the synthesizer's shortest-path routes, after
-    /// validating the design triple and the routes.
-    pub fn synthesize(comm: CommGraph, config: &SynthesisConfig) -> Result<Self, FlowError> {
-        let _span = noc_telemetry::span("stage", "synthesize");
-        let design = synthesize(&comm, config)?;
-        validate_design(&design.topology, &comm, &design.core_map)?;
-        validate_routes(&design.topology, &comm, &design.core_map, &design.routes)?;
-        Ok(RoutedStage {
-            comm,
-            topology: design.topology,
-            core_map: design.core_map,
-            routes: design.routes,
-        })
-    }
+/// A design whose CDG has been verified acyclic: it cannot deadlock.
+///
+/// [`RoutedStage::resolve_deadlocks`], its only constructor, checks that
+/// first, so its certify report is [`CertifyReport::acyclic`].
+pub type DeadlockFreeStage = Stage<DeadlockResolution>;
 
-    /// Imports a hand-built topology and core attachment, validates them
-    /// like a synthesized design and routes every flow by hop-count
-    /// shortest paths.
-    pub fn with_design(
-        comm: CommGraph,
-        topology: Topology,
-        core_map: CoreMap,
-    ) -> Result<Self, FlowError> {
-        let _span = noc_telemetry::span("stage", "route");
-        validate_design(&topology, &comm, &core_map)?;
-        let routes = route_all_shortest(&topology, &comm, &core_map)?;
-        validate_routes(&topology, &comm, &core_map, &routes)?;
-        Ok(RoutedStage {
-            comm,
-            topology,
-            core_map,
-            routes,
-        })
-    }
-
-    /// The routed topology.
+impl<S> Stage<S> {
+    /// The topology (with any extra VCs a deadlock strategy added).
     pub fn topology(&self) -> &Topology {
         &self.topology
     }
@@ -118,6 +105,78 @@ impl RoutedStage {
     /// The core-to-switch attachment.
     pub fn core_map(&self) -> &CoreMap {
         &self.core_map
+    }
+
+    /// The design's VC assignment (per-link VC counts, per-hop flow
+    /// assignments; all base VCs before any deadlock strategy ran) as the
+    /// [`VcMap`] the VC-fidelity simulator consumes.
+    pub fn vc_map(&self) -> VcMap {
+        VcMap::from_design(&self.topology, &self.routes)
+    }
+
+    /// Simulates the design as it stands: buffers per (link × VC) sized
+    /// from its [`VcMap`], credit-based flow control, the given
+    /// [`VcPolicy`] deciding how the assignment is used at runtime, and
+    /// exact wait-for-graph deadlock detection.  On a routed stage this
+    /// shows a deadlock-prone design really deadlocking; on a repaired
+    /// stage the outcome's `deadlocked` flag must stay `false` under
+    /// [`AssignedVc`](noc_sim::AssignedVc).
+    pub fn simulate_vc(
+        &self,
+        policy: &dyn VcPolicy,
+        sim: &VcSimConfig,
+        traffic: &TrafficConfig,
+    ) -> VcSimOutcome {
+        let _span = noc_telemetry::span("stage", "simulate_vc");
+        VcSimulator::new(&self.comm, &self.routes, &self.vc_map(), policy, sim).run(traffic)
+    }
+
+    /// Area/power estimate of the design as it stands: the "original" bars
+    /// of Figure 10 before repair, the "removal" or "ordering" bars after,
+    /// depending on the strategy used.
+    pub fn power(&self) -> NetworkEstimate {
+        let _span = noc_telemetry::span("stage", "power");
+        noc_power::estimate(&self.topology, &self.comm, &self.routes)
+    }
+}
+
+impl RoutedStage {
+    /// Synthesizes an application-specific topology and attachment for
+    /// `comm` and keeps the synthesizer's shortest-path routes, after
+    /// validating the design triple and the routes.
+    pub fn synthesize(comm: CommGraph, config: &SynthesisConfig) -> Result<Self, FlowError> {
+        let _span = noc_telemetry::span("stage", "synthesize");
+        let design = synthesize(&comm, config)?;
+        validate_design(&design.topology, &comm, &design.core_map)?;
+        validate_routes(&design.topology, &comm, &design.core_map, &design.routes)?;
+        Ok(Stage {
+            comm,
+            topology: design.topology,
+            core_map: design.core_map,
+            routes: design.routes,
+            state: Routed,
+        })
+    }
+
+    /// Imports a hand-built topology and core attachment, validates them
+    /// like a synthesized design and routes every flow by hop-count
+    /// shortest paths.
+    pub fn with_design(
+        comm: CommGraph,
+        topology: Topology,
+        core_map: CoreMap,
+    ) -> Result<Self, FlowError> {
+        let _span = noc_telemetry::span("stage", "route");
+        validate_design(&topology, &comm, &core_map)?;
+        let routes = route_all_shortest(&topology, &comm, &core_map)?;
+        validate_routes(&topology, &comm, &core_map, &routes)?;
+        Ok(Stage {
+            comm,
+            topology,
+            core_map,
+            routes,
+            state: Routed,
+        })
     }
 
     /// The smallest CDG cycle of the design, if any — evidence that the
@@ -159,139 +218,23 @@ impl RoutedStage {
         span.arg("strategy", strategy.name());
         let mut topology = self.topology.clone();
         let mut routes = self.routes.clone();
-        let resolution = strategy.resolve(&mut topology, &mut routes)?;
+        let resolution = DeadlockResolution::apply(strategy, &mut topology, &mut routes)?;
         check_deadlock_free(&topology, &routes).map_err(FlowError::StillCyclic)?;
         validate_routes(&topology, &self.comm, &self.core_map, &routes)?;
-        Ok(DeadlockFreeStage {
+        Ok(Stage {
             comm: self.comm.clone(),
             topology,
             core_map: self.core_map.clone(),
             routes,
-            resolution,
+            state: resolution,
         })
     }
-
-    /// The VC assignment of the routed design (all base VCs before any
-    /// deadlock strategy ran), as the simulator's [`VcMap`] seam.
-    pub fn vc_map(&self) -> VcMap {
-        VcMap::from_design(&self.topology, &self.routes)
-    }
-
-    /// Simulates the routed design as-is under the given [`VcPolicy`] —
-    /// useful for demonstrating that a deadlock-prone design really does
-    /// deadlock at runtime.  Diagnostic, not a stage transition:
-    /// deadlock-prone designs stay on this stage.
-    pub fn simulate_vc(
-        &self,
-        policy: &dyn VcPolicy,
-        sim: &VcSimConfig,
-        traffic: &TrafficConfig,
-    ) -> VcSimOutcome {
-        simulate_routes(
-            &self.comm,
-            &self.topology,
-            &self.routes,
-            policy,
-            sim,
-            traffic,
-        )
-    }
-
-    /// Area/power estimate of the design as routed (the "original" bars of
-    /// Figure 10).
-    pub(crate) fn power(&self) -> NetworkEstimate {
-        let _span = noc_telemetry::span("stage", "power");
-        noc_power::estimate(&self.topology, &self.comm, &self.routes)
-    }
-}
-
-/// A design whose CDG has been verified acyclic: it cannot deadlock.
-///
-/// [`RoutedStage::resolve_deadlocks`], its only constructor, checks that
-/// first, so its certify report is [`CertifyReport::acyclic`].
-#[derive(Debug, Clone)]
-pub struct DeadlockFreeStage {
-    comm: CommGraph,
-    topology: Topology,
-    core_map: CoreMap,
-    routes: RouteSet,
-    resolution: DeadlockResolution,
 }
 
 impl DeadlockFreeStage {
-    /// The repaired topology (with any extra VCs).
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// The repaired route set.
-    pub fn routes(&self) -> &RouteSet {
-        &self.routes
-    }
-
-    /// The communication graph.
-    pub fn comm(&self) -> &CommGraph {
-        &self.comm
-    }
-
-    /// The core-to-switch attachment.
-    pub fn core_map(&self) -> &CoreMap {
-        &self.core_map
-    }
-
-    /// What the deadlock strategy did (VCs added, cycles broken, reports).
+    /// What the deadlock strategy did (VCs added, cycles broken, its
+    /// detail).
     pub fn resolution(&self) -> &DeadlockResolution {
-        &self.resolution
+        &self.state
     }
-
-    /// The strategy's VC assignment (per-link VC counts, per-hop flow
-    /// assignments) as the [`VcMap`] the VC-fidelity simulator consumes.
-    pub fn vc_map(&self) -> VcMap {
-        VcMap::from_design(&self.topology, &self.routes)
-    }
-
-    /// Simulates the repaired design: buffers per (link × VC) sized from
-    /// the strategy's [`VcMap`], credit-based flow control, the given
-    /// [`VcPolicy`] deciding how the assignment is used at runtime, and
-    /// exact wait-for-graph deadlock detection.  The outcome's `deadlocked`
-    /// flag must stay `false` for a correctly repaired design under
-    /// [`AssignedVc`](noc_sim::AssignedVc).
-    pub fn simulate_vc(
-        &self,
-        policy: &dyn VcPolicy,
-        sim: &VcSimConfig,
-        traffic: &TrafficConfig,
-    ) -> VcSimOutcome {
-        simulate_routes(
-            &self.comm,
-            &self.topology,
-            &self.routes,
-            policy,
-            sim,
-            traffic,
-        )
-    }
-
-    /// Area/power estimate of the repaired design (the "removal" /
-    /// "ordering" bars of Figure 10, depending on the strategy used).
-    pub fn power(&self) -> NetworkEstimate {
-        let _span = noc_telemetry::span("stage", "power");
-        noc_power::estimate(&self.topology, &self.comm, &self.routes)
-    }
-}
-
-/// Runs the VC-aware simulator on `routes` over `topology`, with the VC
-/// assignment the routes carry: the one simulation behind both stages'
-/// `simulate_vc`.
-fn simulate_routes(
-    comm: &CommGraph,
-    topology: &Topology,
-    routes: &RouteSet,
-    policy: &dyn VcPolicy,
-    sim: &VcSimConfig,
-    traffic: &TrafficConfig,
-) -> VcSimOutcome {
-    let _span = noc_telemetry::span("stage", "simulate_vc");
-    let vc_map = VcMap::from_design(topology, routes);
-    VcSimulator::new(comm, routes, &vc_map, policy, sim).run(traffic)
 }

@@ -27,42 +27,67 @@ use noc_deadlock::resource_ordering::{apply_resource_ordering, ResourceOrderingR
 use noc_routing::RouteSet;
 use noc_topology::{SwitchId, Topology};
 
-/// What a [`DeadlockStrategy`] did to a design.
+/// The report a [`DeadlockStrategy`] returns: one variant per
+/// [`StrategyKind`], so the variant is the strategy's kind.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ResolutionDetail {
+    /// The paper's removal algorithm: every break and CDG delta.
+    Removal(RemovalReport),
+    /// Resource ordering: VCs added and channel classes used.
+    Ordering(ResourceOrderingResult),
+    /// Escape-channel avoidance: escape VCs, layers and escaped flows.
+    Escape(EscapeChannelResult),
+    /// Recovery reconfiguration: drain events and hop inflation.
+    Recovery(RecoveryResult),
+}
+
+/// What a [`DeadlockStrategy`] did to a design: its detail plus the name,
+/// kind and counts every strategy reports, derived from that detail in
+/// [`apply`](Self::apply).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeadlockResolution {
     /// Name of the strategy that produced this resolution.
     pub strategy: String,
     /// Which point of the deadlock design space the strategy occupies.
     pub kind: StrategyKind,
-    /// Total VCs added on top of the single VC every link starts with.
+    /// Total VCs added on top of the single VC every link starts with
+    /// (0 for recovery, which re-routes instead).
     pub added_vcs: usize,
     /// CDG cycles broken (0 for schemes that restructure wholesale —
     /// resource ordering, escape channels, recovery).
     pub cycles_broken: usize,
-    /// Detailed report when the strategy was the paper's removal algorithm.
-    pub removal: Option<RemovalReport>,
-    /// Detailed result when the strategy was resource ordering.
-    pub ordering: Option<ResourceOrderingResult>,
-    /// Detailed result when the strategy was escape-channel avoidance.
-    pub escape: Option<EscapeChannelResult>,
-    /// Detailed result when the strategy was recovery reconfiguration.
-    pub recovery: Option<RecoveryResult>,
+    /// The strategy's own report.
+    pub detail: ResolutionDetail,
 }
 
 impl DeadlockResolution {
-    /// An empty resolution scaffold for `strategy`/`kind`: zero VCs, zero
-    /// cycles, no detail block.  Strategy impls fill in what they did.
-    pub fn new(strategy: impl Into<String>, kind: StrategyKind) -> Self {
-        DeadlockResolution {
-            strategy: strategy.into(),
+    /// Runs `strategy` on the design in place and records what it did —
+    /// the one place a detail becomes a resolution.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`DeadlockStrategy::resolve`] returns.
+    pub fn apply(
+        strategy: &dyn DeadlockStrategy,
+        topology: &mut Topology,
+        routes: &mut RouteSet,
+    ) -> Result<Self, FlowError> {
+        let detail = strategy.resolve(topology, routes)?;
+        let (kind, added_vcs, cycles_broken) = match &detail {
+            ResolutionDetail::Removal(r) => {
+                (StrategyKind::CycleBreaking, r.added_vcs, r.cycles_broken)
+            }
+            ResolutionDetail::Ordering(r) => (StrategyKind::ResourceOrdering, r.added_vcs, 0),
+            ResolutionDetail::Escape(r) => (StrategyKind::EscapeChannel, r.added_vcs, 0),
+            ResolutionDetail::Recovery(_) => (StrategyKind::RecoveryReconfig, 0, 0),
+        };
+        Ok(DeadlockResolution {
+            strategy: strategy.name().to_string(),
             kind,
-            added_vcs: 0,
-            cycles_broken: 0,
-            removal: None,
-            ordering: None,
-            escape: None,
-            recovery: None,
-        }
+            added_vcs,
+            cycles_broken,
+            detail,
+        })
     }
 }
 
@@ -82,12 +107,14 @@ pub trait DeadlockStrategy: Sync {
     /// Human-readable scheme name (used in sweep output and diagnostics).
     fn name(&self) -> &str;
 
-    /// Makes the design deadlock-free in place (extra VCs, re-routed flows).
+    /// Makes the design deadlock-free in place (extra VCs, re-routed flows)
+    /// and reports what it did; the variant of the detail is the
+    /// strategy's [`StrategyKind`].
     fn resolve(
         &self,
         topology: &mut Topology,
         routes: &mut RouteSet,
-    ) -> Result<DeadlockResolution, FlowError>;
+    ) -> Result<ResolutionDetail, FlowError>;
 }
 
 /// The paper's contribution: smallest-cycle-first CDG cycle breaking
@@ -105,14 +132,9 @@ impl DeadlockStrategy for CycleBreaking {
         &self,
         topology: &mut Topology,
         routes: &mut RouteSet,
-    ) -> Result<DeadlockResolution, FlowError> {
+    ) -> Result<ResolutionDetail, FlowError> {
         let report = remove_deadlocks(topology, routes, &RemovalConfig::default())?;
-        Ok(DeadlockResolution {
-            added_vcs: report.added_vcs,
-            cycles_broken: report.cycles_broken,
-            removal: Some(report),
-            ..DeadlockResolution::new(self.name(), StrategyKind::CycleBreaking)
-        })
+        Ok(ResolutionDetail::Removal(report))
     }
 }
 
@@ -130,13 +152,9 @@ impl DeadlockStrategy for ResourceOrdering {
         &self,
         topology: &mut Topology,
         routes: &mut RouteSet,
-    ) -> Result<DeadlockResolution, FlowError> {
+    ) -> Result<ResolutionDetail, FlowError> {
         let result = apply_resource_ordering(topology, routes)?;
-        Ok(DeadlockResolution {
-            added_vcs: result.added_vcs,
-            ordering: Some(result),
-            ..DeadlockResolution::new(self.name(), StrategyKind::ResourceOrdering)
-        })
+        Ok(ResolutionDetail::Ordering(result))
     }
 }
 
@@ -144,8 +162,7 @@ impl DeadlockStrategy for ResourceOrdering {
 /// one VC layer at every turn the up*/down* order forbids, so every layer is
 /// a deadlock-free subgraph and the CDG is acyclic by construction
 /// ([`noc_deadlock::escape`]).  Zero cycles are ever broken; the cost is the
-/// escape VCs reserved, reported through the same
-/// [`RemovalReport`]-style path as the other strategies.  The up*/down*
+/// escape VCs reserved, reported in [`ResolutionDetail::Escape`].  The up*/down*
 /// spanning tree is rooted at switch 0, which every non-empty topology has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EscapeChannel;
@@ -159,13 +176,9 @@ impl DeadlockStrategy for EscapeChannel {
         &self,
         topology: &mut Topology,
         routes: &mut RouteSet,
-    ) -> Result<DeadlockResolution, FlowError> {
+    ) -> Result<ResolutionDetail, FlowError> {
         let result = apply_escape_channels(topology, routes, SwitchId::from_index(0))?;
-        Ok(DeadlockResolution {
-            added_vcs: result.added_vcs,
-            escape: Some(result),
-            ..DeadlockResolution::new(self.name(), StrategyKind::EscapeChannel)
-        })
+        Ok(ResolutionDetail::Escape(result))
     }
 }
 
@@ -174,7 +187,7 @@ impl DeadlockStrategy for EscapeChannel {
 /// their flows are drained onto up*/down* routes, whole SCCs at a time,
 /// until the CDG is acyclic.  Adds zero VCs — the cost is reconfiguration
 /// events and the hop inflation of the recovery routes, reported in the
-/// resolution's [`RecoveryResult`].  The recovery routing function's
+/// resolution's [`ResolutionDetail::Recovery`].  The recovery routing function's
 /// spanning tree is rooted at switch 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecoveryReconfig;
@@ -188,11 +201,8 @@ impl DeadlockStrategy for RecoveryReconfig {
         &self,
         topology: &mut Topology,
         routes: &mut RouteSet,
-    ) -> Result<DeadlockResolution, FlowError> {
+    ) -> Result<ResolutionDetail, FlowError> {
         let result = apply_recovery_reconfig(topology, routes, SwitchId::from_index(0))?;
-        Ok(DeadlockResolution {
-            recovery: Some(result),
-            ..DeadlockResolution::new(self.name(), StrategyKind::RecoveryReconfig)
-        })
+        Ok(ResolutionDetail::Recovery(result))
     }
 }

@@ -7,8 +7,12 @@
 //! 2. both strategies leave the CDG acyclic on a ring, a mesh, and every
 //!    benchmark of the paper's suite.
 
+use noc_deadlock::report::RemovalReport;
 use noc_deadlock::verify::check_deadlock_free;
-use noc_flow::{CycleBreaking, DeadlockStrategy, ResourceOrdering, RoutedStage};
+use noc_flow::{
+    CycleBreaking, DeadlockResolution, DeadlockStrategy, ResolutionDetail, ResourceOrdering,
+    RoutedStage,
+};
 use noc_routing::shortest::{route_all_with_cost, LinkCost};
 use noc_routing::updown::route_all_updown;
 use noc_routing::validate::validate_routes;
@@ -48,8 +52,7 @@ fn resolve_acyclic(
 ) -> usize {
     let mut topology = topology.clone();
     let mut routes = routes.clone();
-    let resolution = strategy
-        .resolve(&mut topology, &mut routes)
+    let resolution = DeadlockResolution::apply(strategy, &mut topology, &mut routes)
         .unwrap_or_else(|e| panic!("{} on {label}: {e}", strategy.name()));
     check_deadlock_free(&topology, &routes)
         .unwrap_or_else(|c| panic!("{} left a cycle on {label}: {c}", strategy.name()));
@@ -148,8 +151,11 @@ fn both_strategies_fix_ring_and_mesh() {
     let removal = CycleBreaking
         .resolve(&mut fixed_topology, &mut fixed_routes)
         .unwrap();
-    assert_eq!(removal.added_vcs, 0);
-    assert!(removal.removal.as_ref().unwrap().already_deadlock_free);
+    let ResolutionDetail::Removal(report) = removal else {
+        panic!("cycle breaking reports a removal: {removal:?}");
+    };
+    assert_eq!(report.added_vcs, 0);
+    assert!(report.already_deadlock_free);
 }
 
 /// Both strategies leave the CDG acyclic on every benchmark of the paper's
@@ -192,11 +198,8 @@ fn stage_rejects_strategies_that_leave_cycles() {
             &self,
             _topology: &mut Topology,
             _routes: &mut noc_routing::RouteSet,
-        ) -> Result<noc_flow::DeadlockResolution, noc_flow::FlowError> {
-            Ok(noc_flow::DeadlockResolution::new(
-                "do-nothing",
-                noc_flow::StrategyKind::CycleBreaking,
-            ))
+        ) -> Result<ResolutionDetail, noc_flow::FlowError> {
+            Ok(ResolutionDetail::Removal(RemovalReport::default()))
         }
     }
 

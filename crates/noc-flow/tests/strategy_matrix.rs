@@ -14,7 +14,7 @@ use noc_deadlock::certify::{certify_deadlock_free, CertifyReport};
 use noc_deadlock::verify::check_deadlock_free;
 use noc_flow::{
     CycleBreaking, DeadlockStrategy, EscapeChannel, FlowError, FlowSweep, RecoveryReconfig,
-    ResourceOrdering, RoutedStage, StrategyKind,
+    ResolutionDetail, ResourceOrdering, RoutedStage, StrategyKind,
 };
 use noc_synth::SynthesisConfig;
 use noc_topology::benchmarks::Benchmark;
@@ -49,7 +49,7 @@ fn every_strategy_yields_a_verified_deadlock_free_design_on_every_grid_point() {
             .map(|(_, r)| r.links().collect())
             .collect();
 
-        for &strategy in &strategies {
+        for (&strategy, expected_kind) in strategies.iter().zip(StrategyKind::ALL) {
             let fixed = routed.resolve_deadlocks(strategy).unwrap_or_else(|e| {
                 panic!("{} on {benchmark}/{switch_count}: {e}", strategy.name())
             });
@@ -70,29 +70,43 @@ fn every_strategy_yields_a_verified_deadlock_free_design_on_every_grid_point() {
 
             let resolution = fixed.resolution();
             assert_eq!(resolution.strategy, strategy.name());
-            match resolution.kind {
-                StrategyKind::CycleBreaking => {
-                    assert!(resolution.removal.is_some());
-                }
-                StrategyKind::ResourceOrdering => {
+            // The detail's variant is the strategy's kind, and the
+            // resolution's counts are the detail's own.
+            let (kind, added_vcs, cycles_broken) = match &resolution.detail {
+                ResolutionDetail::Removal(report) => (
+                    StrategyKind::CycleBreaking,
+                    report.added_vcs,
+                    report.cycles_broken,
+                ),
+                ResolutionDetail::Ordering(result) => {
                     assert_eq!(resolution.cycles_broken, 0);
-                    assert!(resolution.ordering.is_some());
+                    (StrategyKind::ResourceOrdering, result.added_vcs, 0)
                 }
-                StrategyKind::EscapeChannel => {
+                ResolutionDetail::Escape(stats) => {
                     // The avoidance contract: zero cycles ever broken.
                     assert_eq!(resolution.cycles_broken, 0);
-                    let stats = resolution.escape.as_ref().expect("escape stats");
                     assert_eq!(stats.added_vcs, resolution.added_vcs);
+                    (StrategyKind::EscapeChannel, stats.added_vcs, 0)
                 }
-                StrategyKind::RecoveryReconfig => {
+                ResolutionDetail::Recovery(stats) => {
                     // The recovery contract: zero VCs, zero cycle breaks.
                     assert_eq!(resolution.cycles_broken, 0);
                     assert_eq!(resolution.added_vcs, 0);
                     assert_eq!(fixed.topology().extra_vc_count(), 0);
-                    let stats = resolution.recovery.as_ref().expect("recovery stats");
                     assert_eq!(stats.flows_drained(), stats.flows_reconfigured);
+                    (StrategyKind::RecoveryReconfig, 0, 0)
                 }
-            }
+            };
+            let label = format!("{} on {benchmark}/{switch_count}", strategy.name());
+            assert_eq!(kind, expected_kind, "{label}: detail variant");
+            assert_eq!(resolution.kind, expected_kind, "{label}: kind");
+            assert_eq!(resolution.added_vcs, added_vcs, "{label}: added VCs");
+            assert_eq!(resolution.cycles_broken, cycles_broken, "{label}: breaks");
+            assert_eq!(
+                fixed.topology().extra_vc_count(),
+                added_vcs,
+                "{label}: the topology's extra VCs"
+            );
 
             // VC-based schemes must keep every physical route; recovery is
             // the only strategy allowed to move flows.

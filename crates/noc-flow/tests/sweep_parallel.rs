@@ -2,9 +2,10 @@
 //! and the error of a failing sweep, must not depend on
 //! [`worker_threads`](FlowSweep::worker_threads).
 
+use noc_deadlock::report::RemovalReport;
 use noc_flow::{
-    CycleBreaking, DeadlockResolution, DeadlockStrategy, FlowError, FlowSweep, ResourceOrdering,
-    StrategyKind, SweepPoint, ToJson,
+    CycleBreaking, DeadlockStrategy, FlowError, FlowSweep, ResolutionDetail, ResourceOrdering,
+    SweepPoint, ToJson,
 };
 use noc_routing::RouteSet;
 use noc_topology::benchmarks::Benchmark;
@@ -100,7 +101,7 @@ impl DeadlockStrategy for AlwaysFails {
         &self,
         _topology: &mut Topology,
         _routes: &mut RouteSet,
-    ) -> Result<DeadlockResolution, FlowError> {
+    ) -> Result<ResolutionDetail, FlowError> {
         Err(always_fails_error())
     }
 }
@@ -151,13 +152,10 @@ impl DeadlockStrategy for FailsAt {
         &self,
         topology: &mut Topology,
         _routes: &mut RouteSet,
-    ) -> Result<DeadlockResolution, FlowError> {
+    ) -> Result<ResolutionDetail, FlowError> {
         let switches = topology.switch_count();
         let Some(position) = self.counts.iter().position(|&c| c == switches) else {
-            return Ok(DeadlockResolution::new(
-                self.name(),
-                StrategyKind::CycleBreaking,
-            ));
+            return Ok(ResolutionDetail::Removal(RemovalReport::default()));
         };
         let mut later_failures = self.later_failures.lock().unwrap();
         if position > 0 {

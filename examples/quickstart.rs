@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use noc_suite::flow::{CycleBreaking, ResourceOrdering, RoutedStage};
+use noc_suite::flow::{CycleBreaking, ResolutionDetail, ResourceOrdering, RoutedStage};
 use noc_suite::topology::{CommGraph, CoreMap, Topology};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -43,11 +43,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 5. Baseline for comparison: resource ordering.  Branching off the
     // routed stage needs no cloning — the flow owns its artifacts.
     let ordered = routed.resolve_deadlocks(&ResourceOrdering)?;
-    let ro = ordered
-        .resolution()
-        .ordering
-        .as_ref()
-        .expect("ordering ran");
+    let ResolutionDetail::Ordering(ro) = &ordered.resolution().detail else {
+        unreachable!("resource ordering reports an ordering result");
+    };
     println!(
         "resource ordering:   {} extra VCs ({} channel classes)",
         ro.added_vcs, ro.classes
