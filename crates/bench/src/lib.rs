@@ -777,7 +777,7 @@ pub fn fault_strategy_point(benchmark: Benchmark, switch_count: usize) -> FaultS
             }
             FaultStrategyRun {
                 strategy: fixed.resolution().strategy.clone(),
-                added_vcs: fixed.resolution().added_vcs,
+                added_vcs: fixed.resolution().added_vcs(),
                 stats,
             }
         })
@@ -998,7 +998,7 @@ pub fn conservatism_point_for(
     let report = routed.certify();
     let removal_vcs = routed
         .resolve_deadlocks(&CycleBreaking)
-        .map(|fixed| fixed.resolution().added_vcs)
+        .map(|fixed| fixed.resolution().added_vcs())
         .unwrap_or(0);
 
     let config = conservatism_sim_config();
@@ -1571,9 +1571,9 @@ pub fn scale_point(spec: ScaleTopology, design: &ScaleDesign) -> ScalePoint {
                     )
                 });
             strategies.push(ScaleStrategyOutcome {
+                added_vcs: resolution.added_vcs(),
+                cycles_broken: resolution.cycles_broken(),
                 strategy: resolution.strategy,
-                added_vcs: resolution.added_vcs,
-                cycles_broken: resolution.cycles_broken,
                 time_ms: start.elapsed().as_secs_f64() * 1e3,
             });
         }

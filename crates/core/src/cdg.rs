@@ -307,12 +307,23 @@ impl Cdg {
     /// finder finds the edits since its last query by itself.  The answer is
     /// always identical to the plain search; only the work to find it
     /// shrinks.
+    ///
+    /// `copies` pairs each channel added since the finder's last query with
+    /// the channel it duplicates, and declares that every re-routed flow
+    /// took the duplicates in place of their originals: a break's edits
+    /// (see [`IncrementalCycleFinder::smallest_cycle_with_copies`]).
     pub(crate) fn smallest_cycle_with(
         &self,
         finder: &mut IncrementalCycleFinder,
+        copies: impl IntoIterator<Item = (Channel, Channel)>,
     ) -> Option<Vec<Channel>> {
+        let vertex = |channel| self.vertex(channel).expect("copied channels have vertices");
+        let copies: Vec<(NodeId, NodeId)> = copies
+            .into_iter()
+            .map(|(copy, original)| (vertex(copy), vertex(original)))
+            .collect();
         finder
-            .smallest_cycle_by(&self.graph, |n| self.channel_of(n))
+            .smallest_cycle_with_copies(&self.graph, &copies, |n| self.channel_of(n))
             .map(|c| self.to_channels(c))
     }
 
@@ -668,9 +679,15 @@ mod tests {
         let (topo, routes) = figure_1_design();
         let cdg = Cdg::build(&topo, &routes);
         let mut finder = IncrementalCycleFinder::new();
-        assert_eq!(cdg.smallest_cycle_with(&mut finder), cdg.smallest_cycle());
+        assert_eq!(
+            cdg.smallest_cycle_with(&mut finder, []),
+            cdg.smallest_cycle()
+        );
         // A second query against unchanged state must agree too.
-        assert_eq!(cdg.smallest_cycle_with(&mut finder), cdg.smallest_cycle());
+        assert_eq!(
+            cdg.smallest_cycle_with(&mut finder, []),
+            cdg.smallest_cycle()
+        );
     }
 
     #[test]
@@ -680,7 +697,7 @@ mod tests {
         let (mut topo, mut routes) = figure_1_design();
         let mut cdg = Cdg::build(&topo, &routes);
         let mut finder = IncrementalCycleFinder::new();
-        let cycle = cdg.smallest_cycle_with(&mut finder);
+        let cycle = cdg.smallest_cycle_with(&mut finder, []);
         assert_eq!(cycle, cdg.smallest_cycle());
         // The cycle found lies inside one cyclic component of a plain SCC
         // pass over the same graph.
@@ -693,8 +710,8 @@ mod tests {
         let cycle = cycle.expect("Figure 1 is cyclic");
         assert!(cycle.iter().all(|c| component.contains(c)));
 
-        // Apply the Figure 3 reroute incrementally; the finder is told
-        // nothing about it.
+        // Apply the Figure 3 reroute incrementally, declared as the copy of
+        // the channel it replaces.
         let f3 = FlowId::from_index(2);
         let old: Vec<Channel> = routes.route(f3).unwrap().channels().to_vec();
         let new_channel = topo.add_vc(LinkId::from_index(0)).unwrap();
@@ -705,7 +722,10 @@ mod tests {
         cdg.remove_flow_deps(f3, &old, &mut delta);
         cdg.add_flow_deps(f3, &new, &mut delta);
         assert_eq!(cdg.smallest_cycle(), None);
-        assert_eq!(cdg.smallest_cycle_with(&mut finder), None);
+        assert_eq!(
+            cdg.smallest_cycle_with(&mut finder, [(new_channel, old[1])]),
+            None
+        );
         assert!(scc::cyclic_components(cdg.graph()).is_empty());
     }
 

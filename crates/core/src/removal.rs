@@ -193,7 +193,7 @@ fn run_removal(
     let mut cycle = {
         let _span = noc_telemetry::span("removal", "cycle_search");
         if incremental {
-            cdg.smallest_cycle_with(&mut finder)
+            cdg.smallest_cycle_with(&mut finder, [])
         } else {
             cdg.smallest_cycle()
         }
@@ -251,7 +251,9 @@ fn run_removal(
         // then search for the next cycle.
         cycle = if incremental {
             // Only the re-routed flows' dependencies changed: apply their
-            // deltas; the finder reads the edits off the graph by itself.
+            // deltas.  The finder reads the edits off the graph by itself;
+            // the break only moved flows onto copies of the cycle's
+            // channels, which it declares.
             let mut delta = CdgDelta::default();
             for &channel in &outcome.new_channels {
                 cdg.register_channel(channel, &mut delta);
@@ -273,8 +275,10 @@ fn run_removal(
                 channels_added: delta.channels_added,
                 dirty_nodes,
             });
+            let copies = outcome.new_channels.iter().copied();
+            let copies = copies.zip(outcome.to_duplicate.iter().copied());
             let _span = noc_telemetry::span("removal", "cycle_search");
-            cdg.smallest_cycle_with(&mut finder)
+            cdg.smallest_cycle_with(&mut finder, copies)
         } else {
             cdg = {
                 let _span = noc_telemetry::span("removal", "cdg_build");
@@ -300,6 +304,8 @@ struct BreakOutcome {
     rerouted: Vec<(FlowId, Vec<Channel>)>,
     /// The VCs this break added, in creation order.
     new_channels: Vec<Channel>,
+    /// The channel each of `new_channels` duplicates, in the same order.
+    to_duplicate: Vec<Channel>,
 }
 
 /// Breaks the dependency `pos` of `cycle` in the given direction
@@ -402,6 +408,7 @@ fn break_cycle(
         flows_rerouted: rerouted.len(),
         rerouted,
         new_channels,
+        to_duplicate,
     })
 }
 

@@ -43,7 +43,7 @@
 //! // The same routed design under both schemes — no hand-cloning.
 //! let removal = routed.resolve_deadlocks(&CycleBreaking)?;
 //! let ordering = routed.resolve_deadlocks(&ResourceOrdering)?;
-//! assert!(removal.resolution().added_vcs <= ordering.resolution().added_vcs);
+//! assert!(removal.resolution().added_vcs() <= ordering.resolution().added_vcs());
 //! # Ok::<(), noc_flow::FlowError>(())
 //! ```
 

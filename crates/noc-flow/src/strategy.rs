@@ -41,21 +41,12 @@ pub enum ResolutionDetail {
     Recovery(RecoveryResult),
 }
 
-/// What a [`DeadlockStrategy`] did to a design: its detail plus the name,
-/// kind and counts every strategy reports, derived from that detail in
-/// [`apply`](Self::apply).
+/// What a [`DeadlockStrategy`] did to a design: the strategy's name and its
+/// detail, from which the kind and counts every strategy reports are read.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeadlockResolution {
     /// Name of the strategy that produced this resolution.
     pub strategy: String,
-    /// Which point of the deadlock design space the strategy occupies.
-    pub kind: StrategyKind,
-    /// Total VCs added on top of the single VC every link starts with
-    /// (0 for recovery, which re-routes instead).
-    pub added_vcs: usize,
-    /// CDG cycles broken (0 for schemes that restructure wholesale —
-    /// resource ordering, escape channels, recovery).
-    pub cycles_broken: usize,
     /// The strategy's own report.
     pub detail: ResolutionDetail,
 }
@@ -73,21 +64,40 @@ impl DeadlockResolution {
         routes: &mut RouteSet,
     ) -> Result<Self, FlowError> {
         let detail = strategy.resolve(topology, routes)?;
-        let (kind, added_vcs, cycles_broken) = match &detail {
-            ResolutionDetail::Removal(r) => {
-                (StrategyKind::CycleBreaking, r.added_vcs, r.cycles_broken)
-            }
-            ResolutionDetail::Ordering(r) => (StrategyKind::ResourceOrdering, r.added_vcs, 0),
-            ResolutionDetail::Escape(r) => (StrategyKind::EscapeChannel, r.added_vcs, 0),
-            ResolutionDetail::Recovery(_) => (StrategyKind::RecoveryReconfig, 0, 0),
-        };
         Ok(DeadlockResolution {
             strategy: strategy.name().to_string(),
-            kind,
-            added_vcs,
-            cycles_broken,
             detail,
         })
+    }
+
+    /// Which point of the deadlock design space the strategy occupies.
+    pub fn kind(&self) -> StrategyKind {
+        match self.detail {
+            ResolutionDetail::Removal(_) => StrategyKind::CycleBreaking,
+            ResolutionDetail::Ordering(_) => StrategyKind::ResourceOrdering,
+            ResolutionDetail::Escape(_) => StrategyKind::EscapeChannel,
+            ResolutionDetail::Recovery(_) => StrategyKind::RecoveryReconfig,
+        }
+    }
+
+    /// Total VCs added on top of the single VC every link starts with
+    /// (0 for recovery, which re-routes instead).
+    pub fn added_vcs(&self) -> usize {
+        match &self.detail {
+            ResolutionDetail::Removal(r) => r.added_vcs,
+            ResolutionDetail::Ordering(r) => r.added_vcs,
+            ResolutionDetail::Escape(r) => r.added_vcs,
+            ResolutionDetail::Recovery(_) => 0,
+        }
+    }
+
+    /// CDG cycles broken (0 for schemes that restructure wholesale —
+    /// resource ordering, escape channels, recovery).
+    pub fn cycles_broken(&self) -> usize {
+        match &self.detail {
+            ResolutionDetail::Removal(r) => r.cycles_broken,
+            _ => 0,
+        }
     }
 }
 

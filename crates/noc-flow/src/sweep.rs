@@ -453,9 +453,9 @@ impl FlowSweep {
         let resolution = fixed.resolution();
         Ok(StrategyOutcome {
             strategy: resolution.strategy.clone(),
-            kind: resolution.kind,
-            added_vcs: resolution.added_vcs,
-            cycles_broken: resolution.cycles_broken,
+            kind: resolution.kind(),
+            added_vcs: resolution.added_vcs(),
+            cycles_broken: resolution.cycles_broken(),
             mean_hops: fixed.routes().mean_hops(),
             power_mw: estimate.as_ref().map(|e| e.total_power_mw),
             area_um2: estimate.as_ref().map(|e| e.total_area_um2),

@@ -56,7 +56,7 @@ fn resolve_acyclic(
         .unwrap_or_else(|e| panic!("{} on {label}: {e}", strategy.name()));
     check_deadlock_free(&topology, &routes)
         .unwrap_or_else(|c| panic!("{} left a cycle on {label}: {c}", strategy.name()));
-    resolution.added_vcs
+    resolution.added_vcs()
 }
 
 /// Every routing function, over every topology it supports, yields routes

@@ -79,19 +79,19 @@ fn every_strategy_yields_a_verified_deadlock_free_design_on_every_grid_point() {
                     report.cycles_broken,
                 ),
                 ResolutionDetail::Ordering(result) => {
-                    assert_eq!(resolution.cycles_broken, 0);
+                    assert_eq!(resolution.cycles_broken(), 0);
                     (StrategyKind::ResourceOrdering, result.added_vcs, 0)
                 }
                 ResolutionDetail::Escape(stats) => {
                     // The avoidance contract: zero cycles ever broken.
-                    assert_eq!(resolution.cycles_broken, 0);
-                    assert_eq!(stats.added_vcs, resolution.added_vcs);
+                    assert_eq!(resolution.cycles_broken(), 0);
+                    assert_eq!(stats.added_vcs, resolution.added_vcs());
                     (StrategyKind::EscapeChannel, stats.added_vcs, 0)
                 }
                 ResolutionDetail::Recovery(stats) => {
                     // The recovery contract: zero VCs, zero cycle breaks.
-                    assert_eq!(resolution.cycles_broken, 0);
-                    assert_eq!(resolution.added_vcs, 0);
+                    assert_eq!(resolution.cycles_broken(), 0);
+                    assert_eq!(resolution.added_vcs(), 0);
                     assert_eq!(fixed.topology().extra_vc_count(), 0);
                     assert_eq!(stats.flows_drained(), stats.flows_reconfigured);
                     (StrategyKind::RecoveryReconfig, 0, 0)
@@ -99,9 +99,9 @@ fn every_strategy_yields_a_verified_deadlock_free_design_on_every_grid_point() {
             };
             let label = format!("{} on {benchmark}/{switch_count}", strategy.name());
             assert_eq!(kind, expected_kind, "{label}: detail variant");
-            assert_eq!(resolution.kind, expected_kind, "{label}: kind");
-            assert_eq!(resolution.added_vcs, added_vcs, "{label}: added VCs");
-            assert_eq!(resolution.cycles_broken, cycles_broken, "{label}: breaks");
+            assert_eq!(resolution.kind(), expected_kind, "{label}: kind");
+            assert_eq!(resolution.added_vcs(), added_vcs, "{label}: added VCs");
+            assert_eq!(resolution.cycles_broken(), cycles_broken, "{label}: breaks");
             assert_eq!(
                 fixed.topology().extra_vc_count(),
                 added_vcs,
@@ -110,7 +110,7 @@ fn every_strategy_yields_a_verified_deadlock_free_design_on_every_grid_point() {
 
             // VC-based schemes must keep every physical route; recovery is
             // the only strategy allowed to move flows.
-            if resolution.kind != StrategyKind::RecoveryReconfig {
+            if resolution.kind() != StrategyKind::RecoveryReconfig {
                 let after: Vec<Vec<LinkId>> = fixed
                     .routes()
                     .iter()

@@ -44,9 +44,11 @@
 //! graph that changes a little between queries.  It keeps a certified lower
 //! bound per node ("no cycle through `v` has at most `bounds[v]` nodes"),
 //! skips every node whose bound already rules out a cycle under the current
-//! cap, and lowers the bounds near the edges added since its last query.
-//! Skipping a node is exact because the skipped BFS would have returned
-//! nothing, so every answer is identical to the full scan.
+//! cap, and lowers the bounds near the edges added since its last query,
+//! unless the caller declares that those edits only copied nodes, which
+//! shortens no cycle.  Skipping a node is exact because the skipped BFS
+//! would have returned nothing, so every answer is identical to the full
+//! scan.
 //!
 //! The finder pays for the edits, not for the graph.  It reads them off
 //! [`DiGraph`]'s append-only edge arena (ids past the last query's mark are
@@ -221,7 +223,8 @@ pub fn smallest_cycle_by<N, E, K: Ord>(
 ///    the order at its rank.  Before patching, a query checks with one
 ///    `rank` call per pool node that the kept order is still strictly
 ///    ascending, and builds the whole pool again if not, so callers may
-///    change `rank` between queries.
+///    change `rank` between queries; a declared copy map promises the
+///    order, and the check is skipped.
 /// 3. **The adjacency and partition, patched from the graph's edits.**
 ///    The finder keeps the deduplicated node-id adjacency the last query
 ///    saw, the length of the graph's edge arena and of its removal log at
@@ -239,7 +242,9 @@ pub fn smallest_cycle_by<N, E, K: Ord>(
 ///    `tails` and `heads` collect the endpoints of every added edge inside a
 ///    cyclic component.  The bounds are lowered with one forward and one
 ///    backward multi-source BFS, both cut off at the largest bound they
-///    could lower.
+///    could lower.  A caller that declares a copy map
+///    ([`smallest_cycle_with_copies`](Self::smallest_cycle_with_copies))
+///    proves that no cycle got shorter, and nothing is lowered.
 ///
 ///    The old partition is trusted under a certificate.  Every added edge
 ///    `u -> w` between old nodes, and every path `u ~> w` from an old node
@@ -334,8 +339,62 @@ impl IncrementalCycleFinder {
         graph: &DiGraph<N, E>,
         rank: impl Fn(NodeId) -> K,
     ) -> Option<Vec<NodeId>> {
+        self.query(graph, None, rank)
+    }
+
+    /// [`smallest_cycle_by`](Self::smallest_cycle_by) for a graph whose
+    /// edits since the last query only copied nodes: `copies` pairs every
+    /// node added since then with the older node it copies.
+    ///
+    /// The caller promises, under the map φ that takes each copy to its
+    /// original and every other node to itself, that every edge added since
+    /// the last query maps onto an edge that query saw, and that `rank`
+    /// orders the old nodes as it did then.  Then every cycle maps to a
+    /// closed walk of the same length through the images of its nodes, so
+    /// no old node's shortest cycle got shorter: the finder keeps every
+    /// bound as it stands, and keeps the pool's order without checking it.
+    /// Debug builds check the edge promise on every query, and the order
+    /// against a fresh pool.  On a first query the map says nothing, and
+    /// the answer is always the one [`smallest_cycle_by`](Self::smallest_cycle_by)
+    /// gives.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use noc_graph::{DiGraph, cycles::IncrementalCycleFinder};
+    ///
+    /// let mut g: DiGraph<(), ()> = DiGraph::new();
+    /// let n: Vec<_> = (0..3).map(|_| g.add_node(())).collect();
+    /// for i in 0..3 { g.add_edge(n[i], n[(i + 1) % 3], ()); }
+    /// let mut finder = IncrementalCycleFinder::new();
+    /// assert_eq!(finder.smallest_cycle_by(&g, |v| v.index()).unwrap().len(), 3);
+    ///
+    /// // Move the path n[2] -> n[0] -> n[1] onto a copy of n[0].
+    /// let copy = g.add_node(());
+    /// g.add_edge(n[2], copy, ());
+    /// g.add_edge(copy, n[1], ());
+    /// g.remove_edge(g.find_edge(n[2], n[0]).unwrap());
+    /// let found = finder.smallest_cycle_with_copies(&g, &[(copy, n[0])], |v| v.index());
+    /// assert_eq!(found, Some(vec![n[1], n[2], copy]));
+    /// ```
+    pub fn smallest_cycle_with_copies<N, E, K: Ord>(
+        &mut self,
+        graph: &DiGraph<N, E>,
+        copies: &[(NodeId, NodeId)],
+        rank: impl Fn(NodeId) -> K,
+    ) -> Option<Vec<NodeId>> {
+        self.query(graph, Some(copies), rank)
+    }
+
+    /// One query, with the copy map the caller declared, if any.
+    fn query<N, E, K: Ord>(
+        &mut self,
+        graph: &DiGraph<N, E>,
+        copies: Option<&[(NodeId, NodeId)]>,
+        rank: impl Fn(NodeId) -> K,
+    ) -> Option<Vec<NodeId>> {
         noc_telemetry::counter("cycles.queries", 1);
-        let (seen, edits, _) = self.sync(graph);
+        let (seen, edits, _) = self.sync(graph, copies);
         self.scan(seen, edits.as_ref(), rank)
     }
 
@@ -349,7 +408,8 @@ impl IncrementalCycleFinder {
         rank: impl Fn(NodeId) -> K,
     ) -> Option<Vec<NodeId>> {
         let stale = edits.and_then(|edits| edits.stale.as_deref());
-        self.pool.update(&seen, stale, &rank);
+        let copied = edits.is_some_and(|edits| edits.copied);
+        self.pool.update(&seen, stale, copied, &rank);
         self.update_bounds(&seen.partition, edits);
 
         // The canonical scan: ascending rank, each BFS capped at one less
@@ -412,12 +472,17 @@ impl IncrementalCycleFinder {
     /// Brings what the last query saw up to `graph` and returns it with the
     /// edits since that query (`None` when there is no last query to
     /// compare with) and the pass that brought the partition up to date.
+    /// `copies` is the copy map the caller declared, if any.
     ///
     /// The removed and added edges come from the removal log and the edge
     /// arena; only their tails' rows are read again.  The partition is
     /// patched over the components the edits touched while the certificate
     /// holds (see the [type docs](Self)), and computed again otherwise.
-    fn sync<N, E>(&mut self, graph: &DiGraph<N, E>) -> (Seen, Option<Edits>, Pass) {
+    fn sync<N, E>(
+        &mut self,
+        graph: &DiGraph<N, E>,
+        copies: Option<&[(NodeId, NodeId)]>,
+    ) -> (Seen, Option<Edits>, Pass) {
         let n = graph.node_count();
         assert!(
             u32::try_from(n).is_ok(),
@@ -473,6 +538,9 @@ impl IncrementalCycleFinder {
             }
         }
 
+        if let Some(copies) = copies.filter(|_| cfg!(debug_assertions)) {
+            seen.check_copies(n, copies, &added);
+        }
         let touched = seen.touched_components(&changed, &rows, &removed, &added);
         seen.adjacency.splice(n, &changed, &rows);
         if cfg!(debug_assertions) {
@@ -512,14 +580,20 @@ impl IncrementalCycleFinder {
                 (None, Pass::Fallback)
             }
         };
-        (seen, Some(Edits { added, stale }), pass)
+        let edits = Edits {
+            added,
+            stale,
+            copied: copies.is_some(),
+        };
+        (seen, Some(edits), pass)
     }
 
     /// Brings `bounds` from the graph of the last query to the current
     /// pool's: nodes on no cycle are certified for every length, new nodes
     /// for none, and every pool node is lowered to the shortest cycle an
     /// edge added since the last query could close through it (`edits` is
-    /// `None` on a first query).
+    /// `None` on a first query).  After edits that only copied nodes no
+    /// cycle got shorter, so nothing is lowered.
     ///
     /// Only a stale node can have joined or left the pool, so only stale
     /// nodes are certified again (every node when `edits` names none), and
@@ -536,7 +610,7 @@ impl IncrementalCycleFinder {
             Some(stale) => stale.iter().for_each(|&v| certify(v)),
             None => (0..n as u32).for_each(certify),
         }
-        let Some(edits) = edits else {
+        let Some(edits) = edits.filter(|edits| !edits.copied) else {
             return;
         };
 
@@ -589,6 +663,9 @@ struct Edits {
     /// ascending, or `None` when any node's may (the partition was computed
     /// again over the whole graph).
     stale: Option<Vec<u32>>,
+    /// Whether the caller declared the edits a copy map: the graph maps
+    /// onto the last query's, and the old nodes keep their rank order.
+    copied: bool,
 }
 
 /// The search space of a query, kept from query to query: the members of
@@ -664,16 +741,25 @@ impl Pool {
     /// Brings the pool up to the graph `seen` holds, whose stale nodes are
     /// `stale` (`None`: every node may be), under `rank`.  The pool is
     /// patched while the kept order is still strictly ascending under
-    /// `rank`, and built again otherwise.
-    fn update<K: Ord>(&mut self, seen: &Seen, stale: Option<&[u32]>, rank: &impl Fn(NodeId) -> K) {
-        let mut keys = self.order.iter().map(|&s| rank(self.node_at(s)));
-        let ascending = keys.next().is_none_or(|mut previous| {
-            keys.all(|key| {
-                let ascending = previous < key;
-                previous = key;
-                ascending
+    /// `rank`, and built again otherwise; `ranks_kept` declares the order
+    /// ascending, and skips the check.
+    fn update<K: Ord>(
+        &mut self,
+        seen: &Seen,
+        stale: Option<&[u32]>,
+        ranks_kept: bool,
+        rank: &impl Fn(NodeId) -> K,
+    ) {
+        let ascending = ranks_kept || {
+            let mut keys = self.order.iter().map(|&s| rank(self.node_at(s)));
+            keys.next().is_none_or(|mut previous| {
+                keys.all(|key| {
+                    let ascending = previous < key;
+                    previous = key;
+                    ascending
+                })
             })
-        });
+        };
         match stale {
             Some(stale) if ascending => {
                 self.patch(seen, stale, rank);
@@ -871,6 +957,39 @@ impl Seen {
             edges: graph.edge_id_bound(),
             removals: graph.removals().len(),
             partition,
+        }
+    }
+
+    /// Panics unless `copies` is a copy map from the graph of `n` nodes to
+    /// the adjacency still held: each node added since it pairs with one
+    /// older node, and each edge in `added` maps onto a held edge.
+    fn check_copies(&self, n: usize, copies: &[(NodeId, NodeId)], added: &[(u32, u32)]) {
+        let old_n = self.adjacency.len();
+        let mut original = vec![NO_SLOT; n - old_n];
+        for &(copy, of) in copies {
+            let (copy, of) = (copy.index(), of.index());
+            assert!(
+                (old_n..n).contains(&copy) && of < old_n,
+                "declared copies: node {copy} is not a new node copying node {of} of the last query's graph"
+            );
+            original[copy - old_n] = of as u32;
+        }
+        let phi = |v: u32| match v as usize {
+            v if v < old_n => v as u32,
+            v => original[v - old_n],
+        };
+        assert!(
+            !original.contains(&NO_SLOT),
+            "declared copies: a node added since the last query is listed as no copy"
+        );
+        for &(u, w) in added {
+            assert!(
+                self.adjacency
+                    .successors(phi(u) as usize)
+                    .binary_search(&phi(w))
+                    .is_ok(),
+                "declared copies: the added edge {u} -> {w} maps onto no edge of the last query's graph"
+            );
         }
     }
 
@@ -1917,7 +2036,7 @@ mod tests {
             let mut g = ring_chain(&mut rng);
             let mut finder = IncrementalCycleFinder::new();
             for step in 0..30 {
-                let (seen, edits, pass) = finder.sync(&g);
+                let (seen, edits, pass) = finder.sync(&g, None);
                 match pass {
                     Pass::Partial => partial += 1,
                     Pass::Fallback => fallback += 1,
@@ -2012,7 +2131,7 @@ mod tests {
                         key
                     }
                 };
-                let (seen, edits, pass) = finder.sync(&g);
+                let (seen, edits, pass) = finder.sync(&g, None);
                 if pass == Pass::Partial && step % 5 != 0 {
                     patched += 1;
                 }
@@ -2079,7 +2198,7 @@ mod tests {
                 g.add_edge(pair[0], pair[1], ());
             }
             g.add_edge(chain[len - 1], nodes[1], ());
-            let (seen, edits, pass) = finder.sync(&g);
+            let (seen, edits, pass) = finder.sync(&g, None);
             assert_eq!(pass, expected, "chain of {len}");
             let found = finder.scan(seen, edits.as_ref(), NodeId::index);
             assert_eq!(found, smallest_cycle(&g), "chain of {len}");

@@ -363,6 +363,152 @@ fn incremental_finder_follows_a_rank_change_through_edits() {
     }
 }
 
+/// Rings of 4 to 9 nodes with a chord or two, joined by edges that run
+/// only from a ring to a later one, so every ring is a component.
+fn ring_chain(rng: &mut SmallRng) -> DiGraph<usize, ()> {
+    let mut g = DiGraph::new();
+    let mut previous: Vec<NodeId> = Vec::new();
+    for _ in 0..rng.gen_range(2..5_usize) {
+        let len = rng.gen_range(4..10_usize);
+        let first = g.node_count();
+        let nodes: Vec<_> = (first..first + len).map(|i| g.add_node(i)).collect();
+        for i in 0..len {
+            g.add_edge(nodes[i], nodes[(i + 1) % len], ());
+        }
+        for _ in 0..rng.gen_range(0..3_usize) {
+            let a = nodes[rng.gen_range(0..len)];
+            let b = nodes[rng.gen_range(0..len)];
+            g.add_edge(a, b, ());
+        }
+        for _ in 0..rng.gen_range(1..4_usize).min(previous.len()) {
+            let from = previous[rng.gen_range(0..previous.len())];
+            g.add_edge(from, nodes[rng.gen_range(0..len)], ());
+        }
+        previous.extend(nodes);
+    }
+    g
+}
+
+/// Breaks `cycle` the way deadlock removal does and returns the copy map:
+/// copies a segment of the cycle that ends at the tail of one of its edges,
+/// moves the path through the segment onto the copies, and mostly drops
+/// the edge out of the segment (a flow that stays behind may keep it).  A
+/// few other edges at the segment move onto the copies as well.  Every
+/// added edge maps onto an edge of the graph before the break.
+fn break_like_edit(
+    g: &mut DiGraph<usize, ()>,
+    cycle: &[NodeId],
+    rng: &mut SmallRng,
+) -> Vec<(NodeId, NodeId)> {
+    let len = cycle.len();
+    let at = |i: usize| cycle[i % len];
+    let (pos, cost) = (rng.gen_range(0..len), rng.gen_range(1..len + 1));
+    // The segment in cycle order: it ends at `pos`, whose edge breaks.
+    let first = pos + len - (cost - 1);
+    let segment: Vec<NodeId> = (first..first + cost).map(at).collect();
+    let old: Vec<(NodeId, NodeId)> = g.edges().map(|e| (e.source, e.target)).collect();
+    let mut copies = Vec::with_capacity(cost);
+    for &original in &segment {
+        let copy = g.add_node(g.node_count());
+        copies.push((copy, original));
+    }
+    let copy_of = |v: NodeId| copies.iter().find(|&&(_, o)| o == v).map(|&(c, _)| c);
+
+    // The path pred -> segment -> next moves onto the copies.
+    let pred = at(first + len - 1);
+    g.add_edge(pred, copies[0].0, ());
+    for pair in copies.windows(2) {
+        g.add_edge(pair[0].0, pair[1].0, ());
+    }
+    g.add_edge(copies[cost - 1].0, at(pos + 1), ());
+    if rng.gen_range(0..4_usize) != 0 {
+        while let Some(edge) = g.find_edge(at(pos), at(pos + 1)) {
+            g.remove_edge(edge);
+        }
+    }
+    // Other edges at the segment: each end that was copied may move.
+    for &(u, w) in &old {
+        if rng.gen_range(0..3_usize) != 0 {
+            continue;
+        }
+        let tail = copy_of(u).filter(|_| rng.gen_range(0..2_usize) == 0);
+        let head = copy_of(w).filter(|_| rng.gen_range(0..2_usize) == 0);
+        if tail.is_none() && head.is_none() {
+            continue;
+        }
+        g.add_edge(tail.unwrap_or(u), head.unwrap_or(w), ());
+        if rng.gen_range(0..2_usize) == 0 {
+            if let Some(edge) = g.find_edge(u, w) {
+                g.remove_edge(edge);
+            }
+        }
+    }
+    copies
+}
+
+/// A finder told that each edit only copied nodes answers exactly as the
+/// stateless search and a finder told nothing do, through seeded loops of
+/// break-like edits on ring chains, chorded rings and small tori, under
+/// the identity rank and one that sorts copies between old nodes.
+#[test]
+fn declared_copies_keep_every_answer_through_break_like_edits() {
+    let mut rng = SmallRng::seed_from_u64(0xC0B1E5);
+    for case in 0..CASES {
+        let mut g = match case % 3 {
+            0 => ring_chain(&mut rng),
+            1 => chorded_ring(&mut rng),
+            _ => sparse_torus(&mut rng),
+        };
+        let rank = |v: NodeId| {
+            if case % 2 == 0 {
+                v.index() as u64
+            } else {
+                scrambled(v)
+            }
+        };
+        let mut declared = cycles::IncrementalCycleFinder::new();
+        let mut undeclared = cycles::IncrementalCycleFinder::new();
+        let mut copies = Vec::new();
+        for step in 0..12 {
+            let expected = cycles::smallest_cycle_by(&g, rank);
+            assert_eq!(
+                declared.smallest_cycle_with_copies(&g, &copies, rank),
+                expected,
+                "case {case}, step {step}: declared"
+            );
+            assert_eq!(
+                undeclared.smallest_cycle_by(&g, rank),
+                expected,
+                "case {case}, step {step}: undeclared"
+            );
+            let Some(cycle) = expected else {
+                break;
+            };
+            copies = break_like_edit(&mut g, &cycle, &mut rng);
+        }
+    }
+}
+
+/// Debug builds check a declared copy map: an added edge whose image under
+/// the map is no edge of the last query's graph panics.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "maps onto no edge")]
+fn a_declared_copy_with_an_edge_onto_no_old_edge_panics() {
+    let mut g: DiGraph<usize, ()> = DiGraph::new();
+    let n: Vec<_> = (0..4).map(|i| g.add_node(i)).collect();
+    for i in 0..4 {
+        g.add_edge(n[i], n[(i + 1) % 4], ());
+    }
+    let mut finder = cycles::IncrementalCycleFinder::new();
+    assert!(finder.smallest_cycle_by(&g, NodeId::index).is_some());
+    // The copy of n[0] gets an edge to n[2], but n[0] -> n[2] is no edge.
+    let copy = g.add_node(4);
+    g.add_edge(n[3], copy, ());
+    g.add_edge(copy, n[2], ());
+    finder.smallest_cycle_with_copies(&g, &[(copy, n[0])], NodeId::index);
+}
+
 /// Edges added with no word to the finder never change its answer: it
 /// finds every edit in the graph's edge arena by itself.
 #[test]

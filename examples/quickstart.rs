@@ -55,8 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fixed = routed.resolve_deadlocks(&CycleBreaking)?;
     println!(
         "deadlock removal:    {} extra VC(s), {} cycle(s) broken",
-        fixed.resolution().added_vcs,
-        fixed.resolution().cycles_broken
+        fixed.resolution().added_vcs(),
+        fixed.resolution().cycles_broken()
     );
     println!("after removal the CDG is acyclic: the design cannot deadlock");
     Ok(())

@@ -54,8 +54,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fixed = routed.resolve_deadlocks(&CycleBreaking)?;
     println!(
         "--- after deadlock removal ({} VC added, {} cycle broken) ---",
-        fixed.resolution().added_vcs,
-        fixed.resolution().cycles_broken
+        fixed.resolution().added_vcs(),
+        fixed.resolution().cycles_broken()
     );
     let outcome = fixed.simulate_vc(&AssignedVc, &sim_config, &traffic);
     println!(

@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let after = fixed.simulate_vc(&AssignedVc, &sim_config, &traffic);
     println!(
         "after removal ({} VCs added): deadlocked = {}, delivered {}/{}, mean latency {:.1}",
-        fixed.resolution().added_vcs,
+        fixed.resolution().added_vcs(),
         after.deadlocked,
         after.stats.delivered_packets,
         after.stats.injected_packets,

@@ -24,7 +24,7 @@ fn pipeline(benchmark: Benchmark, switches: usize) {
     // resource-ordering baseline.
     let fixed = routed.resolve_deadlocks(&CycleBreaking).unwrap();
     let ordered = routed.resolve_deadlocks(&ResourceOrdering).unwrap();
-    assert!(fixed.resolution().added_vcs <= ordered.resolution().added_vcs);
+    assert!(fixed.resolution().added_vcs() <= ordered.resolution().added_vcs());
 
     // The power model sees the extra buffers of the baseline.
     let removal_power = fixed.power().total_power_mw;
@@ -63,7 +63,7 @@ fn strategies_are_one_line_swaps() {
     let ordering = fix(&ResourceOrdering);
     assert_eq!(removal.resolution().strategy, "cycle-breaking");
     assert_eq!(ordering.resolution().strategy, "resource-ordering");
-    assert!(removal.resolution().added_vcs <= ordering.resolution().added_vcs);
+    assert!(removal.resolution().added_vcs() <= ordering.resolution().added_vcs());
 }
 
 #[test]
