@@ -37,7 +37,7 @@ use noc_flow::{
 use noc_rng::SmallRng;
 use noc_routing::shortest::route_all_shortest;
 use noc_routing::updown::route_all_updown;
-use noc_routing::{Route, RouteSet};
+use noc_routing::{RouteSet, RouteView};
 use noc_sim::traffic::{generate_workload, Workload};
 use noc_sim::{
     AdaptiveEscape, AssignedVc, DetectionKind, FaultKind, FaultPlan, Packet, PacketId, SingleVc,
@@ -863,7 +863,7 @@ pub fn witness_replay_workload(
 /// One long worm per flow with a non-empty route, in the given order, with
 /// packet ids numbered from 0 in that order.
 fn long_worms<'a>(
-    flows: impl Iterator<Item = (FlowId, &'a Route)>,
+    flows: impl Iterator<Item = (FlowId, RouteView<'a>)>,
     buffer_depth: usize,
 ) -> Workload {
     let packets = flows

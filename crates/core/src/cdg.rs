@@ -412,7 +412,7 @@ mod tests {
         let l0 = LinkId::from_index(0);
         let new_channel = topo.add_vc(l0).unwrap();
         let f3 = FlowId::from_index(2);
-        routes.route_mut(f3).unwrap().channels_mut()[1] = new_channel;
+        routes.route_mut(f3).unwrap()[1] = new_channel;
         let cdg = Cdg::build(&topo, &routes);
         assert!(cdg.is_acyclic());
         assert_eq!(cdg.channel_count(), 5);
@@ -432,10 +432,7 @@ mod tests {
         // participate in a deadlock.
         let (mut topo, mut routes) = figure_1_design();
         let new_channel = topo.add_vc(LinkId::from_index(0)).unwrap();
-        routes
-            .route_mut(FlowId::from_index(2))
-            .unwrap()
-            .channels_mut()[1] = new_channel;
+        routes.route_mut(FlowId::from_index(2)).unwrap()[1] = new_channel;
         let cdg = Cdg::build(&topo, &routes);
         assert!(cdg.cyclic_flows().is_empty());
     }
@@ -520,7 +517,7 @@ mod tests {
         let old: Vec<Channel> = routes.route(f3).unwrap().channels().to_vec();
 
         let new_channel = topo.add_vc(LinkId::from_index(0)).unwrap();
-        routes.route_mut(f3).unwrap().channels_mut()[1] = new_channel;
+        routes.route_mut(f3).unwrap()[1] = new_channel;
         let new: Vec<Channel> = routes.route(f3).unwrap().channels().to_vec();
 
         let mut delta = CdgDelta::default();
@@ -715,7 +712,7 @@ mod tests {
         let f3 = FlowId::from_index(2);
         let old: Vec<Channel> = routes.route(f3).unwrap().channels().to_vec();
         let new_channel = topo.add_vc(LinkId::from_index(0)).unwrap();
-        routes.route_mut(f3).unwrap().channels_mut()[1] = new_channel;
+        routes.route_mut(f3).unwrap()[1] = new_channel;
         let new: Vec<Channel> = routes.route(f3).unwrap().channels().to_vec();
         let mut delta = CdgDelta::default();
         cdg.register_channel(new_channel, &mut delta);

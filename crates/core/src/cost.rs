@@ -341,7 +341,7 @@ mod tests {
         let extra = Channel::base(LinkId::from_index(9));
         let mut routes2 = RouteSet::new(5);
         for (f, r) in routes.iter() {
-            routes2.set_route(f, r.clone());
+            routes2.set_route(f, r.to_route());
         }
         routes2.set_route(FlowId::from_index(4), Route::new(vec![extra, cycle[0]]));
         assert_eq!(tables(&cycle, &routes2).forward.flows.len(), 4);
@@ -550,7 +550,7 @@ mod tests {
             let (mut topo, mut routes) = chorded_ring(&mut rng, walks);
             for _ in 0..rng.gen_range(0..4_usize) {
                 let flow = FlowId::from_index(rng.gen_range(0..routes.flow_count()));
-                let channels = routes.route_mut(flow).expect("flow exists").channels_mut();
+                let channels = routes.route_mut(flow).expect("flow exists");
                 let start = rng.gen_range(0..channels.len());
                 let end = rng.gen_range(start..channels.len()) + 1;
                 for channel in &mut channels[start..end] {

@@ -353,10 +353,9 @@ fn break_cycle(
     // cycle, burning extra VCs.
     let mut rerouted: Vec<(FlowId, Vec<Channel>)> = Vec::with_capacity(offending.len());
     for &flow in offending {
-        let route = routes
+        let channels = routes
             .route_mut(flow)
             .expect("offending flows exist in the route set");
-        let channels = route.channels_mut();
         let old_channels = channels.to_vec();
         let mut modified = false;
         // Scan for every position of the `from -> to` pair.  Replacements

@@ -64,10 +64,10 @@ pub(crate) fn assign_vc_layers<E: From<TopologyError>>(
     // Highest layer needed on every link (every link keeps its base VC).
     let mut needed_vcs: Vec<usize> = vec![1; topology.link_count()];
     for flow_index in 0..routes.flow_count() {
-        let route = routes
+        let channels = routes
             .route_mut(FlowId::from_index(flow_index))
             .expect("index is in range");
-        for (hop, channel) in route.channels_mut().iter_mut().enumerate() {
+        for (hop, channel) in channels.iter_mut().enumerate() {
             let Some(needed) = needed_vcs.get_mut(channel.link.index()) else {
                 return Err(TopologyError::UnknownLink(channel.link).into());
             };

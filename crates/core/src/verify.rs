@@ -118,10 +118,7 @@ mod tests {
         let (mut topo, mut routes) = ring_with_cycle();
         // Manually re-route flow 2's second hop onto a new VC.
         let new_vc = topo.add_vc(LinkId::from_index(0)).unwrap();
-        routes
-            .route_mut(FlowId::from_index(2))
-            .unwrap()
-            .channels_mut()[1] = new_vc;
+        routes.route_mut(FlowId::from_index(2)).unwrap()[1] = new_vc;
         assert!(check_deadlock_free(&topo, &routes).is_ok());
     }
 }

@@ -18,7 +18,9 @@
 //!
 //! Branching is free: `resolve_deadlocks` takes `&self` and copies
 //! internally, so comparing two deadlock strategies on the same routed
-//! design needs no hand-cloning at the call site.
+//! design needs no hand-cloning at the call site.  A repaired stage shares
+//! the communication graph and core map with the stage it came from; only
+//! the topology and routes, which a strategy rewrites, are copied.
 
 use crate::error::FlowError;
 use crate::strategy::{DeadlockResolution, DeadlockStrategy};
@@ -33,6 +35,7 @@ use noc_sim::{TrafficConfig, VcPolicy, VcSimConfig, VcSimOutcome, VcSimulator};
 use noc_synth::{synthesize, SynthesisConfig};
 use noc_topology::validate::validate_design;
 use noc_topology::{CommGraph, CoreMap, Topology};
+use std::sync::Arc;
 
 /// A validated design at one point of the pipeline; `S` is its state,
 /// [`Routed`] before repair and [`DeadlockResolution`] after.
@@ -41,9 +44,9 @@ use noc_topology::{CommGraph, CoreMap, Topology};
 /// [`RoutedStage::resolve_deadlocks`] are the only ways to build one.
 #[derive(Debug, Clone)]
 pub struct Stage<S> {
-    comm: CommGraph,
+    comm: Arc<CommGraph>,
     topology: Topology,
-    core_map: CoreMap,
+    core_map: Arc<CoreMap>,
     routes: RouteSet,
     state: S,
 }
@@ -143,16 +146,21 @@ impl<S> Stage<S> {
 impl RoutedStage {
     /// Synthesizes an application-specific topology and attachment for
     /// `comm` and keeps the synthesizer's shortest-path routes, after
-    /// validating the design triple and the routes.
-    pub fn synthesize(comm: CommGraph, config: &SynthesisConfig) -> Result<Self, FlowError> {
+    /// validating the design triple and the routes.  `comm` may be an
+    /// `Arc` that other designs share.
+    pub fn synthesize(
+        comm: impl Into<Arc<CommGraph>>,
+        config: &SynthesisConfig,
+    ) -> Result<Self, FlowError> {
         let _span = noc_telemetry::span("stage", "synthesize");
+        let comm = comm.into();
         let design = synthesize(&comm, config)?;
         validate_design(&design.topology, &comm, &design.core_map)?;
         validate_routes(&design.topology, &comm, &design.core_map, &design.routes)?;
         Ok(Stage {
             comm,
             topology: design.topology,
-            core_map: design.core_map,
+            core_map: Arc::new(design.core_map),
             routes: design.routes,
             state: Routed,
         })
@@ -171,9 +179,9 @@ impl RoutedStage {
         let routes = route_all_shortest(&topology, &comm, &core_map)?;
         validate_routes(&topology, &comm, &core_map, &routes)?;
         Ok(Stage {
-            comm,
+            comm: Arc::new(comm),
             topology,
-            core_map,
+            core_map: Arc::new(core_map),
             routes,
             state: Routed,
         })
@@ -222,9 +230,9 @@ impl RoutedStage {
         check_deadlock_free(&topology, &routes).map_err(FlowError::StillCyclic)?;
         validate_routes(&topology, &self.comm, &self.core_map, &routes)?;
         Ok(Stage {
-            comm: self.comm.clone(),
+            comm: Arc::clone(&self.comm),
             topology,
-            core_map: self.core_map.clone(),
+            core_map: Arc::clone(&self.core_map),
             routes,
             state: resolution,
         })

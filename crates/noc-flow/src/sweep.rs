@@ -22,8 +22,10 @@ use noc_deadlock::report::StrategyKind;
 use noc_sim::VcSimOutcome;
 use noc_synth::SynthesisConfig;
 use noc_topology::benchmarks::Benchmark;
-use std::collections::HashSet;
+use noc_topology::CommGraph;
+use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// Per-strategy VC-fidelity simulation summary of one run, as the
 /// simulation figures report it.
@@ -369,12 +371,19 @@ impl FlowSweep {
         // unattributed wall time in a trace.
         let mut span = noc_telemetry::span("sweep", "run");
         span.arg("points", grid.len());
+        // Every point of a benchmark routes the same communication graph.
+        let mut comms = HashMap::new();
+        for &(benchmark, _) in &grid {
+            comms
+                .entry(benchmark)
+                .or_insert_with(|| Arc::new(benchmark.comm_graph()));
+        }
         executor::parallel_map_ordered(&grid, self.threads, |&(benchmark, switch_count)| {
             let point = {
                 let mut span = noc_telemetry::span("sweep", "prepare_point");
                 span.arg("benchmark", benchmark.name())
                     .arg("switches", switch_count);
-                self.prepare(benchmark, switch_count)?
+                self.prepare_shared(benchmark, Arc::clone(&comms[&benchmark]), switch_count)?
             };
             let outcomes = strategies
                 .iter()
@@ -426,10 +435,18 @@ impl FlowSweep {
         benchmark: Benchmark,
         switch_count: usize,
     ) -> Result<PreparedPoint, FlowError> {
-        let routed = RoutedStage::synthesize(
-            benchmark.comm_graph(),
-            &SynthesisConfig::with_switches(switch_count),
-        )?;
+        self.prepare_shared(benchmark, Arc::new(benchmark.comm_graph()), switch_count)
+    }
+
+    /// [`prepare`](Self::prepare) on `benchmark`'s communication graph,
+    /// built by the caller and shared with its other points.
+    fn prepare_shared(
+        &self,
+        benchmark: Benchmark,
+        comm: Arc<CommGraph>,
+        switch_count: usize,
+    ) -> Result<PreparedPoint, FlowError> {
+        let routed = RoutedStage::synthesize(comm, &SynthesisConfig::with_switches(switch_count))?;
         let original = self.estimate_power.then(|| routed.power());
         Ok(PreparedPoint {
             benchmark,

@@ -4,7 +4,8 @@
 //! channels (physical link + VC) a flow traverses from its source switch to
 //! its destination switch.  This crate provides:
 //!
-//! * the [`Route`] / [`RouteSet`] data model shared with the deadlock-removal
+//! * the [`Route`] / [`RouteSet`] data model (one flat channel array per
+//!   set, read through [`RouteView`]) shared with the deadlock-removal
 //!   algorithm (which re-routes flows onto newly added VCs),
 //! * deadlock-oblivious minimum-cost routing ([`shortest`]), the default way
 //!   the paper's input routes are produced,
@@ -41,5 +42,5 @@ pub mod updown;
 pub mod validate;
 pub mod xy;
 
-pub use route::{Route, RouteSet};
+pub use route::{Route, RouteSet, RouteView};
 pub use validate::RouteError;

@@ -173,7 +173,7 @@ mod tests {
     fn missing_vc_is_detected() {
         let (t, c, m, mut r, f) = design();
         let first = r.route(f).unwrap().channels()[0];
-        r.route_mut(f).unwrap().channels_mut()[0] = Channel::new(first.link, 3);
+        r.route_mut(f).unwrap()[0] = Channel::new(first.link, 3);
         assert_eq!(
             validate_routes(&t, &c, &m, &r),
             Err(RouteError::MissingVc { flow: f, at_hop: 0 })
@@ -186,7 +186,7 @@ mod tests {
         // Replace the second hop with a link that does not start where the
         // first ends (reuse the first link again).
         let first = r.route(f).unwrap().channels()[0];
-        r.route_mut(f).unwrap().channels_mut()[1] = first;
+        r.route_mut(f).unwrap()[1] = first;
         assert_eq!(
             validate_routes(&t, &c, &m, &r),
             Err(RouteError::Discontiguous { flow: f, at_hop: 1 })
@@ -197,7 +197,9 @@ mod tests {
     fn wrong_endpoints_are_detected() {
         let (t, c, m, mut r, f) = design();
         // Truncate the route so it no longer reaches the destination switch.
-        r.route_mut(f).unwrap().channels_mut().pop();
+        let channels = r.route(f).unwrap().channels();
+        let truncated = Route::new(channels[..channels.len() - 1].to_vec());
+        r.set_route(f, truncated);
         assert_eq!(
             validate_routes(&t, &c, &m, &r),
             Err(RouteError::WrongEndpoints { flow: f })

@@ -39,7 +39,7 @@ use crate::stats::SimStats;
 use crate::traffic::{generate_workload, TrafficConfig, Workload};
 use noc_deadlock::report::ReconfigStats;
 use noc_deadlock::vcmap::VcMap;
-use noc_routing::{Route, RouteSet};
+use noc_routing::{Route, RouteSet, RouteView};
 use noc_topology::{Channel, CommGraph, CoreMap, FaultSet, FlowId, LinkId, Topology};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -515,8 +515,9 @@ impl RouteTable<'_> {
     fn route_of(&self, flow: FlowId) -> &[Channel] {
         self.rerouted
             .get(&flow)
+            .map(Route::view)
             .or_else(|| self.routes.route(flow))
-            .map_or(&[], Route::channels)
+            .map_or(&[], RouteView::channels)
     }
 
     /// The committed route of `flow` during a fault epoch: `None` while a
@@ -1130,7 +1131,7 @@ impl<'a> VcSimulator<'a> {
         for &slot in dead {
             let flow = self.packets[slot].packet.flow;
             self.routes.rerouted.entry(flow).or_insert_with(|| {
-                let route = recovery.route(flow).cloned();
+                let route = recovery.route(flow).map(RouteView::to_route);
                 route.unwrap_or_else(|| panic!("recovery routes must cover flow {flow}"))
             });
             self.reconfigured.insert(flow);
@@ -2004,10 +2005,8 @@ mod tests {
     fn routes_outside_the_vc_map_are_rejected() {
         let (topo, comm, _, mut routes, _) = line_design();
         let vc_map = VcMap::from_design(&topo, &routes);
-        routes
-            .route_mut(FlowId::from_index(0))
-            .unwrap()
-            .channels_mut()[0] = noc_topology::Channel::new(LinkId::from_index(0), 9);
+        routes.route_mut(FlowId::from_index(0)).unwrap()[0] =
+            noc_topology::Channel::new(LinkId::from_index(0), 9);
         let _ = VcSimulator::new(
             &comm,
             &routes,
